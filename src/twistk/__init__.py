@@ -54,7 +54,6 @@ from .geometry import (
 from .grid import (
     PeriodicGrid,
     ScalarField,
-    SpectralCoeffs,
     flat_poisson_solve,
     make_trig_field,
     random_smooth_field,

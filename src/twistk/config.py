@@ -19,6 +19,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 
+from .engine import MAX_LADDER_ORDER
 from .errors import ConfigError
 
 SCENARIOS = (
@@ -275,8 +276,10 @@ def parse_config(text: str) -> RunConfig:
         t_schedule = None
 
     order = data.get("order", cfg.order)
-    if not isinstance(order, int) or isinstance(order, bool) or not 0 <= order <= 8:
-        diags.append(f"order: must be an integer in [0, 8]{_line_of(text, 'order')}")
+    if not isinstance(order, int) or isinstance(order, bool) \
+            or not 0 <= order <= MAX_LADDER_ORDER:
+        diags.append(f"order: must be an integer in [0, {MAX_LADDER_ORDER}]"
+                     f"{_line_of(text, 'order')}")
         order = cfg.order
 
     newton_tol = data.get("newton_tol", cfg.newton_tol)

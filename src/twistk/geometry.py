@@ -238,9 +238,8 @@ def trace_form(K: KahlerStructure, alpha: HermitianFormField) -> ScalarField:
 
 def laplacian(K: KahlerStructure, f: ScalarField) -> ScalarField:
     """Complex Laplacian g^{jk} d_j d_kbar f."""
-    H = hessian(K.grid, f.values)
-    vals = np.einsum("kj...,jk...->...", K.inverse, H).real
-    return ScalarField(K.grid, vals)
+    grid = K.grid
+    return ScalarField(grid, grid.hessian_trace(grid.hessian_pairing(K.inverse), f.values))
 
 
 def form_pairing(K: KahlerStructure, alpha: HermitianFormField,

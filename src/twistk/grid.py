@@ -14,13 +14,37 @@ even-order factors keep the full wavenumber so that second-order
 contractions such as the flat Laplacian have kernel exactly the
 constants on the grid.
 
-Transforms are normalised so that a constant field has coefficient 1 at
-wavevector zero, which makes the coefficient l2 norm equal to the grid
-root-mean-square norm (discrete Parseval).
+`PeriodicGrid.fft`/`ifft` are normalised so that a constant field has
+coefficient 1 at wavevector zero, which makes the coefficient l2 norm
+equal to the grid root-mean-square norm (discrete Parseval).  On the
+full spectrum they are the coefficient API for norms, flat solves and
+tests.  With half=True they are the real-to-complex pair: `fft` keeps
+the first N // 2 + 1 coefficients along the last axis of a real field
+(or of a stack of fields along leading axes) and `ifft` returns real
+fields.
+
+Every spectral derivative goes through one half-spectrum kernel,
+`PeriodicGrid.derivatives`: one real-to-complex transform of the input,
+a product with a stack of multipliers, and one batched complex-to-real
+inverse transform that yields real fields.  A complex derivative
+D v = ifft(m * fft(v)) of a real field v is carried as two real fields.
+They come from splitting the full-spectrum multiplier m by discrete
+index reflection, with -k taken mod N on every axis:
+
+    m_h(k) = (m(k) + conj(m(-k))) / 2,      Re D v = irfft(m_h * rfft v),
+    m_a(k) = (m(k) - conj(m(-k))) / (2i),   Im D v = irfft(m_a * rfft v).
+
+Both halves are Hermitian under the reflection, so the identities hold
+exactly on every mode.  On a mode touching a Nyquist wavenumber the
+reflection keeps that index fixed, so the naive split into the real and
+imaginary parts of the symbol would be wrong there; the reflection split
+is what keeps the half-spectrum operators equal to the full-spectrum
+ones.  Multiplier stacks are built lazily and cached per grid.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -52,6 +76,11 @@ def _axis_shape(length: int, axis: int, ndim: int) -> tuple[int, ...]:
     return tuple(shape)
 
 
+def _pairs(n: int) -> list[tuple[int, int]]:
+    """Off-diagonal index pairs j < k, in the order of the Hessian stack."""
+    return [(j, k) for j in range(n) for k in range(j + 1, n)]
+
+
 @dataclass(frozen=True)
 class PeriodicGrid:
     """Uniform grid over [0, 2*pi)^(2n) with cached wavenumber tables.
@@ -63,15 +92,10 @@ class PeriodicGrid:
     sizes:
         Points per real axis, one entry per axis in the order
         (x_1, y_1, ..., x_n, y_n).  Each size must be even and >= 4.
-    dealias:
-        When True every spectral-derivative output is truncated by the
-        2/3 rule.  Off by default; products of smooth well-resolved
-        fields keep aliasing at the round-off floor without it.
     """
 
     n: int
     sizes: tuple[int, ...]
-    dealias: bool = False
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -93,9 +117,9 @@ class PeriodicGrid:
     def shape(self) -> tuple[int, ...]:
         return self.sizes
 
-    @property
+    @functools.cached_property
     def npoints(self) -> int:
-        return int(np.prod(self.sizes))
+        return math.prod(self.sizes)
 
     def spacings(self) -> tuple[float, ...]:
         return tuple(2.0 * math.pi / s for s in self.sizes)
@@ -141,16 +165,6 @@ class PeriodicGrid:
             self._cache["ksq"] = ksq
         return self._cache["ksq"]
 
-    def dealias_mask(self) -> np.ndarray:
-        """Boolean mask keeping modes inside the 2/3 ball per axis."""
-        if "mask" not in self._cache:
-            mask = np.ones(self.shape, dtype=bool)
-            for a, s in enumerate(self.sizes):
-                cut = s // 3
-                mask &= np.abs(self._axis_k(a, odd=False)) <= cut
-            self._cache["mask"] = mask
-        return self._cache["mask"]
-
     def nyquist_mask(self) -> np.ndarray:
         """Boolean mask of modes with any axis at its Nyquist wavenumber.
 
@@ -166,13 +180,11 @@ class PeriodicGrid:
         return self._cache["nyquist"]
 
     def hessian_multiplier(self, j: int, k: int) -> np.ndarray:
-        """Multiplier of d/dz_j d/dzbar_k (full wavenumbers, order 2)."""
-        key = ("hess", j, k)
-        if key not in self._cache:
-            self._cache[key] = self._holo_factor(j, False, odd=False) * self._holo_factor(
-                k, True, odd=False
-            )
-        return self._cache[key]
+        """Multiplier of d/dz_j d/dzbar_k (full wavenumbers, order 2).
+
+        Not cached: the kernel keeps its half-spectrum stack instead.
+        """
+        return self._holo_factor(j, False, odd=False) * self._holo_factor(k, True, odd=False)
 
     def derivative_multiplier(self, dz: tuple[int, ...], dzbar: tuple[int, ...]) -> np.ndarray:
         """Multiplier of prod_j (d/dz_j)^dz[j] (d/dzbar_j)^dzbar[j].
@@ -198,25 +210,127 @@ class PeriodicGrid:
                 mult = mult * self._holo_factor(j, True, odd) ** dzbar[j]
         return mult
 
-    # -- transforms ------------------------------------------------------
+    # -- transforms -------------------------------------------------------
 
-    def fft(self, values: np.ndarray) -> np.ndarray:
+    @functools.cached_property
+    def half_shape(self) -> tuple[int, ...]:
+        """Shape of a half spectrum: the last axis keeps N // 2 + 1 modes."""
+        return self.sizes[:-1] + (self.sizes[-1] // 2 + 1,)
+
+    def fft(self, values: np.ndarray, half: bool = False) -> np.ndarray:
+        """Fourier coefficients, normalised so a constant has coefficient 1.
+
+        With half=True, values is a real field or a stack of them along
+        leading axes, and the result is the real-to-complex half
+        spectrum: the first `half_shape[-1]` coefficients of `fft` along
+        the last axis, for every field of the stack.
+        """
+        if half:
+            if values.shape[values.ndim - len(self.sizes):] != self.sizes:
+                raise ShapeError(f"field shape {values.shape} does not end in grid {self.shape}")
+            return scipy.fft.rfftn(values, axes=self._axes, norm="forward",
+                                   workers=_WORKERS)
         if values.shape != self.shape:
             raise ShapeError(f"field shape {values.shape} does not match grid {self.shape}")
         return scipy.fft.fftn(values, workers=_WORKERS) / self.npoints
 
-    def ifft(self, coeffs: np.ndarray) -> np.ndarray:
+    def ifft(self, coeffs: np.ndarray, half: bool = False) -> np.ndarray:
+        """Inverse of `fft`; with half=True, real fields from half spectra."""
+        if half:
+            if coeffs.shape[coeffs.ndim - len(self.sizes):] != self.half_shape:
+                raise ShapeError(
+                    f"half-spectrum shape {coeffs.shape} does not end in {self.half_shape}")
+            return scipy.fft.irfftn(coeffs, s=self.sizes, axes=self._axes, norm="forward",
+                                    workers=_WORKERS)
         if coeffs.shape != self.shape:
             raise ShapeError(f"coefficient shape {coeffs.shape} does not match grid {self.shape}")
         return scipy.fft.ifftn(coeffs * self.npoints, workers=_WORKERS)
 
-    def apply_multiplier(self, values: np.ndarray, mult: np.ndarray) -> np.ndarray:
-        """Inverse transform of mult * fft(values), dealiased if enabled."""
-        coeffs = self.fft(values)
-        coeffs = coeffs * mult
-        if self.dealias:
-            coeffs = np.where(self.dealias_mask(), coeffs, 0.0)
-        return self.ifft(coeffs)
+    @property
+    def _axes(self) -> tuple[int, ...]:
+        return tuple(range(-len(self.sizes), 0))
+
+    # -- half-spectrum derivative kernel -----------------------------------
+
+    def derivatives(self, values: np.ndarray, mults: np.ndarray) -> np.ndarray:
+        """The derivative kernel: the real field
+        ifft(fft(values, half=True) * m, half=True) for every multiplier m
+        of the half-spectrum stack mults, in one batched inverse."""
+        if values.shape != self.shape:
+            raise ShapeError(f"field shape {values.shape} does not match grid {self.shape}")
+        return self.ifft(self.fft(values, half=True) * mults, half=True)
+
+    def split_multiplier(self, mult: np.ndarray) -> np.ndarray:
+        """Half-spectrum stack (m_h, m_a) of a full-spectrum multiplier.
+
+        For real v, the real and imaginary parts of ifft(mult * fft(v))
+        are the two fields `derivatives(v, split_multiplier(mult))`; see
+        the module docstring for the reflection split.
+        """
+        mult = np.broadcast_to(mult, self.shape)
+        keep = self.half_shape[-1]
+        # index -k mod N on every axis, over the kept half of the last one
+        reflected = [(-np.arange(s)) % s for s in self.sizes[:-1]]
+        reflected.append((-np.arange(keep)) % self.sizes[-1])
+        mirror = np.conj(mult[np.ix_(*reflected)])
+        mult = mult[..., :keep]
+        return np.stack([0.5 * (mult + mirror), -0.5j * (mult - mirror)])
+
+    def multiplier_stack(self, name: str) -> np.ndarray:
+        """Cached half-spectrum stack for the kernel, by name.
+
+        * ``"hessian"``: d/dz_j d/dzbar_j for each j, then Re and Im of
+          d/dz_j d/dzbar_k for each pair j < k (full wavenumbers);
+        * ``"gradient"``: Re of d/dz_j for each j, then Im of each
+          (Nyquist zeroed, odd order);
+        * ``"resolved_dz"``, ``"resolved_dzbar"``: Re then Im parts of
+          d/dz_j (d/dzbar_j) with full wavenumbers, zeroed on every mode
+          touching a Nyquist wavenumber.
+
+        A stack with no imaginary part anywhere is stored real.
+        """
+        key = ("stack", name)
+        if key not in self._cache:
+            n = self.n
+            if name == "hessian":
+                parts = [self.split_multiplier(self.hessian_multiplier(j, j))[0]
+                         for j in range(n)]
+                for j, k in _pairs(n):
+                    parts.extend(self.split_multiplier(self.hessian_multiplier(j, k)))
+            else:
+                conjugate, odd = {"gradient": (False, True), "resolved_dz": (False, False),
+                                  "resolved_dzbar": (True, False)}[name]
+                mask = ~self.nyquist_mask() if name.startswith("resolved") else 1.0
+                halves = [self.split_multiplier(self._holo_factor(j, conjugate, odd) * mask)
+                          for j in range(n)]
+                parts = [h[0] for h in halves] + [h[1] for h in halves]
+            stack = np.stack(parts)
+            if not np.any(stack.imag):
+                stack = np.ascontiguousarray(stack.real)
+            self._cache[key] = stack
+        return self._cache[key]
+
+    def derivative_stack(self, dz: tuple[int, ...], dzbar: tuple[int, ...]) -> np.ndarray:
+        """Cached half-spectrum stack (m_h, m_a) of `derivative_multiplier`."""
+        key = ("derivative", dz, dzbar)
+        if key not in self._cache:
+            self._cache[key] = self.split_multiplier(self.derivative_multiplier(dz, dzbar))
+        return self._cache[key]
+
+    def hessian_pairing(self, S: np.ndarray) -> np.ndarray:
+        """Real coefficients c with Re sum_{l,m} S[l,m] H[m,l] = sum_i c_i h_i,
+        h the "hessian" stack of a real field and H its complex Hessian."""
+        n = self.n
+        parts = [S[j, j].real for j in range(n)]
+        for j, k in _pairs(n):
+            parts.append(S[j, k].real + S[k, j].real)
+            parts.append(S[j, k].imag - S[k, j].imag)
+        return np.stack(parts)
+
+    def hessian_trace(self, pairing: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Re tr(S H) for the Hessian H of values, given S's `hessian_pairing`."""
+        H = self.derivatives(values, self.multiplier_stack("hessian"))
+        return np.einsum("i...,i...->...", pairing, H)
 
 
 @dataclass(frozen=True)
@@ -237,40 +351,15 @@ class ScalarField:
         object.__setattr__(self, "values", values)
 
 
-@dataclass(frozen=True)
-class SpectralCoeffs:
-    """Complex Fourier coefficients on integer wavevectors."""
-
-    grid: PeriodicGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
-        if values.shape != self.grid.shape:
-            raise ShapeError(
-                f"coefficient shape {values.shape} does not match grid {self.grid.shape}"
-            )
-        object.__setattr__(self, "values", values)
-
-
-def forward_transform(f: ScalarField) -> SpectralCoeffs:
-    """FFT normalised so a constant field maps to coefficient 1 at k=0."""
-    return SpectralCoeffs(f.grid, f.grid.fft(f.values))
-
-
-def inverse_transform(c: SpectralCoeffs) -> ScalarField:
-    """Inverse FFT; the (round-off sized) imaginary residue is dropped."""
-    return ScalarField(c.grid, c.grid.ifft(c.values).real)
-
-
 def complex_derivative(f: ScalarField, dz: tuple[int, ...], dzbar: tuple[int, ...]) -> np.ndarray:
     """Spectral derivative prod_j (d/dz_j)^dz[j] (d/dzbar_j)^dzbar[j].
 
     Returns the complex sample array; for multi-indices with dz == dzbar
-    the multiplier is real and the result is real up to round-off.
+    the multiplier is real and even, so the imaginary part is exactly 0.
     """
-    mult = f.grid.derivative_multiplier(tuple(dz), tuple(dzbar))
-    return f.grid.apply_multiplier(f.values, mult)
+    grid = f.grid
+    re, im = grid.derivatives(f.values, grid.derivative_stack(tuple(dz), tuple(dzbar)))
+    return re + 1j * im
 
 
 def hessian(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
@@ -279,28 +368,22 @@ def hessian(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
     Output has shape (n, n) + grid.shape and is pointwise Hermitian for
     real input.
     """
-    coeffs = grid.fft(values)
-    if grid.dealias:
-        coeffs = np.where(grid.dealias_mask(), coeffs, 0.0)
-    out = np.empty((grid.n, grid.n) + grid.shape, dtype=complex)
-    for j in range(grid.n):
-        for k in range(j, grid.n):
-            block = grid.ifft(coeffs * grid.hessian_multiplier(j, k))
-            out[j, k] = block
-            if k != j:
-                out[k, j] = np.conj(block)
+    n = grid.n
+    stack = grid.derivatives(values, grid.multiplier_stack("hessian"))
+    out = np.empty((n, n) + grid.shape, dtype=complex)
+    for j in range(n):
+        out[j, j] = stack[j]
+    for i, (j, k) in enumerate(_pairs(n)):
+        re, im = stack[n + 2 * i], stack[n + 2 * i + 1]
+        out[j, k] = re + 1j * im
+        out[k, j] = re - 1j * im
     return out
 
 
 def holo_gradient(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
     """Components d/dz_j of values (Nyquist zeroed), shape (n,) + grid.shape."""
-    coeffs = grid.fft(values)
-    if grid.dealias:
-        coeffs = np.where(grid.dealias_mask(), coeffs, 0.0)
-    out = np.empty((grid.n,) + grid.shape, dtype=complex)
-    for j in range(grid.n):
-        out[j] = grid.ifft(coeffs * grid._holo_factor(j, False, odd=True))
-    return out
+    stack = grid.derivatives(values, grid.multiplier_stack("gradient"))
+    return stack[:grid.n] + 1j * stack[grid.n:]
 
 
 def _check_hermitian_matrix(g0: np.ndarray, n: int, what: str) -> np.ndarray:
@@ -349,15 +432,12 @@ def flat_poisson_solve(f: ScalarField, g0: np.ndarray) -> ScalarField:
     return ScalarField(f.grid, f.grid.ifft(out).real)
 
 
-def sobolev_norm(f: ScalarField | SpectralCoeffs, s: float) -> float:
+def sobolev_norm(f: ScalarField, s: float) -> float:
     """Spectral proxy norm: sqrt(sum (1+|k|^2)^s |f_k|^2).
 
     At s = 0 this is the grid root-mean-square norm by Parseval.
     """
-    if isinstance(f, ScalarField):
-        coeffs = f.grid.fft(f.values)
-    else:
-        coeffs = f.values
+    coeffs = f.grid.fft(f.values)
     weight = (1.0 + f.grid.wavenumber_square()) ** s
     return float(np.sqrt(np.sum(weight * np.abs(coeffs) ** 2)))
 
@@ -372,13 +452,6 @@ def sup_norm(values: np.ndarray) -> float:
 
 def euclid_mean_zero(values: np.ndarray) -> np.ndarray:
     return values - values.mean()
-
-
-def spectral_truncate(f: ScalarField) -> ScalarField:
-    """Drop all modes outside the 2/3 ball (explicit dealias helper)."""
-    coeffs = f.grid.fft(f.values)
-    coeffs = np.where(f.grid.dealias_mask(), coeffs, 0.0)
-    return ScalarField(f.grid, f.grid.ifft(coeffs).real)
 
 
 def make_trig_field(grid: PeriodicGrid, terms) -> ScalarField:

@@ -31,11 +31,14 @@ pointwise contractions; their departures from exact symmetry live on
 the same unresolved modes and stay at the level of the coefficient
 tails, which Krylov solves never see on resolved data.
 
-Operators are realised as handles that precompute all pointwise
-coefficient tensors once; each application then costs a handful of
-FFTs.  Handles optionally project their output to volume mean zero so
-Krylov iterations stay on the subspace where the operators are
-definite.
+Operators are realised as handles that precompute, once, the real
+coefficient fields of every Hermitian contraction (for instance
+P_11, P_22, 2 Re P_21 and -2 Im P_21 for the Laplacian g^{kj} H_jk
+against the grid's real Hessian stack).  Each application is then one
+or two rounds of the grid's half-spectrum derivative kernel with
+real-arithmetic contractions in between.  Handles optionally project
+their output to volume mean zero so Krylov iterations stay on the
+subspace where the operators are definite.
 """
 
 from __future__ import annotations
@@ -44,43 +47,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, RefusalError
+from .errors import DomainError, RefusalError, ShapeError
 from .geometry import HermitianFormField, KahlerStructure, volume_mean_zero
-from .grid import ScalarField, PeriodicGrid
+from .grid import PeriodicGrid, ScalarField, holo_gradient
 
 DENSE_POINT_CAP = 4096
 
 KINDS = ("twist", "lichnerowicz", "full_linearization", "shifted")
-
-
-def _hess_blocks(grid: PeriodicGrid, coeffs: np.ndarray) -> np.ndarray:
-    out = np.empty((grid.n, grid.n) + grid.shape, dtype=complex)
-    for j in range(grid.n):
-        for k in range(j, grid.n):
-            block = grid.ifft(coeffs * grid.hessian_multiplier(j, k))
-            out[j, k] = block
-            if k != j:
-                out[k, j] = np.conj(block)
-    return out
-
-
-def _holo_blocks(grid: PeriodicGrid, coeffs: np.ndarray) -> np.ndarray:
-    out = np.empty((grid.n,) + grid.shape, dtype=complex)
-    for j in range(grid.n):
-        out[j] = grid.ifft(coeffs * grid._holo_factor(j, False, odd=True))
-    return out
-
-
-def _masked_fft(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
-    coeffs = grid.fft(values)
-    if grid.dealias:
-        coeffs = np.where(grid.dealias_mask(), coeffs, 0.0)
-    return coeffs
-
-
-def _laplacian_values(K: KahlerStructure, values: np.ndarray) -> np.ndarray:
-    H = _hess_blocks(K.grid, _masked_fft(K.grid, values))
-    return np.einsum("kj...,jk...->...", K.inverse, H).real
 
 
 def _base_twist_matrix(alpha: HermitianFormField) -> np.ndarray:
@@ -144,12 +117,8 @@ class LinearOperatorHandle:
         P = K.inverse
         grid = K.grid
 
-        def grad_coeff(f_values: np.ndarray) -> np.ndarray:
-            u = _holo_blocks(grid, _masked_fft(grid, f_values))
-            return np.einsum("kj...,j...->k...", P, u)
-
         second = None
-        grad = None
+        grad_of = None
         bilap = 0.0
         weak = 0.0
         if self.kind in ("lichnerowicz", "full_linearization", "shifted"):
@@ -160,7 +129,7 @@ class LinearOperatorHandle:
         elif self.kind == "lichnerowicz":
             bilap = 1.0
             second = pricp
-            grad = grad_coeff(K.scalar())
+            grad_of = K.scalar()
         elif self.kind == "full_linearization":
             pap = np.einsum("lj...,jk...,km...->lm...", P, self.alpha.comps, P)
             bilap = -1.0
@@ -168,24 +137,38 @@ class LinearOperatorHandle:
         else:  # shifted
             bilap = -1.0
             second = -pricp
-            grad = grad_coeff(-K.scalar())
+            grad_of = -K.scalar()
             weak = self.R
 
-        self._ctx["second"] = second
-        self._ctx["grad"] = grad
+        # first stage: one batched derivative of the input, contracted
+        # pointwise with real coefficient fields
+        names = []
+        coeffs = []
+        if second is not None:
+            names.append("hessian")
+            coeffs.append(grid.hessian_pairing(second))
+        if grad_of is not None:
+            # Re sum_k g^{kj} d_j f * conj(d_k phi), phi's gradient as (Re, Im)
+            grad = np.einsum("kj...,j...->k...", P, holo_gradient(grid, grad_of))
+            names.append("gradient")
+            coeffs.append(np.concatenate([grad.real, grad.imag]))
+        if weak:
+            names.append("resolved_dzbar")
+        stacks = [grid.multiplier_stack(name) for name in names]
+        self._ctx["mults"] = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+        self._ctx["coeffs"] = np.concatenate(coeffs) if coeffs else None
         self._ctx["bilap"] = bilap
         self._ctx["weak"] = weak
+        if bilap:
+            self._ctx["lap"] = grid.hessian_pairing(P)
         if weak:
-            resolved = ~grid.nyquist_mask()
-            n = grid.n
-            self._ctx["tau"] = [
-                grid._holo_factor(l, True, odd=False) * resolved for l in range(n)
-            ]
-            self._ctx["sigma"] = [
-                grid._holo_factor(l, False, odd=False) * resolved for l in range(n)
-            ]
-            self._ctx["conj_inverse"] = np.conj(P)
-            self._ctx["closure"] = _closure_multiplier(grid, K.g0, self.alpha)
+            # flux G_l = det(g) sum_m Q[l, m] d_{zbar_m} phi with
+            # Q = (P alpha P)^T, kept as its real and imaginary parts
+            Q = self.weight * np.einsum("mj...,jk...,kl...->lm...", P, self.alpha.comps, P)
+            self._ctx["flux"] = np.stack([Q.real, Q.imag])
+            # the closure symbol is real, so its reflection-Hermitian half is too
+            closure = _closure_multiplier(grid, K.g0, self.alpha)
+            self._ctx["closure"] = np.ascontiguousarray(grid.split_multiplier(closure)[0].real)
 
     @property
     def grid(self) -> PeriodicGrid:
@@ -195,49 +178,55 @@ class LinearOperatorHandle:
     def weight(self) -> np.ndarray:
         return self.K.weight
 
-    def _weak_twist(self, coeffs: np.ndarray) -> np.ndarray:
-        """Twist action from its quadratic form; see the module docstring.
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """Operator action; see the module docstring for the kinds.
 
-        With G_l = det(g) * sum_k alpha(xi, .)_k conj(g^{l kbar}), the
-        output is (1/det g) * Re sum_l d_{z_l} G_l plus the closure term;
+        The twist part comes from its quadratic form: with the flux
+        G_l = det(g) * sum_k alpha(xi, .)_k conj(g^{l kbar}), the output
+        is (1/det g) * Re sum_l d_{z_l} G_l plus the closure term, and
         summation by parts against the masked multipliers is exact, so
-        the induced bilinear form is symmetric to round-off.
+        the induced bilinear form is symmetric to round-off.  The
+        biLaplacian and the twist divergence share one second batched
+        transform.
         """
         grid = self.grid
-        P = self.K.inverse
-        grads = np.empty((grid.n,) + grid.shape, dtype=complex)
-        for l in range(grid.n):
-            grads[l] = grid.ifft(coeffs * self._ctx["tau"][l])
-        xi = np.einsum("lj...,l...->j...", P, grads)
-        paired = np.einsum("jk...,j...->k...", self.alpha.comps, xi)
-        flux = self.weight * np.einsum("k...,lk...->l...", paired, self._ctx["conj_inverse"])
-        out_hat = self._ctx["closure"] * coeffs
-        for l in range(grid.n):
-            out_hat = out_hat + self._ctx["sigma"][l] * grid.fft(flux[l])
-        if grid.dealias:
-            out_hat = np.where(grid.dealias_mask(), out_hat, 0.0)
-        return grid.ifft(out_hat).real / self.weight
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        grid = self.grid
-        coeffs = _masked_fft(grid, np.asarray(values, dtype=float))
-        out = np.zeros(grid.shape)
-        second = self._ctx["second"]
-        bilap = self._ctx["bilap"]
-        if second is not None or bilap:
-            H = _hess_blocks(grid, coeffs)
-            if second is not None:
-                out = out + np.einsum("lm...,ml...->...", second, H).real
-            if bilap:
-                lap = np.einsum("kj...,jk...->...", self.K.inverse, H).real
-                out = out + bilap * _laplacian_values(self.K, lap)
-        grad = self._ctx["grad"]
-        if grad is not None:
-            g = _holo_blocks(grid, coeffs)
-            out = out + np.einsum("k...,k...->...", grad, np.conj(g)).real
-        weak = self._ctx["weak"]
+        ctx = self._ctx
+        values = np.asarray(values, dtype=float)
+        if values.shape != grid.shape:
+            raise ShapeError(f"field shape {values.shape} does not match grid {grid.shape}")
+        vhat = grid.fft(values, half=True)
+        fields = grid.ifft(vhat * ctx["mults"], half=True)
+        coeffs = ctx["coeffs"]
+        out = 0.0 if coeffs is None else np.einsum("i...,i...->...", coeffs,
+                                                     fields[:len(coeffs)])
+        # every kind has a biLaplacian or a twist divergence, or both
+        bilap = ctx["bilap"]
+        weak = ctx["weak"]
+        n = grid.n
+        nh = len(ctx["lap"]) if bilap else 0
+        staged = []
+        if bilap:
+            staged.append(np.einsum("i...,i...->...", ctx["lap"], fields[:nh])[None])
         if weak:
-            out = out + weak * self._weak_twist(coeffs)
+            # flux A + iB = Q (Re + i Im) of the dzbar stack, in real arithmetic;
+            # -B is staged so that sum_l Re d_{z_l} A_l - Im d_{z_l} B_l is
+            # one pairing with the resolved_dz stack
+            grads = fields[-2 * n:].reshape((2, n) + grid.shape)
+            prods = np.einsum("clm...,sm...->csl...", ctx["flux"], grads)
+            staged.extend([prods[0, 0] - prods[1, 1], -prods[1, 0] - prods[0, 1]])
+        del fields
+        hats = grid.fft(np.concatenate(staged), half=True)
+        spec = np.empty((nh + (1 if weak else 0),) + hats.shape[1:], dtype=complex)
+        if bilap:
+            np.multiply(hats[0], grid.multiplier_stack("hessian"), out=spec[:nh])
+        if weak:
+            spec[-1] = ctx["closure"] * vhat + np.einsum(
+                "a...,a...->...", grid.multiplier_stack("resolved_dz"), hats[-2 * n:])
+        back = grid.ifft(spec, half=True)
+        if bilap:
+            out = out + bilap * np.einsum("i...,i...->...", ctx["lap"], back[:nh])
+        if weak:
+            out = out + weak * (back[-1] / self.weight)
         if self.mean_zero:
             out = volume_mean_zero(self.K, out)
         return out

@@ -85,7 +85,9 @@ def _spd_preconditioner(K: KahlerStructure, kind: str, R: float):
             symbol = L0 * L0 - R * L0
         else:
             raise PreconditionError(f"unknown preconditioner kind {kind!r}")
-        inv_mult = _flat_inverse_multiplier(symbol)
+        # the symbol is real, so its reflection-Hermitian half is too
+        inv_mult = np.ascontiguousarray(
+            grid.split_multiplier(_flat_inverse_multiplier(symbol))[0].real)
     w = K.weight
     wsum = float(np.sum(w))
 
@@ -95,22 +97,22 @@ def _spd_preconditioner(K: KahlerStructure, kind: str, R: float):
     def apply(r: np.ndarray) -> np.ndarray:
         if inv_mult is None:
             return project(r / w)
-        z = grid.ifft(grid.fft(r) * inv_mult).real
-        return project(z / w)
+        return project(grid.derivatives(r, inv_mult) / w)
 
     return apply, project
 
 
 def _pcg(apply_A, b: np.ndarray, K: KahlerStructure, cfg: KrylovConfig,
-         precond_kind: str, R: float = 0.0, what: str = "solve"):
+         precond, what: str = "solve"):
     """Preconditioned CG in the volume-weighted inner product.
 
     apply_A must be self-adjoint positive definite on the volume-mean-zero
-    subspace with respect to <u, v> = sum(u v det g).
+    subspace with respect to <u, v> = sum(u v det g); precond is the
+    (apply, project) pair of `_spd_preconditioner`.
     """
     w = K.weight
     wsum = float(np.sum(w))
-    apply_M, project = _spd_preconditioner(K, precond_kind, R)
+    apply_M, project = precond
 
     def dot(u, v):
         return float(np.sum(u * v * w))
@@ -170,12 +172,13 @@ def green_solve(K: KahlerStructure, f: ScalarField, cfg: KrylovConfig = KrylovCo
     """
     _require_volume_mean_zero(K, f, "green_solve")
     kind = "flat-laplacian" if cfg.preconditioner == "auto" else cfg.preconditioner
-    from .operators import _laplacian_values
+    lap = K.grid.hessian_pairing(K.inverse)
 
     def apply_A(v):
-        return -_laplacian_values(K, v)
+        return -K.grid.hessian_trace(lap, v)
 
-    x, info = _pcg(apply_A, -f.values, K, cfg, kind, what="green_solve")
+    x, info = _pcg(apply_A, -f.values, K, cfg, _spd_preconditioner(K, kind, 0.0),
+                   what="green_solve")
     return ScalarField(K.grid, x), info
 
 
@@ -200,8 +203,33 @@ def solve_F(K: KahlerStructure, alpha: HermitianFormField, f: ScalarField,
     def apply_A(v):
         return -handle.apply(v)
 
-    x, info = _pcg(apply_A, -f.values, K, cfg, kind, what="solve_F")
+    x, info = _pcg(apply_A, -f.values, K, cfg, _spd_preconditioner(K, kind, 0.0),
+                   what="solve_F")
     return ScalarField(K.grid, x), info
+
+
+def _shifted_solver(K: KahlerStructure, alpha: HermitianFormField, R: float,
+                    cfg: KrylovConfig):
+    """`solve_shifted` at fixed (K, alpha, R) as a function of f alone.
+
+    The operator handle and its preconditioner are built once, so
+    repeated solves (the eigenvalue stage) share them.
+    """
+    if R < 0.0:
+        raise PreconditionError(f"solve_shifted requires R >= 0, got {R}")
+    handle = LinearOperatorHandle("shifted", K, alpha, R, mean_zero=True)
+    kind = "flat-bilaplacian-shift" if cfg.preconditioner == "auto" else cfg.preconditioner
+    precond = _spd_preconditioner(K, kind, R)
+
+    def apply_A(v):
+        return -handle.apply(v)
+
+    def solve(f: ScalarField):
+        _require_volume_mean_zero(K, f, "solve_shifted")
+        x, info = _pcg(apply_A, -f.values, K, cfg, precond, what="solve_shifted")
+        return ScalarField(K.grid, x), info
+
+    return solve
 
 
 def solve_shifted(K: KahlerStructure, alpha: HermitianFormField, R: float,
@@ -212,17 +240,7 @@ def solve_shifted(K: KahlerStructure, alpha: HermitianFormField, R: float,
     conjugate gradients on its negation with the flat biLaplacian-shift
     preconditioner.
     """
-    if R < 0.0:
-        raise PreconditionError(f"solve_shifted requires R >= 0, got {R}")
-    _require_volume_mean_zero(K, f, "solve_shifted")
-    handle = LinearOperatorHandle("shifted", K, alpha, R, mean_zero=True)
-    kind = "flat-bilaplacian-shift" if cfg.preconditioner == "auto" else cfg.preconditioner
-
-    def apply_A(v):
-        return -handle.apply(v)
-
-    x, info = _pcg(apply_A, -f.values, K, cfg, kind, R=R, what="solve_shifted")
-    return ScalarField(K.grid, x), info
+    return _shifted_solver(K, alpha, R, cfg)(f)
 
 
 def newton_linear_solve(K: KahlerStructure, alpha: HermitianFormField, R: float,
@@ -297,6 +315,7 @@ def extreme_eigenvalue(K: KahlerStructure, alpha: HermitianFormField, R: float,
     shape = grid.shape
     inner = KrylovConfig(tol=min(cfg.tol, 1e-11), maxiter=cfg.maxiter,
                          restart=cfg.restart, preconditioner=cfg.preconditioner)
+    solve = _shifted_solver(K, alpha, R, inner)
     solves = 0
 
     def matvec(vec: np.ndarray) -> np.ndarray:
@@ -304,7 +323,7 @@ def extreme_eigenvalue(K: KahlerStructure, alpha: HermitianFormField, R: float,
         solves += 1
         rhs = vec.reshape(shape) / root
         rhs = rhs - float(np.sum(rhs * w)) / wsum
-        sol, _ = solve_shifted(K, alpha, R, ScalarField(grid, rhs), inner)
+        sol, _ = solve(ScalarField(grid, rhs))
         return (-root * sol.values).ravel()
 
     op = scipy.sparse.linalg.LinearOperator((grid.npoints, grid.npoints),
@@ -352,12 +371,13 @@ def inverse_norm_estimate(K: KahlerStructure, alpha: HermitianFormField, R: floa
     weight_s = (1.0 + grid.wavenumber_square()) ** s
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(grid.shape)
+    shifted = _shifted_solver(K, alpha, R, cfg)
 
     def project(v):
         return v - float(np.sum(v * w)) / wsum
 
     def solve(v):
-        out, _ = solve_shifted(K, alpha, R, ScalarField(grid, project(v)), cfg)
+        out, _ = shifted(ScalarField(grid, project(v)))
         return out.values
 
     sigma = 0.0

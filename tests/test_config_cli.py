@@ -209,6 +209,19 @@ class TestCommandLine:
         assert main(["solve", "--seed", "-3", "--out", out]) == 2
         assert main(["solve", "--threads", "0", "--out", out]) == 2
 
+    def test_verify_csv_is_identical_across_fft_thread_counts(self, tmp_path,
+                                                              monkeypatch):
+        monkeypatch.delenv("TWISTK_THREADS", raising=False)
+        outputs = []
+        try:
+            for threads in ("1", "2"):
+                out = tmp_path / f"threads{threads}"
+                assert main(["verify", "--threads", threads, "--out", str(out)]) == 0
+                outputs.append((out / "verify.csv").read_bytes())
+        finally:
+            set_fft_workers(1)
+        assert outputs[0] == outputs[1]
+
     def test_threads_env_overrides_flag(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TWISTK_THREADS", "junk")
         assert main(["solve", "--out", str(tmp_path / "y")]) == 2

@@ -17,8 +17,6 @@ from twistk.grid import (
     complex_derivative,
     flat_laplacian_symbol,
     flat_poisson_solve,
-    forward_transform,
-    inverse_transform,
     make_trig_field,
     rms_norm,
     sobolev_norm,
@@ -82,9 +80,9 @@ class TestTransforms:
     def test_round_trip_recovers_field(self, terms):
         grid = PeriodicGrid(1, (16, 16))
         f = make_trig_field(grid, terms)
-        back = inverse_transform(forward_transform(f))
+        back = grid.ifft(grid.fft(f.values)).real
         scale = max(sup_norm(f.values), 1e-30)
-        assert sup_norm(back.values - f.values) <= 1e-12 * scale
+        assert sup_norm(back - f.values) <= 1e-12 * scale
 
     @given(terms=trig_terms(2, 1.0))
     def test_parseval_identity(self, terms):

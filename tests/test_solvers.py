@@ -28,6 +28,7 @@ from twistk.errors import (
 )
 from twistk.grid import random_smooth_field, sup_norm
 from twistk.operators import LinearOperatorHandle, apply_F, apply_shifted, dense_assemble
+import twistk.solvers as solvers
 
 from conftest import EYE1, EYE2, seed_structure
 
@@ -133,6 +134,24 @@ class TestSolveShifted:
             K, apply_shifted(K, alpha, 10.0, ScalarField(grid32, target)).values)
         phi, _ = solve_shifted(K, alpha, 10.0, ScalarField(grid32, f))
         assert sup_norm(phi.values - target) <= 1e-7 * sup_norm(target)
+
+    def test_eigen_stage_builds_the_setup_once_with_the_same_bits(
+            self, grid32, monkeypatch):
+        K = seed_structure(grid32, [(0.2, (1, 0), 0.0)])
+        alpha = HermitianFormField.from_potential(grid32, EYE1, K.potential)
+        cold = extreme_eigenvalue(K, alpha, 4.0, seed=5)
+        builds = []
+        original = solvers._spd_preconditioner
+
+        def counting(*args):
+            builds.append(args[1:])
+            return original(*args)
+
+        monkeypatch.setattr(solvers, "_spd_preconditioner", counting)
+        again = extreme_eigenvalue(K, alpha, 4.0, seed=5)
+        assert again.value == cold.value
+        assert again.iterations == cold.iterations > 1
+        assert builds == [("flat-bilaplacian-shift", 4.0)]
 
     def test_iteration_budget_raises_with_history(self, grid32):
         K = seed_structure(grid32, [(0.2, (1, 0), 0.0)])
