@@ -2,8 +2,9 @@
 
 The path solves t*S(omega_phi) - (1-t)*tr_{omega_phi}(alpha) = const,
 parametrised here by the weight R = (1-t)/t.  Every step reports the
-Newton residual and the extreme eigenvalue of the shifted operator;
-non-converged steps are kept so the frontier is visible.
+Newton residual and the extreme eigenvalue of the shifted operator, or
+the error that kept the eigenvalue from being certified; non-converged
+steps are kept so the frontier is visible.
 """
 
 import argparse
@@ -40,9 +41,12 @@ def main() -> int:
     print(f"{'step':>4} {'t':>8} {'R':>10} {'ok':>3} {'residual':>12} "
           f"{'lambda1':>12} {'iters':>5}  warm start")
     for s in report.steps:
+        lam = "error" if s.eigen_error else f"{s.lambda1:.5f}"
         print(f"{s.step:>4} {s.t:8.4f} {s.R:10.4f} {'yes' if s.converged else 'NO':>3} "
-              f"{s.residual_sup:12.3e} {s.lambda1:12.5f} {s.newton_iters:>5}  "
+              f"{s.residual_sup:12.3e} {lam:>12} {s.newton_iters:>5}  "
               f"{s.warm_source}")
+        if s.eigen_error:
+            print(f"     lambda1 not certified: {s.eigen_error}")
     print(f"success={report.success} "
           f"smallest converged R={report.smallest_converged_R}")
     if report.structure is not None:

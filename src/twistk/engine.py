@@ -50,6 +50,7 @@ from .grid import (
 )
 from .operators import LinearOperatorHandle
 from .solvers import (
+    EigenEstimate,
     KrylovConfig,
     extreme_eigenvalue,
     green_solve,
@@ -419,7 +420,13 @@ def perturb_twist(K: KahlerStructure, alpha_old: HermitianFormField,
 
 @dataclass(frozen=True)
 class SweepStep:
-    """One continuation step; wall_ms is measured, everything else is math."""
+    """One continuation step; wall_ms is measured, everything else is math.
+
+    The eigen_* fields record the eigenvalue stage: its operator
+    applications and certified residual, or in eigen_error the
+    "<class>: <message>" of the failure that left lambda1 nan.  They keep
+    their defaults when the stage did not run.
+    """
 
     step: int
     t: float
@@ -431,6 +438,9 @@ class SweepStep:
     newton_iters: int
     wall_ms: float
     warm_source: str
+    eigen_iterations: int = 0
+    eigen_residual: float = math.nan
+    eigen_error: str = ""
 
 
 @dataclass(frozen=True)
@@ -466,6 +476,15 @@ def proportional_seed_potential(grid: PeriodicGrid, g0: np.ndarray,
                        atol=1e-10 * max(1.0, float(np.abs(g0).max()))):
         return None
     return np.asarray(alpha.potential, dtype=float) / s
+
+
+def leading_eigen(K: KahlerStructure, alpha: HermitianFormField, R: float,
+                  krylov: KrylovConfig, seed: int) -> tuple[EigenEstimate | None, str]:
+    """`extreme_eigenvalue`, or None with its failure as "<class>: <message>"."""
+    try:
+        return extreme_eigenvalue(K, alpha, R, krylov, seed=seed), ""
+    except TwistkError as err:
+        return None, f"{type(err).__name__}: {err}"
 
 
 def continuity_sweep(grid: PeriodicGrid, g0: np.ndarray,
@@ -508,19 +527,19 @@ def continuity_sweep(grid: PeriodicGrid, g0: np.ndarray,
             except PreconditionError:
                 pass
         report = newton_solve(K_init, alpha, R, cfg, raise_on_failure=False)
-        lambda1 = math.nan
+        eigen, eigen_error = None, ""
         if report.converged and compute_eigen:
-            try:
-                lambda1 = extreme_eigenvalue(report.structure, alpha, R,
-                                             cfg.krylov, seed=eigen_seed).value
-            except TwistkError:
-                pass
+            eigen, eigen_error = leading_eigen(report.structure, alpha, R,
+                                               cfg.krylov, eigen_seed)
         wall_ms = (time.perf_counter() - started) * 1000.0
-        steps.append(SweepStep(step=idx, t=t, R=R, converged=report.converged,
-                               residual_sup=report.residual_sup,
-                               residual_l2=report.residual_l2, lambda1=lambda1,
-                               newton_iters=report.iterations, wall_ms=wall_ms,
-                               warm_source=source))
+        steps.append(SweepStep(
+            step=idx, t=t, R=R, converged=report.converged,
+            residual_sup=report.residual_sup, residual_l2=report.residual_l2,
+            lambda1=math.nan if eigen is None else eigen.value,
+            newton_iters=report.iterations, wall_ms=wall_ms, warm_source=source,
+            eigen_iterations=0 if eigen is None else eigen.iterations,
+            eigen_residual=math.nan if eigen is None else eigen.residual,
+            eigen_error=eigen_error))
         if report.converged:
             warm = euclid_mean_zero(report.structure.potential)
             warm_source = "previous-step"
@@ -540,7 +559,9 @@ class ThresholdEstimate:
 
     bracket = (largest failing R seen, smallest verified R); when every
     attempted weight down to and including R = 0 solves, both entries
-    and the threshold are 0.0.
+    and the threshold are 0.0.  When the first attempt at R_start fails
+    no weight is verified: the threshold is inf and the bracket
+    (R_start, inf).
     """
 
     threshold: float
@@ -559,7 +580,9 @@ def estimate_R_threshold(grid: PeriodicGrid, g0: np.ndarray,
     Warm starts carry the last solved potential downward.  If every
     weight down to `floor` and then R = 0 itself converge, the estimate
     is 0.0 with the degenerate bracket (0.0, 0.0); otherwise the failing
-    interval is bisected geometrically for `bisect_steps` rounds.
+    interval is bisected geometrically for `bisect_steps` rounds.  The
+    threshold is always a verified weight; if R_start itself fails there
+    is none, and the estimate is inf with the bracket (R_start, inf).
     """
     if R_start <= 0.0 or not 0.0 < shrink < 1.0 or floor <= 0.0:
         raise PreconditionError("estimate_R_threshold: need R_start > 0, "
@@ -585,7 +608,7 @@ def estimate_R_threshold(grid: PeriodicGrid, g0: np.ndarray,
     warm = np.zeros(grid.shape) if seed_pot is None else euclid_mean_zero(seed_pot)
     report = attempt(R_start, warm, use_ladder=True)
     if not report.converged:
-        return ThresholdEstimate(threshold=R_start,
+        return ThresholdEstimate(threshold=math.inf,
                                  bracket=(R_start, math.inf),
                                  attempts=tuple(attempts))
     warm = euclid_mean_zero(report.structure.potential)

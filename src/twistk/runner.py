@@ -32,6 +32,7 @@ from .engine import (
     build_approximate_solution,
     continuity_sweep,
     estimate_R_threshold,
+    leading_eigen,
     newton_solve,
     perturb_twist,
     proportional_seed_potential,
@@ -178,16 +179,15 @@ def _run_single_solve(cfg: RunConfig, outdir: Path):
     K_init = _initial_structure(grid, g0_omega, omega_pot, alpha, R,
                                 cfg.order, solver)
     report = newton_solve(K_init, alpha, R, solver, raise_on_failure=False)
-    lambda1 = math.nan
+    eigen, eigen_error = None, ""
     if report.converged:
         # eigenpair certification can fail on very coarse grids where
         # the fourth-order truncation defect exceeds the residual
-        # tolerance; the solve itself still stands, so record nan
-        try:
-            lambda1 = extreme_eigenvalue(report.structure, alpha, R,
-                                         solver.krylov, seed=cfg.seed).value
-        except TwistkError:
-            pass
+        # tolerance; the solve itself still stands, so lambda1 is nan
+        # and the summary keeps the reason
+        eigen, eigen_error = leading_eigen(report.structure, alpha, R,
+                                           solver.krylov, cfg.seed)
+    lambda1 = math.nan if eigen is None else eigen.value
     wall_ms = (time.perf_counter() - started) * 1000.0
     rows = [(0, R_to_t(R), R, report.residual_sup, report.residual_l2,
              lambda1, report.iterations, wall_ms)]
@@ -198,6 +198,11 @@ def _run_single_solve(cfg: RunConfig, outdir: Path):
         "lambda1": lambda1,
         "newton_iterations": report.iterations,
     }
+    if eigen is not None:
+        summary["eigen_iterations"] = eigen.iterations
+        summary["eigen_residual"] = eigen.residual
+    if eigen_error:
+        summary["lambda1_error"] = eigen_error
     if report.converged:
         summary.update(_cohomology_summary(report.structure, alpha, R,
                                            report.constant))
@@ -256,6 +261,11 @@ def _run_continuity_sweep(cfg: RunConfig, outdir: Path):
         "success": report.success,
         "steps": len(report.steps),
         "smallest_converged_R": report.smallest_converged_R,
+        # one record per step whose eigenvalue stage ran
+        "eigen": [{"step": s.step, "error": s.eigen_error} if s.eigen_error
+                  else {"step": s.step, "iterations": s.eigen_iterations,
+                        "residual": s.eigen_residual}
+                  for s in report.steps if s.eigen_error or s.eigen_iterations],
     }
     if report.structure is not None:
         g0_broadcast = np.broadcast_to(

@@ -6,7 +6,9 @@ relevant operators are definite.  Symmetric solves use conjugate
 gradients in the volume-weighted inner product with a flat spectral
 preconditioner (composed with 1/det g so it stays self-adjoint in that
 inner product).  The non-symmetric Newton linearization is solved with
-restarted GMRES.
+restarted GMRES.  The extreme eigenvalue of the shifted operator comes
+from a preconditioned Davidson iteration: one operator application and
+one flat preconditioner application per step, with no inner solves.
 
 Preconditioner symbols come from freezing coefficients at the constant
 class representatives: the flat Laplacian for second-order solves and
@@ -57,6 +59,14 @@ class EigenEstimate:
     residual: float
     iterations: int
     vector: ScalarField
+
+
+# Davidson basis cap, and the Ritz vectors kept when it is reached
+_DAVIDSON_CAP = 24
+_DAVIDSON_KEEP = 4
+# a correction this small against its own size after orthogonalisation
+# is round-off, not a new direction
+_STAGNATION = 1e-12
 
 
 def _weighted_rms(values: np.ndarray, w: np.ndarray, wsum: float) -> float:
@@ -213,7 +223,7 @@ def _shifted_solver(K: KahlerStructure, alpha: HermitianFormField, R: float,
     """`solve_shifted` at fixed (K, alpha, R) as a function of f alone.
 
     The operator handle and its preconditioner are built once, so
-    repeated solves (the eigenvalue stage) share them.
+    repeated solves (`inverse_norm_estimate`) share them.
     """
     if R < 0.0:
         raise PreconditionError(f"solve_shifted requires R >= 0, got {R}")
@@ -297,52 +307,105 @@ def extreme_eigenvalue(K: KahlerStructure, alpha: HermitianFormField, R: float,
                        residual_tol: float = 1e-8, maxiter: int = 100) -> EigenEstimate:
     """Eigenvalue of -lichnerowicz + R * twist closest to zero.
 
-    Lanczos iteration on the inverse of the negated operator, conjugated
-    by sqrt(det g) so that Euclidean symmetry matches symmetry in the
-    volume-weighted inner product.  Each matrix action is one
-    preconditioned CG solve; the Krylov subspace resolves the
-    near-degenerate leading cluster that plain inverse iteration stalls
-    on.  All eigenvalues are negative on the mean-zero subspace; the
-    returned one is the largest, certified by the weighted-RMS residual
-    ||L v - lambda v|| <= residual_tol * max(1, |lambda|).  maxiter caps
-    Lanczos restart cycles.
+    All eigenvalues are negative on the mean-zero subspace; the returned
+    one is the largest.  It comes from a symmetric generalized Davidson
+    iteration (Davidson 1975; Morgan & Scott 1986) in the coordinates
+    y = sqrt(det g / sum det g) * v, where the volume-weighted inner
+    product is Euclidean.  Each step takes the largest Ritz pair
+    (theta, x) of the symmetrized projected operator and extends the
+    basis by the correction -M r of its residual r = A x - theta x, with
+    M the flat approximate inverse of `_spd_preconditioner`; the
+    correction is projected to volume mean zero, orthogonalised twice
+    against the basis and projected again, so the constant mode never
+    enters.  A step costs one operator application and one
+    preconditioner application, with no inner solve.  At _DAVIDSON_CAP
+    vectors the basis restarts from its top _DAVIDSON_KEEP Ritz vectors.
+    The start vector is drawn from `default_rng(seed)`.  Of cfg only
+    cfg.preconditioner applies ("auto" is the flat biLaplacian shift).
+
+    The iteration stops at Ritz residual 1e-2 * residual_tol *
+    max(1, |theta|), or early when a restart cycle fails to halve the
+    smallest Ritz residual (on coarse grids the discrete operator is
+    not exactly self-adjoint, and the residual stalls).  Either way the
+    pair is then certified by a fresh application, ||L v - lambda v|| <=
+    residual_tol * max(1, |lambda|) in the weighted-RMS norm.
+    EigenEstimate.iterations counts operator applications, the
+    certifying one included.  IterationLimitError is raised when the
+    certificate fails, when maxiter restarts are used up, and when
+    orthogonalisation reduces a correction to round-off (stagnation: a
+    new direction is never made from noise).
     """
+    if R < 0.0:
+        raise PreconditionError(f"extreme_eigenvalue requires R >= 0, got {R}")
     handle = LinearOperatorHandle("shifted", K, alpha, R, mean_zero=True)
+    kind = "flat-bilaplacian-shift" if cfg.preconditioner == "auto" else cfg.preconditioner
+    apply_M, _ = _spd_preconditioner(K, kind, R)
     grid = K.grid
+    shape = grid.shape
     w = K.weight
     wsum = float(np.sum(w))
-    root = np.sqrt(w)
-    shape = grid.shape
-    inner = KrylovConfig(tol=min(cfg.tol, 1e-11), maxiter=cfg.maxiter,
-                         restart=cfg.restart, preconditioner=cfg.preconditioner)
-    solve = _shifted_solver(K, alpha, R, inner)
-    solves = 0
+    # the unit vector of the constant mode in y coordinates
+    scale = np.sqrt(w / wsum).ravel()
 
-    def matvec(vec: np.ndarray) -> np.ndarray:
-        nonlocal solves
-        solves += 1
-        rhs = vec.reshape(shape) / root
-        rhs = rhs - float(np.sum(rhs * w)) / wsum
-        sol, _ = solve(ScalarField(grid, rhs))
-        return (-root * sol.values).ravel()
+    def mean_free(y: np.ndarray) -> np.ndarray:
+        return y - float(scale @ y) * scale
 
-    op = scipy.sparse.linalg.LinearOperator((grid.npoints, grid.npoints),
-                                            matvec=matvec, dtype=float)
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(grid.npoints)
-    try:
-        vals, vecs = scipy.sparse.linalg.eigsh(op, k=1, which="LA", v0=v0,
-                                               tol=1e-12, maxiter=maxiter)
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+    V = np.empty((_DAVIDSON_CAP, grid.npoints))
+    AV = np.empty_like(V)
+    H = np.zeros((_DAVIDSON_CAP, _DAVIDSON_CAP))
+    m = 0
+    restarts = 0
+    best_at_restart = math.inf
+    stalled = False
+    # one entry per operator application
+    history: list[float] = []
+    t = mean_free(np.random.default_rng(seed).standard_normal(grid.npoints))
+    while True:
+        size = math.sqrt(float(t @ t))
+        for _ in range(2):
+            t = t - (V[:m] @ t) @ V[:m]
+        t = mean_free(t)
+        norm = math.sqrt(float(t @ t))
+        if not norm > _STAGNATION * size:
+            raise IterationLimitError(
+                f"extreme_eigenvalue: Davidson correction vanished against the "
+                f"basis after {len(history)} operator applications (stagnation, "
+                f"last Ritz residual {history[-1]:.3e})", history)
+        V[m] = t / norm
+        AV[m] = scale * handle.apply((V[m] / scale).reshape(shape)).ravel()
+        H[m, :m + 1] = H[:m + 1, m] = 0.5 * (V[:m + 1] @ AV[m] + AV[:m + 1] @ V[m])
+        m += 1
+        thetas, coeffs = np.linalg.eigh(H[:m, :m])
+        theta = float(thetas[-1])
+        x = coeffs[:, -1] @ V[:m]
+        r = coeffs[:, -1] @ AV[:m] - theta * x
+        history.append(math.sqrt(float(r @ r)))
+        if history[-1] <= 1e-2 * residual_tol * max(1.0, abs(theta)):
+            break
+        if m == _DAVIDSON_CAP:
+            if restarts == maxiter:
+                raise IterationLimitError(
+                    f"extreme_eigenvalue: Davidson did not converge within "
+                    f"{maxiter} restarts ({len(history)} operator applications, "
+                    f"last Ritz residual {history[-1]:.3e})", history)
+            if min(history) > 0.5 * best_at_restart:
+                # a whole cycle without progress: the certificate judges
+                # the pair as it stands
+                stalled = True
+                break
+            best_at_restart = min(history)
+            restarts += 1
+            keep = coeffs[:, -_DAVIDSON_KEEP:]
+            V[:_DAVIDSON_KEEP] = keep.T @ V[:m]
+            AV[:_DAVIDSON_KEEP] = keep.T @ AV[:m]
+            H[:_DAVIDSON_KEEP, :_DAVIDSON_KEEP] = np.diag(thetas[-_DAVIDSON_KEEP:])
+            m = _DAVIDSON_KEEP
+        t = mean_free(-scale * apply_M((r / scale).reshape(shape)).ravel())
+    if theta >= 0.0:
         raise IterationLimitError(
-            f"extreme_eigenvalue: Lanczos did not converge within {maxiter} "
-            f"restart cycles ({solves} inner solves)", []) from exc
-    mu = float(vals[0])
-    if mu <= 0.0:
-        raise IterationLimitError(
-            f"extreme_eigenvalue: inverse operator produced a non-positive "
-            f"Rayleigh value {mu:.3e} (operator not negative definite?)", [])
-    v = vecs[:, 0].reshape(shape) / root
+            f"extreme_eigenvalue: non-negative Ritz value {theta:.3e} "
+            f"(operator not negative definite?)", history)
+    v = x.reshape(shape) / scale.reshape(shape)
     v = v - float(np.sum(v * w)) / wsum
     v = v / _weighted_rms(v, w, wsum)
     Lv = handle.apply(v)
@@ -351,8 +414,11 @@ def extreme_eigenvalue(K: KahlerStructure, alpha: HermitianFormField, R: float,
     if residual > residual_tol * max(1.0, abs(value)):
         raise IterationLimitError(
             f"extreme_eigenvalue: eigenpair residual {residual:.3e} above "
-            f"{residual_tol:.1e} * max(1, |lambda|)", [residual])
-    return EigenEstimate(value=value, residual=residual, iterations=solves,
+            f"{residual_tol:.1e} * max(1, |lambda|)"
+            + (f" (Davidson stalled at Ritz residual {min(history):.3e} after "
+               f"{len(history)} operator applications)" if stalled else ""),
+            [residual])
+    return EigenEstimate(value=value, residual=residual, iterations=len(history) + 1,
                          vector=ScalarField(grid, v))
 
 

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+import twistk.engine as engine
+import twistk.solvers as solvers
 from twistk.cli import main
 from twistk.config import (
     SCENARIOS,
+    RunConfig,
     canonical_form,
     default_config,
     default_t_schedule,
@@ -18,6 +22,7 @@ from twistk.config import (
 from twistk.errors import ConfigError, DomainError
 from twistk.fieldio import read_field, write_field
 from twistk.grid import fft_workers, set_fft_workers
+from twistk.runner import CSV_HEADER, run_scenario
 
 
 class TestDefaults:
@@ -234,3 +239,64 @@ class TestCommandLine:
             assert fft_workers() == 2
         finally:
             set_fft_workers(1)
+
+
+EYE2_ROWS = ((1.0, 0.0), (0.0, 1.0))
+
+
+class TestEigenArtifacts:
+    """The cause of a nan lambda1 can be read from summary.json alone."""
+
+    def test_sweep_summary_names_a_restart_budget_failure(self, tmp_path,
+                                                          monkeypatch):
+        def no_restarts(*args, **kwargs):
+            return solvers.extreme_eigenvalue(*args, maxiter=0, **kwargs)
+
+        monkeypatch.setattr(engine, "extreme_eigenvalue", no_restarts)
+        out = tmp_path / "sweep"
+        # R = 4 on 16^2: the leading pair needs more than one basis fill
+        cfg = RunConfig(scenario="continuity_sweep", sizes=(16, 16),
+                        alpha_potential=((0.2, (1, 0), 0.0),),
+                        t_schedule=(0.2,), out=str(out))
+        assert run_scenario(cfg) == 0
+        header, row = (out / "steps.csv").read_text().splitlines()
+        assert header == CSV_HEADER
+        assert row.split(",")[5] == "nan"
+        summary = json.loads((out / "summary.json").read_text())
+        (record,) = summary["eigen"]
+        assert record["step"] == 0
+        assert record["error"].startswith("IterationLimitError: extreme_eigenvalue:")
+        assert "within 0 restarts" in record["error"]
+
+    def test_single_solve_records_why_lambda1_is_nan(self, tmp_path):
+        # 6^4 is too coarse for the eigenpair certificate
+        out = tmp_path / "solve"
+        cfg = RunConfig(scenario="single_solve", n=2, sizes=(6, 6, 6, 6),
+                        g0_omega=EYE2_ROWS, g0_alpha=EYE2_ROWS,
+                        R_schedule=(100.0,),
+                        alpha_potential=((0.1, (1, 0, 0, 0), 0.0),),
+                        out=str(out))
+        assert run_scenario(cfg) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["converged"] is True
+        assert math.isnan(summary["lambda1"])
+        assert summary["lambda1_error"].startswith(
+            "IterationLimitError: extreme_eigenvalue: eigenpair residual")
+
+    def test_n2_sweep_certifies_lambda1(self, tmp_path):
+        out = tmp_path / "sweep2"
+        cfg = RunConfig(scenario="continuity_sweep", n=2, sizes=(12, 12, 12, 12),
+                        g0_omega=EYE2_ROWS, g0_alpha=EYE2_ROWS,
+                        alpha_potential=((0.2, (1, 0, 0, 0), 0.0),),
+                        t_schedule=(0.5, 1.0), out=str(out))
+        assert run_scenario(cfg) == 0
+        rows = (out / "steps.csv").read_text().splitlines()[1:]
+        lambdas = [float(row.split(",")[5]) for row in rows]
+        assert all(lam < 0.0 for lam in lambdas)
+        assert abs(lambdas[-1] + 1.0 / 16.0) <= 1e-8
+        summary = json.loads((out / "summary.json").read_text())
+        assert [r["step"] for r in summary["eigen"]] == [0, 1]
+        for record in summary["eigen"]:
+            assert "error" not in record
+            assert record["iterations"] > 1
+            assert record["residual"] <= 1e-8

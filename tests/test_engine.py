@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -32,6 +33,7 @@ from twistk.errors import (
     UnsupportedOrderError,
 )
 from twistk.grid import sup_norm
+import twistk.engine as engine
 from twistk.oracles import order_fit
 
 from conftest import EYE1, EYE2, seed_structure, trig_terms
@@ -265,6 +267,27 @@ class TestContinuitySweep:
                                   ladder_order=0, compute_eigen=False)
         assert report.steps[0].warm_source == "flat"
         assert math.isnan(report.steps[0].lambda1)
+        assert report.steps[0].eigen_error == ""
+        assert report.steps[0].eigen_iterations == 0
+
+    def test_steps_record_the_eigen_stage(self, grid16, alpha16):
+        report = continuity_sweep(grid16, EYE1, alpha16, (0.5, 1.0), FAST)
+        for step in report.steps:
+            assert step.eigen_error == ""
+            assert step.eigen_iterations > 1
+            assert step.eigen_residual <= 1e-8
+
+    def test_eigen_failure_keeps_its_class_and_message(self, grid16, alpha16,
+                                                        monkeypatch):
+        def failing(*args, **kwargs):
+            raise IterationLimitError("extreme_eigenvalue: forced", [1.0])
+
+        monkeypatch.setattr(engine, "extreme_eigenvalue", failing)
+        report = continuity_sweep(grid16, EYE1, alpha16, (0.5,), FAST)
+        step = report.steps[0]
+        assert step.converged
+        assert math.isnan(step.lambda1)
+        assert step.eigen_error == "IterationLimitError: extreme_eigenvalue: forced"
 
 
 class TestThresholdEstimate:
@@ -274,6 +297,22 @@ class TestThresholdEstimate:
         assert estimate.threshold == 0.0
         assert estimate.bracket == (0.0, 0.0)
         assert all(a["converged"] for a in estimate.attempts)
+
+    def test_failed_first_attempt_verifies_no_weight(self, grid16, alpha16,
+                                                     monkeypatch):
+        original = engine.newton_solve
+
+        def failing(*args, **kwargs):
+            report = original(*args, **kwargs)
+            return dataclasses.replace(report, converged=False,
+                                       message="forced failure")
+
+        monkeypatch.setattr(engine, "newton_solve", failing)
+        estimate = estimate_R_threshold(grid16, EYE1, alpha16, R_start=8.0,
+                                        cfg=FAST)
+        assert estimate.threshold == math.inf
+        assert estimate.bracket == (8.0, math.inf)
+        assert [a["R"] for a in estimate.attempts] == [8.0]
 
     def test_parameters_are_validated(self, grid16, alpha16):
         for kwargs in ({"R_start": 0.0}, {"shrink": 1.2}, {"floor": 0.0}):

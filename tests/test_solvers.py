@@ -26,8 +26,10 @@ from twistk.errors import (
     PreconditionError,
     SolvabilityError,
 )
-from twistk.grid import random_smooth_field, sup_norm
+from twistk.engine import newton_solve, proportional_seed_potential
+from twistk.grid import euclid_mean_zero, make_trig_field, random_smooth_field, sup_norm
 from twistk.operators import LinearOperatorHandle, apply_F, apply_shifted, dense_assemble
+from twistk.oracles import dense_spectrum
 import twistk.solvers as solvers
 
 from conftest import EYE1, EYE2, seed_structure
@@ -214,6 +216,128 @@ class TestExtremeEigenvalue:
         lam20 = extreme_eigenvalue(K, alpha, 20.0).value
         lam40 = extreme_eigenvalue(K, alpha, 40.0).value
         assert lam40 < lam20 < 0.0
+
+
+def solved_structure(n, sizes, terms, R):
+    """Metric solving the twisted equation at weight R for the twist
+    whose potential is the trig sum `terms` on the identity class."""
+    grid = PeriodicGrid(n, sizes)
+    g0 = np.eye(n, dtype=complex)
+    alpha = HermitianFormField.from_potential(
+        grid, g0, make_trig_field(grid, terms).values)
+    seed = proportional_seed_potential(grid, g0, alpha)
+    report = newton_solve(KahlerStructure(grid, g0, euclid_mean_zero(seed)),
+                          alpha, R)
+    assert report.converged
+    return report.structure, alpha
+
+
+def dense_leading(K, alpha, R):
+    """Largest eigenvalue of the dense shifted operator below the zero of
+    the constant mode."""
+    spectrum = dense_spectrum(LinearOperatorHandle("shifted", K, alpha, R))
+    assert abs(spectrum.eigenvalues[-1]) <= 1e-10
+    return float(spectrum.eigenvalues[-2])
+
+
+@pytest.fixture(scope="module")
+def near_degenerate():
+    """16^2, twist 0.2 cos x, R = 4, solved metric: the leading eigenvalue
+    -1.061258 sits next to -1.063476, the top of the cos-x class."""
+    return solved_structure(1, (16, 16), [(0.2, (1, 0), 0.0)], 4.0)
+
+
+class TestDavidsonEigenStage:
+    def test_near_degenerate_cluster_matches_dense_spectrum(self, near_degenerate):
+        K, alpha = near_degenerate
+        exact = dense_leading(K, alpha, 4.0)
+        assert abs(exact - (-1.061258317)) <= 1e-9
+        for seed in range(6):
+            est = extreme_eigenvalue(K, alpha, 4.0, seed=seed)
+            assert abs(est.value - exact) <= 1e-10 * abs(exact)
+            assert est.value < 0.0
+            assert est.residual <= 1e-8 * abs(est.value)
+            assert abs(volume_average(K, est.vector)) <= 1e-12
+
+    def test_same_seed_gives_the_same_bits(self, near_degenerate):
+        K, alpha = near_degenerate
+        first = extreme_eigenvalue(K, alpha, 4.0, seed=3)
+        again = extreme_eigenvalue(K, alpha, 4.0, seed=3)
+        assert first.value == again.value
+        assert first.iterations == again.iterations
+        assert first.vector.values.tobytes() == again.vector.values.tobytes()
+
+    def test_n2_mild_case_matches_dense_spectrum(self):
+        K, alpha = solved_structure(2, (8, 8, 8, 8), [(0.05, (1, 0, 0, 0), 0.0)], 4.0)
+        exact = dense_leading(K, alpha, 4.0)
+        est = extreme_eigenvalue(K, alpha, 4.0, seed=0)
+        assert abs(est.value - exact) <= 1e-10 * abs(exact)
+        assert est.value < 0.0
+        assert abs(volume_average(K, est.vector)) <= 1e-12
+
+    def test_uncertifiable_coarse_grid_raises_within_budget(self):
+        # 8^4 does not resolve this twist: the discrete operator is far
+        # enough from self-adjoint that no pair meets the certificate
+        K, alpha = solved_structure(
+            2, (8, 8, 8, 8),
+            [(0.2, (1, 0, 0, 0), 0.0), (0.1, (0, 1, 1, 0), 0.3)], 4.0)
+        with pytest.raises(IterationLimitError, match="stalled") as err:
+            extreme_eigenvalue(K, alpha, 4.0, seed=0)
+        assert err.value.history[0] > 1e-8
+
+    def test_restart_budget_raises(self, near_degenerate):
+        K, alpha = near_degenerate
+        # this pair needs more than one basis fill, so no restart fails
+        with pytest.raises(IterationLimitError, match="within 0 restarts") as err:
+            extreme_eigenvalue(K, alpha, 4.0, seed=0, maxiter=0)
+        assert len(err.value.history) == solvers._DAVIDSON_CAP
+
+    def test_correction_at_round_off_is_not_normalised(self, near_degenerate,
+                                                       monkeypatch):
+        K, alpha = near_degenerate
+        original = solvers._spd_preconditioner
+
+        def in_span(*args):
+            _, project = original(*args)
+            return (lambda r: np.zeros_like(r)), project
+
+        monkeypatch.setattr(solvers, "_spd_preconditioner", in_span)
+        with pytest.raises(IterationLimitError, match="stagnation"):
+            extreme_eigenvalue(K, alpha, 4.0, seed=0)
+
+    def test_constant_mode_is_kept_out(self, near_degenerate, monkeypatch):
+        # a preconditioner that adds a constant to every correction: the
+        # constant mode (eigenvalue 0, above all others) must not enter
+        K, alpha = near_degenerate
+        reference = extreme_eigenvalue(K, alpha, 4.0, seed=1)
+        original = solvers._spd_preconditioner
+
+        def with_constant(*args):
+            apply, project = original(*args)
+            return (lambda r: apply(r) + 1.0), project
+
+        monkeypatch.setattr(solvers, "_spd_preconditioner", with_constant)
+        est = extreme_eigenvalue(K, alpha, 4.0, seed=1)
+        assert abs(est.value - reference.value) <= 1e-12 * abs(reference.value)
+        assert abs(volume_average(K, est.vector)) <= 1e-12
+
+    def test_no_inner_solves(self, near_degenerate, monkeypatch):
+        K, alpha = near_degenerate
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the eigen stage ran a linear solve")
+
+        monkeypatch.setattr(solvers, "_pcg", refuse)
+        applies = []
+        original = LinearOperatorHandle.apply
+
+        def counting(self, v):
+            applies.append(self.kind)
+            return original(self, v)
+
+        monkeypatch.setattr(LinearOperatorHandle, "apply", counting)
+        est = extreme_eigenvalue(K, alpha, 4.0, seed=0)
+        assert applies == ["shifted"] * est.iterations
 
 
 class TestInverseNormEstimate:
