@@ -20,6 +20,7 @@ from .engine import (
     newton_solve,
     perturb_twist,
     proportional_seed_potential,
+    seed_structure,
     t_to_R,
     trivial_twist,
     twisted_residual,
@@ -62,10 +63,6 @@ from .grid import (
 )
 from .operators import (
     LinearOperatorHandle,
-    apply_F,
-    apply_full_linearization,
-    apply_lichnerowicz,
-    apply_shifted,
     dense_assemble,
 )
 from .solvers import (

@@ -6,7 +6,9 @@ entries are numbers or [re, im] pairs; potential seeds are lists of
 as a * cos(k . x + p) on any grid resolution.  Exactly one of
 "t_schedule" (strictly increasing, in (0, 1]) and "R_schedule"
 (positive, strictly monotone) may be given; scenarios fill a default
-otherwise.
+otherwise.  "omega_potential" seeds the metric of single_solve,
+ladder_study and twist_perturbation; continuity_sweep and threshold seed
+from the twist form and reject a non-empty one.
 
 parse_config never repairs input: every problem becomes a diagnostic
 with the key path and a best-effort line number, and all diagnostics
@@ -255,6 +257,10 @@ def parse_config(text: str) -> RunConfig:
                        if "omega_potential" in data else
                        tuple((a, k[:naxes] + (0,) * (naxes - len(k)), p)
                              for a, k, p in cfg.omega_potential))
+    if omega_potential and scenario in ("continuity_sweep", "threshold"):
+        # these scenarios seed from the twist form alone
+        diags.append(f"omega_potential: not used by {scenario}; leave it empty"
+                     f"{_line_of(text, 'omega_potential')}")
     alpha_potential = (_parse_terms(data["alpha_potential"], "alpha_potential",
                                     naxes, diags, text)
                        if "alpha_potential" in data else

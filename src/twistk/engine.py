@@ -448,13 +448,15 @@ class ContinuationReport:
     """Path record: per-step data, overall success, last converged metric.
 
     smallest_converged_R is the failure frontier summary (0.0 when the
-    whole path through t = 1 converged, nan when nothing did).
+    whole path through t = 1 converged, nan when nothing did);
+    ladder_error is the first step's `seed_structure` failure reason.
     """
 
     steps: tuple[SweepStep, ...]
     success: bool
     structure: KahlerStructure | None
     smallest_converged_R: float = math.nan
+    ladder_error: str = ""
 
 
 def proportional_seed_potential(grid: PeriodicGrid, g0: np.ndarray,
@@ -478,6 +480,42 @@ def proportional_seed_potential(grid: PeriodicGrid, g0: np.ndarray,
     return np.asarray(alpha.potential, dtype=float) / s
 
 
+def seed_structure(grid: PeriodicGrid, g0: np.ndarray,
+                   alpha: HermitianFormField, R: float, order: int,
+                   cfg: SolverConfig = SolverConfig(), *,
+                   potential: np.ndarray | None = None,
+                   ) -> tuple[KahlerStructure, str, str]:
+    """Starting metric of a solve at weight R: a seed, then the ladder.
+
+    The seed potential is `potential` when given and non-zero
+    ("explicit-potential"), else `proportional_seed_potential`
+    ("proportional-seed"), else zero ("flat").  When order > 0 and R > 0
+    the order-`order` correction ladder improves it ("ladder[order]").
+    A ladder that raises a TwistkError leaves the seed in place and its
+    failure is returned as "<class>: <message>"; UnsupportedOrderError
+    is the caller's error and propagates.  Returns (structure, source,
+    ladder_error), ladder_error "" when the ladder ran or was not asked
+    for.
+    """
+    if potential is not None and np.any(potential):
+        warm, source = potential, "explicit-potential"
+    else:
+        warm = proportional_seed_potential(grid, g0, alpha)
+        source = "flat" if warm is None else "proportional-seed"
+        if warm is None:
+            warm = np.zeros(grid.shape)
+    K = KahlerStructure(grid, g0, euclid_mean_zero(warm))
+    if order <= 0 or R <= 0.0:
+        return K, source, ""
+    try:
+        ladder = build_approximate_solution(K, alpha, R, order, cfg)
+    except UnsupportedOrderError:
+        raise
+    except TwistkError as err:
+        return K, source, f"{type(err).__name__}: {err}"
+    return ladder.structure, f"ladder[{order}]", ""
+
+
 def leading_eigen(K: KahlerStructure, alpha: HermitianFormField, R: float,
                   krylov: KrylovConfig, seed: int) -> tuple[EigenEstimate | None, str]:
     """`extreme_eigenvalue`, or None with its failure as "<class>: <message>"."""
@@ -494,9 +532,9 @@ def continuity_sweep(grid: PeriodicGrid, g0: np.ndarray,
                      eigen_seed: int = 0) -> ContinuationReport:
     """March the continuity path over increasing t with warm starts.
 
-    The first step is seeded by the correction ladder when alpha is
-    proportional to a metric in the ambient class (otherwise from the
-    flat representative); each later step reuses the previous potential.
+    The first step starts from `seed_structure` with the correction
+    ladder; each later step reuses the last converged potential (or the
+    seed without the ladder while nothing has converged).
     Records residual norms, the extreme eigenvalue of the shifted
     operator and Newton statistics per step; non-converged steps are
     recorded and the sweep keeps marching from the last good potential,
@@ -505,27 +543,23 @@ def continuity_sweep(grid: PeriodicGrid, g0: np.ndarray,
     t_list = [float(t) for t in t_values]
     if not t_list or any(b <= a for a, b in zip(t_list, t_list[1:])):
         raise PreconditionError("t_values must be strictly increasing and non-empty")
-    seed_pot = proportional_seed_potential(grid, g0, alpha)
-    warm = np.zeros(grid.shape) if seed_pot is None else euclid_mean_zero(seed_pot)
-    warm_source = "flat" if seed_pot is None else "proportional-seed"
 
     steps: list[SweepStep] = []
     success = True
     structure = None
     smallest_R = math.nan
+    ladder_error = ""
+    warm = None
     for idx, t in enumerate(t_list):
         R = t_to_R(t)
         started = time.perf_counter()
-        source = warm_source
-        K_init = KahlerStructure(grid, g0, warm)
-        if idx == 0 and ladder_order > 0 and R > 0.0:
-            try:
-                ladder = build_approximate_solution(K_init, alpha, R,
-                                                    ladder_order, cfg)
-                K_init = ladder.structure
-                source = f"ladder[{ladder_order}]"
-            except PreconditionError:
-                pass
+        if warm is not None:
+            K_init, source = KahlerStructure(grid, g0, warm), "previous-step"
+        else:
+            # only the first step is improved by the ladder
+            K_init, source, error = seed_structure(
+                grid, g0, alpha, R, 0 if idx else ladder_order, cfg)
+            ladder_error = ladder_error or error
         report = newton_solve(K_init, alpha, R, cfg, raise_on_failure=False)
         eigen, eigen_error = None, ""
         if report.converged and compute_eigen:
@@ -542,7 +576,6 @@ def continuity_sweep(grid: PeriodicGrid, g0: np.ndarray,
             eigen_error=eigen_error))
         if report.converged:
             warm = euclid_mean_zero(report.structure.potential)
-            warm_source = "previous-step"
             structure = report.structure
             smallest_R = R if math.isnan(smallest_R) else min(smallest_R, R)
         else:
@@ -550,7 +583,8 @@ def continuity_sweep(grid: PeriodicGrid, g0: np.ndarray,
             success = False
     return ContinuationReport(steps=tuple(steps), success=success,
                               structure=structure,
-                              smallest_converged_R=smallest_R)
+                              smallest_converged_R=smallest_R,
+                              ladder_error=ladder_error)
 
 
 @dataclass(frozen=True)
@@ -561,12 +595,15 @@ class ThresholdEstimate:
     attempted weight down to and including R = 0 solves, both entries
     and the threshold are 0.0.  When the first attempt at R_start fails
     no weight is verified: the threshold is inf and the bracket
-    (R_start, inf).
+    (R_start, inf).  seed_source and ladder_error are the first
+    attempt's `seed_structure` record.
     """
 
     threshold: float
     bracket: tuple[float, float]
     attempts: tuple[dict, ...]
+    seed_source: str = ""
+    ladder_error: str = ""
 
 
 def estimate_R_threshold(grid: PeriodicGrid, g0: np.ndarray,
@@ -589,36 +626,34 @@ def estimate_R_threshold(grid: PeriodicGrid, g0: np.ndarray,
                                 "0 < shrink < 1 and floor > 0")
     attempts: list[dict] = []
 
-    def attempt(R: float, warm: np.ndarray, use_ladder: bool) -> NewtonReport:
-        K_init = KahlerStructure(grid, g0, warm)
-        if use_ladder and ladder_order > 0 and R > 0.0:
-            try:
-                ladder = build_approximate_solution(K_init, alpha, R,
-                                                    ladder_order, cfg)
-                K_init = ladder.structure
-            except PreconditionError:
-                pass
+    def attempt(R: float, K_init: KahlerStructure) -> NewtonReport:
         report = newton_solve(K_init, alpha, R, cfg, raise_on_failure=False)
         attempts.append({"R": R, "converged": report.converged,
                          "residual_sup": report.residual_sup,
                          "newton_iters": report.iterations})
         return report
 
-    seed_pot = proportional_seed_potential(grid, g0, alpha)
-    warm = np.zeros(grid.shape) if seed_pot is None else euclid_mean_zero(seed_pot)
-    report = attempt(R_start, warm, use_ladder=True)
+    K_init, seed_source, ladder_error = seed_structure(grid, g0, alpha, R_start,
+                                                       ladder_order, cfg)
+
+    def estimate(threshold: float, bracket: tuple[float, float]) -> ThresholdEstimate:
+        return ThresholdEstimate(threshold=threshold, bracket=bracket,
+                                 attempts=tuple(attempts), seed_source=seed_source,
+                                 ladder_error=ladder_error)
+
+    report = attempt(R_start, K_init)
+    # the seed's cached curvature fields would otherwise live through the
+    # whole descent (about 15 MB at 16^4)
+    del K_init
     if not report.converged:
-        return ThresholdEstimate(threshold=math.inf,
-                                 bracket=(R_start, math.inf),
-                                 attempts=tuple(attempts))
-    warm = euclid_mean_zero(report.structure.potential)
+        return estimate(math.inf, (R_start, math.inf))
 
     R_ok = R_start
-    warm_ok = warm
+    warm_ok = euclid_mean_zero(report.structure.potential)
     R = R_start * shrink
     failed_at = None
     while R > floor:
-        report = attempt(R, warm_ok, use_ladder=False)
+        report = attempt(R, KahlerStructure(grid, g0, warm_ok))
         if report.converged:
             R_ok = R
             warm_ok = euclid_mean_zero(report.structure.potential)
@@ -627,19 +662,17 @@ def estimate_R_threshold(grid: PeriodicGrid, g0: np.ndarray,
             break
         R *= shrink
     if failed_at is None:
-        report = attempt(0.0, warm_ok, use_ladder=False)
+        report = attempt(0.0, KahlerStructure(grid, g0, warm_ok))
         if report.converged:
-            return ThresholdEstimate(threshold=0.0, bracket=(0.0, 0.0),
-                                     attempts=tuple(attempts))
+            return estimate(0.0, (0.0, 0.0))
         failed_at = 0.0
     lo, hi = failed_at, R_ok
     for _ in range(bisect_steps):
         mid = math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
-        report = attempt(mid, warm_ok, use_ladder=False)
+        report = attempt(mid, KahlerStructure(grid, g0, warm_ok))
         if report.converged:
             hi = mid
             warm_ok = euclid_mean_zero(report.structure.potential)
         else:
             lo = mid
-    return ThresholdEstimate(threshold=hi, bracket=(lo, hi),
-                             attempts=tuple(attempts))
+    return estimate(hi, (lo, hi))

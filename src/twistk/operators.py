@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import DomainError, RefusalError, ShapeError
 from .geometry import HermitianFormField, KahlerStructure, volume_mean_zero
-from .grid import PeriodicGrid, ScalarField, holo_gradient
+from .grid import PeriodicGrid, holo_gradient
 
 DENSE_POINT_CAP = 4096
 
@@ -237,37 +237,6 @@ class LinearOperatorHandle:
             v = u
         w = self.weight
         return float(np.sum(u * self.apply(v) * w) / np.sum(w))
-
-
-def apply_F(K: KahlerStructure, alpha: HermitianFormField, phi: ScalarField) -> ScalarField:
-    """Twist operator (alpha, i d dbar phi) + Re(d tr(alpha), dbar phi)."""
-    handle = LinearOperatorHandle("twist", K, alpha)
-    return ScalarField(K.grid, handle.apply(phi.values))
-
-
-def apply_lichnerowicz(K: KahlerStructure, phi: ScalarField) -> ScalarField:
-    """Fourth-order operator Lap^2 + (Ric, i d dbar .) + Re(d S, dbar .)."""
-    handle = LinearOperatorHandle("lichnerowicz", K)
-    return ScalarField(K.grid, handle.apply(phi.values))
-
-
-def apply_full_linearization(K: KahlerStructure, alpha: HermitianFormField, R: float,
-                             psi: ScalarField) -> ScalarField:
-    """Directional derivative of phi -> S(omega_phi) - R tr_{omega_phi} alpha.
-
-    Equals -Lap^2 psi - (Ric, i d dbar psi) + R (alpha, i d dbar psi);
-    the first-order gradient terms of the expanded form cancel exactly.
-    At an exact solution this coincides with -lichnerowicz + R * twist.
-    """
-    handle = LinearOperatorHandle("full_linearization", K, alpha, R)
-    return ScalarField(K.grid, handle.apply(psi.values))
-
-
-def apply_shifted(K: KahlerStructure, alpha: HermitianFormField, R: float,
-                  psi: ScalarField) -> ScalarField:
-    """Self-adjoint operator -lichnerowicz + R * twist."""
-    handle = LinearOperatorHandle("shifted", K, alpha, R)
-    return ScalarField(K.grid, handle.apply(psi.values))
 
 
 def dense_assemble(handle: LinearOperatorHandle) -> np.ndarray:

@@ -35,7 +35,7 @@ from .engine import (
     leading_eigen,
     newton_solve,
     perturb_twist,
-    proportional_seed_potential,
+    seed_structure,
     t_to_R,
     trivial_twist,
     twisted_residual,
@@ -62,7 +62,7 @@ from .grid import (
     rms_norm,
     sup_norm,
 )
-from .operators import LinearOperatorHandle, apply_F, apply_full_linearization
+from .operators import LinearOperatorHandle
 from .oracles import (
     dense_spectrum,
     fd_directional_derivative,
@@ -103,9 +103,21 @@ def _write_manifest(outdir: Path, cfg: RunConfig) -> None:
         json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
+def _strict_json(value):
+    """Non-finite floats (a nan lambda1, an inf threshold) as None."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {key: _strict_json(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    return value
+
+
 def _write_summary(outdir: Path, summary: dict) -> None:
     (outdir / "summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n")
+        json.dumps(_strict_json(summary), sort_keys=True, indent=2,
+                   allow_nan=False) + "\n")
 
 
 def _write_fields(outdir: Path, K: KahlerStructure) -> None:
@@ -139,24 +151,6 @@ def _first_R(cfg: RunConfig) -> float:
     return 100.0
 
 
-def _initial_structure(grid, g0_omega, omega_pot, alpha, R, order, solver):
-    """Warm start: explicit potential seed, else the proportional seed,
-    else flat; improved by the correction ladder when its hypothesis
-    holds."""
-    warm = omega_pot.values
-    if not np.any(warm):
-        seeded = proportional_seed_potential(grid, g0_omega, alpha)
-        if seeded is not None:
-            warm = seeded
-    K = KahlerStructure(grid, g0_omega, euclid_mean_zero(warm))
-    if order > 0 and R > 0.0:
-        try:
-            K = build_approximate_solution(K, alpha, R, order, solver).structure
-        except TwistkError:
-            pass
-    return K
-
-
 def _cohomology_summary(K, alpha, R, constant) -> dict:
     S = scalar_curvature(K)
     tr = trace_form(K, alpha)
@@ -176,8 +170,8 @@ def _run_single_solve(cfg: RunConfig, outdir: Path):
     solver = _solver_config(cfg)
     R = _first_R(cfg)
     started = time.perf_counter()
-    K_init = _initial_structure(grid, g0_omega, omega_pot, alpha, R,
-                                cfg.order, solver)
+    K_init, source, ladder_error = seed_structure(
+        grid, g0_omega, alpha, R, cfg.order, solver, potential=omega_pot.values)
     report = newton_solve(K_init, alpha, R, solver, raise_on_failure=False)
     eigen, eigen_error = None, ""
     if report.converged:
@@ -197,6 +191,7 @@ def _run_single_solve(cfg: RunConfig, outdir: Path):
         "residual_sup": report.residual_sup,
         "lambda1": lambda1,
         "newton_iterations": report.iterations,
+        "seed": {"source": source, "ladder_error": ladder_error},
     }
     if eigen is not None:
         summary["eigen_iterations"] = eigen.iterations
@@ -261,6 +256,8 @@ def _run_continuity_sweep(cfg: RunConfig, outdir: Path):
         "success": report.success,
         "steps": len(report.steps),
         "smallest_converged_R": report.smallest_converged_R,
+        "seed": {"source": report.steps[0].warm_source,
+                 "ladder_error": report.ladder_error},
         # one record per step whose eigenvalue stage ran
         "eigen": [{"step": s.step, "error": s.eigen_error} if s.eigen_error
                   else {"step": s.step, "iterations": s.eigen_iterations,
@@ -274,10 +271,11 @@ def _run_continuity_sweep(cfg: RunConfig, outdir: Path):
         summary["final_potential_sup"] = sup_norm(report.structure.potential)
         summary["final_metric_flat_sup"] = float(
             np.abs(report.structure.metric - g0_broadcast).max())
-        last_R = report.steps[-1].R
-        res, const = twisted_residual(report.structure, alpha, last_R)
-        summary.update(_cohomology_summary(report.structure, alpha, last_R,
-                                           const))
+        # t increases, so the last converged structure is the one at the
+        # smallest converged weight
+        R = report.smallest_converged_R
+        _res, const = twisted_residual(report.structure, alpha, R)
+        summary.update(_cohomology_summary(report.structure, alpha, R, const))
         _write_fields(outdir, report.structure)
     return rows, summary, report.success
 
@@ -301,6 +299,8 @@ def _run_threshold(cfg: RunConfig, outdir: Path):
         "bracket_low": estimate.bracket[0],
         "bracket_high": estimate.bracket[1],
         "attempts": len(estimate.attempts),
+        "seed": {"source": estimate.seed_source,
+                 "ladder_error": estimate.ladder_error},
     }
     return rows, summary, all_converged
 
@@ -311,44 +311,30 @@ def _run_twist_perturbation(cfg: RunConfig, outdir: Path):
     R = _first_R(cfg)
     if cfg.perturbation is None:
         raise TwistkError("twist_perturbation needs a perturbation term")
-    K_init = _initial_structure(grid, g0_omega, omega_pot, alpha, R,
-                                cfg.order, solver)
-    base_report = newton_solve(K_init, alpha, R, solver, raise_on_failure=False)
-    rows = [(0, R_to_t(R), R, base_report.residual_sup,
-             base_report.residual_l2, math.nan, base_report.iterations, math.nan)]
-    success = base_report.converged
-    summary = {"scenario": cfg.scenario, "base_converged": base_report.converged,
-               "R": R, "stages": cfg.perturbation_steps}
-    if base_report.converged:
+    K_init, source, ladder_error = seed_structure(
+        grid, g0_omega, alpha, R, cfg.order, solver, potential=omega_pot.values)
+    reports = [newton_solve(K_init, alpha, R, solver, raise_on_failure=False)]
+    summary = {"scenario": cfg.scenario, "base_converged": reports[0].converged,
+               "R": R, "stages": cfg.perturbation_steps,
+               "seed": {"source": source, "ladder_error": ladder_error}}
+    if reports[0].converged:
         bump = make_trig_field(grid, [cfg.perturbation])
         target = HermitianFormField(
             grid, alpha.comps + hessian(grid, bump.values),
             base_matrix=alpha.base_matrix,
             potential=None if alpha.potential is None
             else alpha.potential + bump.values)
-        K = base_report.structure
-        current = alpha
-        for stage in range(1, cfg.perturbation_steps + 1):
-            s = stage / cfg.perturbation_steps
-            comps = (1.0 - s) * alpha.comps + s * target.comps
-            stage_alpha = HermitianFormField(
-                grid, comps, base_matrix=alpha.base_matrix,
-                potential=None if alpha.potential is None
-                else (1.0 - s) * alpha.potential + s * target.potential)
-            started = time.perf_counter()
-            report = perturb_twist(K, current, stage_alpha, R, solver)[-1]
-            wall_ms = (time.perf_counter() - started) * 1000.0
-            rows.append((stage, R_to_t(R), R, report.residual_sup,
-                         report.residual_l2, math.nan, report.iterations,
-                         wall_ms))
-            success = success and report.converged
-            if not report.converged:
-                break
-            K = report.structure
-            current = stage_alpha
-        summary["final_residual_sup"] = rows[-1][3]
-        summary["stages_converged"] = len(rows) - 1
-        _write_fields(outdir, K)
+        started = time.perf_counter()
+        reports += perturb_twist(reports[0].structure, alpha, target, R, solver,
+                                 steps=cfg.perturbation_steps)
+        summary["continuation_wall_ms"] = (time.perf_counter() - started) * 1000.0
+        converged = [r for r in reports if r.converged]
+        summary["final_residual_sup"] = reports[-1].residual_sup
+        summary["stages_converged"] = len(converged) - 1
+        _write_fields(outdir, converged[-1].structure)
+    rows = [(stage, R_to_t(R), R, r.residual_sup, r.residual_l2, math.nan,
+             r.iterations, math.nan) for stage, r in enumerate(reports)]
+    success = all(r.converged for r in reports)
     summary["success"] = success
     return rows, summary, success
 
@@ -416,10 +402,10 @@ def _verify_checks(cfg: RunConfig, outdir: Path):
 
     fd_est = fd_directional_derivative(residual_map, K_big.potential,
                                        direction.values)
-    lin = apply_full_linearization(K_big, alpha_big, R_lin, direction)
-    gap = float(np.abs(lin.values - fd_est.value).max())
-    record("linearization_fd_match", gap / max(sup_norm(lin.values), 1e-300),
-           1e-5)
+    lin = LinearOperatorHandle("full_linearization", K_big, alpha_big,
+                               R_lin).apply(direction.values)
+    gap = float(np.abs(lin - fd_est.value).max())
+    record("linearization_fd_match", gap / max(sup_norm(lin), 1e-300), 1e-5)
 
     probe = random_smooth_field(grid, rng, amplitude=0.5, kmax=2)
     K_probe = KahlerStructure(grid, g_id,
@@ -429,8 +415,8 @@ def _verify_checks(cfg: RunConfig, outdir: Path):
     alpha_probe = HermitianFormField.from_potential(grid, g_id,
                                                     K_probe.potential)
     probe_mz = ScalarField(grid, volume_mean_zero(K_probe, probe.values))
-    image = apply_F(K_probe, alpha_probe, probe_mz)
-    back, _ = solve_F(K_probe, alpha_probe, image, krylov)
+    image = LinearOperatorHandle("twist", K_probe, alpha_probe).apply(probe_mz.values)
+    back, _ = solve_F(K_probe, alpha_probe, ScalarField(grid, image), krylov)
     record("solve_apply_roundtrip",
            sup_norm(back.values - probe_mz.values) / max(sup_norm(probe_mz.values),
                                                          1e-300), 1e-7)
@@ -448,8 +434,8 @@ def _verify_checks(cfg: RunConfig, outdir: Path):
                           seed=cfg.seed, out=cfg.out)
     gridc, g0c, potc, alphac = _build_problem(solve_cfg)
     solver = _solver_config(solve_cfg)
-    K_init = _initial_structure(gridc, g0c, potc, alphac, 100.0, 2,
-                                solver)
+    K_init, _, _ = seed_structure(gridc, g0c, alphac, 100.0, solve_cfg.order,
+                                  solver, potential=potc.values)
     report = newton_solve(K_init, alphac, 100.0, solver, raise_on_failure=False)
     record("single_solve_residual", report.residual_sup, 1e-9,
            ok=report.converged and report.residual_sup <= 1e-9)

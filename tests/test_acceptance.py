@@ -45,7 +45,7 @@ from twistk.grid import (
     random_smooth_field,
     sup_norm,
 )
-from twistk.operators import LinearOperatorHandle, apply_full_linearization, dense_assemble
+from twistk.operators import LinearOperatorHandle, dense_assemble
 from twistk.oracles import fd_directional_derivative, order_fit
 from twistk.runner import run_scenario
 from twistk.solvers import KrylovConfig, extreme_eigenvalue, inverse_norm_estimate
@@ -218,7 +218,7 @@ def test_criterion_02_full_linearization_matches_fd():
                         - R * trace_form(Kp, alpha).values)
 
             fd = fd_directional_derivative(residual_map, K.potential, psi.values)
-            lin = apply_full_linearization(K, alpha, R, psi).values
+            lin = LinearOperatorHandle("full_linearization", K, alpha, R).apply(psi.values)
             rel = float(np.linalg.norm(fd.value - lin) / np.linalg.norm(lin))
             worst = max(worst, rel)
             triples += 1

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
-import math
 
 import numpy as np
 import pytest
@@ -279,7 +279,7 @@ class TestEigenArtifacts:
         assert run_scenario(cfg) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["converged"] is True
-        assert math.isnan(summary["lambda1"])
+        assert summary["lambda1"] is None
         assert summary["lambda1_error"].startswith(
             "IterationLimitError: extreme_eigenvalue: eigenpair residual")
 
@@ -300,3 +300,192 @@ class TestEigenArtifacts:
             assert "error" not in record
             assert record["iterations"] > 1
             assert record["residual"] <= 1e-8
+
+
+def _steps(out):
+    """steps.csv rows as floats, header checked."""
+    header, *rows = (out / "steps.csv").read_text().splitlines()
+    assert header == CSV_HEADER
+    return [[float(v) for v in row.split(",")] for row in rows]
+
+
+class TestTwistPerturbation:
+    """The twist_perturbation scenario end to end through run_scenario."""
+
+    # (residual_sup, residual_l2, newton_iters) per row; row 0 is the base solve
+    PINNED = {
+        1: [(0.0, 0.0, 0),
+            (2.8421709430404007e-14, 1.464821375527116e-14, 3),
+            (5.6843418860808015e-14, 3.444483707977731e-14, 3),
+            (2.8421709430404007e-14, 1.7038216254095741e-14, 3)],
+        2: [(0.0, 0.0, 0),
+            (2.8421709430404007e-14, 1.4210854715202004e-14, 3),
+            (8.5265128291212022e-14, 6.2753435275395814e-14, 3)],
+    }
+
+    @staticmethod
+    def config(n, out, **kwargs):
+        if n == 1:
+            return RunConfig(scenario="twist_perturbation", sizes=(16, 16),
+                             R_schedule=(100.0,), perturbation=(0.2, (1, 0), 0.0),
+                             perturbation_steps=3, out=str(out), **kwargs)
+        return RunConfig(scenario="twist_perturbation", n=2, sizes=(8, 8, 8, 8),
+                         g0_omega=EYE2_ROWS, g0_alpha=EYE2_ROWS,
+                         R_schedule=(100.0,),
+                         perturbation=(0.1, (1, 0, 0, 0), 0.0),
+                         perturbation_steps=2, out=str(out), **kwargs)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_stages_are_pinned(self, tmp_path, n):
+        out = tmp_path / f"perturb{n}"
+        assert run_scenario(self.config(n, out)) == 0
+        rows = _steps(out)
+        assert [(r[3], r[4], int(r[6])) for r in rows] == self.PINNED[n]
+        assert all(r[2] == 100.0 for r in rows)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["success"] is True
+        assert summary["stages"] == len(rows) - 1
+        assert summary["stages_converged"] == len(rows) - 1
+        assert summary["final_residual_sup"] == rows[-1][3]
+
+    def test_failed_stage_is_not_counted_as_converged(self, tmp_path,
+                                                      monkeypatch):
+        original = engine.newton_solve
+        calls = []
+
+        def second_fails(*args, **kwargs):
+            report = original(*args, **kwargs)
+            calls.append(report)
+            if len(calls) == 2:
+                report = dataclasses.replace(report, converged=False,
+                                             message="forced failure")
+            return report
+
+        monkeypatch.setattr(engine, "newton_solve", second_fails)
+        out = tmp_path / "perturb_fail"
+        assert run_scenario(self.config(1, out)) == 1
+        rows = _steps(out)
+        # base, the converged first stage and the failed second stage
+        assert len(rows) == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["success"] is False
+        assert summary["stages_converged"] == 1
+
+
+def _strict_load(path):
+    """json.loads that refuses the non-JSON tokens NaN, Infinity, -Infinity."""
+    def refuse(token):
+        raise ValueError(f"non-JSON constant {token} in {path.name}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def _force_failure(monkeypatch, when):
+    """Make engine.newton_solve report failure on calls where when(R) holds."""
+    original = engine.newton_solve
+
+    def failing(K0, alpha, R, *args, **kwargs):
+        report = original(K0, alpha, R, *args, **kwargs)
+        if when(R):
+            report = dataclasses.replace(report, converged=False,
+                                         message="forced failure")
+        return report
+
+    monkeypatch.setattr(engine, "newton_solve", failing)
+
+
+class TestSummaryRecords:
+    """summary.json is strict JSON and names the seed of every solve."""
+
+    def test_every_scenario_writes_strict_json(self, tmp_path, monkeypatch):
+        configs = {
+            # 6^4 is too coarse for the eigenpair certificate: lambda1 is nan
+            "single_solve": RunConfig(
+                scenario="single_solve", n=2, sizes=(6, 6, 6, 6),
+                g0_omega=EYE2_ROWS, g0_alpha=EYE2_ROWS, R_schedule=(100.0,),
+                alpha_potential=((0.1, (1, 0, 0, 0), 0.0),)),
+            "ladder_study": RunConfig(
+                scenario="ladder_study", sizes=(16, 16), R_schedule=(50.0, 100.0),
+                order=1, omega_potential=((0.15, (1, 1), 0.0),),
+                alpha_potential=((0.15, (1, 1), 0.0),)),
+            "continuity_sweep": RunConfig(
+                scenario="continuity_sweep", sizes=(16, 16),
+                alpha_potential=((0.2, (1, 0), 0.0),), t_schedule=(0.5, 1.0)),
+            "twist_perturbation": TestTwistPerturbation.config(1, "unused"),
+            "verify_suite": RunConfig(scenario="verify_suite"),
+        }
+        assert set(configs) | {"threshold"} == set(SCENARIOS)
+        for scenario, cfg in configs.items():
+            out = tmp_path / scenario
+            run_scenario(dataclasses.replace(cfg, out=str(out)))
+            summary = _strict_load(out / "summary.json")
+            assert summary["scenario"] == scenario
+        assert _strict_load(tmp_path / "single_solve" / "summary.json")["lambda1"] is None
+
+        # the first weight fails, so no weight is verified: threshold inf
+        _force_failure(monkeypatch, lambda R: True)
+        out = tmp_path / "threshold"
+        cfg = RunConfig(scenario="threshold", sizes=(16, 16), R_schedule=(8.0,),
+                        alpha_potential=((0.2, (1, 0), 0.0),), out=str(out))
+        assert run_scenario(cfg) == 1
+        summary = _strict_load(out / "summary.json")
+        assert summary["threshold"] is None
+        assert summary["bracket_low"] == 8.0
+        assert summary["bracket_high"] is None
+
+    def test_ladder_failure_is_kept_beside_the_flat_seed(self, tmp_path):
+        # g0_alpha not proportional to g0_omega: flat seed, and the
+        # trace of alpha in the flat metric is not constant
+        out = tmp_path / "solve"
+        cfg = RunConfig(scenario="single_solve", n=2, sizes=(6, 6, 6, 6),
+                        g0_omega=EYE2_ROWS, g0_alpha=((2.0, 0.0), (0.0, 3.0)),
+                        R_schedule=(100.0,), order=2,
+                        alpha_potential=((0.1, (1, 0, 0, 0), 0.0),),
+                        out=str(out))
+        run_scenario(cfg)
+        seed = _strict_load(out / "summary.json")["seed"]
+        assert seed["source"] == "flat"
+        assert seed["ladder_error"].startswith("PreconditionError:")
+
+    def test_seed_records_of_the_other_scenarios(self, tmp_path):
+        twist = ((0.2, (1, 0), 0.0),)
+        runs = {
+            "continuity_sweep": RunConfig(scenario="continuity_sweep",
+                                          sizes=(16, 16), alpha_potential=twist,
+                                          t_schedule=(0.5, 1.0)),
+            "threshold": RunConfig(scenario="threshold", sizes=(16, 16),
+                                   R_schedule=(8.0,), alpha_potential=twist),
+            "twist_perturbation": TestTwistPerturbation.config(1, "unused"),
+        }
+        for scenario, cfg in runs.items():
+            out = tmp_path / scenario
+            assert run_scenario(dataclasses.replace(cfg, out=str(out))) == 0
+            seed = _strict_load(out / "summary.json")["seed"]
+            assert seed == {"source": "ladder[2]", "ladder_error": ""}, scenario
+
+    def test_sweep_cohomology_is_taken_at_the_last_converged_weight(
+            self, tmp_path, monkeypatch):
+        _force_failure(monkeypatch, lambda R: R == 0.0)
+        out = tmp_path / "sweep"
+        cfg = RunConfig(scenario="continuity_sweep", sizes=(16, 16),
+                        alpha_potential=((0.2, (1, 0), 0.0),),
+                        t_schedule=(0.5, 1.0), out=str(out))
+        assert run_scenario(cfg) == 1
+        summary = _strict_load(out / "summary.json")
+        assert summary["smallest_converged_R"] == 1.0
+        # flat torus, twist class 1: sbar - R * c = -R at the solved R = 1
+        assert summary["constant_from_classes"] == pytest.approx(-1.0, abs=1e-12)
+        assert summary["constant"] == pytest.approx(-1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("scenario", ["continuity_sweep", "threshold"])
+    def test_ignored_omega_potential_is_rejected(self, scenario):
+        text = json.dumps({
+            "scenario": scenario,
+            "omega_potential": [
+                {"amplitude": 0.3, "wavevector": [1, 1], "phase": 0.0}
+            ],
+        })
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert any(d.startswith("omega_potential: not used by " + scenario)
+                   for d in err.value.diagnostics)

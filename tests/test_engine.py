@@ -290,6 +290,93 @@ class TestContinuitySweep:
         assert step.eigen_error == "IterationLimitError: extreme_eigenvalue: forced"
 
 
+class TestSeedStructure:
+    """engine.seed_structure: the one seed-then-ladder path."""
+
+    @staticmethod
+    def skewed_twist(grid):
+        # class diag(2, 3) is not proportional to the identity, and the
+        # potential makes its trace in the flat metric non-constant
+        x = grid.coordinates()[0]
+        return HermitianFormField.from_potential(
+            grid, np.diag([2.0, 3.0]).astype(complex),
+            0.1 * np.cos(x) + np.zeros(grid.shape))
+
+    def test_seed_sources(self, grid16, grid8x4, alpha16):
+        x, _ = grid16.coordinates()
+        pot = 0.2 * np.cos(x) + np.zeros(grid16.shape)
+        scaled = HermitianFormField.from_potential(grid16, 2.0 * EYE1, pot)
+        K, source, error = engine.seed_structure(grid16, EYE1, scaled, 1.0, 0)
+        assert (source, error) == ("proportional-seed", "")
+        assert np.array_equal(K.potential, pot / 2.0 - (pot / 2.0).mean())
+        # a zero explicit potential is no seed
+        _, source, _ = engine.seed_structure(grid16, EYE1, scaled, 1.0, 0,
+                                             potential=np.zeros(grid16.shape))
+        assert source == "proportional-seed"
+        K, source, _ = engine.seed_structure(grid16, EYE1, scaled, 1.0, 0,
+                                             potential=pot + 0.05)
+        assert source == "explicit-potential"
+        assert np.array_equal(K.potential, (pot + 0.05) - (pot + 0.05).mean())
+        for grid, g0, alpha in ((grid16, EYE1, alpha16),
+                                (grid8x4, EYE2, self.skewed_twist(grid8x4))):
+            K, source, _ = engine.seed_structure(grid, g0, alpha, 1.0, 0)
+            assert source == "flat"
+            assert not np.any(K.potential)
+
+    def test_ladder_runs_only_at_positive_order_and_weight(self, grid16, alpha16):
+        _, source, error = engine.seed_structure(grid16, EYE1, alpha16, 1.0, 2, FAST)
+        assert (source, error) == ("ladder[2]", "")
+        _, source, error = engine.seed_structure(grid16, EYE1, alpha16, 0.0, 2, FAST)
+        assert (source, error) == ("flat", "")
+
+    def test_failed_ladder_falls_back_to_the_seed(self, grid8x4):
+        K, source, error = engine.seed_structure(
+            grid8x4, EYE2, self.skewed_twist(grid8x4), 100.0, 2, FAST)
+        assert source == "flat"
+        assert not np.any(K.potential)
+        assert error.startswith("PreconditionError: ladder seed needs")
+
+    def test_any_twistk_error_of_the_ladder_falls_back(self, grid16, alpha16,
+                                                       monkeypatch):
+        def stalled(*args, **kwargs):
+            raise IterationLimitError("solve_F: forced", [1.0])
+
+        monkeypatch.setattr(engine, "build_approximate_solution", stalled)
+        report = continuity_sweep(grid16, EYE1, alpha16, (0.5,), FAST,
+                                  compute_eigen=False)
+        assert report.steps[0].warm_source == "flat"
+        assert report.ladder_error == "IterationLimitError: solve_F: forced"
+        assert report.success
+        estimate = estimate_R_threshold(grid16, EYE1, alpha16, R_start=8.0,
+                                        bisect_steps=0, cfg=FAST)
+        assert estimate.seed_source == "flat"
+        assert estimate.ladder_error == "IterationLimitError: solve_F: forced"
+
+    def test_unsupported_order_still_raises(self, grid16, alpha16):
+        with pytest.raises(UnsupportedOrderError):
+            engine.seed_structure(grid16, EYE1, alpha16, 1.0, 9, FAST)
+        with pytest.raises(UnsupportedOrderError):
+            continuity_sweep(grid16, EYE1, alpha16, (0.5,), FAST, ladder_order=9)
+        with pytest.raises(UnsupportedOrderError):
+            estimate_R_threshold(grid16, EYE1, alpha16, cfg=FAST, ladder_order=9)
+
+    def test_sweep_restarts_from_the_seed_until_a_step_converges(
+            self, grid16, alpha16, monkeypatch):
+        original = engine.newton_solve
+
+        def first_fails(K0, alpha, R, *args, **kwargs):
+            report = original(K0, alpha, R, *args, **kwargs)
+            if R == 1.0:
+                report = dataclasses.replace(report, converged=False)
+            return report
+
+        monkeypatch.setattr(engine, "newton_solve", first_fails)
+        report = continuity_sweep(grid16, EYE1, alpha16, (0.5, 1.0), FAST,
+                                  compute_eigen=False)
+        assert [s.warm_source for s in report.steps] == ["ladder[2]", "flat"]
+        assert [s.converged for s in report.steps] == [False, True]
+
+
 class TestThresholdEstimate:
     def test_flat_threshold_is_zero(self, grid16, alpha16):
         estimate = estimate_R_threshold(grid16, EYE1, alpha16, R_start=8.0,
