@@ -1,8 +1,9 @@
 """Residual decay of the correction ladder against the twist weight.
 
-For a seed metric proportional to the twist form, builds order-m
-approximate solutions over a geometric R schedule and fits the decay
-exponent of the residual sup norm; the expected law is R^(-m).
+For a seed metric proportional to the twist form, builds one
+order-`--orders` ladder per weight of a geometric R schedule, reads the
+order-m approximate solution off rung m, and fits the decay exponent of
+the residual sup norm for each m; the expected law is R^(-m).
 """
 
 import argparse
@@ -36,11 +37,11 @@ def main() -> int:
 
     print(f"grid {args.size}x{args.size}, seed amplitude {args.amplitude}, "
           f"R in {schedule}")
+    rung_sups = [build_approximate_solution(base, alpha, R, args.orders,
+                                            cfg).residual_sups
+                 for R in schedule]
     for m in range(1, args.orders + 1):
-        sups = []
-        for R in schedule:
-            ladder = build_approximate_solution(base, alpha, R, m, cfg)
-            sups.append(ladder.residual_sups[-1])
+        sups = [r[m] for r in rung_sups]
         fit = order_fit(schedule, sups)
         scaled = [s * R ** m for R, s in zip(schedule, sups)]
         print(f"m={m}: slope={fit.exponent:+.4f} (target {-m}), "

@@ -96,6 +96,16 @@ def default_config(scenario: str) -> RunConfig:
     raise ConfigError([f"scenario: unknown scenario {scenario!r}"])
 
 
+def unused_omega_potential(scenario: str, omega_potential) -> str:
+    """Diagnostic for a non-empty omega_potential that `scenario` would
+    ignore, or "".  continuity_sweep and threshold seed from the twist
+    form alone; `parse_config` and `runner.run_scenario` both reject it.
+    """
+    if omega_potential and scenario in ("continuity_sweep", "threshold"):
+        return f"omega_potential: not used by {scenario}; leave it empty"
+    return ""
+
+
 def _line_of(text: str, key: str) -> str:
     for lineno, line in enumerate(text.splitlines(), start=1):
         if f'"{key}"' in line:
@@ -257,10 +267,9 @@ def parse_config(text: str) -> RunConfig:
                        if "omega_potential" in data else
                        tuple((a, k[:naxes] + (0,) * (naxes - len(k)), p)
                              for a, k, p in cfg.omega_potential))
-    if omega_potential and scenario in ("continuity_sweep", "threshold"):
-        # these scenarios seed from the twist form alone
-        diags.append(f"omega_potential: not used by {scenario}; leave it empty"
-                     f"{_line_of(text, 'omega_potential')}")
+    unused = unused_omega_potential(scenario, omega_potential)
+    if unused:
+        diags.append(unused + _line_of(text, "omega_potential"))
     alpha_potential = (_parse_terms(data["alpha_potential"], "alpha_potential",
                                     naxes, diags, text)
                        if "alpha_potential" in data else

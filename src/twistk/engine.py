@@ -56,7 +56,7 @@ from .solvers import (
     green_solve,
     inverse_norm_estimate,
     newton_linear_solve,
-    solve_F,
+    _twist_solver,
 )
 
 MAX_LADDER_ORDER = 8
@@ -146,11 +146,21 @@ def trivial_twist(K: KahlerStructure, alpha: HermitianFormField, R: float,
 
 @dataclass(frozen=True)
 class ApproximateSolution:
-    """Result of the order-by-order correction ladder."""
+    """Result of the order-by-order correction ladder.
+
+    residual_sups, residual_rms and wall_ms hold one entry per rung,
+    entry 0 being the seed: the sup and RMS norms of the residual after
+    that rung, and the wall time in milliseconds from the start of the
+    build to the end of that rung.  Rung m of an order-`order` ladder is
+    the last rung of the order-m ladder, so its entries are that
+    ladder's.
+    """
 
     structure: KahlerStructure
     corrections: tuple[ScalarField, ...]
     residual_sups: tuple[float, ...]
+    residual_rms: tuple[float, ...]
+    wall_ms: tuple[float, ...]
     constant: float
     R: float
     order: int
@@ -165,8 +175,12 @@ def build_approximate_solution(base: KahlerStructure, alpha: HermitianFormField,
     the residual vanishes at the seed and each solve of the frozen twist
     operator F against the current residual gains one power of 1/R.
     The i-th potential increment is delta_i / R with delta_i = O(R^{1-i}),
-    so after m rungs the residual is O(R^{-m}).
+    so after m rungs the residual is O(R^{-m}).  Every rung solves with
+    the same frozen operator, built once.  The result records, for the
+    seed and each rung, the residual's sup and RMS norms and the
+    cumulative wall time (see ApproximateSolution).
     """
+    started = time.perf_counter()
     if not isinstance(order, int) or order < 0 or order > MAX_LADDER_ORDER:
         raise UnsupportedOrderError(
             f"ladder order must be an integer in [0, {MAX_LADDER_ORDER}], got {order}")
@@ -185,22 +199,32 @@ def build_approximate_solution(base: KahlerStructure, alpha: HermitianFormField,
     psi = np.zeros(grid.shape)
     corrections: list[ScalarField] = []
     sups: list[float] = []
+    rms: list[float] = []
+    wall_ms: list[float] = []
+
+    def record(residual: ScalarField) -> None:
+        sups.append(sup_norm(residual.values))
+        rms.append(rms_norm(residual.values))
+        wall_ms.append((time.perf_counter() - started) * 1000.0)
+
     residual, const = twisted_residual(K, alpha, R)
-    sups.append(sup_norm(residual.values))
+    record(residual)
+    solve = _twist_solver(base, alpha, cfg.krylov)
     for _ in range(order):
         # solvability at the frozen base: the equation's free constant
         # absorbs the residual mean taken against the base volume form
         rhs = volume_mean_zero(base, residual.values)
-        delta, _ = solve_F(base, alpha, ScalarField(grid, -rhs), cfg.krylov)
+        delta, _ = solve(ScalarField(grid, -rhs))
         step = delta.values / R
         corrections.append(ScalarField(grid, step))
         psi = euclid_mean_zero(psi + step)
         K = KahlerStructure(grid, base.g0, euclid_mean_zero(base.potential + psi))
         residual, const = twisted_residual(K, alpha, R)
-        sups.append(sup_norm(residual.values))
+        record(residual)
     return ApproximateSolution(structure=K, corrections=tuple(corrections),
-                               residual_sups=tuple(sups), constant=const,
-                               R=R, order=order)
+                               residual_sups=tuple(sups),
+                               residual_rms=tuple(rms), wall_ms=tuple(wall_ms),
+                               constant=const, R=R, order=order)
 
 
 @dataclass(frozen=True)
@@ -379,21 +403,22 @@ def ift_certificate(K: KahlerStructure, alpha: HermitianFormField, R: float,
 def perturb_twist(K: KahlerStructure, alpha_old: HermitianFormField,
                   alpha_new: HermitianFormField, R: float,
                   cfg: SolverConfig = SolverConfig(), *,
-                  steps: int = 1, base_tol: float = 1e-8) -> tuple[NewtonReport, ...]:
+                  steps: int = 1) -> tuple[NewtonReport, ...]:
     """Continue a solved metric to a perturbed twist at fixed weight.
 
-    Requires K to solve the equation for alpha_old (residual sup below
-    base_tol).  The twist is moved along the convex combination in
-    `steps` increments, re-solving with Newton at each stage; convexity
+    Requires K to solve the equation for alpha_old to the tolerance of
+    every stage (residual sup at most cfg.newton_tol).  The twist is
+    moved along the convex combination in `steps` increments,
+    re-solving with Newton at each stage; convexity
     keeps every intermediate form positive when the endpoints are.
     Returns one report per attempted stage; continuation stops at the
     first non-converged stage, so the tuple length records progress.
     """
     residual, _ = twisted_residual(K, alpha_old, R)
     base_sup = sup_norm(residual.values)
-    if base_sup > base_tol:
+    if base_sup > cfg.newton_tol:
         raise PreconditionError(
-            f"perturb_twist: base residual {base_sup:.3e} above {base_tol:g}; "
+            f"perturb_twist: base residual {base_sup:.3e} above {cfg.newton_tol:g}; "
             "solve the base problem first")
     if steps < 1:
         raise PreconditionError(f"perturb_twist needs steps >= 1, got {steps}")

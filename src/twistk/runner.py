@@ -25,7 +25,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .config import RunConfig, config_to_dict
+from .config import RunConfig, config_to_dict, unused_omega_potential
 from .engine import (
     SolverConfig,
     R_to_t,
@@ -40,7 +40,7 @@ from .engine import (
     trivial_twist,
     twisted_residual,
 )
-from .errors import TwistkError
+from .errors import ConfigError, TwistkError
 from .fieldio import write_field
 from .geometry import (
     CohomologyData,
@@ -59,7 +59,6 @@ from .grid import (
     hessian,
     make_trig_field,
     random_smooth_field,
-    rms_norm,
     sup_norm,
 )
 from .operators import LinearOperatorHandle
@@ -212,24 +211,24 @@ def _run_ladder_study(cfg: RunConfig, outdir: Path):
     if not schedule:
         raise TwistkError("ladder_study needs an R_schedule")
     base = KahlerStructure(grid, g0_omega, euclid_mean_zero(omega_pot.values))
+    # rung m of the order-cfg.order ladder is the order-m ladder, so one
+    # build per weight gives every order; only its per-rung norms and
+    # times, and the last structure, outlive it
+    rungs = []
+    last = None
+    for R in schedule if cfg.order else ():
+        ladder = build_approximate_solution(base, alpha, R, cfg.order, solver)
+        rungs.append((ladder.residual_sups, ladder.residual_rms, ladder.wall_ms))
+        last = ladder.structure
+        del ladder
     rows = []
     slopes = {}
     ratios = {}
-    last = None
-    step = 0
     for m in range(1, cfg.order + 1):
-        sups = []
-        for R in schedule:
-            started = time.perf_counter()
-            ladder = build_approximate_solution(base, alpha, R, m, solver)
-            wall_ms = (time.perf_counter() - started) * 1000.0
-            sup = ladder.residual_sups[-1]
-            sups.append(sup)
-            residual, _ = twisted_residual(ladder.structure, alpha, R)
-            rows.append((step, R_to_t(R), R, sup, rms_norm(residual.values),
-                         math.nan, 0, wall_ms))
-            step += 1
-            last = ladder.structure
+        sups = [rung_sups[m] for rung_sups, _, _ in rungs]
+        for R, (rung_sups, rung_rms, rung_ms) in zip(schedule, rungs):
+            rows.append((len(rows), R_to_t(R), R, rung_sups[m], rung_rms[m],
+                         math.nan, 0, rung_ms[m]))
         fit = order_fit(schedule, sups)
         scaled = [s * R ** m for R, s in zip(schedule, sups)]
         slopes[f"slope_m{m}"] = fit.exponent
@@ -493,13 +492,18 @@ def run_scenario(cfg: RunConfig) -> int:
     """Execute one scenario; returns the process exit status.
 
     0 means every requested solve converged (or every check passed);
-    1 records a solver-level failure, with reports still written.
+    1 records a solver-level failure, with reports still written.  A
+    config built in code that `parse_config` would reject for an unused
+    omega_potential fails the same way, with a ConfigError summary.
     """
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_manifest(outdir, cfg)
     runner = _SCENARIO_RUNNERS[cfg.scenario]
     try:
+        unused = unused_omega_potential(cfg.scenario, cfg.omega_potential)
+        if unused:
+            raise ConfigError([unused])
         rows, summary, success = runner(cfg, outdir)
     except TwistkError as err:
         _write_summary(outdir, {"scenario": cfg.scenario, "success": False,

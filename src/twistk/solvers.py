@@ -200,22 +200,36 @@ def solve_F(K: KahlerStructure, alpha: HermitianFormField, f: ScalarField,
     hypothesis under which F is the solvable model operator) and f to
     have volume mean zero.
     """
+    return _twist_solver(K, alpha, cfg)(f)
+
+
+def _twist_solver(K: KahlerStructure, alpha: HermitianFormField,
+                  cfg: KrylovConfig):
+    """`solve_F` at fixed (K, alpha) as a function of f alone.
+
+    The trace precondition is checked, and the operator handle and its
+    preconditioner are built, once, so the rungs of a correction ladder
+    share them; each solve still checks its own right-hand side.
+    """
     tr = trace_form(K, alpha)
     c = volume_average(K, tr)
     dev = float(np.abs(tr.values - c).max())
     if dev > 1e-8 * max(1.0, abs(c)):
         raise PreconditionError(
             f"solve_F: trace of alpha deviates from constant by {dev:.3e}")
-    _require_volume_mean_zero(K, f, "solve_F")
     handle = LinearOperatorHandle("twist", K, alpha, mean_zero=True)
     kind = "flat-laplacian" if cfg.preconditioner == "auto" else cfg.preconditioner
+    precond = _spd_preconditioner(K, kind, 0.0)
 
     def apply_A(v):
         return -handle.apply(v)
 
-    x, info = _pcg(apply_A, -f.values, K, cfg, _spd_preconditioner(K, kind, 0.0),
-                   what="solve_F")
-    return ScalarField(K.grid, x), info
+    def solve(f: ScalarField):
+        _require_volume_mean_zero(K, f, "solve_F")
+        x, info = _pcg(apply_A, -f.values, K, cfg, precond, what="solve_F")
+        return ScalarField(K.grid, x), info
+
+    return solve
 
 
 def _shifted_solver(K: KahlerStructure, alpha: HermitianFormField, R: float,

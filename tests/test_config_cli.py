@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import twistk.engine as engine
+import twistk.runner as runner
 import twistk.solvers as solvers
 from twistk.cli import main
 from twistk.config import (
@@ -19,9 +20,12 @@ from twistk.config import (
     default_t_schedule,
     parse_config,
 )
+from twistk.engine import build_approximate_solution, twisted_residual
 from twistk.errors import ConfigError, DomainError
 from twistk.fieldio import read_field, write_field
-from twistk.grid import fft_workers, set_fft_workers
+from twistk.geometry import KahlerStructure
+from twistk.grid import euclid_mean_zero, fft_workers, rms_norm, set_fft_workers
+from twistk.operators import LinearOperatorHandle
 from twistk.runner import CSV_HEADER, run_scenario
 
 
@@ -348,6 +352,18 @@ class TestTwistPerturbation:
         assert summary["stages_converged"] == len(rows) - 1
         assert summary["final_residual_sup"] == rows[-1][3]
 
+    def test_base_is_checked_at_the_solve_tolerance(self, tmp_path):
+        # the base converges to about 5e-8, inside newton_tol 1e-7
+        out = tmp_path / "perturb_loose"
+        cfg = dataclasses.replace(self.config(1, out), R_schedule=(10.0,),
+                                  alpha_potential=((0.3, (1, 0), 0.0),),
+                                  order=1, newton_tol=1e-7)
+        assert run_scenario(cfg) == 0
+        summary = _strict_load(out / "summary.json")
+        assert summary["base_converged"] is True
+        assert summary["seed"] == {"source": "ladder[1]", "ladder_error": ""}
+        assert summary["stages_converged"] == 3
+
     def test_failed_stage_is_not_counted_as_converged(self, tmp_path,
                                                       monkeypatch):
         original = engine.newton_solve
@@ -478,7 +494,7 @@ class TestSummaryRecords:
         assert summary["constant"] == pytest.approx(-1.0, abs=1e-9)
 
     @pytest.mark.parametrize("scenario", ["continuity_sweep", "threshold"])
-    def test_ignored_omega_potential_is_rejected(self, scenario):
+    def test_ignored_omega_potential_is_rejected(self, scenario, tmp_path):
         text = json.dumps({
             "scenario": scenario,
             "omega_potential": [
@@ -489,3 +505,63 @@ class TestSummaryRecords:
             parse_config(text)
         assert any(d.startswith("omega_potential: not used by " + scenario)
                    for d in err.value.diagnostics)
+        # the same config built in code fails the run
+        out = tmp_path / scenario
+        cfg = RunConfig(scenario=scenario, sizes=(16, 16), t_schedule=(0.5, 1.0),
+                        alpha_potential=((0.2, (1, 0), 0.0),),
+                        omega_potential=((0.3, (1, 1), 0.0),), out=str(out))
+        assert run_scenario(cfg) == 1
+        summary = _strict_load(out / "summary.json")
+        assert summary["success"] is False
+        assert summary["error"].startswith("omega_potential: not used by " + scenario)
+        assert not (out / "steps.csv").exists()
+
+
+class TestLadderStudy:
+    """ladder_study reads every order off one ladder per weight."""
+
+    SEED = ((0.15, (1, 1), 0.0), (0.15, (1, -1), 0.0))
+
+    def config(self, out):
+        return RunConfig(scenario="ladder_study", sizes=(16, 16),
+                         R_schedule=(50.0, 100.0), order=3,
+                         omega_potential=self.SEED, alpha_potential=self.SEED,
+                         out=str(out))
+
+    def test_rows_match_independent_order_m_builds(self, tmp_path):
+        cfg = self.config(tmp_path / "ladder")
+        assert run_scenario(cfg) == 0
+        rows = _steps(tmp_path / "ladder")
+        grid, g0, omega_pot, alpha = runner._build_problem(cfg)
+        base = KahlerStructure(grid, g0, euclid_mean_zero(omega_pot.values))
+        expected = []
+        for m in (1, 2, 3):
+            for R in cfg.R_schedule:
+                ladder = build_approximate_solution(base, alpha, R, m,
+                                                    runner._solver_config(cfg))
+                residual, _ = twisted_residual(ladder.structure, alpha, R)
+                expected.append([len(expected), R, ladder.residual_sups[-1],
+                                 rms_norm(residual.values)])
+        assert [[r[0], r[2], r[3], r[4]] for r in rows] == expected
+
+    def test_one_build_and_one_twist_handle_per_weight(self, tmp_path,
+                                                       monkeypatch):
+        builds = []
+        handles = []
+        build = runner.build_approximate_solution
+        post_init = LinearOperatorHandle.__post_init__
+
+        def counted_build(*args, **kwargs):
+            builds.append(args[2])
+            return build(*args, **kwargs)
+
+        def counted_post_init(handle):
+            handles.append(handle.kind)
+            post_init(handle)
+
+        monkeypatch.setattr(runner, "build_approximate_solution", counted_build)
+        monkeypatch.setattr(LinearOperatorHandle, "__post_init__",
+                            counted_post_init)
+        assert run_scenario(self.config(tmp_path / "ladder")) == 0
+        assert builds == [50.0, 100.0]
+        assert handles == ["twist", "twist"]

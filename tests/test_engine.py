@@ -32,7 +32,7 @@ from twistk.errors import (
     PreconditionError,
     UnsupportedOrderError,
 )
-from twistk.grid import sup_norm
+from twistk.grid import rms_norm, sup_norm
 import twistk.engine as engine
 from twistk.oracles import order_fit
 
@@ -158,6 +158,17 @@ class TestLadder:
         assert abs(sol.residual_sups[-1] - recomputed) <= 1e-12 * max(recomputed, 1e-30)
         assert abs(sol.constant - const) <= 1e-12 * max(abs(const), 1e-30)
         assert len(sol.residual_sups) == 3
+
+    def test_rung_records_are_those_of_the_shorter_ladders(self, grid32):
+        K, alpha = product_seed(grid32)
+        full = build_approximate_solution(K, alpha, 100.0, 3, FAST)
+        assert len(full.residual_rms) == len(full.wall_ms) == 4
+        assert list(full.wall_ms) == sorted(full.wall_ms)
+        for m in range(4):
+            rung = build_approximate_solution(K, alpha, 100.0, m, FAST)
+            residual, _ = twisted_residual(rung.structure, alpha, 100.0)
+            assert full.residual_sups[m] == rung.residual_sups[-1]
+            assert full.residual_rms[m] == rms_norm(residual.values)
 
     def test_single_rung_gains_one_power(self, grid32):
         K, alpha = product_seed(grid32)
