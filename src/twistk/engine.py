@@ -60,16 +60,19 @@ from .solvers import (
 )
 
 MAX_LADDER_ORDER = 8
+# Newton line search: the step-scale floor, and the sufficient-decrease
+# factor of the test sup_new <= (1 - _ARMIJO * scale) * sup
+_MIN_STEP = 2.0 ** -20
+_ARMIJO = 0.25
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Newton-stage knobs; Krylov settings ride along for inner solves."""
+    """Newton-stage settings: the residual target newton_tol, the
+    iteration cap max_newton, and the KrylovConfig of the inner solves."""
 
     newton_tol: float = 1e-9
     max_newton: int = 40
-    min_step: float = 2.0 ** -20
-    armijo: float = 0.25
     krylov: KrylovConfig = KrylovConfig()
 
 
@@ -253,9 +256,10 @@ def newton_solve(K0: KahlerStructure, alpha: HermitianFormField, R: float,
 
     Each step solves the full linearization with GMRES and backtracks on
     the sup-norm of the residual, halving the step until the decrease
-    condition holds; steps that degenerate the metric are rejected the
-    same way.  A step scale below cfg.min_step raises StagnationError
-    (or reports failure when raise_on_failure is false).
+    condition sup_new <= (1 - _ARMIJO * scale) * sup holds; steps that
+    degenerate the metric are rejected the same way.  A step scale below
+    _MIN_STEP raises StagnationError (or reports failure when
+    raise_on_failure is false).
     """
     grid = K0.grid
     K = K0
@@ -281,9 +285,9 @@ def newton_solve(K0: KahlerStructure, alpha: HermitianFormField, R: float,
                                                   cfg.krylov)
             scale = 1.0
             while True:
-                if scale < cfg.min_step:
+                if scale < _MIN_STEP:
                     raise StagnationError(
-                        f"newton_solve: line search stalled below {cfg.min_step:g} "
+                        f"newton_solve: line search stalled below {_MIN_STEP:g} "
                         f"at residual {rsup:.3e}", [h["residual_sup"] for h in history])
                 try:
                     K_new = KahlerStructure(grid, K0.g0,
@@ -293,7 +297,7 @@ def newton_solve(K0: KahlerStructure, alpha: HermitianFormField, R: float,
                     continue
                 res_new, const_new = twisted_residual(K_new, alpha, R)
                 sup_new = sup_norm(res_new.values)
-                if sup_new <= (1.0 - cfg.armijo * scale) * rsup:
+                if sup_new <= (1.0 - _ARMIJO * scale) * rsup:
                     break
                 scale *= 0.5
             phi = K_new.potential
@@ -542,10 +546,10 @@ def seed_structure(grid: PeriodicGrid, g0: np.ndarray,
 
 
 def leading_eigen(K: KahlerStructure, alpha: HermitianFormField, R: float,
-                  krylov: KrylovConfig, seed: int) -> tuple[EigenEstimate | None, str]:
+                  seed: int) -> tuple[EigenEstimate | None, str]:
     """`extreme_eigenvalue`, or None with its failure as "<class>: <message>"."""
     try:
-        return extreme_eigenvalue(K, alpha, R, krylov, seed=seed), ""
+        return extreme_eigenvalue(K, alpha, R, seed=seed), ""
     except TwistkError as err:
         return None, f"{type(err).__name__}: {err}"
 
@@ -589,7 +593,7 @@ def continuity_sweep(grid: PeriodicGrid, g0: np.ndarray,
         eigen, eigen_error = None, ""
         if report.converged and compute_eigen:
             eigen, eigen_error = leading_eigen(report.structure, alpha, R,
-                                               cfg.krylov, eigen_seed)
+                                               eigen_seed)
         wall_ms = (time.perf_counter() - started) * 1000.0
         steps.append(SweepStep(
             step=idx, t=t, R=R, converged=report.converged,
@@ -633,22 +637,22 @@ class ThresholdEstimate:
 
 def estimate_R_threshold(grid: PeriodicGrid, g0: np.ndarray,
                          alpha: HermitianFormField, *, R_start: float = 8.0,
-                         floor: float = 0.05, shrink: float = 0.5,
-                         bisect_steps: int = 10,
+                         floor: float = 0.05, bisect_steps: int = 10,
                          cfg: SolverConfig = SolverConfig(),
                          ladder_order: int = 2) -> ThresholdEstimate:
     """Descend the twist weight geometrically and bracket the first failure.
 
-    Warm starts carry the last solved potential downward.  If every
+    The weight halves from R_start while it stays above `floor`; warm
+    starts carry the last solved potential downward.  If every
     weight down to `floor` and then R = 0 itself converge, the estimate
     is 0.0 with the degenerate bracket (0.0, 0.0); otherwise the failing
     interval is bisected geometrically for `bisect_steps` rounds.  The
     threshold is always a verified weight; if R_start itself fails there
     is none, and the estimate is inf with the bracket (R_start, inf).
     """
-    if R_start <= 0.0 or not 0.0 < shrink < 1.0 or floor <= 0.0:
-        raise PreconditionError("estimate_R_threshold: need R_start > 0, "
-                                "0 < shrink < 1 and floor > 0")
+    if R_start <= 0.0 or floor <= 0.0:
+        raise PreconditionError("estimate_R_threshold: need R_start > 0 "
+                                "and floor > 0")
     attempts: list[dict] = []
 
     def attempt(R: float, K_init: KahlerStructure) -> NewtonReport:
@@ -675,7 +679,7 @@ def estimate_R_threshold(grid: PeriodicGrid, g0: np.ndarray,
 
     R_ok = R_start
     warm_ok = euclid_mean_zero(report.structure.potential)
-    R = R_start * shrink
+    R = R_start * 0.5
     failed_at = None
     while R > floor:
         report = attempt(R, KahlerStructure(grid, g0, warm_ok))
@@ -685,7 +689,7 @@ def estimate_R_threshold(grid: PeriodicGrid, g0: np.ndarray,
         else:
             failed_at = R
             break
-        R *= shrink
+        R *= 0.5
     if failed_at is None:
         report = attempt(0.0, KahlerStructure(grid, g0, warm_ok))
         if report.converged:

@@ -6,14 +6,17 @@ relevant operators are definite.  Symmetric solves use conjugate
 gradients in the volume-weighted inner product with a flat spectral
 preconditioner (composed with 1/det g so it stays self-adjoint in that
 inner product).  The non-symmetric Newton linearization is solved with
-restarted GMRES.  The extreme eigenvalue of the shifted operator comes
-from a preconditioned Davidson iteration: one operator application and
-one flat preconditioner application per step, with no inner solves.
+restarted GMRES (restart length _GMRES_RESTART).  The extreme
+eigenvalue of the shifted operator comes from a preconditioned Davidson
+iteration: one operator application and one flat preconditioner
+application per step, with no inner solves.
 
 Preconditioner symbols come from freezing coefficients at the constant
-class representatives: the flat Laplacian for second-order solves and
-the flat biLaplacian-shift L0^2 - R*L0 for the fourth-order shifted
-operator.
+class representatives, and the operator's order picks one: the flat
+Laplacian for the second-order solves (`green_solve`, `solve_F`) and the
+flat biLaplacian-shift L0^2 - R*L0 for every fourth-order operator at
+weight R (`solve_shifted`, `newton_linear_solve`, `extreme_eigenvalue`).
+The only settings are KrylovConfig's tolerance and iteration cap.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg
 
-from .errors import IterationLimitError, PreconditionError, SolvabilityError
+from .errors import DomainError, IterationLimitError, PreconditionError, SolvabilityError
 from .geometry import (
     HermitianFormField,
     KahlerStructure,
@@ -37,18 +40,21 @@ from .operators import LinearOperatorHandle
 
 @dataclass(frozen=True)
 class KrylovConfig:
-    """Shared knobs for the iterative solves.
+    """Shared settings of the iterative solves.
 
     tol is the relative residual target in the volume-weighted RMS norm,
-    maxiter caps total operator applications, restart is the GMRES
-    restart length.  preconditioner is one of "auto",
-    "flat-laplacian", "flat-bilaplacian-shift", "none".
+    in (0, 1); maxiter >= 1 caps total operator applications.  Values
+    that cannot run raise DomainError.
     """
 
     tol: float = 1e-10
     maxiter: int = 2000
-    restart: int = 50
-    preconditioner: str = "auto"
+
+    def __post_init__(self):
+        if not 0.0 < self.tol < 1.0:
+            raise DomainError(f"Krylov tol must lie in (0, 1), got {self.tol}")
+        if self.maxiter < 1:
+            raise DomainError(f"Krylov maxiter must be >= 1, got {self.maxiter}")
 
 
 @dataclass(frozen=True)
@@ -61,6 +67,8 @@ class EigenEstimate:
     vector: ScalarField
 
 
+# GMRES restart length of `newton_linear_solve`
+_GMRES_RESTART = 50
 # Davidson basis cap, and the Ritz vectors kept when it is reached
 _DAVIDSON_CAP = 24
 _DAVIDSON_KEEP = 4
@@ -80,24 +88,20 @@ def _flat_inverse_multiplier(symbol: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _spd_preconditioner(K: KahlerStructure, kind: str, R: float):
+def _spd_preconditioner(K: KahlerStructure, R: float | None):
     """Approximate inverse of the negated operator, self-adjoint in the
     volume-weighted inner product (flat spectral solve composed with
-    division by det g)."""
+    division by det g).
+
+    R None gives the second-order symbol -L0; a weight R gives the
+    fourth-order L0^2 - R*L0.
+    """
     grid = K.grid
-    if kind == "none":
-        inv_mult = None
-    else:
-        L0 = flat_laplacian_symbol(grid, K.g0)
-        if kind == "flat-laplacian":
-            symbol = -L0
-        elif kind == "flat-bilaplacian-shift":
-            symbol = L0 * L0 - R * L0
-        else:
-            raise PreconditionError(f"unknown preconditioner kind {kind!r}")
-        # the symbol is real, so its reflection-Hermitian half is too
-        inv_mult = np.ascontiguousarray(
-            grid.split_multiplier(_flat_inverse_multiplier(symbol))[0].real)
+    L0 = flat_laplacian_symbol(grid, K.g0)
+    symbol = -L0 if R is None else L0 * L0 - R * L0
+    # the symbol is real, so its reflection-Hermitian half is too
+    inv_mult = np.ascontiguousarray(
+        grid.split_multiplier(_flat_inverse_multiplier(symbol))[0].real)
     w = K.weight
     wsum = float(np.sum(w))
 
@@ -105,8 +109,6 @@ def _spd_preconditioner(K: KahlerStructure, kind: str, R: float):
         return v - float(np.sum(v * w)) / wsum
 
     def apply(r: np.ndarray) -> np.ndarray:
-        if inv_mult is None:
-            return project(r / w)
         return project(grid.derivatives(r, inv_mult) / w)
 
     return apply, project
@@ -174,22 +176,36 @@ def _require_volume_mean_zero(K: KahlerStructure, f: ScalarField, what: str) -> 
             f"(mean {mean:.3e} vs sup {sup:.3e})")
 
 
+def _spd_solver(K: KahlerStructure, apply_A, R: float | None, cfg: KrylovConfig,
+                what: str):
+    """The one PCG front end: solve(f) returns (phi, info) with
+    apply_A(phi) = f for a volume-mean-zero f.
+
+    apply_A is negative definite on the mean-zero subspace; `_pcg` runs
+    on its negation with the `_spd_preconditioner` of R, built once.
+    """
+    precond = _spd_preconditioner(K, R)
+
+    def negated(v):
+        return -apply_A(v)
+
+    def solve(f: ScalarField):
+        _require_volume_mean_zero(K, f, what)
+        x, info = _pcg(negated, -f.values, K, cfg, precond, what=what)
+        return ScalarField(K.grid, x), info
+
+    return solve
+
+
 def green_solve(K: KahlerStructure, f: ScalarField, cfg: KrylovConfig = KrylovConfig()):
     """Solve Lap_omega G = f for the volume-mean-zero potential G.
 
     Returns (G, info) with iteration count, final relative residual and
     residual history.
     """
-    _require_volume_mean_zero(K, f, "green_solve")
-    kind = "flat-laplacian" if cfg.preconditioner == "auto" else cfg.preconditioner
     lap = K.grid.hessian_pairing(K.inverse)
-
-    def apply_A(v):
-        return -K.grid.hessian_trace(lap, v)
-
-    x, info = _pcg(apply_A, -f.values, K, cfg, _spd_preconditioner(K, kind, 0.0),
-                   what="green_solve")
-    return ScalarField(K.grid, x), info
+    return _spd_solver(K, lambda v: K.grid.hessian_trace(lap, v), None, cfg,
+                       "green_solve")(f)
 
 
 def solve_F(K: KahlerStructure, alpha: HermitianFormField, f: ScalarField,
@@ -218,18 +234,7 @@ def _twist_solver(K: KahlerStructure, alpha: HermitianFormField,
         raise PreconditionError(
             f"solve_F: trace of alpha deviates from constant by {dev:.3e}")
     handle = LinearOperatorHandle("twist", K, alpha, mean_zero=True)
-    kind = "flat-laplacian" if cfg.preconditioner == "auto" else cfg.preconditioner
-    precond = _spd_preconditioner(K, kind, 0.0)
-
-    def apply_A(v):
-        return -handle.apply(v)
-
-    def solve(f: ScalarField):
-        _require_volume_mean_zero(K, f, "solve_F")
-        x, info = _pcg(apply_A, -f.values, K, cfg, precond, what="solve_F")
-        return ScalarField(K.grid, x), info
-
-    return solve
+    return _spd_solver(K, handle.apply, None, cfg, "solve_F")
 
 
 def _shifted_solver(K: KahlerStructure, alpha: HermitianFormField, R: float,
@@ -242,18 +247,7 @@ def _shifted_solver(K: KahlerStructure, alpha: HermitianFormField, R: float,
     if R < 0.0:
         raise PreconditionError(f"solve_shifted requires R >= 0, got {R}")
     handle = LinearOperatorHandle("shifted", K, alpha, R, mean_zero=True)
-    kind = "flat-bilaplacian-shift" if cfg.preconditioner == "auto" else cfg.preconditioner
-    precond = _spd_preconditioner(K, kind, R)
-
-    def apply_A(v):
-        return -handle.apply(v)
-
-    def solve(f: ScalarField):
-        _require_volume_mean_zero(K, f, "solve_shifted")
-        x, info = _pcg(apply_A, -f.values, K, cfg, precond, what="solve_shifted")
-        return ScalarField(K.grid, x), info
-
-    return solve
+    return _spd_solver(K, handle.apply, R, cfg, "solve_shifted")
 
 
 def solve_shifted(K: KahlerStructure, alpha: HermitianFormField, R: float,
@@ -279,7 +273,7 @@ def newton_linear_solve(K: KahlerStructure, alpha: HermitianFormField, R: float,
     grid = K.grid
     w = K.weight
     wsum = float(np.sum(w))
-    apply_M, project = _spd_preconditioner(K, "flat-bilaplacian-shift", R)
+    apply_M, project = _spd_preconditioner(K, R)
     b = project(np.asarray(rhs, dtype=float))
     bnorm = _weighted_rms(b, w, wsum)
     if bnorm == 0.0:
@@ -303,9 +297,9 @@ def newton_linear_solve(K: KahlerStructure, alpha: HermitianFormField, R: float,
     def callback(pr_norm):
         history.append(float(pr_norm))
 
-    outer = max(1, math.ceil(cfg.maxiter / max(1, cfg.restart)))
+    outer = math.ceil(cfg.maxiter / _GMRES_RESTART)
     x, code = scipy.sparse.linalg.gmres(
-        A, b.ravel(), rtol=cfg.tol / 10.0, atol=0.0, restart=cfg.restart,
+        A, b.ravel(), rtol=cfg.tol / 10.0, atol=0.0, restart=_GMRES_RESTART,
         maxiter=outer, M=M, callback=callback, callback_type="pr_norm")
     x = project(x.reshape(shape))
     true_res = _weighted_rms(project(b - handle.apply(x)), w, wsum) / bnorm
@@ -317,8 +311,8 @@ def newton_linear_solve(K: KahlerStructure, alpha: HermitianFormField, R: float,
 
 
 def extreme_eigenvalue(K: KahlerStructure, alpha: HermitianFormField, R: float,
-                       cfg: KrylovConfig = KrylovConfig(), *, seed: int = 0,
-                       residual_tol: float = 1e-8, maxiter: int = 100) -> EigenEstimate:
+                       *, seed: int = 0, residual_tol: float = 1e-8,
+                       maxiter: int = 100) -> EigenEstimate:
     """Eigenvalue of -lichnerowicz + R * twist closest to zero.
 
     All eigenvalues are negative on the mean-zero subspace; the returned
@@ -334,8 +328,7 @@ def extreme_eigenvalue(K: KahlerStructure, alpha: HermitianFormField, R: float,
     enters.  A step costs one operator application and one
     preconditioner application, with no inner solve.  At _DAVIDSON_CAP
     vectors the basis restarts from its top _DAVIDSON_KEEP Ritz vectors.
-    The start vector is drawn from `default_rng(seed)`.  Of cfg only
-    cfg.preconditioner applies ("auto" is the flat biLaplacian shift).
+    The start vector is drawn from `default_rng(seed)`.
 
     The iteration stops at Ritz residual 1e-2 * residual_tol *
     max(1, |theta|), or early when a restart cycle fails to halve the
@@ -352,8 +345,7 @@ def extreme_eigenvalue(K: KahlerStructure, alpha: HermitianFormField, R: float,
     if R < 0.0:
         raise PreconditionError(f"extreme_eigenvalue requires R >= 0, got {R}")
     handle = LinearOperatorHandle("shifted", K, alpha, R, mean_zero=True)
-    kind = "flat-bilaplacian-shift" if cfg.preconditioner == "auto" else cfg.preconditioner
-    apply_M, _ = _spd_preconditioner(K, kind, R)
+    apply_M, _ = _spd_preconditioner(K, R)
     grid = K.grid
     shape = grid.shape
     w = K.weight

@@ -273,12 +273,12 @@ def test_criterion_05_eigenvalue_bounds():
     alpha_flat = HermitianFormField.from_potential(grid, EYE1)
     weights = (20.0, 40.0, 80.0, 160.0)
     started = time.perf_counter()
-    flat_err = max(abs(extreme_eigenvalue(flat, alpha_flat, R, ACC.krylov).value
+    flat_err = max(abs(extreme_eigenvalue(flat, alpha_flat, R).value
                        - (-1.0 / 16.0 - R / 4.0)) for R in weights)
     K = seed_structure(grid, [(0.3, (1, 0), 0.0)])
     alpha = HermitianFormField(grid, K.metric, base_matrix=EYE1,
                                potential=K.potential)
-    vals = [extreme_eigenvalue(K, alpha, R, ACC.krylov).value for R in weights]
+    vals = [extreme_eigenvalue(K, alpha, R).value for R in weights]
     C2 = abs(vals[0]) / (2.0 * weights[0])
     linear_bound = all(v < -C2 * R for v, R in zip(vals, weights))
     norm_weights = (25.0, 50.0, 100.0)

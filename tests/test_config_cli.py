@@ -565,3 +565,60 @@ class TestLadderStudy:
         assert run_scenario(self.config(tmp_path / "ladder")) == 0
         assert builds == [50.0, 100.0]
         assert handles == ["twist", "twist"]
+
+    def test_one_weight_is_rejected_before_any_build(self, tmp_path, monkeypatch):
+        text = json.dumps({"scenario": "ladder_study", "sizes": [16, 16],
+                           "R_schedule": [100.0]})
+        out = tmp_path / "ladder"
+        cfg = dataclasses.replace(parse_config(text), out=str(out))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a ladder was built")
+
+        monkeypatch.setattr(runner, "build_approximate_solution", refuse)
+        assert run_scenario(cfg) == 1
+        summary = _strict_load(out / "summary.json")
+        assert summary["success"] is False
+        assert summary["error"].startswith("R_schedule:")
+        assert not (out / "steps.csv").exists()
+
+
+def _lifted_to_n2(scenario, out):
+    """The n = 1 default config of `scenario` on the 8^4 torus: identity
+    classes, each trig term's wavevector padded with zeros."""
+    cfg = default_config(scenario)
+
+    def lift(terms):
+        return tuple((a, tuple(k) + (0, 0), p) for a, k, p in terms)
+
+    return dataclasses.replace(cfg, n=2, sizes=(8, 8, 8, 8), g0_omega=EYE2_ROWS,
+                               g0_alpha=EYE2_ROWS,
+                               omega_potential=lift(cfg.omega_potential),
+                               alpha_potential=lift(cfg.alpha_potential),
+                               out=str(out))
+
+
+class TestN2Scenarios:
+    """ladder_study and threshold at n = 2 with their default schedules."""
+
+    def test_ladder_study_order_law(self, tmp_path):
+        out = tmp_path / "ladder"
+        assert run_scenario(_lifted_to_n2("ladder_study", out)) == 0
+        summary = _strict_load(out / "summary.json")
+        assert summary["orders"] == [1, 2, 3]
+        for m in (1, 2, 3):
+            assert abs(summary[f"slope_m{m}"] + m) <= 0.2
+        assert len(_steps(out)) == 3 * len(summary["R_schedule"])
+
+    def test_threshold_reaches_zero(self, tmp_path):
+        out = tmp_path / "threshold"
+        cfg = _lifted_to_n2("threshold", out)
+        assert run_scenario(cfg) == 0
+        summary = _strict_load(out / "summary.json")
+        assert summary["threshold"] == 0.0
+        assert (summary["bracket_low"], summary["bracket_high"]) == (0.0, 0.0)
+        assert summary["seed"] == {"source": "ladder[2]", "ladder_error": ""}
+        rows = _steps(out)
+        assert len(rows) == summary["attempts"]
+        assert rows[-1][2] == 0.0
+        assert all(row[3] <= cfg.newton_tol for row in rows)

@@ -413,7 +413,7 @@ class TestThresholdEstimate:
         assert [a["R"] for a in estimate.attempts] == [8.0]
 
     def test_parameters_are_validated(self, grid16, alpha16):
-        for kwargs in ({"R_start": 0.0}, {"shrink": 1.2}, {"floor": 0.0}):
+        for kwargs in ({"R_start": 0.0}, {"floor": 0.0}):
             with pytest.raises(PreconditionError):
                 estimate_R_threshold(grid16, EYE1, alpha16, cfg=FAST, **kwargs)
 

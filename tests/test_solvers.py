@@ -22,6 +22,7 @@ from twistk import (
     volume_mean_zero,
 )
 from twistk.errors import (
+    DomainError,
     IterationLimitError,
     PreconditionError,
     SolvabilityError,
@@ -153,7 +154,7 @@ class TestSolveShifted:
         again = extreme_eigenvalue(K, alpha, 4.0, seed=5)
         assert again.value == cold.value
         assert again.iterations == cold.iterations > 1
-        assert builds == [("flat-bilaplacian-shift", 4.0)]
+        assert builds == [(4.0,)]
 
     def test_iteration_budget_raises_with_history(self, grid32):
         K = seed_structure(grid32, [(0.2, (1, 0), 0.0)])
@@ -183,6 +184,58 @@ class TestNewtonLinearSolve:
             flat32, alpha_flat32, 25.0, np.zeros(flat32.grid.shape))
         assert sup_norm(delta) == 0.0
         assert info["iterations"] == 0
+
+
+class TestKrylovConfig:
+    @pytest.mark.parametrize("kwargs", [{"maxiter": 0}, {"maxiter": -3},
+                                        {"tol": 0.0}, {"tol": 1.0}, {"tol": -1e-10}])
+    def test_values_that_cannot_run_are_rejected(self, kwargs):
+        with pytest.raises(DomainError, match="Krylov"):
+            KrylovConfig(**kwargs)
+
+    def test_zero_iteration_budget_is_a_typed_error_in_both_solves(
+            self, flat32, alpha_flat32):
+        x, _ = flat32.grid.coordinates()
+        f = ScalarField(flat32.grid, np.cos(x) + np.zeros(flat32.grid.shape))
+        with pytest.raises(DomainError, match="maxiter"):
+            solve_shifted(flat32, alpha_flat32, 4.0, f, KrylovConfig(maxiter=0))
+        with pytest.raises(DomainError, match="maxiter"):
+            green_solve(flat32, f, KrylovConfig(maxiter=0))
+
+
+class TestPreconditionerRule:
+    """The operator's order picks the flat symbol: None (the Laplacian)
+    for the second-order solves, the weight R (the biLaplacian shift)
+    for the fourth-order ones."""
+
+    def test_each_solve_builds_the_symbol_of_its_order(self, grid16, monkeypatch):
+        K = KahlerStructure(grid16, EYE1, np.zeros(grid16.shape))
+        alpha = HermitianFormField.from_potential(grid16, EYE1)
+        x, _ = grid16.coordinates()
+        f = ScalarField(grid16, np.cos(x) + np.zeros(grid16.shape))
+        weights = []
+        original = solvers._spd_preconditioner
+
+        def recording(K_arg, R):
+            weights.append(R)
+            return original(K_arg, R)
+
+        monkeypatch.setattr(solvers, "_spd_preconditioner", recording)
+        calls = {
+            "green_solve": lambda: green_solve(K, f),
+            "solve_F": lambda: solve_F(K, alpha, f),
+            "solve_shifted": lambda: solve_shifted(K, alpha, 3.0, f),
+            "newton_linear_solve": lambda: newton_linear_solve(K, alpha, 5.0, f.values),
+            "extreme_eigenvalue": lambda: extreme_eigenvalue(K, alpha, 7.0),
+        }
+        seen = {}
+        for name, call in calls.items():
+            weights.clear()
+            call()
+            seen[name] = list(weights)
+        assert seen == {"green_solve": [None], "solve_F": [None],
+                        "solve_shifted": [3.0], "newton_linear_solve": [5.0],
+                        "extreme_eigenvalue": [7.0]}
 
 
 class TestExtremeEigenvalue:
