@@ -14,22 +14,22 @@ even-order factors keep the full wavenumber so that second-order
 contractions such as the flat Laplacian have kernel exactly the
 constants on the grid.
 
-`PeriodicGrid.fft`/`ifft` are normalised so that a constant field has
-coefficient 1 at wavevector zero, which makes the coefficient l2 norm
-equal to the grid root-mean-square norm (discrete Parseval).  On the
-full spectrum they are the coefficient API for norms, flat solves and
-tests.  With half=True they are the real-to-complex pair: `fft` keeps
-the first N // 2 + 1 coefficients along the last axis of a real field
-(or of a stack of fields along leading axes) and `ifft` returns real
-fields.
+`PeriodicGrid.fft`/`ifft` are the grid's one transform pair, the
+real-to-complex pair: `fft` keeps the first N // 2 + 1 Fourier
+coefficients along the last axis of a real field (or of a stack of
+fields along leading axes), and `ifft` returns real fields.  They are
+normalised so that a constant field has coefficient 1 at wavevector
+zero.
 
-Every spectral derivative goes through one half-spectrum kernel,
-`PeriodicGrid.derivatives`: one real-to-complex transform of the input,
-a product with a stack of multipliers, and one batched complex-to-real
-inverse transform that yields real fields.  A complex derivative
-D v = ifft(m * fft(v)) of a real field v is carried as two real fields.
-They come from splitting the full-spectrum multiplier m by discrete
-index reflection, with -k taken mod N on every axis:
+Every spectral derivative, flat solve and Sobolev weight goes through
+one half-spectrum kernel, `PeriodicGrid.derivatives`: one forward
+transform of the input, a product with a stack of multipliers, and one
+batched inverse transform that yields real fields.  Symbols are formed
+on the full spectrum and split once.  A complex derivative
+D v = IFFT(m * FFT(v)) of a real field v, with FFT/IFFT the
+full-spectrum pair, is carried as two real fields.  They come from
+splitting the full-spectrum multiplier m by discrete index reflection,
+with -k taken mod N on every axis:
 
     m_h(k) = (m(k) + conj(m(-k))) / 2,      Re D v = irfft(m_h * rfft v),
     m_a(k) = (m(k) - conj(m(-k))) / (2i),   Im D v = irfft(m_a * rfft v).
@@ -39,7 +39,9 @@ exactly on every mode.  On a mode touching a Nyquist wavenumber the
 reflection keeps that index fixed, so the naive split into the real and
 imaginary parts of the symbol would be wrong there; the reflection split
 is what keeps the half-spectrum operators equal to the full-spectrum
-ones.  Multiplier stacks are built lazily and cached per grid.
+ones.  A real symbol acts on real fields through m_h alone
+(`real_multiplier`).  Multiplier stacks are built lazily and cached per
+grid.
 """
 
 from __future__ import annotations
@@ -51,11 +53,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft
 
-from .errors import DomainError, ShapeError, SolvabilityError, UnsupportedOrderError
+from .errors import DomainError, ShapeError, SolvabilityError
 
 _WORKERS = 1
-
-MAX_DERIVATIVE_ORDER = 4
 
 
 def set_fft_workers(count: int) -> None:
@@ -186,30 +186,6 @@ class PeriodicGrid:
         """
         return self._holo_factor(j, False, odd=False) * self._holo_factor(k, True, odd=False)
 
-    def derivative_multiplier(self, dz: tuple[int, ...], dzbar: tuple[int, ...]) -> np.ndarray:
-        """Multiplier of prod_j (d/dz_j)^dz[j] (d/dzbar_j)^dzbar[j].
-
-        Along each complex coordinate the Nyquist wavenumber is zeroed
-        when the combined order dz[j] + dzbar[j] is odd.
-        """
-        if len(dz) != self.n or len(dzbar) != self.n:
-            raise ShapeError(f"multi-indices must have length n={self.n}")
-        total = sum(dz) + sum(dzbar)
-        if total > MAX_DERIVATIVE_ORDER:
-            raise UnsupportedOrderError(
-                f"total derivative order {total} exceeds cap {MAX_DERIVATIVE_ORDER}"
-            )
-        if min(dz) < 0 or min(dzbar) < 0:
-            raise DomainError("derivative orders must be non-negative")
-        mult = np.ones(self.shape, dtype=complex)
-        for j in range(self.n):
-            odd = (dz[j] + dzbar[j]) % 2 == 1
-            if dz[j]:
-                mult = mult * self._holo_factor(j, False, odd) ** dz[j]
-            if dzbar[j]:
-                mult = mult * self._holo_factor(j, True, odd) ** dzbar[j]
-        return mult
-
     # -- transforms -------------------------------------------------------
 
     @functools.cached_property
@@ -217,34 +193,21 @@ class PeriodicGrid:
         """Shape of a half spectrum: the last axis keeps N // 2 + 1 modes."""
         return self.sizes[:-1] + (self.sizes[-1] // 2 + 1,)
 
-    def fft(self, values: np.ndarray, half: bool = False) -> np.ndarray:
-        """Fourier coefficients, normalised so a constant has coefficient 1.
+    def fft(self, values: np.ndarray) -> np.ndarray:
+        """Half spectrum of a real field, or of a stack of them along
+        leading axes: the first `half_shape[-1]` Fourier coefficients
+        along the last axis, normalised so a constant has coefficient 1."""
+        if values.shape[values.ndim - len(self.sizes):] != self.sizes:
+            raise ShapeError(f"field shape {values.shape} does not end in grid {self.shape}")
+        return scipy.fft.rfftn(values, axes=self._axes, norm="forward", workers=_WORKERS)
 
-        With half=True, values is a real field or a stack of them along
-        leading axes, and the result is the real-to-complex half
-        spectrum: the first `half_shape[-1]` coefficients of `fft` along
-        the last axis, for every field of the stack.
-        """
-        if half:
-            if values.shape[values.ndim - len(self.sizes):] != self.sizes:
-                raise ShapeError(f"field shape {values.shape} does not end in grid {self.shape}")
-            return scipy.fft.rfftn(values, axes=self._axes, norm="forward",
-                                   workers=_WORKERS)
-        if values.shape != self.shape:
-            raise ShapeError(f"field shape {values.shape} does not match grid {self.shape}")
-        return scipy.fft.fftn(values, workers=_WORKERS) / self.npoints
-
-    def ifft(self, coeffs: np.ndarray, half: bool = False) -> np.ndarray:
-        """Inverse of `fft`; with half=True, real fields from half spectra."""
-        if half:
-            if coeffs.shape[coeffs.ndim - len(self.sizes):] != self.half_shape:
-                raise ShapeError(
-                    f"half-spectrum shape {coeffs.shape} does not end in {self.half_shape}")
-            return scipy.fft.irfftn(coeffs, s=self.sizes, axes=self._axes, norm="forward",
-                                    workers=_WORKERS)
-        if coeffs.shape != self.shape:
-            raise ShapeError(f"coefficient shape {coeffs.shape} does not match grid {self.shape}")
-        return scipy.fft.ifftn(coeffs * self.npoints, workers=_WORKERS)
+    def ifft(self, coeffs: np.ndarray) -> np.ndarray:
+        """Inverse of `fft`: real fields from half spectra."""
+        if coeffs.shape[coeffs.ndim - len(self.sizes):] != self.half_shape:
+            raise ShapeError(
+                f"half-spectrum shape {coeffs.shape} does not end in {self.half_shape}")
+        return scipy.fft.irfftn(coeffs, s=self.sizes, axes=self._axes, norm="forward",
+                                workers=_WORKERS)
 
     @property
     def _axes(self) -> tuple[int, ...]:
@@ -253,19 +216,20 @@ class PeriodicGrid:
     # -- half-spectrum derivative kernel -----------------------------------
 
     def derivatives(self, values: np.ndarray, mults: np.ndarray) -> np.ndarray:
-        """The derivative kernel: the real field
-        ifft(fft(values, half=True) * m, half=True) for every multiplier m
-        of the half-spectrum stack mults, in one batched inverse."""
+        """The derivative kernel: the real field ifft(fft(values) * m) for
+        every multiplier m of the half-spectrum stack mults (or for the
+        single half-spectrum multiplier mults), in one batched inverse."""
         if values.shape != self.shape:
             raise ShapeError(f"field shape {values.shape} does not match grid {self.shape}")
-        return self.ifft(self.fft(values, half=True) * mults, half=True)
+        return self.ifft(self.fft(values) * mults)
 
     def split_multiplier(self, mult: np.ndarray) -> np.ndarray:
         """Half-spectrum stack (m_h, m_a) of a full-spectrum multiplier.
 
-        For real v, the real and imaginary parts of ifft(mult * fft(v))
-        are the two fields `derivatives(v, split_multiplier(mult))`; see
-        the module docstring for the reflection split.
+        For real v, the real and imaginary parts of the full-spectrum
+        IFFT(mult * FFT(v)) are the two fields
+        `derivatives(v, split_multiplier(mult))`; see the module docstring
+        for the reflection split.
         """
         mult = np.broadcast_to(mult, self.shape)
         keep = self.half_shape[-1]
@@ -275,6 +239,12 @@ class PeriodicGrid:
         mirror = np.conj(mult[np.ix_(*reflected)])
         mult = mult[..., :keep]
         return np.stack([0.5 * (mult + mirror), -0.5j * (mult - mirror)])
+
+    def real_multiplier(self, symbol: np.ndarray) -> np.ndarray:
+        """Half-spectrum multiplier of a real full-spectrum symbol: for
+        real v, `derivatives(v, real_multiplier(symbol))` is the real
+        field IFFT(symbol * FFT(v))."""
+        return np.ascontiguousarray(self.split_multiplier(symbol)[0].real)
 
     def multiplier_stack(self, name: str) -> np.ndarray:
         """Cached half-spectrum stack for the kernel, by name.
@@ -310,13 +280,6 @@ class PeriodicGrid:
             self._cache[key] = stack
         return self._cache[key]
 
-    def derivative_stack(self, dz: tuple[int, ...], dzbar: tuple[int, ...]) -> np.ndarray:
-        """Cached half-spectrum stack (m_h, m_a) of `derivative_multiplier`."""
-        key = ("derivative", dz, dzbar)
-        if key not in self._cache:
-            self._cache[key] = self.split_multiplier(self.derivative_multiplier(dz, dzbar))
-        return self._cache[key]
-
     def hessian_pairing(self, S: np.ndarray) -> np.ndarray:
         """Real coefficients c with Re sum_{l,m} S[l,m] H[m,l] = sum_i c_i h_i,
         h the "hessian" stack of a real field and H its complex Hessian."""
@@ -349,17 +312,6 @@ class ScalarField:
         if not np.all(np.isfinite(values)):
             raise DomainError("field contains non-finite samples")
         object.__setattr__(self, "values", values)
-
-
-def complex_derivative(f: ScalarField, dz: tuple[int, ...], dzbar: tuple[int, ...]) -> np.ndarray:
-    """Spectral derivative prod_j (d/dz_j)^dz[j] (d/dzbar_j)^dzbar[j].
-
-    Returns the complex sample array; for multi-indices with dz == dzbar
-    the multiplier is real and even, so the imaginary part is exactly 0.
-    """
-    grid = f.grid
-    re, im = grid.derivatives(f.values, grid.derivative_stack(tuple(dz), tuple(dzbar)))
-    return re + 1j * im
 
 
 def hessian(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
@@ -412,6 +364,14 @@ def flat_laplacian_symbol(grid: PeriodicGrid, g0: np.ndarray) -> np.ndarray:
     return sym.real
 
 
+def inverse_symbol(symbol: np.ndarray) -> np.ndarray:
+    """1 / symbol off the zeros of a real symbol, 0 on them."""
+    inv = np.zeros_like(symbol)
+    nonzero = symbol != 0.0
+    inv[nonzero] = 1.0 / symbol[nonzero]
+    return inv
+
+
 def flat_poisson_solve(f: ScalarField, g0: np.ndarray) -> ScalarField:
     """Solve sum g0^{jk} d_j d_kbar u = f for mean-zero u on the grid modes.
 
@@ -424,22 +384,24 @@ def flat_poisson_solve(f: ScalarField, g0: np.ndarray) -> ScalarField:
         raise SolvabilityError(
             f"flat Poisson right-hand side must be mean-zero, got mean {mean:.3e} vs sup {sup:.3e}"
         )
-    sym = flat_laplacian_symbol(f.grid, g0)
-    coeffs = f.grid.fft(f.values)
-    out = np.zeros_like(coeffs)
-    nonzero = sym != 0.0
-    out[nonzero] = coeffs[nonzero] / sym[nonzero]
-    return ScalarField(f.grid, f.grid.ifft(out).real)
+    grid = f.grid
+    inv = grid.real_multiplier(inverse_symbol(flat_laplacian_symbol(grid, g0)))
+    return ScalarField(grid, grid.derivatives(f.values, inv))
+
+
+def sobolev_weight(grid: PeriodicGrid, s: float) -> np.ndarray:
+    """Half-spectrum multiplier of S_s, coefficients times (1+|k|^2)^s."""
+    return grid.real_multiplier((1.0 + grid.wavenumber_square()) ** s)
 
 
 def sobolev_norm(f: ScalarField, s: float) -> float:
-    """Spectral proxy norm: sqrt(sum (1+|k|^2)^s |f_k|^2).
+    """Spectral proxy norm: sqrt(sum (1+|k|^2)^s |f_k|^2) over the full
+    spectrum, computed as sqrt(mean(f * S_s f)) by Parseval.
 
-    At s = 0 this is the grid root-mean-square norm by Parseval.
+    At s = 0 this is the grid root-mean-square norm.
     """
-    coeffs = f.grid.fft(f.values)
-    weight = (1.0 + f.grid.wavenumber_square()) ** s
-    return float(np.sqrt(np.sum(weight * np.abs(coeffs) ** 2)))
+    smooth = f.grid.derivatives(f.values, sobolev_weight(f.grid, s))
+    return float(np.sqrt(np.mean(f.values * smooth)))
 
 
 def rms_norm(values: np.ndarray) -> float:

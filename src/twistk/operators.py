@@ -166,9 +166,8 @@ class LinearOperatorHandle:
             # Q = (P alpha P)^T, kept as its real and imaginary parts
             Q = self.weight * np.einsum("mj...,jk...,kl...->lm...", P, self.alpha.comps, P)
             self._ctx["flux"] = np.stack([Q.real, Q.imag])
-            # the closure symbol is real, so its reflection-Hermitian half is too
-            closure = _closure_multiplier(grid, K.g0, self.alpha)
-            self._ctx["closure"] = np.ascontiguousarray(grid.split_multiplier(closure)[0].real)
+            self._ctx["closure"] = grid.real_multiplier(
+                _closure_multiplier(grid, K.g0, self.alpha))
 
     @property
     def grid(self) -> PeriodicGrid:
@@ -194,8 +193,8 @@ class LinearOperatorHandle:
         values = np.asarray(values, dtype=float)
         if values.shape != grid.shape:
             raise ShapeError(f"field shape {values.shape} does not match grid {grid.shape}")
-        vhat = grid.fft(values, half=True)
-        fields = grid.ifft(vhat * ctx["mults"], half=True)
+        vhat = grid.fft(values)
+        fields = grid.ifft(vhat * ctx["mults"])
         coeffs = ctx["coeffs"]
         out = 0.0 if coeffs is None else np.einsum("i...,i...->...", coeffs,
                                                      fields[:len(coeffs)])
@@ -215,14 +214,14 @@ class LinearOperatorHandle:
             prods = np.einsum("clm...,sm...->csl...", ctx["flux"], grads)
             staged.extend([prods[0, 0] - prods[1, 1], -prods[1, 0] - prods[0, 1]])
         del fields
-        hats = grid.fft(np.concatenate(staged), half=True)
+        hats = grid.fft(np.concatenate(staged))
         spec = np.empty((nh + (1 if weak else 0),) + hats.shape[1:], dtype=complex)
         if bilap:
             np.multiply(hats[0], grid.multiplier_stack("hessian"), out=spec[:nh])
         if weak:
             spec[-1] = ctx["closure"] * vhat + np.einsum(
                 "a...,a...->...", grid.multiplier_stack("resolved_dz"), hats[-2 * n:])
-        back = grid.ifft(spec, half=True)
+        back = grid.ifft(spec)
         if bilap:
             out = out + bilap * np.einsum("i...,i...->...", ctx["lap"], back[:nh])
         if weak:

@@ -209,6 +209,8 @@ def _run_ladder_study(cfg: RunConfig, outdir: Path):
         # the order law is fitted across weights
         raise ConfigError(["R_schedule: ladder_study needs at least two weights, "
                            f"got {len(schedule)}"])
+    if cfg.order < 1:
+        raise ConfigError([f"order: ladder_study needs order >= 1, got {cfg.order}"])
     grid, g0_omega, omega_pot, alpha = _build_problem(cfg)
     solver = _solver_config(cfg)
     base = KahlerStructure(grid, g0_omega, euclid_mean_zero(omega_pot.values))
@@ -216,8 +218,7 @@ def _run_ladder_study(cfg: RunConfig, outdir: Path):
     # build per weight gives every order; only its per-rung norms and
     # times, and the last structure, outlive it
     rungs = []
-    last = None
-    for R in schedule if cfg.order else ():
+    for R in schedule:
         ladder = build_approximate_solution(base, alpha, R, cfg.order, solver)
         rungs.append((ladder.residual_sups, ladder.residual_rms, ladder.wall_ms))
         last = ladder.structure
@@ -236,8 +237,7 @@ def _run_ladder_study(cfg: RunConfig, outdir: Path):
         ratios[f"scaled_residual_ratio_m{m}"] = max(scaled) / min(scaled)
     summary = {"scenario": cfg.scenario, **slopes, **ratios,
                "R_schedule": schedule, "orders": list(range(1, cfg.order + 1))}
-    if last is not None:
-        _write_fields(outdir, last)
+    _write_fields(outdir, last)
     return rows, summary, True
 
 

@@ -34,7 +34,7 @@ from .geometry import (
     trace_form,
     volume_average,
 )
-from .grid import ScalarField, flat_laplacian_symbol
+from .grid import ScalarField, flat_laplacian_symbol, inverse_symbol, sobolev_weight
 from .operators import LinearOperatorHandle
 
 
@@ -81,13 +81,6 @@ def _weighted_rms(values: np.ndarray, w: np.ndarray, wsum: float) -> float:
     return math.sqrt(float(np.sum(values * values * w)) / wsum)
 
 
-def _flat_inverse_multiplier(symbol: np.ndarray) -> np.ndarray:
-    inv = np.zeros_like(symbol)
-    nonzero = symbol != 0.0
-    inv[nonzero] = 1.0 / symbol[nonzero]
-    return inv
-
-
 def _spd_preconditioner(K: KahlerStructure, R: float | None):
     """Approximate inverse of the negated operator, self-adjoint in the
     volume-weighted inner product (flat spectral solve composed with
@@ -99,9 +92,7 @@ def _spd_preconditioner(K: KahlerStructure, R: float | None):
     grid = K.grid
     L0 = flat_laplacian_symbol(grid, K.g0)
     symbol = -L0 if R is None else L0 * L0 - R * L0
-    # the symbol is real, so its reflection-Hermitian half is too
-    inv_mult = np.ascontiguousarray(
-        grid.split_multiplier(_flat_inverse_multiplier(symbol))[0].real)
+    inv_mult = grid.real_multiplier(inverse_symbol(symbol))
     w = K.weight
     wsum = float(np.sum(w))
 
@@ -440,7 +431,7 @@ def inverse_norm_estimate(K: KahlerStructure, alpha: HermitianFormField, R: floa
     grid = K.grid
     w = K.weight
     wsum = float(np.sum(w))
-    weight_s = (1.0 + grid.wavenumber_square()) ** s
+    weight_s = sobolev_weight(grid, s)
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(grid.shape)
     shifted = _shifted_solver(K, alpha, R, cfg)
@@ -457,7 +448,7 @@ def inverse_norm_estimate(K: KahlerStructure, alpha: HermitianFormField, R: floa
     u /= math.sqrt(float(np.mean(u * u)))
     for _ in range(iterations):
         mid = solve(u)
-        smooth = grid.ifft(grid.fft(mid) * weight_s).real
+        smooth = grid.derivatives(mid, weight_s)
         cu = solve(smooth)
         rayleigh = float(np.mean(cu * u)) / float(np.mean(u * u))
         sigma = math.sqrt(max(rayleigh, 0.0))

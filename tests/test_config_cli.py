@@ -566,21 +566,34 @@ class TestLadderStudy:
         assert builds == [50.0, 100.0]
         assert handles == ["twist", "twist"]
 
-    def test_one_weight_is_rejected_before_any_build(self, tmp_path, monkeypatch):
-        text = json.dumps({"scenario": "ladder_study", "sizes": [16, 16],
-                           "R_schedule": [100.0]})
+    @staticmethod
+    def _summary_of_rejected(config, tmp_path, monkeypatch):
+        """Summary of a ladder_study that must fail before any build."""
         out = tmp_path / "ladder"
-        cfg = dataclasses.replace(parse_config(text), out=str(out))
+        cfg = dataclasses.replace(parse_config(json.dumps(config)), out=str(out))
 
         def refuse(*args, **kwargs):
             raise AssertionError("a ladder was built")
 
         monkeypatch.setattr(runner, "build_approximate_solution", refuse)
         assert run_scenario(cfg) == 1
+        assert not (out / "steps.csv").exists()
         summary = _strict_load(out / "summary.json")
         assert summary["success"] is False
+        return summary
+
+    def test_one_weight_is_rejected_before_any_build(self, tmp_path, monkeypatch):
+        summary = self._summary_of_rejected(
+            {"scenario": "ladder_study", "sizes": [16, 16], "R_schedule": [100.0]},
+            tmp_path, monkeypatch)
         assert summary["error"].startswith("R_schedule:")
-        assert not (out / "steps.csv").exists()
+
+    def test_order_zero_is_rejected_before_any_build(self, tmp_path, monkeypatch):
+        # parse_config accepts order 0; an empty order study is no success
+        summary = self._summary_of_rejected(
+            {"scenario": "ladder_study", "sizes": [16, 16], "R_schedule": [50.0, 100.0],
+             "order": 0}, tmp_path, monkeypatch)
+        assert summary["error"].startswith("order:")
 
 
 def _lifted_to_n2(scenario, out):

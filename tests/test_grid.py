@@ -7,16 +7,11 @@ import pytest
 from hypothesis import given
 
 from twistk import PeriodicGrid, ScalarField
-from twistk.errors import (
-    DomainError,
-    ShapeError,
-    SolvabilityError,
-    UnsupportedOrderError,
-)
+from twistk.errors import DomainError, ShapeError, SolvabilityError
 from twistk.grid import (
-    complex_derivative,
     flat_laplacian_symbol,
     flat_poisson_solve,
+    hessian,
     make_trig_field,
     rms_norm,
     sobolev_norm,
@@ -59,6 +54,7 @@ class TestConstruction:
 class TestTransforms:
     def test_constant_field_maps_to_unit_coefficient(self, grid32):
         coeffs = grid32.fft(np.ones(grid32.shape))
+        assert coeffs.shape == grid32.half_shape
         assert abs(coeffs[0, 0] - 1.0) <= 1e-14
         rest = coeffs.copy()
         rest[0, 0] = 0.0
@@ -75,39 +71,60 @@ class TestTransforms:
             grid32.fft(np.zeros((16, 16)))
         with pytest.raises(ShapeError):
             grid32.ifft(np.zeros((16, 16), dtype=complex))
+        # a full spectrum is not a half spectrum
+        with pytest.raises(ShapeError):
+            grid32.ifft(np.zeros(grid32.shape, dtype=complex))
 
     @given(terms=trig_terms(2, 1.0))
     def test_round_trip_recovers_field(self, terms):
         grid = PeriodicGrid(1, (16, 16))
         f = make_trig_field(grid, terms)
-        back = grid.ifft(grid.fft(f.values)).real
+        back = grid.ifft(grid.fft(f.values))
         scale = max(sup_norm(f.values), 1e-30)
         assert sup_norm(back - f.values) <= 1e-12 * scale
 
     @given(terms=trig_terms(2, 1.0))
     def test_parseval_identity(self, terms):
+        # the half spectrum counts every column strictly inside (0, N/2)
+        # of the last axis twice, once for its conjugate partner
         grid = PeriodicGrid(1, (16, 16))
         f = make_trig_field(grid, terms)
-        coeff_l2 = float(np.sqrt(np.sum(np.abs(grid.fft(f.values)) ** 2)))
-        assert abs(coeff_l2 - rms_norm(f.values)) <= 1e-12 * max(coeff_l2, 1e-30)
+        twice = np.full(grid.half_shape[-1], 2.0)
+        twice[[0, -1]] = 1.0
+        half_l2 = float(np.sqrt(np.sum(twice * np.abs(grid.fft(f.values)) ** 2)))
+        full_l2 = float(np.sqrt(np.sum(np.abs(np.fft.fftn(f.values) / grid.npoints) ** 2)))
+        assert abs(half_l2 - full_l2) <= 1e-12 * max(full_l2, 1e-30)
+        assert abs(half_l2 - rms_norm(f.values)) <= 1e-12 * max(half_l2, 1e-30)
 
     def test_sobolev_norm_at_zero_is_rms(self, grid32):
         rng = np.random.default_rng(3)
         f = ScalarField(grid32, rng.standard_normal(grid32.shape))
         assert abs(sobolev_norm(f, 0.0) - rms_norm(f.values)) <= 1e-12
 
+    @pytest.mark.parametrize("sizes, wavevector", [
+        ((32, 32), (1, 0)), ((32, 32), (2, -3)),
+        ((16, 16, 16, 16), (1, 0, 0, 0)), ((16, 16, 16, 16), (1, -1, 2, 1)),
+    ], ids=["n1-x", "n1-oblique", "n2-x1", "n2-oblique"])
+    def test_sobolev_norm_of_a_cosine_at_s4(self, sizes, wavevector):
+        # a cos(k.x) has coefficients a/2 at +-k, so the norm is
+        # |a| sqrt((1+|k|^2)^4 / 2)
+        grid = PeriodicGrid(len(sizes) // 2, sizes)
+        a = -0.7
+        f = make_trig_field(grid, [(a, wavevector, 0.4)])
+        ksq = sum(k * k for k in wavevector)
+        expected = abs(a) * np.sqrt((1.0 + ksq) ** 4 / 2.0)
+        assert abs(sobolev_norm(f, 4.0) - expected) <= 1e-12 * expected
+
 
 class TestDerivatives:
     def test_mixed_second_derivative_of_cosine(self, grid32):
         x, _ = grid32.coordinates()
-        f = ScalarField(grid32, np.cos(x) + np.zeros(grid32.shape))
-        out = complex_derivative(f, (1,), (1,))
-        assert sup_norm(out.real + 0.25 * np.cos(x) + np.zeros(grid32.shape)) <= 1e-12
-        assert sup_norm(out.imag) <= 1e-12
+        H = hessian(grid32, np.cos(x) + np.zeros(grid32.shape))
+        assert sup_norm(H[0, 0].real + 0.25 * np.cos(x) + np.zeros(grid32.shape)) <= 1e-12
+        assert sup_norm(H[0, 0].imag) <= 1e-12
 
     def test_derivative_of_constant_vanishes(self, grid32):
-        f = ScalarField(grid32, np.full(grid32.shape, 2.5))
-        assert sup_norm(complex_derivative(f, (1,), (1,))) <= 1e-13
+        assert sup_norm(hessian(grid32, np.full(grid32.shape, 2.5))) <= 1e-13
 
     def test_mixed_pair_matches_finite_differences(self):
         # n=2 cross derivative d/dz1 d/dzbar2 of cos(x1)cos(y2); budget is
@@ -115,28 +132,15 @@ class TestDerivatives:
         grid = PeriodicGrid(2, (16, 16, 16, 16))
         x1, _y1, _x2, y2 = grid.coordinates()
         values = np.cos(x1) * np.cos(y2) + np.zeros(grid.shape)
-        f = ScalarField(grid, values)
-        spectral = complex_derivative(f, (1, 0), (0, 1))
+        spectral = hessian(grid, values)[0, 1]
         fd = fd_complex_derivative(grid, values, (1, 0), (0, 1))
         assert np.abs(spectral - fd).max() <= 1e-6
 
     def test_cross_derivatives_are_conjugate_for_real_fields(self):
         grid = PeriodicGrid(2, (8, 8, 8, 8))
         rng = np.random.default_rng(5)
-        f = ScalarField(grid, rng.standard_normal(grid.shape))
-        one_two = complex_derivative(f, (1, 0), (0, 1))
-        two_one = complex_derivative(f, (0, 1), (1, 0))
-        assert np.abs(one_two - np.conj(two_one)).max() <= 1e-12
-
-    def test_total_order_above_cap_is_rejected(self, grid16):
-        f = ScalarField(grid16, np.zeros(grid16.shape))
-        with pytest.raises(UnsupportedOrderError):
-            complex_derivative(f, (3,), (2,))
-
-    def test_multi_index_length_must_match(self, grid16):
-        f = ScalarField(grid16, np.zeros(grid16.shape))
-        with pytest.raises(ShapeError):
-            complex_derivative(f, (1, 0), (0, 0))
+        H = hessian(grid, rng.standard_normal(grid.shape))
+        assert np.abs(H[0, 1] - np.conj(H[1, 0])).max() <= 1e-12
 
 
 class TestFlatPoisson:
@@ -158,7 +162,7 @@ class TestFlatPoisson:
         f_values -= f_values.mean()
         u = flat_poisson_solve(ScalarField(grid, f_values), g0)
         symbol = flat_laplacian_symbol(grid, g0)
-        back = grid.ifft(symbol * grid.fft(u.values)).real
+        back = np.fft.ifftn(symbol * np.fft.fftn(u.values)).real
         assert sup_norm(back - f_values) <= 1e-10 * sup_norm(f_values)
 
     def test_mean_zero_is_required(self, grid32):
