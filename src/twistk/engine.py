@@ -42,7 +42,6 @@ from .grid import (
     PeriodicGrid,
     ScalarField,
     euclid_mean_zero,
-    hessian,
     random_smooth_field,
     rms_norm,
     sobolev_norm,
@@ -64,6 +63,11 @@ MAX_LADDER_ORDER = 8
 # factor of the test sup_new <= (1 - _ARMIJO * scale) * sup
 _MIN_STEP = 2.0 ** -20
 _ARMIJO = 0.25
+# `ift_certificate`: the starting H4 radius of the Lipschitz ball, the
+# sampled directions and the cap on radius halvings
+_IFT_RADIUS = 0.5
+_IFT_SAMPLES = 6
+_IFT_MAX_HALVINGS = 30
 
 
 @dataclass(frozen=True)
@@ -136,13 +140,8 @@ def trivial_twist(K: KahlerStructure, alpha: HermitianFormField, R: float,
     # round-off in the near-cancelling differences cannot obscure it
     rhs = ScalarField(K.grid, volume_mean_zero(K, (S.values - sbar) - R * (tr.values - c)))
     G, _ = green_solve(K, rhs, cfg.krylov)
-    correction = G.values / R
-    comps = alpha.comps + hessian(K.grid, correction)
-    potential = None
-    if alpha.potential is not None:
-        potential = alpha.potential + correction
-    twisted = HermitianFormField(K.grid, comps, base_matrix=alpha.base_matrix,
-                                 potential=potential)
+    twisted = HermitianFormField(K.grid, alpha.base_matrix,
+                                 alpha.potential + G.values / R)
     worst = twisted.min_eigenvalue()
     return twisted, PositivityReport(positive=worst > 0.0, min_eigenvalue=worst)
 
@@ -250,16 +249,17 @@ class NewtonReport:
 
 
 def newton_solve(K0: KahlerStructure, alpha: HermitianFormField, R: float,
-                 cfg: SolverConfig = SolverConfig(), *,
-                 raise_on_failure: bool = True) -> NewtonReport:
+                 cfg: SolverConfig = SolverConfig()) -> NewtonReport:
     """Damped Newton iteration on the potential, warm-started at K0.
 
     Each step solves the full linearization with GMRES and backtracks on
     the sup-norm of the residual, halving the step until the decrease
     condition sup_new <= (1 - _ARMIJO * scale) * sup holds; steps that
-    degenerate the metric are rejected the same way.  A step scale below
-    _MIN_STEP raises StagnationError (or reports failure when
-    raise_on_failure is false).
+    degenerate the metric are rejected the same way.  Failure is
+    reported, not raised: a step scale below _MIN_STEP (StagnationError),
+    cfg.max_newton iterations above cfg.newton_tol (IterationLimitError)
+    and a DegenerateMetricError return converged=False with the error as
+    "<class>: <message>" in the report's message.
     """
     grid = K0.grid
     K = K0
@@ -312,9 +312,7 @@ def newton_solve(K0: KahlerStructure, alpha: HermitianFormField, R: float,
             f"newton_solve: residual {rsup:.3e} above {cfg.newton_tol:g} after "
             f"{cfg.max_newton} iterations", [h["residual_sup"] for h in history])
     except (StagnationError, IterationLimitError, DegenerateMetricError) as err:
-        if raise_on_failure:
-            raise
-        return report(False, message=str(err))
+        return report(False, message=f"{type(err).__name__}: {err}")
 
 
 @dataclass(frozen=True)
@@ -347,10 +345,14 @@ class IFTCertificate:
 
 
 def ift_certificate(K: KahlerStructure, alpha: HermitianFormField, R: float,
-                    cfg: SolverConfig = SolverConfig(), *, radius: float = 0.5,
-                    samples: int = 6, seed: int = 0,
-                    max_halvings: int = 30) -> IFTCertificate:
-    """Check the quantitative inverse-function-theorem inequality at K."""
+                    cfg: SolverConfig = SolverConfig(), *,
+                    seed: int = 0) -> IFTCertificate:
+    """Check the quantitative inverse-function-theorem inequality at K.
+
+    The Lipschitz quotient is sampled on _IFT_SAMPLES random directions
+    scaled into the H4 ball of radius _IFT_RADIUS, which is halved (at
+    most _IFT_MAX_HALVINGS times) until the quotient meets its target.
+    """
     grid = K.grid
     residual, _ = twisted_residual(K, alpha, R)
     defect = sobolev_norm(residual, 0.0)
@@ -365,13 +367,13 @@ def ift_certificate(K: KahlerStructure, alpha: HermitianFormField, R: float,
 
     rng = np.random.default_rng(seed)
     raw = [random_smooth_field(grid, rng, amplitude=1.0).values
-           for _ in range(samples)]
-    fractions = rng.uniform(0.3, 1.0, size=samples)
+           for _ in range(_IFT_SAMPLES)]
+    fractions = rng.uniform(0.3, 1.0, size=_IFT_SAMPLES)
     target = 0.5 / inverse_norm
 
-    r = radius
+    r = _IFT_RADIUS
     lipschitz = math.inf
-    for _ in range(max_halvings):
+    for _ in range(_IFT_MAX_HALVINGS):
         fields = []
         for u, frac in zip(raw, fractions):
             h4 = sobolev_norm(ScalarField(grid, u), 4.0)
@@ -396,12 +398,12 @@ def ift_certificate(K: KahlerStructure, alpha: HermitianFormField, R: float,
             return IFTCertificate(defect=defect, inverse_norm=inverse_norm,
                                   lipschitz_quotient=lipschitz,
                                   lipschitz_radius=r, ball_radius=ball,
-                                  verdict=verdict, samples=samples, seed=seed)
+                                  verdict=verdict, samples=_IFT_SAMPLES, seed=seed)
         r *= 0.5
     return IFTCertificate(defect=defect, inverse_norm=inverse_norm,
                           lipschitz_quotient=lipschitz, lipschitz_radius=r,
                           ball_radius=r / (2.0 * inverse_norm),
-                          verdict="inconclusive", samples=samples, seed=seed)
+                          verdict="inconclusive", samples=_IFT_SAMPLES, seed=seed)
 
 
 def perturb_twist(K: KahlerStructure, alpha_old: HermitianFormField,
@@ -412,9 +414,10 @@ def perturb_twist(K: KahlerStructure, alpha_old: HermitianFormField,
 
     Requires K to solve the equation for alpha_old to the tolerance of
     every stage (residual sup at most cfg.newton_tol).  The twist is
-    moved along the convex combination in `steps` increments,
-    re-solving with Newton at each stage; convexity
-    keeps every intermediate form positive when the endpoints are.
+    moved along the convex combination in `steps` increments, each stage
+    form interpolating the class matrices and the potentials, and
+    re-solved with Newton at each stage; convexity keeps every
+    intermediate form positive when the endpoints are.
     Returns one report per attempted stage; continuation stops at the
     first non-converged stage, so the tuple length records progress.
     """
@@ -430,16 +433,10 @@ def perturb_twist(K: KahlerStructure, alpha_old: HermitianFormField,
     current = K
     for j in range(1, steps + 1):
         s = j / steps
-        comps = (1.0 - s) * alpha_old.comps + s * alpha_new.comps
-        base_matrix = None
-        potential = None
-        if alpha_old.base_matrix is not None and alpha_new.base_matrix is not None:
-            base_matrix = (1.0 - s) * alpha_old.base_matrix + s * alpha_new.base_matrix
-        if alpha_old.potential is not None and alpha_new.potential is not None:
-            potential = (1.0 - s) * alpha_old.potential + s * alpha_new.potential
-        alpha_s = HermitianFormField(K.grid, comps, base_matrix=base_matrix,
-                                     potential=potential)
-        report = newton_solve(current, alpha_s, R, cfg, raise_on_failure=False)
+        alpha_s = HermitianFormField(
+            K.grid, (1.0 - s) * alpha_old.base_matrix + s * alpha_new.base_matrix,
+            (1.0 - s) * alpha_old.potential + s * alpha_new.potential)
+        report = newton_solve(current, alpha_s, R, cfg)
         reports.append(report)
         if not report.converged:
             break
@@ -494,9 +491,10 @@ def proportional_seed_potential(grid: PeriodicGrid, g0: np.ndarray,
 
     When alpha = s * (g0 + Hess(psi)) pointwise the trace of alpha in
     that metric is the constant s*n, which is exactly the ladder seed
-    condition.  Returns None when alpha is not of this shape.
+    condition.  Returns None when alpha is not of this shape, and when
+    its potential is zero (the seed would be flat).
     """
-    if alpha.base_matrix is None or alpha.potential is None:
+    if not np.any(alpha.potential):
         return None
     n = grid.n
     g0 = np.asarray(g0, dtype=complex)
@@ -506,7 +504,7 @@ def proportional_seed_potential(grid: PeriodicGrid, g0: np.ndarray,
     if not np.allclose(alpha.base_matrix, s * g0, rtol=0.0,
                        atol=1e-10 * max(1.0, float(np.abs(g0).max()))):
         return None
-    return np.asarray(alpha.potential, dtype=float) / s
+    return alpha.potential / s
 
 
 def seed_structure(grid: PeriodicGrid, g0: np.ndarray,
@@ -589,7 +587,7 @@ def continuity_sweep(grid: PeriodicGrid, g0: np.ndarray,
             K_init, source, error = seed_structure(
                 grid, g0, alpha, R, 0 if idx else ladder_order, cfg)
             ladder_error = ladder_error or error
-        report = newton_solve(K_init, alpha, R, cfg, raise_on_failure=False)
+        report = newton_solve(K_init, alpha, R, cfg)
         eigen, eigen_error = None, ""
         if report.converged and compute_eigen:
             eigen, eigen_error = leading_eigen(report.structure, alpha, R,
@@ -656,7 +654,7 @@ def estimate_R_threshold(grid: PeriodicGrid, g0: np.ndarray,
     attempts: list[dict] = []
 
     def attempt(R: float, K_init: KahlerStructure) -> NewtonReport:
-        report = newton_solve(K_init, alpha, R, cfg, raise_on_failure=False)
+        report = newton_solve(K_init, alpha, R, cfg)
         attempts.append({"R": R, "converged": report.converged,
                          "residual_sup": report.residual_sup,
                          "newton_iters": report.iterations})

@@ -5,6 +5,11 @@ stored through its real potential phi:
 
     g_{j kbar} = g0_{j kbar} + d/dz_j d/dzbar_k phi.
 
+Closed (1,1)-forms such as the twist alpha are stored the same way: a
+constant Hermitian class matrix plus the complex Hessian of a real
+potential (`HermitianFormField`), with the pointwise components derived
+from the pair.
+
 Index conventions: for a Hermitian matrix field G the inverse tensor is
 g^{j kbar} = (G^{-1})[k, j], so the Laplacian g^{jk} f_{jk} is the
 pointwise trace tr(G^{-1} Hess f), the trace of a (1,1)-form alpha is
@@ -23,10 +28,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateMetricError, DomainError, ShapeError
+from .errors import DegenerateMetricError, ShapeError
 from .grid import (
     PeriodicGrid,
     ScalarField,
+    _check_hermitian,
     _check_hermitian_matrix,
     hessian,
     holo_gradient,
@@ -66,54 +72,37 @@ def _hermitian_inv(comps: np.ndarray, det: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HermitianFormField:
-    """Pointwise Hermitian (1,1)-form with optional closed provenance.
+    """Closed real (1,1)-form: a class matrix plus i d dbar of a potential.
 
-    Forms built by `from_potential` record the constant matrix and the
-    real potential generating them; such forms are closed by
-    construction and stay closed under the potential bookkeeping used
-    throughout the solvers.
+    On a flat torus every closed real (1,1)-form is a constant Hermitian
+    matrix (its cohomology class) plus the complex Hessian of a real
+    potential, so `base_matrix` and `potential` determine the form.  Its
+    pointwise components comps = base_matrix + Hess(potential) are
+    derived once, at construction.
     """
 
     grid: PeriodicGrid
-    comps: np.ndarray
-    base_matrix: np.ndarray | None = None
-    potential: np.ndarray | None = None
+    base_matrix: np.ndarray
+    potential: np.ndarray
+    comps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        comps = np.asarray(self.comps, dtype=complex)
         n = self.grid.n
-        if comps.shape != (n, n) + self.grid.shape:
+        matrix = _check_hermitian(self.base_matrix, n, "class matrix of the form")
+        pot = np.asarray(self.potential, dtype=float)
+        if pot.shape != self.grid.shape:
             raise ShapeError(
-                f"form components must have shape {(n, n) + self.grid.shape}, got {comps.shape}"
-            )
-        scale = max(float(np.abs(comps).max()), 1.0)
-        for j in range(n):
-            for k in range(j, n):
-                if not np.allclose(comps[j, k], np.conj(comps[k, j]), rtol=0.0, atol=1e-10 * scale):
-                    raise DomainError(f"form components ({j},{k}) are not Hermitian")
+                f"form potential shape {pot.shape} does not match grid {self.grid.shape}")
+        comps = matrix.reshape((n, n) + (1,) * len(self.grid.sizes)) + hessian(self.grid, pot)
+        object.__setattr__(self, "base_matrix", matrix)
+        object.__setattr__(self, "potential", pot)
         object.__setattr__(self, "comps", comps)
 
     @classmethod
     def from_potential(cls, grid: PeriodicGrid, matrix: np.ndarray,
                        potential: np.ndarray | None = None) -> "HermitianFormField":
-        """Closed form: constant matrix plus the complex Hessian of a potential."""
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.shape != (grid.n, grid.n):
-            raise ShapeError(f"constant matrix must be {grid.n}x{grid.n}")
-        comps = np.broadcast_to(
-            matrix.reshape((grid.n, grid.n) + (1,) * len(grid.sizes)),
-            (grid.n, grid.n) + grid.shape,
-        ).copy()
-        if potential is not None:
-            pot = np.asarray(potential, dtype=float)
-            comps = comps + hessian(grid, pot)
-        else:
-            pot = None
-        return cls(grid, comps, base_matrix=matrix, potential=pot)
-
-    @property
-    def is_closed(self) -> bool:
-        return self.base_matrix is not None
+        """The form matrix + Hess(potential); None is the zero potential."""
+        return cls(grid, matrix, np.zeros(grid.shape) if potential is None else potential)
 
     def min_eigenvalue(self) -> float:
         return float(_hermitian_min_eigenvalue(self.comps).min())
@@ -218,12 +207,10 @@ def metric_from_potential(grid: PeriodicGrid, g0: np.ndarray, phi: ScalarField) 
 def ricci_form(K: KahlerStructure) -> HermitianFormField:
     """Ricci form of the metric; i d dbar-exact on the torus.
 
-    Returned with closed provenance: zero constant matrix and potential
-    -log det g, so each component has exact grid mean zero.
+    Zero class matrix and potential -log det g, so each component has
+    exact grid mean zero.
     """
-    return HermitianFormField.from_potential(
-        K.grid, np.zeros((K.n, K.n)), -K.log_det()
-    )
+    return HermitianFormField(K.grid, np.zeros((K.n, K.n)), -K.log_det())
 
 
 def scalar_curvature(K: KahlerStructure) -> ScalarField:
@@ -296,10 +283,6 @@ class CohomologyData:
     def of_classes(cls, g0_omega: np.ndarray, g0_alpha: np.ndarray) -> "CohomologyData":
         n = np.asarray(g0_omega).shape[0]
         g0 = _check_hermitian_matrix(g0_omega, n, "class matrix g0_omega")
-        a0 = np.asarray(g0_alpha, dtype=complex)
-        if a0.shape != (n, n):
-            raise ShapeError(f"class matrix g0_alpha must be {n}x{n}")
-        if not np.allclose(a0, a0.conj().T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(a0).max())):
-            raise DomainError("class matrix g0_alpha must be Hermitian")
+        a0 = _check_hermitian(g0_alpha, n, "class matrix g0_alpha")
         c = float(np.trace(a0 @ np.linalg.inv(g0)).real)
         return cls(sbar=0.0, c=c)

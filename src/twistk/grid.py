@@ -56,6 +56,8 @@ import scipy.fft
 from .errors import DomainError, ShapeError, SolvabilityError
 
 _WORKERS = 1
+# trig terms of `random_trig_terms` and `random_smooth_field`
+_RANDOM_TERMS = 6
 
 
 def set_fft_workers(count: int) -> None:
@@ -338,12 +340,19 @@ def holo_gradient(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
     return stack[:grid.n] + 1j * stack[grid.n:]
 
 
-def _check_hermitian_matrix(g0: np.ndarray, n: int, what: str) -> np.ndarray:
-    g0 = np.asarray(g0, dtype=complex)
-    if g0.shape != (n, n):
-        raise ShapeError(f"{what} must be {n}x{n}, got shape {g0.shape}")
-    if not np.allclose(g0, g0.conj().T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(g0).max())):
+def _check_hermitian(matrix: np.ndarray, n: int, what: str) -> np.ndarray:
+    """The n x n matrix as complex; ShapeError or DomainError otherwise."""
+    matrix = np.asarray(matrix, dtype=complex)
+    if matrix.shape != (n, n):
+        raise ShapeError(f"{what} must be {n}x{n}, got shape {matrix.shape}")
+    if not np.allclose(matrix, matrix.conj().T, rtol=0.0,
+                       atol=1e-12 * max(1.0, np.abs(matrix).max())):
         raise DomainError(f"{what} must be Hermitian")
+    return matrix
+
+
+def _check_hermitian_matrix(g0: np.ndarray, n: int, what: str) -> np.ndarray:
+    g0 = _check_hermitian(g0, n, what)
     eigs = np.linalg.eigvalsh(g0)
     if eigs.min() <= 0.0:
         raise DomainError(f"{what} must be positive definite, eigenvalues {eigs}")
@@ -441,28 +450,28 @@ def make_trig_field(grid: PeriodicGrid, terms) -> ScalarField:
 
 
 def random_trig_terms(rng: np.random.Generator, naxes: int, *, amplitude: float,
-                      kmax: int = 2, nterms: int = 6) -> list[tuple[float, tuple[int, ...], float]]:
-    """Random smooth-field seed terms with |k_a| <= kmax per axis.
+                      kmax: int = 2) -> list[tuple[float, tuple[int, ...], float]]:
+    """_RANDOM_TERMS random smooth-field seed terms with |k_a| <= kmax per axis.
 
     Amplitudes are scaled so the summed field has sup-norm of order
     `amplitude`.  Wavevectors avoid zero so every term is mean-free.
     """
     terms = []
-    for _ in range(nterms):
+    for _ in range(_RANDOM_TERMS):
         while True:
             k = tuple(int(v) for v in rng.integers(-kmax, kmax + 1, size=naxes))
             if any(k):
                 break
-        a = float(rng.normal()) * amplitude / nterms
+        a = float(rng.normal()) * amplitude / _RANDOM_TERMS
         phase = float(rng.uniform(0.0, 2.0 * math.pi))
         terms.append((a, k, phase))
     return terms
 
 
 def random_smooth_field(grid: PeriodicGrid, rng: np.random.Generator, *,
-                        amplitude: float = 1.0, kmax: int = 2,
-                        nterms: int = 6) -> ScalarField:
-    """Deterministic (seeded) smooth random field: a short trig sum."""
+                        amplitude: float = 1.0, kmax: int = 2) -> ScalarField:
+    """Deterministic (seeded) smooth random field: a sum of _RANDOM_TERMS
+    trig terms."""
     terms = random_trig_terms(rng, len(grid.sizes), amplitude=amplitude,
-                              kmax=kmax, nterms=nterms)
+                              kmax=kmax)
     return make_trig_field(grid, terms)

@@ -56,16 +56,6 @@ DENSE_POINT_CAP = 4096
 KINDS = ("twist", "lichnerowicz", "full_linearization", "shifted")
 
 
-def _base_twist_matrix(alpha: HermitianFormField) -> np.ndarray:
-    """Constant Hermitian matrix representing the twist class."""
-    if alpha.base_matrix is not None:
-        base = np.asarray(alpha.base_matrix, dtype=complex)
-    else:
-        axes = tuple(range(2, alpha.comps.ndim))
-        base = alpha.comps.mean(axis=axes)
-    return 0.5 * (base + base.conj().T)
-
-
 def _closure_multiplier(grid: PeriodicGrid, g0: np.ndarray,
                         alpha: HermitianFormField) -> np.ndarray:
     """Frozen-coefficient twist symbol on Nyquist-touching modes.
@@ -76,7 +66,7 @@ def _closure_multiplier(grid: PeriodicGrid, g0: np.ndarray,
     A twist class that fails to be positive falls back to the metric
     class, which only changes the operator on these unresolved modes.
     """
-    a0 = _base_twist_matrix(alpha)
+    a0 = 0.5 * (alpha.base_matrix + alpha.base_matrix.conj().T)
     scale = float(np.max(np.abs(a0)))
     if scale == 0.0:
         return np.zeros(grid.shape)

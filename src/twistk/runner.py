@@ -153,8 +153,7 @@ def _first_R(cfg: RunConfig) -> float:
 def _cohomology_summary(K, alpha, R, constant) -> dict:
     S = scalar_curvature(K)
     tr = trace_form(K, alpha)
-    data = CohomologyData.of_classes(K.g0, np.array(alpha.base_matrix)
-                                     if alpha.base_matrix is not None else K.g0)
+    data = CohomologyData.of_classes(K.g0, alpha.base_matrix)
     return {
         "mean_scalar": volume_average(K, S),
         "mean_trace": volume_average(K, tr),
@@ -171,7 +170,7 @@ def _run_single_solve(cfg: RunConfig, outdir: Path):
     started = time.perf_counter()
     K_init, source, ladder_error = seed_structure(
         grid, g0_omega, alpha, R, cfg.order, solver, potential=omega_pot.values)
-    report = newton_solve(K_init, alpha, R, solver, raise_on_failure=False)
+    report = newton_solve(K_init, alpha, R, solver)
     eigen, eigen_error = None, ""
     if report.converged:
         # eigenpair certification can fail on very coarse grids where
@@ -313,17 +312,14 @@ def _run_twist_perturbation(cfg: RunConfig, outdir: Path):
         raise TwistkError("twist_perturbation needs a perturbation term")
     K_init, source, ladder_error = seed_structure(
         grid, g0_omega, alpha, R, cfg.order, solver, potential=omega_pot.values)
-    reports = [newton_solve(K_init, alpha, R, solver, raise_on_failure=False)]
+    reports = [newton_solve(K_init, alpha, R, solver)]
     summary = {"scenario": cfg.scenario, "base_converged": reports[0].converged,
                "R": R, "stages": cfg.perturbation_steps,
                "seed": {"source": source, "ladder_error": ladder_error}}
     if reports[0].converged:
         bump = make_trig_field(grid, [cfg.perturbation])
-        target = HermitianFormField(
-            grid, alpha.comps + hessian(grid, bump.values),
-            base_matrix=alpha.base_matrix,
-            potential=None if alpha.potential is None
-            else alpha.potential + bump.values)
+        target = HermitianFormField(grid, alpha.base_matrix,
+                                    alpha.potential + bump.values)
         started = time.perf_counter()
         reports += perturb_twist(reports[0].structure, alpha, target, R, solver,
                                  steps=cfg.perturbation_steps)
@@ -436,7 +432,7 @@ def _verify_checks(cfg: RunConfig, outdir: Path):
     solver = _solver_config(solve_cfg)
     K_init, _, _ = seed_structure(gridc, g0c, alphac, 100.0, solve_cfg.order,
                                   solver, potential=potc.values)
-    report = newton_solve(K_init, alphac, 100.0, solver, raise_on_failure=False)
+    report = newton_solve(K_init, alphac, 100.0, solver)
     record("single_solve_residual", report.residual_sup, 1e-9,
            ok=report.converged and report.residual_sup <= 1e-9)
     if report.converged:

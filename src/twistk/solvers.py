@@ -75,6 +75,13 @@ _DAVIDSON_KEEP = 4
 # a correction this small against its own size after orthogonalisation
 # is round-off, not a new direction
 _STAGNATION = 1e-12
+# certified eigenpair residual of `extreme_eigenvalue`, relative to
+# max(1, |lambda|)
+_EIGEN_RESIDUAL_TOL = 1e-8
+# `inverse_norm_estimate`: the Sobolev order s of the target norm and
+# the number of power iterations
+_INVERSE_NORM_ORDER = 4.0
+_INVERSE_NORM_ITERATIONS = 12
 
 
 def _weighted_rms(values: np.ndarray, w: np.ndarray, wsum: float) -> float:
@@ -207,6 +214,12 @@ def solve_F(K: KahlerStructure, alpha: HermitianFormField, f: ScalarField,
     hypothesis under which F is the solvable model operator) and f to
     have volume mean zero.
     """
+    tr = trace_form(K, alpha)
+    c = volume_average(K, tr)
+    dev = float(np.abs(tr.values - c).max())
+    if dev > 1e-8 * max(1.0, abs(c)):
+        raise PreconditionError(
+            f"solve_F: trace of alpha deviates from constant by {dev:.3e}")
     return _twist_solver(K, alpha, cfg)(f)
 
 
@@ -214,16 +227,11 @@ def _twist_solver(K: KahlerStructure, alpha: HermitianFormField,
                   cfg: KrylovConfig):
     """`solve_F` at fixed (K, alpha) as a function of f alone.
 
-    The trace precondition is checked, and the operator handle and its
-    preconditioner are built, once, so the rungs of a correction ladder
-    share them; each solve still checks its own right-hand side.
+    The operator handle and its preconditioner are built once, so the
+    rungs of a correction ladder share them; each solve still checks its
+    own right-hand side.  The trace precondition is the caller's:
+    `solve_F` and `build_approximate_solution` check it.
     """
-    tr = trace_form(K, alpha)
-    c = volume_average(K, tr)
-    dev = float(np.abs(tr.values - c).max())
-    if dev > 1e-8 * max(1.0, abs(c)):
-        raise PreconditionError(
-            f"solve_F: trace of alpha deviates from constant by {dev:.3e}")
     handle = LinearOperatorHandle("twist", K, alpha, mean_zero=True)
     return _spd_solver(K, handle.apply, None, cfg, "solve_F")
 
@@ -302,8 +310,7 @@ def newton_linear_solve(K: KahlerStructure, alpha: HermitianFormField, R: float,
 
 
 def extreme_eigenvalue(K: KahlerStructure, alpha: HermitianFormField, R: float,
-                       *, seed: int = 0, residual_tol: float = 1e-8,
-                       maxiter: int = 100) -> EigenEstimate:
+                       *, seed: int = 0, maxiter: int = 100) -> EigenEstimate:
     """Eigenvalue of -lichnerowicz + R * twist closest to zero.
 
     All eigenvalues are negative on the mean-zero subspace; the returned
@@ -321,12 +328,12 @@ def extreme_eigenvalue(K: KahlerStructure, alpha: HermitianFormField, R: float,
     vectors the basis restarts from its top _DAVIDSON_KEEP Ritz vectors.
     The start vector is drawn from `default_rng(seed)`.
 
-    The iteration stops at Ritz residual 1e-2 * residual_tol *
+    The iteration stops at Ritz residual 1e-2 * _EIGEN_RESIDUAL_TOL *
     max(1, |theta|), or early when a restart cycle fails to halve the
     smallest Ritz residual (on coarse grids the discrete operator is
     not exactly self-adjoint, and the residual stalls).  Either way the
     pair is then certified by a fresh application, ||L v - lambda v|| <=
-    residual_tol * max(1, |lambda|) in the weighted-RMS norm.
+    _EIGEN_RESIDUAL_TOL * max(1, |lambda|) in the weighted-RMS norm.
     EigenEstimate.iterations counts operator applications, the
     certifying one included.  IterationLimitError is raised when the
     certificate fails, when maxiter restarts are used up, and when
@@ -377,7 +384,7 @@ def extreme_eigenvalue(K: KahlerStructure, alpha: HermitianFormField, R: float,
         x = coeffs[:, -1] @ V[:m]
         r = coeffs[:, -1] @ AV[:m] - theta * x
         history.append(math.sqrt(float(r @ r)))
-        if history[-1] <= 1e-2 * residual_tol * max(1.0, abs(theta)):
+        if history[-1] <= 1e-2 * _EIGEN_RESIDUAL_TOL * max(1.0, abs(theta)):
             break
         if m == _DAVIDSON_CAP:
             if restarts == maxiter:
@@ -408,10 +415,10 @@ def extreme_eigenvalue(K: KahlerStructure, alpha: HermitianFormField, R: float,
     Lv = handle.apply(v)
     value = float(np.sum(v * Lv * w) / np.sum(v * v * w))
     residual = _weighted_rms(Lv - value * v, w, wsum)
-    if residual > residual_tol * max(1.0, abs(value)):
+    if residual > _EIGEN_RESIDUAL_TOL * max(1.0, abs(value)):
         raise IterationLimitError(
             f"extreme_eigenvalue: eigenpair residual {residual:.3e} above "
-            f"{residual_tol:.1e} * max(1, |lambda|)"
+            f"{_EIGEN_RESIDUAL_TOL:.1e} * max(1, |lambda|)"
             + (f" (Davidson stalled at Ritz residual {min(history):.3e} after "
                f"{len(history)} operator applications)" if stalled else ""),
             [residual])
@@ -420,18 +427,19 @@ def extreme_eigenvalue(K: KahlerStructure, alpha: HermitianFormField, R: float,
 
 
 def inverse_norm_estimate(K: KahlerStructure, alpha: HermitianFormField, R: float,
-                          cfg: KrylovConfig = KrylovConfig(), *, s: float = 4.0,
-                          iterations: int = 12, seed: int = 0) -> float:
+                          cfg: KrylovConfig = KrylovConfig(), *,
+                          seed: int = 0) -> float:
     """Proxy operator norm of the inverse shifted operator, L2 -> H^s.
 
-    Power iteration for the composition f -> L^{-1} S_s L^{-1} f where
-    S_s multiplies coefficients by (1+|k|^2)^s; the square root of the
+    _INVERSE_NORM_ITERATIONS power iterations for the composition
+    f -> L^{-1} S_s L^{-1} f, where S_s multiplies coefficients by
+    (1+|k|^2)^s with s = _INVERSE_NORM_ORDER; the square root of the
     Rayleigh quotient estimates sup ||L^{-1} f||_s / ||f||_0.
     """
     grid = K.grid
     w = K.weight
     wsum = float(np.sum(w))
-    weight_s = sobolev_weight(grid, s)
+    weight_s = sobolev_weight(grid, _INVERSE_NORM_ORDER)
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(grid.shape)
     shifted = _shifted_solver(K, alpha, R, cfg)
@@ -446,7 +454,7 @@ def inverse_norm_estimate(K: KahlerStructure, alpha: HermitianFormField, R: floa
     sigma = 0.0
     u = project(u)
     u /= math.sqrt(float(np.mean(u * u)))
-    for _ in range(iterations):
+    for _ in range(_INVERSE_NORM_ITERATIONS):
         mid = solve(u)
         smooth = grid.derivatives(mid, weight_s)
         cu = solve(smooth)

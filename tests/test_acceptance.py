@@ -64,9 +64,8 @@ def _seeded_pair(grid: PeriodicGrid, terms, scale: float):
     """Non-flat structure with a twist proportional to its own metric,
     so the trace is constant and the correction ladder applies."""
     K = seed_structure(grid, terms)
-    alpha = HermitianFormField(grid, scale * K.metric,
-                               base_matrix=scale * K.g0,
-                               potential=K.potential)
+    alpha = HermitianFormField.from_potential(grid, scale * K.g0,
+                                              scale * K.potential)
     return K, alpha
 
 
@@ -97,8 +96,7 @@ def ladder_newton_runs(grid32):
         converged_R = []
         for R in weights:
             ladder = build_approximate_solution(K, alpha, R, 2, ACC)
-            rep = newton_solve(ladder.structure, alpha, R, ACC,
-                               raise_on_failure=False)
+            rep = newton_solve(ladder.structure, alpha, R, ACC)
             residuals.append(rep.residual_sup)
             if rep.converged:
                 converged_R.append(R)
@@ -112,11 +110,9 @@ def ladder_newton_runs(grid32):
                 break
         R_stars.append(star)
         ladder = build_approximate_solution(K, alpha, 100.0, 2, ACC)
-        from_ladder = newton_solve(ladder.structure, alpha, 100.0, ACC,
-                                   raise_on_failure=False)
+        from_ladder = newton_solve(ladder.structure, alpha, 100.0, ACC)
         flat0 = KahlerStructure(grid32, K.g0, np.zeros(grid32.shape))
-        from_flat = newton_solve(flat0, alpha, 100.0, ACC,
-                                 raise_on_failure=False)
+        from_flat = newton_solve(flat0, alpha, 100.0, ACC)
         gap = math.inf
         if from_ladder.converged and from_flat.converged:
             gap = float(np.abs(from_ladder.structure.metric
@@ -276,8 +272,7 @@ def test_criterion_05_eigenvalue_bounds():
     flat_err = max(abs(extreme_eigenvalue(flat, alpha_flat, R).value
                        - (-1.0 / 16.0 - R / 4.0)) for R in weights)
     K = seed_structure(grid, [(0.3, (1, 0), 0.0)])
-    alpha = HermitianFormField(grid, K.metric, base_matrix=EYE1,
-                               potential=K.potential)
+    alpha = HermitianFormField.from_potential(grid, EYE1, K.potential)
     vals = [extreme_eigenvalue(K, alpha, R).value for R in weights]
     C2 = abs(vals[0]) / (2.0 * weights[0])
     linear_bound = all(v < -C2 * R for v, R in zip(vals, weights))

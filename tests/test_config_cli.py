@@ -319,9 +319,9 @@ class TestTwistPerturbation:
     # (residual_sup, residual_l2, newton_iters) per row; row 0 is the base solve
     PINNED = {
         1: [(0.0, 0.0, 0),
-            (2.8421709430404007e-14, 1.464821375527116e-14, 3),
-            (5.6843418860808015e-14, 3.444483707977731e-14, 3),
-            (2.8421709430404007e-14, 1.7038216254095741e-14, 3)],
+            (2.8421709430404007e-14, 1.5485919901226005e-14, 3),
+            (2.8421709430404007e-14, 1.5072887603364239e-14, 3),
+            (5.6843418860808015e-14, 2.6822400070865448e-14, 3)],
         2: [(0.0, 0.0, 0),
             (2.8421709430404007e-14, 1.4210854715202004e-14, 3),
             (8.5265128291212022e-14, 6.2753435275395814e-14, 3)],

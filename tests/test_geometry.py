@@ -23,7 +23,8 @@ from twistk import (
     volume_mean_zero,
 )
 from twistk.errors import DegenerateMetricError, DomainError
-from twistk.grid import euclid_mean_zero, make_trig_field, random_smooth_field, sup_norm
+from twistk.grid import (euclid_mean_zero, hessian, make_trig_field,
+                         random_smooth_field, sup_norm)
 from twistk.oracles import (
     fd_complex_derivative,
     naive_form_pairing,
@@ -260,10 +261,11 @@ class TestVolumeAverages:
 
 class TestFormsAndClasses:
     def test_hermitian_validation(self, grid32):
-        comps = np.zeros((1, 1) + grid32.shape, dtype=complex)
-        comps[0, 0] = 1j
         with pytest.raises(DomainError):
-            HermitianFormField(grid32, comps)
+            HermitianFormField.from_potential(grid32, np.array([[1j]]))
+        grid = PeriodicGrid(2, (4, 4, 4, 4))
+        with pytest.raises(DomainError):
+            HermitianFormField.from_potential(grid, np.array([[1.0, 0.5], [0.0, 1.0]]))
 
     def test_min_eigenvalue_of_constant_form(self):
         grid = PeriodicGrid(2, (6, 6, 6, 6))
@@ -273,8 +275,9 @@ class TestFormsAndClasses:
     def test_closed_forms_carry_their_potential(self, grid32):
         pot = make_trig_field(grid32, [(0.1, (1, 0), 0.0)])
         alpha = HermitianFormField.from_potential(grid32, EYE1, pot.values)
-        assert alpha.is_closed
         assert np.array_equal(alpha.potential, pot.values)
+        assert np.array_equal(alpha.comps, EYE1[:, :, None, None]
+                              + hessian(grid32, pot.values))
 
     def test_cohomology_constants(self):
         data = CohomologyData.of_classes(EYE2, np.diag([2.0, 3.0]))
@@ -287,5 +290,4 @@ class TestFormsAndClasses:
     def test_ricci_form_is_closed_with_zero_class(self, grid32):
         K = seed_structure(grid32, [(0.3, (1, 0), 0.0)])
         ric = ricci_form(K)
-        assert ric.is_closed
         assert sup_norm(np.asarray(ric.base_matrix)) == 0.0
