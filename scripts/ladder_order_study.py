@@ -12,8 +12,8 @@ import sys
 import numpy as np
 
 from twistk.engine import SolverConfig, build_approximate_solution
-from twistk.geometry import HermitianFormField, metric_from_potential
-from twistk.grid import PeriodicGrid, ScalarField, make_trig_field
+from twistk.geometry import HermitianFormField, KahlerStructure
+from twistk.grid import PeriodicGrid, make_trig_field
 from twistk.oracles import order_fit
 
 
@@ -30,7 +30,7 @@ def main() -> int:
     g0 = np.eye(1, dtype=complex)
     half = args.amplitude / 2.0
     pot = make_trig_field(grid, [(half, (1, 1), 0.0), (half, (1, -1), 0.0)])
-    base = metric_from_potential(grid, g0, ScalarField(grid, pot.values))
+    base = KahlerStructure(grid, g0, pot.values)
     alpha = HermitianFormField.from_potential(grid, g0, pot.values)
     cfg = SolverConfig()
     schedule = [args.rmin * 2.0 ** i for i in range(args.points)]

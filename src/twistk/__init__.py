@@ -45,12 +45,12 @@ from .geometry import (
     form_pairing,
     gradient_pairing,
     laplacian,
-    metric_from_potential,
     ricci_form,
     scalar_curvature,
     trace_form,
     volume_average,
     volume_mean_zero,
+    volume_rms,
 )
 from .grid import (
     PeriodicGrid,

@@ -220,7 +220,7 @@ def build_approximate_solution(base: KahlerStructure, alpha: HermitianFormField,
         step = delta.values / R
         corrections.append(ScalarField(grid, step))
         psi = euclid_mean_zero(psi + step)
-        K = KahlerStructure(grid, base.g0, euclid_mean_zero(base.potential + psi))
+        K = KahlerStructure(grid, base.base_matrix, euclid_mean_zero(base.potential + psi))
         residual, const = twisted_residual(K, alpha, R)
         record(residual)
     return ApproximateSolution(structure=K, corrections=tuple(corrections),
@@ -290,7 +290,7 @@ def newton_solve(K0: KahlerStructure, alpha: HermitianFormField, R: float,
                         f"newton_solve: line search stalled below {_MIN_STEP:g} "
                         f"at residual {rsup:.3e}", [h["residual_sup"] for h in history])
                 try:
-                    K_new = KahlerStructure(grid, K0.g0,
+                    K_new = KahlerStructure(grid, K0.base_matrix,
                                             euclid_mean_zero(phi + scale * delta))
                 except DegenerateMetricError:
                     scale *= 0.5
@@ -361,7 +361,7 @@ def ift_certificate(K: KahlerStructure, alpha: HermitianFormField, R: float,
     base_values = residual.values
 
     def remainder(phi: np.ndarray) -> np.ndarray:
-        K_phi = KahlerStructure(grid, K.g0, euclid_mean_zero(K.potential + phi))
+        K_phi = KahlerStructure(grid, K.base_matrix, euclid_mean_zero(K.potential + phi))
         res_phi, _ = twisted_residual(K_phi, alpha, R)
         return res_phi.values - base_values - handle.apply(phi)
 
@@ -652,54 +652,51 @@ def estimate_R_threshold(grid: PeriodicGrid, g0: np.ndarray,
         raise PreconditionError("estimate_R_threshold: need R_start > 0 "
                                 "and floor > 0")
     attempts: list[dict] = []
+    seed, seed_source, ladder_error = seed_structure(grid, g0, alpha, R_start,
+                                                     ladder_order, cfg)
+    warm = None
 
-    def attempt(R: float, K_init: KahlerStructure) -> NewtonReport:
+    def attempt(R: float) -> bool:
+        """Newton at weight R from the warm potential (from the seed on
+        the first call); a converged solve's potential becomes the warm
+        one.  Only the attempt record outlives the call."""
+        nonlocal seed, warm
+        K_init = seed if warm is None else KahlerStructure(grid, g0, warm)
+        # the seed's cached curvature fields would otherwise live through
+        # the whole descent (about 15 MB at 16^4)
+        seed = None
         report = newton_solve(K_init, alpha, R, cfg)
         attempts.append({"R": R, "converged": report.converged,
                          "residual_sup": report.residual_sup,
                          "newton_iters": report.iterations})
-        return report
-
-    K_init, seed_source, ladder_error = seed_structure(grid, g0, alpha, R_start,
-                                                       ladder_order, cfg)
+        if report.converged:
+            warm = euclid_mean_zero(report.structure.potential)
+        return report.converged
 
     def estimate(threshold: float, bracket: tuple[float, float]) -> ThresholdEstimate:
         return ThresholdEstimate(threshold=threshold, bracket=bracket,
                                  attempts=tuple(attempts), seed_source=seed_source,
                                  ladder_error=ladder_error)
 
-    report = attempt(R_start, K_init)
-    # the seed's cached curvature fields would otherwise live through the
-    # whole descent (about 15 MB at 16^4)
-    del K_init
-    if not report.converged:
+    if not attempt(R_start):
         return estimate(math.inf, (R_start, math.inf))
-
-    R_ok = R_start
-    warm_ok = euclid_mean_zero(report.structure.potential)
+    schedule = []
     R = R_start * 0.5
-    failed_at = None
     while R > floor:
-        report = attempt(R, KahlerStructure(grid, g0, warm_ok))
-        if report.converged:
-            R_ok = R
-            warm_ok = euclid_mean_zero(report.structure.potential)
-        else:
-            failed_at = R
-            break
+        schedule.append(R)
         R *= 0.5
-    if failed_at is None:
-        report = attempt(0.0, KahlerStructure(grid, g0, warm_ok))
-        if report.converged:
-            return estimate(0.0, (0.0, 0.0))
-        failed_at = 0.0
-    lo, hi = failed_at, R_ok
+    R_ok = R_start
+    for R in schedule + [0.0]:
+        if not attempt(R):
+            break
+        R_ok = R
+    else:
+        return estimate(0.0, (0.0, 0.0))
+    lo, hi = R, R_ok
     for _ in range(bisect_steps):
         mid = math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
-        report = attempt(mid, KahlerStructure(grid, g0, warm_ok))
-        if report.converged:
+        if attempt(mid):
             hi = mid
-            warm_ok = euclid_mean_zero(report.structure.potential)
         else:
             lo = mid
     return estimate(hi, (lo, hi))

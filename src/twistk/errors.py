@@ -17,7 +17,7 @@ class ShapeError(TwistkError, ValueError):
 
 
 class UnsupportedOrderError(TwistkError, ValueError):
-    """A spectral derivative of total order above the supported cap."""
+    """A correction-ladder order outside [0, MAX_LADDER_ORDER]."""
 
 
 class SolvabilityError(TwistkError, ValueError):

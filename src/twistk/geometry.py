@@ -1,14 +1,17 @@
-"""Kahler structures on flat tori: metrics, curvature and pairings.
+"""Kahler structures on flat tori: forms, metrics, curvature and pairings.
 
-A Kahler structure in the class of a constant Hermitian matrix g0 is
-stored through its real potential phi:
+Every closed real (1,1)-form on a flat torus is a constant Hermitian
+class matrix plus the complex Hessian of a real potential, and
+`HermitianFormField` stores it as that pair, with the pointwise
+components derived once.  A Kahler metric is the positive case:
+`KahlerStructure` is a form whose class matrix g0 and components
 
-    g_{j kbar} = g0_{j kbar} + d/dz_j d/dzbar_k phi.
+    g_{j kbar} = g0_{j kbar} + d/dz_j d/dzbar_k phi
 
-Closed (1,1)-forms such as the twist alpha are stored the same way: a
-constant Hermitian class matrix plus the complex Hessian of a real
-potential (`HermitianFormField`), with the pointwise components derived
-from the pair.
+are positive definite, with its pointwise algebra (det g, inverse,
+Ricci and scalar curvature) cached.  The volume form weights the
+uniform quadrature by det g; `volume_average`, `volume_mean_zero` and
+`volume_rms` are the volume products the solvers and operators use.
 
 Index conventions: for a Hermitian matrix field G the inverse tensor is
 g^{j kbar} = (G^{-1})[k, j], so the Laplacian g^{jk} f_{jk} is the
@@ -24,6 +27,7 @@ downstream are exactly the real parts of their complex counterparts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,33 +113,22 @@ class HermitianFormField:
 
 
 @dataclass(frozen=True)
-class KahlerStructure:
-    """Metric g0 + Hess(potential) with eagerly cached pointwise algebra.
+class KahlerStructure(HermitianFormField):
+    """Kahler metric: a closed (1,1)-form positive definite at every point.
 
-    Construction fails with the offending grid point if the candidate
-    metric is not positive definite everywhere.
+    The class matrix must be positive definite, and construction fails
+    with the offending grid point if comps is not positive definite
+    everywhere.  The volume weight det g (`weight`) and the pointwise
+    inverse are cached at construction, the Ricci and scalar curvature
+    on first use.
     """
 
-    grid: PeriodicGrid
-    g0: np.ndarray
-    potential: np.ndarray
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        g0 = _check_hermitian_matrix(self.g0, self.grid.n, "class matrix g0")
-        object.__setattr__(self, "g0", g0)
-        pot = np.asarray(self.potential, dtype=float)
-        if pot.shape != self.grid.shape:
-            raise ShapeError(
-                f"potential shape {pot.shape} does not match grid {self.grid.shape}"
-            )
-        object.__setattr__(self, "potential", pot)
-
-        comps = np.broadcast_to(
-            g0.reshape((self.grid.n, self.grid.n) + (1,) * len(self.grid.sizes)),
-            (self.grid.n, self.grid.n) + self.grid.shape,
-        ) + hessian(self.grid, pot)
-        mineig = _hermitian_min_eigenvalue(comps)
+        _check_hermitian_matrix(self.base_matrix, self.grid.n, "class matrix g0")
+        super().__post_init__()
+        mineig = _hermitian_min_eigenvalue(self.comps)
         worst = float(mineig.min())
         if worst <= 0.0:
             point = tuple(int(i) for i in np.unravel_index(int(mineig.argmin()), self.grid.shape))
@@ -144,43 +137,26 @@ class KahlerStructure:
                 point=point,
                 eigenvalue=worst,
             )
-        det = _hermitian_det(comps)
-        self._cache["comps"] = comps
-        self._cache["det"] = det
-        self._cache["inv"] = _hermitian_inv(comps, det)
-        self._cache["mineig"] = worst
+        det = _hermitian_det(self.comps)
+        self._cache["weight"] = det
+        self._cache["inv"] = _hermitian_inv(self.comps, det)
 
     @property
     def n(self) -> int:
         return self.grid.n
 
     @property
-    def metric(self) -> np.ndarray:
-        return self._cache["comps"]
-
-    @property
     def inverse(self) -> np.ndarray:
         return self._cache["inv"]
 
     @property
-    def det(self) -> np.ndarray:
-        return self._cache["det"]
-
-    @property
     def weight(self) -> np.ndarray:
         """Volume weight per grid point (uniform quadrature times det g)."""
-        return self._cache["det"]
-
-    @property
-    def min_eigenvalue(self) -> float:
-        return self._cache["mineig"]
-
-    def metric_form(self) -> HermitianFormField:
-        return HermitianFormField.from_potential(self.grid, self.g0, self.potential)
+        return self._cache["weight"]
 
     def log_det(self) -> np.ndarray:
         if "logdet" not in self._cache:
-            self._cache["logdet"] = np.log(self.det)
+            self._cache["logdet"] = np.log(self.weight)
         return self._cache["logdet"]
 
     def ricci(self) -> np.ndarray:
@@ -195,13 +171,6 @@ class KahlerStructure:
                 "kj...,jk...->...", self.inverse, self.ricci()
             ).real
         return self._cache["scalar"]
-
-
-def metric_from_potential(grid: PeriodicGrid, g0: np.ndarray, phi: ScalarField) -> KahlerStructure:
-    """Kahler structure for g0 + Hess(phi); errors on degeneracy."""
-    if phi.grid is not grid and phi.grid != grid:
-        raise ShapeError("potential lives on a different grid")
-    return KahlerStructure(grid, g0, phi.values)
 
 
 def ricci_form(K: KahlerStructure) -> HermitianFormField:
@@ -264,6 +233,11 @@ def volume_mean_zero(K: KahlerStructure, f: ScalarField | np.ndarray) -> np.ndar
     """Project to mean zero with respect to the volume form of K."""
     vals = f.values if isinstance(f, ScalarField) else np.asarray(f)
     return vals - volume_average(K, vals)
+
+
+def volume_rms(K: KahlerStructure, values: np.ndarray) -> float:
+    """Root mean square of values against the volume form of K."""
+    return math.sqrt(volume_average(K, values * values))
 
 
 @dataclass(frozen=True)

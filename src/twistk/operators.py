@@ -1,19 +1,21 @@
 """Matrix-free linear operators attached to a Kahler structure.
 
-Four kinds are provided, all acting on real potentials:
+Three kinds are provided, all acting on real potentials:
 
 * ``twist``: phi -> (alpha, i d dbar phi) + Re(d tr(alpha), dbar phi),
   the second-order operator controlling twist corrections; self-adjoint
   with negative quadratic form and kernel exactly the constants.
-* ``lichnerowicz``: phi -> Lap^2 phi + (Ric, i d dbar phi) + Re(d S, dbar phi),
-  the fourth-order operator whose quadratic form is the squared norm of
-  dbar grad^{1,0} phi.
 * ``full_linearization``: the exact directional derivative of
   phi -> S(omega_phi) - R tr_{omega_phi}(alpha), namely
   -Lap^2 psi - (Ric, i d dbar psi) + R (alpha, i d dbar psi).
 * ``shifted``: -lichnerowicz + R * twist, the self-adjoint model of the
   full linearization used for eigenvalue bounds and inner solves; the
   two agree up to gradient terms that vanish at exact solutions.
+
+The Lichnerowicz operator phi -> Lap^2 phi + (Ric, i d dbar phi) +
+Re(d S, dbar phi), whose quadratic form is the squared norm of
+dbar grad^{1,0} phi, is the negated ``shifted`` kind at R = 0 (the
+twist form is then unused).
 
 The twist kind is realised through its defining quadratic form
 
@@ -38,7 +40,8 @@ against the grid's real Hessian stack).  Each application is then one
 or two rounds of the grid's half-spectrum derivative kernel with
 real-arithmetic contractions in between.  Handles optionally project
 their output to volume mean zero so Krylov iterations stay on the
-subspace where the operators are definite.
+subspace where the operators are definite; `quadratic_form` is the
+volume average of u * apply(v).
 """
 
 from __future__ import annotations
@@ -48,12 +51,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, RefusalError, ShapeError
-from .geometry import HermitianFormField, KahlerStructure, volume_mean_zero
+from .geometry import HermitianFormField, KahlerStructure, volume_average, volume_mean_zero
 from .grid import PeriodicGrid, holo_gradient
 
 DENSE_POINT_CAP = 4096
 
-KINDS = ("twist", "lichnerowicz", "full_linearization", "shifted")
+KINDS = ("twist", "full_linearization", "shifted")
 
 
 def _closure_multiplier(grid: PeriodicGrid, g0: np.ndarray,
@@ -85,15 +88,14 @@ def _closure_multiplier(grid: PeriodicGrid, g0: np.ndarray,
 class LinearOperatorHandle:
     """Reusable matrix-free operator at a fixed (K, alpha, R).
 
-    ``alpha`` is ignored by the lichnerowicz kind; ``R`` is ignored by
-    the twist and lichnerowicz kinds.  With ``mean_zero`` set, outputs
+    ``R`` is ignored by the twist kind.  With ``mean_zero`` set, outputs
     are projected to mean zero against the volume form of K (inputs are
     untouched: every kind annihilates constants exactly).
     """
 
     kind: str
     K: KahlerStructure
-    alpha: HermitianFormField | None = None
+    alpha: HermitianFormField
     R: float = 0.0
     mean_zero: bool = False
     _ctx: dict = field(default_factory=dict, repr=False, compare=False)
@@ -101,45 +103,31 @@ class LinearOperatorHandle:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DomainError(f"unknown operator kind {self.kind!r}; expected one of {KINDS}")
-        if self.kind != "lichnerowicz" and self.alpha is None:
-            raise DomainError(f"operator kind {self.kind!r} requires a twist form")
         K = self.K
         P = K.inverse
         grid = K.grid
 
-        second = None
-        grad_of = None
-        bilap = 0.0
-        weak = 0.0
-        if self.kind in ("lichnerowicz", "full_linearization", "shifted"):
-            pricp = np.einsum("lj...,jk...,km...->lm...", P, K.ricci(), P)
-
-        if self.kind == "twist":
-            weak = 1.0
-        elif self.kind == "lichnerowicz":
-            bilap = 1.0
-            second = pricp
-            grad_of = K.scalar()
-        elif self.kind == "full_linearization":
-            pap = np.einsum("lj...,jk...,km...->lm...", P, self.alpha.comps, P)
-            bilap = -1.0
-            second = self.R * pap - pricp
-        else:  # shifted
-            bilap = -1.0
-            second = -pricp
-            grad_of = -K.scalar()
-            weak = self.R
-
         # first stage: one batched derivative of the input, contracted
-        # pointwise with real coefficient fields
+        # pointwise with real coefficient fields; the fourth-order kinds
+        # subtract a biLaplacian
+        fourth = self.kind != "twist"
+        weak = 1.0
         names = []
         coeffs = []
-        if second is not None:
+        if fourth:
+            pricp = np.einsum("lj...,jk...,km...->lm...", P, K.ricci(), P)
+            if self.kind == "full_linearization":
+                pap = np.einsum("lj...,jk...,km...->lm...", P, self.alpha.comps, P)
+                second = self.R * pap - pricp
+                weak = 0.0
+            else:  # shifted
+                second = -pricp
+                weak = self.R
             names.append("hessian")
             coeffs.append(grid.hessian_pairing(second))
-        if grad_of is not None:
+        if self.kind == "shifted":
             # Re sum_k g^{kj} d_j f * conj(d_k phi), phi's gradient as (Re, Im)
-            grad = np.einsum("kj...,j...->k...", P, holo_gradient(grid, grad_of))
+            grad = np.einsum("kj...,j...->k...", P, holo_gradient(grid, -K.scalar()))
             names.append("gradient")
             coeffs.append(np.concatenate([grad.real, grad.imag]))
         if weak:
@@ -147,9 +135,9 @@ class LinearOperatorHandle:
         stacks = [grid.multiplier_stack(name) for name in names]
         self._ctx["mults"] = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
         self._ctx["coeffs"] = np.concatenate(coeffs) if coeffs else None
-        self._ctx["bilap"] = bilap
+        self._ctx["fourth"] = fourth
         self._ctx["weak"] = weak
-        if bilap:
+        if fourth:
             self._ctx["lap"] = grid.hessian_pairing(P)
         if weak:
             # flux G_l = det(g) sum_m Q[l, m] d_{zbar_m} phi with
@@ -157,7 +145,7 @@ class LinearOperatorHandle:
             Q = self.weight * np.einsum("mj...,jk...,kl...->lm...", P, self.alpha.comps, P)
             self._ctx["flux"] = np.stack([Q.real, Q.imag])
             self._ctx["closure"] = grid.real_multiplier(
-                _closure_multiplier(grid, K.g0, self.alpha))
+                _closure_multiplier(grid, K.base_matrix, self.alpha))
 
     @property
     def grid(self) -> PeriodicGrid:
@@ -189,12 +177,12 @@ class LinearOperatorHandle:
         out = 0.0 if coeffs is None else np.einsum("i...,i...->...", coeffs,
                                                      fields[:len(coeffs)])
         # every kind has a biLaplacian or a twist divergence, or both
-        bilap = ctx["bilap"]
+        fourth = ctx["fourth"]
         weak = ctx["weak"]
         n = grid.n
-        nh = len(ctx["lap"]) if bilap else 0
+        nh = len(ctx["lap"]) if fourth else 0
         staged = []
-        if bilap:
+        if fourth:
             staged.append(np.einsum("i...,i...->...", ctx["lap"], fields[:nh])[None])
         if weak:
             # flux A + iB = Q (Re + i Im) of the dzbar stack, in real arithmetic;
@@ -206,14 +194,14 @@ class LinearOperatorHandle:
         del fields
         hats = grid.fft(np.concatenate(staged))
         spec = np.empty((nh + (1 if weak else 0),) + hats.shape[1:], dtype=complex)
-        if bilap:
+        if fourth:
             np.multiply(hats[0], grid.multiplier_stack("hessian"), out=spec[:nh])
         if weak:
             spec[-1] = ctx["closure"] * vhat + np.einsum(
                 "a...,a...->...", grid.multiplier_stack("resolved_dz"), hats[-2 * n:])
         back = grid.ifft(spec)
-        if bilap:
-            out = out + bilap * np.einsum("i...,i...->...", ctx["lap"], back[:nh])
+        if fourth:
+            out = out - np.einsum("i...,i...->...", ctx["lap"], back[:nh])
         if weak:
             out = out + weak * (back[-1] / self.weight)
         if self.mean_zero:
@@ -221,11 +209,8 @@ class LinearOperatorHandle:
         return out
 
     def quadratic_form(self, u: np.ndarray, v: np.ndarray | None = None) -> float:
-        """Volume-weighted bilinear form sum u * apply(v) * det g."""
-        if v is None:
-            v = u
-        w = self.weight
-        return float(np.sum(u * self.apply(v) * w) / np.sum(w))
+        """Volume-weighted bilinear form: the volume average of u * apply(v)."""
+        return volume_average(self.K, u * self.apply(u if v is None else v))
 
 
 def dense_assemble(handle: LinearOperatorHandle) -> np.ndarray:

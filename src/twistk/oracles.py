@@ -149,7 +149,7 @@ def naive_trace_form(K: KahlerStructure, alpha: HermitianFormField) -> np.ndarra
     Uses g^{j kbar} = (G^{-1})[k, j] with the inverse from numpy.linalg;
     no einsum, no closed-form adjugate.
     """
-    inv = pointwise_inverse(K.metric)
+    inv = pointwise_inverse(K.comps)
     n = K.n
     out = np.zeros(K.grid.shape, dtype=complex)
     for j in range(n):
@@ -161,7 +161,7 @@ def naive_trace_form(K: KahlerStructure, alpha: HermitianFormField) -> np.ndarra
 def naive_form_pairing(K: KahlerStructure, alpha: HermitianFormField,
                        beta: HermitianFormField) -> np.ndarray:
     """Pointwise pairing tr(G^-1 A G^-1 B) with explicit loops."""
-    inv = pointwise_inverse(K.metric)
+    inv = pointwise_inverse(K.comps)
     n = K.n
     out = np.zeros(K.grid.shape, dtype=complex)
     for j in range(n):
@@ -175,7 +175,7 @@ def naive_form_pairing(K: KahlerStructure, alpha: HermitianFormField,
 def naive_gradient_pairing(K: KahlerStructure, f: np.ndarray,
                            h: np.ndarray) -> np.ndarray:
     """Re g^{j kbar} (d f / dz_j)(d h / dzbar_k) via finite differences."""
-    inv = pointwise_inverse(K.metric)
+    inv = pointwise_inverse(K.comps)
     n = K.n
     out = np.zeros(K.grid.shape, dtype=complex)
     for j in range(n):
@@ -195,10 +195,10 @@ def fd_scalar_curvature(K: KahlerStructure) -> np.ndarray:
     numpy.linalg.det, inverse through numpy.linalg.inv.  Truncation
     error is O((k h)^8) for band-limited metrics.
     """
-    moved = np.moveaxis(K.metric, (0, 1), (-2, -1))
+    moved = np.moveaxis(K.comps, (0, 1), (-2, -1))
     logdet = np.log(np.linalg.det(moved).real)
     hess = fd_hessian(K.grid, logdet)
-    inv = pointwise_inverse(K.metric)
+    inv = pointwise_inverse(K.comps)
     n = K.n
     out = np.zeros(K.grid.shape, dtype=complex)
     for j in range(n):

@@ -123,8 +123,8 @@ def _write_fields(outdir: Path, K: KahlerStructure) -> None:
     fields = outdir / "fields"
     fields.mkdir(parents=True, exist_ok=True)
     write_field(fields / "potential.bin", K.n, K.potential)
-    write_field(fields / "metric_re.bin", K.n, K.metric.real)
-    write_field(fields / "metric_im.bin", K.n, K.metric.imag)
+    write_field(fields / "metric_re.bin", K.n, K.comps.real)
+    write_field(fields / "metric_im.bin", K.n, K.comps.imag)
 
 
 def _build_problem(cfg: RunConfig):
@@ -153,7 +153,7 @@ def _first_R(cfg: RunConfig) -> float:
 def _cohomology_summary(K, alpha, R, constant) -> dict:
     S = scalar_curvature(K)
     tr = trace_form(K, alpha)
-    data = CohomologyData.of_classes(K.g0, alpha.base_matrix)
+    data = CohomologyData.of_classes(K.base_matrix, alpha.base_matrix)
     return {
         "mean_scalar": volume_average(K, S),
         "mean_trace": volume_average(K, tr),
@@ -264,12 +264,10 @@ def _run_continuity_sweep(cfg: RunConfig, outdir: Path):
                   for s in report.steps if s.eigen_error or s.eigen_iterations],
     }
     if report.structure is not None:
-        g0_broadcast = np.broadcast_to(
-            g0_omega.reshape((grid.n, grid.n) + (1,) * len(grid.sizes)),
-            report.structure.metric.shape)
+        flat = g0_omega.reshape((grid.n, grid.n) + (1,) * len(grid.sizes))
         summary["final_potential_sup"] = sup_norm(report.structure.potential)
         summary["final_metric_flat_sup"] = float(
-            np.abs(report.structure.metric - g0_broadcast).max())
+            np.abs(report.structure.comps - flat).max())
         # t increases, so the last converged structure is the one at the
         # smallest converged weight
         R = report.smallest_converged_R

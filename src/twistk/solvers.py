@@ -2,14 +2,15 @@
 
 All variable-coefficient solves run on the subspace of fields with mean
 zero against the volume form of the ambient Kahler structure, where the
-relevant operators are definite.  Symmetric solves use conjugate
-gradients in the volume-weighted inner product with a flat spectral
-preconditioner (composed with 1/det g so it stays self-adjoint in that
-inner product).  The non-symmetric Newton linearization is solved with
-restarted GMRES (restart length _GMRES_RESTART).  The extreme
-eigenvalue of the shifted operator comes from a preconditioned Davidson
-iteration: one operator application and one flat preconditioner
-application per step, with no inner solves.
+relevant operators are definite; the projection and the norms are the
+volume products of `geometry` (`volume_mean_zero`, `volume_rms`).
+Symmetric solves use conjugate gradients in the volume-weighted inner
+product with a flat spectral preconditioner (composed with 1/det g so
+it stays self-adjoint in that inner product).  The non-symmetric Newton
+linearization is solved with restarted GMRES (restart length
+_GMRES_RESTART).  The extreme eigenvalue of the shifted operator comes
+from a preconditioned Davidson iteration: one operator application and
+one flat preconditioner application per step, with no inner solves.
 
 Preconditioner symbols come from freezing coefficients at the constant
 class representatives, and the operator's order picks one: the flat
@@ -33,6 +34,8 @@ from .geometry import (
     KahlerStructure,
     trace_form,
     volume_average,
+    volume_mean_zero,
+    volume_rms,
 )
 from .grid import ScalarField, flat_laplacian_symbol, inverse_symbol, sobolev_weight
 from .operators import LinearOperatorHandle
@@ -84,10 +87,6 @@ _INVERSE_NORM_ORDER = 4.0
 _INVERSE_NORM_ITERATIONS = 12
 
 
-def _weighted_rms(values: np.ndarray, w: np.ndarray, wsum: float) -> float:
-    return math.sqrt(float(np.sum(values * values * w)) / wsum)
-
-
 def _spd_preconditioner(K: KahlerStructure, R: float | None):
     """Approximate inverse of the negated operator, self-adjoint in the
     volume-weighted inner product (flat spectral solve composed with
@@ -97,38 +96,35 @@ def _spd_preconditioner(K: KahlerStructure, R: float | None):
     fourth-order L0^2 - R*L0.
     """
     grid = K.grid
-    L0 = flat_laplacian_symbol(grid, K.g0)
+    L0 = flat_laplacian_symbol(grid, K.base_matrix)
     symbol = -L0 if R is None else L0 * L0 - R * L0
     inv_mult = grid.real_multiplier(inverse_symbol(symbol))
-    w = K.weight
-    wsum = float(np.sum(w))
-
-    def project(v: np.ndarray) -> np.ndarray:
-        return v - float(np.sum(v * w)) / wsum
 
     def apply(r: np.ndarray) -> np.ndarray:
-        return project(grid.derivatives(r, inv_mult) / w)
+        return volume_mean_zero(K, grid.derivatives(r, inv_mult) / K.weight)
 
-    return apply, project
+    return apply
 
 
 def _pcg(apply_A, b: np.ndarray, K: KahlerStructure, cfg: KrylovConfig,
-         precond, what: str = "solve"):
+         apply_M, what: str = "solve"):
     """Preconditioned CG in the volume-weighted inner product.
 
     apply_A must be self-adjoint positive definite on the volume-mean-zero
-    subspace with respect to <u, v> = sum(u v det g); precond is the
-    (apply, project) pair of `_spd_preconditioner`.
+    subspace with respect to <u, v> = sum(u v det g); apply_M is the
+    approximate inverse of `_spd_preconditioner`.
     """
     w = K.weight
-    wsum = float(np.sum(w))
-    apply_M, project = precond
 
     def dot(u, v):
         return float(np.sum(u * v * w))
 
-    b = project(b)
-    bnorm = _weighted_rms(b, w, wsum)
+    b = volume_mean_zero(K, b)
+    bnorm = volume_rms(K, b)
+
+    def residual(x):
+        return volume_mean_zero(K, b - apply_A(x))
+
     x = np.zeros_like(b)
     if bnorm == 0.0:
         return x, {"iterations": 0, "residual": 0.0, "history": []}
@@ -148,14 +144,15 @@ def _pcg(apply_A, b: np.ndarray, K: KahlerStructure, cfg: KrylovConfig,
         x = x + alpha * p
         r = r - alpha * Ap
         if i % 50 == 0:
-            r = project(b - apply_A(x))
-        res = _weighted_rms(r, w, wsum) / bnorm
+            r = residual(x)
+        res = volume_rms(K, r) / bnorm
         history.append(res)
         if res <= cfg.tol:
-            true_res = _weighted_rms(project(b - apply_A(x)), w, wsum) / bnorm
+            true_res = volume_rms(K, residual(x)) / bnorm
             if true_res <= 10.0 * cfg.tol:
-                return project(x), {"iterations": i, "residual": true_res, "history": history}
-            r = project(b - apply_A(x))
+                return volume_mean_zero(K, x), {"iterations": i, "residual": true_res,
+                                                "history": history}
+            r = residual(x)
         z = apply_M(r)
         rz_new = dot(r, z)
         p = z + (rz_new / rz) * p
@@ -182,14 +179,14 @@ def _spd_solver(K: KahlerStructure, apply_A, R: float | None, cfg: KrylovConfig,
     apply_A is negative definite on the mean-zero subspace; `_pcg` runs
     on its negation with the `_spd_preconditioner` of R, built once.
     """
-    precond = _spd_preconditioner(K, R)
+    apply_M = _spd_preconditioner(K, R)
 
     def negated(v):
         return -apply_A(v)
 
     def solve(f: ScalarField):
         _require_volume_mean_zero(K, f, what)
-        x, info = _pcg(negated, -f.values, K, cfg, precond, what=what)
+        x, info = _pcg(negated, -f.values, K, cfg, apply_M, what=what)
         return ScalarField(K.grid, x), info
 
     return solve
@@ -270,11 +267,9 @@ def newton_linear_solve(K: KahlerStructure, alpha: HermitianFormField, R: float,
     """
     handle = LinearOperatorHandle("full_linearization", K, alpha, R, mean_zero=True)
     grid = K.grid
-    w = K.weight
-    wsum = float(np.sum(w))
-    apply_M, project = _spd_preconditioner(K, R)
-    b = project(np.asarray(rhs, dtype=float))
-    bnorm = _weighted_rms(b, w, wsum)
+    apply_M = _spd_preconditioner(K, R)
+    b = volume_mean_zero(K, np.asarray(rhs, dtype=float))
+    bnorm = volume_rms(K, b)
     if bnorm == 0.0:
         return np.zeros_like(b), {"iterations": 0, "residual": 0.0, "history": []}
 
@@ -300,8 +295,8 @@ def newton_linear_solve(K: KahlerStructure, alpha: HermitianFormField, R: float,
     x, code = scipy.sparse.linalg.gmres(
         A, b.ravel(), rtol=cfg.tol / 10.0, atol=0.0, restart=_GMRES_RESTART,
         maxiter=outer, M=M, callback=callback, callback_type="pr_norm")
-    x = project(x.reshape(shape))
-    true_res = _weighted_rms(project(b - handle.apply(x)), w, wsum) / bnorm
+    x = volume_mean_zero(K, x.reshape(shape))
+    true_res = volume_rms(K, volume_mean_zero(K, b - handle.apply(x))) / bnorm
     if code != 0 or true_res > 10.0 * cfg.tol:
         raise IterationLimitError(
             f"newton_linear_solve: GMRES stopped with code {code}, "
@@ -343,13 +338,12 @@ def extreme_eigenvalue(K: KahlerStructure, alpha: HermitianFormField, R: float,
     if R < 0.0:
         raise PreconditionError(f"extreme_eigenvalue requires R >= 0, got {R}")
     handle = LinearOperatorHandle("shifted", K, alpha, R, mean_zero=True)
-    apply_M, _ = _spd_preconditioner(K, R)
+    apply_M = _spd_preconditioner(K, R)
     grid = K.grid
     shape = grid.shape
     w = K.weight
-    wsum = float(np.sum(w))
     # the unit vector of the constant mode in y coordinates
-    scale = np.sqrt(w / wsum).ravel()
+    scale = np.sqrt(w / float(np.sum(w))).ravel()
 
     def mean_free(y: np.ndarray) -> np.ndarray:
         return y - float(scale @ y) * scale
@@ -409,12 +403,11 @@ def extreme_eigenvalue(K: KahlerStructure, alpha: HermitianFormField, R: float,
         raise IterationLimitError(
             f"extreme_eigenvalue: non-negative Ritz value {theta:.3e} "
             f"(operator not negative definite?)", history)
-    v = x.reshape(shape) / scale.reshape(shape)
-    v = v - float(np.sum(v * w)) / wsum
-    v = v / _weighted_rms(v, w, wsum)
+    v = volume_mean_zero(K, x.reshape(shape) / scale.reshape(shape))
+    v = v / volume_rms(K, v)
     Lv = handle.apply(v)
     value = float(np.sum(v * Lv * w) / np.sum(v * v * w))
-    residual = _weighted_rms(Lv - value * v, w, wsum)
+    residual = volume_rms(K, Lv - value * v)
     if residual > _EIGEN_RESIDUAL_TOL * max(1.0, abs(value)):
         raise IterationLimitError(
             f"extreme_eigenvalue: eigenpair residual {residual:.3e} above "
@@ -437,22 +430,17 @@ def inverse_norm_estimate(K: KahlerStructure, alpha: HermitianFormField, R: floa
     Rayleigh quotient estimates sup ||L^{-1} f||_s / ||f||_0.
     """
     grid = K.grid
-    w = K.weight
-    wsum = float(np.sum(w))
     weight_s = sobolev_weight(grid, _INVERSE_NORM_ORDER)
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(grid.shape)
     shifted = _shifted_solver(K, alpha, R, cfg)
 
-    def project(v):
-        return v - float(np.sum(v * w)) / wsum
-
     def solve(v):
-        out, _ = shifted(ScalarField(grid, project(v)))
+        out, _ = shifted(ScalarField(grid, volume_mean_zero(K, v)))
         return out.values
 
     sigma = 0.0
-    u = project(u)
+    u = volume_mean_zero(K, u)
     u /= math.sqrt(float(np.mean(u * u)))
     for _ in range(_INVERSE_NORM_ITERATIONS):
         mid = solve(u)

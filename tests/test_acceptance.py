@@ -64,7 +64,7 @@ def _seeded_pair(grid: PeriodicGrid, terms, scale: float):
     """Non-flat structure with a twist proportional to its own metric,
     so the trace is constant and the correction ladder applies."""
     K = seed_structure(grid, terms)
-    alpha = HermitianFormField.from_potential(grid, scale * K.g0,
+    alpha = HermitianFormField.from_potential(grid, scale * K.base_matrix,
                                               scale * K.potential)
     return K, alpha
 
@@ -111,12 +111,12 @@ def ladder_newton_runs(grid32):
         R_stars.append(star)
         ladder = build_approximate_solution(K, alpha, 100.0, 2, ACC)
         from_ladder = newton_solve(ladder.structure, alpha, 100.0, ACC)
-        flat0 = KahlerStructure(grid32, K.g0, np.zeros(grid32.shape))
+        flat0 = KahlerStructure(grid32, K.base_matrix, np.zeros(grid32.shape))
         from_flat = newton_solve(flat0, alpha, 100.0, ACC)
         gap = math.inf
         if from_ladder.converged and from_flat.converged:
-            gap = float(np.abs(from_ladder.structure.metric
-                               - from_flat.structure.metric).max())
+            gap = float(np.abs(from_ladder.structure.comps
+                               - from_flat.structure.comps).max())
         dual_gaps.append(gap)
     elapsed = time.perf_counter() - started
     return {"solutions": solutions, "residuals": residuals,
@@ -349,7 +349,7 @@ def test_criterion_09_cohomology_invariants(ladder_newton_runs, sweep_run,
     worst_const = 0.0
     for K, alpha, R, const in pool:
         base = np.array(alpha.base_matrix)
-        data = CohomologyData.of_classes(K.g0, base)
+        data = CohomologyData.of_classes(K.base_matrix, base)
         worst_s = max(worst_s, abs(volume_average(K, scalar_curvature(K))))
         worst_trace = max(worst_trace,
                           abs(volume_average(K, trace_form(K, alpha))

@@ -53,7 +53,7 @@ def assert_class_plus_potential(form):
 def product_seed(grid):
     """Structure from 0.3 cos(x) cos(y) with its own metric form as twist."""
     K = seed_structure(grid, [(0.15, (1, 1), 0.0), (0.15, (1, -1), 0.0)])
-    alpha = HermitianFormField.from_potential(grid, K.g0, K.potential)
+    alpha = HermitianFormField.from_potential(grid, K.base_matrix, K.potential)
     return K, alpha
 
 

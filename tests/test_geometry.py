@@ -15,7 +15,6 @@ from twistk import (
     form_pairing,
     gradient_pairing,
     laplacian,
-    metric_from_potential,
     ricci_form,
     scalar_curvature,
     trace_form,
@@ -39,8 +38,8 @@ from conftest import EYE1, EYE2, random_pair, seed_structure, trig_terms
 class TestMetricFromPotential:
     def test_flat_metric_is_the_class_matrix(self, grid32):
         K = KahlerStructure(grid32, EYE1, np.zeros(grid32.shape))
-        assert sup_norm(K.metric - 1.0) == 0.0
-        assert sup_norm(K.det - 1.0) == 0.0
+        assert sup_norm(K.comps - 1.0) == 0.0
+        assert sup_norm(K.weight - 1.0) == 0.0
 
     def test_cosine_potential_shifts_metric_by_quarter(self, grid32):
         # d/dz d/dzbar cos(x) = -cos(x)/4, so g = 1 - (eps/4) cos(x)
@@ -49,7 +48,7 @@ class TestMetricFromPotential:
         phi = eps * np.cos(x) + np.zeros(grid32.shape)
         K = KahlerStructure(grid32, EYE1, phi)
         expected = 1.0 - (eps / 4.0) * np.cos(x) + np.zeros(grid32.shape)
-        assert sup_norm(K.metric[0, 0] - expected) <= 1e-12
+        assert sup_norm(K.comps[0, 0] - expected) <= 1e-12
 
     def test_large_potential_degenerates(self, grid32):
         x, _ = grid32.coordinates()
@@ -62,9 +61,9 @@ class TestMetricFromPotential:
     def test_constant_shift_of_potential_changes_nothing(self, grid32):
         x, _ = grid32.coordinates()
         phi = 0.3 * np.cos(x) + np.zeros(grid32.shape)
-        a = metric_from_potential(grid32, EYE1, ScalarField(grid32, phi))
-        b = metric_from_potential(grid32, EYE1, ScalarField(grid32, phi + 7.0))
-        assert np.abs(a.metric - b.metric).max() <= 1e-12
+        a = KahlerStructure(grid32, EYE1, phi)
+        b = KahlerStructure(grid32, EYE1, phi + 7.0)
+        assert np.abs(a.comps - b.comps).max() <= 1e-12
 
     def test_class_matrix_must_be_hermitian_positive(self, grid32):
         with pytest.raises(DomainError):
@@ -74,11 +73,11 @@ class TestMetricFromPotential:
         grid = PeriodicGrid(2, (8, 8, 8, 8))
         rng = np.random.default_rng(2)
         K, _ = random_pair(grid, rng, pot_amp=0.08)
-        prod = np.einsum("jk...,kl...->jl...", K.inverse, K.metric)
+        prod = np.einsum("jk...,kl...->jl...", K.inverse, K.comps)
         eye = np.zeros_like(prod)
         eye[0, 0] = eye[1, 1] = 1.0
         assert np.abs(prod - eye).max() <= 1e-10
-        assert np.abs(K.inverse - pointwise_inverse(K.metric)).max() <= 1e-12
+        assert np.abs(K.inverse - pointwise_inverse(K.comps)).max() <= 1e-12
 
 
 class TestCurvature:
@@ -94,7 +93,7 @@ class TestCurvature:
         phi = 0.4 * np.cos(x) + np.zeros(grid.shape)
         K = KahlerStructure(grid, EYE1, phi)
         ric = ricci_form(K).comps[0, 0]
-        oracle = -fd_complex_derivative(grid, np.log(K.metric[0, 0].real),
+        oracle = -fd_complex_derivative(grid, np.log(K.comps[0, 0].real),
                                         (1,), (1,))
         assert np.abs(ric - oracle).max() <= 1e-8
 
@@ -127,6 +126,24 @@ class TestCurvature:
         assert abs(volume_average(K, S)) <= 1e-8 * max(sup_norm(S.values), 1e-12)
 
 
+class TestKahlerStructureIsAForm:
+    def test_metric_is_the_positive_case_of_the_form(self):
+        grid = PeriodicGrid(2, (6, 6, 6, 6))
+        g0 = np.array([[1.5, 0.3 + 0.2j], [0.3 - 0.2j, 1.2]])
+        phi = euclid_mean_zero(random_smooth_field(
+            grid, np.random.default_rng(29), amplitude=0.08).values)
+        K = KahlerStructure(grid, g0, phi)
+        assert isinstance(K, HermitianFormField)
+        assert np.array_equal(K.comps, HermitianFormField(grid, g0, phi).comps)
+        assert sup_norm(trace_form(K, K).values - 2.0) <= 1e-12
+        with pytest.raises(DomainError, match="class matrix g0 must be positive definite"):
+            KahlerStructure(grid, -g0, phi)
+        x = grid.coordinates()[0]
+        with pytest.raises(DegenerateMetricError,
+                           match="metric is not positive definite: eigenvalue"):
+            KahlerStructure(grid, g0, 40.0 * np.cos(x) + np.zeros(grid.shape))
+
+
 class TestTraceForm:
     def test_constant_diagonal_trace(self):
         grid = PeriodicGrid(2, (6, 6, 6, 6))
@@ -137,13 +154,13 @@ class TestTraceForm:
 
     def test_trace_of_own_form_is_dimension(self, grid32):
         K = seed_structure(grid32, [(0.3, (1, 0), 0.0)])
-        tr = trace_form(K, K.metric_form())
+        tr = trace_form(K, K)
         assert sup_norm(tr.values - 1.0) <= 1e-11
 
     def test_trace_average_is_cohomological(self, grid32):
         rng = np.random.default_rng(9)
         K, alpha = random_pair(grid32, rng, pot_amp=0.1, alpha_amp=0.08, kmax=2)
-        data = CohomologyData.of_classes(K.g0, alpha.base_matrix)
+        data = CohomologyData.of_classes(K.base_matrix, alpha.base_matrix)
         tr = trace_form(K, alpha)
         assert abs(volume_average(K, tr) - data.c) <= 1e-8
 
@@ -177,13 +194,12 @@ class TestLaplacianAndPairings:
 
     def test_pairing_of_form_with_itself(self, grid32):
         K = seed_structure(grid32, [(0.25, (1, 1), 0.5)])
-        omega = K.metric_form()
-        assert sup_norm(form_pairing(K, omega, omega).values - 1.0) <= 1e-10
+        assert sup_norm(form_pairing(K, K, K).values - 1.0) <= 1e-10
 
     def test_pairing_with_metric_form_is_trace(self, grid32):
         rng = np.random.default_rng(17)
         K, beta = random_pair(grid32, rng, pot_amp=0.1, alpha_amp=0.1, kmax=2)
-        paired = form_pairing(K, K.metric_form(), beta)
+        paired = form_pairing(K, K, beta)
         tr = trace_form(K, beta)
         assert sup_norm(paired.values - tr.values) <= 1e-10
 
@@ -192,7 +208,7 @@ class TestLaplacianAndPairings:
         phi = random_smooth_field(grid32, np.random.default_rng(19), amplitude=0.5)
         hess_form = HermitianFormField.from_potential(
             grid32, np.zeros((1, 1)), phi.values)
-        paired = form_pairing(K, K.metric_form(), hess_form)
+        paired = form_pairing(K, K, hess_form)
         assert sup_norm(paired.values - laplacian(K, phi).values) <= 1e-10
 
     def test_pairing_matches_loop_oracle(self):

@@ -61,14 +61,12 @@ def _reference_apply(handle: LinearOperatorHandle, values: np.ndarray) -> np.nda
     K, grid = handle.K, handle.grid
     P = K.inverse
     n = grid.n
-    ricci = -_reference_hessian(grid, np.log(K.det))
+    ricci = -_reference_hessian(grid, np.log(K.weight))
     scalar = np.einsum("kj...,jk...->...", P, ricci).real
     pricp = np.einsum("lj...,jk...,km...->lm...", P, ricci, P)
     second, grad_of, bilap, weak = None, None, 0.0, 0.0
     if handle.kind == "twist":
         weak = 1.0
-    elif handle.kind == "lichnerowicz":
-        second, grad_of, bilap = pricp, scalar, 1.0
     elif handle.kind == "full_linearization":
         pap = np.einsum("lj...,jk...,km...->lm...", P, handle.alpha.comps, P)
         second, bilap = handle.R * pap - pricp, -1.0
@@ -94,7 +92,7 @@ def _reference_apply(handle: LinearOperatorHandle, values: np.ndarray) -> np.nda
         xi = np.einsum("lj...,l...->j...", P, grads)
         paired = np.einsum("jk...,j...->k...", handle.alpha.comps, xi)
         flux = K.weight * np.einsum("k...,lk...->l...", paired, np.conj(P))
-        out_hat = _closure_multiplier(grid, K.g0, handle.alpha) * coeffs
+        out_hat = _closure_multiplier(grid, K.base_matrix, handle.alpha) * coeffs
         for l in range(n):
             out_hat = out_hat + (grid._holo_factor(l, False, odd=False) * resolved
                                  * np.fft.fftn(flux[l]))
@@ -146,8 +144,9 @@ class TestKernelMatchesFullSpectrum:
         K, alpha = _random_pair(grid, rng)
         v = rng.standard_normal(grid.shape)
         for kind in KINDS:
-            handle = LinearOperatorHandle(kind, K, alpha, R=3.0)
-            assert _rel(handle.apply(v), _reference_apply(handle, v)) <= TOL, kind
+            for R in (3.0, 0.0):
+                handle = LinearOperatorHandle(kind, K, alpha, R=R)
+                assert _rel(handle.apply(v), _reference_apply(handle, v)) <= TOL, (kind, R)
 
 
 @pytest.mark.parametrize("grid", GRIDS[2:], ids=GRID_IDS[2:])

@@ -35,6 +35,14 @@ def flat_symbol_values(grid: PeriodicGrid) -> np.ndarray:
     return np.sort((-0.25 * grid.wavenumber_square()).ravel())
 
 
+def lichnerowicz_spectrum(K: KahlerStructure):
+    """Eigenvalues (ascending) and symmetry defect of the Lichnerowicz
+    operator, the negated shifted kind at R = 0 (where the twist form is
+    unused, so K itself is passed)."""
+    spectrum = dense_spectrum(LinearOperatorHandle("shifted", K, K, 0.0))
+    return np.sort(-spectrum.eigenvalues), spectrum.symmetry_defect
+
+
 class TestAnnihilation:
     @given(terms=trig_terms(2, 0.05))
     def test_every_kind_annihilates_constants(self, terms):
@@ -42,7 +50,7 @@ class TestAnnihilation:
         K = seed_structure(grid, terms)
         alpha = HermitianFormField.from_potential(grid, 1.3 * EYE1)
         const = np.full(grid.shape, 2.0)
-        for kind in ("twist", "lichnerowicz", "full_linearization", "shifted"):
+        for kind in ("twist", "full_linearization", "shifted"):
             handle = LinearOperatorHandle(kind, K, alpha, R=7.0)
             assert sup_norm(handle.apply(const)) <= 1e-10
 
@@ -59,7 +67,7 @@ class TestTwistOperator:
     def test_metric_twist_reduces_to_laplacian(self, grid32):
         K = seed_structure(grid32, [(0.3, (1, 0), 0.0), (0.1, (0, 1), 0.4)])
         phi = random_smooth_field(grid32, np.random.default_rng(3), amplitude=0.7)
-        out = LinearOperatorHandle("twist", K, K.metric_form()).apply(phi.values)
+        out = LinearOperatorHandle("twist", K, K).apply(phi.values)
         lap = laplacian(K, phi)
         assert sup_norm(out - lap.values) <= 1e-10
 
@@ -97,7 +105,7 @@ class TestLichnerowicz:
     def test_flat_operator_is_squared_laplacian(self, flat32):
         x, _ = flat32.grid.coordinates()
         phi = ScalarField(flat32.grid, np.cos(x) + np.zeros(flat32.grid.shape))
-        out = LinearOperatorHandle("lichnerowicz", flat32).apply(phi.values)
+        out = -LinearOperatorHandle("shifted", flat32, flat32, 0.0).apply(phi.values)
         expected = (1.0 / 16.0) * np.cos(x) + np.zeros(flat32.grid.shape)
         assert sup_norm(out - expected) <= 1e-12
 
@@ -107,10 +115,9 @@ class TestLichnerowicz:
         # checked at an amplitude where truncation sits below it
         grid = PeriodicGrid(1, (8, 8))
         K, _ = random_pair(grid, np.random.default_rng(11), pot_amp=2e-6)
-        spectrum = dense_spectrum(LinearOperatorHandle("lichnerowicz", K))
-        scale = float(np.abs(spectrum.eigenvalues).max())
-        assert spectrum.symmetry_defect <= 1e-8
-        eigs = np.sort(spectrum.eigenvalues)
+        eigs, defect = lichnerowicz_spectrum(K)
+        scale = float(np.abs(eigs).max())
+        assert defect <= 1e-8
         assert eigs[0] >= -1e-8 * scale
         assert abs(eigs[0]) <= 1e-8 * scale
         assert eigs[1] >= 1e-4
@@ -118,10 +125,9 @@ class TestLichnerowicz:
     def test_dense_structure_survives_visible_curvature(self):
         grid = PeriodicGrid(1, (8, 8))
         K, _ = random_pair(grid, np.random.default_rng(11), pot_amp=0.02)
-        spectrum = dense_spectrum(LinearOperatorHandle("lichnerowicz", K))
-        scale = float(np.abs(spectrum.eigenvalues).max())
-        assert spectrum.symmetry_defect <= 1e-4
-        eigs = np.sort(spectrum.eigenvalues)
+        eigs, defect = lichnerowicz_spectrum(K)
+        scale = float(np.abs(eigs).max())
+        assert defect <= 1e-4
         assert eigs[0] >= -1e-8 * scale
         assert eigs[1] >= 1e-4
 
@@ -195,10 +201,13 @@ class TestShiftedOperator:
 class TestHandleValidation:
     def test_unknown_kind_is_rejected(self, flat32):
         with pytest.raises(DomainError):
-            LinearOperatorHandle("laplace", flat32)
+            LinearOperatorHandle("laplace", flat32, flat32)
+        with pytest.raises(DomainError):
+            LinearOperatorHandle("lichnerowicz", flat32, flat32)
 
     def test_twist_kind_requires_a_form(self, flat32):
-        with pytest.raises(DomainError):
+        # every kind takes the twist form; the signature enforces it
+        with pytest.raises(TypeError):
             LinearOperatorHandle("twist", flat32)
 
     def test_dense_assembly_cap(self):

@@ -10,7 +10,6 @@ from twistk import (
     KahlerStructure,
     PeriodicGrid,
     ScalarField,
-    metric_from_potential,
     scalar_curvature,
     trace_form,
 )
@@ -117,9 +116,9 @@ class TestStencilOracles:
         pot = ScalarField(
             grid8x4,
             0.05 * np.cos(grid8x4.coordinates()[0]) + np.zeros(grid8x4.shape))
-        K = metric_from_potential(grid8x4, np.eye(2, dtype=complex), pot)
-        inv = pointwise_inverse(K.metric)
-        eye = np.einsum("jk...,kl...->jl...", inv, K.metric)
+        K = KahlerStructure(grid8x4, np.eye(2, dtype=complex), pot.values)
+        inv = pointwise_inverse(K.comps)
+        eye = np.einsum("jk...,kl...->jl...", inv, K.comps)
         target = np.eye(2).reshape(2, 2, 1, 1, 1, 1)
         assert np.abs(eye - target).max() <= 1e-12
 

@@ -7,17 +7,35 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_ladder_order_study_prints_one_slope_per_order():
+def _run(script: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "ladder_order_study.py"),
-         "--size", "16", "--points", "2", "--orders", "2"],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
         capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_ladder_order_study_prints_one_slope_per_order():
+    done = _run("ladder_order_study.py", "--size", "16", "--points", "2",
+                "--orders", "2")
     assert done.returncode == 0, done.stderr
     slopes = [line for line in done.stdout.splitlines() if "slope=" in line]
     assert [line.split(":")[0] for line in slopes] == ["m=1", "m=2"]
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["continuity_path.py", "--size", "16", "--points", "3"],
+     "success=True smallest converged R=0.0"),
+    (["threshold_scan.py", "--size", "16", "--amplitudes", "0.1"],
+     "largest threshold over the scan: 0.0"),
+], ids=["continuity_path", "threshold_scan"])
+def test_study_script_reaches_the_untwisted_end(argv, line):
+    done = _run(*argv)
+    assert done.returncode == 0, done.stderr
+    assert line in done.stdout.splitlines()
