@@ -12,15 +12,13 @@ One scenario per invocation:
 Options: --config PATH (JSON, see config module), --out DIR, --seed N,
 --grid N1,N2[,N3,N4], --tol X (Newton tolerance), --threads K.  The
 subcommand fixes the scenario kind regardless of the config file's
-"scenario" entry; the TWISTK_THREADS environment variable overrides
---threads.  Exit status: 0 all solves converged / checks passed, 1
+"scenario" entry.  Exit status: 0 all solves converged / checks passed, 1
 solver failure (reports still written), 2 bad configuration or usage.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -58,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None,
                        help="Newton residual tolerance (overrides config)")
         p.add_argument("--threads", type=int, default=None,
-                       help="FFT worker threads (TWISTK_THREADS wins)")
+                       help="FFT worker threads")
     return parser
 
 
@@ -97,17 +95,10 @@ def main(argv=None) -> int:
             if not 0.0 < args.tol < 1.0:
                 raise ConfigError(["--tol: must lie in (0, 1)"])
             cfg = replace(cfg, newton_tol=args.tol)
-        threads = args.threads
-        env = os.environ.get("TWISTK_THREADS")
-        if env is not None:
-            try:
-                threads = int(env)
-            except ValueError:
-                raise ConfigError([f"TWISTK_THREADS: not an integer: {env!r}"])
-        if threads is not None:
-            if threads < 1:
+        if args.threads is not None:
+            if args.threads < 1:
                 raise ConfigError(["--threads: must be >= 1"])
-            set_fft_workers(threads)
+            set_fft_workers(args.threads)
         # overrides can combine into an inconsistent config (a --grid
         # dimension switch with dimension-specific defaults, say); the
         # parser owns all cross-field validation, so round-trip once

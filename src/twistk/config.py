@@ -1,28 +1,42 @@
 """Run configuration: JSON schema, validation diagnostics, canonical form.
 
-A config is a single JSON object.  Matrices are nested lists whose
-entries are numbers or [re, im] pairs; potential seeds are lists of
+A config is a single JSON object whose keys are the fields of RunConfig.
+Matrices are nested lists whose entries are numbers or [re, im] pairs;
+the class matrices g0_omega and g0_alpha must be Hermitian and positive
+definite.  Potential seeds are lists of
 {"amplitude": a, "wavevector": [k1, ...], "phase": p} terms evaluated
 as a * cos(k . x + p) on any grid resolution.  Exactly one of
 "t_schedule" (strictly increasing, in (0, 1]) and "R_schedule"
-(positive, strictly monotone) may be given; scenarios fill a default
-otherwise.  "omega_potential" seeds the metric of single_solve,
-ladder_study and twist_perturbation; continuity_sweep and threshold seed
-from the twist form and reject a non-empty one.
+(positive, strictly monotone: no weight repeats) may be given;
+scenarios fill a default otherwise.
+
+Scenario rules (`scenario_diagnostics`) tie fields to the scenario:
+
+- continuity_sweep and threshold seed from the twist form alone and
+  reject a non-empty "omega_potential";
+- continuity_sweep walks a t_schedule, so an R_schedule in its place
+  is rejected;
+- ladder_study fits its order law across weights and needs at least two
+  distinct weights and order >= 1;
+- twist_perturbation needs a "perturbation" term.
 
 parse_config never repairs input: every problem becomes a diagnostic
 with the key path and a best-effort line number, and all diagnostics
-are reported together.
+are reported together.  `runner.run_scenario` applies the scenario rules
+to configs built in code.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+
+import numpy as np
 
 from .engine import MAX_LADDER_ORDER
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
+from .grid import _check_hermitian_matrix
 
 SCENARIOS = (
     "single_solve",
@@ -32,12 +46,6 @@ SCENARIOS = (
     "twist_perturbation",
     "verify_suite",
 )
-
-_KNOWN_KEYS = {
-    "scenario", "n", "sizes", "g0_omega", "g0_alpha", "omega_potential",
-    "alpha_potential", "t_schedule", "R_schedule", "order", "newton_tol",
-    "krylov_tol", "perturbation", "perturbation_steps", "seed", "out",
-}
 
 Term = tuple[float, tuple[int, ...], float]
 
@@ -60,6 +68,9 @@ class RunConfig:
     perturbation_steps: int = 10
     seed: int = 0
     out: str = "runs/out"
+
+
+_KNOWN_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
 def default_t_schedule(points: int = 20) -> tuple[float, ...]:
@@ -96,14 +107,27 @@ def default_config(scenario: str) -> RunConfig:
     raise ConfigError([f"scenario: unknown scenario {scenario!r}"])
 
 
-def unused_omega_potential(scenario: str, omega_potential) -> str:
-    """Diagnostic for a non-empty omega_potential that `scenario` would
-    ignore, or "".  continuity_sweep and threshold seed from the twist
-    form alone; `parse_config` and `runner.run_scenario` both reject it.
-    """
-    if omega_potential and scenario in ("continuity_sweep", "threshold"):
-        return f"omega_potential: not used by {scenario}; leave it empty"
-    return ""
+def scenario_diagnostics(cfg: RunConfig) -> list[str]:
+    """Diagnostics for fields that do not fit cfg.scenario, each
+    starting with its key; empty when the scenario can run."""
+    diags = []
+    if cfg.omega_potential and cfg.scenario in ("continuity_sweep", "threshold"):
+        diags.append(f"omega_potential: not used by {cfg.scenario}; leave it empty")
+    if cfg.scenario == "continuity_sweep" and not cfg.t_schedule:
+        diags.append("R_schedule: continuity_sweep walks a t_schedule; give "
+                     "t_schedule instead" if cfg.R_schedule else
+                     "t_schedule: continuity_sweep needs a t_schedule")
+    if cfg.scenario == "ladder_study":
+        weights = len(set(cfg.R_schedule or ()))
+        if weights < 2:
+            # the order law is fitted across weights
+            diags.append("R_schedule: ladder_study needs at least two distinct "
+                         f"weights, got {weights}")
+        if cfg.order < 1:
+            diags.append(f"order: ladder_study needs order >= 1, got {cfg.order}")
+    if cfg.scenario == "twist_perturbation" and cfg.perturbation is None:
+        diags.append("perturbation: twist_perturbation needs a perturbation term")
+    return diags
 
 
 def _line_of(text: str, key: str) -> str:
@@ -131,26 +155,17 @@ def _parse_matrix(data, key: str, n: int, diags: list[str],
             or any(not isinstance(row, list) or len(row) != n for row in data)):
         diags.append(f"{key}: must be an {n}x{n} matrix{_line_of(text, key)}")
         return tuple((complex(1.0),) * n for _ in range(n))
+    entry_diags = len(diags)
     rows = tuple(
         tuple(_as_complex(entry, f"{key}[{i}][{j}]", diags, text)
               for j, entry in enumerate(row))
         for i, row in enumerate(data)
     )
-    for i in range(n):
-        for j in range(n):
-            if not (math.isfinite(rows[i][j].real) and math.isfinite(rows[i][j].imag)):
-                return rows
-            if abs(rows[i][j] - rows[j][i].conjugate()) > 1e-12:
-                diags.append(f"{key}: not Hermitian at ({i},{j}){_line_of(text, key)}")
-                return rows
-    if n == 1:
-        pd = rows[0][0].real > 0.0
-    else:
-        tr = rows[0][0].real + rows[1][1].real
-        det = (rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]).real
-        pd = tr > 0.0 and det > 0.0
-    if not pd:
-        diags.append(f"{key}: matrix must be positive definite{_line_of(text, key)}")
+    if len(diags) == entry_diags:
+        try:
+            _check_hermitian_matrix(np.array(rows), n, "matrix")
+        except DomainError as err:
+            diags.append(f"{key}: {err}{_line_of(text, key)}")
     return rows
 
 
@@ -210,9 +225,10 @@ def _parse_schedule(data, key: str, diags: list[str], text: str,
     else:
         if any(v <= 0.0 for v in values):
             diags.append(f"{key}: entries must be positive{_line_of(text, key)}")
-        ups = [b > a for a, b in zip(values, values[1:])]
-        if ups and any(ups) and not all(ups):
-            diags.append(f"{key}: must be strictly monotone{_line_of(text, key)}")
+        pairs = list(zip(values, values[1:]))
+        if not (all(b > a for a, b in pairs) or all(b < a for a, b in pairs)):
+            diags.append(f"{key}: must be strictly monotone (no weight repeats)"
+                         f"{_line_of(text, key)}")
     return values
 
 
@@ -227,7 +243,7 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError(["json: top level must be an object"])
 
-    for key in sorted(set(data) - _KNOWN_KEYS):
+    for key in sorted(set(data).difference(_KNOWN_KEYS)):
         diags.append(f"{key}: unknown key{_line_of(text, key)}")
 
     scenario = data.get("scenario")
@@ -262,19 +278,12 @@ def parse_config(text: str) -> RunConfig:
     g0_alpha = (_parse_matrix(data["g0_alpha"], "g0_alpha", n, diags, text)
                 if "g0_alpha" in data else g0_omega)
 
-    omega_potential = (_parse_terms(data["omega_potential"], "omega_potential",
-                                    naxes, diags, text)
-                       if "omega_potential" in data else
-                       tuple((a, k[:naxes] + (0,) * (naxes - len(k)), p)
-                             for a, k, p in cfg.omega_potential))
-    unused = unused_omega_potential(scenario, omega_potential)
-    if unused:
-        diags.append(unused + _line_of(text, "omega_potential"))
-    alpha_potential = (_parse_terms(data["alpha_potential"], "alpha_potential",
-                                    naxes, diags, text)
-                       if "alpha_potential" in data else
-                       tuple((a, k[:naxes] + (0,) * (naxes - len(k)), p)
-                             for a, k, p in cfg.alpha_potential))
+    potentials = {}
+    for key in ("omega_potential", "alpha_potential"):
+        potentials[key] = (_parse_terms(data[key], key, naxes, diags, text)
+                           if key in data else
+                           tuple((a, k[:naxes] + (0,) * (naxes - len(k)), p)
+                                 for a, k, p in getattr(cfg, key)))
 
     t_schedule = cfg.t_schedule
     R_schedule = cfg.R_schedule
@@ -297,12 +306,14 @@ def parse_config(text: str) -> RunConfig:
                      f"{_line_of(text, 'order')}")
         order = cfg.order
 
-    newton_tol = data.get("newton_tol", cfg.newton_tol)
-    krylov_tol = data.get("krylov_tol", cfg.krylov_tol)
-    for key, value in (("newton_tol", newton_tol), ("krylov_tol", krylov_tol)):
+    tols = {}
+    for key in ("newton_tol", "krylov_tol"):
+        value = data.get(key, getattr(cfg, key))
         if not isinstance(value, (int, float)) or isinstance(value, bool) \
                 or not 0.0 < float(value) < 1.0:
             diags.append(f"{key}: must be a number in (0, 1){_line_of(text, key)}")
+            value = getattr(cfg, key)
+        tols[key] = float(value)
 
     perturbation = cfg.perturbation
     if "perturbation" in data:
@@ -326,19 +337,16 @@ def parse_config(text: str) -> RunConfig:
         diags.append(f"out: must be a non-empty path string{_line_of(text, 'out')}")
         out = cfg.out
 
+    parsed = RunConfig(scenario=scenario, n=n, sizes=sizes, g0_omega=g0_omega,
+                       g0_alpha=g0_alpha, **potentials, t_schedule=t_schedule,
+                       R_schedule=R_schedule, order=order, **tols,
+                       perturbation=perturbation, perturbation_steps=steps,
+                       seed=seed, out=out)
+    for diag in scenario_diagnostics(parsed):
+        diags.append(diag + _line_of(text, diag.split(":")[0]))
     if diags:
         raise ConfigError(diags)
-    return RunConfig(scenario=scenario, n=n, sizes=sizes, g0_omega=g0_omega,
-                     g0_alpha=g0_alpha, omega_potential=omega_potential,
-                     alpha_potential=alpha_potential, t_schedule=t_schedule,
-                     R_schedule=R_schedule, order=order,
-                     newton_tol=float(newton_tol), krylov_tol=float(krylov_tol),
-                     perturbation=perturbation, perturbation_steps=steps,
-                     seed=seed, out=out)
-
-
-def _matrix_to_json(matrix: tuple[tuple[complex, ...], ...]) -> list:
-    return [[[entry.real, entry.imag] for entry in row] for row in matrix]
+    return parsed
 
 
 def _terms_to_json(terms) -> list:
@@ -347,28 +355,23 @@ def _terms_to_json(terms) -> list:
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    """JSON-ready dict in canonical entry forms (matrices as [re, im])."""
-    out: dict = {
-        "scenario": cfg.scenario,
-        "n": cfg.n,
-        "sizes": list(cfg.sizes),
-        "g0_omega": _matrix_to_json(cfg.g0_omega),
-        "g0_alpha": _matrix_to_json(cfg.g0_alpha),
-        "omega_potential": _terms_to_json(cfg.omega_potential),
-        "alpha_potential": _terms_to_json(cfg.alpha_potential),
-        "order": cfg.order,
-        "newton_tol": cfg.newton_tol,
-        "krylov_tol": cfg.krylov_tol,
-        "perturbation_steps": cfg.perturbation_steps,
-        "seed": cfg.seed,
-        "out": cfg.out,
-    }
-    if cfg.t_schedule is not None:
-        out["t_schedule"] = list(cfg.t_schedule)
-    if cfg.R_schedule is not None:
-        out["R_schedule"] = list(cfg.R_schedule)
-    if cfg.perturbation is not None:
-        out["perturbation"] = _terms_to_json([cfg.perturbation])[0]
+    """JSON-ready dict in canonical entry forms (matrices as [re, im]),
+    one entry per RunConfig field in field order; an unset schedule or
+    perturbation (None) is left out."""
+    out: dict = {}
+    for key in _KNOWN_KEYS:
+        value = getattr(cfg, key)
+        if value is None:
+            continue
+        if key in ("g0_omega", "g0_alpha"):
+            value = [[[entry.real, entry.imag] for entry in row] for row in value]
+        elif key in ("omega_potential", "alpha_potential"):
+            value = _terms_to_json(value)
+        elif key == "perturbation":
+            value = _terms_to_json([value])[0]
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[key] = value
     return out
 
 

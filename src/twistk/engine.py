@@ -55,6 +55,7 @@ from .solvers import (
     green_solve,
     inverse_norm_estimate,
     newton_linear_solve,
+    trace_deviation,
     _twist_solver,
 )
 
@@ -188,10 +189,8 @@ def build_approximate_solution(base: KahlerStructure, alpha: HermitianFormField,
             f"ladder order must be an integer in [0, {MAX_LADDER_ORDER}], got {order}")
     if R <= 0.0:
         raise PreconditionError(f"ladder requires R > 0, got {R}")
-    tr = trace_form(base, alpha)
-    c = volume_average(base, tr)
-    dev = float(np.abs(tr.values - c).max())
-    if dev > 1e-8 * max(1.0, abs(c)):
+    dev = trace_deviation(base, alpha)
+    if dev is not None:
         raise PreconditionError(
             "ladder seed needs trace_{base}(alpha) constant "
             f"(deviation {dev:.3e}); pick the base metric proportional to alpha")
@@ -231,11 +230,7 @@ def build_approximate_solution(base: KahlerStructure, alpha: HermitianFormField,
 
 @dataclass(frozen=True)
 class NewtonReport:
-    """Outcome of a damped Newton run.
-
-    contraction is the last observed ratio of successive residual
-    sup-norms (nan with fewer than two accepted steps).
-    """
+    """Outcome of a damped Newton run."""
 
     converged: bool
     iterations: int
@@ -244,7 +239,6 @@ class NewtonReport:
     constant: float
     structure: KahlerStructure
     history: tuple[dict, ...] = ()
-    contraction: float = math.nan
     message: str = ""
 
 
@@ -269,13 +263,10 @@ def newton_solve(K0: KahlerStructure, alpha: HermitianFormField, R: float,
     history: list[dict] = []
 
     def report(converged: bool, message: str = "") -> NewtonReport:
-        contraction = math.nan
-        if len(history) >= 2 and history[-2]["residual_sup"] > 0.0:
-            contraction = history[-1]["residual_sup"] / history[-2]["residual_sup"]
         return NewtonReport(converged=converged, iterations=len(history),
                             residual_sup=rsup, residual_l2=rms_norm(residual.values),
                             constant=const, structure=K, history=tuple(history),
-                            contraction=contraction, message=message)
+                            message=message)
 
     try:
         for it in range(1, cfg.max_newton + 1):

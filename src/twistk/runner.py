@@ -25,7 +25,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .config import RunConfig, config_to_dict, unused_omega_potential
+from .config import RunConfig, config_to_dict, scenario_diagnostics
 from .engine import (
     SolverConfig,
     R_to_t,
@@ -150,15 +150,18 @@ def _first_R(cfg: RunConfig) -> float:
     return 100.0
 
 
-def _cohomology_summary(K, alpha, R, constant) -> dict:
-    S = scalar_curvature(K)
-    tr = trace_form(K, alpha)
+def _cohomology_summary(K, alpha, R) -> dict:
+    """Volume means of S and trace(alpha), the equation's constant
+    sbar - R * c as `twisted_residual` forms it, and the same constant
+    from the classes alone."""
+    mean_scalar = volume_average(K, scalar_curvature(K))
+    mean_trace = volume_average(K, trace_form(K, alpha))
     data = CohomologyData.of_classes(K.base_matrix, alpha.base_matrix)
     return {
-        "mean_scalar": volume_average(K, S),
-        "mean_trace": volume_average(K, tr),
+        "mean_scalar": mean_scalar,
+        "mean_trace": mean_trace,
         "class_trace": data.c,
-        "constant": constant,
+        "constant": mean_scalar - R * mean_trace,
         "constant_from_classes": data.sbar - R * data.c,
     }
 
@@ -196,20 +199,13 @@ def _run_single_solve(cfg: RunConfig, outdir: Path):
     if eigen_error:
         summary["lambda1_error"] = eigen_error
     if report.converged:
-        summary.update(_cohomology_summary(report.structure, alpha, R,
-                                           report.constant))
+        summary.update(_cohomology_summary(report.structure, alpha, R))
     _write_fields(outdir, report.structure)
     return rows, summary, report.converged
 
 
 def _run_ladder_study(cfg: RunConfig, outdir: Path):
-    schedule = [float(R) for R in (cfg.R_schedule or ())]
-    if len(schedule) < 2:
-        # the order law is fitted across weights
-        raise ConfigError(["R_schedule: ladder_study needs at least two weights, "
-                           f"got {len(schedule)}"])
-    if cfg.order < 1:
-        raise ConfigError([f"order: ladder_study needs order >= 1, got {cfg.order}"])
+    schedule = [float(R) for R in cfg.R_schedule]
     grid, g0_omega, omega_pot, alpha = _build_problem(cfg)
     solver = _solver_config(cfg)
     base = KahlerStructure(grid, g0_omega, euclid_mean_zero(omega_pot.values))
@@ -243,10 +239,7 @@ def _run_ladder_study(cfg: RunConfig, outdir: Path):
 def _run_continuity_sweep(cfg: RunConfig, outdir: Path):
     grid, g0_omega, omega_pot, alpha = _build_problem(cfg)
     solver = _solver_config(cfg)
-    t_schedule = cfg.t_schedule
-    if not t_schedule:
-        raise TwistkError("continuity_sweep needs a t_schedule")
-    report = continuity_sweep(grid, g0_omega, alpha, t_schedule, solver,
+    report = continuity_sweep(grid, g0_omega, alpha, cfg.t_schedule, solver,
                               ladder_order=cfg.order, eigen_seed=cfg.seed)
     rows = [(s.step, s.t, s.R, s.residual_sup, s.residual_l2, s.lambda1,
              s.newton_iters, s.wall_ms) for s in report.steps]
@@ -270,9 +263,8 @@ def _run_continuity_sweep(cfg: RunConfig, outdir: Path):
             np.abs(report.structure.comps - flat).max())
         # t increases, so the last converged structure is the one at the
         # smallest converged weight
-        R = report.smallest_converged_R
-        _res, const = twisted_residual(report.structure, alpha, R)
-        summary.update(_cohomology_summary(report.structure, alpha, R, const))
+        summary.update(_cohomology_summary(report.structure, alpha,
+                                           report.smallest_converged_R))
         _write_fields(outdir, report.structure)
     return rows, summary, report.success
 
@@ -306,8 +298,6 @@ def _run_twist_perturbation(cfg: RunConfig, outdir: Path):
     grid, g0_omega, omega_pot, alpha = _build_problem(cfg)
     solver = _solver_config(cfg)
     R = _first_R(cfg)
-    if cfg.perturbation is None:
-        raise TwistkError("twist_perturbation needs a perturbation term")
     K_init, source, ladder_error = seed_structure(
         grid, g0_omega, alpha, R, cfg.order, solver, potential=omega_pot.values)
     reports = [newton_solve(K_init, alpha, R, solver)]
@@ -434,8 +424,7 @@ def _verify_checks(cfg: RunConfig, outdir: Path):
     record("single_solve_residual", report.residual_sup, 1e-9,
            ok=report.converged and report.residual_sup <= 1e-9)
     if report.converged:
-        coh = _cohomology_summary(report.structure, alphac, 100.0,
-                                  report.constant)
+        coh = _cohomology_summary(report.structure, alphac, 100.0)
         record("mean_scalar_after_solve", abs(coh["mean_scalar"]), 1e-7)
         record("mean_trace_matches_class",
                abs(coh["mean_trace"] - coh["class_trace"]), 1e-7)
@@ -488,17 +477,18 @@ def run_scenario(cfg: RunConfig) -> int:
 
     0 means every requested solve converged (or every check passed);
     1 records a solver-level failure, with reports still written.  A
-    config built in code that `parse_config` would reject for an unused
-    omega_potential fails the same way, with a ConfigError summary.
+    config built in code that breaks a scenario rule of
+    `config.scenario_diagnostics` (which `parse_config` rejects) fails
+    the same way, with a ConfigError summary, before any solver work.
     """
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_manifest(outdir, cfg)
     runner = _SCENARIO_RUNNERS[cfg.scenario]
     try:
-        unused = unused_omega_potential(cfg.scenario, cfg.omega_potential)
-        if unused:
-            raise ConfigError([unused])
+        diagnostics = scenario_diagnostics(cfg)
+        if diagnostics:
+            raise ConfigError(diagnostics)
         rows, summary, success = runner(cfg, outdir)
     except TwistkError as err:
         _write_summary(outdir, {"scenario": cfg.scenario, "success": False,

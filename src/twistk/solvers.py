@@ -203,6 +203,16 @@ def green_solve(K: KahlerStructure, f: ScalarField, cfg: KrylovConfig = KrylovCo
                        "green_solve")(f)
 
 
+def trace_deviation(K: KahlerStructure, alpha: HermitianFormField) -> float | None:
+    """Sup deviation of trace_K(alpha) from its volume mean when it
+    exceeds 1e-8 * max(1, |mean|), else None: the hypothesis under which
+    the twist operator F is the solvable model operator."""
+    tr = trace_form(K, alpha)
+    c = volume_average(K, tr)
+    dev = float(np.abs(tr.values - c).max())
+    return dev if dev > 1e-8 * max(1.0, abs(c)) else None
+
+
 def solve_F(K: KahlerStructure, alpha: HermitianFormField, f: ScalarField,
             cfg: KrylovConfig = KrylovConfig()):
     """Solve the twist-operator equation F(phi) = f for mean-zero phi.
@@ -211,10 +221,8 @@ def solve_F(K: KahlerStructure, alpha: HermitianFormField, f: ScalarField,
     hypothesis under which F is the solvable model operator) and f to
     have volume mean zero.
     """
-    tr = trace_form(K, alpha)
-    c = volume_average(K, tr)
-    dev = float(np.abs(tr.values - c).max())
-    if dev > 1e-8 * max(1.0, abs(c)):
+    dev = trace_deviation(K, alpha)
+    if dev is not None:
         raise PreconditionError(
             f"solve_F: trace of alpha deviates from constant by {dev:.3e}")
     return _twist_solver(K, alpha, cfg)(f)
@@ -227,7 +235,8 @@ def _twist_solver(K: KahlerStructure, alpha: HermitianFormField,
     The operator handle and its preconditioner are built once, so the
     rungs of a correction ladder share them; each solve still checks its
     own right-hand side.  The trace precondition is the caller's:
-    `solve_F` and `build_approximate_solution` check it.
+    `solve_F` and `build_approximate_solution` check it with
+    `trace_deviation`.
     """
     handle = LinearOperatorHandle("twist", K, alpha, mean_zero=True)
     return _spd_solver(K, handle.apply, None, cfg, "solve_F")

@@ -24,7 +24,7 @@ from twistk.engine import build_approximate_solution, twisted_residual
 from twistk.errors import ConfigError, DomainError
 from twistk.fieldio import read_field, write_field
 from twistk.geometry import KahlerStructure
-from twistk.grid import euclid_mean_zero, fft_workers, rms_norm, set_fft_workers
+from twistk.grid import euclid_mean_zero, rms_norm, set_fft_workers
 from twistk.operators import LinearOperatorHandle
 from twistk.runner import CSV_HEADER, run_scenario
 
@@ -120,6 +120,47 @@ class TestParseDiagnostics:
     def test_top_level_must_be_object(self):
         with pytest.raises(ConfigError):
             parse_config('["single_solve"]')
+
+    def test_class_matrix_follows_the_geometry_tolerance(self):
+        # 1e-11 off Hermitian at scale 100 is round-off for KahlerStructure
+        cfg = parse_config(json.dumps({"scenario": "single_solve",
+                                       "g0_omega": [[[100.0, 1e-11]]]}))
+        assert cfg.g0_omega == ((100.0 + 1e-11j,),)
+        for matrix, reason in (([[[100.0, 1e-9]]], "Hermitian"),
+                               ([[0.0]], "positive definite")):
+            with pytest.raises(ConfigError) as err:
+                parse_config('{"scenario": "single_solve",\n'
+                             f'"g0_omega": {json.dumps(matrix)}}}')
+            (diag,) = err.value.diagnostics
+            assert diag.startswith("g0_omega: matrix must be " + reason)
+            assert diag.endswith("(line 2)")
+
+    def test_repeated_weight_is_not_monotone(self):
+        for schedule in ([100, 100], [8, 4, 4]):
+            with pytest.raises(ConfigError) as err:
+                parse_config(json.dumps({"scenario": "single_solve",
+                                         "R_schedule": schedule}))
+            assert [d.split(":")[0] for d in err.value.diagnostics] == ["R_schedule"]
+        for schedule in ([8, 4], [50, 100]):
+            cfg = parse_config(json.dumps({"scenario": "single_solve",
+                                           "R_schedule": schedule}))
+            assert cfg.R_schedule == tuple(float(R) for R in schedule)
+
+    @pytest.mark.parametrize("scenario, fields, key", [
+        ("continuity_sweep", {"R_schedule": [1.0, 2.0]}, "R_schedule"),
+        ("ladder_study", {"R_schedule": [100.0]}, "R_schedule"),
+        ("ladder_study", {"order": 0}, "order"),
+        ("twist_perturbation", {"perturbation": {"amplitude": 0.2}},
+         "perturbation"),
+    ])
+    def test_scenario_rules_name_key_and_line(self, scenario, fields, key):
+        text = json.dumps({"scenario": scenario, **fields}, indent=2)
+        line = next(i for i, row in enumerate(text.splitlines(), start=1)
+                    if f'"{key}"' in row)
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert any(d.startswith(f"{key}: ") and d.endswith(f"(line {line})")
+                   and scenario in d for d in err.value.diagnostics)
 
     def test_diagnostics_accumulate(self):
         with pytest.raises(ConfigError) as err:
@@ -218,9 +259,7 @@ class TestCommandLine:
         assert main(["solve", "--seed", "-3", "--out", out]) == 2
         assert main(["solve", "--threads", "0", "--out", out]) == 2
 
-    def test_verify_csv_is_identical_across_fft_thread_counts(self, tmp_path,
-                                                              monkeypatch):
-        monkeypatch.delenv("TWISTK_THREADS", raising=False)
+    def test_verify_csv_is_identical_across_fft_thread_counts(self, tmp_path):
         outputs = []
         try:
             for threads in ("1", "2"):
@@ -231,18 +270,24 @@ class TestCommandLine:
             set_fft_workers(1)
         assert outputs[0] == outputs[1]
 
-    def test_threads_env_overrides_flag(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TWISTK_THREADS", "junk")
-        assert main(["solve", "--out", str(tmp_path / "y")]) == 2
-        monkeypatch.setenv("TWISTK_THREADS", "2")
-        out = tmp_path / "z"
-        try:
-            code = main(["solve", "--grid", "16,16", "--threads", "1",
-                         "--out", str(out)])
-            assert code == 0
-            assert fft_workers() == 2
-        finally:
-            set_fft_workers(1)
+    @pytest.mark.parametrize("command, config, key", [
+        ("sweep", {"scenario": "continuity_sweep", "R_schedule": [1.0, 2.0]},
+         "R_schedule"),
+        # a solve config whose one weight the ladder subcommand cannot fit
+        ("ladder", {"scenario": "single_solve", "R_schedule": [100.0]},
+         "R_schedule"),
+        ("ladder", {"scenario": "ladder_study", "order": 0}, "order"),
+        ("ladder", {"scenario": "ladder_study", "R_schedule": [100.0, 100.0]},
+         "R_schedule"),
+    ])
+    def test_scenario_rule_is_a_config_error(self, tmp_path, capsys, command,
+                                             config, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert f"twistk: config error: {key}:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 EYE2_ROWS = ((1.0, 0.0), (0.0, 1.0))
@@ -516,6 +561,29 @@ class TestSummaryRecords:
         assert summary["error"].startswith("omega_potential: not used by " + scenario)
         assert not (out / "steps.csv").exists()
 
+    @pytest.mark.parametrize("cfg, key", [
+        (RunConfig(scenario="continuity_sweep", sizes=(16, 16),
+                   alpha_potential=((0.2, (1, 0), 0.0),)), "t_schedule"),
+        (RunConfig(scenario="continuity_sweep", sizes=(16, 16),
+                   alpha_potential=((0.2, (1, 0), 0.0),), R_schedule=(1.0,)),
+         "R_schedule"),
+        (RunConfig(scenario="twist_perturbation", sizes=(16, 16),
+                   R_schedule=(100.0,)), "perturbation"),
+    ])
+    def test_code_built_scenario_rule_fails_before_any_solve(
+            self, cfg, key, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solver work started")
+
+        for name in ("seed_structure", "newton_solve", "continuity_sweep"):
+            monkeypatch.setattr(runner, name, refuse)
+        out = tmp_path / "run"
+        assert run_scenario(dataclasses.replace(cfg, out=str(out))) == 1
+        summary = _strict_load(out / "summary.json")
+        assert summary["success"] is False
+        assert summary["error"].startswith(key + ":")
+        assert not (out / "steps.csv").exists()
+
 
 class TestLadderStudy:
     """ladder_study reads every order off one ladder per weight."""
@@ -566,11 +634,13 @@ class TestLadderStudy:
         assert builds == [50.0, 100.0]
         assert handles == ["twist", "twist"]
 
-    @staticmethod
-    def _summary_of_rejected(config, tmp_path, monkeypatch):
-        """Summary of a ladder_study that must fail before any build."""
+    def _summary_of_rejected(self, tmp_path, monkeypatch, **fields):
+        """Summary of a ladder_study built in code that must fail before
+        any build, and the diagnostics that reject it as a config file."""
         out = tmp_path / "ladder"
-        cfg = dataclasses.replace(parse_config(json.dumps(config)), out=str(out))
+        cfg = dataclasses.replace(self.config(out), **fields)
+        with pytest.raises(ConfigError) as err:
+            parse_config(canonical_form(cfg))
 
         def refuse(*args, **kwargs):
             raise AssertionError("a ladder was built")
@@ -580,20 +650,20 @@ class TestLadderStudy:
         assert not (out / "steps.csv").exists()
         summary = _strict_load(out / "summary.json")
         assert summary["success"] is False
-        return summary
+        return summary, err.value.diagnostics
 
     def test_one_weight_is_rejected_before_any_build(self, tmp_path, monkeypatch):
-        summary = self._summary_of_rejected(
-            {"scenario": "ladder_study", "sizes": [16, 16], "R_schedule": [100.0]},
-            tmp_path, monkeypatch)
+        summary, diagnostics = self._summary_of_rejected(
+            tmp_path, monkeypatch, R_schedule=(100.0,))
         assert summary["error"].startswith("R_schedule:")
+        assert [d.split(":")[0] for d in diagnostics] == ["R_schedule"]
 
     def test_order_zero_is_rejected_before_any_build(self, tmp_path, monkeypatch):
-        # parse_config accepts order 0; an empty order study is no success
-        summary = self._summary_of_rejected(
-            {"scenario": "ladder_study", "sizes": [16, 16], "R_schedule": [50.0, 100.0],
-             "order": 0}, tmp_path, monkeypatch)
+        # order 0 is a valid ladder order; an empty order study is no success
+        summary, diagnostics = self._summary_of_rejected(
+            tmp_path, monkeypatch, order=0)
         assert summary["error"].startswith("order:")
+        assert [d.split(":")[0] for d in diagnostics] == ["order"]
 
 
 def _lifted_to_n2(scenario, out):
