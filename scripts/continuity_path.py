@@ -40,9 +40,9 @@ def main() -> int:
                               compute_eigen=not args.no_eigen)
     print(f"{'step':>4} {'t':>8} {'R':>10} {'ok':>3} {'residual':>12} "
           f"{'lambda1':>12} {'iters':>5}  warm start")
-    for s in report.steps:
+    for step, s in enumerate(report.steps):
         lam = "error" if s.eigen_error else f"{s.lambda1:.5f}"
-        print(f"{s.step:>4} {s.t:8.4f} {s.R:10.4f} {'yes' if s.converged else 'NO':>3} "
+        print(f"{step:>4} {s.t:8.4f} {s.R:10.4f} {'yes' if s.converged else 'NO':>3} "
               f"{s.residual_sup:12.3e} {lam:>12} {s.newton_iters:>5}  "
               f"{s.warm_source}")
         if s.eigen_error:

@@ -10,7 +10,7 @@ from .engine import (
     NewtonReport,
     PositivityReport,
     SolverConfig,
-    SweepStep,
+    StepRecord,
     ThresholdEstimate,
     R_to_t,
     build_approximate_solution,
@@ -21,6 +21,7 @@ from .engine import (
     perturb_twist,
     proportional_seed_potential,
     seed_structure,
+    solve_step,
     t_to_R,
     trivial_twist,
     twisted_residual,

@@ -77,9 +77,7 @@ def main(argv=None) -> int:
     scenario = _SUBCOMMANDS[args.command]
     try:
         if args.config is not None:
-            cfg = parse_config(Path(args.config).read_text())
-            if cfg.scenario != scenario:
-                cfg = replace(cfg, scenario=scenario)
+            cfg = parse_config(Path(args.config).read_text(), run_as=scenario)
         else:
             cfg = default_config(scenario)
         if args.grid is not None:

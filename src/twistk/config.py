@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -138,14 +139,13 @@ def _line_of(text: str, key: str) -> str:
 
 
 def _as_complex(entry, where: str, diags: list[str], text: str) -> complex:
-    if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-        return complex(float(entry), 0.0)
-    if (isinstance(entry, list) and len(entry) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for v in entry)):
-        return complex(float(entry[0]), float(entry[1]))
-    diags.append(f"{where}: matrix entries must be numbers or [re, im] pairs"
-                 f"{_line_of(text, where.split('[')[0])}")
+    parts = entry if isinstance(entry, list) and len(entry) == 2 else [entry, 0.0]
+    # the bound also rejects nan and integers too large for a float
+    if all(isinstance(v, (int, float)) and not isinstance(v, bool)
+           and abs(v) <= sys.float_info.max for v in parts):
+        return complex(float(parts[0]), float(parts[1]))
+    diags.append(f"{where}: matrix entries must be finite numbers or [re, im] "
+                 f"pairs{_line_of(text, where.split('[')[0])}")
     return complex(math.nan)
 
 
@@ -232,9 +232,10 @@ def _parse_schedule(data, key: str, diags: list[str], text: str,
     return values
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str, run_as: str | None = None) -> RunConfig:
     """Parse and validate a JSON config; raises ConfigError with all
-    field-level diagnostics at once."""
+    field-level diagnostics at once.  A `run_as` scenario replaces the
+    file's own before the scenario rules run (the CLI subcommand's)."""
     diags: list[str] = []
     try:
         data = json.loads(text)
@@ -337,9 +338,10 @@ def parse_config(text: str) -> RunConfig:
         diags.append(f"out: must be a non-empty path string{_line_of(text, 'out')}")
         out = cfg.out
 
-    parsed = RunConfig(scenario=scenario, n=n, sizes=sizes, g0_omega=g0_omega,
-                       g0_alpha=g0_alpha, **potentials, t_schedule=t_schedule,
-                       R_schedule=R_schedule, order=order, **tols,
+    parsed = RunConfig(scenario=run_as or scenario, n=n, sizes=sizes,
+                       g0_omega=g0_omega, g0_alpha=g0_alpha, **potentials,
+                       t_schedule=t_schedule, R_schedule=R_schedule,
+                       order=order, **tols,
                        perturbation=perturbation, perturbation_steps=steps,
                        seed=seed, out=out)
     for diag in scenario_diagnostics(parsed):

@@ -29,6 +29,7 @@ from .errors import (
     StagnationError,
     TwistkError,
     UnsupportedOrderError,
+    describe,
 )
 from .geometry import (
     HermitianFormField,
@@ -49,7 +50,6 @@ from .grid import (
 )
 from .operators import LinearOperatorHandle
 from .solvers import (
-    EigenEstimate,
     KrylovConfig,
     extreme_eigenvalue,
     green_solve,
@@ -303,7 +303,70 @@ def newton_solve(K0: KahlerStructure, alpha: HermitianFormField, R: float,
             f"newton_solve: residual {rsup:.3e} above {cfg.newton_tol:g} after "
             f"{cfg.max_newton} iterations", [h["residual_sup"] for h in history])
     except (StagnationError, IterationLimitError, DegenerateMetricError) as err:
-        return report(False, message=f"{type(err).__name__}: {err}")
+        return report(False, message=describe(err))
+
+
+@dataclass(frozen=True)
+class StepRecord:
+    """One Newton solve of a scenario, as its artifacts record it.
+
+    t is the caller's path parameter (R_to_t(R) when none was given);
+    wall_ms times the Newton and eigenvalue stages; warm_source names
+    the starting metric (see `seed_structure`, or "previous-step").
+    newton_error is the report's "<class>: <message>" and history its
+    per-iteration record.  The eigen fields record the eigenvalue stage:
+    lambda1, its operator applications and certified residual, or in
+    eigen_error the "<class>: <message>" that left lambda1 nan; they keep
+    their defaults when the stage did not run.
+    """
+
+    t: float
+    R: float
+    converged: bool
+    residual_sup: float
+    residual_l2: float
+    constant: float
+    newton_iters: int
+    wall_ms: float
+    warm_source: str
+    newton_error: str = ""
+    history: tuple[dict, ...] = ()
+    lambda1: float = math.nan
+    eigen_iterations: int = 0
+    eigen_residual: float = math.nan
+    eigen_error: str = ""
+
+
+def solve_step(K_init: KahlerStructure, alpha: HermitianFormField, R: float,
+               cfg: SolverConfig, source: str, *, t: float | None = None,
+               eigen_seed: int | None = None,
+               ) -> tuple[StepRecord, KahlerStructure]:
+    """Newton at weight R from K_init, then, when eigen_seed is given and
+    Newton converged, the extreme eigenvalue of the shifted operator.
+
+    An eigenvalue stage that raises a TwistkError leaves lambda1 nan and
+    its failure in the record.  Returns the record and the metric Newton
+    ended on.
+    """
+    started = time.perf_counter()
+    report = newton_solve(K_init, alpha, R, cfg)
+    eigen, eigen_error = None, ""
+    if report.converged and eigen_seed is not None:
+        try:
+            eigen = extreme_eigenvalue(report.structure, alpha, R, seed=eigen_seed)
+        except TwistkError as err:
+            eigen_error = describe(err)
+    record = StepRecord(
+        t=R_to_t(R) if t is None else t, R=R, converged=report.converged,
+        residual_sup=report.residual_sup, residual_l2=report.residual_l2,
+        constant=report.constant, newton_iters=report.iterations,
+        wall_ms=(time.perf_counter() - started) * 1000.0, warm_source=source,
+        newton_error=report.message, history=report.history,
+        lambda1=math.nan if eigen is None else eigen.value,
+        eigen_iterations=0 if eigen is None else eigen.iterations,
+        eigen_residual=math.nan if eigen is None else eigen.residual,
+        eigen_error=eigen_error)
+    return record, report.structure
 
 
 @dataclass(frozen=True)
@@ -400,7 +463,8 @@ def ift_certificate(K: KahlerStructure, alpha: HermitianFormField, R: float,
 def perturb_twist(K: KahlerStructure, alpha_old: HermitianFormField,
                   alpha_new: HermitianFormField, R: float,
                   cfg: SolverConfig = SolverConfig(), *,
-                  steps: int = 1) -> tuple[NewtonReport, ...]:
+                  steps: int = 1,
+                  ) -> tuple[tuple[StepRecord, ...], KahlerStructure]:
     """Continue a solved metric to a perturbed twist at fixed weight.
 
     Requires K to solve the equation for alpha_old to the tolerance of
@@ -409,8 +473,9 @@ def perturb_twist(K: KahlerStructure, alpha_old: HermitianFormField,
     form interpolating the class matrices and the potentials, and
     re-solved with Newton at each stage; convexity keeps every
     intermediate form positive when the endpoints are.
-    Returns one report per attempted stage; continuation stops at the
-    first non-converged stage, so the tuple length records progress.
+    Returns one `solve_step` record per attempted stage, and the last
+    converged stage's metric (K when none converged); continuation stops
+    at the first non-converged stage, so the record count shows progress.
     """
     residual, _ = twisted_residual(K, alpha_old, R)
     base_sup = sup_norm(residual.values)
@@ -420,60 +485,42 @@ def perturb_twist(K: KahlerStructure, alpha_old: HermitianFormField,
             "solve the base problem first")
     if steps < 1:
         raise PreconditionError(f"perturb_twist needs steps >= 1, got {steps}")
-    reports: list[NewtonReport] = []
+    records: list[StepRecord] = []
     current = K
     for j in range(1, steps + 1):
         s = j / steps
         alpha_s = HermitianFormField(
             K.grid, (1.0 - s) * alpha_old.base_matrix + s * alpha_new.base_matrix,
             (1.0 - s) * alpha_old.potential + s * alpha_new.potential)
-        report = newton_solve(current, alpha_s, R, cfg)
-        reports.append(report)
-        if not report.converged:
+        record, solved = solve_step(current, alpha_s, R, cfg, "previous-step")
+        records.append(record)
+        if not record.converged:
             break
-        current = report.structure
-    return tuple(reports)
-
-
-@dataclass(frozen=True)
-class SweepStep:
-    """One continuation step; wall_ms is measured, everything else is math.
-
-    The eigen_* fields record the eigenvalue stage: its operator
-    applications and certified residual, or in eigen_error the
-    "<class>: <message>" of the failure that left lambda1 nan.  They keep
-    their defaults when the stage did not run.
-    """
-
-    step: int
-    t: float
-    R: float
-    converged: bool
-    residual_sup: float
-    residual_l2: float
-    lambda1: float
-    newton_iters: int
-    wall_ms: float
-    warm_source: str
-    eigen_iterations: int = 0
-    eigen_residual: float = math.nan
-    eigen_error: str = ""
+        current = solved
+    return tuple(records), current
 
 
 @dataclass(frozen=True)
 class ContinuationReport:
-    """Path record: per-step data, overall success, last converged metric.
+    """Path record: one `solve_step` record per step, the last converged
+    metric, and ladder_error, the first step's `seed_structure` failure
+    reason.
 
     smallest_converged_R is the failure frontier summary (0.0 when the
-    whole path through t = 1 converged, nan when nothing did);
-    ladder_error is the first step's `seed_structure` failure reason.
+    whole path through t = 1 converged, nan when nothing did).
     """
 
-    steps: tuple[SweepStep, ...]
-    success: bool
+    steps: tuple[StepRecord, ...]
     structure: KahlerStructure | None
-    smallest_converged_R: float = math.nan
     ladder_error: str = ""
+
+    @property
+    def success(self) -> bool:
+        return all(s.converged for s in self.steps)
+
+    @property
+    def smallest_converged_R(self) -> float:
+        return min((s.R for s in self.steps if s.converged), default=math.nan)
 
 
 def proportional_seed_potential(grid: PeriodicGrid, g0: np.ndarray,
@@ -530,17 +577,8 @@ def seed_structure(grid: PeriodicGrid, g0: np.ndarray,
     except UnsupportedOrderError:
         raise
     except TwistkError as err:
-        return K, source, f"{type(err).__name__}: {err}"
+        return K, source, describe(err)
     return ladder.structure, f"ladder[{order}]", ""
-
-
-def leading_eigen(K: KahlerStructure, alpha: HermitianFormField, R: float,
-                  seed: int) -> tuple[EigenEstimate | None, str]:
-    """`extreme_eigenvalue`, or None with its failure as "<class>: <message>"."""
-    try:
-        return extreme_eigenvalue(K, alpha, R, seed=seed), ""
-    except TwistkError as err:
-        return None, f"{type(err).__name__}: {err}"
 
 
 def continuity_sweep(grid: PeriodicGrid, g0: np.ndarray,
@@ -562,46 +600,26 @@ def continuity_sweep(grid: PeriodicGrid, g0: np.ndarray,
     if not t_list or any(b <= a for a, b in zip(t_list, t_list[1:])):
         raise PreconditionError("t_values must be strictly increasing and non-empty")
 
-    steps: list[SweepStep] = []
-    success = True
+    steps: list[StepRecord] = []
     structure = None
-    smallest_R = math.nan
     ladder_error = ""
-    warm = None
     for idx, t in enumerate(t_list):
         R = t_to_R(t)
-        started = time.perf_counter()
-        if warm is not None:
-            K_init, source = KahlerStructure(grid, g0, warm), "previous-step"
+        if structure is not None:
+            K_init = KahlerStructure(grid, g0, euclid_mean_zero(structure.potential))
+            source = "previous-step"
         else:
             # only the first step is improved by the ladder
             K_init, source, error = seed_structure(
                 grid, g0, alpha, R, 0 if idx else ladder_order, cfg)
             ladder_error = ladder_error or error
-        report = newton_solve(K_init, alpha, R, cfg)
-        eigen, eigen_error = None, ""
-        if report.converged and compute_eigen:
-            eigen, eigen_error = leading_eigen(report.structure, alpha, R,
-                                               eigen_seed)
-        wall_ms = (time.perf_counter() - started) * 1000.0
-        steps.append(SweepStep(
-            step=idx, t=t, R=R, converged=report.converged,
-            residual_sup=report.residual_sup, residual_l2=report.residual_l2,
-            lambda1=math.nan if eigen is None else eigen.value,
-            newton_iters=report.iterations, wall_ms=wall_ms, warm_source=source,
-            eigen_iterations=0 if eigen is None else eigen.iterations,
-            eigen_residual=math.nan if eigen is None else eigen.residual,
-            eigen_error=eigen_error))
-        if report.converged:
-            warm = euclid_mean_zero(report.structure.potential)
-            structure = report.structure
-            smallest_R = R if math.isnan(smallest_R) else min(smallest_R, R)
-        else:
-            # keep marching from the last good potential to map the frontier
-            success = False
-    return ContinuationReport(steps=tuple(steps), success=success,
-                              structure=structure,
-                              smallest_converged_R=smallest_R,
+        record, solved = solve_step(K_init, alpha, R, cfg, source, t=t,
+                                    eigen_seed=eigen_seed if compute_eigen else None)
+        steps.append(record)
+        # a failed step keeps the last good metric, to map the frontier
+        if record.converged:
+            structure = solved
+    return ContinuationReport(steps=tuple(steps), structure=structure,
                               ladder_error=ladder_error)
 
 
@@ -613,14 +631,14 @@ class ThresholdEstimate:
     attempted weight down to and including R = 0 solves, both entries
     and the threshold are 0.0.  When the first attempt at R_start fails
     no weight is verified: the threshold is inf and the bracket
-    (R_start, inf).  seed_source and ladder_error are the first
-    attempt's `seed_structure` record.
+    (R_start, inf).  attempts holds one `solve_step` record per weight
+    tried, the first one's warm_source being the `seed_structure`
+    source; ladder_error is that seed's ladder failure.
     """
 
     threshold: float
     bracket: tuple[float, float]
-    attempts: tuple[dict, ...]
-    seed_source: str = ""
+    attempts: tuple[StepRecord, ...]
     ladder_error: str = ""
 
 
@@ -642,9 +660,9 @@ def estimate_R_threshold(grid: PeriodicGrid, g0: np.ndarray,
     if R_start <= 0.0 or floor <= 0.0:
         raise PreconditionError("estimate_R_threshold: need R_start > 0 "
                                 "and floor > 0")
-    attempts: list[dict] = []
-    seed, seed_source, ladder_error = seed_structure(grid, g0, alpha, R_start,
-                                                     ladder_order, cfg)
+    attempts: list[StepRecord] = []
+    seed, source, ladder_error = seed_structure(grid, g0, alpha, R_start,
+                                                ladder_order, cfg)
     warm = None
 
     def attempt(R: float) -> bool:
@@ -656,18 +674,16 @@ def estimate_R_threshold(grid: PeriodicGrid, g0: np.ndarray,
         # the seed's cached curvature fields would otherwise live through
         # the whole descent (about 15 MB at 16^4)
         seed = None
-        report = newton_solve(K_init, alpha, R, cfg)
-        attempts.append({"R": R, "converged": report.converged,
-                         "residual_sup": report.residual_sup,
-                         "newton_iters": report.iterations})
-        if report.converged:
-            warm = euclid_mean_zero(report.structure.potential)
-        return report.converged
+        record, solved = solve_step(K_init, alpha, R, cfg,
+                                    source if warm is None else "previous-step")
+        attempts.append(record)
+        if record.converged:
+            warm = euclid_mean_zero(solved.potential)
+        return record.converged
 
     def estimate(threshold: float, bracket: tuple[float, float]) -> ThresholdEstimate:
         return ThresholdEstimate(threshold=threshold, bracket=bracket,
-                                 attempts=tuple(attempts), seed_source=seed_source,
-                                 ladder_error=ladder_error)
+                                 attempts=tuple(attempts), ladder_error=ladder_error)
 
     if not attempt(R_start):
         return estimate(math.inf, (R_start, math.inf))

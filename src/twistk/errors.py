@@ -8,6 +8,11 @@ boundary (wrong shapes, unsupported arguments).
 from __future__ import annotations
 
 
+def describe(err: BaseException) -> str:
+    """A failure as "<class>: <message>", the form every artifact records."""
+    return f"{type(err).__name__}: {err}"
+
+
 class TwistkError(Exception):
     """Base class for all package-specific errors."""
 

@@ -19,6 +19,7 @@ import json
 import math
 import platform
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -32,15 +33,15 @@ from .engine import (
     build_approximate_solution,
     continuity_sweep,
     estimate_R_threshold,
-    leading_eigen,
     newton_solve,
     perturb_twist,
     seed_structure,
+    solve_step,
     t_to_R,
     trivial_twist,
     twisted_residual,
 )
-from .errors import ConfigError, TwistkError
+from .errors import ConfigError, TwistkError, describe
 from .fieldio import write_field
 from .geometry import (
     CohomologyData,
@@ -119,6 +120,12 @@ def _write_summary(outdir: Path, summary: dict) -> None:
                    allow_nan=False) + "\n")
 
 
+def _step_rows(records) -> list[tuple]:
+    """steps.csv rows of a Newton scenario's `solve_step` records."""
+    return [(idx, r.t, r.R, r.residual_sup, r.residual_l2, r.lambda1,
+             r.newton_iters, r.wall_ms) for idx, r in enumerate(records)]
+
+
 def _write_fields(outdir: Path, K: KahlerStructure) -> None:
     fields = outdir / "fields"
     fields.mkdir(parents=True, exist_ok=True)
@@ -170,38 +177,26 @@ def _run_single_solve(cfg: RunConfig, outdir: Path):
     grid, g0_omega, omega_pot, alpha = _build_problem(cfg)
     solver = _solver_config(cfg)
     R = _first_R(cfg)
-    started = time.perf_counter()
     K_init, source, ladder_error = seed_structure(
         grid, g0_omega, alpha, R, cfg.order, solver, potential=omega_pot.values)
-    report = newton_solve(K_init, alpha, R, solver)
-    eigen, eigen_error = None, ""
-    if report.converged:
-        # eigenpair certification can fail on very coarse grids where
-        # the fourth-order truncation defect exceeds the residual
-        # tolerance; the solve itself still stands, so lambda1 is nan
-        # and the summary keeps the reason
-        eigen, eigen_error = leading_eigen(report.structure, alpha, R, cfg.seed)
-    lambda1 = math.nan if eigen is None else eigen.value
-    wall_ms = (time.perf_counter() - started) * 1000.0
-    rows = [(0, R_to_t(R), R, report.residual_sup, report.residual_l2,
-             lambda1, report.iterations, wall_ms)]
+    # eigenpair certification can fail on very coarse grids where the
+    # fourth-order truncation defect exceeds the residual tolerance; the
+    # solve itself still stands, so lambda1 is nan and the record keeps
+    # the reason
+    record, K = solve_step(K_init, alpha, R, solver, source, eigen_seed=cfg.seed)
     summary = {
         "scenario": cfg.scenario,
-        "converged": report.converged,
-        "residual_sup": report.residual_sup,
-        "lambda1": lambda1,
-        "newton_iterations": report.iterations,
+        "converged": record.converged,
+        "residual_sup": record.residual_sup,
+        "lambda1": record.lambda1,
+        "newton_iterations": record.newton_iters,
         "seed": {"source": source, "ladder_error": ladder_error},
+        "records": [asdict(record)],
     }
-    if eigen is not None:
-        summary["eigen_iterations"] = eigen.iterations
-        summary["eigen_residual"] = eigen.residual
-    if eigen_error:
-        summary["lambda1_error"] = eigen_error
-    if report.converged:
-        summary.update(_cohomology_summary(report.structure, alpha, R))
-    _write_fields(outdir, report.structure)
-    return rows, summary, report.converged
+    if record.converged:
+        summary.update(_cohomology_summary(K, alpha, R))
+    _write_fields(outdir, K)
+    return _step_rows([record]), summary, record.converged
 
 
 def _run_ladder_study(cfg: RunConfig, outdir: Path):
@@ -241,8 +236,6 @@ def _run_continuity_sweep(cfg: RunConfig, outdir: Path):
     solver = _solver_config(cfg)
     report = continuity_sweep(grid, g0_omega, alpha, cfg.t_schedule, solver,
                               ladder_order=cfg.order, eigen_seed=cfg.seed)
-    rows = [(s.step, s.t, s.R, s.residual_sup, s.residual_l2, s.lambda1,
-             s.newton_iters, s.wall_ms) for s in report.steps]
     summary = {
         "scenario": cfg.scenario,
         "success": report.success,
@@ -250,11 +243,7 @@ def _run_continuity_sweep(cfg: RunConfig, outdir: Path):
         "smallest_converged_R": report.smallest_converged_R,
         "seed": {"source": report.steps[0].warm_source,
                  "ladder_error": report.ladder_error},
-        # one record per step whose eigenvalue stage ran
-        "eigen": [{"step": s.step, "error": s.eigen_error} if s.eigen_error
-                  else {"step": s.step, "iterations": s.eigen_iterations,
-                        "residual": s.eigen_residual}
-                  for s in report.steps if s.eigen_error or s.eigen_iterations],
+        "records": [asdict(s) for s in report.steps],
     }
     if report.structure is not None:
         flat = g0_omega.reshape((grid.n, grid.n) + (1,) * len(grid.sizes))
@@ -266,7 +255,7 @@ def _run_continuity_sweep(cfg: RunConfig, outdir: Path):
         summary.update(_cohomology_summary(report.structure, alpha,
                                            report.smallest_converged_R))
         _write_fields(outdir, report.structure)
-    return rows, summary, report.success
+    return _step_rows(report.steps), summary, report.success
 
 
 def _run_threshold(cfg: RunConfig, outdir: Path):
@@ -275,23 +264,18 @@ def _run_threshold(cfg: RunConfig, outdir: Path):
     estimate = estimate_R_threshold(grid, g0_omega, alpha,
                                     R_start=_first_R(cfg), cfg=solver,
                                     ladder_order=cfg.order)
-    rows = []
-    all_converged = True
-    for idx, attempt in enumerate(estimate.attempts):
-        rows.append((idx, R_to_t(attempt["R"]), attempt["R"],
-                     attempt["residual_sup"], math.nan, math.nan,
-                     attempt["newton_iters"], math.nan))
-        all_converged = all_converged and attempt["converged"]
     summary = {
         "scenario": cfg.scenario,
         "threshold": estimate.threshold,
         "bracket_low": estimate.bracket[0],
         "bracket_high": estimate.bracket[1],
         "attempts": len(estimate.attempts),
-        "seed": {"source": estimate.seed_source,
+        "seed": {"source": estimate.attempts[0].warm_source,
                  "ladder_error": estimate.ladder_error},
+        "records": [asdict(r) for r in estimate.attempts],
     }
-    return rows, summary, all_converged
+    return (_step_rows(estimate.attempts), summary,
+            all(r.converged for r in estimate.attempts))
 
 
 def _run_twist_perturbation(cfg: RunConfig, outdir: Path):
@@ -300,27 +284,27 @@ def _run_twist_perturbation(cfg: RunConfig, outdir: Path):
     R = _first_R(cfg)
     K_init, source, ladder_error = seed_structure(
         grid, g0_omega, alpha, R, cfg.order, solver, potential=omega_pot.values)
-    reports = [newton_solve(K_init, alpha, R, solver)]
-    summary = {"scenario": cfg.scenario, "base_converged": reports[0].converged,
+    base, K = solve_step(K_init, alpha, R, solver, source)
+    records = [base]
+    summary = {"scenario": cfg.scenario, "base_converged": base.converged,
                "R": R, "stages": cfg.perturbation_steps,
                "seed": {"source": source, "ladder_error": ladder_error}}
-    if reports[0].converged:
+    if base.converged:
         bump = make_trig_field(grid, [cfg.perturbation])
         target = HermitianFormField(grid, alpha.base_matrix,
                                     alpha.potential + bump.values)
         started = time.perf_counter()
-        reports += perturb_twist(reports[0].structure, alpha, target, R, solver,
-                                 steps=cfg.perturbation_steps)
+        stages, K = perturb_twist(K, alpha, target, R, solver,
+                                  steps=cfg.perturbation_steps)
         summary["continuation_wall_ms"] = (time.perf_counter() - started) * 1000.0
-        converged = [r for r in reports if r.converged]
-        summary["final_residual_sup"] = reports[-1].residual_sup
-        summary["stages_converged"] = len(converged) - 1
-        _write_fields(outdir, converged[-1].structure)
-    rows = [(stage, R_to_t(R), R, r.residual_sup, r.residual_l2, math.nan,
-             r.iterations, math.nan) for stage, r in enumerate(reports)]
-    success = all(r.converged for r in reports)
+        records += stages
+        summary["final_residual_sup"] = records[-1].residual_sup
+        summary["stages_converged"] = sum(r.converged for r in stages)
+        _write_fields(outdir, K)
+    success = all(r.converged for r in records)
     summary["success"] = success
-    return rows, summary, success
+    summary["records"] = [asdict(r) for r in records]
+    return _step_rows(records), summary, success
 
 
 def _verify_checks(cfg: RunConfig, outdir: Path):
@@ -492,7 +476,7 @@ def run_scenario(cfg: RunConfig) -> int:
         rows, summary, success = runner(cfg, outdir)
     except TwistkError as err:
         _write_summary(outdir, {"scenario": cfg.scenario, "success": False,
-                                "error": str(err)})
+                                "error": describe(err)})
         return 1
     if cfg.scenario != "verify_suite":
         _write_csv(outdir / "steps.csv", CSV_HEADER, rows)

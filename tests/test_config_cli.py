@@ -20,7 +20,12 @@ from twistk.config import (
     default_t_schedule,
     parse_config,
 )
-from twistk.engine import build_approximate_solution, twisted_residual
+from twistk.engine import (
+    R_to_t,
+    build_approximate_solution,
+    t_to_R,
+    twisted_residual,
+)
 from twistk.errors import ConfigError, DomainError
 from twistk.fieldio import read_field, write_field
 from twistk.geometry import KahlerStructure
@@ -247,6 +252,37 @@ class TestCommandLine:
         missing = tmp_path / "nope.json"
         assert main(["solve", "--config", str(missing)]) == 2
 
+    @pytest.mark.parametrize("entry", ["Infinity", "[1.0, Infinity]"])
+    def test_non_finite_matrix_entry_is_a_config_error(self, tmp_path, capsys,
+                                                       entry):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"scenario": "single_solve",\n'
+                        f'"g0_omega": [[{entry}]]}}')
+        out = tmp_path / "run"
+        assert main(["solve", "--grid", "8,8", "--config", str(path),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "twistk: config error: g0_omega[0][0]: matrix entries must be " \
+               "finite numbers" in err
+        assert "(line 2)" in err
+        assert not out.exists()
+
+    def test_subcommand_scenario_is_applied_before_the_rules(self, tmp_path,
+                                                             capsys):
+        # an R_schedule breaks a continuity_sweep rule but suits a solve
+        path = tmp_path / "cfg.json"
+        path.write_text('{"scenario": "continuity_sweep",\n'
+                        '"R_schedule": [100.0]}')
+        out = tmp_path / "solve"
+        assert main(["solve", "--grid", "16,16", "--config", str(path),
+                     "--out", str(out)]) == 0
+        assert _strict_load(out / "summary.json")["scenario"] == "single_solve"
+        assert main(["sweep", "--grid", "16,16", "--config", str(path),
+                     "--out", str(tmp_path / "sweep")]) == 2
+        assert ("twistk: config error: R_schedule: continuity_sweep walks a "
+                "t_schedule; give t_schedule instead (line 2)"
+                in capsys.readouterr().err)
+
     def test_config_diagnostics_are_usage_errors(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"scenario": "single_solve", "mystery": 1}')
@@ -312,10 +348,11 @@ class TestEigenArtifacts:
         assert header == CSV_HEADER
         assert row.split(",")[5] == "nan"
         summary = json.loads((out / "summary.json").read_text())
-        (record,) = summary["eigen"]
-        assert record["step"] == 0
-        assert record["error"].startswith("IterationLimitError: extreme_eigenvalue:")
-        assert "within 0 restarts" in record["error"]
+        (record,) = summary["records"]
+        assert record["converged"] is True
+        assert record["eigen_error"].startswith(
+            "IterationLimitError: extreme_eigenvalue:")
+        assert "within 0 restarts" in record["eigen_error"]
 
     def test_single_solve_records_why_lambda1_is_nan(self, tmp_path):
         # 6^4 is too coarse for the eigenpair certificate
@@ -329,7 +366,8 @@ class TestEigenArtifacts:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["converged"] is True
         assert summary["lambda1"] is None
-        assert summary["lambda1_error"].startswith(
+        (record,) = summary["records"]
+        assert record["eigen_error"].startswith(
             "IterationLimitError: extreme_eigenvalue: eigenpair residual")
 
     def test_n2_sweep_certifies_lambda1(self, tmp_path):
@@ -344,11 +382,11 @@ class TestEigenArtifacts:
         assert all(lam < 0.0 for lam in lambdas)
         assert abs(lambdas[-1] + 1.0 / 16.0) <= 1e-8
         summary = json.loads((out / "summary.json").read_text())
-        assert [r["step"] for r in summary["eigen"]] == [0, 1]
-        for record in summary["eigen"]:
-            assert "error" not in record
-            assert record["iterations"] > 1
-            assert record["residual"] <= 1e-8
+        assert len(summary["records"]) == 2
+        for record in summary["records"]:
+            assert record["eigen_error"] == ""
+            assert record["eigen_iterations"] > 1
+            assert record["eigen_residual"] <= 1e-8
 
 
 def _steps(out):
@@ -414,15 +452,16 @@ class TestTwistPerturbation:
         original = engine.newton_solve
         calls = []
 
-        def second_fails(*args, **kwargs):
+        def third_fails(*args, **kwargs):
+            # call 1 is the base solve, calls 2 and 3 the first two stages
             report = original(*args, **kwargs)
             calls.append(report)
-            if len(calls) == 2:
+            if len(calls) == 3:
                 report = dataclasses.replace(report, converged=False,
                                              message="forced failure")
             return report
 
-        monkeypatch.setattr(engine, "newton_solve", second_fails)
+        monkeypatch.setattr(engine, "newton_solve", third_fails)
         out = tmp_path / "perturb_fail"
         assert run_scenario(self.config(1, out)) == 1
         rows = _steps(out)
@@ -558,7 +597,8 @@ class TestSummaryRecords:
         assert run_scenario(cfg) == 1
         summary = _strict_load(out / "summary.json")
         assert summary["success"] is False
-        assert summary["error"].startswith("omega_potential: not used by " + scenario)
+        assert summary["error"].startswith(
+            "ConfigError: omega_potential: not used by " + scenario)
         assert not (out / "steps.csv").exists()
 
     @pytest.mark.parametrize("cfg, key", [
@@ -581,8 +621,90 @@ class TestSummaryRecords:
         assert run_scenario(dataclasses.replace(cfg, out=str(out))) == 1
         summary = _strict_load(out / "summary.json")
         assert summary["success"] is False
-        assert summary["error"].startswith(key + ":")
+        assert summary["error"].startswith(f"ConfigError: {key}:")
         assert not (out / "steps.csv").exists()
+
+
+class TestStepRecords:
+    """Every Newton scenario writes one solve_step record per steps.csv
+    row to summary.json, and a failed solve can be read from it alone."""
+
+    TWIST = ((0.2, (1, 0), 0.0),)
+    RUNS = {
+        "single_solve": (RunConfig(scenario="single_solve", sizes=(16, 16),
+                                   R_schedule=(100.0,), alpha_potential=TWIST),
+                         lambda R: True),
+        "continuity_sweep": (RunConfig(scenario="continuity_sweep", sizes=(16, 16),
+                                       alpha_potential=TWIST,
+                                       t_schedule=(0.5, 1.0)),
+                             lambda R: R == 0.0),
+        "threshold": (RunConfig(scenario="threshold", sizes=(16, 16),
+                                R_schedule=(8.0,), alpha_potential=TWIST),
+                      lambda R: R == 0.0),
+        "twist_perturbation": (RunConfig(scenario="twist_perturbation",
+                                         sizes=(16, 16), R_schedule=(100.0,),
+                                         perturbation=(0.2, (1, 0), 0.0),
+                                         perturbation_steps=2),
+                               lambda R: True),
+    }
+
+    @pytest.mark.parametrize("scenario", sorted(RUNS))
+    def test_forced_newton_failure_is_in_the_summary(self, scenario, tmp_path,
+                                                      monkeypatch):
+        cfg, when = self.RUNS[scenario]
+        _force_failure(monkeypatch, when)
+        out = tmp_path / scenario
+        assert run_scenario(dataclasses.replace(cfg, out=str(out))) == 1
+        summary = _strict_load(out / "summary.json")
+        records = summary["records"]
+        rows = _steps(out)
+        assert [r["R"] for r in records] == [row[2] for row in rows]
+        assert [r["residual_sup"] for r in records] == [row[3] for row in rows]
+        failed = [r for r in records if not r["converged"]]
+        assert failed
+        for record in failed:
+            assert record["newton_error"] == "forced failure"
+            assert len(record["history"]) == record["newton_iters"]
+            for entry in record["history"]:
+                assert set(entry) == {"iteration", "residual_sup", "step",
+                                      "linear_iterations"}
+        for record in records:
+            if record["converged"]:
+                assert record["newton_error"] == ""
+
+    def test_records_name_every_warm_start(self, tmp_path):
+        cfg, _ = self.RUNS["threshold"]
+        out = tmp_path / "threshold"
+        assert run_scenario(dataclasses.replace(cfg, out=str(out))) == 0
+        records = _strict_load(out / "summary.json")["records"]
+        assert [r["warm_source"] for r in records] == (
+            ["ladder[2]"] + ["previous-step"] * (len(records) - 1))
+
+    def test_sweep_record_t_is_the_schedule_entry(self, tmp_path):
+        # R_to_t(t_to_R(t)) != t for these, so t cannot be rebuilt from R
+        schedule = tuple(t for t in default_t_schedule()
+                         if R_to_t(t_to_R(t)) != t)[:3]
+        assert len(schedule) == 3
+        out = tmp_path / "sweep"
+        cfg = RunConfig(scenario="continuity_sweep", sizes=(16, 16),
+                        alpha_potential=self.TWIST, t_schedule=schedule,
+                        out=str(out))
+        assert run_scenario(cfg) == 0
+        records = _strict_load(out / "summary.json")["records"]
+        assert tuple(r["t"] for r in records) == schedule
+        assert tuple(row[1] for row in _steps(out)) == schedule
+
+    def test_top_level_error_names_its_class(self, tmp_path):
+        # a twist this large makes the proportional seed metric degenerate
+        out = tmp_path / "solve"
+        cfg = RunConfig(scenario="single_solve", sizes=(16, 16),
+                        R_schedule=(100.0,),
+                        alpha_potential=((6.0, (1, 0), 0.0),), out=str(out))
+        assert run_scenario(cfg) == 1
+        summary = _strict_load(out / "summary.json")
+        assert summary["success"] is False
+        assert summary["error"].startswith(
+            "DegenerateMetricError: metric is not positive definite")
 
 
 class TestLadderStudy:
@@ -655,14 +777,14 @@ class TestLadderStudy:
     def test_one_weight_is_rejected_before_any_build(self, tmp_path, monkeypatch):
         summary, diagnostics = self._summary_of_rejected(
             tmp_path, monkeypatch, R_schedule=(100.0,))
-        assert summary["error"].startswith("R_schedule:")
+        assert summary["error"].startswith("ConfigError: R_schedule:")
         assert [d.split(":")[0] for d in diagnostics] == ["R_schedule"]
 
     def test_order_zero_is_rejected_before_any_build(self, tmp_path, monkeypatch):
         # order 0 is a valid ladder order; an empty order study is no success
         summary, diagnostics = self._summary_of_rejected(
             tmp_path, monkeypatch, order=0)
-        assert summary["error"].startswith("order:")
+        assert summary["error"].startswith("ConfigError: order:")
         assert [d.split(":")[0] for d in diagnostics] == ["order"]
 
 

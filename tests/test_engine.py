@@ -257,10 +257,11 @@ class TestIFTCertificate:
 
 class TestPerturbTwist:
     def test_identity_perturbation_needs_no_iterations(self, flat32, alpha_flat32):
-        reports = perturb_twist(flat32, alpha_flat32, alpha_flat32, 100.0, FAST)
-        assert len(reports) == 1
-        assert reports[0].converged
-        assert reports[0].iterations == 0
+        records, K = perturb_twist(flat32, alpha_flat32, alpha_flat32, 100.0, FAST)
+        assert len(records) == 1
+        assert records[0].converged
+        assert records[0].newton_iters == 0
+        assert K is flat32
 
     def test_unsolved_base_is_rejected(self, grid32):
         K, alpha = product_seed(grid32)
@@ -282,8 +283,8 @@ class TestPerturbTwist:
             return original(K, alpha, *args, **kwargs)
 
         monkeypatch.setattr(engine, "newton_solve", recording)
-        reports = perturb_twist(flat, alpha16, target, 100.0, FAST, steps=3)
-        assert [r.converged for r in reports] == [True] * 3
+        records, _ = perturb_twist(flat, alpha16, target, 100.0, FAST, steps=3)
+        assert [r.converged for r in records] == [True] * 3
         assert len(stages) == 3
         for j, form in enumerate(stages, start=1):
             s = j / 3
@@ -295,6 +296,24 @@ class TestPerturbTwist:
         with pytest.raises(PreconditionError):
             perturb_twist(flat32, alpha_flat32, alpha_flat32, 100.0, FAST,
                           steps=0)
+
+
+class TestSolveStep:
+    def test_record_holds_only_plain_values(self, grid16, alpha16):
+        K0 = KahlerStructure(grid16, EYE1,
+                             make_trig_field(grid16, [(1e-3, (1, 0), 0.0)]).values)
+        record, K = engine.solve_step(K0, alpha16, 1.0, FAST, "flat", eigen_seed=0)
+        assert record.converged and record.newton_iters == len(record.history) > 0
+        assert record.t == R_to_t(1.0)
+        assert record.warm_source == "flat"
+        assert record.eigen_iterations > 1
+        assert sup_norm(twisted_residual(K, alpha16, 1.0)[0].values) \
+            == record.residual_sup
+        plain = (bool, int, float, str)
+        for value in dataclasses.asdict(record).values():
+            entries = [v for h in value for v in h.values()] \
+                if isinstance(value, tuple) else [value]
+            assert all(isinstance(v, plain) for v in entries)
 
 
 class TestContinuitySweep:
@@ -402,7 +421,7 @@ class TestSeedStructure:
         assert report.success
         estimate = estimate_R_threshold(grid16, EYE1, alpha16, R_start=8.0,
                                         bisect_steps=0, cfg=FAST)
-        assert estimate.seed_source == "flat"
+        assert estimate.attempts[0].warm_source == "flat"
         assert estimate.ladder_error == "IterationLimitError: solve_F: forced"
 
     def test_unsupported_order_still_raises(self, grid16, alpha16):
@@ -436,7 +455,7 @@ class TestThresholdEstimate:
                                         floor=0.05, bisect_steps=4, cfg=FAST)
         assert estimate.threshold == 0.0
         assert estimate.bracket == (0.0, 0.0)
-        assert all(a["converged"] for a in estimate.attempts)
+        assert all(a.converged for a in estimate.attempts)
 
     def test_failed_first_attempt_verifies_no_weight(self, grid16, alpha16,
                                                      monkeypatch):
@@ -452,7 +471,7 @@ class TestThresholdEstimate:
                                         cfg=FAST)
         assert estimate.threshold == math.inf
         assert estimate.bracket == (8.0, math.inf)
-        assert [a["R"] for a in estimate.attempts] == [8.0]
+        assert [a.R for a in estimate.attempts] == [8.0]
 
     def test_parameters_are_validated(self, grid16, alpha16):
         for kwargs in ({"R_start": 0.0}, {"floor": 0.0}):
