@@ -138,11 +138,16 @@ def _line_of(text: str, key: str) -> str:
     return ""
 
 
+def _finite_number(value) -> bool:
+    """A JSON number that converts to a finite float: the bound also
+    rejects nan, and integers too large for a float without converting."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def _as_complex(entry, where: str, diags: list[str], text: str) -> complex:
     parts = entry if isinstance(entry, list) and len(entry) == 2 else [entry, 0.0]
-    # the bound also rejects nan and integers too large for a float
-    if all(isinstance(v, (int, float)) and not isinstance(v, bool)
-           and abs(v) <= sys.float_info.max for v in parts):
+    if all(_finite_number(v) for v in parts):
         return complex(float(parts[0]), float(parts[1]))
     diags.append(f"{where}: matrix entries must be finite numbers or [re, im] "
                  f"pairs{_line_of(text, where.split('[')[0])}")
@@ -188,8 +193,7 @@ def _parse_terms(data, key: str, naxes: int, diags: list[str],
         wav = item.get("wavevector")
         phase = item.get("phase", 0.0)
         ok = True
-        if not isinstance(amp, (int, float)) or isinstance(amp, bool) \
-                or not math.isfinite(float(amp)):
+        if not _finite_number(amp):
             diags.append(f"{where}.amplitude: must be a finite number"
                          f"{_line_of(text, key)}")
             ok = False
@@ -198,8 +202,7 @@ def _parse_terms(data, key: str, naxes: int, diags: list[str],
             diags.append(f"{where}.wavevector: must be {naxes} integers"
                          f"{_line_of(text, key)}")
             ok = False
-        if not isinstance(phase, (int, float)) or isinstance(phase, bool) \
-                or not math.isfinite(float(phase)):
+        if not _finite_number(phase):
             diags.append(f"{where}.phase: must be a finite number"
                          f"{_line_of(text, key)}")
             ok = False
@@ -211,8 +214,7 @@ def _parse_terms(data, key: str, naxes: int, diags: list[str],
 def _parse_schedule(data, key: str, diags: list[str], text: str,
                     *, increasing_unit: bool) -> tuple[float, ...] | None:
     if not isinstance(data, list) or not data \
-            or any(not isinstance(v, (int, float)) or isinstance(v, bool)
-                   or not math.isfinite(float(v)) for v in data):
+            or not all(_finite_number(v) for v in data):
         diags.append(f"{key}: must be a non-empty list of finite numbers"
                      f"{_line_of(text, key)}")
         return None
@@ -310,8 +312,7 @@ def parse_config(text: str, run_as: str | None = None) -> RunConfig:
     tols = {}
     for key in ("newton_tol", "krylov_tol"):
         value = data.get(key, getattr(cfg, key))
-        if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                or not 0.0 < float(value) < 1.0:
+        if not _finite_number(value) or not 0.0 < value < 1.0:
             diags.append(f"{key}: must be a number in (0, 1){_line_of(text, key)}")
             value = getattr(cfg, key)
         tols[key] = float(value)

@@ -12,6 +12,21 @@ zero, which is what the linear solvers require.
 
 The continuity-path parameter t in (0, 1] and the twist weight R are
 related by R = (1 - t) / t; t = 1 is the untwisted equation.
+
+Every scenario's Newton solve goes through `solve_step`, a two-grid
+solve (nested iteration): the start and the twist are sampled at every
+other grid point, Newton solves that half-grid problem, `grid.prolong`
+interpolates its potential back spectrally, and Newton finishes on the
+configured grid at the same tolerance.  The solutions are spectrally
+smooth, so the prolonged start is already close and the fine solve
+takes few iterations.  On each axis the sampled points are the even or
+the odd ones, whichever see more of the start's potential at the half
+grid's Nyquist wavenumber, so a problem translated by one grid step is
+solved the same way.  The step falls back to a fine-grid solve from its
+own start when an axis is not a multiple of 4 of at least 8, when
+sampling or interpolating degenerates the metric, and when the
+half-grid solve fails or needs no iteration.  StepRecord's coarse_*
+fields record the half-grid stage.
 """
 
 from __future__ import annotations
@@ -43,6 +58,7 @@ from .grid import (
     PeriodicGrid,
     ScalarField,
     euclid_mean_zero,
+    prolong,
     random_smooth_field,
     rms_norm,
     sobolev_norm,
@@ -64,6 +80,9 @@ MAX_LADDER_ORDER = 8
 # factor of the test sup_new <= (1 - _ARMIJO * scale) * sup
 _MIN_STEP = 2.0 ** -20
 _ARMIJO = 0.25
+# `_sampling_parities`: Nyquist amplitudes within this fraction of the
+# field's sup are treated as equal
+_PARITY_ROUND_OFF = 1e-12
 # `ift_certificate`: the starting H4 radius of the Lipschitz ball, the
 # sampled directions and the cap on radius halvings
 _IFT_RADIUS = 0.5
@@ -230,7 +249,8 @@ def build_approximate_solution(base: KahlerStructure, alpha: HermitianFormField,
 
 @dataclass(frozen=True)
 class NewtonReport:
-    """Outcome of a damped Newton run."""
+    """Outcome of a damped Newton run; start_residual_sup is the
+    residual sup of the starting metric."""
 
     converged: bool
     iterations: int
@@ -238,6 +258,7 @@ class NewtonReport:
     residual_l2: float
     constant: float
     structure: KahlerStructure
+    start_residual_sup: float
     history: tuple[dict, ...] = ()
     message: str = ""
 
@@ -259,14 +280,14 @@ def newton_solve(K0: KahlerStructure, alpha: HermitianFormField, R: float,
     K = K0
     phi = euclid_mean_zero(K0.potential)
     residual, const = twisted_residual(K, alpha, R)
-    rsup = sup_norm(residual.values)
+    rsup = start_sup = sup_norm(residual.values)
     history: list[dict] = []
 
     def report(converged: bool, message: str = "") -> NewtonReport:
         return NewtonReport(converged=converged, iterations=len(history),
                             residual_sup=rsup, residual_l2=rms_norm(residual.values),
                             constant=const, structure=K, history=tuple(history),
-                            message=message)
+                            message=message, start_residual_sup=start_sup)
 
     try:
         for it in range(1, cfg.max_newton + 1):
@@ -311,13 +332,19 @@ class StepRecord:
     """One Newton solve of a scenario, as its artifacts record it.
 
     t is the caller's path parameter (R_to_t(R) when none was given);
-    wall_ms times the Newton and eigenvalue stages; warm_source names
-    the starting metric (see `seed_structure`, or "previous-step").
-    newton_error is the report's "<class>: <message>" and history its
-    per-iteration record.  The eigen fields record the eigenvalue stage:
-    lambda1, its operator applications and certified residual, or in
-    eigen_error the "<class>: <message>" that left lambda1 nan; they keep
-    their defaults when the stage did not run.
+    wall_ms times the half-grid, Newton and eigenvalue stages;
+    warm_source names the starting metric (see `seed_structure`, or
+    "previous-step").  newton_error is the report's "<class>: <message>"
+    and history its per-iteration record, both of the solve on the
+    configured grid.  The coarse fields record the half-grid stage:
+    coarse_iters its Newton iterations (0 when it did not run),
+    coarse_residual_sup the configured-grid residual of its prolonged
+    solution, the two-grid estimate (nan when the step fell back), and
+    coarse_error why the step fell back ("" when it did not).  The eigen
+    fields record the eigenvalue stage: lambda1, its operator
+    applications and certified residual, or in eigen_error the
+    "<class>: <message>" that left lambda1 nan; they keep their defaults
+    when the stage did not run.
     """
 
     t: float
@@ -331,25 +358,97 @@ class StepRecord:
     warm_source: str
     newton_error: str = ""
     history: tuple[dict, ...] = ()
+    coarse_iters: int = 0
+    coarse_residual_sup: float = math.nan
+    coarse_error: str = ""
     lambda1: float = math.nan
     eigen_iterations: int = 0
     eigen_residual: float = math.nan
     eigen_error: str = ""
 
 
+def _sampling_parities(values: np.ndarray) -> tuple[int, ...]:
+    """Per axis, the parity of the points (0 even, 1 odd) whose samples
+    see more of the field's energy at the half grid's Nyquist
+    wavenumber N/4, measured by the alternating sums over those points.
+
+    Sampling the even points sees the cosine phase of that mode and the
+    odd points its sine phase, so the choice follows a translation of
+    the field by one grid step.  The even points are kept unless the odd
+    ones see a larger amplitude by more than _PARITY_ROUND_OFF times
+    the field's sup, so round-off does not decide.
+    """
+    tie = _PARITY_ROUND_OFF * float(np.abs(values).max())
+    parities = []
+    for axis, size in enumerate(values.shape):
+        pairs = np.moveaxis(values, axis, 0).reshape(size // 2, 2, -1)
+        seen = np.einsum("j,jpr->pr", (-1.0) ** np.arange(size // 2), pairs)
+        amplitude = np.sqrt(np.mean(seen ** 2, axis=1)) / (size // 2)
+        parities.append(int(amplitude[1] - amplitude[0] > tie))
+    return tuple(parities)
+
+
+def _half_grid_start(K_init: KahlerStructure, alpha: HermitianFormField,
+                     R: float, cfg: SolverConfig,
+                     ) -> tuple[KahlerStructure | None, int, str]:
+    """Newton on the half grid from K_init and alpha sampled at every
+    other point, its potential prolonged to K_init's grid.
+
+    On each axis the samples are the points of the parity that sees
+    more of K_init's potential at the half grid's Nyquist wavenumber
+    (`_sampling_parities`).  Returns (start, coarse iterations, fallback
+    reason); start is None, with the reason, when an axis is not a
+    multiple of 4 of at least 8, when sampling or prolonging degenerates
+    a metric, and when the half-grid solve fails or needs no iteration
+    (K_init is then at least as good a start).
+    """
+    grid = K_init.grid
+    for size in grid.sizes:
+        if size % 4:
+            return None, 0, f"grid axis {size} not a multiple of 4"
+        if size < 8:
+            return None, 0, f"grid axis {size} below 8"
+    coarse = PeriodicGrid(grid.n, tuple(size // 2 for size in grid.sizes))
+    parities = _sampling_parities(K_init.potential)
+    sampled = tuple(slice(p, None, 2) for p in parities)
+    alpha_c = HermitianFormField(coarse, alpha.base_matrix,
+                                 np.ascontiguousarray(alpha.potential[sampled]))
+    try:
+        K_c = KahlerStructure(coarse, K_init.base_matrix,
+                              np.ascontiguousarray(K_init.potential[sampled]))
+    except DegenerateMetricError as err:
+        return None, 0, describe(err)
+    report = newton_solve(K_c, alpha_c, R, cfg)
+    if not report.converged:
+        return None, report.iterations, report.message
+    if report.iterations == 0:
+        return None, 0, "half-grid start already converged"
+    # prolong puts coarse sample j at fine point 2j; the samples came
+    # from the points 2j + parity
+    potential = np.roll(prolong(report.structure.potential, coarse, grid), parities,
+                        axis=tuple(range(len(parities))))
+    try:
+        start = KahlerStructure(grid, K_init.base_matrix, potential)
+    except DegenerateMetricError as err:
+        return None, report.iterations, describe(err)
+    return start, report.iterations, ""
+
+
 def solve_step(K_init: KahlerStructure, alpha: HermitianFormField, R: float,
                cfg: SolverConfig, source: str, *, t: float | None = None,
                eigen_seed: int | None = None,
                ) -> tuple[StepRecord, KahlerStructure]:
-    """Newton at weight R from K_init, then, when eigen_seed is given and
-    Newton converged, the extreme eigenvalue of the shifted operator.
+    """Two-grid Newton at weight R from K_init (see the module
+    docstring), then, when eigen_seed is given and Newton converged, the
+    extreme eigenvalue of the shifted operator on the configured grid.
 
     An eigenvalue stage that raises a TwistkError leaves lambda1 nan and
     its failure in the record.  Returns the record and the metric Newton
     ended on.
     """
     started = time.perf_counter()
-    report = newton_solve(K_init, alpha, R, cfg)
+    start, coarse_iters, coarse_error = _half_grid_start(K_init, alpha, R, cfg)
+    report = newton_solve(K_init if start is None else start, alpha, R, cfg)
     eigen, eigen_error = None, ""
     if report.converged and eigen_seed is not None:
         try:
@@ -362,6 +461,9 @@ def solve_step(K_init: KahlerStructure, alpha: HermitianFormField, R: float,
         constant=report.constant, newton_iters=report.iterations,
         wall_ms=(time.perf_counter() - started) * 1000.0, warm_source=source,
         newton_error=report.message, history=report.history,
+        coarse_iters=coarse_iters,
+        coarse_residual_sup=math.nan if start is None else report.start_residual_sup,
+        coarse_error=coarse_error,
         lambda1=math.nan if eigen is None else eigen.value,
         eigen_iterations=0 if eigen is None else eigen.iterations,
         eigen_residual=math.nan if eigen is None else eigen.residual,

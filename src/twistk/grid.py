@@ -413,6 +413,34 @@ def sobolev_norm(f: ScalarField, s: float) -> float:
     return float(np.sqrt(np.mean(f.values * smooth)))
 
 
+def prolong(values: np.ndarray, coarse: PeriodicGrid, fine: PeriodicGrid) -> np.ndarray:
+    """Trigonometric interpolant of a real field on `coarse`, sampled on
+    `fine`, which has twice as many points on every axis.
+
+    The coarse half spectrum is zero-padded.  Each coarse Nyquist
+    coefficient, whose one coarse mode stands for both wavenumbers
+    +-N/2, is split evenly between them: on the last (real-to-complex)
+    axis that halves the Nyquist slice, whose -N/2 partner is implied.
+    The result is real and its even-index samples are the coarse field.
+    """
+    if fine.n != coarse.n or fine.sizes != tuple(2 * s for s in coarse.sizes):
+        raise ShapeError(f"grid {fine.sizes} is not grid {coarse.sizes} "
+                         "refined by 2 on every axis")
+    spec = coarse.fft(values)
+    ndim = len(coarse.sizes)
+    for axis, size in enumerate(coarse.sizes[:-1], start=-ndim):
+        half = size // 2
+        low, nyquist, high = np.split(spec, [half, half + 1], axis=axis)
+        pad = list(spec.shape)
+        pad[axis] = size - 1
+        spec = np.concatenate([low, 0.5 * nyquist, np.zeros(pad, dtype=complex),
+                               0.5 * nyquist, high], axis=axis)
+    spec[..., coarse.sizes[-1] // 2] *= 0.5
+    pad = [(0, 0)] * spec.ndim
+    pad[-1] = (0, fine.half_shape[-1] - spec.shape[-1])
+    return fine.ifft(np.pad(spec, pad))
+
+
 def rms_norm(values: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.abs(values) ** 2)))
 

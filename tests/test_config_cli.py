@@ -267,6 +267,24 @@ class TestCommandLine:
         assert "(line 2)" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fragment, diagnostic", [
+        ('"R_schedule": [1%s]', "R_schedule: must be a non-empty list of "
+                                "finite numbers"),
+        ('"newton_tol": 1%s', "newton_tol: must be a number in (0, 1)"),
+        ('"alpha_potential": [{"amplitude": 1%s, "wavevector": [1, 0]}]',
+         "alpha_potential[0].amplitude: must be a finite number"),
+    ], ids=["schedule", "tolerance", "term"])
+    def test_integer_beyond_float_range_is_a_config_error(
+            self, tmp_path, capsys, fragment, diagnostic):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"scenario": "single_solve",\n'
+                        + fragment % ("0" * 400) + "}")
+        out = tmp_path / "run"
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+        assert (f"twistk: config error: {diagnostic} (line 2)"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_subcommand_scenario_is_applied_before_the_rules(self, tmp_path,
                                                              capsys):
         # an R_schedule breaks a continuity_sweep rule but suits a solve
@@ -302,6 +320,25 @@ class TestCommandLine:
                 out = tmp_path / f"threads{threads}"
                 assert main(["verify", "--threads", threads, "--out", str(out)]) == 0
                 outputs.append((out / "verify.csv").read_bytes())
+        finally:
+            set_fft_workers(1)
+        assert outputs[0] == outputs[1]
+
+    def test_threshold_is_identical_across_fft_thread_counts(self, tmp_path):
+        # every field but the wall times, with the half-grid stage active
+        outputs = []
+        try:
+            for threads in ("1", "2"):
+                out = tmp_path / f"threads{threads}"
+                assert main(["threshold", "--threads", threads,
+                             "--out", str(out)]) == 0
+                rows = [row.rsplit(",", 1)[0] for row in
+                        (out / "steps.csv").read_text().splitlines()]
+                records = _strict_load(out / "summary.json")["records"]
+                for record in records:
+                    assert record["coarse_iters"] > 0
+                    del record["wall_ms"]
+                outputs.append((rows, records))
         finally:
             set_fft_workers(1)
         assert outputs[0] == outputs[1]
@@ -399,15 +436,17 @@ def _steps(out):
 class TestTwistPerturbation:
     """The twist_perturbation scenario end to end through run_scenario."""
 
-    # (residual_sup, residual_l2, newton_iters) per row; row 0 is the base solve
+    # (residual_sup, residual_l2, newton_iters) per row; row 0 is the base
+    # solve.  newton_iters counts the configured grid's iterations: each
+    # stage's half-grid solve (3 iterations) leaves at most one for it
     PINNED = {
         1: [(0.0, 0.0, 0),
-            (2.8421709430404007e-14, 1.5485919901226005e-14, 3),
-            (2.8421709430404007e-14, 1.5072887603364239e-14, 3),
-            (5.6843418860808015e-14, 2.6822400070865448e-14, 3)],
+            (1.1281997558398871e-10, 6.667446990005128e-11, 0),
+            (5.684341886080802e-14, 3.275440170573378e-14, 1),
+            (4.263256414560601e-14, 1.7404671430534633e-14, 1)],
         2: [(0.0, 0.0, 0),
-            (2.8421709430404007e-14, 1.4210854715202004e-14, 3),
-            (8.5265128291212022e-14, 6.2753435275395814e-14, 3)],
+            (2.842170943040401e-14, 1.7404671430534633e-14, 1),
+            (8.526512829121202e-14, 4.713207304057789e-14, 1)],
     }
 
     @staticmethod
@@ -452,9 +491,12 @@ class TestTwistPerturbation:
         original = engine.newton_solve
         calls = []
 
-        def third_fails(*args, **kwargs):
-            # call 1 is the base solve, calls 2 and 3 the first two stages
-            report = original(*args, **kwargs)
+        def third_fails(K0, *args, **kwargs):
+            # fine solve 1 is the base solve, 2 and 3 the first two
+            # stages; the half-grid solves before them are not counted
+            report = original(K0, *args, **kwargs)
+            if K0.grid.sizes != (16, 16):
+                return report
             calls.append(report)
             if len(calls) == 3:
                 report = dataclasses.replace(report, converged=False,

@@ -285,12 +285,18 @@ class TestPerturbTwist:
         monkeypatch.setattr(engine, "newton_solve", recording)
         records, _ = perturb_twist(flat, alpha16, target, 100.0, FAST, steps=3)
         assert [r.converged for r in records] == [True] * 3
-        assert len(stages) == 3
-        for j, form in enumerate(stages, start=1):
+        # each stage solves on the half grid first, with the stage form
+        # sampled there, then on the configured grid
+        assert [form.grid.sizes for form in stages] == [(8, 8), (16, 16)] * 3
+        for j in range(1, 4):
             s = j / 3
+            coarse, form = stages[2 * j - 2:2 * j]
             assert np.array_equal(form.base_matrix, (1.0 - s) * alpha16.base_matrix
                                   + s * target.base_matrix)
+            assert np.array_equal(coarse.base_matrix, form.base_matrix)
+            assert np.array_equal(coarse.potential, form.potential[::2, ::2])
             assert_class_plus_potential(form)
+            assert_class_plus_potential(coarse)
 
     def test_step_count_is_validated(self, flat32, alpha_flat32):
         with pytest.raises(PreconditionError):
@@ -299,21 +305,123 @@ class TestPerturbTwist:
 
 
 class TestSolveStep:
-    def test_record_holds_only_plain_values(self, grid16, alpha16):
+    def test_record_holds_only_plain_values(self, grid16):
+        # the half-grid solution of this twist is 9e-9 off on 16^2, so
+        # both stages iterate
+        alpha = HermitianFormField.from_potential(
+            grid16, EYE1, make_trig_field(grid16, [(0.2, (1, 0), 0.0)]).values)
         K0 = KahlerStructure(grid16, EYE1,
                              make_trig_field(grid16, [(1e-3, (1, 0), 0.0)]).values)
-        record, K = engine.solve_step(K0, alpha16, 1.0, FAST, "flat", eigen_seed=0)
+        record, K = engine.solve_step(K0, alpha, 10.0, FAST, "flat", eigen_seed=0)
         assert record.converged and record.newton_iters == len(record.history) > 0
-        assert record.t == R_to_t(1.0)
+        assert (record.coarse_iters, record.coarse_error) == (3, "")
+        assert FAST.newton_tol < record.coarse_residual_sup < 1e-8
+        assert record.t == R_to_t(10.0)
         assert record.warm_source == "flat"
         assert record.eigen_iterations > 1
-        assert sup_norm(twisted_residual(K, alpha16, 1.0)[0].values) \
+        assert sup_norm(twisted_residual(K, alpha, 10.0)[0].values) \
             == record.residual_sup
         plain = (bool, int, float, str)
         for value in dataclasses.asdict(record).values():
             entries = [v for h in value for v in h.values()] \
                 if isinstance(value, tuple) else [value]
             assert all(isinstance(v, plain) for v in entries)
+
+
+    @staticmethod
+    def problem(grid):
+        """A start 1e-3 off flat and a non-flat twist on the given grid."""
+        naxes = len(grid.sizes)
+        alpha = HermitianFormField.from_potential(
+            grid, EYE1, make_trig_field(grid, [(0.2, (1,) + (0,) * (naxes - 1),
+                                                0.0)]).values)
+        K0 = KahlerStructure(grid, EYE1, make_trig_field(
+            grid, [(1e-3, (1, 1) + (0,) * (naxes - 2), 0.0)]).values)
+        return K0, alpha
+
+    @staticmethod
+    def assert_plain_newton(record, K, K0, alpha, R):
+        """record and K are those of newton_solve(K0, ...) alone."""
+        report = newton_solve(K0, alpha, R, FAST)
+        assert (record.converged, record.residual_sup, record.residual_l2,
+                record.constant, record.newton_iters, record.history,
+                record.newton_error) == (
+            report.converged, report.residual_sup, report.residual_l2,
+            report.constant, report.iterations, report.history, report.message)
+        assert np.array_equal(K.potential, report.structure.potential)
+        assert np.array_equal(K.comps, report.structure.comps)
+        assert math.isnan(record.coarse_residual_sup)
+
+    def test_axis_not_a_multiple_of_four_solves_on_its_grid(self):
+        from twistk import PeriodicGrid
+        K0, alpha = self.problem(PeriodicGrid(1, (16, 18)))
+        record, K = engine.solve_step(K0, alpha, 10.0, FAST, "flat")
+        assert (record.coarse_iters, record.coarse_error) == (
+            0, "grid axis 18 not a multiple of 4")
+        self.assert_plain_newton(record, K, K0, alpha, 10.0)
+
+    def test_failed_half_grid_solve_falls_back(self, grid16, monkeypatch):
+        K0, alpha = self.problem(grid16)
+        original = engine.newton_solve
+
+        def coarse_fails(K, *args, **kwargs):
+            report = original(K, *args, **kwargs)
+            if K.grid.sizes == (8, 8):
+                report = dataclasses.replace(report, converged=False,
+                                             message="forced failure")
+            return report
+
+        monkeypatch.setattr(engine, "newton_solve", coarse_fails)
+        record, K = engine.solve_step(K0, alpha, 10.0, FAST, "flat")
+        assert (record.coarse_iters, record.coarse_error) == (3, "forced failure")
+        monkeypatch.setattr(engine, "newton_solve", original)
+        self.assert_plain_newton(record, K, K0, alpha, 10.0)
+
+    def test_degenerate_prolongation_falls_back(self, grid16, monkeypatch):
+        # 8 cos(x) has Hessian -2 cos(x): the prolonged metric 1 + 2 cos(x)
+        # is not positive
+        K0, alpha = self.problem(grid16)
+        monkeypatch.setattr(engine, "prolong", lambda values, coarse, fine:
+                            make_trig_field(fine, [(8.0, (1, 0), 0.0)]).values)
+        record, K = engine.solve_step(K0, alpha, 10.0, FAST, "flat")
+        assert record.coarse_iters == 3
+        assert record.coarse_error.startswith(
+            "DegenerateMetricError: metric is not positive definite")
+        self.assert_plain_newton(record, K, K0, alpha, 10.0)
+
+    def test_solved_start_comes_back_unchanged(self, grid16, alpha16):
+        flat = KahlerStructure(grid16, EYE1, np.zeros(grid16.shape))
+        record, K = engine.solve_step(flat, alpha16, 10.0, FAST, "flat")
+        assert K is flat
+        assert (record.newton_iters, record.coarse_iters) == (0, 0)
+        assert record.coarse_error == "half-grid start already converged"
+
+    def test_sampling_follows_a_one_step_translation(self, grid16):
+        # the solution of the 0.2 cos(x - shift) twist has a cos(4(x - shift))
+        # mode that the even points of the half grid see only at shift 0
+        step = 2.0 * math.pi / 16
+        flat = KahlerStructure(grid16, EYE1, np.zeros(grid16.shape))
+        records, potentials = [], []
+        for shift, parities in ((0, (0, 0)), (1, (1, 0))):
+            alpha = HermitianFormField.from_potential(grid16, EYE1, make_trig_field(
+                grid16, [(0.2, (1, 0), -shift * step)]).values)
+            _, K = engine.solve_step(flat, alpha, 10.0, FAST, "flat")
+            assert engine._sampling_parities(K.potential) == parities
+            record, K = engine.solve_step(K, alpha, 5.0, FAST, "previous-step")
+            records.append(record)
+            potentials.append(K.potential)
+        assert [(r.newton_iters, r.coarse_iters, r.coarse_error) for r in records] \
+            == [(1, 2, "")] * 2
+        assert records[1].coarse_residual_sup == pytest.approx(
+            records[0].coarse_residual_sup, rel=1e-6)
+        assert sup_norm(np.roll(potentials[0], 1, axis=0) - potentials[1]) <= 1e-12
+
+    def test_four_point_axis_falls_back(self):
+        from twistk import PeriodicGrid
+        K0, alpha = self.problem(PeriodicGrid(1, (4, 8)))
+        record, _ = engine.solve_step(K0, alpha, 10.0, FAST, "flat")
+        assert record.coarse_error == "grid axis 4 below 8"
+        assert record.coarse_iters == 0
 
 
 class TestContinuitySweep:

@@ -13,6 +13,7 @@ from twistk.grid import (
     flat_poisson_solve,
     hessian,
     make_trig_field,
+    prolong,
     rms_norm,
     sobolev_norm,
     sup_norm,
@@ -114,6 +115,59 @@ class TestTransforms:
         ksq = sum(k * k for k in wavevector)
         expected = abs(a) * np.sqrt((1.0 + ksq) ** 4 / 2.0)
         assert abs(sobolev_norm(f, 4.0) - expected) <= 1e-12 * expected
+
+
+class TestProlong:
+    """grid.prolong: the trigonometric interpolant on the doubled grid."""
+
+    CASES = [((16, 16), [(0.7, (1, 0), 0.2), (-0.4, (3, -7), 1.3)]),
+             ((8, 8, 8, 8), [(0.5, (1, -1, 2, 0), 0.4), (0.3, (0, 3, -3, 1), 2.0)]),
+             ((8, 12), [(0.6, (3, 5), 0.9), (0.2, (-2, 1), 0.0)])]
+    IDS = ["n1", "n2", "anisotropic"]
+
+    @staticmethod
+    def grids(sizes):
+        n = len(sizes) // 2
+        return PeriodicGrid(n, sizes), PeriodicGrid(n, tuple(2 * s for s in sizes))
+
+    @pytest.mark.parametrize("sizes, terms", CASES, ids=IDS)
+    def test_band_limited_field_is_reproduced(self, sizes, terms):
+        # every wavevector lies strictly inside the coarse Nyquist band
+        coarse, fine = self.grids(sizes)
+        values = prolong(make_trig_field(coarse, terms).values, coarse, fine)
+        assert sup_norm(values - make_trig_field(fine, terms).values) <= 1e-14
+
+    @pytest.mark.parametrize("sizes", [sizes for sizes, _ in CASES], ids=IDS)
+    def test_coarse_samples_are_interpolated(self, sizes):
+        # a random field fills every coarse mode, the Nyquist modes included
+        coarse, fine = self.grids(sizes)
+        values = np.random.default_rng(17).standard_normal(coarse.shape)
+        out = prolong(values, coarse, fine)
+        assert out.shape == fine.shape
+        assert out.dtype == np.float64
+        every_other = tuple(slice(None, None, 2) for _ in sizes)
+        assert sup_norm(out[every_other] - values) <= 1e-14
+
+    @pytest.mark.parametrize("sizes", [sizes for sizes, _ in CASES], ids=IDS)
+    def test_nyquist_modes_are_split_evenly(self, sizes):
+        # on the coarse grid cos(N/2 x_a + x_b + p) is (-1)^j cos(x_b + p),
+        # whose even split interpolant is cos(N/2 x_a) cos(x_b + p)
+        coarse, fine = self.grids(sizes)
+        for a, size in enumerate(sizes):
+            b = (a + 1) % len(sizes)
+            wavevector = [0] * len(sizes)
+            wavevector[a], wavevector[b] = size // 2, 1
+            values = make_trig_field(coarse, [(1.0, wavevector, 0.3)]).values
+            coords = fine.coordinates()
+            expected = np.cos(size // 2 * coords[a]) * np.cos(coords[b] + 0.3)
+            assert sup_norm(prolong(values, coarse, fine) - expected) <= 1e-13
+
+    def test_grids_must_differ_by_two_on_every_axis(self):
+        coarse = PeriodicGrid(1, (8, 8))
+        with pytest.raises(ShapeError):
+            prolong(np.zeros(coarse.shape), coarse, PeriodicGrid(1, (16, 8)))
+        with pytest.raises(ShapeError):
+            prolong(np.zeros((16, 16)), coarse, PeriodicGrid(1, (16, 16)))
 
 
 class TestDerivatives:
