@@ -12,6 +12,7 @@ scenarios fill a default otherwise.
 
 Scenario rules (`scenario_diagnostics`) tie fields to the scenario:
 
+- the scenario itself must be one of SCENARIOS;
 - continuity_sweep and threshold seed from the twist form alone and
   reject a non-empty "omega_potential";
 - continuity_sweep walks a t_schedule, so an R_schedule in its place
@@ -47,6 +48,7 @@ SCENARIOS = (
     "twist_perturbation",
     "verify_suite",
 )
+_UNKNOWN_SCENARIO = f"scenario: must be one of {', '.join(SCENARIOS)}"
 
 Term = tuple[float, tuple[int, ...], float]
 
@@ -111,6 +113,8 @@ def default_config(scenario: str) -> RunConfig:
 def scenario_diagnostics(cfg: RunConfig) -> list[str]:
     """Diagnostics for fields that do not fit cfg.scenario, each
     starting with its key; empty when the scenario can run."""
+    if cfg.scenario not in SCENARIOS:
+        return [_UNKNOWN_SCENARIO]
     diags = []
     if cfg.omega_potential and cfg.scenario in ("continuity_sweep", "threshold"):
         diags.append(f"omega_potential: not used by {cfg.scenario}; leave it empty")
@@ -251,8 +255,7 @@ def parse_config(text: str, run_as: str | None = None) -> RunConfig:
 
     scenario = data.get("scenario")
     if scenario not in SCENARIOS:
-        diags.append(f"scenario: must be one of {', '.join(SCENARIOS)}"
-                     f"{_line_of(text, 'scenario')}")
+        diags.append(_UNKNOWN_SCENARIO + _line_of(text, "scenario"))
         raise ConfigError(diags)
     cfg = default_config(scenario)
 

@@ -27,6 +27,12 @@ own start when an axis is not a multiple of 4 of at least 8, when
 sampling or interpolating degenerates the metric, and when the
 half-grid solve fails or needs no iteration.  StepRecord's coarse_*
 fields record the half-grid stage.
+
+Every sequence of solves (the continuity sweep, the threshold's descent
+in R and the twist perturbation at fixed R) is one `WarmChain`, with one
+warm-start rule: a step starts at the last converged metric, handed on
+as the solved structure itself, or at the run's seed while no step has
+converged.
 """
 
 from __future__ import annotations
@@ -447,6 +453,8 @@ def solve_step(K_init: KahlerStructure, alpha: HermitianFormField, R: float,
     ended on.
     """
     started = time.perf_counter()
+    if t is None:
+        t = R_to_t(R)
     start, coarse_iters, coarse_error = _half_grid_start(K_init, alpha, R, cfg)
     report = newton_solve(K_init if start is None else start, alpha, R, cfg)
     eigen, eigen_error = None, ""
@@ -456,7 +464,7 @@ def solve_step(K_init: KahlerStructure, alpha: HermitianFormField, R: float,
         except TwistkError as err:
             eigen_error = describe(err)
     record = StepRecord(
-        t=R_to_t(R) if t is None else t, R=R, converged=report.converged,
+        t=t, R=R, converged=report.converged,
         residual_sup=report.residual_sup, residual_l2=report.residual_l2,
         constant=report.constant, newton_iters=report.iterations,
         wall_ms=(time.perf_counter() - started) * 1000.0, warm_source=source,
@@ -469,6 +477,41 @@ def solve_step(K_init: KahlerStructure, alpha: HermitianFormField, R: float,
         eigen_residual=math.nan if eigen is None else eigen.residual,
         eigen_error=eigen_error)
     return record, report.structure
+
+
+class WarmChain:
+    """A sequence of `solve_step` calls under the one warm-start rule.
+
+    A step starts at the last converged metric (warm_source
+    "previous-step"), or at the seed `start` (warm_source `source`)
+    while no step has converged; the seed is let go at the first
+    converged step.  records holds every step's record, converged or
+    not, structure the last converged metric (None while there is none),
+    and ladder_error the seed's ladder failure (see `seed_structure`).
+    """
+
+    def __init__(self, start: KahlerStructure, source: str, ladder_error: str = ""):
+        self._seed = start
+        self._source = source
+        self.ladder_error = ladder_error
+        self.records: list[StepRecord] = []
+        self.structure: KahlerStructure | None = None
+
+    def step(self, alpha: HermitianFormField, R: float, cfg: SolverConfig, *,
+             t: float | None = None, eigen_seed: int | None = None) -> bool:
+        """Solve at weight R from the rule's start; True when it converged."""
+        if self.structure is None:
+            start, source = self._seed, self._source
+        else:
+            start, source = self.structure, "previous-step"
+        record, solved = solve_step(start, alpha, R, cfg, source, t=t,
+                                    eigen_seed=eigen_seed)
+        self.records.append(record)
+        if record.converged:
+            # the seed's cached curvature fields would otherwise live
+            # through the whole chain (about 15 MB at 16^4)
+            self.structure, self._seed = solved, None
+        return record.converged
 
 
 @dataclass(frozen=True)
@@ -587,26 +630,23 @@ def perturb_twist(K: KahlerStructure, alpha_old: HermitianFormField,
             "solve the base problem first")
     if steps < 1:
         raise PreconditionError(f"perturb_twist needs steps >= 1, got {steps}")
-    records: list[StepRecord] = []
-    current = K
+    chain = WarmChain(K, "previous-step")
     for j in range(1, steps + 1):
         s = j / steps
         alpha_s = HermitianFormField(
             K.grid, (1.0 - s) * alpha_old.base_matrix + s * alpha_new.base_matrix,
             (1.0 - s) * alpha_old.potential + s * alpha_new.potential)
-        record, solved = solve_step(current, alpha_s, R, cfg, "previous-step")
-        records.append(record)
-        if not record.converged:
+        if not chain.step(alpha_s, R, cfg):
             break
-        current = solved
-    return tuple(records), current
+    return tuple(chain.records), K if chain.structure is None else chain.structure
 
 
 @dataclass(frozen=True)
 class ContinuationReport:
     """Path record: one `solve_step` record per step, the last converged
     metric, and ladder_error, the first step's `seed_structure` failure
-    reason.
+    reason.  A step's warm_source is "previous-step" after a converged
+    step and the seed's source while none has converged.
 
     smallest_converged_R is the failure frontier summary (0.0 when the
     whole path through t = 1 converged, nan when nothing did).
@@ -690,39 +730,24 @@ def continuity_sweep(grid: PeriodicGrid, g0: np.ndarray,
                      eigen_seed: int = 0) -> ContinuationReport:
     """March the continuity path over increasing t with warm starts.
 
-    The first step starts from `seed_structure` with the correction
-    ladder; each later step reuses the last converged potential (or the
-    seed without the ladder while nothing has converged).
+    Every t is mapped to its weight before the first solve.  The first
+    step starts from `seed_structure` with the correction ladder at the
+    first weight; each later step starts from the last converged metric,
+    or from that same seed while no step has converged (`WarmChain`).
     Records residual norms, the extreme eigenvalue of the shifted
     operator and Newton statistics per step; non-converged steps are
-    recorded and the sweep keeps marching from the last good potential,
+    recorded and the sweep keeps marching from the last good metric,
     so the report maps the failure frontier.
     """
     t_list = [float(t) for t in t_values]
     if not t_list or any(b <= a for a, b in zip(t_list, t_list[1:])):
         raise PreconditionError("t_values must be strictly increasing and non-empty")
-
-    steps: list[StepRecord] = []
-    structure = None
-    ladder_error = ""
-    for idx, t in enumerate(t_list):
-        R = t_to_R(t)
-        if structure is not None:
-            K_init = KahlerStructure(grid, g0, euclid_mean_zero(structure.potential))
-            source = "previous-step"
-        else:
-            # only the first step is improved by the ladder
-            K_init, source, error = seed_structure(
-                grid, g0, alpha, R, 0 if idx else ladder_order, cfg)
-            ladder_error = ladder_error or error
-        record, solved = solve_step(K_init, alpha, R, cfg, source, t=t,
-                                    eigen_seed=eigen_seed if compute_eigen else None)
-        steps.append(record)
-        # a failed step keeps the last good metric, to map the frontier
-        if record.converged:
-            structure = solved
-    return ContinuationReport(steps=tuple(steps), structure=structure,
-                              ladder_error=ladder_error)
+    weights = [t_to_R(t) for t in t_list]
+    chain = WarmChain(*seed_structure(grid, g0, alpha, weights[0], ladder_order, cfg))
+    for t, R in zip(t_list, weights):
+        chain.step(alpha, R, cfg, t=t, eigen_seed=eigen_seed if compute_eigen else None)
+    return ContinuationReport(steps=tuple(chain.records), structure=chain.structure,
+                              ladder_error=chain.ladder_error)
 
 
 @dataclass(frozen=True)
@@ -751,8 +776,8 @@ def estimate_R_threshold(grid: PeriodicGrid, g0: np.ndarray,
                          ladder_order: int = 2) -> ThresholdEstimate:
     """Descend the twist weight geometrically and bracket the first failure.
 
-    The weight halves from R_start while it stays above `floor`; warm
-    starts carry the last solved potential downward.  If every
+    The weight halves from R_start while it stays above `floor`; each
+    weight starts from the last converged metric (`WarmChain`).  If every
     weight down to `floor` and then R = 0 itself converge, the estimate
     is 0.0 with the degenerate bracket (0.0, 0.0); otherwise the failing
     interval is bisected geometrically for `bisect_steps` rounds.  The
@@ -762,32 +787,14 @@ def estimate_R_threshold(grid: PeriodicGrid, g0: np.ndarray,
     if R_start <= 0.0 or floor <= 0.0:
         raise PreconditionError("estimate_R_threshold: need R_start > 0 "
                                 "and floor > 0")
-    attempts: list[StepRecord] = []
-    seed, source, ladder_error = seed_structure(grid, g0, alpha, R_start,
-                                                ladder_order, cfg)
-    warm = None
-
-    def attempt(R: float) -> bool:
-        """Newton at weight R from the warm potential (from the seed on
-        the first call); a converged solve's potential becomes the warm
-        one.  Only the attempt record outlives the call."""
-        nonlocal seed, warm
-        K_init = seed if warm is None else KahlerStructure(grid, g0, warm)
-        # the seed's cached curvature fields would otherwise live through
-        # the whole descent (about 15 MB at 16^4)
-        seed = None
-        record, solved = solve_step(K_init, alpha, R, cfg,
-                                    source if warm is None else "previous-step")
-        attempts.append(record)
-        if record.converged:
-            warm = euclid_mean_zero(solved.potential)
-        return record.converged
+    chain = WarmChain(*seed_structure(grid, g0, alpha, R_start, ladder_order, cfg))
 
     def estimate(threshold: float, bracket: tuple[float, float]) -> ThresholdEstimate:
         return ThresholdEstimate(threshold=threshold, bracket=bracket,
-                                 attempts=tuple(attempts), ladder_error=ladder_error)
+                                 attempts=tuple(chain.records),
+                                 ladder_error=chain.ladder_error)
 
-    if not attempt(R_start):
+    if not chain.step(alpha, R_start, cfg):
         return estimate(math.inf, (R_start, math.inf))
     schedule = []
     R = R_start * 0.5
@@ -796,7 +803,7 @@ def estimate_R_threshold(grid: PeriodicGrid, g0: np.ndarray,
         R *= 0.5
     R_ok = R_start
     for R in schedule + [0.0]:
-        if not attempt(R):
+        if not chain.step(alpha, R, cfg):
             break
         R_ok = R
     else:
@@ -804,7 +811,7 @@ def estimate_R_threshold(grid: PeriodicGrid, g0: np.ndarray,
     lo, hi = R, R_ok
     for _ in range(bisect_steps):
         mid = math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
-        if attempt(mid):
+        if chain.step(alpha, mid, cfg):
             hi = mid
         else:
             lo = mid

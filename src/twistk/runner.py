@@ -462,18 +462,17 @@ def run_scenario(cfg: RunConfig) -> int:
     0 means every requested solve converged (or every check passed);
     1 records a solver-level failure, with reports still written.  A
     config built in code that breaks a scenario rule of
-    `config.scenario_diagnostics` (which `parse_config` rejects) fails
-    the same way, with a ConfigError summary, before any solver work.
+    `config.scenario_diagnostics` (which `parse_config` rejects), an
+    unknown scenario included, fails the same way, with a ConfigError summary, before any solver work.
     """
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_manifest(outdir, cfg)
-    runner = _SCENARIO_RUNNERS[cfg.scenario]
     try:
         diagnostics = scenario_diagnostics(cfg)
         if diagnostics:
             raise ConfigError(diagnostics)
-        rows, summary, success = runner(cfg, outdir)
+        rows, summary, success = _SCENARIO_RUNNERS[cfg.scenario](cfg, outdir)
     except TwistkError as err:
         _write_summary(outdir, {"scenario": cfg.scenario, "success": False,
                                 "error": describe(err)})

@@ -666,6 +666,28 @@ class TestSummaryRecords:
         assert summary["error"].startswith(f"ConfigError: {key}:")
         assert not (out / "steps.csv").exists()
 
+    def test_code_built_unknown_scenario_is_a_config_error(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_scenario(RunConfig(scenario="bogus", out=str(out))) == 1
+        summary = _strict_load(out / "summary.json")
+        assert summary == {"scenario": "bogus", "success": False,
+                           "error": "ConfigError: scenario: must be one of "
+                                    + ", ".join(SCENARIOS)}
+        assert not (out / "steps.csv").exists()
+
+    def test_code_built_negative_weight_fails_before_any_solve(
+            self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("newton_solve called")
+
+        monkeypatch.setattr(engine, "newton_solve", refuse)
+        out = tmp_path / "run"
+        cfg = RunConfig(scenario="single_solve", sizes=(16, 16), R_schedule=(-0.5,),
+                        alpha_potential=((0.2, (1, 0), 0.0),), out=str(out))
+        assert run_scenario(cfg) == 1
+        assert _strict_load(out / "summary.json")["error"] == (
+            "PreconditionError: twist weight must be >= 0, got -0.5")
+
 
 class TestStepRecords:
     """Every Newton scenario writes one solve_step record per steps.csv

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -416,6 +418,16 @@ class TestSolveStep:
             records[0].coarse_residual_sup, rel=1e-6)
         assert sup_norm(np.roll(potentials[0], 1, axis=0) - potentials[1]) <= 1e-12
 
+    def test_negative_weight_fails_before_any_solve(self, grid16, alpha16,
+                                                    monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("newton_solve called")
+
+        monkeypatch.setattr(engine, "newton_solve", refuse)
+        flat = KahlerStructure(grid16, EYE1, np.zeros(grid16.shape))
+        with pytest.raises(PreconditionError, match="twist weight must be >= 0"):
+            engine.solve_step(flat, alpha16, -0.5, FAST, "flat")
+
     def test_four_point_axis_falls_back(self):
         from twistk import PeriodicGrid
         K0, alpha = self.problem(PeriodicGrid(1, (4, 8)))
@@ -430,6 +442,15 @@ class TestContinuitySweep:
             continuity_sweep(grid16, EYE1, alpha16, (0.7, 0.3), FAST)
         with pytest.raises(PreconditionError):
             continuity_sweep(grid16, EYE1, alpha16, (), FAST)
+
+    def test_every_t_is_mapped_before_the_first_solve(self, grid16, alpha16,
+                                                      monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("newton_solve called")
+
+        monkeypatch.setattr(engine, "newton_solve", refuse)
+        with pytest.raises(PreconditionError, match="must lie in"):
+            continuity_sweep(grid16, EYE1, alpha16, (0.5, 0.8, 1.5), FAST)
 
     def test_flat_path_reaches_endpoint(self, grid16, alpha16):
         report = continuity_sweep(grid16, EYE1, alpha16, (0.5, 1.0), FAST)
@@ -553,8 +574,105 @@ class TestSeedStructure:
         monkeypatch.setattr(engine, "newton_solve", first_fails)
         report = continuity_sweep(grid16, EYE1, alpha16, (0.5, 1.0), FAST,
                                   compute_eigen=False)
-        assert [s.warm_source for s in report.steps] == ["ladder[2]", "flat"]
+        assert [s.warm_source for s in report.steps] == ["ladder[2]", "ladder[2]"]
         assert [s.converged for s in report.steps] == [False, True]
+
+
+class TestWarmChain:
+    """engine.WarmChain: the one warm-start rule of every sequence of solves."""
+
+    @staticmethod
+    def twist(grid):
+        return HermitianFormField.from_potential(
+            grid, EYE1, make_trig_field(grid, [(0.2, (1, 0), 0.0)]).values)
+
+    @staticmethod
+    def record_steps(monkeypatch):
+        """(start, record, solved metric) of every solve_step call."""
+        calls = []
+        original = engine.solve_step
+
+        def recording(K_init, *args, **kwargs):
+            record, solved = original(K_init, *args, **kwargs)
+            calls.append((K_init, record, solved))
+            return record, solved
+
+        monkeypatch.setattr(engine, "solve_step", recording)
+        return calls
+
+    @staticmethod
+    def assert_one_rule(calls, seed_source):
+        """Each step starts at the last converged step's solved structure
+        itself, or at the first step's start while none has converged."""
+        seed, last = calls[0][0], None
+        for K_init, record, solved in calls:
+            if last is None:
+                assert K_init is seed and record.warm_source == seed_source
+            else:
+                assert K_init is last and record.warm_source == "previous-step"
+            if record.converged:
+                assert solved is not K_init
+                last = solved
+
+    def test_each_step_starts_from_the_last_converged_structure(
+            self, grid16, monkeypatch):
+        alpha = self.twist(grid16)
+        original = engine.newton_solve
+
+        def middle_fails(K0, alpha, R, *args, **kwargs):
+            report = original(K0, alpha, R, *args, **kwargs)
+            if R == t_to_R(0.8):
+                report = dataclasses.replace(report, converged=False)
+            return report
+
+        monkeypatch.setattr(engine, "newton_solve", middle_fails)
+        calls = self.record_steps(monkeypatch)
+        report = continuity_sweep(grid16, EYE1, alpha, (0.5, 0.8, 1.0), FAST,
+                                  compute_eigen=False)
+        assert [s.converged for s in report.steps] == [True, False, True]
+        self.assert_one_rule(calls, "ladder[2]")
+        assert calls[2][0] is calls[0][2]
+        assert report.structure is calls[2][2]
+
+        calls.clear()
+        monkeypatch.setattr(engine, "newton_solve", original)
+        estimate = estimate_R_threshold(grid16, EYE1, alpha, R_start=8.0,
+                                        bisect_steps=0, cfg=FAST)
+        assert len(calls) == len(estimate.attempts) > 2
+        self.assert_one_rule(calls, "ladder[2]")
+
+        calls.clear()
+        flat = KahlerStructure(grid16, EYE1, np.zeros(grid16.shape))
+        records, K = perturb_twist(flat, HermitianFormField.from_potential(grid16, EYE1),
+                                   alpha, 100.0, FAST, steps=3)
+        assert len(calls) == len(records) == 3
+        self.assert_one_rule(calls, "previous-step")
+        assert calls[0][0] is flat and K is calls[2][2]
+
+    def test_threshold_lets_its_seed_go_at_the_first_converged_attempt(
+            self, grid16, monkeypatch):
+        seeds = []
+        original_seed = engine.seed_structure
+
+        def seeding(*args, **kwargs):
+            K, source, error = original_seed(*args, **kwargs)
+            seeds.append(weakref.ref(K))
+            return K, source, error
+
+        alive = []
+        original_step = engine.solve_step
+
+        def stepping(*args, **kwargs):
+            gc.collect()
+            alive.append(seeds[0]() is not None)
+            return original_step(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "seed_structure", seeding)
+        monkeypatch.setattr(engine, "solve_step", stepping)
+        estimate = estimate_R_threshold(grid16, EYE1, self.twist(grid16),
+                                        R_start=8.0, bisect_steps=0, cfg=FAST)
+        assert estimate.attempts[0].converged
+        assert alive == [True] + [False] * (len(estimate.attempts) - 1)
 
 
 class TestThresholdEstimate:
