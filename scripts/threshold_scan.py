@@ -37,7 +37,7 @@ def main() -> int:
         est = estimate_R_threshold(grid, g0, alpha, R_start=args.r_start,
                                    floor=args.floor, cfg=cfg)
         print(f"{a:>10.3f} {est.threshold:>10.5f} {str(est.bracket):>24} "
-              f"{len(est.attempts):>8}")
+              f"{len(est.chain.records):>8}")
         worst = max(worst, est.threshold)
     print(f"largest threshold over the scan: {worst}")
     return 0

@@ -5,13 +5,13 @@ __version__ = "0.1.0"
 
 from .engine import (
     ApproximateSolution,
-    ContinuationReport,
     IFTCertificate,
     NewtonReport,
     PositivityReport,
     SolverConfig,
     StepRecord,
     ThresholdEstimate,
+    WarmChain,
     R_to_t,
     build_approximate_solution,
     continuity_sweep,

@@ -19,6 +19,7 @@ solver failure (reports still written), 2 bad configuration or usage.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -99,8 +100,13 @@ def main(argv=None) -> int:
             set_fft_workers(args.threads)
         # overrides can combine into an inconsistent config (a --grid
         # dimension switch with dimension-specific defaults, say); the
-        # parser owns all cross-field validation, so round-trip once
-        cfg = parse_config(canonical_form(cfg))
+        # parser owns all cross-field validation, so round-trip once.  The
+        # round-trip text is never shown, so its line numbers are dropped
+        try:
+            cfg = parse_config(canonical_form(cfg))
+        except ConfigError as err:
+            raise ConfigError([re.sub(r" \(line \d+\)$", "", line)
+                               for line in err.diagnostics]) from err
     except ConfigError as err:
         for line in err.diagnostics:
             print(f"twistk: config error: {line}", file=sys.stderr)

@@ -162,7 +162,7 @@ def _parse_matrix(data, key: str, n: int, diags: list[str],
                   text: str) -> tuple[tuple[complex, ...], ...]:
     if (not isinstance(data, list) or len(data) != n
             or any(not isinstance(row, list) or len(row) != n for row in data)):
-        diags.append(f"{key}: must be an {n}x{n} matrix{_line_of(text, key)}")
+        diags.append(f"{key}: must be a {n}x{n} matrix{_line_of(text, key)}")
         return tuple((complex(1.0),) * n for _ in range(n))
     entry_diags = len(diags)
     rows = tuple(

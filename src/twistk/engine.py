@@ -28,11 +28,14 @@ sampling or interpolating degenerates the metric, and when the
 half-grid solve fails or needs no iteration.  StepRecord's coarse_*
 fields record the half-grid stage.
 
-Every sequence of solves (the continuity sweep, the threshold's descent
-in R and the twist perturbation at fixed R) is one `WarmChain`, with one
-warm-start rule: a step starts at the last converged metric, handed on
-as the solved structure itself, or at the run's seed while no step has
-converged.
+Every run starts from `seed_structure` and every sequence of solves is
+one `WarmChain`, with one warm-start rule: a step starts at the last
+converged metric, handed on as the solved structure itself, or at the
+run's seed while no step has converged.  `continuity_sweep` returns its
+chain, `ThresholdEstimate` holds the threshold descent's, and
+`perturb_twist` continues the caller's chain from its last converged
+twist and weight, so a base solve and its perturbation stages are one
+chain.
 """
 
 from __future__ import annotations
@@ -486,22 +489,25 @@ class WarmChain:
     "previous-step"), or at the seed `start` (warm_source `source`)
     while no step has converged; the seed is let go at the first
     converged step.  records holds every step's record, converged or
-    not, structure the last converged metric (None while there is none),
-    and ladder_error the seed's ladder failure (see `seed_structure`).
+    not; structure, alpha and R are the metric, twist and weight of the
+    last converged step (None while there is none); source and
+    ladder_error describe the seed (see `seed_structure`).
     """
 
     def __init__(self, start: KahlerStructure, source: str, ladder_error: str = ""):
         self._seed = start
-        self._source = source
+        self.source = source
         self.ladder_error = ladder_error
         self.records: list[StepRecord] = []
         self.structure: KahlerStructure | None = None
+        self.alpha: HermitianFormField | None = None
+        self.R: float | None = None
 
     def step(self, alpha: HermitianFormField, R: float, cfg: SolverConfig, *,
              t: float | None = None, eigen_seed: int | None = None) -> bool:
         """Solve at weight R from the rule's start; True when it converged."""
         if self.structure is None:
-            start, source = self._seed, self._source
+            start, source = self._seed, self.source
         else:
             start, source = self.structure, "previous-step"
         record, solved = solve_step(start, alpha, R, cfg, source, t=t,
@@ -511,6 +517,7 @@ class WarmChain:
             # the seed's cached curvature fields would otherwise live
             # through the whole chain (about 15 MB at 16^4)
             self.structure, self._seed = solved, None
+            self.alpha, self.R = alpha, R
         return record.converged
 
 
@@ -605,64 +612,35 @@ def ift_certificate(K: KahlerStructure, alpha: HermitianFormField, R: float,
                           verdict="inconclusive", samples=_IFT_SAMPLES, seed=seed)
 
 
-def perturb_twist(K: KahlerStructure, alpha_old: HermitianFormField,
-                  alpha_new: HermitianFormField, R: float,
-                  cfg: SolverConfig = SolverConfig(), *,
-                  steps: int = 1,
-                  ) -> tuple[tuple[StepRecord, ...], KahlerStructure]:
-    """Continue a solved metric to a perturbed twist at fixed weight.
+def perturb_twist(chain: WarmChain, alpha_new: HermitianFormField,
+                  cfg: SolverConfig = SolverConfig(), *, steps: int = 1) -> None:
+    """Continue a chain's solved metric to a perturbed twist at its weight.
 
-    Requires K to solve the equation for alpha_old to the tolerance of
-    every stage (residual sup at most cfg.newton_tol).  The twist is
-    moved along the convex combination in `steps` increments, each stage
-    form interpolating the class matrices and the potentials, and
-    re-solved with Newton at each stage; convexity keeps every
-    intermediate form positive when the endpoints are.
-    Returns one `solve_step` record per attempted stage, and the last
-    converged stage's metric (K when none converged); continuation stops
-    at the first non-converged stage, so the record count shows progress.
+    Requires the chain's last step to have converged to the tolerance
+    of every stage (residual sup at most cfg.newton_tol).  The twist is
+    moved from that step's twist along the convex combination in
+    `steps` increments, each stage form interpolating the class
+    matrices and the potentials, and each stage is one step of the
+    chain; convexity keeps every intermediate form positive when the
+    endpoints are.  Continuation stops at the first non-converged
+    stage, so the chain's records show the progress.
     """
-    residual, _ = twisted_residual(K, alpha_old, R)
-    base_sup = sup_norm(residual.values)
-    if base_sup > cfg.newton_tol:
+    last = chain.records[-1] if chain.records else None
+    if last is None or not last.converged or last.residual_sup > cfg.newton_tol:
+        found = "no step" if last is None else f"residual {last.residual_sup:.3e}"
         raise PreconditionError(
-            f"perturb_twist: base residual {base_sup:.3e} above {cfg.newton_tol:g}; "
+            f"perturb_twist: base {found}, not converged to {cfg.newton_tol:g}; "
             "solve the base problem first")
     if steps < 1:
         raise PreconditionError(f"perturb_twist needs steps >= 1, got {steps}")
-    chain = WarmChain(K, "previous-step")
+    alpha_old, R = chain.alpha, chain.R
     for j in range(1, steps + 1):
         s = j / steps
         alpha_s = HermitianFormField(
-            K.grid, (1.0 - s) * alpha_old.base_matrix + s * alpha_new.base_matrix,
+            alpha_old.grid, (1.0 - s) * alpha_old.base_matrix + s * alpha_new.base_matrix,
             (1.0 - s) * alpha_old.potential + s * alpha_new.potential)
         if not chain.step(alpha_s, R, cfg):
             break
-    return tuple(chain.records), K if chain.structure is None else chain.structure
-
-
-@dataclass(frozen=True)
-class ContinuationReport:
-    """Path record: one `solve_step` record per step, the last converged
-    metric, and ladder_error, the first step's `seed_structure` failure
-    reason.  A step's warm_source is "previous-step" after a converged
-    step and the seed's source while none has converged.
-
-    smallest_converged_R is the failure frontier summary (0.0 when the
-    whole path through t = 1 converged, nan when nothing did).
-    """
-
-    steps: tuple[StepRecord, ...]
-    structure: KahlerStructure | None
-    ladder_error: str = ""
-
-    @property
-    def success(self) -> bool:
-        return all(s.converged for s in self.steps)
-
-    @property
-    def smallest_converged_R(self) -> float:
-        return min((s.R for s in self.steps if s.converged), default=math.nan)
 
 
 def proportional_seed_potential(grid: PeriodicGrid, g0: np.ndarray,
@@ -727,17 +705,18 @@ def continuity_sweep(grid: PeriodicGrid, g0: np.ndarray,
                      alpha: HermitianFormField, t_values,
                      cfg: SolverConfig = SolverConfig(), *,
                      ladder_order: int = 2, compute_eigen: bool = True,
-                     eigen_seed: int = 0) -> ContinuationReport:
+                     eigen_seed: int = 0) -> WarmChain:
     """March the continuity path over increasing t with warm starts.
 
     Every t is mapped to its weight before the first solve.  The first
     step starts from `seed_structure` with the correction ladder at the
     first weight; each later step starts from the last converged metric,
     or from that same seed while no step has converged (`WarmChain`).
-    Records residual norms, the extreme eigenvalue of the shifted
-    operator and Newton statistics per step; non-converged steps are
-    recorded and the sweep keeps marching from the last good metric,
-    so the report maps the failure frontier.
+    Returns the chain: its records hold residual norms, the extreme
+    eigenvalue of the shifted operator and Newton statistics per step.
+    Non-converged steps are recorded and the sweep keeps marching from
+    the last good metric, so the records map the failure frontier, and
+    the chain's R is the smallest converged weight.
     """
     t_list = [float(t) for t in t_values]
     if not t_list or any(b <= a for a, b in zip(t_list, t_list[1:])):
@@ -746,8 +725,7 @@ def continuity_sweep(grid: PeriodicGrid, g0: np.ndarray,
     chain = WarmChain(*seed_structure(grid, g0, alpha, weights[0], ladder_order, cfg))
     for t, R in zip(t_list, weights):
         chain.step(alpha, R, cfg, t=t, eigen_seed=eigen_seed if compute_eigen else None)
-    return ContinuationReport(steps=tuple(chain.records), structure=chain.structure,
-                              ladder_error=chain.ladder_error)
+    return chain
 
 
 @dataclass(frozen=True)
@@ -758,15 +736,13 @@ class ThresholdEstimate:
     attempted weight down to and including R = 0 solves, both entries
     and the threshold are 0.0.  When the first attempt at R_start fails
     no weight is verified: the threshold is inf and the bracket
-    (R_start, inf).  attempts holds one `solve_step` record per weight
-    tried, the first one's warm_source being the `seed_structure`
-    source; ladder_error is that seed's ladder failure.
+    (R_start, inf).  chain holds one `solve_step` record per weight
+    tried and the `seed_structure` seed's source and ladder failure.
     """
 
     threshold: float
     bracket: tuple[float, float]
-    attempts: tuple[StepRecord, ...]
-    ladder_error: str = ""
+    chain: WarmChain
 
 
 def estimate_R_threshold(grid: PeriodicGrid, g0: np.ndarray,
@@ -789,13 +765,8 @@ def estimate_R_threshold(grid: PeriodicGrid, g0: np.ndarray,
                                 "and floor > 0")
     chain = WarmChain(*seed_structure(grid, g0, alpha, R_start, ladder_order, cfg))
 
-    def estimate(threshold: float, bracket: tuple[float, float]) -> ThresholdEstimate:
-        return ThresholdEstimate(threshold=threshold, bracket=bracket,
-                                 attempts=tuple(chain.records),
-                                 ladder_error=chain.ladder_error)
-
     if not chain.step(alpha, R_start, cfg):
-        return estimate(math.inf, (R_start, math.inf))
+        return ThresholdEstimate(math.inf, (R_start, math.inf), chain)
     schedule = []
     R = R_start * 0.5
     while R > floor:
@@ -807,7 +778,7 @@ def estimate_R_threshold(grid: PeriodicGrid, g0: np.ndarray,
             break
         R_ok = R
     else:
-        return estimate(0.0, (0.0, 0.0))
+        return ThresholdEstimate(0.0, (0.0, 0.0), chain)
     lo, hi = R, R_ok
     for _ in range(bisect_steps):
         mid = math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
@@ -815,4 +786,4 @@ def estimate_R_threshold(grid: PeriodicGrid, g0: np.ndarray,
             hi = mid
         else:
             lo = mid
-    return estimate(hi, (lo, hi))
+    return ThresholdEstimate(hi, (lo, hi), chain)

@@ -15,6 +15,7 @@ as separate files rather than widening the format.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -50,9 +51,12 @@ def read_field(path: str | Path) -> tuple[int, np.ndarray]:
     offset += 8
     if rank == 0 or rank > _MAX_RANK:
         raise DomainError(f"{path}: unsupported rank {rank}")
+    if len(raw) < offset + 4 * rank:
+        raise DomainError(f"{path}: header ends before its {rank} axis sizes")
     sizes = struct.unpack_from(f"<{rank}I", raw, offset)
     offset += 4 * rank
-    count = int(np.prod(sizes))
+    # a Python-int product: in int64, (65536,) * 4 would wrap to 0
+    count = math.prod(sizes)
     expected = offset + 8 * count
     if len(raw) != expected:
         raise DomainError(

@@ -29,6 +29,7 @@ from . import __version__
 from .config import RunConfig, config_to_dict, scenario_diagnostics
 from .engine import (
     SolverConfig,
+    WarmChain,
     R_to_t,
     build_approximate_solution,
     continuity_sweep,
@@ -36,7 +37,6 @@ from .engine import (
     newton_solve,
     perturb_twist,
     seed_structure,
-    solve_step,
     t_to_R,
     trivial_twist,
     twisted_residual,
@@ -120,12 +120,6 @@ def _write_summary(outdir: Path, summary: dict) -> None:
                    allow_nan=False) + "\n")
 
 
-def _step_rows(records) -> list[tuple]:
-    """steps.csv rows of a Newton scenario's `solve_step` records."""
-    return [(idx, r.t, r.R, r.residual_sup, r.residual_l2, r.lambda1,
-             r.newton_iters, r.wall_ms) for idx, r in enumerate(records)]
-
-
 def _write_fields(outdir: Path, K: KahlerStructure) -> None:
     fields = outdir / "fields"
     fields.mkdir(parents=True, exist_ok=True)
@@ -173,37 +167,51 @@ def _cohomology_summary(K, alpha, R) -> dict:
     }
 
 
+def _chain_artifacts(chain: WarmChain, summary: dict, outdir: Path | None):
+    """A Newton scenario's result from its chain: the summary with the
+    seed block and the records added, one steps.csv row per record, and
+    success (every step converged).  With an outdir the fields of the
+    last converged metric are written, when there is one."""
+    summary["seed"] = {"source": chain.source, "ladder_error": chain.ladder_error}
+    summary["records"] = [asdict(r) for r in chain.records]
+    if outdir is not None and chain.structure is not None:
+        _write_fields(outdir, chain.structure)
+    rows = [(idx, r.t, r.R, r.residual_sup, r.residual_l2, r.lambda1,
+             r.newton_iters, r.wall_ms) for idx, r in enumerate(chain.records)]
+    return rows, summary, all(r.converged for r in chain.records)
+
+
 def _run_single_solve(cfg: RunConfig, outdir: Path):
     grid, g0_omega, omega_pot, alpha = _build_problem(cfg)
     solver = _solver_config(cfg)
     R = _first_R(cfg)
-    K_init, source, ladder_error = seed_structure(
-        grid, g0_omega, alpha, R, cfg.order, solver, potential=omega_pot.values)
+    chain = WarmChain(*seed_structure(grid, g0_omega, alpha, R, cfg.order, solver,
+                                      potential=omega_pot.values))
     # eigenpair certification can fail on very coarse grids where the
     # fourth-order truncation defect exceeds the residual tolerance; the
     # solve itself still stands, so lambda1 is nan and the record keeps
     # the reason
-    record, K = solve_step(K_init, alpha, R, solver, source, eigen_seed=cfg.seed)
+    chain.step(alpha, R, solver, eigen_seed=cfg.seed)
+    (record,) = chain.records
     summary = {
         "scenario": cfg.scenario,
         "converged": record.converged,
         "residual_sup": record.residual_sup,
         "lambda1": record.lambda1,
         "newton_iterations": record.newton_iters,
-        "seed": {"source": source, "ladder_error": ladder_error},
-        "records": [asdict(record)],
     }
     if record.converged:
-        summary.update(_cohomology_summary(K, alpha, R))
-    _write_fields(outdir, K)
-    return _step_rows([record]), summary, record.converged
+        summary.update(_cohomology_summary(chain.structure, alpha, R))
+    return _chain_artifacts(chain, summary, outdir)
 
 
 def _run_ladder_study(cfg: RunConfig, outdir: Path):
     schedule = [float(R) for R in cfg.R_schedule]
     grid, g0_omega, omega_pot, alpha = _build_problem(cfg)
     solver = _solver_config(cfg)
-    base = KahlerStructure(grid, g0_omega, euclid_mean_zero(omega_pot.values))
+    # the ladder itself is the study, so the seed is taken without one
+    base, source, ladder_error = seed_structure(grid, g0_omega, alpha, schedule[0], 0,
+                                                solver, potential=omega_pot.values)
     # rung m of the order-cfg.order ladder is the order-m ladder, so one
     # build per weight gives every order; only its per-rung norms and
     # times, and the last structure, outlive it
@@ -226,7 +234,8 @@ def _run_ladder_study(cfg: RunConfig, outdir: Path):
         slopes[f"slope_m{m}"] = fit.exponent
         ratios[f"scaled_residual_ratio_m{m}"] = max(scaled) / min(scaled)
     summary = {"scenario": cfg.scenario, **slopes, **ratios,
-               "R_schedule": schedule, "orders": list(range(1, cfg.order + 1))}
+               "R_schedule": schedule, "orders": list(range(1, cfg.order + 1)),
+               "seed": {"source": source, "ladder_error": ladder_error}}
     _write_fields(outdir, last)
     return rows, summary, True
 
@@ -234,28 +243,22 @@ def _run_ladder_study(cfg: RunConfig, outdir: Path):
 def _run_continuity_sweep(cfg: RunConfig, outdir: Path):
     grid, g0_omega, omega_pot, alpha = _build_problem(cfg)
     solver = _solver_config(cfg)
-    report = continuity_sweep(grid, g0_omega, alpha, cfg.t_schedule, solver,
-                              ladder_order=cfg.order, eigen_seed=cfg.seed)
+    chain = continuity_sweep(grid, g0_omega, alpha, cfg.t_schedule, solver,
+                             ladder_order=cfg.order, eigen_seed=cfg.seed)
+    # t increases, so the last converged step is the one at the smallest
+    # converged weight
     summary = {
         "scenario": cfg.scenario,
-        "success": report.success,
-        "steps": len(report.steps),
-        "smallest_converged_R": report.smallest_converged_R,
-        "seed": {"source": report.steps[0].warm_source,
-                 "ladder_error": report.ladder_error},
-        "records": [asdict(s) for s in report.steps],
+        "steps": len(chain.records),
+        "smallest_converged_R": chain.R,
     }
-    if report.structure is not None:
+    if chain.structure is not None:
         flat = g0_omega.reshape((grid.n, grid.n) + (1,) * len(grid.sizes))
-        summary["final_potential_sup"] = sup_norm(report.structure.potential)
+        summary["final_potential_sup"] = sup_norm(chain.structure.potential)
         summary["final_metric_flat_sup"] = float(
-            np.abs(report.structure.comps - flat).max())
-        # t increases, so the last converged structure is the one at the
-        # smallest converged weight
-        summary.update(_cohomology_summary(report.structure, alpha,
-                                           report.smallest_converged_R))
-        _write_fields(outdir, report.structure)
-    return _step_rows(report.steps), summary, report.success
+            np.abs(chain.structure.comps - flat).max())
+        summary.update(_cohomology_summary(chain.structure, alpha, chain.R))
+    return _chain_artifacts(chain, summary, outdir)
 
 
 def _run_threshold(cfg: RunConfig, outdir: Path):
@@ -269,50 +272,38 @@ def _run_threshold(cfg: RunConfig, outdir: Path):
         "threshold": estimate.threshold,
         "bracket_low": estimate.bracket[0],
         "bracket_high": estimate.bracket[1],
-        "attempts": len(estimate.attempts),
-        "seed": {"source": estimate.attempts[0].warm_source,
-                 "ladder_error": estimate.ladder_error},
-        "records": [asdict(r) for r in estimate.attempts],
+        "attempts": len(estimate.chain.records),
     }
-    return (_step_rows(estimate.attempts), summary,
-            all(r.converged for r in estimate.attempts))
+    # no fields: at 16^4 they would add 4.7 MB to every threshold call
+    return _chain_artifacts(estimate.chain, summary, None)
 
 
 def _run_twist_perturbation(cfg: RunConfig, outdir: Path):
     grid, g0_omega, omega_pot, alpha = _build_problem(cfg)
     solver = _solver_config(cfg)
     R = _first_R(cfg)
-    K_init, source, ladder_error = seed_structure(
-        grid, g0_omega, alpha, R, cfg.order, solver, potential=omega_pot.values)
-    base, K = solve_step(K_init, alpha, R, solver, source)
-    records = [base]
-    summary = {"scenario": cfg.scenario, "base_converged": base.converged,
-               "R": R, "stages": cfg.perturbation_steps,
-               "seed": {"source": source, "ladder_error": ladder_error}}
-    if base.converged:
+    chain = WarmChain(*seed_structure(grid, g0_omega, alpha, R, cfg.order, solver,
+                                      potential=omega_pot.values))
+    base_converged = chain.step(alpha, R, solver)
+    summary = {"scenario": cfg.scenario, "base_converged": base_converged,
+               "R": R, "stages": cfg.perturbation_steps}
+    if base_converged:
         bump = make_trig_field(grid, [cfg.perturbation])
         target = HermitianFormField(grid, alpha.base_matrix,
                                     alpha.potential + bump.values)
         started = time.perf_counter()
-        stages, K = perturb_twist(K, alpha, target, R, solver,
-                                  steps=cfg.perturbation_steps)
+        perturb_twist(chain, target, solver, steps=cfg.perturbation_steps)
         summary["continuation_wall_ms"] = (time.perf_counter() - started) * 1000.0
-        records += stages
-        summary["final_residual_sup"] = records[-1].residual_sup
-        summary["stages_converged"] = sum(r.converged for r in stages)
-        _write_fields(outdir, K)
-    success = all(r.converged for r in records)
-    summary["success"] = success
-    summary["records"] = [asdict(r) for r in records]
-    return _step_rows(records), summary, success
+        summary["final_residual_sup"] = chain.records[-1].residual_sup
+        summary["stages_converged"] = sum(r.converged for r in chain.records[1:])
+    return _chain_artifacts(chain, summary, outdir)
 
 
 def _verify_checks(cfg: RunConfig, outdir: Path):
     """Deterministic cross-checks; every row is (name, value, tol, pass)."""
     checks: list[tuple[str, float, float, bool]] = []
     rng = np.random.default_rng(cfg.seed)
-    krylov = KrylovConfig(tol=cfg.krylov_tol)
-    small_solver = SolverConfig(newton_tol=cfg.newton_tol, krylov=krylov)
+    solver = _solver_config(cfg)
 
     def record(name: str, value: float, tol: float, ok=None) -> bool:
         passed = bool(value <= tol) if ok is None else bool(ok)
@@ -331,7 +322,7 @@ def _verify_checks(cfg: RunConfig, outdir: Path):
 
     flat = KahlerStructure(grid, g_id, np.zeros(grid.shape))
     alpha_flat = HermitianFormField.from_potential(grid, g_id)
-    shifted, _ = solve_shifted(flat, alpha_flat, 4.0, cos_x, krylov)
+    shifted, _ = solve_shifted(flat, alpha_flat, 4.0, cos_x, solver.krylov)
     record("shifted_flat_mode",
            sup_norm(shifted.values + (16.0 / 17.0) * (np.cos(x) + 0.0 * _y)),
            1e-9)
@@ -384,14 +375,14 @@ def _verify_checks(cfg: RunConfig, outdir: Path):
                                                     K_probe.potential)
     probe_mz = ScalarField(grid, volume_mean_zero(K_probe, probe.values))
     image = LinearOperatorHandle("twist", K_probe, alpha_probe).apply(probe_mz.values)
-    back, _ = solve_F(K_probe, alpha_probe, ScalarField(grid, image), krylov)
+    back, _ = solve_F(K_probe, alpha_probe, ScalarField(grid, image), solver.krylov)
     record("solve_apply_roundtrip",
            sup_norm(back.values - probe_mz.values) / max(sup_norm(probe_mz.values),
                                                          1e-300), 1e-7)
 
     seed_pot = make_trig_field(grid, [(0.3, (1, 0), 0.0)])
     K_seed = KahlerStructure(grid, g_id, euclid_mean_zero(seed_pot.values))
-    alpha_prime, positivity = trivial_twist(K_seed, alpha_flat, 100.0, small_solver)
+    alpha_prime, positivity = trivial_twist(K_seed, alpha_flat, 100.0, solver)
     res_prime, _ = twisted_residual(K_seed, alpha_prime, 100.0)
     record("trivial_twist_residual", sup_norm(res_prime.values), 1e-8)
     record("trivial_twist_positive", 0.0 if positivity.positive else 1.0, 0.5)
@@ -401,7 +392,6 @@ def _verify_checks(cfg: RunConfig, outdir: Path):
                           newton_tol=cfg.newton_tol, krylov_tol=cfg.krylov_tol,
                           seed=cfg.seed, out=cfg.out)
     gridc, g0c, potc, alphac = _build_problem(solve_cfg)
-    solver = _solver_config(solve_cfg)
     K_init, _, _ = seed_structure(gridc, g0c, alphac, 100.0, solve_cfg.order,
                                   solver, potential=potc.values)
     report = newton_solve(K_init, alphac, 100.0, solver)
@@ -424,7 +414,7 @@ def _verify_checks(cfg: RunConfig, outdir: Path):
     sups = []
     schedule = (50.0, 100.0, 200.0, 400.0)
     for R in schedule:
-        ladder = build_approximate_solution(base, alpha_ladder, R, 1, small_solver)
+        ladder = build_approximate_solution(base, alpha_ladder, R, 1, solver)
         sups.append(ladder.residual_sups[-1])
     fit = order_fit(schedule, sups)
     record("ladder_slope_m1", abs(fit.exponent + 1.0), 0.2)

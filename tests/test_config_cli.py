@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -197,6 +198,18 @@ class TestFieldIO:
         with pytest.raises(DomainError):
             read_field(path)
 
+    @pytest.mark.parametrize("header", [
+        # rank 2 with no axis sizes
+        b"TWKFLD01" + struct.pack("<II", 1, 2),
+        # 65536^4 values, a count that wraps to 0 in int64, and no payload
+        b"TWKFLD01" + struct.pack("<II4I", 2, 4, *(65536,) * 4),
+    ], ids=["no-sizes", "wrapping-count"])
+    def test_malformed_header_is_rejected(self, tmp_path, header):
+        path = tmp_path / "field.bin"
+        path.write_bytes(header)
+        with pytest.raises(DomainError):
+            read_field(path)
+
     def test_non_finite_values_are_rejected(self, tmp_path):
         values = np.ones((8, 8))
         values[0, 0] = np.nan
@@ -242,7 +255,11 @@ class TestCommandLine:
         # to four axes must be refused as configuration, not crash a run
         code = main(["solve", "--grid", "6,6,6,6", "--out", str(tmp_path / "r")])
         assert code == 2
-        assert "wavevector" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "wavevector" in err
+        # the diagnostics come from text the user never saw: no line numbers
+        assert "(line" not in err
+        assert "g0_omega: must be a 2x2 matrix" in err
 
     def test_bad_grid_is_usage_error(self, tmp_path):
         assert main(["solve", "--grid", "7,16", "--out", str(tmp_path)]) == 2
@@ -735,6 +752,10 @@ class TestStepRecords:
         for record in records:
             if record["converged"]:
                 assert record["newton_error"] == ""
+        # fields come from the last converged metric; a threshold run
+        # writes none
+        assert (out / "fields" / "potential.bin").exists() == (
+            scenario != "threshold" and any(r["converged"] for r in records))
 
     def test_records_name_every_warm_start(self, tmp_path):
         cfg, _ = self.RUNS["threshold"]
@@ -785,6 +806,8 @@ class TestLadderStudy:
     def test_rows_match_independent_order_m_builds(self, tmp_path):
         cfg = self.config(tmp_path / "ladder")
         assert run_scenario(cfg) == 0
+        assert _strict_load(tmp_path / "ladder" / "summary.json")["seed"] == {
+            "source": "explicit-potential", "ladder_error": ""}
         rows = _steps(tmp_path / "ladder")
         grid, g0, omega_pot, alpha = runner._build_problem(cfg)
         base = KahlerStructure(grid, g0, euclid_mean_zero(omega_pot.values))
@@ -797,6 +820,18 @@ class TestLadderStudy:
                 expected.append([len(expected), R, ladder.residual_sups[-1],
                                  rms_norm(residual.values)])
         assert [[r[0], r[2], r[3], r[4]] for r in rows] == expected
+
+    def test_a_proportional_twist_seeds_the_base(self, tmp_path):
+        # no omega_potential: the base is the proportional seed, in which
+        # the twist's trace is constant, as in every Newton scenario
+        out = tmp_path / "ladder"
+        cfg = RunConfig(scenario="ladder_study", sizes=(16, 16),
+                        R_schedule=(50.0, 100.0, 200.0), order=2,
+                        alpha_potential=((0.2, (1, 0), 0.0),), out=str(out))
+        assert run_scenario(cfg) == 0
+        summary = _strict_load(out / "summary.json")
+        assert summary["seed"] == {"source": "proportional-seed", "ladder_error": ""}
+        assert abs(summary["slope_m1"] + 1.0) <= 0.2
 
     def test_one_build_and_one_twist_handle_per_weight(self, tmp_path,
                                                        monkeypatch):

@@ -17,6 +17,7 @@ from twistk import (
     KrylovConfig,
     R_to_t,
     SolverConfig,
+    WarmChain,
     build_approximate_solution,
     continuity_sweep,
     estimate_R_threshold,
@@ -257,23 +258,71 @@ class TestIFTCertificate:
         assert final.certified
 
 
+def base_chain(K, alpha, R=100.0, cfg=FAST):
+    """A chain whose one step solved, or tried to solve, the base problem
+    from K."""
+    chain = WarmChain(K, "explicit-potential")
+    chain.step(alpha, R, cfg)
+    return chain
+
+
 class TestPerturbTwist:
     def test_identity_perturbation_needs_no_iterations(self, flat32, alpha_flat32):
-        records, K = perturb_twist(flat32, alpha_flat32, alpha_flat32, 100.0, FAST)
-        assert len(records) == 1
-        assert records[0].converged
-        assert records[0].newton_iters == 0
-        assert K is flat32
+        chain = base_chain(flat32, alpha_flat32)
+        perturb_twist(chain, alpha_flat32, FAST)
+        assert len(chain.records) == 2
+        assert chain.records[1].converged
+        assert chain.records[1].newton_iters == 0
+        assert chain.structure is flat32
 
     def test_unsolved_base_is_rejected(self, grid32):
         K, alpha = product_seed(grid32)
+        with pytest.raises(PreconditionError, match="no step"):
+            perturb_twist(WarmChain(K, "explicit-potential"), alpha, FAST)
+        failed = base_chain(K, alpha, cfg=dataclasses.replace(FAST, max_newton=0))
+        assert not failed.records[-1].converged
         with pytest.raises(PreconditionError):
-            perturb_twist(K, alpha, alpha, 100.0, FAST)
+            perturb_twist(failed, alpha, FAST)
+        # converged, but to a looser tolerance than the stages ask for
+        loose = base_chain(K, alpha, cfg=dataclasses.replace(FAST, newton_tol=1e-3))
+        assert loose.records[-1].converged
+        assert loose.records[-1].residual_sup > FAST.newton_tol
+        with pytest.raises(PreconditionError):
+            perturb_twist(loose, alpha, FAST)
+
+    def test_residual_is_evaluated_only_inside_newton(self, grid16, alpha16,
+                                                      monkeypatch):
+        # the precondition reads the base step's record; the residual of
+        # the base metric is not evaluated a second time
+        flat = KahlerStructure(grid16, EYE1, np.zeros(grid16.shape))
+        chain = base_chain(flat, alpha16)
+        target = HermitianFormField.from_potential(
+            grid16, EYE1, make_trig_field(grid16, [(0.05, (1, 0), 0.0)]).values)
+        original_newton, original_residual = engine.newton_solve, engine.twisted_residual
+        depth, inside, outside = [0], [], []
+
+        def newton(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return original_newton(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        def residual(*args, **kwargs):
+            (inside if depth[0] else outside).append(args)
+            return original_residual(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "newton_solve", newton)
+        monkeypatch.setattr(engine, "twisted_residual", residual)
+        perturb_twist(chain, target, FAST, steps=2)
+        assert [r.converged for r in chain.records] == [True] * 3
+        assert inside and not outside
 
     def test_stage_forms_are_class_plus_potential(self, grid16, alpha16,
                                                   monkeypatch):
         # the flat metric solves every twist with a constant form
         flat = KahlerStructure(grid16, EYE1, np.zeros(grid16.shape))
+        chain = base_chain(flat, alpha16)
         target = HermitianFormField.from_potential(
             grid16, 1.5 * EYE1,
             make_trig_field(grid16, [(0.05, (1, 0), 0.0)]).values)
@@ -285,8 +334,8 @@ class TestPerturbTwist:
             return original(K, alpha, *args, **kwargs)
 
         monkeypatch.setattr(engine, "newton_solve", recording)
-        records, _ = perturb_twist(flat, alpha16, target, 100.0, FAST, steps=3)
-        assert [r.converged for r in records] == [True] * 3
+        perturb_twist(chain, target, FAST, steps=3)
+        assert [r.converged for r in chain.records[1:]] == [True] * 3
         # each stage solves on the half grid first, with the stage form
         # sampled there, then on the configured grid
         assert [form.grid.sizes for form in stages] == [(8, 8), (16, 16)] * 3
@@ -302,7 +351,7 @@ class TestPerturbTwist:
 
     def test_step_count_is_validated(self, flat32, alpha_flat32):
         with pytest.raises(PreconditionError):
-            perturb_twist(flat32, alpha_flat32, alpha_flat32, 100.0, FAST,
+            perturb_twist(base_chain(flat32, alpha_flat32), alpha_flat32, FAST,
                           steps=0)
 
 
@@ -453,27 +502,26 @@ class TestContinuitySweep:
             continuity_sweep(grid16, EYE1, alpha16, (0.5, 0.8, 1.5), FAST)
 
     def test_flat_path_reaches_endpoint(self, grid16, alpha16):
-        report = continuity_sweep(grid16, EYE1, alpha16, (0.5, 1.0), FAST)
-        assert report.success
-        assert len(report.steps) == 2
-        assert report.steps[0].warm_source == "ladder[2]"
-        assert report.steps[1].warm_source == "previous-step"
-        assert all(s.converged for s in report.steps)
-        assert sup_norm(report.structure.potential) <= 1e-7
-        assert report.smallest_converged_R == 0.0
-        assert abs(report.steps[1].lambda1 - (-0.0625)) <= 1e-6
+        chain = continuity_sweep(grid16, EYE1, alpha16, (0.5, 1.0), FAST)
+        assert len(chain.records) == 2
+        assert chain.records[0].warm_source == "ladder[2]"
+        assert chain.records[1].warm_source == "previous-step"
+        assert all(s.converged for s in chain.records)
+        assert sup_norm(chain.structure.potential) <= 1e-7
+        assert chain.R == 0.0
+        assert abs(chain.records[1].lambda1 - (-0.0625)) <= 1e-6
 
     def test_eigen_estimation_can_be_skipped(self, grid16, alpha16):
-        report = continuity_sweep(grid16, EYE1, alpha16, (0.5,), FAST,
-                                  ladder_order=0, compute_eigen=False)
-        assert report.steps[0].warm_source == "flat"
-        assert math.isnan(report.steps[0].lambda1)
-        assert report.steps[0].eigen_error == ""
-        assert report.steps[0].eigen_iterations == 0
+        (step,) = continuity_sweep(grid16, EYE1, alpha16, (0.5,), FAST,
+                                   ladder_order=0, compute_eigen=False).records
+        assert step.warm_source == "flat"
+        assert math.isnan(step.lambda1)
+        assert step.eigen_error == ""
+        assert step.eigen_iterations == 0
 
     def test_steps_record_the_eigen_stage(self, grid16, alpha16):
-        report = continuity_sweep(grid16, EYE1, alpha16, (0.5, 1.0), FAST)
-        for step in report.steps:
+        chain = continuity_sweep(grid16, EYE1, alpha16, (0.5, 1.0), FAST)
+        for step in chain.records:
             assert step.eigen_error == ""
             assert step.eigen_iterations > 1
             assert step.eigen_residual <= 1e-8
@@ -484,8 +532,7 @@ class TestContinuitySweep:
             raise IterationLimitError("extreme_eigenvalue: forced", [1.0])
 
         monkeypatch.setattr(engine, "extreme_eigenvalue", failing)
-        report = continuity_sweep(grid16, EYE1, alpha16, (0.5,), FAST)
-        step = report.steps[0]
+        (step,) = continuity_sweep(grid16, EYE1, alpha16, (0.5,), FAST).records
         assert step.converged
         assert math.isnan(step.lambda1)
         assert step.eigen_error == "IterationLimitError: extreme_eigenvalue: forced"
@@ -543,15 +590,15 @@ class TestSeedStructure:
             raise IterationLimitError("solve_F: forced", [1.0])
 
         monkeypatch.setattr(engine, "build_approximate_solution", stalled)
-        report = continuity_sweep(grid16, EYE1, alpha16, (0.5,), FAST,
-                                  compute_eigen=False)
-        assert report.steps[0].warm_source == "flat"
-        assert report.ladder_error == "IterationLimitError: solve_F: forced"
-        assert report.success
+        chain = continuity_sweep(grid16, EYE1, alpha16, (0.5,), FAST,
+                                 compute_eigen=False)
+        assert chain.records[0].warm_source == chain.source == "flat"
+        assert chain.ladder_error == "IterationLimitError: solve_F: forced"
+        assert chain.records[0].converged
         estimate = estimate_R_threshold(grid16, EYE1, alpha16, R_start=8.0,
                                         bisect_steps=0, cfg=FAST)
-        assert estimate.attempts[0].warm_source == "flat"
-        assert estimate.ladder_error == "IterationLimitError: solve_F: forced"
+        assert estimate.chain.records[0].warm_source == "flat"
+        assert estimate.chain.ladder_error == "IterationLimitError: solve_F: forced"
 
     def test_unsupported_order_still_raises(self, grid16, alpha16):
         with pytest.raises(UnsupportedOrderError):
@@ -572,10 +619,10 @@ class TestSeedStructure:
             return report
 
         monkeypatch.setattr(engine, "newton_solve", first_fails)
-        report = continuity_sweep(grid16, EYE1, alpha16, (0.5, 1.0), FAST,
-                                  compute_eigen=False)
-        assert [s.warm_source for s in report.steps] == ["ladder[2]", "ladder[2]"]
-        assert [s.converged for s in report.steps] == [False, True]
+        chain = continuity_sweep(grid16, EYE1, alpha16, (0.5, 1.0), FAST,
+                                 compute_eigen=False)
+        assert [s.warm_source for s in chain.records] == ["ladder[2]", "ladder[2]"]
+        assert [s.converged for s in chain.records] == [False, True]
 
 
 class TestWarmChain:
@@ -627,27 +674,29 @@ class TestWarmChain:
 
         monkeypatch.setattr(engine, "newton_solve", middle_fails)
         calls = self.record_steps(monkeypatch)
-        report = continuity_sweep(grid16, EYE1, alpha, (0.5, 0.8, 1.0), FAST,
-                                  compute_eigen=False)
-        assert [s.converged for s in report.steps] == [True, False, True]
+        chain = continuity_sweep(grid16, EYE1, alpha, (0.5, 0.8, 1.0), FAST,
+                                 compute_eigen=False)
+        assert [s.converged for s in chain.records] == [True, False, True]
         self.assert_one_rule(calls, "ladder[2]")
         assert calls[2][0] is calls[0][2]
-        assert report.structure is calls[2][2]
+        assert chain.structure is calls[2][2]
 
         calls.clear()
         monkeypatch.setattr(engine, "newton_solve", original)
         estimate = estimate_R_threshold(grid16, EYE1, alpha, R_start=8.0,
                                         bisect_steps=0, cfg=FAST)
-        assert len(calls) == len(estimate.attempts) > 2
+        assert len(calls) == len(estimate.chain.records) > 2
         self.assert_one_rule(calls, "ladder[2]")
 
+        # the base step and the perturbation's stages are one chain
         calls.clear()
-        flat = KahlerStructure(grid16, EYE1, np.zeros(grid16.shape))
-        records, K = perturb_twist(flat, HermitianFormField.from_potential(grid16, EYE1),
-                                   alpha, 100.0, FAST, steps=3)
-        assert len(calls) == len(records) == 3
-        self.assert_one_rule(calls, "previous-step")
-        assert calls[0][0] is flat and K is calls[2][2]
+        start = KahlerStructure(grid16, EYE1,
+                                make_trig_field(grid16, [(1e-3, (1, 0), 0.0)]).values)
+        chain = base_chain(start, HermitianFormField.from_potential(grid16, EYE1))
+        perturb_twist(chain, alpha, FAST, steps=3)
+        assert len(calls) == len(chain.records) == 4
+        self.assert_one_rule(calls, "explicit-potential")
+        assert calls[0][0] is start and chain.structure is calls[3][2]
 
     def test_threshold_lets_its_seed_go_at_the_first_converged_attempt(
             self, grid16, monkeypatch):
@@ -671,8 +720,8 @@ class TestWarmChain:
         monkeypatch.setattr(engine, "solve_step", stepping)
         estimate = estimate_R_threshold(grid16, EYE1, self.twist(grid16),
                                         R_start=8.0, bisect_steps=0, cfg=FAST)
-        assert estimate.attempts[0].converged
-        assert alive == [True] + [False] * (len(estimate.attempts) - 1)
+        assert estimate.chain.records[0].converged
+        assert alive == [True] + [False] * (len(estimate.chain.records) - 1)
 
 
 class TestThresholdEstimate:
@@ -681,7 +730,7 @@ class TestThresholdEstimate:
                                         floor=0.05, bisect_steps=4, cfg=FAST)
         assert estimate.threshold == 0.0
         assert estimate.bracket == (0.0, 0.0)
-        assert all(a.converged for a in estimate.attempts)
+        assert all(a.converged for a in estimate.chain.records)
 
     def test_failed_first_attempt_verifies_no_weight(self, grid16, alpha16,
                                                      monkeypatch):
@@ -697,7 +746,7 @@ class TestThresholdEstimate:
                                         cfg=FAST)
         assert estimate.threshold == math.inf
         assert estimate.bracket == (8.0, math.inf)
-        assert [a.R for a in estimate.attempts] == [8.0]
+        assert [a.R for a in estimate.chain.records] == [8.0]
 
     def test_parameters_are_validated(self, grid16, alpha16):
         for kwargs in ({"R_start": 0.0}, {"floor": 0.0}):
