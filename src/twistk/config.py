@@ -21,16 +21,22 @@ Scenario rules (`scenario_diagnostics`) tie fields to the scenario:
   distinct weights and order >= 1;
 - twist_perturbation needs a "perturbation" term.
 
-parse_config never repairs input: every problem becomes a diagnostic
-with the key path and a best-effort line number, and all diagnostics
-are reported together.  `runner.run_scenario` applies the scenario rules
-to configs built in code.
+parse_config is the one validation path for run input.  Its optional
+`overrides` (the command line's flags, as config keys) replace the
+text's own entries before anything is checked, so a key nobody gave
+takes its scenario default for the dimension that was given.  It never
+repairs input: every problem becomes a diagnostic that starts with the
+key path and ends with a best-effort line number of that key in the
+text (none for a key an override set), and all diagnostics are reported
+together.  `runner.run_scenario` applies the scenario rules to configs
+built in code.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -142,6 +148,10 @@ def _line_of(text: str, key: str) -> str:
     return ""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _finite_number(value) -> bool:
     """A JSON number that converts to a finite float: the bound also
     rejects nan, and integers too large for a float without converting."""
@@ -149,24 +159,23 @@ def _finite_number(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
-def _as_complex(entry, where: str, diags: list[str], text: str) -> complex:
+def _as_complex(entry, where: str, diags: list[str]) -> complex:
     parts = entry if isinstance(entry, list) and len(entry) == 2 else [entry, 0.0]
     if all(_finite_number(v) for v in parts):
         return complex(float(parts[0]), float(parts[1]))
-    diags.append(f"{where}: matrix entries must be finite numbers or [re, im] "
-                 f"pairs{_line_of(text, where.split('[')[0])}")
+    diags.append(f"{where}: matrix entries must be finite numbers or [re, im] pairs")
     return complex(math.nan)
 
 
-def _parse_matrix(data, key: str, n: int, diags: list[str],
-                  text: str) -> tuple[tuple[complex, ...], ...]:
+def _parse_matrix(data, key: str, n: int,
+                  diags: list[str]) -> tuple[tuple[complex, ...], ...]:
     if (not isinstance(data, list) or len(data) != n
             or any(not isinstance(row, list) or len(row) != n for row in data)):
-        diags.append(f"{key}: must be a {n}x{n} matrix{_line_of(text, key)}")
+        diags.append(f"{key}: must be a {n}x{n} matrix")
         return tuple((complex(1.0),) * n for _ in range(n))
     entry_diags = len(diags)
     rows = tuple(
-        tuple(_as_complex(entry, f"{key}[{i}][{j}]", diags, text)
+        tuple(_as_complex(entry, f"{key}[{i}][{j}]", diags)
               for j, entry in enumerate(row))
         for i, row in enumerate(data)
     )
@@ -174,119 +183,136 @@ def _parse_matrix(data, key: str, n: int, diags: list[str],
         try:
             _check_hermitian_matrix(np.array(rows), n, "matrix")
         except DomainError as err:
-            diags.append(f"{key}: {err}{_line_of(text, key)}")
+            diags.append(f"{key}: {err}")
     return rows
 
 
-def _parse_terms(data, key: str, naxes: int, diags: list[str],
-                 text: str) -> tuple[Term, ...]:
+def _parse_terms(data, key: str, naxes: int, diags: list[str]) -> tuple[Term, ...]:
     if not isinstance(data, list):
-        diags.append(f"{key}: must be a list of terms{_line_of(text, key)}")
+        diags.append(f"{key}: must be a list of terms")
         return ()
     terms: list[Term] = []
     for idx, item in enumerate(data):
         where = f"{key}[{idx}]"
         if not isinstance(item, dict):
-            diags.append(f"{where}: term must be an object{_line_of(text, key)}")
+            diags.append(f"{where}: term must be an object")
             continue
         unknown = set(item) - {"amplitude", "wavevector", "phase"}
         if unknown:
-            diags.append(f"{where}: unknown term keys {sorted(unknown)}"
-                         f"{_line_of(text, key)}")
+            diags.append(f"{where}: unknown term keys {sorted(unknown)}")
         amp = item.get("amplitude")
         wav = item.get("wavevector")
         phase = item.get("phase", 0.0)
         ok = True
         if not _finite_number(amp):
-            diags.append(f"{where}.amplitude: must be a finite number"
-                         f"{_line_of(text, key)}")
+            diags.append(f"{where}.amplitude: must be a finite number")
             ok = False
         if (not isinstance(wav, list) or len(wav) != naxes
-                or any(not isinstance(w, int) or isinstance(w, bool) for w in wav)):
-            diags.append(f"{where}.wavevector: must be {naxes} integers"
-                         f"{_line_of(text, key)}")
+                or not all(_is_int(w) for w in wav)):
+            diags.append(f"{where}.wavevector: must be {naxes} integers")
             ok = False
         if not _finite_number(phase):
-            diags.append(f"{where}.phase: must be a finite number"
-                         f"{_line_of(text, key)}")
+            diags.append(f"{where}.phase: must be a finite number")
             ok = False
         if ok:
             terms.append((float(amp), tuple(int(w) for w in wav), float(phase)))
     return tuple(terms)
 
 
-def _parse_schedule(data, key: str, diags: list[str], text: str,
+def _parse_schedule(data, key: str, diags: list[str],
                     *, increasing_unit: bool) -> tuple[float, ...] | None:
     if not isinstance(data, list) or not data \
             or not all(_finite_number(v) for v in data):
-        diags.append(f"{key}: must be a non-empty list of finite numbers"
-                     f"{_line_of(text, key)}")
+        diags.append(f"{key}: must be a non-empty list of finite numbers")
         return None
     values = tuple(float(v) for v in data)
     if increasing_unit:
         if any(not 0.0 < v <= 1.0 for v in values):
-            diags.append(f"{key}: entries must lie in (0, 1]{_line_of(text, key)}")
+            diags.append(f"{key}: entries must lie in (0, 1]")
         if any(b <= a for a, b in zip(values, values[1:])):
-            diags.append(f"{key}: must be strictly increasing{_line_of(text, key)}")
+            diags.append(f"{key}: must be strictly increasing")
     else:
         if any(v <= 0.0 for v in values):
-            diags.append(f"{key}: entries must be positive{_line_of(text, key)}")
+            diags.append(f"{key}: entries must be positive")
         pairs = list(zip(values, values[1:]))
         if not (all(b > a for a, b in pairs) or all(b < a for a, b in pairs)):
-            diags.append(f"{key}: must be strictly monotone (no weight repeats)"
-                         f"{_line_of(text, key)}")
+            diags.append(f"{key}: must be strictly monotone (no weight repeats)")
     return values
 
 
-def parse_config(text: str, run_as: str | None = None) -> RunConfig:
+def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     """Parse and validate a JSON config; raises ConfigError with all
-    field-level diagnostics at once.  A `run_as` scenario replaces the
-    file's own before the scenario rules run (the CLI subcommand's)."""
-    diags: list[str] = []
+    field-level diagnostics at once.  `overrides` maps config keys to
+    values that replace the text's own before anything is checked (the
+    CLI's flags).  Each diagnostic ends with the line of its leading key
+    in `text`, unless an override set that key."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError([f"json: {err.msg} (line {err.lineno})"]) from err
     if not isinstance(data, dict):
         raise ConfigError(["json: top level must be an object"])
+    overrides = overrides or {}
+    diags: list[str] = []
+    cfg = _parse_fields({**data, **overrides}, diags)
+    if diags:
+        lines = []
+        for diag in diags:
+            # the leading key: a whole key of the text (an unknown one may
+            # hold "[" or "."), else the path up to its first index or field
+            path = diag.split(": ", 1)[0]
+            key = path if path in data else re.split(r"[\[.]", path, maxsplit=1)[0]
+            lines.append(diag if key in overrides else diag + _line_of(text, key))
+        raise ConfigError(lines)
+    return cfg
 
+
+def _parse_fields(data: dict, diags: list[str]) -> RunConfig | None:
+    """The RunConfig that `data` describes, appending a diagnostic for
+    every problem to `diags`; None when the scenario is unknown."""
     for key in sorted(set(data).difference(_KNOWN_KEYS)):
-        diags.append(f"{key}: unknown key{_line_of(text, key)}")
+        diags.append(f"{key}: unknown key")
 
     scenario = data.get("scenario")
     if scenario not in SCENARIOS:
-        diags.append(_UNKNOWN_SCENARIO + _line_of(text, "scenario"))
-        raise ConfigError(diags)
+        diags.append(_UNKNOWN_SCENARIO)
+        return None
     cfg = default_config(scenario)
 
-    n = data.get("n", cfg.n)
-    if n not in (1, 2):
-        diags.append(f"n: must be 1 or 2{_line_of(text, 'n')}")
-        n = 1
+    def field(key: str, valid, rule: str):
+        # the value of `key`, or the scenario default after a diagnostic
+        value = data.get(key, getattr(cfg, key))
+        if valid(value):
+            return value
+        diags.append(f"{key}: {rule}")
+        return getattr(cfg, key)
+
+    n = field("n", lambda v: _is_int(v) and v in (1, 2), "must be 1 or 2")
     naxes = 2 * n
 
+    default_sizes = (32 if n == 1 else 12,) * naxes
     sizes = data.get("sizes")
     if sizes is None:
-        sizes = (32,) * naxes if n == 1 else (12,) * naxes
+        sizes = default_sizes
     elif (not isinstance(sizes, list) or len(sizes) != naxes
-            or any(not isinstance(s, int) or isinstance(s, bool) for s in sizes)):
-        diags.append(f"sizes: must be {naxes} integers{_line_of(text, 'sizes')}")
-        sizes = (32,) * naxes if n == 1 else (12,) * naxes
+            or not all(_is_int(s) for s in sizes)):
+        diags.append(f"sizes: must be {naxes} integers")
+        sizes = default_sizes
     else:
-        sizes = tuple(int(s) for s in sizes)
+        sizes = tuple(sizes)
         if any(s < 4 or s % 2 for s in sizes):
-            diags.append(f"sizes: each size must be even and >= 4{_line_of(text, 'sizes')}")
+            diags.append("sizes: each size must be even and >= 4")
 
-    g0_omega = (_parse_matrix(data["g0_omega"], "g0_omega", n, diags, text)
+    g0_omega = (_parse_matrix(data["g0_omega"], "g0_omega", n, diags)
                 if "g0_omega" in data else tuple(
                     tuple(1.0 + 0.0j if i == j else 0.0j for j in range(n))
                     for i in range(n)))
-    g0_alpha = (_parse_matrix(data["g0_alpha"], "g0_alpha", n, diags, text)
+    g0_alpha = (_parse_matrix(data["g0_alpha"], "g0_alpha", n, diags)
                 if "g0_alpha" in data else g0_omega)
 
     potentials = {}
     for key in ("omega_potential", "alpha_potential"):
-        potentials[key] = (_parse_terms(data[key], key, naxes, diags, text)
+        potentials[key] = (_parse_terms(data[key], key, naxes, diags)
                            if key in data else
                            tuple((a, k[:naxes] + (0,) * (naxes - len(k)), p)
                                  for a, k, p in getattr(cfg, key)))
@@ -294,64 +320,41 @@ def parse_config(text: str, run_as: str | None = None) -> RunConfig:
     t_schedule = cfg.t_schedule
     R_schedule = cfg.R_schedule
     if "t_schedule" in data and "R_schedule" in data:
-        diags.append("t_schedule: give either t_schedule or R_schedule, not both"
-                     f"{_line_of(text, 't_schedule')}")
+        diags.append("t_schedule: give either t_schedule or R_schedule, not both")
     elif "t_schedule" in data:
         t_schedule = _parse_schedule(data["t_schedule"], "t_schedule", diags,
-                                     text, increasing_unit=True)
+                                     increasing_unit=True)
         R_schedule = None
     elif "R_schedule" in data:
         R_schedule = _parse_schedule(data["R_schedule"], "R_schedule", diags,
-                                     text, increasing_unit=False)
+                                     increasing_unit=False)
         t_schedule = None
 
-    order = data.get("order", cfg.order)
-    if not isinstance(order, int) or isinstance(order, bool) \
-            or not 0 <= order <= MAX_LADDER_ORDER:
-        diags.append(f"order: must be an integer in [0, {MAX_LADDER_ORDER}]"
-                     f"{_line_of(text, 'order')}")
-        order = cfg.order
-
-    tols = {}
-    for key in ("newton_tol", "krylov_tol"):
-        value = data.get(key, getattr(cfg, key))
-        if not _finite_number(value) or not 0.0 < value < 1.0:
-            diags.append(f"{key}: must be a number in (0, 1){_line_of(text, key)}")
-            value = getattr(cfg, key)
-        tols[key] = float(value)
+    order = field("order", lambda v: _is_int(v) and 0 <= v <= MAX_LADDER_ORDER,
+                  f"must be an integer in [0, {MAX_LADDER_ORDER}]")
+    tols = {key: float(field(key, lambda v: _finite_number(v) and 0.0 < v < 1.0,
+                             "must be a number in (0, 1)"))
+            for key in ("newton_tol", "krylov_tol")}
 
     perturbation = cfg.perturbation
     if "perturbation" in data:
-        parsed = _parse_terms([data["perturbation"]], "perturbation", naxes,
-                              diags, text)
+        parsed = _parse_terms([data["perturbation"]], "perturbation", naxes, diags)
         perturbation = parsed[0] if parsed else None
 
-    steps = data.get("perturbation_steps", cfg.perturbation_steps)
-    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
-        diags.append("perturbation_steps: must be a positive integer"
-                     f"{_line_of(text, 'perturbation_steps')}")
-        steps = cfg.perturbation_steps
+    steps = field("perturbation_steps", lambda v: _is_int(v) and v >= 1,
+                  "must be a positive integer")
+    seed = field("seed", lambda v: _is_int(v) and v >= 0,
+                 "must be a non-negative integer")
+    out = field("out", lambda v: isinstance(v, str) and v,
+                "must be a non-empty path string")
 
-    seed = data.get("seed", cfg.seed)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        diags.append(f"seed: must be a non-negative integer{_line_of(text, 'seed')}")
-        seed = cfg.seed
-
-    out = data.get("out", cfg.out)
-    if not isinstance(out, str) or not out:
-        diags.append(f"out: must be a non-empty path string{_line_of(text, 'out')}")
-        out = cfg.out
-
-    parsed = RunConfig(scenario=run_as or scenario, n=n, sizes=sizes,
+    parsed = RunConfig(scenario=scenario, n=n, sizes=sizes,
                        g0_omega=g0_omega, g0_alpha=g0_alpha, **potentials,
                        t_schedule=t_schedule, R_schedule=R_schedule,
                        order=order, **tols,
                        perturbation=perturbation, perturbation_steps=steps,
                        seed=seed, out=out)
-    for diag in scenario_diagnostics(parsed):
-        diags.append(diag + _line_of(text, diag.split(":")[0]))
-    if diags:
-        raise ConfigError(diags)
+    diags.extend(scenario_diagnostics(parsed))
     return parsed
 
 

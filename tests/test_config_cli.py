@@ -30,7 +30,7 @@ from twistk.engine import (
 from twistk.errors import ConfigError, DomainError
 from twistk.fieldio import read_field, write_field
 from twistk.geometry import KahlerStructure
-from twistk.grid import euclid_mean_zero, rms_norm, set_fft_workers
+from twistk.grid import euclid_mean_zero, fft_workers, rms_norm, set_fft_workers
 from twistk.operators import LinearOperatorHandle
 from twistk.runner import CSV_HEADER, run_scenario
 
@@ -69,6 +69,12 @@ class TestParseDiagnostics:
         with pytest.raises(ConfigError) as err:
             parse_config('{"scenario": "single_solve", "newton_tolerance": 1e-9}')
         assert any("newton_tolerance" in d for d in err.value.diagnostics)
+
+    @pytest.mark.parametrize("key", ["newton.tol", "x[0]", "a:b"])
+    def test_unknown_key_keeps_its_line(self, key):
+        with pytest.raises(ConfigError) as err:
+            parse_config('{"scenario": "single_solve",\n' + json.dumps({key: 1})[1:])
+        assert err.value.diagnostics == [f"{key}: unknown key (line 2)"]
 
     def test_bad_dimension(self):
         with pytest.raises(ConfigError):
@@ -251,15 +257,54 @@ class TestCommandLine:
         assert manifest["config"]["n"] == 2
 
     def test_grid_override_must_stay_consistent(self, tmp_path, capsys):
-        # the default solve seed is one-dimensional; switching the grid
-        # to four axes must be refused as configuration, not crash a run
-        code = main(["solve", "--grid", "6,6,6,6", "--out", str(tmp_path / "r")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "wavevector" in err
-        # the diagnostics come from text the user never saw: no line numbers
-        assert "(line" not in err
-        assert "g0_omega: must be a 2x2 matrix" in err
+        # with no config file, four sizes switch to n = 2 and its defaults
+        out = tmp_path / "n2"
+        assert main(["solve", "--grid", "6,6,6,6", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["n"] == 2
+        # an explicit two-axis term in the file cannot follow the switch
+        path = tmp_path / "cfg.json"
+        path.write_text('{"scenario": "single_solve",\n'
+                        '"alpha_potential": [{"amplitude": 0.1, "wavevector": [1, 0]}]}')
+        assert main(["solve", "--grid", "6,6,6,6", "--config", str(path),
+                     "--out", str(tmp_path / "r")]) == 2
+        assert ("twistk: config error: alpha_potential[0].wavevector: must be "
+                "4 integers (line 2)" in capsys.readouterr().err)
+
+    def test_threads_are_set_only_for_a_valid_config(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenario": "single_solve", "alpha_potential": [
+            {"amplitude": 0.1, "wavevector": [1, 0]}]}))
+        before = fft_workers()
+        try:
+            assert main(["solve", "--config", str(path), "--grid", "6,6,6,6",
+                         "--threads", "2", "--out", str(tmp_path / "r")]) == 2
+            assert fft_workers() == before
+        finally:
+            set_fft_workers(before)
+
+    def test_file_diagnostics_name_lines_and_flag_diagnostics_none(
+            self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"scenario": "single_solve",\n"order": 99}')
+        assert main(["solve", "--config", str(path), "--tol", "2.0",
+                     "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "twistk: config error: order: must be an integer in "
+            f"[0, {engine.MAX_LADDER_ORDER}] (line 2)",
+            "twistk: config error: newton_tol: must be a number in (0, 1)"]
+
+    @pytest.mark.parametrize("n", ["true", "1.0", "2.0"])
+    def test_dimension_must_be_a_json_integer(self, tmp_path, capsys, n):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"scenario": "single_solve",\n'
+                        f'"n": {n}, "sizes": [8, 8]}}')
+        out = tmp_path / "run"
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+        assert ("twistk: config error: n: must be 1 or 2 (line 2)"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_bad_grid_is_usage_error(self, tmp_path):
         assert main(["solve", "--grid", "7,16", "--out", str(tmp_path)]) == 2
@@ -268,6 +313,13 @@ class TestCommandLine:
     def test_missing_config_file_is_usage_error(self, tmp_path):
         missing = tmp_path / "nope.json"
         assert main(["solve", "--config", str(missing)]) == 2
+
+    def test_non_utf8_config_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + '{"scenario": "single_solve"}'.encode("utf-16-le"))
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("twistk: ") and str(path) in err
 
     @pytest.mark.parametrize("entry", ["Infinity", "[1.0, Infinity]"])
     def test_non_finite_matrix_entry_is_a_config_error(self, tmp_path, capsys,
