@@ -12,13 +12,14 @@ One scenario per invocation:
 Options: --config PATH (JSON, see config module), --out DIR, --seed N,
 --grid N1,N2[,N3,N4], --tol X (Newton tolerance), --threads K.  The
 subcommand and the flags --out, --seed, --grid and --tol are config keys
-(scenario, out, seed, sizes with n = len(sizes) // 2, newton_tol) that
-replace the file's entries before `config.parse_config` validates
-anything, once; without --config the file is an empty object.  A flag's
-diagnostic names its key and no line.  --threads sets the FFT worker
-count once the config is valid.  Exit status: 0 all solves converged /
-checks passed, 1 solver failure (reports still written), 2 bad
-configuration or usage.
+(scenario, out, seed, sizes, newton_tol) that replace the file's entries
+before `config.parse_config` validates anything, once; without --config
+the file is an empty object.  Two or four grid sizes also set n to
+len(sizes) // 2; any other count leaves n alone, so it gets one
+diagnostic, the sizes one.  A flag's diagnostic names its key and no line.
+--threads sets the FFT worker count once the config is valid.  Exit
+status: 0 all solves converged / checks passed, 1 solver failure
+(reports still written), 2 bad configuration or usage.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def main(argv=None) -> int:
     overrides = {key: getattr(args, key) for key in _KEY_FLAGS
                  if getattr(args, key) is not None}
     overrides["scenario"] = _SUBCOMMANDS[args.command]
-    if args.sizes is not None:
+    if args.sizes is not None and len(args.sizes) in (2, 4):
         overrides["n"] = len(args.sizes) // 2
     try:
         text = ("{}" if args.config is None

@@ -14,19 +14,18 @@ The continuity-path parameter t in (0, 1] and the twist weight R are
 related by R = (1 - t) / t; t = 1 is the untwisted equation.
 
 Every scenario's Newton solve goes through `solve_step`, a two-grid
-solve (nested iteration): the start and the twist are sampled at every
-other grid point, Newton solves that half-grid problem, `grid.prolong`
-interpolates its potential back spectrally, and Newton finishes on the
-configured grid at the same tolerance.  The solutions are spectrally
-smooth, so the prolonged start is already close and the fine solve
-takes few iterations.  On each axis the sampled points are the even or
-the odd ones, whichever see more of the start's potential at the half
-grid's Nyquist wavenumber, so a problem translated by one grid step is
-solved the same way.  The step falls back to a fine-grid solve from its
-own start when an axis is not a multiple of 4 of at least 8, when
-sampling or interpolating degenerates the metric, and when the
-half-grid solve fails or needs no iteration.  StepRecord's coarse_*
-fields record the half-grid stage.
+solve (nested iteration): the start and the twist are restricted to the
+half grid, Newton solves that half-grid problem, its potential is
+prolonged back spectrally, and Newton finishes on the configured grid at
+the same tolerance.  The solutions are spectrally smooth, so the
+prolonged start is already close and the fine solve takes few
+iterations.  The half grid, the points it keeps on each axis, the
+restriction and the prolongation all belong to `grid`'s `half_grid`,
+`restrict` and `prolong`; this module holds only the Newton logic.  The
+step falls back to a fine-grid solve from its own start when the grid
+has no half grid, when restricting or prolonging degenerates the
+metric, and when the half-grid solve fails or needs no iteration.
+StepRecord's coarse_* fields record the half-grid stage.
 
 Every run starts from `seed_structure` and every sequence of solves is
 one `WarmChain`, with one warm-start rule: a step starts at the last
@@ -48,6 +47,7 @@ import numpy as np
 
 from .errors import (
     DegenerateMetricError,
+    DomainError,
     IterationLimitError,
     PreconditionError,
     StagnationError,
@@ -67,8 +67,10 @@ from .grid import (
     PeriodicGrid,
     ScalarField,
     euclid_mean_zero,
+    half_grid,
     prolong,
     random_smooth_field,
+    restrict,
     rms_norm,
     sobolev_norm,
     sup_norm,
@@ -89,9 +91,6 @@ MAX_LADDER_ORDER = 8
 # factor of the test sup_new <= (1 - _ARMIJO * scale) * sup
 _MIN_STEP = 2.0 ** -20
 _ARMIJO = 0.25
-# `_sampling_parities`: Nyquist amplitudes within this fraction of the
-# field's sup are treated as equal
-_PARITY_ROUND_OFF = 1e-12
 # `ift_certificate`: the starting H4 radius of the Lipschitz ball, the
 # sampled directions and the cap on radius halvings
 _IFT_RADIUS = 0.5
@@ -188,7 +187,6 @@ class ApproximateSolution:
     """
 
     structure: KahlerStructure
-    corrections: tuple[ScalarField, ...]
     residual_sups: tuple[float, ...]
     residual_rms: tuple[float, ...]
     wall_ms: tuple[float, ...]
@@ -226,7 +224,6 @@ def build_approximate_solution(base: KahlerStructure, alpha: HermitianFormField,
     grid = base.grid
     K = base
     psi = np.zeros(grid.shape)
-    corrections: list[ScalarField] = []
     sups: list[float] = []
     rms: list[float] = []
     wall_ms: list[float] = []
@@ -244,14 +241,11 @@ def build_approximate_solution(base: KahlerStructure, alpha: HermitianFormField,
         # absorbs the residual mean taken against the base volume form
         rhs = volume_mean_zero(base, residual.values)
         delta, _ = solve(ScalarField(grid, -rhs))
-        step = delta.values / R
-        corrections.append(ScalarField(grid, step))
-        psi = euclid_mean_zero(psi + step)
+        psi = euclid_mean_zero(psi + delta.values / R)
         K = KahlerStructure(grid, base.base_matrix, euclid_mean_zero(base.potential + psi))
         residual, const = twisted_residual(K, alpha, R)
         record(residual)
-    return ApproximateSolution(structure=K, corrections=tuple(corrections),
-                               residual_sups=tuple(sups),
+    return ApproximateSolution(structure=K, residual_sups=tuple(sups),
                                residual_rms=tuple(rms), wall_ms=tuple(wall_ms),
                                constant=const, R=R, order=order)
 
@@ -285,7 +279,6 @@ def newton_solve(K0: KahlerStructure, alpha: HermitianFormField, R: float,
     and a DegenerateMetricError return converged=False with the error as
     "<class>: <message>" in the report's message.
     """
-    grid = K0.grid
     K = K0
     phi = euclid_mean_zero(K0.potential)
     residual, const = twisted_residual(K, alpha, R)
@@ -311,7 +304,7 @@ def newton_solve(K0: KahlerStructure, alpha: HermitianFormField, R: float,
                         f"newton_solve: line search stalled below {_MIN_STEP:g} "
                         f"at residual {rsup:.3e}", [h["residual_sup"] for h in history])
                 try:
-                    K_new = KahlerStructure(grid, K0.base_matrix,
+                    K_new = KahlerStructure(K0.grid, K0.base_matrix,
                                             euclid_mean_zero(phi + scale * delta))
                 except DegenerateMetricError:
                     scale *= 0.5
@@ -376,55 +369,27 @@ class StepRecord:
     eigen_error: str = ""
 
 
-def _sampling_parities(values: np.ndarray) -> tuple[int, ...]:
-    """Per axis, the parity of the points (0 even, 1 odd) whose samples
-    see more of the field's energy at the half grid's Nyquist
-    wavenumber N/4, measured by the alternating sums over those points.
-
-    Sampling the even points sees the cosine phase of that mode and the
-    odd points its sine phase, so the choice follows a translation of
-    the field by one grid step.  The even points are kept unless the odd
-    ones see a larger amplitude by more than _PARITY_ROUND_OFF times
-    the field's sup, so round-off does not decide.
-    """
-    tie = _PARITY_ROUND_OFF * float(np.abs(values).max())
-    parities = []
-    for axis, size in enumerate(values.shape):
-        pairs = np.moveaxis(values, axis, 0).reshape(size // 2, 2, -1)
-        seen = np.einsum("j,jpr->pr", (-1.0) ** np.arange(size // 2), pairs)
-        amplitude = np.sqrt(np.mean(seen ** 2, axis=1)) / (size // 2)
-        parities.append(int(amplitude[1] - amplitude[0] > tie))
-    return tuple(parities)
-
-
 def _half_grid_start(K_init: KahlerStructure, alpha: HermitianFormField,
                      R: float, cfg: SolverConfig,
                      ) -> tuple[KahlerStructure | None, int, str]:
-    """Newton on the half grid from K_init and alpha sampled at every
-    other point, its potential prolonged to K_init's grid.
+    """Newton on the half grid (`grid.half_grid`) from K_init and alpha
+    restricted there, its potential prolonged back to K_init's grid.
 
-    On each axis the samples are the points of the parity that sees
-    more of K_init's potential at the half grid's Nyquist wavenumber
-    (`_sampling_parities`).  Returns (start, coarse iterations, fallback
-    reason); start is None, with the reason, when an axis is not a
-    multiple of 4 of at least 8, when sampling or prolonging degenerates
-    a metric, and when the half-grid solve fails or needs no iteration
-    (K_init is then at least as good a start).
+    Returns (start, coarse iterations, fallback reason); start is None,
+    with the reason, when K_init's grid has no half grid, when
+    restricting or prolonging degenerates a metric, and when the
+    half-grid solve fails or needs no iteration (K_init is then at least
+    as good a start).
     """
-    grid = K_init.grid
-    for size in grid.sizes:
-        if size % 4:
-            return None, 0, f"grid axis {size} not a multiple of 4"
-        if size < 8:
-            return None, 0, f"grid axis {size} below 8"
-    coarse = PeriodicGrid(grid.n, tuple(size // 2 for size in grid.sizes))
-    parities = _sampling_parities(K_init.potential)
-    sampled = tuple(slice(p, None, 2) for p in parities)
+    try:
+        coarse, parities = half_grid(K_init.grid, K_init.potential)
+    except DomainError as err:
+        return None, 0, str(err)
     alpha_c = HermitianFormField(coarse, alpha.base_matrix,
-                                 np.ascontiguousarray(alpha.potential[sampled]))
+                                 restrict(alpha.potential, parities))
     try:
         K_c = KahlerStructure(coarse, K_init.base_matrix,
-                              np.ascontiguousarray(K_init.potential[sampled]))
+                              restrict(K_init.potential, parities))
     except DegenerateMetricError as err:
         return None, 0, describe(err)
     report = newton_solve(K_c, alpha_c, R, cfg)
@@ -432,12 +397,9 @@ def _half_grid_start(K_init: KahlerStructure, alpha: HermitianFormField,
         return None, report.iterations, report.message
     if report.iterations == 0:
         return None, 0, "half-grid start already converged"
-    # prolong puts coarse sample j at fine point 2j; the samples came
-    # from the points 2j + parity
-    potential = np.roll(prolong(report.structure.potential, coarse, grid), parities,
-                        axis=tuple(range(len(parities))))
+    potential = prolong(report.structure.potential, coarse, K_init.grid, parities)
     try:
-        start = KahlerStructure(grid, K_init.base_matrix, potential)
+        start = KahlerStructure(K_init.grid, K_init.base_matrix, potential)
     except DegenerateMetricError as err:
         return None, report.iterations, describe(err)
     return start, report.iterations, ""

@@ -42,6 +42,12 @@ is what keeps the half-spectrum operators equal to the full-spectrum
 ones.  A real symbol acts on real fields through m_h alone
 (`real_multiplier`).  Multiplier stacks are built lazily and cached per
 grid.
+
+The half grid of the two-grid Newton step has one owner here:
+`half_grid` decides whether a grid has one and which points of each axis
+it keeps (the parities), `restrict` samples a field at those points, and
+`prolong` interpolates a half-grid field back spectrally onto the same
+points.  No other module holds a half-grid rule.
 """
 
 from __future__ import annotations
@@ -58,6 +64,9 @@ from .errors import DomainError, ShapeError, SolvabilityError
 _WORKERS = 1
 # trig terms of `random_trig_terms` and `random_smooth_field`
 _RANDOM_TERMS = 6
+# `half_grid`: Nyquist amplitudes within this fraction of the field's sup
+# are treated as equal
+_PARITY_ROUND_OFF = 1e-12
 
 
 def set_fft_workers(count: int) -> None:
@@ -413,15 +422,55 @@ def sobolev_norm(f: ScalarField, s: float) -> float:
     return float(np.sqrt(np.mean(f.values * smooth)))
 
 
-def prolong(values: np.ndarray, coarse: PeriodicGrid, fine: PeriodicGrid) -> np.ndarray:
+def half_grid(grid: PeriodicGrid,
+              values: np.ndarray) -> tuple[PeriodicGrid, tuple[int, ...]]:
+    """The grid with half as many points on every axis, and per axis the
+    parity of the points (0 even, 1 odd) that `restrict` keeps there.
+
+    Every axis must be a multiple of 4 of at least 8, so that the half
+    grid has even axes of at least 4 points; DomainError otherwise.  The
+    kept points are those whose samples see more of the field's energy
+    at the half grid's Nyquist wavenumber N/4, measured by the
+    alternating sums over them.  Sampling the even points sees the
+    cosine phase of that mode and the odd points its sine phase, so the
+    choice follows a translation of the field by one grid step.  The
+    even points are kept unless the odd ones see a larger amplitude by
+    more than _PARITY_ROUND_OFF times the field's sup, so round-off does
+    not decide.
+    """
+    for size in grid.sizes:
+        if size % 4:
+            raise DomainError(f"grid axis {size} not a multiple of 4")
+        if size < 8:
+            raise DomainError(f"grid axis {size} below 8")
+    tie = _PARITY_ROUND_OFF * float(np.abs(values).max())
+    parities = []
+    for axis, size in enumerate(values.shape):
+        pairs = np.moveaxis(values, axis, 0).reshape(size // 2, 2, -1)
+        seen = np.einsum("j,jpr->pr", (-1.0) ** np.arange(size // 2), pairs)
+        amplitude = np.sqrt(np.mean(seen ** 2, axis=1)) / (size // 2)
+        parities.append(int(amplitude[1] - amplitude[0] > tie))
+    return PeriodicGrid(grid.n, tuple(size // 2 for size in grid.sizes)), tuple(parities)
+
+
+def restrict(values: np.ndarray, parities: tuple[int, ...]) -> np.ndarray:
+    """The samples of a field at the points 2j + parity of every axis,
+    the field on the half grid (see `half_grid`)."""
+    return np.ascontiguousarray(values[tuple(slice(p, None, 2) for p in parities)])
+
+
+def prolong(values: np.ndarray, coarse: PeriodicGrid, fine: PeriodicGrid,
+            parities: tuple[int, ...]) -> np.ndarray:
     """Trigonometric interpolant of a real field on `coarse`, sampled on
-    `fine`, which has twice as many points on every axis.
+    `fine`, which has twice as many points on every axis; the inverse of
+    `restrict`, so coarse sample j lands on fine point 2j + parity.
 
     The coarse half spectrum is zero-padded.  Each coarse Nyquist
     coefficient, whose one coarse mode stands for both wavenumbers
     +-N/2, is split evenly between them: on the last (real-to-complex)
     axis that halves the Nyquist slice, whose -N/2 partner is implied.
-    The result is real and its even-index samples are the coarse field.
+    The result is real; rolling it by the parities puts the coarse
+    samples back where `restrict` took them.
     """
     if fine.n != coarse.n or fine.sizes != tuple(2 * s for s in coarse.sizes):
         raise ShapeError(f"grid {fine.sizes} is not grid {coarse.sizes} "
@@ -438,7 +487,7 @@ def prolong(values: np.ndarray, coarse: PeriodicGrid, fine: PeriodicGrid) -> np.
     spec[..., coarse.sizes[-1] // 2] *= 0.5
     pad = [(0, 0)] * spec.ndim
     pad[-1] = (0, fine.half_shape[-1] - spec.shape[-1])
-    return fine.ifft(np.pad(spec, pad))
+    return np.roll(fine.ifft(np.pad(spec, pad)), parities, axis=tuple(range(ndim)))
 
 
 def rms_norm(values: np.ndarray) -> float:

@@ -306,9 +306,15 @@ class TestCommandLine:
                 in capsys.readouterr().err)
         assert not out.exists()
 
-    def test_bad_grid_is_usage_error(self, tmp_path):
+    def test_bad_grid_is_usage_error(self, tmp_path, capsys):
         assert main(["solve", "--grid", "7,16", "--out", str(tmp_path)]) == 2
-        assert main(["solve", "--grid", "16", "--out", str(tmp_path)]) == 2
+        # a size count that is not 2 or 4 leaves n alone: the one
+        # diagnostic is about sizes, the key the user gave
+        for sizes in ("16", "16,16,16,16,16,16"):
+            capsys.readouterr()
+            assert main(["solve", "--grid", sizes, "--out", str(tmp_path)]) == 2
+            assert capsys.readouterr().err.splitlines() == [
+                "twistk: config error: sizes: must be 2 integers"]
 
     def test_missing_config_file_is_usage_error(self, tmp_path):
         missing = tmp_path / "nope.json"

@@ -9,12 +9,13 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from twistk import (
     HermitianFormField,
     KahlerStructure,
     KrylovConfig,
+    PeriodicGrid,
     R_to_t,
     SolverConfig,
     WarmChain,
@@ -35,7 +36,7 @@ from twistk.errors import (
     PreconditionError,
     UnsupportedOrderError,
 )
-from twistk.grid import make_trig_field, rms_norm, sup_norm
+from twistk.grid import half_grid, make_trig_field, rms_norm, sup_norm
 import twistk.engine as engine
 from twistk.oracles import order_fit
 
@@ -101,7 +102,6 @@ class TestTwistedResidual:
 
     @given(terms=trig_terms(2, 0.05))
     def test_residual_has_volume_mean_zero(self, terms):
-        from twistk import PeriodicGrid
         grid = PeriodicGrid(1, (16, 16))
         K = seed_structure(grid, terms)
         alpha = HermitianFormField.from_potential(grid, EYE1, K.potential)
@@ -149,10 +149,11 @@ class TestTrivialTwist:
 
 class TestLadder:
     def test_flat_seed_needs_no_corrections(self, flat32, alpha_flat32):
+        # the flat metric solves a constant twist, so no rung moves it
         sol = build_approximate_solution(flat32, alpha_flat32, 100.0, 3)
-        assert len(sol.corrections) == 3
-        assert all(sup_norm(c.values) == 0.0 for c in sol.corrections)
-        assert sol.residual_sups[-1] <= 1e-14
+        assert len(sol.residual_sups) == 4
+        assert all(sup <= 1e-14 for sup in sol.residual_sups)
+        assert not np.any(sol.structure.potential)
 
     def test_non_proportional_twist_is_rejected(self, flat32, grid32):
         x, _ = grid32.coordinates()
@@ -404,7 +405,6 @@ class TestSolveStep:
         assert math.isnan(record.coarse_residual_sup)
 
     def test_axis_not_a_multiple_of_four_solves_on_its_grid(self):
-        from twistk import PeriodicGrid
         K0, alpha = self.problem(PeriodicGrid(1, (16, 18)))
         record, K = engine.solve_step(K0, alpha, 10.0, FAST, "flat")
         assert (record.coarse_iters, record.coarse_error) == (
@@ -432,7 +432,7 @@ class TestSolveStep:
         # 8 cos(x) has Hessian -2 cos(x): the prolonged metric 1 + 2 cos(x)
         # is not positive
         K0, alpha = self.problem(grid16)
-        monkeypatch.setattr(engine, "prolong", lambda values, coarse, fine:
+        monkeypatch.setattr(engine, "prolong", lambda values, coarse, fine, parities:
                             make_trig_field(fine, [(8.0, (1, 0), 0.0)]).values)
         record, K = engine.solve_step(K0, alpha, 10.0, FAST, "flat")
         assert record.coarse_iters == 3
@@ -447,17 +447,22 @@ class TestSolveStep:
         assert (record.newton_iters, record.coarse_iters) == (0, 0)
         assert record.coarse_error == "half-grid start already converged"
 
-    def test_sampling_follows_a_one_step_translation(self, grid16):
-        # the solution of the 0.2 cos(x - shift) twist has a cos(4(x - shift))
-        # mode that the even points of the half grid see only at shift 0
-        step = 2.0 * math.pi / 16
-        flat = KahlerStructure(grid16, EYE1, np.zeros(grid16.shape))
+    @staticmethod
+    def assert_translation_is_followed(grid):
+        """Solving the 0.2 cos(x_1 - shift) twist at R = 10, then at R = 5
+        from there, for shifts of 0 and 1 grid step: the half grid samples
+        the odd x_1 points after the shift, and both second steps do the
+        same work and give translated potentials."""
+        naxes = len(grid.sizes)
+        step = 2.0 * math.pi / grid.sizes[0]
+        g0 = np.eye(grid.n, dtype=complex)
+        flat = KahlerStructure(grid, g0, np.zeros(grid.shape))
         records, potentials = [], []
-        for shift, parities in ((0, (0, 0)), (1, (1, 0))):
-            alpha = HermitianFormField.from_potential(grid16, EYE1, make_trig_field(
-                grid16, [(0.2, (1, 0), -shift * step)]).values)
+        for shift in (0, 1):
+            alpha = HermitianFormField.from_potential(grid, g0, make_trig_field(
+                grid, [(0.2, (1,) + (0,) * (naxes - 1), -shift * step)]).values)
             _, K = engine.solve_step(flat, alpha, 10.0, FAST, "flat")
-            assert engine._sampling_parities(K.potential) == parities
+            assert half_grid(grid, K.potential)[1] == (shift,) + (0,) * (naxes - 1)
             record, K = engine.solve_step(K, alpha, 5.0, FAST, "previous-step")
             records.append(record)
             potentials.append(K.potential)
@@ -466,6 +471,33 @@ class TestSolveStep:
         assert records[1].coarse_residual_sup == pytest.approx(
             records[0].coarse_residual_sup, rel=1e-6)
         assert sup_norm(np.roll(potentials[0], 1, axis=0) - potentials[1]) <= 1e-12
+
+    def test_sampling_follows_a_one_step_translation(self, grid16):
+        # the solution of the 0.2 cos(x - shift) twist has a cos(4(x - shift))
+        # mode that the even points of the half grid see only at shift 0
+        self.assert_translation_is_followed(grid16)
+
+    def test_sampling_follows_a_one_step_translation_at_n2(self, grid8x4):
+        # the same with a cos(2(x_1 - shift)) mode on the 4^4 half grid
+        self.assert_translation_is_followed(grid8x4)
+
+    @example(R=1e-13, n=1)
+    @example(R=1e-13, n=2)
+    @given(R=st.floats(0.0, 0.5), n=st.sampled_from([1, 2]))
+    def test_small_weights_stay_near_flat(self, R, n):
+        # the flat metric solves R = 0, and the solution's potential is
+        # O(R) (measured: sup below 0.80 R at n = 1, 0.77 R at n = 2)
+        grid = PeriodicGrid(n, (16, 16) if n == 1 else (8, 8, 8, 8))
+        g0 = np.eye(n, dtype=complex)
+        alpha = HermitianFormField.from_potential(grid, g0, make_trig_field(
+            grid, [(0.2, (1,) + (0,) * (2 * n - 1), 0.3)]).values)
+        flat = KahlerStructure(grid, g0, np.zeros(grid.shape))
+        record, K = engine.solve_step(flat, alpha, R, FAST, "flat")
+        assert record.converged
+        assert record.residual_sup <= FAST.newton_tol
+        assert sup_norm(K.potential) <= R
+        if R <= 1e-12:
+            assert record.coarse_error == "half-grid start already converged"
 
     def test_negative_weight_fails_before_any_solve(self, grid16, alpha16,
                                                     monkeypatch):
@@ -478,7 +510,6 @@ class TestSolveStep:
             engine.solve_step(flat, alpha16, -0.5, FAST, "flat")
 
     def test_four_point_axis_falls_back(self):
-        from twistk import PeriodicGrid
         K0, alpha = self.problem(PeriodicGrid(1, (4, 8)))
         record, _ = engine.solve_step(K0, alpha, 10.0, FAST, "flat")
         assert record.coarse_error == "grid axis 4 below 8"

@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from twistk import PeriodicGrid, ScalarField
 from twistk.errors import DomainError, ShapeError, SolvabilityError
 from twistk.grid import (
     flat_laplacian_symbol,
     flat_poisson_solve,
+    half_grid,
     hessian,
     make_trig_field,
     prolong,
+    restrict,
     rms_norm,
     sobolev_norm,
     sup_norm,
@@ -118,7 +122,8 @@ class TestTransforms:
 
 
 class TestProlong:
-    """grid.prolong: the trigonometric interpolant on the doubled grid."""
+    """grid's half-grid pair: `restrict` samples the points that
+    `half_grid` picks, `prolong` interpolates back onto them."""
 
     CASES = [((16, 16), [(0.7, (1, 0), 0.2), (-0.4, (3, -7), 1.3)]),
              ((8, 8, 8, 8), [(0.5, (1, -1, 2, 0), 0.4), (0.3, (0, 3, -3, 1), 2.0)]),
@@ -130,44 +135,92 @@ class TestProlong:
         n = len(sizes) // 2
         return PeriodicGrid(n, sizes), PeriodicGrid(n, tuple(2 * s for s in sizes))
 
+    @staticmethod
+    def every_parity(sizes):
+        return itertools.product((0, 1), repeat=len(sizes))
+
     @pytest.mark.parametrize("sizes, terms", CASES, ids=IDS)
     def test_band_limited_field_is_reproduced(self, sizes, terms):
-        # every wavevector lies strictly inside the coarse Nyquist band
+        # every wavevector lies strictly inside the coarse Nyquist band, so
+        # prolonging the samples of any parity gives the fine field back
         coarse, fine = self.grids(sizes)
-        values = prolong(make_trig_field(coarse, terms).values, coarse, fine)
-        assert sup_norm(values - make_trig_field(fine, terms).values) <= 1e-14
+        values = make_trig_field(fine, terms).values
+        assert half_grid(fine, values)[0] == coarse
+        for parities in self.every_parity(sizes):
+            back = prolong(restrict(values, parities), coarse, fine, parities)
+            assert sup_norm(back - values) <= 1e-14
 
     @pytest.mark.parametrize("sizes", [sizes for sizes, _ in CASES], ids=IDS)
     def test_coarse_samples_are_interpolated(self, sizes):
         # a random field fills every coarse mode, the Nyquist modes included
         coarse, fine = self.grids(sizes)
         values = np.random.default_rng(17).standard_normal(coarse.shape)
-        out = prolong(values, coarse, fine)
-        assert out.shape == fine.shape
-        assert out.dtype == np.float64
-        every_other = tuple(slice(None, None, 2) for _ in sizes)
-        assert sup_norm(out[every_other] - values) <= 1e-14
+        for parities in self.every_parity(sizes):
+            out = prolong(values, coarse, fine, parities)
+            assert out.shape == fine.shape
+            assert out.dtype == np.float64
+            assert sup_norm(restrict(out, parities) - values) <= 1e-14
 
     @pytest.mark.parametrize("sizes", [sizes for sizes, _ in CASES], ids=IDS)
     def test_nyquist_modes_are_split_evenly(self, sizes):
         # on the coarse grid cos(N/2 x_a + x_b + p) is (-1)^j cos(x_b + p),
-        # whose even split interpolant is cos(N/2 x_a) cos(x_b + p)
+        # whose even split interpolant is cos(N/2 x_a) cos(x_b + p), here
+        # translated by the parities' fine-grid steps
         coarse, fine = self.grids(sizes)
-        for a, size in enumerate(sizes):
-            b = (a + 1) % len(sizes)
-            wavevector = [0] * len(sizes)
-            wavevector[a], wavevector[b] = size // 2, 1
-            values = make_trig_field(coarse, [(1.0, wavevector, 0.3)]).values
-            coords = fine.coordinates()
-            expected = np.cos(size // 2 * coords[a]) * np.cos(coords[b] + 0.3)
-            assert sup_norm(prolong(values, coarse, fine) - expected) <= 1e-13
+        h = fine.spacings()
+        for parities in self.every_parity(sizes):
+            coords = [x - p * step for x, p, step in zip(fine.coordinates(), parities, h)]
+            for a, size in enumerate(sizes):
+                b = (a + 1) % len(sizes)
+                wavevector = [0] * len(sizes)
+                wavevector[a], wavevector[b] = size // 2, 1
+                values = make_trig_field(coarse, [(1.0, wavevector, 0.3)]).values
+                expected = np.cos(size // 2 * coords[a]) * np.cos(coords[b] + 0.3)
+                out = prolong(values, coarse, fine, parities)
+                assert sup_norm(out - expected) <= 1e-13
 
     def test_grids_must_differ_by_two_on_every_axis(self):
         coarse = PeriodicGrid(1, (8, 8))
         with pytest.raises(ShapeError):
-            prolong(np.zeros(coarse.shape), coarse, PeriodicGrid(1, (16, 8)))
+            prolong(np.zeros(coarse.shape), coarse, PeriodicGrid(1, (16, 8)), (0, 0))
         with pytest.raises(ShapeError):
-            prolong(np.zeros((16, 16)), coarse, PeriodicGrid(1, (16, 16)))
+            prolong(np.zeros((16, 16)), coarse, PeriodicGrid(1, (16, 16)), (0, 0))
+
+    @pytest.mark.parametrize("sizes, message", [
+        ((16, 18), "grid axis 18 not a multiple of 4"),
+        ((4, 16), "grid axis 4 below 8"),
+    ], ids=["not-multiple-of-4", "below-8"])
+    def test_grid_without_a_half_grid_is_refused(self, sizes, message):
+        grid = PeriodicGrid(1, sizes)
+        with pytest.raises(DomainError) as info:
+            half_grid(grid, np.zeros(grid.shape))
+        assert str(info.value) == message
+
+    def test_parities_follow_the_half_grid_nyquist_mode(self, grid16):
+        # the even points see cos(4 x) and the odd points sin(4 x); a field
+        # without that mode, or with it below round-off, keeps the even ones
+        x, y = grid16.coordinates()
+        for values, parities in ((np.cos(4 * x) + 0 * y, (0, 0)),
+                                 (np.sin(4 * x) + 0 * y, (1, 0)),
+                                 (np.sin(4 * y) + np.cos(4 * x), (0, 1)),
+                                 (np.cos(x) + 1e-14 * np.sin(4 * x) + 0 * y, (0, 0))):
+            coarse, picked = half_grid(grid16, values)
+            assert (coarse.sizes, picked) == ((8, 8), parities)
+
+    @given(data=st.data())
+    def test_pair_round_trips_at_any_parity(self, data):
+        n = data.draw(st.sampled_from([1, 2]), label="n")
+        parities = data.draw(st.tuples(*[st.integers(0, 1)] * (2 * n)), label="parities")
+        terms = data.draw(trig_terms(2 * n, 1.0), label="terms")
+        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+        fine = PeriodicGrid(n, (16,) * (2 * n))
+        values = make_trig_field(fine, terms).values
+        coarse, _ = half_grid(fine, values)
+        back = prolong(restrict(values, parities), coarse, fine, parities)
+        assert sup_norm(back - values) <= 1e-14 * max(1.0, sup_norm(values))
+        samples = np.random.default_rng(seed).standard_normal(coarse.shape)
+        out = prolong(samples, coarse, fine, parities)
+        assert sup_norm(restrict(out, parities) - samples) <= 1e-14
 
 
 class TestDerivatives:
