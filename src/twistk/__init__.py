@@ -20,6 +20,7 @@ from .engine import (
     newton_solve,
     perturb_twist,
     proportional_seed_potential,
+    seed_chain,
     seed_structure,
     solve_step,
     t_to_R,

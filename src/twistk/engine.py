@@ -30,11 +30,13 @@ StepRecord's coarse_* fields record the half-grid stage.
 Every run starts from `seed_structure` and every sequence of solves is
 one `WarmChain`, with one warm-start rule: a step starts at the last
 converged metric, handed on as the solved structure itself, or at the
-run's seed while no step has converged.  `continuity_sweep` returns its
-chain, `ThresholdEstimate` holds the threshold descent's, and
-`perturb_twist` continues the caller's chain from its last converged
-twist and weight, so a base solve and its perturbation stages are one
-chain.
+run's seed while no step has converged.  `seed_chain` makes each
+scenario's chain: it builds the seed's correction ladder on the half
+grid, where the chain's first step solves, when the grid has one.
+`continuity_sweep` returns its chain, `ThresholdEstimate` holds the
+threshold descent's, and `perturb_twist` continues the caller's chain
+from its last converged twist and weight, so a base solve and its
+perturbation stages are one chain.
 """
 
 from __future__ import annotations
@@ -452,14 +454,17 @@ class WarmChain:
     while no step has converged; the seed is let go at the first
     converged step.  records holds every step's record, converged or
     not; structure, alpha and R are the metric, twist and weight of the
-    last converged step (None while there is none); source and
-    ladder_error describe the seed (see `seed_structure`).
+    last converged step (None while there is none); source,
+    ladder_error and ladder_sizes describe the seed (see `seed_chain`,
+    which makes every scenario's chain).
     """
 
-    def __init__(self, start: KahlerStructure, source: str, ladder_error: str = ""):
+    def __init__(self, start: KahlerStructure, source: str, ladder_error: str = "",
+                 ladder_sizes: tuple[int, ...] = ()):
         self._seed = start
         self.source = source
         self.ladder_error = ladder_error
+        self.ladder_sizes = ladder_sizes
         self.records: list[StepRecord] = []
         self.structure: KahlerStructure | None = None
         self.alpha: HermitianFormField | None = None
@@ -663,6 +668,55 @@ def seed_structure(grid: PeriodicGrid, g0: np.ndarray,
     return ladder.structure, f"ladder[{order}]", ""
 
 
+def seed_chain(grid: PeriodicGrid, g0: np.ndarray, alpha: HermitianFormField,
+               R: float, order: int, cfg: SolverConfig = SolverConfig(), *,
+               potential: np.ndarray | None = None) -> WarmChain:
+    """The WarmChain of a Newton scenario, its seed's correction ladder
+    built where the chain's first step solves.
+
+    The seed is `seed_structure`'s at order 0; when order > 0 and R > 0
+    the order-`order` ladder improves it.  When `half_grid` accepts the
+    seed, the ladder runs on the half grid from the seed and alpha
+    restricted there, and its potential is prolonged back: the first
+    two-grid step samples its start at every other point anyway, so a
+    configured-grid ladder would be mostly thrown away.  An axis on
+    which the seed has no energy at the half grid's Nyquist wavenumber,
+    as with a low-mode trig seed, keeps the points through the seed's
+    peak, so a translated seed gets the translated ladder and the same
+    work.  Otherwise (DomainError) the ladder runs on the configured
+    grid, as `seed_structure` builds it.  The ladder's failures follow
+    `seed_structure`'s rules.  The chain's ladder_sizes are the sizes of
+    the grid the ladder ran on, () when none ran.
+    """
+    K, source, _ = seed_structure(grid, g0, alpha, R, 0, cfg, potential=potential)
+    if order <= 0 or R <= 0.0:
+        return WarmChain(K, source)
+    peak = np.unravel_index(np.argmax(K.potential), grid.shape)
+    try:
+        coarse, parities = half_grid(grid, K.potential,
+                                     ties=tuple(int(i) % 2 for i in peak))
+    except DomainError:
+        coarse = None
+    sizes = grid.sizes if coarse is None else coarse.sizes
+    try:
+        if coarse is None:
+            start = build_approximate_solution(K, alpha, R, order, cfg).structure
+        else:
+            ladder = build_approximate_solution(
+                KahlerStructure(coarse, K.base_matrix, restrict(K.potential, parities)),
+                HermitianFormField(coarse, alpha.base_matrix,
+                                   restrict(alpha.potential, parities)),
+                R, order, cfg)
+            start = KahlerStructure(grid, K.base_matrix,
+                                    prolong(ladder.structure.potential, coarse, grid,
+                                            parities))
+    except UnsupportedOrderError:
+        raise
+    except TwistkError as err:
+        return WarmChain(K, source, describe(err), sizes)
+    return WarmChain(start, f"ladder[{order}]", "", sizes)
+
+
 def continuity_sweep(grid: PeriodicGrid, g0: np.ndarray,
                      alpha: HermitianFormField, t_values,
                      cfg: SolverConfig = SolverConfig(), *,
@@ -671,7 +725,7 @@ def continuity_sweep(grid: PeriodicGrid, g0: np.ndarray,
     """March the continuity path over increasing t with warm starts.
 
     Every t is mapped to its weight before the first solve.  The first
-    step starts from `seed_structure` with the correction ladder at the
+    step starts from the `seed_chain` seed, the correction ladder at the
     first weight; each later step starts from the last converged metric,
     or from that same seed while no step has converged (`WarmChain`).
     Returns the chain: its records hold residual norms, the extreme
@@ -684,7 +738,7 @@ def continuity_sweep(grid: PeriodicGrid, g0: np.ndarray,
     if not t_list or any(b <= a for a, b in zip(t_list, t_list[1:])):
         raise PreconditionError("t_values must be strictly increasing and non-empty")
     weights = [t_to_R(t) for t in t_list]
-    chain = WarmChain(*seed_structure(grid, g0, alpha, weights[0], ladder_order, cfg))
+    chain = seed_chain(grid, g0, alpha, weights[0], ladder_order, cfg)
     for t, R in zip(t_list, weights):
         chain.step(alpha, R, cfg, t=t, eigen_seed=eigen_seed if compute_eigen else None)
     return chain
@@ -699,7 +753,8 @@ class ThresholdEstimate:
     and the threshold are 0.0.  When the first attempt at R_start fails
     no weight is verified: the threshold is inf and the bracket
     (R_start, inf).  chain holds one `solve_step` record per weight
-    tried and the `seed_structure` seed's source and ladder failure.
+    tried and the `seed_chain` seed's source, ladder failure and ladder
+    grid.
     """
 
     threshold: float
@@ -714,9 +769,10 @@ def estimate_R_threshold(grid: PeriodicGrid, g0: np.ndarray,
                          ladder_order: int = 2) -> ThresholdEstimate:
     """Descend the twist weight geometrically and bracket the first failure.
 
-    The weight halves from R_start while it stays above `floor`; each
-    weight starts from the last converged metric (`WarmChain`).  If every
-    weight down to `floor` and then R = 0 itself converge, the estimate
+    The chain is seeded by `seed_chain` at R_start.  The weight halves
+    from R_start while it stays above `floor`; each weight starts from
+    the last converged metric (`WarmChain`).  If every weight down to
+    `floor` and then R = 0 itself converge, the estimate
     is 0.0 with the degenerate bracket (0.0, 0.0); otherwise the failing
     interval is bisected geometrically for `bisect_steps` rounds.  The
     threshold is always a verified weight; if R_start itself fails there
@@ -725,7 +781,7 @@ def estimate_R_threshold(grid: PeriodicGrid, g0: np.ndarray,
     if R_start <= 0.0 or floor <= 0.0:
         raise PreconditionError("estimate_R_threshold: need R_start > 0 "
                                 "and floor > 0")
-    chain = WarmChain(*seed_structure(grid, g0, alpha, R_start, ladder_order, cfg))
+    chain = seed_chain(grid, g0, alpha, R_start, ladder_order, cfg)
 
     if not chain.step(alpha, R_start, cfg):
         return ThresholdEstimate(math.inf, (R_start, math.inf), chain)

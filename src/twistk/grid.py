@@ -422,8 +422,9 @@ def sobolev_norm(f: ScalarField, s: float) -> float:
     return float(np.sqrt(np.mean(f.values * smooth)))
 
 
-def half_grid(grid: PeriodicGrid,
-              values: np.ndarray) -> tuple[PeriodicGrid, tuple[int, ...]]:
+def half_grid(grid: PeriodicGrid, values: np.ndarray, *,
+              ties: tuple[int, ...] | None = None,
+              ) -> tuple[PeriodicGrid, tuple[int, ...]]:
     """The grid with half as many points on every axis, and per axis the
     parity of the points (0 even, 1 odd) that `restrict` keeps there.
 
@@ -433,10 +434,10 @@ def half_grid(grid: PeriodicGrid,
     at the half grid's Nyquist wavenumber N/4, measured by the
     alternating sums over them.  Sampling the even points sees the
     cosine phase of that mode and the odd points its sine phase, so the
-    choice follows a translation of the field by one grid step.  The
-    even points are kept unless the odd ones see a larger amplitude by
-    more than _PARITY_ROUND_OFF times the field's sup, so round-off does
-    not decide.
+    choice follows a translation of the field by one grid step.  Where
+    the two amplitudes agree to _PARITY_ROUND_OFF times the field's sup,
+    so that only round-off could decide, the axis keeps the parity given
+    in `ties`, by default the even points.
     """
     for size in grid.sizes:
         if size % 4:
@@ -449,7 +450,10 @@ def half_grid(grid: PeriodicGrid,
         pairs = np.moveaxis(values, axis, 0).reshape(size // 2, 2, -1)
         seen = np.einsum("j,jpr->pr", (-1.0) ** np.arange(size // 2), pairs)
         amplitude = np.sqrt(np.mean(seen ** 2, axis=1)) / (size // 2)
-        parities.append(int(amplitude[1] - amplitude[0] > tie))
+        if abs(amplitude[1] - amplitude[0]) > tie:
+            parities.append(int(amplitude[1] > amplitude[0]))
+        else:
+            parities.append(0 if ties is None else ties[axis])
     return PeriodicGrid(grid.n, tuple(size // 2 for size in grid.sizes)), tuple(parities)
 
 

@@ -36,6 +36,7 @@ from .engine import (
     estimate_R_threshold,
     newton_solve,
     perturb_twist,
+    seed_chain,
     seed_structure,
     t_to_R,
     trivial_twist,
@@ -172,7 +173,8 @@ def _chain_artifacts(chain: WarmChain, summary: dict, outdir: Path | None):
     seed block and the records added, one steps.csv row per record, and
     success (every step converged).  With an outdir the fields of the
     last converged metric are written, when there is one."""
-    summary["seed"] = {"source": chain.source, "ladder_error": chain.ladder_error}
+    summary["seed"] = {"source": chain.source, "ladder_error": chain.ladder_error,
+                       "ladder_sizes": list(chain.ladder_sizes)}
     summary["records"] = [asdict(r) for r in chain.records]
     if outdir is not None and chain.structure is not None:
         _write_fields(outdir, chain.structure)
@@ -185,8 +187,8 @@ def _run_single_solve(cfg: RunConfig, outdir: Path):
     grid, g0_omega, omega_pot, alpha = _build_problem(cfg)
     solver = _solver_config(cfg)
     R = _first_R(cfg)
-    chain = WarmChain(*seed_structure(grid, g0_omega, alpha, R, cfg.order, solver,
-                                      potential=omega_pot.values))
+    chain = seed_chain(grid, g0_omega, alpha, R, cfg.order, solver,
+                       potential=omega_pot.values)
     # eigenpair certification can fail on very coarse grids where the
     # fourth-order truncation defect exceeds the residual tolerance; the
     # solve itself still stands, so lambda1 is nan and the record keeps
@@ -235,7 +237,8 @@ def _run_ladder_study(cfg: RunConfig, outdir: Path):
         ratios[f"scaled_residual_ratio_m{m}"] = max(scaled) / min(scaled)
     summary = {"scenario": cfg.scenario, **slopes, **ratios,
                "R_schedule": schedule, "orders": list(range(1, cfg.order + 1)),
-               "seed": {"source": source, "ladder_error": ladder_error}}
+               "seed": {"source": source, "ladder_error": ladder_error,
+                        "ladder_sizes": []}}
     _write_fields(outdir, last)
     return rows, summary, True
 
@@ -282,8 +285,8 @@ def _run_twist_perturbation(cfg: RunConfig, outdir: Path):
     grid, g0_omega, omega_pot, alpha = _build_problem(cfg)
     solver = _solver_config(cfg)
     R = _first_R(cfg)
-    chain = WarmChain(*seed_structure(grid, g0_omega, alpha, R, cfg.order, solver,
-                                      potential=omega_pot.values))
+    chain = seed_chain(grid, g0_omega, alpha, R, cfg.order, solver,
+                       potential=omega_pot.values)
     base_converged = chain.step(alpha, R, solver)
     summary = {"scenario": cfg.scenario, "base_converged": base_converged,
                "R": R, "stages": cfg.perturbation_steps}

@@ -558,7 +558,8 @@ class TestTwistPerturbation:
         assert run_scenario(cfg) == 0
         summary = _strict_load(out / "summary.json")
         assert summary["base_converged"] is True
-        assert summary["seed"] == {"source": "ladder[1]", "ladder_error": ""}
+        assert summary["seed"] == {"source": "ladder[1]", "ladder_error": "",
+                                   "ladder_sizes": [8, 8]}
         assert summary["stages_converged"] == 3
 
     def test_failed_stage_is_not_counted_as_converged(self, tmp_path,
@@ -663,6 +664,8 @@ class TestSummaryRecords:
         seed = _strict_load(out / "summary.json")["seed"]
         assert seed["source"] == "flat"
         assert seed["ladder_error"].startswith("PreconditionError:")
+        # a 6-point axis has no half grid: the ladder ran on the configured grid
+        assert seed["ladder_sizes"] == [6, 6, 6, 6]
 
     def test_seed_records_of_the_other_scenarios(self, tmp_path):
         twist = ((0.2, (1, 0), 0.0),)
@@ -678,7 +681,8 @@ class TestSummaryRecords:
             out = tmp_path / scenario
             assert run_scenario(dataclasses.replace(cfg, out=str(out))) == 0
             seed = _strict_load(out / "summary.json")["seed"]
-            assert seed == {"source": "ladder[2]", "ladder_error": ""}, scenario
+            assert seed == {"source": "ladder[2]", "ladder_error": "",
+                            "ladder_sizes": [8, 8]}, scenario
 
     def test_sweep_cohomology_is_taken_at_the_last_converged_weight(
             self, tmp_path, monkeypatch):
@@ -732,7 +736,8 @@ class TestSummaryRecords:
         def refuse(*args, **kwargs):
             raise AssertionError("solver work started")
 
-        for name in ("seed_structure", "newton_solve", "continuity_sweep"):
+        for name in ("seed_structure", "seed_chain", "newton_solve",
+                     "continuity_sweep"):
             monkeypatch.setattr(runner, name, refuse)
         out = tmp_path / "run"
         assert run_scenario(dataclasses.replace(cfg, out=str(out))) == 1
@@ -865,7 +870,7 @@ class TestLadderStudy:
         cfg = self.config(tmp_path / "ladder")
         assert run_scenario(cfg) == 0
         assert _strict_load(tmp_path / "ladder" / "summary.json")["seed"] == {
-            "source": "explicit-potential", "ladder_error": ""}
+            "source": "explicit-potential", "ladder_error": "", "ladder_sizes": []}
         rows = _steps(tmp_path / "ladder")
         grid, g0, omega_pot, alpha = runner._build_problem(cfg)
         base = KahlerStructure(grid, g0, euclid_mean_zero(omega_pot.values))
@@ -888,7 +893,8 @@ class TestLadderStudy:
                         alpha_potential=((0.2, (1, 0), 0.0),), out=str(out))
         assert run_scenario(cfg) == 0
         summary = _strict_load(out / "summary.json")
-        assert summary["seed"] == {"source": "proportional-seed", "ladder_error": ""}
+        assert summary["seed"] == {"source": "proportional-seed", "ladder_error": "",
+                                   "ladder_sizes": []}
         assert abs(summary["slope_m1"] + 1.0) <= 0.2
 
     def test_one_build_and_one_twist_handle_per_weight(self, tmp_path,
@@ -979,7 +985,8 @@ class TestN2Scenarios:
         summary = _strict_load(out / "summary.json")
         assert summary["threshold"] == 0.0
         assert (summary["bracket_low"], summary["bracket_high"]) == (0.0, 0.0)
-        assert summary["seed"] == {"source": "ladder[2]", "ladder_error": ""}
+        assert summary["seed"] == {"source": "ladder[2]", "ladder_error": "",
+                                   "ladder_sizes": [4, 4, 4, 4]}
         rows = _steps(out)
         assert len(rows) == summary["attempts"]
         assert rows[-1][2] == 0.0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import json
 import math
 import weakref
 
@@ -36,8 +37,11 @@ from twistk.errors import (
     PreconditionError,
     UnsupportedOrderError,
 )
-from twistk.grid import half_grid, make_trig_field, rms_norm, sup_norm
+from twistk.config import RunConfig
+from twistk.grid import half_grid, make_trig_field, prolong, restrict, rms_norm, sup_norm
 import twistk.engine as engine
+import twistk.runner as runner
+from twistk.runner import run_scenario
 from twistk.oracles import order_fit
 
 from conftest import EYE1, EYE2, seed_structure, trig_terms
@@ -656,6 +660,196 @@ class TestSeedStructure:
         assert [s.converged for s in chain.records] == [False, True]
 
 
+class TestSeedChain:
+    """engine.seed_chain: each chain's ladder where its first step solves."""
+
+    @staticmethod
+    def ladder_grids(monkeypatch):
+        """Sizes of the grid of every ladder build, the engine's and the
+        runner's."""
+        sizes = []
+        original = engine.build_approximate_solution
+
+        def recording(base, *args, **kwargs):
+            sizes.append(base.grid.sizes)
+            return original(base, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "build_approximate_solution", recording)
+        monkeypatch.setattr(runner, "build_approximate_solution", recording)
+        return sizes
+
+    @staticmethod
+    def proportional_twist(grid, terms):
+        return HermitianFormField.from_potential(
+            grid, np.eye(grid.n, dtype=complex), make_trig_field(grid, terms).values)
+
+    def test_an_order_2_chain_builds_on_the_half_grid_when_there_is_one(
+            self, grid16, grid8x4, monkeypatch):
+        sizes = self.ladder_grids(monkeypatch)
+        cases = ((grid16, EYE1, [(0.2, (1, 0), 0.0)], (8, 8)),
+                 (grid8x4, EYE2, [(0.2, (1, 0, 0, 0), 0.0)], (4, 4, 4, 4)),
+                 (PeriodicGrid(1, (18, 18)), EYE1, [(0.2, (1, 0), 0.0)], (18, 18)))
+        for grid, g0, terms, ladder_sizes in cases:
+            sizes.clear()
+            alpha = self.proportional_twist(grid, terms)
+            chain = engine.seed_chain(grid, g0, alpha, 8.0, 2, FAST)
+            assert sizes == [ladder_sizes]
+            assert chain.ladder_sizes == ladder_sizes
+            assert (chain.source, chain.ladder_error) == ("ladder[2]", "")
+            assert chain.step(alpha, 8.0, FAST)
+            assert chain.records[0].warm_source == "ladder[2]"
+        # the sweep and the threshold descent seed through it
+        sizes.clear()
+        alpha = self.proportional_twist(grid16, [(0.2, (1, 0), 0.0)])
+        sweep = continuity_sweep(grid16, EYE1, alpha, (0.5,), FAST, compute_eigen=False)
+        estimate = estimate_R_threshold(grid16, EYE1, alpha, R_start=8.0,
+                                        bisect_steps=0, cfg=FAST)
+        assert sizes == [(8, 8), (8, 8)]
+        assert sweep.ladder_sizes == estimate.chain.ladder_sizes == (8, 8)
+
+    def test_no_ladder_without_an_order_and_a_weight(self, grid16, monkeypatch):
+        sizes = self.ladder_grids(monkeypatch)
+        alpha = self.proportional_twist(grid16, [(0.2, (1, 0), 0.0)])
+        for R, order in ((8.0, 0), (0.0, 2)):
+            chain = engine.seed_chain(grid16, EYE1, alpha, R, order, FAST)
+            assert (chain.source, chain.ladder_error, chain.ladder_sizes) == (
+                "proportional-seed", "", ())
+        assert sizes == []
+
+    def test_seed_structure_and_ladder_study_keep_the_configured_grid(
+            self, grid16, tmp_path, monkeypatch):
+        sizes = self.ladder_grids(monkeypatch)
+        alpha = self.proportional_twist(grid16, [(0.2, (1, 0), 0.0)])
+        _, source, _ = engine.seed_structure(grid16, EYE1, alpha, 8.0, 2, FAST)
+        assert source == "ladder[2]"
+        assert sizes == [(16, 16)]
+        sizes.clear()
+        out = tmp_path / "ladder"
+        cfg = RunConfig(scenario="ladder_study", sizes=(16, 16),
+                        R_schedule=(50.0, 100.0, 200.0), order=2,
+                        alpha_potential=((0.2, (1, 0), 0.0),), out=str(out))
+        assert run_scenario(cfg) == 0
+        assert sizes == [(16, 16)] * 3
+        seed = json.loads((out / "summary.json").read_text())["seed"]
+        assert seed == {"source": "proportional-seed", "ladder_error": "",
+                        "ladder_sizes": []}
+
+    def test_the_first_step_samples_the_ladder_at_the_chain_s_points(
+            self, grid16, monkeypatch):
+        # -sin 4x lives at the half grid's Nyquist wavenumber and vanishes
+        # at the even points of the x axis, so that axis keeps its odd ones
+        alpha = self.proportional_twist(
+            grid16, [(0.2, (1, 0), 0.0), (0.01, (4, 0), 0.5 * math.pi)])
+        halves, ladders = [], []
+        original_half = engine.half_grid
+        original_ladder = engine.build_approximate_solution
+
+        def halving(grid, values, **kwargs):
+            coarse, parities = original_half(grid, values, **kwargs)
+            halves.append((values, coarse, parities))
+            return coarse, parities
+
+        def laddering(*args, **kwargs):
+            ladder = original_ladder(*args, **kwargs)
+            ladders.append(ladder.structure.potential)
+            return ladder
+
+        monkeypatch.setattr(engine, "half_grid", halving)
+        monkeypatch.setattr(engine, "build_approximate_solution", laddering)
+        chain = engine.seed_chain(grid16, EYE1, alpha, 8.0, 2, FAST)
+        assert chain.step(alpha, 8.0, FAST)
+        assert chain.records[0].coarse_iters > 0
+        (_, coarse, parities), (start, _, step_parities) = halves[:2]
+        assert parities == (1, 0)
+        assert step_parities == parities
+        (ladder,) = ladders
+        prolonged = prolong(ladder, coarse, grid16, parities)
+        assert np.array_equal(restrict(start, step_parities),
+                              restrict(prolonged, parities))
+        assert sup_norm(restrict(start, step_parities) - ladder) <= 1e-13
+
+    @pytest.mark.parametrize("grid", ["grid16", "grid8x4"])
+    def test_the_half_grid_ladder_follows_a_translation_of_the_seed(
+            self, grid, request):
+        # cos x_1 has no energy at the half grid's Nyquist wavenumber; a
+        # shift by one grid step moves its peak to an odd point, which the
+        # half grid keeps, so the ladder and the work are translated too
+        grid = request.getfixturevalue(grid)
+        naxes = len(grid.sizes)
+        step = 2.0 * math.pi / grid.sizes[0]
+        g0 = np.eye(grid.n, dtype=complex)
+        chains, works = [], []
+        for shift in (0, 1):
+            alpha = self.proportional_twist(
+                grid, [(0.2, (1,) + (0,) * (naxes - 1), -shift * step)])
+            chains.append(engine.seed_chain(grid, g0, alpha, 8.0, 2, FAST))
+            estimate = estimate_R_threshold(grid, g0, alpha, R_start=8.0,
+                                            bisect_steps=0, cfg=FAST)
+            works.append([(r.converged, r.coarse_iters, r.newton_iters,
+                           [h["linear_iterations"] for h in r.history])
+                          for r in estimate.chain.records])
+        assert sup_norm(np.roll(chains[0]._seed.potential, 1, axis=0)
+                        - chains[1]._seed.potential) <= 1e-13
+        assert works[0] == works[1]
+
+    def test_a_failed_half_grid_ladder_falls_back_to_the_seed(self, grid16,
+                                                              monkeypatch):
+        alpha = self.proportional_twist(grid16, [(0.2, (1, 0), 0.0)])
+        seed, _, _ = engine.seed_structure(grid16, EYE1, alpha, 8.0, 0, FAST)
+
+        def stalled(base, *args, **kwargs):
+            assert base.grid.sizes == (8, 8)
+            raise IterationLimitError("solve_F: forced", [1.0])
+
+        monkeypatch.setattr(engine, "build_approximate_solution", stalled)
+        chain = engine.seed_chain(grid16, EYE1, alpha, 8.0, 2, FAST)
+        assert chain.source == "proportional-seed"
+        assert chain.ladder_error == "IterationLimitError: solve_F: forced"
+        assert chain.ladder_sizes == (8, 8)
+        assert chain.step(alpha, 8.0, FAST)
+        assert chain.records[0].warm_source == "proportional-seed"
+
+        calls = TestWarmChain.record_steps(monkeypatch)
+        chain = engine.seed_chain(grid16, EYE1, alpha, 8.0, 2, FAST)
+        chain.step(alpha, 8.0, FAST)
+        assert np.array_equal(calls[0][0].potential, seed.potential)
+
+        def unsupported(*args, **kwargs):
+            raise UnsupportedOrderError("forced")
+
+        monkeypatch.setattr(engine, "build_approximate_solution", unsupported)
+        with pytest.raises(UnsupportedOrderError):
+            engine.seed_chain(grid16, EYE1, alpha, 8.0, 2, FAST)
+        monkeypatch.undo()
+        with pytest.raises(UnsupportedOrderError):
+            engine.seed_chain(grid16, EYE1, alpha, 8.0, 9, FAST)
+
+    def test_the_half_grid_ladder_does_the_configured_grid_s_work_at_n2(
+            self, grid8x4, monkeypatch):
+        # the speedup must not trade Newton work or accuracy for the
+        # cheaper ladder: same verdicts and iterations on every attempt
+        alpha = self.proportional_twist(grid8x4, [(0.2, (1, 0, 0, 0), 0.0)])
+        half = estimate_R_threshold(grid8x4, EYE2, alpha, R_start=8.0, cfg=FAST)
+
+        def configured(grid, g0, alpha, R, order, cfg, **kwargs):
+            return WarmChain(*engine.seed_structure(grid, g0, alpha, R, order, cfg,
+                                                    **kwargs), grid.sizes)
+
+        monkeypatch.setattr(engine, "seed_chain", configured)
+        full = estimate_R_threshold(grid8x4, EYE2, alpha, R_start=8.0, cfg=FAST)
+        assert half.chain.ladder_sizes == (4, 4, 4, 4)
+        assert full.chain.ladder_sizes == (8, 8, 8, 8)
+
+        def work(r):
+            return r.R, r.converged, r.coarse_iters, r.newton_iters
+
+        assert [work(r) for r in half.chain.records] == [
+            work(r) for r in full.chain.records]
+        assert (half.threshold, half.bracket) == (full.threshold, full.bracket)
+        assert all(r.residual_sup <= FAST.newton_tol for r in half.chain.records)
+        assert sum(r.coarse_iters for r in half.chain.records) > 0
+
+
 class TestWarmChain:
     """engine.WarmChain: the one warm-start rule of every sequence of solves."""
 
@@ -731,28 +925,48 @@ class TestWarmChain:
 
     def test_threshold_lets_its_seed_go_at_the_first_converged_attempt(
             self, grid16, monkeypatch):
-        seeds = []
+        # weak references to the chain's seed, the half-grid ladder's
+        # structure and seed_structure's order-0 seed, in that order
+        refs = {}
         original_seed = engine.seed_structure
+        original_ladder = engine.build_approximate_solution
+
+        class Recording(engine.WarmChain):
+            def __init__(self, start, *args, **kwargs):
+                refs["chain"] = weakref.ref(start)
+                super().__init__(start, *args, **kwargs)
 
         def seeding(*args, **kwargs):
             K, source, error = original_seed(*args, **kwargs)
-            seeds.append(weakref.ref(K))
+            refs["order0"] = weakref.ref(K)
             return K, source, error
+
+        def laddering(base, *args, **kwargs):
+            ladder = original_ladder(base, *args, **kwargs)
+            assert base.grid.sizes == (8, 8)
+            refs["ladder"] = weakref.ref(ladder.structure)
+            return ladder
 
         alive = []
         original_step = engine.solve_step
 
         def stepping(*args, **kwargs):
             gc.collect()
-            alive.append(seeds[0]() is not None)
+            alive.append(tuple(refs[key]() is not None
+                               for key in ("chain", "ladder", "order0")))
             return original_step(*args, **kwargs)
 
+        monkeypatch.setattr(engine, "WarmChain", Recording)
         monkeypatch.setattr(engine, "seed_structure", seeding)
+        monkeypatch.setattr(engine, "build_approximate_solution", laddering)
         monkeypatch.setattr(engine, "solve_step", stepping)
         estimate = estimate_R_threshold(grid16, EYE1, self.twist(grid16),
                                         R_start=8.0, bisect_steps=0, cfg=FAST)
         assert estimate.chain.records[0].converged
-        assert alive == [True] + [False] * (len(estimate.chain.records) - 1)
+        assert estimate.chain.source == "ladder[2]"
+        # only the chain's seed reaches the first step, and none outlives it
+        assert alive == ([(True, False, False)]
+                         + [(False, False, False)] * (len(estimate.chain.records) - 1))
 
 
 class TestThresholdEstimate:

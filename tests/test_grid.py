@@ -197,8 +197,9 @@ class TestProlong:
         assert str(info.value) == message
 
     def test_parities_follow_the_half_grid_nyquist_mode(self, grid16):
-        # the even points see cos(4 x) and the odd points sin(4 x); a field
-        # without that mode, or with it below round-off, keeps the even ones
+        # the even points see cos(4 x) and the odd points sin(4 x); an axis
+        # without that mode, or with it below round-off, keeps the parity
+        # given for ties, by default the even one
         x, y = grid16.coordinates()
         for values, parities in ((np.cos(4 * x) + 0 * y, (0, 0)),
                                  (np.sin(4 * x) + 0 * y, (1, 0)),
@@ -206,6 +207,10 @@ class TestProlong:
                                  (np.cos(x) + 1e-14 * np.sin(4 * x) + 0 * y, (0, 0))):
             coarse, picked = half_grid(grid16, values)
             assert (coarse.sizes, picked) == ((8, 8), parities)
+        for values, parities in ((np.sin(4 * x) + 0 * y, (1, 1)),
+                                 (np.cos(4 * x) + 0 * y, (0, 1)),
+                                 (np.cos(x) + 1e-14 * np.sin(4 * x) + 0 * y, (1, 1))):
+            assert half_grid(grid16, values, ties=(1, 1))[1] == parities
 
     @given(data=st.data())
     def test_pair_round_trips_at_any_parity(self, data):
