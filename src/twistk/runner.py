@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import platform
+import resource
 import time
 from dataclasses import asdict
 from pathlib import Path
@@ -74,6 +75,21 @@ from .solvers import KrylovConfig, extreme_eigenvalue, solve_F, solve_shifted
 
 CSV_HEADER = "step,t,R,residual_sup,residual_l2,lambda1,newton_iters,wall_ms"
 VERIFY_HEADER = "check,value,tolerance,pass"
+
+# glibc's mallopt parameters and the values run_scenario fixes.  By
+# default glibc adapts both thresholds: at 128^2 a float field is 128 KiB,
+# exactly the initial mmap threshold, and once the largest mapped
+# temporary of an operator apply (512 KiB) is freed the trim threshold
+# becomes about 1 MiB.  Every apply then frees more than that at the top
+# of the heap, glibc returns it to the kernel, and the next apply faults
+# it back in: 250-370 pages per twist apply, a fifth of the wall time of
+# a 128^2 ladder study.
+# Fixed values keep such temporaries on the heap and its freed top mapped.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 4 * 1024 * 1024
+_TRIM_THRESHOLD = 64 * 1024 * 1024
+_allocator_policy_set = False
 
 
 def _fmt(value) -> str:
@@ -449,6 +465,33 @@ _SCENARIO_RUNNERS = {
 }
 
 
+def _set_allocator_policy() -> None:
+    """Fix glibc's mmap and trim thresholds, once per process; a no-op
+    where the C library has no mallopt."""
+    global _allocator_policy_set
+    if _allocator_policy_set:
+        return
+    _allocator_policy_set = True
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
+def _process_usage(before: resource.struct_rusage) -> dict:
+    """Minor page faults and CPU seconds of this process since `before`."""
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    return {"minor_faults": after.ru_minflt - before.ru_minflt,
+            "user_s": after.ru_utime - before.ru_utime,
+            "system_s": after.ru_stime - before.ru_stime}
+
+
 def run_scenario(cfg: RunConfig) -> int:
     """Execute one scenario; returns the process exit status.
 
@@ -457,7 +500,9 @@ def run_scenario(cfg: RunConfig) -> int:
     config built in code that breaks a scenario rule of
     `config.scenario_diagnostics` (which `parse_config` rejects), an
     unknown scenario included, fails the same way, with a ConfigError summary, before any solver work.
+    The summary of a scenario that returns holds its `process` usage.
     """
+    _set_allocator_policy()
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_manifest(outdir, cfg)
@@ -465,7 +510,9 @@ def run_scenario(cfg: RunConfig) -> int:
         diagnostics = scenario_diagnostics(cfg)
         if diagnostics:
             raise ConfigError(diagnostics)
+        before = resource.getrusage(resource.RUSAGE_SELF)
         rows, summary, success = _SCENARIO_RUNNERS[cfg.scenario](cfg, outdir)
+        summary["process"] = _process_usage(before)
     except TwistkError as err:
         _write_summary(outdir, {"scenario": cfg.scenario, "success": False,
                                 "error": describe(err)})

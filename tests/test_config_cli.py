@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import json
+import math
+import re
 import struct
+import tempfile
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 import twistk.engine as engine
 import twistk.runner as runner
@@ -29,10 +36,19 @@ from twistk.engine import (
 )
 from twistk.errors import ConfigError, DomainError
 from twistk.fieldio import read_field, write_field
-from twistk.geometry import KahlerStructure
-from twistk.grid import euclid_mean_zero, fft_workers, rms_norm, set_fft_workers
+from twistk.geometry import HermitianFormField, KahlerStructure
+from twistk.grid import (
+    PeriodicGrid,
+    euclid_mean_zero,
+    fft_workers,
+    make_trig_field,
+    rms_norm,
+    set_fft_workers,
+)
 from twistk.operators import LinearOperatorHandle
 from twistk.runner import CSV_HEADER, run_scenario
+
+from conftest import EYE1, trig_terms
 
 
 class TestDefaults:
@@ -853,6 +869,96 @@ class TestStepRecords:
         assert summary["success"] is False
         assert summary["error"].startswith(
             "DegenerateMetricError: metric is not positive definite")
+
+
+class TestNonPositiveTwist:
+    """A twist that is not positive everywhere fails as a typed error."""
+
+    @given(terms=trig_terms(2, 1.0), depth=st.floats(min_value=1.01, max_value=4.0))
+    def test_single_solve_reports_a_typed_error(self, terms, depth):
+        # on n = 1, alpha = 1 + h with h linear in the amplitudes, so
+        # scaling them to min h = -depth puts alpha's minimum at 1 - depth
+        grid16 = PeriodicGrid(1, (16, 16))
+        shape = HermitianFormField.from_potential(
+            grid16, EYE1, make_trig_field(grid16, terms).values)
+        dip = shape.min_eigenvalue() - 1.0
+        assume(dip < -1e-3)
+        scaled = tuple((a * depth / -dip, k, phase) for a, k, phase in terms)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "solve"
+            cfg = RunConfig(scenario="single_solve", sizes=(16, 16),
+                            R_schedule=(100.0,), alpha_potential=scaled,
+                            out=str(out))
+            assert runner._build_problem(cfg)[3].min_eigenvalue() <= 0.0
+            assert run_scenario(cfg) == 1
+            text = (out / "summary.json").read_text()
+            summary = _strict_load(out / "summary.json")
+        assert summary["success"] is False
+        assert re.fullmatch(r"[A-Za-z]+Error: \S.*", summary["error"])
+        assert "nan" not in text.lower()
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except OSError:
+        return False
+
+
+def _libc_without_mallopt(name):
+    return types.SimpleNamespace()
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+class TestProcessUsage:
+    """run_scenario fixes glibc's allocator thresholds once per process,
+    and a returned scenario's summary holds its page faults and CPU time."""
+
+    def test_summary_holds_the_scenario_usage(self, tmp_path):
+        out = tmp_path / "solve"
+        cfg = dataclasses.replace(default_config("single_solve"), sizes=(16, 16),
+                                  out=str(out))
+        assert run_scenario(cfg) == 0
+        process = _strict_load(out / "summary.json")["process"]
+        assert sorted(process) == ["minor_faults", "system_s", "user_s"]
+        assert isinstance(process["minor_faults"], int)
+        assert all(math.isfinite(v) and v >= 0 for v in process.values())
+
+    def test_policy_is_set_once_per_process(self, tmp_path, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(ctypes, "CDLL",
+                            lambda name: types.SimpleNamespace(mallopt=mallopt))
+        monkeypatch.setattr(runner, "_allocator_policy_set", False)
+        for run in ("first", "second"):
+            run_scenario(RunConfig(scenario="bogus", out=str(tmp_path / run)))
+        # glibc's M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD is -1
+        assert calls == [(-3, 4 * 2**20), (-1, 64 * 2**20)]
+
+    @pytest.mark.parametrize("libc", [_libc_without_mallopt, _no_libc])
+    def test_missing_mallopt_is_a_no_op(self, libc, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", libc)
+        monkeypatch.setattr(runner, "_allocator_policy_set", False)
+        runner._set_allocator_policy()
+        assert runner._allocator_policy_set
+
+    @pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+    def test_warm_ladder_study_does_not_refault_the_heap(self, tmp_path):
+        # the benchmark's 128^2 ladder study: with glibc's adaptive
+        # thresholds every twist apply trims and re-faults ~1 MiB of heap,
+        # some 60-90k minor faults a call
+        cfg = dataclasses.replace(default_config("ladder_study"), sizes=(128, 128))
+        for run in ("cold", "warm"):
+            out = tmp_path / run
+            assert run_scenario(dataclasses.replace(cfg, out=str(out))) == 0
+        assert _strict_load(out / "summary.json")["process"]["minor_faults"] <= 2000
 
 
 class TestLadderStudy:
