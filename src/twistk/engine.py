@@ -320,8 +320,9 @@ def newton_solve(K0: KahlerStructure, alpha: HermitianFormField, R: float,
             K = K_new
             residual, const = res_new, const_new
             rsup = sup_new
-            history.append({"iteration": it, "residual_sup": rsup,
-                            "step": scale, "linear_iterations": lin_info["iterations"]})
+            history.append({"iteration": it, "residual_sup": rsup, "step": scale,
+                            "linear_iterations": lin_info["iterations"],
+                            "linear_residual": lin_info["residual"]})
         if rsup <= cfg.newton_tol:
             return report(True)
         raise IterationLimitError(

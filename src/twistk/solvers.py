@@ -7,10 +7,13 @@ volume products of `geometry` (`volume_mean_zero`, `volume_rms`).
 Symmetric solves use conjugate gradients in the volume-weighted inner
 product with a flat spectral preconditioner (composed with 1/det g so
 it stays self-adjoint in that inner product).  The non-symmetric Newton
-linearization is solved with restarted GMRES (restart length
-_GMRES_RESTART).  The extreme eigenvalue of the shifted operator comes
-from a preconditioned Davidson iteration: one operator application and
-one flat preconditioner application per step, with no inner solves.
+linearization is solved with right-preconditioned restarted GMRES in the
+same inner product (`_gmres`): one operator and one preconditioner
+application per iteration, and one more operator application that
+certifies the true residual.  The extreme eigenvalue of the shifted
+operator comes from a preconditioned Davidson iteration: one operator
+application and one flat preconditioner application per step, with no
+inner solves.
 
 Preconditioner symbols come from freezing coefficients at the constant
 class representatives, and the operator's order picks one: the flat
@@ -26,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .errors import DomainError, IterationLimitError, PreconditionError, SolvabilityError
 from .geometry import (
@@ -46,8 +48,8 @@ class KrylovConfig:
     """Shared settings of the iterative solves.
 
     tol is the relative residual target in the volume-weighted RMS norm,
-    in (0, 1); maxiter >= 1 caps total operator applications.  Values
-    that cannot run raise DomainError.
+    in (0, 1); maxiter >= 1 caps the iterations of one solve, in `_pcg`
+    and in `_gmres` alike.  Values that cannot run raise DomainError.
     """
 
     tol: float = 1e-10
@@ -70,7 +72,7 @@ class EigenEstimate:
     vector: ScalarField
 
 
-# GMRES restart length of `newton_linear_solve`
+# GMRES cycle length: it bounds the Krylov basis kept in memory
 _GMRES_RESTART = 50
 # Davidson basis cap, and the Ritz vectors kept when it is reached
 _DAVIDSON_CAP = 24
@@ -160,6 +162,89 @@ def _pcg(apply_A, b: np.ndarray, K: KahlerStructure, cfg: KrylovConfig,
     raise IterationLimitError(
         f"{what}: no convergence within {cfg.maxiter} iterations "
         f"(last relative residual {history[-1]:.3e})", history)
+
+
+def _gmres(apply_A, b: np.ndarray, K: KahlerStructure, cfg: KrylovConfig,
+           apply_M, what: str = "solve"):
+    """Restarted right-preconditioned GMRES in the volume-weighted inner
+    product (Saad & Schultz 1986).
+
+    apply_A maps the volume-mean-zero subspace to itself; apply_M is an
+    approximate inverse.  The Arnoldi basis of A M is built by modified
+    Gram-Schmidt in <u, v> = sum(u v det g), and Givens rotations keep
+    the least-squares residual, which in exact arithmetic is the true
+    residual's weighted norm, as a running estimate.  The start is
+    x = 0, so r = b costs no application, and the preconditioned basis
+    vectors are kept, so x = M V y costs none either.  A cycle ends when
+    the estimate reaches tol / 10 relative to ||b||, when cfg.maxiter
+    iterations are spent, or after _GMRES_RESTART iterations; one true
+    residual then certifies x at <= 10 * tol, or restarts the next cycle
+    from it.  A solve of k iterations thus makes k + 1 operator and k
+    preconditioner applications, plus one operator application per extra
+    cycle.  IterationLimitError carries one residual estimate per
+    iteration.
+    """
+    w = K.weight
+
+    def dot(u, v):
+        return float(np.sum(u * v * w))
+
+    b = volume_mean_zero(K, b)
+    bnorm = math.sqrt(dot(b, b))
+    x = np.zeros_like(b)
+    if bnorm == 0.0:
+        return x, {"iterations": 0, "residual": 0.0, "history": []}
+    target = 0.1 * cfg.tol
+    history: list[float] = []
+    r, beta = b, bnorm
+    while True:
+        V = [r / beta]
+        Z = []
+        H = np.zeros((_GMRES_RESTART + 1, _GMRES_RESTART))
+        cs = np.zeros(_GMRES_RESTART)
+        sn = np.zeros(_GMRES_RESTART)
+        g = np.zeros(_GMRES_RESTART + 1)
+        g[0] = beta
+        for j in range(_GMRES_RESTART):
+            Z.append(apply_M(V[j]))
+            t = apply_A(Z[j])
+            for i in range(j + 1):
+                H[i, j] = dot(t, V[i])
+                t = t - H[i, j] * V[i]
+            H[j + 1, j] = math.sqrt(dot(t, t))
+            for i in range(j):
+                H[i, j], H[i + 1, j] = (cs[i] * H[i, j] + sn[i] * H[i + 1, j],
+                                        cs[i] * H[i + 1, j] - sn[i] * H[i, j])
+            rho = math.hypot(H[j, j], H[j + 1, j])
+            if rho == 0.0:
+                raise IterationLimitError(
+                    f"{what}: GMRES broke down (operator singular on the Krylov "
+                    f"space) after {len(history)} iterations", history)
+            cs[j], sn[j] = H[j, j] / rho, H[j + 1, j] / rho
+            if H[j + 1, j] != 0.0:
+                V.append(t / H[j + 1, j])
+            H[j, j], H[j + 1, j] = rho, 0.0
+            g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]
+            history.append(abs(g[j + 1]) / bnorm)
+            if history[-1] <= target or len(history) == cfg.maxiter:
+                break
+        k = len(Z)
+        # H[:k, :k] is upper triangular after the rotations
+        y = np.linalg.solve(H[:k, :k], g[:k])
+        for i in range(k):
+            x = x + y[i] * Z[i]
+        r = volume_mean_zero(K, b - apply_A(x))
+        beta = math.sqrt(dot(r, r))
+        true_res = beta / bnorm
+        # a cycle cut at _GMRES_RESTART stops only at the estimate's target
+        stopped = history[-1] <= target or len(history) == cfg.maxiter
+        if true_res <= (10.0 * cfg.tol if stopped else target):
+            return volume_mean_zero(K, x), {"iterations": len(history),
+                                            "residual": true_res, "history": history}
+        if len(history) == cfg.maxiter:
+            raise IterationLimitError(
+                f"{what}: no convergence within {cfg.maxiter} iterations "
+                f"(relative residual {true_res:.3e})", history)
 
 
 def _require_volume_mean_zero(K: KahlerStructure, f: ScalarField, what: str) -> None:
@@ -271,46 +356,22 @@ def newton_linear_solve(K: KahlerStructure, alpha: HermitianFormField, R: float,
     """Solve full_linearization(delta) = rhs with restarted GMRES.
 
     The full linearization is not self-adjoint away from solutions, so
-    a generalized-residual method is used; input and output live on the
-    volume-mean-zero subspace.
+    the solve is `_gmres`, right-preconditioned by the negated
+    biLaplacian-shift approximate inverse at weight R; input and output
+    live on the volume-mean-zero subspace.  Returns (delta, info) with
+    the iteration count, the certified relative residual and the
+    per-iteration residual estimates.
     """
     handle = LinearOperatorHandle("full_linearization", K, alpha, R, mean_zero=True)
-    grid = K.grid
     apply_M = _spd_preconditioner(K, R)
-    b = volume_mean_zero(K, np.asarray(rhs, dtype=float))
-    bnorm = volume_rms(K, b)
-    if bnorm == 0.0:
-        return np.zeros_like(b), {"iterations": 0, "residual": 0.0, "history": []}
 
-    shape = grid.shape
-    npts = grid.npoints
-
-    def matvec(v):
-        return handle.apply(v.reshape(shape)).ravel()
-
-    def mvec(v):
-        # sign: the flat model of the linearization is the negated
+    def negated_M(v):
+        # the flat model of the linearization is the negated
         # biLaplacian-shift symbol, so the approximate inverse is negated
-        return -apply_M(v.reshape(shape)).ravel()
+        return -apply_M(v)
 
-    A = scipy.sparse.linalg.LinearOperator((npts, npts), matvec=matvec)
-    M = scipy.sparse.linalg.LinearOperator((npts, npts), matvec=mvec)
-    history: list[float] = []
-
-    def callback(pr_norm):
-        history.append(float(pr_norm))
-
-    outer = math.ceil(cfg.maxiter / _GMRES_RESTART)
-    x, code = scipy.sparse.linalg.gmres(
-        A, b.ravel(), rtol=cfg.tol / 10.0, atol=0.0, restart=_GMRES_RESTART,
-        maxiter=outer, M=M, callback=callback, callback_type="pr_norm")
-    x = volume_mean_zero(K, x.reshape(shape))
-    true_res = volume_rms(K, volume_mean_zero(K, b - handle.apply(x))) / bnorm
-    if code != 0 or true_res > 10.0 * cfg.tol:
-        raise IterationLimitError(
-            f"newton_linear_solve: GMRES stopped with code {code}, "
-            f"relative residual {true_res:.3e}", history)
-    return x, {"iterations": len(history), "residual": true_res, "history": history}
+    return _gmres(handle.apply, np.asarray(rhs, dtype=float), K, cfg, negated_M,
+                  what="newton_linear_solve")
 
 
 def extreme_eigenvalue(K: KahlerStructure, alpha: HermitianFormField, R: float,

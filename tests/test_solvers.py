@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,6 +25,7 @@ from twistk import (
     solve_shifted,
     volume_average,
     volume_mean_zero,
+    volume_rms,
 )
 from twistk.errors import (
     DomainError,
@@ -31,6 +37,7 @@ from twistk.engine import newton_solve, proportional_seed_potential
 from twistk.grid import euclid_mean_zero, make_trig_field, random_smooth_field, sup_norm
 from twistk.operators import LinearOperatorHandle, dense_assemble
 from twistk.oracles import dense_spectrum
+import twistk
 import twistk.solvers as solvers
 
 from conftest import EYE1, EYE2, seed_structure
@@ -184,6 +191,106 @@ class TestNewtonLinearSolve:
             flat32, alpha_flat32, 25.0, np.zeros(flat32.grid.shape))
         assert sup_norm(delta) == 0.0
         assert info["iterations"] == 0
+
+    @staticmethod
+    def problem(grid, amplitude):
+        """Non-flat K from `default_rng(3)`, alpha its own Kahler form, and a
+        volume-mean-zero smooth right-hand side."""
+        pot = random_smooth_field(grid, np.random.default_rng(3), amplitude=amplitude)
+        K = KahlerStructure(grid, EYE1, pot.values)
+        alpha = HermitianFormField.from_potential(grid, EYE1, K.potential)
+        rhs = volume_mean_zero(K, random_smooth_field(
+            grid, np.random.default_rng(3), amplitude=1.0).values)
+        return K, alpha, rhs
+
+    def test_iteration_cap_is_exact(self, grid32):
+        K, alpha, rhs = self.problem(grid32, 0.05)
+        with pytest.raises(IterationLimitError) as err:
+            newton_linear_solve(K, alpha, 5.0, rhs, KrylovConfig(tol=1e-14, maxiter=2))
+        assert len(err.value.history) == 2
+
+    def test_certified_solve_at_the_cap_returns(self, grid32):
+        # three iterations reach a true residual of ~5e-11, inside the
+        # 10 * tol certificate although the estimate is not yet at tol / 10
+        K, alpha, rhs = self.problem(grid32, 1e-4)
+        cfg = KrylovConfig(tol=1e-10, maxiter=3)
+        delta, info = newton_linear_solve(K, alpha, 5.0, rhs, cfg)
+        assert info["iterations"] == len(info["history"]) == 3
+        assert info["history"][-1] > 0.1 * cfg.tol
+        assert info["residual"] <= 10.0 * cfg.tol
+        handle = LinearOperatorHandle("full_linearization", K, alpha, 5.0, mean_zero=True)
+        back = volume_mean_zero(K, rhs - handle.apply(delta))
+        assert volume_rms(K, back) / volume_rms(K, rhs) == pytest.approx(
+            info["residual"], rel=1e-6)
+
+    def test_applies_one_operator_per_iteration_plus_the_certificate(
+            self, grid32, monkeypatch):
+        K, alpha, rhs = self.problem(grid32, 0.05)
+        applies, preconditions = [], []
+        apply = LinearOperatorHandle.apply
+        build = solvers._spd_preconditioner
+
+        def counting_apply(handle, values):
+            applies.append(handle.kind)
+            return apply(handle, values)
+
+        def counting_build(K_arg, R):
+            inner = build(K_arg, R)
+
+            def counted(r):
+                preconditions.append(R)
+                return inner(r)
+
+            return counted
+
+        monkeypatch.setattr(LinearOperatorHandle, "apply", counting_apply)
+        monkeypatch.setattr(solvers, "_spd_preconditioner", counting_build)
+        _, info = newton_linear_solve(K, alpha, 5.0, rhs)
+        assert info["iterations"] > 1
+        assert applies == ["full_linearization"] * (info["iterations"] + 1)
+        assert len(preconditions) <= info["iterations"] + 1
+
+    def test_restarted_solve_agrees_with_one_cycle(self, grid32, monkeypatch):
+        K, alpha, rhs = self.problem(grid32, 0.05)
+        cfg = KrylovConfig()
+        whole, info = newton_linear_solve(K, alpha, 5.0, rhs, cfg)
+        assert info["iterations"] > 2
+        monkeypatch.setattr(solvers, "_GMRES_RESTART", 2)
+        cycled, cycled_info = newton_linear_solve(K, alpha, 5.0, rhs, cfg)
+        assert cycled_info["residual"] <= 10.0 * cfg.tol
+        assert cycled_info["iterations"] == len(cycled_info["history"])
+        assert sup_norm(cycled - whole) <= 1e-8 * sup_norm(whole)
+
+    def test_non_self_adjoint_solve_matches_dense_least_squares(self):
+        grid = PeriodicGrid(1, (8, 8))
+        K = seed_structure(grid, [(0.1, (1, 0), 0.0), (0.05, (1, 1), 0.3)])
+        alpha = HermitianFormField.from_potential(
+            grid, EYE1, make_trig_field(grid, [(0.08, (0, 1), 0.5)]).values)
+        handle = LinearOperatorHandle("full_linearization", K, alpha, 5.0, mean_zero=True)
+        mat = dense_assemble(handle)
+        # not self-adjoint in the volume-weighted inner product
+        weighted = K.weight.ravel()[:, None] * mat
+        assert np.abs(weighted - weighted.T).max() > 1e-3 * np.abs(weighted).max()
+        rng = np.random.default_rng(43)
+        rhs = volume_mean_zero(K, random_smooth_field(grid, rng, amplitude=1.0).values)
+        delta, _ = newton_linear_solve(K, alpha, 5.0, rhs)
+        direct, *_ = np.linalg.lstsq(mat, rhs.ravel(), rcond=1e-10)
+        direct = volume_mean_zero(K, direct.reshape(grid.shape))
+        assert sup_norm(delta - direct) <= 1e-8 * sup_norm(direct)
+
+
+def test_import_loads_no_sparse_module():
+    # the Newton GMRES is solvers' own, so scipy.sparse stays out of
+    # every process that imports twistk
+    src = Path(twistk.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, twistk; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestKrylovConfig:
