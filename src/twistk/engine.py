@@ -185,13 +185,15 @@ class ApproximateSolution:
     that rung, and the wall time in milliseconds from the start of the
     build to the end of that rung.  Rung m of an order-`order` ladder is
     the last rung of the order-m ladder, so its entries are that
-    ladder's.
+    ladder's.  linear_iterations holds the PCG iterations of the solves
+    of rungs 1 to `order`, one entry each: the seed takes no solve.
     """
 
     structure: KahlerStructure
     residual_sups: tuple[float, ...]
     residual_rms: tuple[float, ...]
     wall_ms: tuple[float, ...]
+    linear_iterations: tuple[int, ...]
     constant: float
     R: float
     order: int
@@ -209,7 +211,8 @@ def build_approximate_solution(base: KahlerStructure, alpha: HermitianFormField,
     so after m rungs the residual is O(R^{-m}).  Every rung solves with
     the same frozen operator, built once.  The result records, for the
     seed and each rung, the residual's sup and RMS norms and the
-    cumulative wall time (see ApproximateSolution).
+    cumulative wall time, and each rung's PCG iterations (see
+    ApproximateSolution).
     """
     started = time.perf_counter()
     if not isinstance(order, int) or order < 0 or order > MAX_LADDER_ORDER:
@@ -229,6 +232,7 @@ def build_approximate_solution(base: KahlerStructure, alpha: HermitianFormField,
     sups: list[float] = []
     rms: list[float] = []
     wall_ms: list[float] = []
+    iterations: list[int] = []
 
     def record(residual: ScalarField) -> None:
         sups.append(sup_norm(residual.values))
@@ -242,13 +246,15 @@ def build_approximate_solution(base: KahlerStructure, alpha: HermitianFormField,
         # solvability at the frozen base: the equation's free constant
         # absorbs the residual mean taken against the base volume form
         rhs = volume_mean_zero(base, residual.values)
-        delta, _ = solve(ScalarField(grid, -rhs))
+        delta, info = solve(ScalarField(grid, -rhs))
+        iterations.append(info["iterations"])
         psi = euclid_mean_zero(psi + delta.values / R)
         K = KahlerStructure(grid, base.base_matrix, euclid_mean_zero(base.potential + psi))
         residual, const = twisted_residual(K, alpha, R)
         record(residual)
     return ApproximateSolution(structure=K, residual_sups=tuple(sups),
                                residual_rms=tuple(rms), wall_ms=tuple(wall_ms),
+                               linear_iterations=tuple(iterations),
                                constant=const, R=R, order=order)
 
 

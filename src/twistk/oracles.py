@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateMetricError, DomainError, PreconditionError
 from .geometry import HermitianFormField, KahlerStructure
@@ -222,6 +221,10 @@ class DenseSpectrum:
 
 
 def dense_spectrum(handle: LinearOperatorHandle) -> DenseSpectrum:
+    # only the verify suite and the tests call this, so scipy.linalg
+    # stays out of every other process
+    import scipy.linalg
+
     A = dense_assemble(handle)
     w = handle.weight.ravel()
     root = np.sqrt(w)

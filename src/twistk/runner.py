@@ -231,12 +231,14 @@ def _run_ladder_study(cfg: RunConfig, outdir: Path):
     base, source, ladder_error = seed_structure(grid, g0_omega, alpha, schedule[0], 0,
                                                 solver, potential=omega_pot.values)
     # rung m of the order-cfg.order ladder is the order-m ladder, so one
-    # build per weight gives every order; only its per-rung norms and
-    # times, and the last structure, outlive it
+    # build per weight gives every order; only its per-rung norms, times
+    # and PCG iterations, and the last structure, outlive it
     rungs = []
+    pcg_iterations = []
     for R in schedule:
         ladder = build_approximate_solution(base, alpha, R, cfg.order, solver)
         rungs.append((ladder.residual_sups, ladder.residual_rms, ladder.wall_ms))
+        pcg_iterations.append(list(ladder.linear_iterations))
         last = ladder.structure
         del ladder
     rows = []
@@ -253,6 +255,7 @@ def _run_ladder_study(cfg: RunConfig, outdir: Path):
         ratios[f"scaled_residual_ratio_m{m}"] = max(scaled) / min(scaled)
     summary = {"scenario": cfg.scenario, **slopes, **ratios,
                "R_schedule": schedule, "orders": list(range(1, cfg.order + 1)),
+               "pcg_iterations": pcg_iterations,
                "seed": {"source": source, "ladder_error": ladder_error,
                         "ladder_sizes": []}}
     _write_fields(outdir, last)

@@ -5,12 +5,13 @@ zero against the volume form of the ambient Kahler structure, where the
 relevant operators are definite; the projection and the norms are the
 volume products of `geometry` (`volume_mean_zero`, `volume_rms`).
 Symmetric solves use conjugate gradients in the volume-weighted inner
-product with a flat spectral preconditioner (composed with 1/det g so
-it stays self-adjoint in that inner product).  The non-symmetric Newton
-linearization is solved with right-preconditioned restarted GMRES in the
-same inner product (`_gmres`): one operator and one preconditioner
-application per iteration, and one more operator application that
-certifies the true residual.  The extreme eigenvalue of the shifted
+product with a flat spectral preconditioner, weighted by powers of
+det g on both sides so that it stays self-adjoint in that inner product
+and matches the operator's leading coefficients (`_spd_preconditioner`).
+The non-symmetric Newton linearization is solved with right-preconditioned
+restarted GMRES in the same inner product (`_gmres`): one operator and one
+preconditioner application per iteration, and one more operator
+application that certifies the true residual.  The extreme eigenvalue of the shifted
 operator comes from a preconditioned Davidson iteration: one operator
 application and one flat preconditioner application per step, with no
 inner solves.
@@ -90,20 +91,30 @@ _INVERSE_NORM_ITERATIONS = 12
 
 
 def _spd_preconditioner(K: KahlerStructure, R: float | None):
-    """Approximate inverse of the negated operator, self-adjoint in the
-    volume-weighted inner product (flat spectral solve composed with
-    division by det g).
+    """Approximate inverse of the negated operator, self-adjoint and
+    positive in the volume-weighted inner product.
 
-    R None gives the second-order symbol -L0; a weight R gives the
-    fourth-order L0^2 - R*L0.
+    R None gives the second-order symbol S = -L0; a weight R gives the
+    fourth-order S = L0^2 - R*L0.  The map is r -> a S^-1(w a r) with
+    w = det g, a = 1 for the second order and a = sqrt(w) for the
+    fourth: in the coordinates y = sqrt(w) v it is D S^-1 D with
+    D = w^(k/2) for an operator of order 2k.  Where the operator's
+    coefficients are w^-k times the flat ones (Lap_omega = Lap_0 / det g
+    at n = 1, up to the constant det g0), the second-order map is its
+    exact inverse and the fourth-order one inverts its frozen principal
+    symbol.
     """
     grid = K.grid
     L0 = flat_laplacian_symbol(grid, K.base_matrix)
     symbol = -L0 if R is None else L0 * L0 - R * L0
     inv_mult = grid.real_multiplier(inverse_symbol(symbol))
+    w = K.weight
+    outer = None if R is None else np.sqrt(w)
+    inner = w if outer is None else w * outer
 
     def apply(r: np.ndarray) -> np.ndarray:
-        return volume_mean_zero(K, grid.derivatives(r, inv_mult) / K.weight)
+        z = grid.derivatives(inner * r, inv_mult)
+        return volume_mean_zero(K, z if outer is None else outer * z)
 
     return apply
 

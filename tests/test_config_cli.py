@@ -469,7 +469,7 @@ class TestEigenArtifacts:
         out = tmp_path / "sweep"
         # R = 4 on 16^2: the leading pair needs more than one basis fill
         cfg = RunConfig(scenario="continuity_sweep", sizes=(16, 16),
-                        alpha_potential=((0.2, (1, 0), 0.0),),
+                        alpha_potential=((0.2, (1, 0), 0.0), (0.1, (0, 1), 0.3)),
                         t_schedule=(0.2,), out=str(out))
         assert run_scenario(cfg) == 0
         header, row = (out / "steps.csv").read_text().splitlines()
@@ -483,12 +483,12 @@ class TestEigenArtifacts:
         assert "within 0 restarts" in record["eigen_error"]
 
     def test_single_solve_records_why_lambda1_is_nan(self, tmp_path):
-        # 6^4 is too coarse for the eigenpair certificate
+        # 6^4 is too coarse for the eigenpair certificate of this twist
         out = tmp_path / "solve"
         cfg = RunConfig(scenario="single_solve", n=2, sizes=(6, 6, 6, 6),
                         g0_omega=EYE2_ROWS, g0_alpha=EYE2_ROWS,
                         R_schedule=(100.0,),
-                        alpha_potential=((0.1, (1, 0, 0, 0), 0.0),),
+                        alpha_potential=((0.2, (1, 0, 0, 0), 0.0),),
                         out=str(out))
         assert run_scenario(cfg) == 0
         summary = json.loads((out / "summary.json").read_text())
@@ -533,11 +533,11 @@ class TestTwistPerturbation:
     PINNED = {
         1: [(0.0, 0.0, 0),
             (1.1281997558398871e-10, 6.667371381375324e-11, 0),
-            (4.263256414560601e-14, 1.703821625409574e-14, 1),
+            (5.684341886080802e-14, 3.03543989777123e-14, 1),
             (2.842170943040401e-14, 1.507288760336424e-14, 1)],
         2: [(0.0, 0.0, 0),
             (2.842170943040401e-14, 1.7404671430534633e-14, 1),
-            (8.526512829121202e-14, 4.713207304057789e-14, 1)],
+            (2.842170943040401e-14, 2.0097183471152322e-14, 1)],
     }
 
     @staticmethod
@@ -637,7 +637,7 @@ class TestSummaryRecords:
             "single_solve": RunConfig(
                 scenario="single_solve", n=2, sizes=(6, 6, 6, 6),
                 g0_omega=EYE2_ROWS, g0_alpha=EYE2_ROWS, R_schedule=(100.0,),
-                alpha_potential=((0.1, (1, 0, 0, 0), 0.0),)),
+                alpha_potential=((0.2, (1, 0, 0, 0), 0.0),)),
             "ladder_study": RunConfig(
                 scenario="ladder_study", sizes=(16, 16), R_schedule=(50.0, 100.0),
                 order=1, omega_potential=((0.15, (1, 1), 0.0),),
@@ -989,6 +989,19 @@ class TestLadderStudy:
                 expected.append([len(expected), R, ladder.residual_sups[-1],
                                  rms_norm(residual.values)])
         assert [[r[0], r[2], r[3], r[4]] for r in rows] == expected
+
+    def test_summary_records_the_pcg_iterations_of_every_rung(self, tmp_path):
+        cfg = self.config(tmp_path / "ladder")
+        assert run_scenario(cfg) == 0
+        summary = _strict_load(tmp_path / "ladder" / "summary.json")
+        grid, g0, omega_pot, alpha = runner._build_problem(cfg)
+        base = KahlerStructure(grid, g0, euclid_mean_zero(omega_pot.values))
+        expected = [list(build_approximate_solution(
+            base, alpha, R, cfg.order, runner._solver_config(cfg)).linear_iterations)
+            for R in cfg.R_schedule]
+        assert summary["pcg_iterations"] == expected
+        assert [len(row) for row in expected] == [len(summary["orders"])] * 2
+        assert all(1 <= i <= 2 for row in expected for i in row)
 
     def test_a_proportional_twist_seeds_the_base(self, tmp_path):
         # no omega_potential: the base is the proportional seed, in which

@@ -41,6 +41,7 @@ from twistk.config import RunConfig
 from twistk.grid import half_grid, make_trig_field, prolong, restrict, rms_norm, sup_norm
 import twistk.engine as engine
 import twistk.runner as runner
+import twistk.solvers as solvers
 from twistk.runner import run_scenario
 from twistk.oracles import order_fit
 
@@ -181,6 +182,22 @@ class TestLadder:
         assert abs(sol.residual_sups[-1] - recomputed) <= 1e-12 * max(recomputed, 1e-30)
         assert abs(sol.constant - const) <= 1e-12 * max(abs(const), 1e-30)
         assert len(sol.residual_sups) == 3
+
+    def test_each_rung_records_the_iterations_of_its_solve(self, grid32, monkeypatch):
+        K, alpha = product_seed(grid32)
+        seen = []
+        pcg = solvers._pcg
+
+        def recording(*args, **kwargs):
+            x, info = pcg(*args, **kwargs)
+            seen.append(info["iterations"])
+            return x, info
+
+        monkeypatch.setattr(solvers, "_pcg", recording)
+        sol = build_approximate_solution(K, alpha, 100.0, 3, FAST)
+        assert sol.linear_iterations == tuple(seen)
+        # at n = 1 the preconditioner inverts the ladder's operator
+        assert len(seen) == 3 and all(1 <= i <= 2 for i in seen)
 
     def test_rung_records_are_those_of_the_shorter_ladders(self, grid32):
         K, alpha = product_seed(grid32)
