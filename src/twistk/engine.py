@@ -21,22 +21,23 @@ the same tolerance.  The solutions are spectrally smooth, so the
 prolonged start is already close and the fine solve takes few
 iterations.  The half grid, the points it keeps on each axis, the
 restriction and the prolongation all belong to `grid`'s `half_grid`,
-`restrict` and `prolong`; this module holds only the Newton logic.  The
-step falls back to a fine-grid solve from its own start when the grid
+`restrict` and `prolong`; this module moves a problem there and back
+only through `_restricted` and `_prolonged`, which the seed ladder
+shares.  The step falls back to a fine-grid solve from its own start when the grid
 has no half grid, when restricting or prolonging degenerates the
 metric, and when the half-grid solve fails or needs no iteration.
 StepRecord's coarse_* fields record the half-grid stage.
 
-Every run starts from `seed_structure` and every sequence of solves is
-one `WarmChain`, with one warm-start rule: a step starts at the last
-converged metric, handed on as the solved structure itself, or at the
-run's seed while no step has converged.  `seed_chain` makes each
-scenario's chain: it builds the seed's correction ladder on the half
-grid, where the chain's first step solves, when the grid has one.
-`continuity_sweep` returns its chain, `ThresholdEstimate` holds the
-threshold descent's, and `perturb_twist` continues the caller's chain
-from its last converged twist and weight, so a base solve and its
-perturbation stages are one chain.
+Every run starts from `seed_structure`'s seed and every sequence of
+solves is one `WarmChain`, with one warm-start rule: a step starts at
+the last converged metric, handed on as the solved structure itself, or
+at the chain's start while no step has converged.  `seed_chain` makes
+each scenario's chain and is the only code that builds a seed ladder:
+on the half grid, where the chain's first step solves, when the grid
+has one.  `continuity_sweep` returns its chain, `ThresholdEstimate`
+holds the threshold descent's, and `perturb_twist` continues the
+caller's chain from its last converged twist and weight, so a base
+solve and its perturbation stages are one chain.
 """
 
 from __future__ import annotations
@@ -344,7 +345,7 @@ class StepRecord:
 
     t is the caller's path parameter (R_to_t(R) when none was given);
     wall_ms times the half-grid, Newton and eigenvalue stages;
-    warm_source names the starting metric (see `seed_structure`, or
+    warm_source names the starting metric (see `seed_chain`, or
     "previous-step").  newton_error is the report's "<class>: <message>"
     and history its per-iteration record, both of the solve on the
     configured grid.  The coarse fields record the half-grid stage:
@@ -378,6 +379,25 @@ class StepRecord:
     eigen_error: str = ""
 
 
+def _restricted(K: KahlerStructure, alpha: HermitianFormField, coarse: PeriodicGrid,
+                parities: tuple[int, ...],
+                ) -> tuple[KahlerStructure, HermitianFormField]:
+    """K and alpha sampled at the half-grid points that `parities` picks
+    (see `grid.half_grid`); a DegenerateMetricError when the sampled
+    metric is not positive."""
+    return (KahlerStructure(coarse, K.base_matrix, restrict(K.potential, parities)),
+            HermitianFormField(coarse, alpha.base_matrix,
+                               restrict(alpha.potential, parities)))
+
+
+def _prolonged(K: KahlerStructure, coarse_K: KahlerStructure,
+               parities: tuple[int, ...]) -> KahlerStructure:
+    """coarse_K's potential prolonged back onto K's grid, in K's class;
+    a DegenerateMetricError when that metric is not positive."""
+    return KahlerStructure(K.grid, K.base_matrix,
+                           prolong(coarse_K.potential, coarse_K.grid, K.grid, parities))
+
+
 def _half_grid_start(K_init: KahlerStructure, alpha: HermitianFormField,
                      R: float, cfg: SolverConfig,
                      ) -> tuple[KahlerStructure | None, int, str]:
@@ -394,11 +414,8 @@ def _half_grid_start(K_init: KahlerStructure, alpha: HermitianFormField,
         coarse, parities = half_grid(K_init.grid, K_init.potential)
     except DomainError as err:
         return None, 0, str(err)
-    alpha_c = HermitianFormField(coarse, alpha.base_matrix,
-                                 restrict(alpha.potential, parities))
     try:
-        K_c = KahlerStructure(coarse, K_init.base_matrix,
-                              restrict(K_init.potential, parities))
+        K_c, alpha_c = _restricted(K_init, alpha, coarse, parities)
     except DegenerateMetricError as err:
         return None, 0, describe(err)
     report = newton_solve(K_c, alpha_c, R, cfg)
@@ -406,9 +423,8 @@ def _half_grid_start(K_init: KahlerStructure, alpha: HermitianFormField,
         return None, report.iterations, report.message
     if report.iterations == 0:
         return None, 0, "half-grid start already converged"
-    potential = prolong(report.structure.potential, coarse, K_init.grid, parities)
     try:
-        start = KahlerStructure(K_init.grid, K_init.base_matrix, potential)
+        start = _prolonged(K_init, report.structure, parities)
     except DegenerateMetricError as err:
         return None, report.iterations, describe(err)
     return start, report.iterations, ""
@@ -640,62 +656,48 @@ def proportional_seed_potential(grid: PeriodicGrid, g0: np.ndarray,
 
 
 def seed_structure(grid: PeriodicGrid, g0: np.ndarray,
-                   alpha: HermitianFormField, R: float, order: int,
-                   cfg: SolverConfig = SolverConfig(), *,
+                   alpha: HermitianFormField, *,
                    potential: np.ndarray | None = None,
-                   ) -> tuple[KahlerStructure, str, str]:
-    """Starting metric of a solve at weight R: a seed, then the ladder.
+                   ) -> tuple[KahlerStructure, str]:
+    """Seed metric of a run in the class g0, and its source.
 
     The seed potential is `potential` when given and non-zero
     ("explicit-potential"), else `proportional_seed_potential`
-    ("proportional-seed"), else zero ("flat").  When order > 0 and R > 0
-    the order-`order` correction ladder improves it ("ladder[order]").
-    A ladder that raises a TwistkError leaves the seed in place and its
-    failure is returned as "<class>: <message>"; UnsupportedOrderError
-    is the caller's error and propagates.  Returns (structure, source,
-    ladder_error), ladder_error "" when the ladder ran or was not asked
-    for.
+    ("proportional-seed"), else zero ("flat").  `seed_chain` improves
+    the seed by the correction ladder.
     """
     if potential is not None and np.any(potential):
         warm, source = potential, "explicit-potential"
     else:
-        warm = proportional_seed_potential(grid, g0, alpha)
-        source = "flat" if warm is None else "proportional-seed"
+        warm, source = proportional_seed_potential(grid, g0, alpha), "proportional-seed"
         if warm is None:
-            warm = np.zeros(grid.shape)
-    K = KahlerStructure(grid, g0, euclid_mean_zero(warm))
-    if order <= 0 or R <= 0.0:
-        return K, source, ""
-    try:
-        ladder = build_approximate_solution(K, alpha, R, order, cfg)
-    except UnsupportedOrderError:
-        raise
-    except TwistkError as err:
-        return K, source, describe(err)
-    return ladder.structure, f"ladder[{order}]", ""
+            warm, source = np.zeros(grid.shape), "flat"
+    return KahlerStructure(grid, g0, euclid_mean_zero(warm)), source
 
 
 def seed_chain(grid: PeriodicGrid, g0: np.ndarray, alpha: HermitianFormField,
                R: float, order: int, cfg: SolverConfig = SolverConfig(), *,
                potential: np.ndarray | None = None) -> WarmChain:
-    """The WarmChain of a Newton scenario, its seed's correction ladder
-    built where the chain's first step solves.
+    """The WarmChain of a Newton scenario: `seed_structure`'s seed,
+    improved by the order-`order` correction ladder ("ladder[order]")
+    when order > 0 and R > 0, built where the chain's first step solves.
 
-    The seed is `seed_structure`'s at order 0; when order > 0 and R > 0
-    the order-`order` ladder improves it.  When `half_grid` accepts the
-    seed, the ladder runs on the half grid from the seed and alpha
-    restricted there, and its potential is prolonged back: the first
-    two-grid step samples its start at every other point anyway, so a
-    configured-grid ladder would be mostly thrown away.  An axis on
-    which the seed has no energy at the half grid's Nyquist wavenumber,
-    as with a low-mode trig seed, keeps the points through the seed's
-    peak, so a translated seed gets the translated ladder and the same
-    work.  Otherwise (DomainError) the ladder runs on the configured
-    grid, as `seed_structure` builds it.  The ladder's failures follow
-    `seed_structure`'s rules.  The chain's ladder_sizes are the sizes of
-    the grid the ladder ran on, () when none ran.
+    When `half_grid` accepts the seed, the ladder runs on the half grid
+    from the seed and alpha restricted there, and its potential is
+    prolonged back: the first two-grid step samples its start at every
+    other point anyway, so a configured-grid ladder would be mostly
+    thrown away.  An axis on which the seed has no energy at the half
+    grid's Nyquist wavenumber, as with a low-mode trig seed, keeps the
+    points through the seed's peak, so a translated seed gets the
+    translated ladder and the same work.  Otherwise (DomainError) the
+    ladder runs on the configured grid.  A ladder that raises a
+    TwistkError, a degenerate restriction or prolongation included,
+    leaves the chain at the seed with the failure as "<class>:
+    <message>" in ladder_error; UnsupportedOrderError is the caller's
+    error and propagates.  The chain's ladder_sizes are the sizes of the
+    grid the ladder ran on, () when none ran.
     """
-    K, source, _ = seed_structure(grid, g0, alpha, R, 0, cfg, potential=potential)
+    K, source = seed_structure(grid, g0, alpha, potential=potential)
     if order <= 0 or R <= 0.0:
         return WarmChain(K, source)
     peak = np.unravel_index(np.argmax(K.potential), grid.shape)
@@ -709,14 +711,9 @@ def seed_chain(grid: PeriodicGrid, g0: np.ndarray, alpha: HermitianFormField,
         if coarse is None:
             start = build_approximate_solution(K, alpha, R, order, cfg).structure
         else:
-            ladder = build_approximate_solution(
-                KahlerStructure(coarse, K.base_matrix, restrict(K.potential, parities)),
-                HermitianFormField(coarse, alpha.base_matrix,
-                                   restrict(alpha.potential, parities)),
-                R, order, cfg)
-            start = KahlerStructure(grid, K.base_matrix,
-                                    prolong(ladder.structure.potential, coarse, grid,
-                                            parities))
+            ladder = build_approximate_solution(*_restricted(K, alpha, coarse, parities),
+                                                R, order, cfg)
+            start = _prolonged(K, ladder.structure, parities)
     except UnsupportedOrderError:
         raise
     except TwistkError as err:

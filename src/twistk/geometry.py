@@ -43,13 +43,12 @@ from .grid import (
 )
 
 
-def _hermitian_min_eigenvalue(comps: np.ndarray) -> np.ndarray:
-    """Pointwise smallest eigenvalue of a (n,n)+shape Hermitian field."""
-    n = comps.shape[0]
-    if n == 1:
-        return comps[0, 0].real
+def _hermitian_min_eigenvalue(comps: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """Pointwise smallest eigenvalue of a (n,n)+shape Hermitian field,
+    from its trace and its pointwise determinant det."""
+    if comps.shape[0] == 1:
+        return det
     tr = (comps[0, 0] + comps[1, 1]).real
-    det = (comps[0, 0] * comps[1, 1] - comps[0, 1] * comps[1, 0]).real
     disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
     return 0.5 * (tr - disc)
 
@@ -109,7 +108,7 @@ class HermitianFormField:
         return cls(grid, matrix, np.zeros(grid.shape) if potential is None else potential)
 
     def min_eigenvalue(self) -> float:
-        return float(_hermitian_min_eigenvalue(self.comps).min())
+        return float(_hermitian_min_eigenvalue(self.comps, _hermitian_det(self.comps)).min())
 
 
 @dataclass(frozen=True)
@@ -128,7 +127,8 @@ class KahlerStructure(HermitianFormField):
     def __post_init__(self):
         _check_hermitian_matrix(self.base_matrix, self.grid.n, "class matrix g0")
         super().__post_init__()
-        mineig = _hermitian_min_eigenvalue(self.comps)
+        det = _hermitian_det(self.comps)
+        mineig = _hermitian_min_eigenvalue(self.comps, det)
         worst = float(mineig.min())
         if worst <= 0.0:
             point = tuple(int(i) for i in np.unravel_index(int(mineig.argmin()), self.grid.shape))
@@ -137,7 +137,6 @@ class KahlerStructure(HermitianFormField):
                 point=point,
                 eigenvalue=worst,
             )
-        det = _hermitian_det(self.comps)
         self._cache["weight"] = det
         self._cache["inv"] = _hermitian_inv(self.comps, det)
 
@@ -213,13 +212,9 @@ def form_pairing(K: KahlerStructure, alpha: HermitianFormField,
 
 def gradient_pairing(K: KahlerStructure, f: ScalarField, h: ScalarField) -> ScalarField:
     """Real part of g^{jk} (d/dz_j f)(d/dzbar_k h)."""
-    return ScalarField(K.grid, _gradient_pairing_values(K, f.values, h.values))
-
-
-def _gradient_pairing_values(K: KahlerStructure, f: np.ndarray, h: np.ndarray) -> np.ndarray:
-    u = holo_gradient(K.grid, f)
-    v = holo_gradient(K.grid, h)
-    return np.einsum("kj...,j...,k...->...", K.inverse, u, np.conj(v)).real
+    u = holo_gradient(K.grid, f.values)
+    v = holo_gradient(K.grid, h.values)
+    return ScalarField(K.grid, np.einsum("kj...,j...,k...->...", K.inverse, u, np.conj(v)).real)
 
 
 def volume_average(K: KahlerStructure, f: ScalarField | np.ndarray) -> float:

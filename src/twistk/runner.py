@@ -228,8 +228,7 @@ def _run_ladder_study(cfg: RunConfig, outdir: Path):
     grid, g0_omega, omega_pot, alpha = _build_problem(cfg)
     solver = _solver_config(cfg)
     # the ladder itself is the study, so the seed is taken without one
-    base, source, ladder_error = seed_structure(grid, g0_omega, alpha, schedule[0], 0,
-                                                solver, potential=omega_pot.values)
+    base, source = seed_structure(grid, g0_omega, alpha, potential=omega_pot.values)
     # rung m of the order-cfg.order ladder is the order-m ladder, so one
     # build per weight gives every order; only its per-rung norms, times
     # and PCG iterations, and the last structure, outlive it
@@ -256,8 +255,7 @@ def _run_ladder_study(cfg: RunConfig, outdir: Path):
     summary = {"scenario": cfg.scenario, **slopes, **ratios,
                "R_schedule": schedule, "orders": list(range(1, cfg.order + 1)),
                "pcg_iterations": pcg_iterations,
-               "seed": {"source": source, "ladder_error": ladder_error,
-                        "ladder_sizes": []}}
+               "seed": {"source": source, "ladder_error": "", "ladder_sizes": []}}
     _write_fields(outdir, last)
     return rows, summary, True
 
@@ -414,8 +412,9 @@ def _verify_checks(cfg: RunConfig, outdir: Path):
                           newton_tol=cfg.newton_tol, krylov_tol=cfg.krylov_tol,
                           seed=cfg.seed, out=cfg.out)
     gridc, g0c, potc, alphac = _build_problem(solve_cfg)
-    K_init, _, _ = seed_structure(gridc, g0c, alphac, 100.0, solve_cfg.order,
-                                  solver, potential=potc.values)
+    seed, _ = seed_structure(gridc, g0c, alphac, potential=potc.values)
+    K_init = build_approximate_solution(seed, alphac, 100.0, solve_cfg.order,
+                                        solver).structure
     report = newton_solve(K_init, alphac, 100.0, solver)
     record("single_solve_residual", report.residual_sup, 1e-9,
            ok=report.converged and report.residual_sup <= 1e-9)
@@ -502,8 +501,9 @@ def run_scenario(cfg: RunConfig) -> int:
     1 records a solver-level failure, with reports still written.  A
     config built in code that breaks a scenario rule of
     `config.scenario_diagnostics` (which `parse_config` rejects), an
-    unknown scenario included, fails the same way, with a ConfigError summary, before any solver work.
-    The summary of a scenario that returns holds its `process` usage.
+    unknown scenario included, fails the same way, with a ConfigError
+    summary, before any solver work.  The summary of a scenario that
+    returns holds its `process` usage.
     """
     _set_allocator_policy()
     outdir = Path(cfg.out)

@@ -461,6 +461,26 @@ class TestSolveStep:
             "DegenerateMetricError: metric is not positive definite")
         self.assert_plain_newton(record, K, K0, alpha, 10.0)
 
+    def test_degenerate_restriction_falls_back(self, grid16, monkeypatch):
+        # the two-grid step and the seed ladder restrict through one pair,
+        # so both keep their own start when the half-grid metric
+        # 1 + 2 cos(x) of the 8 cos(x) potential is not positive
+        K0, alpha = self.problem(grid16)
+        degenerate = make_trig_field(PeriodicGrid(1, (8, 8)), [(8.0, (1, 0), 0.0)]).values
+        monkeypatch.setattr(engine, "restrict", lambda values, parities: degenerate)
+        record, K = engine.solve_step(K0, alpha, 10.0, FAST, "flat")
+        assert record.coarse_iters == 0
+        assert record.coarse_error.startswith(
+            "DegenerateMetricError: metric is not positive definite")
+        self.assert_plain_newton(record, K, K0, alpha, 10.0)
+        chain = engine.seed_chain(grid16, EYE1, alpha, 10.0, 2, FAST)
+        assert chain.source == "proportional-seed"
+        assert chain.ladder_error.startswith(
+            "DegenerateMetricError: metric is not positive definite")
+        assert chain.ladder_sizes == (8, 8)
+        seed, _ = engine.seed_structure(grid16, EYE1, alpha)
+        assert np.array_equal(chain._seed.potential, seed.potential)
+
     def test_solved_start_comes_back_unchanged(self, grid16, alpha16):
         flat = KahlerStructure(grid16, EYE1, np.zeros(grid16.shape))
         record, K = engine.solve_step(flat, alpha16, 10.0, FAST, "flat")
@@ -591,7 +611,7 @@ class TestContinuitySweep:
 
 
 class TestSeedStructure:
-    """engine.seed_structure: the one seed-then-ladder path."""
+    """engine.seed_structure: the seed alone; seed_chain's ladder on it."""
 
     @staticmethod
     def skewed_twist(grid):
@@ -606,35 +626,35 @@ class TestSeedStructure:
         x, _ = grid16.coordinates()
         pot = 0.2 * np.cos(x) + np.zeros(grid16.shape)
         scaled = HermitianFormField.from_potential(grid16, 2.0 * EYE1, pot)
-        K, source, error = engine.seed_structure(grid16, EYE1, scaled, 1.0, 0)
-        assert (source, error) == ("proportional-seed", "")
+        K, source = engine.seed_structure(grid16, EYE1, scaled)
+        assert source == "proportional-seed"
         assert np.array_equal(K.potential, pot / 2.0 - (pot / 2.0).mean())
         # a zero explicit potential is no seed
-        _, source, _ = engine.seed_structure(grid16, EYE1, scaled, 1.0, 0,
-                                             potential=np.zeros(grid16.shape))
+        _, source = engine.seed_structure(grid16, EYE1, scaled,
+                                          potential=np.zeros(grid16.shape))
         assert source == "proportional-seed"
-        K, source, _ = engine.seed_structure(grid16, EYE1, scaled, 1.0, 0,
-                                             potential=pot + 0.05)
+        K, source = engine.seed_structure(grid16, EYE1, scaled, potential=pot + 0.05)
         assert source == "explicit-potential"
         assert np.array_equal(K.potential, (pot + 0.05) - (pot + 0.05).mean())
         for grid, g0, alpha in ((grid16, EYE1, alpha16),
                                 (grid8x4, EYE2, self.skewed_twist(grid8x4))):
-            K, source, _ = engine.seed_structure(grid, g0, alpha, 1.0, 0)
+            K, source = engine.seed_structure(grid, g0, alpha)
             assert source == "flat"
             assert not np.any(K.potential)
 
     def test_ladder_runs_only_at_positive_order_and_weight(self, grid16, alpha16):
-        _, source, error = engine.seed_structure(grid16, EYE1, alpha16, 1.0, 2, FAST)
-        assert (source, error) == ("ladder[2]", "")
-        _, source, error = engine.seed_structure(grid16, EYE1, alpha16, 0.0, 2, FAST)
-        assert (source, error) == ("flat", "")
+        chain = engine.seed_chain(grid16, EYE1, alpha16, 1.0, 2, FAST)
+        assert (chain.source, chain.ladder_error) == ("ladder[2]", "")
+        chain = engine.seed_chain(grid16, EYE1, alpha16, 0.0, 2, FAST)
+        assert (chain.source, chain.ladder_error) == ("flat", "")
 
     def test_failed_ladder_falls_back_to_the_seed(self, grid8x4):
-        K, source, error = engine.seed_structure(
-            grid8x4, EYE2, self.skewed_twist(grid8x4), 100.0, 2, FAST)
-        assert source == "flat"
-        assert not np.any(K.potential)
-        assert error.startswith("PreconditionError: ladder seed needs")
+        chain = engine.seed_chain(grid8x4, EYE2, self.skewed_twist(grid8x4),
+                                  100.0, 2, FAST)
+        assert chain.source == "flat"
+        assert not np.any(chain._seed.potential)
+        assert chain.ladder_error.startswith("PreconditionError: ladder seed needs")
+        assert chain.ladder_sizes == (4, 4, 4, 4)
 
     def test_any_twistk_error_of_the_ladder_falls_back(self, grid16, alpha16,
                                                        monkeypatch):
@@ -653,8 +673,6 @@ class TestSeedStructure:
         assert estimate.chain.ladder_error == "IterationLimitError: solve_F: forced"
 
     def test_unsupported_order_still_raises(self, grid16, alpha16):
-        with pytest.raises(UnsupportedOrderError):
-            engine.seed_structure(grid16, EYE1, alpha16, 1.0, 9, FAST)
         with pytest.raises(UnsupportedOrderError):
             continuity_sweep(grid16, EYE1, alpha16, (0.5,), FAST, ladder_order=9)
         with pytest.raises(UnsupportedOrderError):
@@ -733,14 +751,23 @@ class TestSeedChain:
                 "proportional-seed", "", ())
         assert sizes == []
 
+    def test_a_grid_without_a_half_grid_gets_the_configured_grid_ladder(self):
+        grid = PeriodicGrid(1, (18, 18))
+        alpha = self.proportional_twist(grid, [(0.2, (1, 0), 0.0)])
+        chain = engine.seed_chain(grid, EYE1, alpha, 8.0, 2, FAST)
+        ladder = build_approximate_solution(engine.seed_structure(grid, EYE1, alpha)[0],
+                                            alpha, 8.0, 2, FAST)
+        assert (chain.source, chain.ladder_error) == ("ladder[2]", "")
+        assert chain.ladder_sizes == (18, 18)
+        assert np.array_equal(chain._seed.potential, ladder.structure.potential)
+
     def test_seed_structure_and_ladder_study_keep_the_configured_grid(
             self, grid16, tmp_path, monkeypatch):
         sizes = self.ladder_grids(monkeypatch)
         alpha = self.proportional_twist(grid16, [(0.2, (1, 0), 0.0)])
-        _, source, _ = engine.seed_structure(grid16, EYE1, alpha, 8.0, 2, FAST)
-        assert source == "ladder[2]"
-        assert sizes == [(16, 16)]
-        sizes.clear()
+        # the seed alone builds no ladder, on any grid
+        assert engine.seed_structure(grid16, EYE1, alpha)[1] == "proportional-seed"
+        assert sizes == []
         out = tmp_path / "ladder"
         cfg = RunConfig(scenario="ladder_study", sizes=(16, 16),
                         R_schedule=(50.0, 100.0, 200.0), order=2,
@@ -812,7 +839,7 @@ class TestSeedChain:
     def test_a_failed_half_grid_ladder_falls_back_to_the_seed(self, grid16,
                                                               monkeypatch):
         alpha = self.proportional_twist(grid16, [(0.2, (1, 0), 0.0)])
-        seed, _, _ = engine.seed_structure(grid16, EYE1, alpha, 8.0, 0, FAST)
+        seed, _ = engine.seed_structure(grid16, EYE1, alpha)
 
         def stalled(base, *args, **kwargs):
             assert base.grid.sizes == (8, 8)
@@ -849,8 +876,9 @@ class TestSeedChain:
         half = estimate_R_threshold(grid8x4, EYE2, alpha, R_start=8.0, cfg=FAST)
 
         def configured(grid, g0, alpha, R, order, cfg, **kwargs):
-            return WarmChain(*engine.seed_structure(grid, g0, alpha, R, order, cfg,
-                                                    **kwargs), grid.sizes)
+            ladder = build_approximate_solution(
+                engine.seed_structure(grid, g0, alpha, **kwargs)[0], alpha, R, order, cfg)
+            return WarmChain(ladder.structure, f"ladder[{order}]", "", grid.sizes)
 
         monkeypatch.setattr(engine, "seed_chain", configured)
         full = estimate_R_threshold(grid8x4, EYE2, alpha, R_start=8.0, cfg=FAST)
@@ -943,7 +971,7 @@ class TestWarmChain:
     def test_threshold_lets_its_seed_go_at_the_first_converged_attempt(
             self, grid16, monkeypatch):
         # weak references to the chain's seed, the half-grid ladder's
-        # structure and seed_structure's order-0 seed, in that order
+        # structure and seed_structure's seed, in that order
         refs = {}
         original_seed = engine.seed_structure
         original_ladder = engine.build_approximate_solution
@@ -954,9 +982,9 @@ class TestWarmChain:
                 super().__init__(start, *args, **kwargs)
 
         def seeding(*args, **kwargs):
-            K, source, error = original_seed(*args, **kwargs)
+            K, source = original_seed(*args, **kwargs)
             refs["order0"] = weakref.ref(K)
-            return K, source, error
+            return K, source
 
         def laddering(base, *args, **kwargs):
             ladder = original_ladder(base, *args, **kwargs)
