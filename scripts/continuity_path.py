@@ -37,7 +37,7 @@ def main() -> int:
 
     chain = continuity_sweep(grid, g0, alpha, default_t_schedule(args.points),
                              cfg, ladder_order=args.ladder_order,
-                             compute_eigen=not args.no_eigen)
+                             eigen_seed=None if args.no_eigen else 0)
     print(f"{'step':>4} {'t':>8} {'R':>10} {'ok':>3} {'residual':>12} "
           f"{'lambda1':>12} {'iters':>5}  warm start")
     for step, s in enumerate(chain.records):

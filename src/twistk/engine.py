@@ -43,6 +43,7 @@ solve and its perturbation stages are one chain.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -104,11 +105,16 @@ _IFT_MAX_HALVINGS = 30
 @dataclass(frozen=True)
 class SolverConfig:
     """Newton-stage settings: the residual target newton_tol, the
-    iteration cap max_newton, and the KrylovConfig of the inner solves."""
+    iteration cap max_newton (an integer >= 0; DomainError otherwise),
+    and the KrylovConfig of the inner solves."""
 
     newton_tol: float = 1e-9
     max_newton: int = 40
     krylov: KrylovConfig = KrylovConfig()
+
+    def __post_init__(self):
+        if not isinstance(self.max_newton, numbers.Integral) or self.max_newton < 0:
+            raise DomainError(f"max_newton must be an integer >= 0, got {self.max_newton!r}")
 
 
 def t_to_R(t: float) -> float:
@@ -724,8 +730,7 @@ def seed_chain(grid: PeriodicGrid, g0: np.ndarray, alpha: HermitianFormField,
 def continuity_sweep(grid: PeriodicGrid, g0: np.ndarray,
                      alpha: HermitianFormField, t_values,
                      cfg: SolverConfig = SolverConfig(), *,
-                     ladder_order: int = 2, compute_eigen: bool = True,
-                     eigen_seed: int = 0) -> WarmChain:
+                     ladder_order: int = 2, eigen_seed: int | None = 0) -> WarmChain:
     """March the continuity path over increasing t with warm starts.
 
     Every t is mapped to its weight before the first solve.  The first
@@ -733,7 +738,8 @@ def continuity_sweep(grid: PeriodicGrid, g0: np.ndarray,
     first weight; each later step starts from the last converged metric,
     or from that same seed while no step has converged (`WarmChain`).
     Returns the chain: its records hold residual norms, the extreme
-    eigenvalue of the shifted operator and Newton statistics per step.
+    eigenvalue of the shifted operator from the start seed eigen_seed
+    (no eigen stage when it is None) and Newton statistics per step.
     Non-converged steps are recorded and the sweep keeps marching from
     the last good metric, so the records map the failure frontier, and
     the chain's R is the smallest converged weight.
@@ -744,7 +750,7 @@ def continuity_sweep(grid: PeriodicGrid, g0: np.ndarray,
     weights = [t_to_R(t) for t in t_list]
     chain = seed_chain(grid, g0, alpha, weights[0], ladder_order, cfg)
     for t, R in zip(t_list, weights):
-        chain.step(alpha, R, cfg, t=t, eigen_seed=eigen_seed if compute_eigen else None)
+        chain.step(alpha, R, cfg, t=t, eigen_seed=eigen_seed)
     return chain
 
 

@@ -7,12 +7,15 @@ is y_{j+1}.  Holomorphic derivatives follow the convention
     d/dz_j    = (d/dx_j - i*d/dy_j) / 2,
     d/dzbar_j = (d/dx_j + i*d/dy_j) / 2,
 
-realised as exact Fourier multipliers on integer wavenumbers.  For a
-factor of odd order along a complex coordinate the Nyquist wavenumber is
-zeroed (the standard choice for real-output spectral differentiation);
-even-order factors keep the full wavenumber so that second-order
-contractions such as the flat Laplacian have kernel exactly the
-constants on the grid.
+realised as exact Fourier multipliers on integer wavenumbers.  A grid
+builds two derivative stacks, one per derivative order, each with one
+Nyquist rule.  The second-order stack (`hessian_stack`) keeps the full
+wavenumbers, so that second-order contractions such as the flat
+Laplacian have kernel exactly the constants on the grid.  The
+first-order stack (`dzbar_stack`) holds d/dzbar_j with full wavenumbers,
+zeroed on every mode that touches a Nyquist wavenumber
+(`nyquist_mask`).  For a real field d/dz_j is the complex conjugate of
+d/dzbar_j, so the same stack serves it with its imaginary part negated.
 
 `PeriodicGrid.fft`/`ifft` are the grid's one transform pair, the
 real-to-complex pair: `fft` keeps the first N // 2 + 1 Fourier
@@ -24,12 +27,12 @@ zero.
 Every spectral derivative, flat solve and Sobolev weight goes through
 one half-spectrum kernel, `PeriodicGrid.derivatives`: one forward
 transform of the input, a product with a stack of multipliers, and one
-batched inverse transform that yields real fields.  Symbols are formed
-on the full spectrum and split once.  A complex derivative
+batched inverse transform that yields real fields.  A complex derivative
 D v = IFFT(m * FFT(v)) of a real field v, with FFT/IFFT the
-full-spectrum pair, is carried as two real fields.  They come from
-splitting the full-spectrum multiplier m by discrete index reflection,
-with -k taken mod N on every axis:
+full-spectrum pair, is carried as two real fields.  A grid forms them
+once, when it builds its two stacks, by splitting the full-spectrum
+multiplier m by discrete index reflection, with -k taken mod N on every
+axis:
 
     m_h(k) = (m(k) + conj(m(-k))) / 2,      Re D v = irfft(m_h * rfft v),
     m_a(k) = (m(k) - conj(m(-k))) / (2i),   Im D v = irfft(m_a * rfft v).
@@ -39,9 +42,11 @@ exactly on every mode.  On a mode touching a Nyquist wavenumber the
 reflection keeps that index fixed, so the naive split into the real and
 imaginary parts of the symbol would be wrong there; the reflection split
 is what keeps the half-spectrum operators equal to the full-spectrum
-ones.  A real symbol acts on real fields through m_h alone
-(`real_multiplier`).  Multiplier stacks are built lazily and cached per
-grid.
+ones.  Nothing else touches the full spectrum: a constant-coefficient
+symbol (the flat Laplacian, the preconditioner symbols, the twist
+closure, the Sobolev weights) is the pairing of a constant matrix with
+the Hessian stack (`hessian_symbol`), the same pairing that
+`hessian_trace` forms with variable coefficients.
 
 The half grid of the two-grid Newton step has one owner here:
 `half_grid` decides whether a grid has one and which points of each axis
@@ -54,7 +59,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -87,6 +92,13 @@ def _axis_shape(length: int, axis: int, ndim: int) -> tuple[int, ...]:
     return tuple(shape)
 
 
+def _integer(value, what: str) -> int:
+    """value as an int; DomainError unless it is integral."""
+    if not float(value).is_integer():
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _pairs(n: int) -> list[tuple[int, int]]:
     """Off-diagonal index pairs j < k, in the order of the Hessian stack."""
     return [(j, k) for j in range(n) for k in range(j + 1, n)]
@@ -94,7 +106,7 @@ def _pairs(n: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class PeriodicGrid:
-    """Uniform grid over [0, 2*pi)^(2n) with cached wavenumber tables.
+    """Uniform grid over [0, 2*pi)^(2n) with its cached derivative stacks.
 
     Parameters
     ----------
@@ -102,17 +114,17 @@ class PeriodicGrid:
         Complex dimension, 1 or 2.
     sizes:
         Points per real axis, one entry per axis in the order
-        (x_1, y_1, ..., x_n, y_n).  Each size must be even and >= 4.
+        (x_1, y_1, ..., x_n, y_n).  Each size must be an even integer
+        >= 4; an integral float counts as its integer.
     """
 
     n: int
     sizes: tuple[int, ...]
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n not in (1, 2):
             raise DomainError(f"complex dimension must be 1 or 2, got {self.n}")
-        sizes = tuple(int(s) for s in self.sizes)
+        sizes = tuple(_integer(s, "axis size") for s in self.sizes)
         object.__setattr__(self, "sizes", sizes)
         if len(sizes) != 2 * self.n:
             raise ShapeError(
@@ -143,59 +155,6 @@ class PeriodicGrid:
             x = np.arange(s) * (2.0 * math.pi / s)
             out.append(x.reshape(_axis_shape(s, a, ndim)))
         return tuple(out)
-
-    # -- wavenumber tables ----------------------------------------------
-
-    def _axis_k(self, axis: int, odd: bool) -> np.ndarray:
-        key = ("k", axis, odd)
-        if key not in self._cache:
-            s = self.sizes[axis]
-            k = np.fft.fftfreq(s, d=1.0 / s)
-            if odd:
-                k = k.copy()
-                k[s // 2] = 0.0
-            self._cache[key] = k.reshape(_axis_shape(s, axis, len(self.sizes)))
-        return self._cache[key]
-
-    def _holo_factor(self, j: int, conjugate: bool, odd: bool) -> np.ndarray:
-        """Multiplier for d/dz_j (or d/dzbar_j when conjugate=True)."""
-        key = ("holo", j, conjugate, odd)
-        if key not in self._cache:
-            kx = self._axis_k(2 * j, odd)
-            ky = self._axis_k(2 * j + 1, odd)
-            sign = -1.0 if conjugate else 1.0
-            self._cache[key] = 0.5 * (1j * kx + sign * ky)
-        return self._cache[key]
-
-    def wavenumber_square(self) -> np.ndarray:
-        """Full-shape array of |k|^2 summed over all real axes."""
-        if "ksq" not in self._cache:
-            ksq = np.zeros(self.shape)
-            for a in range(len(self.sizes)):
-                ksq = ksq + self._axis_k(a, odd=False) ** 2
-            self._cache["ksq"] = ksq
-        return self._cache["ksq"]
-
-    def nyquist_mask(self) -> np.ndarray:
-        """Boolean mask of modes with any axis at its Nyquist wavenumber.
-
-        These are the modes on which first-order spectral derivatives
-        cannot act with exact odd symmetry; operators built from
-        summation by parts treat them separately.
-        """
-        if "nyquist" not in self._cache:
-            mask = np.zeros(self.shape, dtype=bool)
-            for a, s in enumerate(self.sizes):
-                mask |= np.abs(self._axis_k(a, odd=False)) == s // 2
-            self._cache["nyquist"] = mask
-        return self._cache["nyquist"]
-
-    def hessian_multiplier(self, j: int, k: int) -> np.ndarray:
-        """Multiplier of d/dz_j d/dzbar_k (full wavenumbers, order 2).
-
-        Not cached: the kernel keeps its half-spectrum stack instead.
-        """
-        return self._holo_factor(j, False, odd=False) * self._holo_factor(k, True, odd=False)
 
     # -- transforms -------------------------------------------------------
 
@@ -234,13 +193,26 @@ class PeriodicGrid:
             raise ShapeError(f"field shape {values.shape} does not match grid {self.shape}")
         return self.ifft(self.fft(values) * mults)
 
-    def split_multiplier(self, mult: np.ndarray) -> np.ndarray:
+    # -- the two derivative stacks ----------------------------------------
+
+    def _wavenumbers(self) -> list[np.ndarray]:
+        """Full integer wavenumbers, one broadcastable array per real axis."""
+        ndim = len(self.sizes)
+        return [np.fft.fftfreq(s, d=1.0 / s).reshape(_axis_shape(s, a, ndim))
+                for a, s in enumerate(self.sizes)]
+
+    def _holo_factor(self, j: int, conjugate: bool) -> np.ndarray:
+        """Full-spectrum multiplier of d/dz_j (d/dzbar_j when conjugate=True)."""
+        k = self._wavenumbers()
+        sign = -1.0 if conjugate else 1.0
+        return 0.5 * (1j * k[2 * j] + sign * k[2 * j + 1])
+
+    def _split(self, mult: np.ndarray) -> np.ndarray:
         """Half-spectrum stack (m_h, m_a) of a full-spectrum multiplier.
 
         For real v, the real and imaginary parts of the full-spectrum
-        IFFT(mult * FFT(v)) are the two fields
-        `derivatives(v, split_multiplier(mult))`; see the module docstring
-        for the reflection split.
+        IFFT(mult * FFT(v)) are the two fields `derivatives(v, _split(mult))`;
+        see the module docstring for the reflection split.
         """
         mult = np.broadcast_to(mult, self.shape)
         keep = self.half_shape[-1]
@@ -251,49 +223,52 @@ class PeriodicGrid:
         mult = mult[..., :keep]
         return np.stack([0.5 * (mult + mirror), -0.5j * (mult - mirror)])
 
-    def real_multiplier(self, symbol: np.ndarray) -> np.ndarray:
-        """Half-spectrum multiplier of a real full-spectrum symbol: for
-        real v, `derivatives(v, real_multiplier(symbol))` is the real
-        field IFFT(symbol * FFT(v))."""
-        return np.ascontiguousarray(self.split_multiplier(symbol)[0].real)
+    def _resolved(self) -> np.ndarray:
+        """Full-spectrum mask of the modes touching no Nyquist wavenumber."""
+        return functools.reduce(np.logical_and, (np.abs(k) != s // 2 for k, s in
+                                                 zip(self._wavenumbers(), self.sizes)))
 
-    def multiplier_stack(self, name: str) -> np.ndarray:
-        """Cached half-spectrum stack for the kernel, by name.
+    @functools.cached_property
+    def nyquist_mask(self) -> np.ndarray:
+        """Half-spectrum mask of the modes with some axis at its Nyquist
+        wavenumber.
 
-        * ``"hessian"``: d/dz_j d/dzbar_j for each j, then Re and Im of
-          d/dz_j d/dzbar_k for each pair j < k (full wavenumbers);
-        * ``"gradient"``: Re of d/dz_j for each j, then Im of each
-          (Nyquist zeroed, odd order);
-        * ``"resolved_dz"``, ``"resolved_dzbar"``: Re then Im parts of
-          d/dz_j (d/dzbar_j) with full wavenumbers, zeroed on every mode
-          touching a Nyquist wavenumber.
-
-        A stack with no imaginary part anywhere is stored real.
+        First-order spectral derivatives cannot act on these modes with
+        exact odd symmetry, so `dzbar_stack` is zero there; operators
+        built from summation by parts treat them separately.
         """
-        key = ("stack", name)
-        if key not in self._cache:
-            n = self.n
-            if name == "hessian":
-                parts = [self.split_multiplier(self.hessian_multiplier(j, j))[0]
-                         for j in range(n)]
-                for j, k in _pairs(n):
-                    parts.extend(self.split_multiplier(self.hessian_multiplier(j, k)))
-            else:
-                conjugate, odd = {"gradient": (False, True), "resolved_dz": (False, False),
-                                  "resolved_dzbar": (True, False)}[name]
-                mask = ~self.nyquist_mask() if name.startswith("resolved") else 1.0
-                halves = [self.split_multiplier(self._holo_factor(j, conjugate, odd) * mask)
-                          for j in range(n)]
-                parts = [h[0] for h in halves] + [h[1] for h in halves]
-            stack = np.stack(parts)
-            if not np.any(stack.imag):
-                stack = np.ascontiguousarray(stack.real)
-            self._cache[key] = stack
-        return self._cache[key]
+        return ~self._resolved()[..., :self.half_shape[-1]]
+
+    @functools.cached_property
+    def hessian_stack(self) -> np.ndarray:
+        """The second-order stack: d/dz_j d/dzbar_j for each j, then the
+        halves (m_h, m_a), the Re and Im parts, of d/dz_j d/dzbar_k for
+        each pair j < k, all with full wavenumbers.  Stored real when no
+        entry has an imaginary part."""
+        n = self.n
+
+        def mult(j: int, k: int) -> np.ndarray:
+            return self._holo_factor(j, False) * self._holo_factor(k, True)
+
+        parts = [self._split(mult(j, j))[0] for j in range(n)]
+        for j, k in _pairs(n):
+            parts.extend(self._split(mult(j, k)))
+        stack = np.stack(parts)
+        return np.ascontiguousarray(stack.real) if not np.any(stack.imag) else stack
+
+    @functools.cached_property
+    def dzbar_stack(self) -> np.ndarray:
+        """The first-order stack: the Re parts of d/dzbar_j for each j,
+        then the Im parts, with full wavenumbers, zeroed on every mode
+        touching a Nyquist wavenumber.  For a real field the Re parts of
+        d/dz_j are the same and its Im parts the negated ones."""
+        resolved = self._resolved()
+        halves = [self._split(self._holo_factor(j, True) * resolved) for j in range(self.n)]
+        return np.stack([h[0] for h in halves] + [h[1] for h in halves])
 
     def hessian_pairing(self, S: np.ndarray) -> np.ndarray:
         """Real coefficients c with Re sum_{l,m} S[l,m] H[m,l] = sum_i c_i h_i,
-        h the "hessian" stack of a real field and H its complex Hessian."""
+        h the Hessian stack of a real field and H its complex Hessian."""
         n = self.n
         parts = [S[j, j].real for j in range(n)]
         for j, k in _pairs(n):
@@ -303,8 +278,17 @@ class PeriodicGrid:
 
     def hessian_trace(self, pairing: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Re tr(S H) for the Hessian H of values, given S's `hessian_pairing`."""
-        H = self.derivatives(values, self.multiplier_stack("hessian"))
+        H = self.derivatives(values, self.hessian_stack)
         return np.einsum("i...,i...->...", pairing, H)
+
+    def hessian_symbol(self, S: np.ndarray) -> np.ndarray:
+        """Real half-spectrum multiplier of the constant-coefficient
+        operator v -> Re tr(S H) for a constant n x n matrix S, H the
+        complex Hessian of v: S's `hessian_pairing` against the Hessian
+        stack, which is real on every mode not touching a Nyquist
+        wavenumber.  Keeping the real part keeps the self-adjoint part
+        of the operator there."""
+        return np.einsum("i,i...->...", self.hessian_pairing(S), self.hessian_stack).real
 
 
 @dataclass(frozen=True)
@@ -332,7 +316,7 @@ def hessian(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
     real input.
     """
     n = grid.n
-    stack = grid.derivatives(values, grid.multiplier_stack("hessian"))
+    stack = grid.derivatives(values, grid.hessian_stack)
     out = np.empty((n, n) + grid.shape, dtype=complex)
     for j in range(n):
         out[j, j] = stack[j]
@@ -344,9 +328,11 @@ def hessian(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
 
 
 def holo_gradient(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
-    """Components d/dz_j of values (Nyquist zeroed), shape (n,) + grid.shape."""
-    stack = grid.derivatives(values, grid.multiplier_stack("gradient"))
-    return stack[:grid.n] + 1j * stack[grid.n:]
+    """Components d/dz_j of values, shape (n,) + grid.shape: the conjugate
+    of the first-order stack's d/dzbar_j, so zero on every mode touching
+    a Nyquist wavenumber."""
+    stack = grid.derivatives(values, grid.dzbar_stack)
+    return stack[:grid.n] - 1j * stack[grid.n:]
 
 
 def _check_hermitian(matrix: np.ndarray, n: int, what: str) -> np.ndarray:
@@ -369,17 +355,13 @@ def _check_hermitian_matrix(g0: np.ndarray, n: int, what: str) -> np.ndarray:
 
 
 def flat_laplacian_symbol(grid: PeriodicGrid, g0: np.ndarray) -> np.ndarray:
-    """Fourier symbol of the constant-coefficient Laplacian sum g0^{jk} d_j d_kbar.
+    """Half-spectrum symbol of the constant-coefficient Laplacian
+    sum g0^{jk} d_j d_kbar.
 
     Real, zero only at k = 0, strictly negative elsewhere.
     """
     g0 = _check_hermitian_matrix(g0, grid.n, "reference matrix g0")
-    g0inv = np.linalg.inv(g0)
-    sym = np.zeros(grid.shape, dtype=complex)
-    for j in range(grid.n):
-        for k in range(grid.n):
-            sym = sym + g0inv[k, j] * grid.hessian_multiplier(j, k)
-    return sym.real
+    return grid.hessian_symbol(np.linalg.inv(g0))
 
 
 def inverse_symbol(symbol: np.ndarray) -> np.ndarray:
@@ -403,13 +385,14 @@ def flat_poisson_solve(f: ScalarField, g0: np.ndarray) -> ScalarField:
             f"flat Poisson right-hand side must be mean-zero, got mean {mean:.3e} vs sup {sup:.3e}"
         )
     grid = f.grid
-    inv = grid.real_multiplier(inverse_symbol(flat_laplacian_symbol(grid, g0)))
+    inv = inverse_symbol(flat_laplacian_symbol(grid, g0))
     return ScalarField(grid, grid.derivatives(f.values, inv))
 
 
 def sobolev_weight(grid: PeriodicGrid, s: float) -> np.ndarray:
-    """Half-spectrum multiplier of S_s, coefficients times (1+|k|^2)^s."""
-    return grid.real_multiplier((1.0 + grid.wavenumber_square()) ** s)
+    """Half-spectrum multiplier of S_s, coefficients times (1+|k|^2)^s;
+    -|k|^2 / 4 is the symbol of sum_j d_j d_jbar."""
+    return (1.0 - 4.0 * grid.hessian_symbol(np.eye(grid.n))) ** s
 
 
 def sobolev_norm(f: ScalarField, s: float) -> float:
@@ -517,7 +500,7 @@ def make_trig_field(grid: PeriodicGrid, terms) -> ScalarField:
     coords = grid.coordinates()
     values = np.zeros(grid.shape)
     for amplitude, wavevector, phase in terms:
-        wavevector = tuple(int(w) for w in wavevector)
+        wavevector = tuple(_integer(w, "wavevector component") for w in wavevector)
         if len(wavevector) != len(grid.sizes):
             raise ShapeError(
                 f"wavevector {wavevector} must have {len(grid.sizes)} components"

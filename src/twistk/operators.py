@@ -22,10 +22,11 @@ The twist kind is realised through its defining quadratic form
     sum_x psi * F(phi) * det(g) = -sum_x det(g) * alpha(xi_phi, conj xi_psi),
 
 with xi_phi the (1,0)-gradient of phi, assembled so that discrete
-summation by parts is exact: first-order multipliers are zeroed on every
-mode that touches a Nyquist wavenumber, and those modes (which sit below
-the resolution of the discretisation) are closed with the frozen
-constant-coefficient symbol instead.  This makes the dense matrix of F
+summation by parts is exact: the grid's one first-order stack, d/dzbar
+(`PeriodicGrid.dzbar_stack`), is zero on every mode that touches a
+Nyquist wavenumber, and those modes (which sit below the resolution of
+the discretisation) are closed with the frozen constant-coefficient
+symbol instead (`_closure_multiplier`).  This makes the dense matrix of F
 self-adjoint in the volume-weighted inner product to round-off, keeps
 its kernel exactly the constants, and leaves the symbol of the flat
 operator exact on every mode.  The fourth-order kinds use the direct
@@ -36,9 +37,14 @@ tails, which Krylov solves never see on resolved data.
 Operators are realised as handles that precompute, once, the real
 coefficient fields of every Hermitian contraction (for instance
 P_11, P_22, 2 Re P_21 and -2 Im P_21 for the Laplacian g^{kj} H_jk
-against the grid's real Hessian stack).  Each application is then one
-or two rounds of the grid's half-spectrum derivative kernel with
-real-arithmetic contractions in between.  Handles optionally project
+against the grid's Hessian stack).  Each application is then one or two
+rounds of the grid's half-spectrum derivative kernel with
+real-arithmetic contractions in between.  The first round transforms
+the input with the Hessian stack (fourth-order kinds) and the d/dzbar
+stack (``twist`` and ``shifted``), and every first-order term reads the
+d/dzbar fields: the twist flux, and the shifted kind's Re(d S, dbar phi).
+The twist divergence pairs with d/dz, which for real fields is the
+d/dzbar stack with its imaginary part negated.  Handles optionally project
 their output to volume mean zero so Krylov iterations stay on the
 subspace where the operators are definite; `quadratic_form` is the
 volume average of u * apply(v).
@@ -61,27 +67,25 @@ KINDS = ("twist", "full_linearization", "shifted")
 
 def _closure_multiplier(grid: PeriodicGrid, g0: np.ndarray,
                         alpha: HermitianFormField) -> np.ndarray:
-    """Frozen-coefficient twist symbol on Nyquist-touching modes.
+    """Half-spectrum frozen-coefficient twist symbol on Nyquist-touching
+    modes, zero elsewhere.
 
     First-order multipliers vanish there by construction, so the weak
     form alone would put every such mode in the kernel; the constant
-    coefficient symbol restores a strictly negative action on them.
-    A twist class that fails to be positive falls back to the metric
-    class, which only changes the operator on these unresolved modes.
+    coefficient symbol tr(P a0 P H), P = g0^{-1}, restores a strictly
+    negative action on them.  It is a Hessian-stack pairing
+    (`PeriodicGrid.hessian_symbol`).  A twist class that fails to be
+    positive falls back to the metric class, which only changes the
+    operator on these unresolved modes.
     """
     a0 = 0.5 * (alpha.base_matrix + alpha.base_matrix.conj().T)
     scale = float(np.max(np.abs(a0)))
     if scale == 0.0:
-        return np.zeros(grid.shape)
+        return np.zeros(grid.half_shape)
     if float(np.linalg.eigvalsh(a0)[0]) <= 1e-12 * scale:
         a0 = np.asarray(g0, dtype=complex)
     p0 = np.linalg.inv(np.asarray(g0, dtype=complex))
-    pap0 = p0 @ a0 @ p0
-    symbol = np.zeros(grid.shape, dtype=complex)
-    for l in range(grid.n):
-        for m in range(grid.n):
-            symbol = symbol + pap0[l, m] * grid.hessian_multiplier(m, l)
-    return np.where(grid.nyquist_mask(), symbol.real, 0.0)
+    return np.where(grid.nyquist_mask, grid.hessian_symbol(p0 @ a0 @ p0), 0.0)
 
 
 @dataclass(frozen=True)
@@ -112,7 +116,6 @@ class LinearOperatorHandle:
         # subtract a biLaplacian
         fourth = self.kind != "twist"
         weak = 1.0
-        names = []
         coeffs = []
         if fourth:
             pricp = np.einsum("lj...,jk...,km...->lm...", P, K.ricci(), P)
@@ -123,17 +126,16 @@ class LinearOperatorHandle:
             else:  # shifted
                 second = -pricp
                 weak = self.R
-            names.append("hessian")
             coeffs.append(grid.hessian_pairing(second))
         if self.kind == "shifted":
-            # Re sum_k g^{kj} d_j f * conj(d_k phi), phi's gradient as (Re, Im)
+            # Re sum_k g^{kj} d_j f * conj(d_k phi) with conj(d_k phi) =
+            # d_{zbar_k} phi, phi's first-order stack as (Re, Im)
             grad = np.einsum("kj...,j...->k...", P, holo_gradient(grid, -K.scalar()))
-            names.append("gradient")
-            coeffs.append(np.concatenate([grad.real, grad.imag]))
-        if weak:
-            names.append("resolved_dzbar")
-        stacks = [grid.multiplier_stack(name) for name in names]
-        self._ctx["mults"] = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+            coeffs.append(np.concatenate([grad.real, -grad.imag]))
+        mults = [grid.hessian_stack] if fourth else []
+        if self.kind != "full_linearization":
+            mults.append(grid.dzbar_stack)
+        self._ctx["mults"] = mults[0] if len(mults) == 1 else np.concatenate(mults)
         self._ctx["coeffs"] = np.concatenate(coeffs) if coeffs else None
         self._ctx["fourth"] = fourth
         self._ctx["weak"] = weak
@@ -144,8 +146,7 @@ class LinearOperatorHandle:
             # Q = (P alpha P)^T, kept as its real and imaginary parts
             Q = self.weight * np.einsum("mj...,jk...,kl...->lm...", P, self.alpha.comps, P)
             self._ctx["flux"] = np.stack([Q.real, Q.imag])
-            self._ctx["closure"] = grid.real_multiplier(
-                _closure_multiplier(grid, K.base_matrix, self.alpha))
+            self._ctx["closure"] = _closure_multiplier(grid, K.base_matrix, self.alpha)
 
     @property
     def grid(self) -> PeriodicGrid:
@@ -186,19 +187,20 @@ class LinearOperatorHandle:
             staged.append(np.einsum("i...,i...->...", ctx["lap"], fields[:nh])[None])
         if weak:
             # flux A + iB = Q (Re + i Im) of the dzbar stack, in real arithmetic;
-            # -B is staged so that sum_l Re d_{z_l} A_l - Im d_{z_l} B_l is
-            # one pairing with the resolved_dz stack
+            # d/dz_l is the dzbar stack with Im negated, so
+            # sum_l Re d_{z_l} A_l - Im d_{z_l} B_l is one pairing of (A, B)
+            # with the dzbar stack
             grads = fields[-2 * n:].reshape((2, n) + grid.shape)
             prods = np.einsum("clm...,sm...->csl...", ctx["flux"], grads)
-            staged.extend([prods[0, 0] - prods[1, 1], -prods[1, 0] - prods[0, 1]])
+            staged.extend([prods[0, 0] - prods[1, 1], prods[1, 0] + prods[0, 1]])
         del fields
         hats = grid.fft(np.concatenate(staged))
         spec = np.empty((nh + (1 if weak else 0),) + hats.shape[1:], dtype=complex)
         if fourth:
-            np.multiply(hats[0], grid.multiplier_stack("hessian"), out=spec[:nh])
+            np.multiply(hats[0], grid.hessian_stack, out=spec[:nh])
         if weak:
             spec[-1] = ctx["closure"] * vhat + np.einsum(
-                "a...,a...->...", grid.multiplier_stack("resolved_dz"), hats[-2 * n:])
+                "a...,a...->...", grid.dzbar_stack, hats[-2 * n:])
         back = grid.ifft(spec)
         if fourth:
             out = out - np.einsum("i...,i...->...", ctx["lap"], back[:nh])

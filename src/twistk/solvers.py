@@ -27,6 +27,7 @@ The only settings are KrylovConfig's tolerance and iteration cap.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,9 @@ class KrylovConfig:
     """Shared settings of the iterative solves.
 
     tol is the relative residual target in the volume-weighted RMS norm,
-    in (0, 1); maxiter >= 1 caps the iterations of one solve, in `_pcg`
-    and in `_gmres` alike.  Values that cannot run raise DomainError.
+    in (0, 1); maxiter, an integer >= 1, caps the iterations of one
+    solve, in `_pcg` and in `_gmres` alike.  Values that cannot run
+    raise DomainError.
     """
 
     tol: float = 1e-10
@@ -59,8 +61,8 @@ class KrylovConfig:
     def __post_init__(self):
         if not 0.0 < self.tol < 1.0:
             raise DomainError(f"Krylov tol must lie in (0, 1), got {self.tol}")
-        if self.maxiter < 1:
-            raise DomainError(f"Krylov maxiter must be >= 1, got {self.maxiter}")
+        if not isinstance(self.maxiter, numbers.Integral) or self.maxiter < 1:
+            raise DomainError(f"Krylov maxiter must be an integer >= 1, got {self.maxiter!r}")
 
 
 @dataclass(frozen=True)
@@ -107,7 +109,7 @@ def _spd_preconditioner(K: KahlerStructure, R: float | None):
     grid = K.grid
     L0 = flat_laplacian_symbol(grid, K.base_matrix)
     symbol = -L0 if R is None else L0 * L0 - R * L0
-    inv_mult = grid.real_multiplier(inverse_symbol(symbol))
+    inv_mult = inverse_symbol(symbol)
     w = K.weight
     outer = None if R is None else np.sqrt(w)
     inner = w if outer is None else w * outer

@@ -517,6 +517,25 @@ class TestEigenArtifacts:
             assert record["eigen_residual"] <= 1e-8
 
 
+def test_single_solve_meets_the_verify_tolerances(tmp_path):
+    """The verify suite's single-solve problem (32^2, twist 0.2 cos x,
+    R = 100, seed 0) through the single_solve scenario, which starts
+    from `seed_chain`'s half-grid ladder and solves by `solve_step`."""
+    out = tmp_path / "solve"
+    cfg = parse_config(json.dumps({"scenario": "single_solve", "seed": 0, "out": str(out)}))
+    assert (cfg.sizes, cfg.R_schedule, cfg.alpha_potential) == (
+        (32, 32), (100.0,), ((0.2, (1, 0), 0.0),))
+    assert run_scenario(cfg) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["converged"] is True
+    assert summary["residual_sup"] <= 1e-9
+    assert abs(summary["mean_scalar"]) <= 1e-7
+    assert abs(summary["mean_trace"] - summary["class_trace"]) <= 1e-7
+    assert abs(summary["constant"] - summary["constant_from_classes"]) <= 1e-7
+    assert summary["seed"]["ladder_sizes"] == [16, 16]
+    assert summary["records"][0]["coarse_error"] == ""
+
+
 def _steps(out):
     """steps.csv rows as floats, header checked."""
     header, *rows = (out / "steps.csv").read_text().splitlines()

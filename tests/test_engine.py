@@ -33,6 +33,7 @@ from twistk import (
     volume_average,
 )
 from twistk.errors import (
+    DomainError,
     IterationLimitError,
     PreconditionError,
     UnsupportedOrderError,
@@ -255,6 +256,11 @@ class TestNewtonSolve:
         assert not report.converged
         assert report.iterations == 1
         assert report.message != ""
+
+    @pytest.mark.parametrize("max_newton", [-1, 2.5])
+    def test_iteration_cap_that_cannot_run_is_rejected(self, max_newton):
+        with pytest.raises(DomainError, match="max_newton"):
+            SolverConfig(max_newton=max_newton)
 
 
 class TestIFTCertificate:
@@ -585,7 +591,7 @@ class TestContinuitySweep:
 
     def test_eigen_estimation_can_be_skipped(self, grid16, alpha16):
         (step,) = continuity_sweep(grid16, EYE1, alpha16, (0.5,), FAST,
-                                   ladder_order=0, compute_eigen=False).records
+                                   ladder_order=0, eigen_seed=None).records
         assert step.warm_source == "flat"
         assert math.isnan(step.lambda1)
         assert step.eigen_error == ""
@@ -663,7 +669,7 @@ class TestSeedStructure:
 
         monkeypatch.setattr(engine, "build_approximate_solution", stalled)
         chain = continuity_sweep(grid16, EYE1, alpha16, (0.5,), FAST,
-                                 compute_eigen=False)
+                                 eigen_seed=None)
         assert chain.records[0].warm_source == chain.source == "flat"
         assert chain.ladder_error == "IterationLimitError: solve_F: forced"
         assert chain.records[0].converged
@@ -690,7 +696,7 @@ class TestSeedStructure:
 
         monkeypatch.setattr(engine, "newton_solve", first_fails)
         chain = continuity_sweep(grid16, EYE1, alpha16, (0.5, 1.0), FAST,
-                                 compute_eigen=False)
+                                 eigen_seed=None)
         assert [s.warm_source for s in chain.records] == ["ladder[2]", "ladder[2]"]
         assert [s.converged for s in chain.records] == [False, True]
 
@@ -736,7 +742,7 @@ class TestSeedChain:
         # the sweep and the threshold descent seed through it
         sizes.clear()
         alpha = self.proportional_twist(grid16, [(0.2, (1, 0), 0.0)])
-        sweep = continuity_sweep(grid16, EYE1, alpha, (0.5,), FAST, compute_eigen=False)
+        sweep = continuity_sweep(grid16, EYE1, alpha, (0.5,), FAST, eigen_seed=None)
         estimate = estimate_R_threshold(grid16, EYE1, alpha, R_start=8.0,
                                         bisect_steps=0, cfg=FAST)
         assert sizes == [(8, 8), (8, 8)]
@@ -945,7 +951,7 @@ class TestWarmChain:
         monkeypatch.setattr(engine, "newton_solve", middle_fails)
         calls = self.record_steps(monkeypatch)
         chain = continuity_sweep(grid16, EYE1, alpha, (0.5, 0.8, 1.0), FAST,
-                                 compute_eigen=False)
+                                 eigen_seed=None)
         assert [s.converged for s in chain.records] == [True, False, True]
         self.assert_one_rule(calls, "ladder[2]")
         assert calls[2][0] is calls[0][2]

@@ -40,6 +40,11 @@ class TestConstruction:
         with pytest.raises(DomainError):
             PeriodicGrid(1, (2, 16))
 
+    def test_sizes_must_be_integral(self):
+        with pytest.raises(DomainError):
+            PeriodicGrid(1, (16.9, 16))
+        assert PeriodicGrid(1, (16.0, np.int64(8))).sizes == (16, 8)
+
     def test_dimension_must_be_one_or_two(self):
         with pytest.raises(DomainError):
             PeriodicGrid(3, (8,) * 6)
@@ -51,8 +56,10 @@ class TestConstruction:
 
     def test_nyquist_mask_counts_unresolved_modes(self):
         grid = PeriodicGrid(2, (6, 4, 8, 4))
-        mask = grid.nyquist_mask()
-        resolved = np.prod([s - 1 for s in grid.sizes])
+        mask = grid.nyquist_mask
+        assert mask.shape == grid.half_shape
+        # the half spectrum keeps wavenumbers 0..N/2 of the last axis
+        resolved = np.prod([s - 1 for s in grid.sizes[:-1]]) * (grid.sizes[-1] // 2)
         assert int((~mask).sum()) == resolved
 
 
@@ -274,7 +281,8 @@ class TestFlatPoisson:
         f_values -= f_values.mean()
         u = flat_poisson_solve(ScalarField(grid, f_values), g0)
         symbol = flat_laplacian_symbol(grid, g0)
-        back = np.fft.ifftn(symbol * np.fft.fftn(u.values)).real
+        assert symbol.shape == grid.half_shape
+        back = grid.derivatives(u.values, symbol)
         assert sup_norm(back - f_values) <= 1e-10 * sup_norm(f_values)
 
     def test_mean_zero_is_required(self, grid32):
@@ -304,3 +312,9 @@ class TestFieldTypes:
     def test_trig_field_rejects_short_wavevector(self, grid8x4):
         with pytest.raises(ShapeError):
             make_trig_field(grid8x4, [(1.0, (1, 0), 0.0)])
+
+    def test_trig_field_rejects_non_integral_wavevector(self, grid16):
+        with pytest.raises(DomainError):
+            make_trig_field(grid16, [(1.0, (1.5, 0), 0.0)])
+        f = make_trig_field(grid16, [(1.0, (1.0, np.int64(0)), 0.0)])
+        assert sup_norm(f.values - make_trig_field(grid16, [(1.0, (1, 0), 0.0)]).values) == 0.0

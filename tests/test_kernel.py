@@ -3,9 +3,10 @@
 Every reference here applies the complex full-spectrum multipliers the
 kernel splits by index reflection with numpy's own transforms,
 np.fft.ifftn(multiplier * np.fft.fftn(v)), independent of the grid's
-transform pair (the normalisation cancels).  Random normal fields put
-energy on every Nyquist-touching mode, where a wrong split would show at
-O(1).
+transform pair (the normalisation cancels).  The multipliers are built
+here from integer wavenumbers, independent of the grid's stacks.  Random
+normal fields put energy on every Nyquist-touching mode, where a wrong
+split would show at O(1).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from twistk import HermitianFormField, KahlerStructure, PeriodicGrid
 from twistk.errors import ShapeError
 from twistk.grid import hessian, holo_gradient
-from twistk.operators import KINDS, LinearOperatorHandle, _closure_multiplier
+from twistk.operators import KINDS, LinearOperatorHandle
 from twistk.oracles import dense_spectrum
 
 GRIDS = [
@@ -41,19 +42,49 @@ def _full(grid: PeriodicGrid, values: np.ndarray, mult: np.ndarray) -> np.ndarra
     return np.fft.ifftn(np.fft.fftn(values) * mult)
 
 
+def _wavenumbers(grid: PeriodicGrid) -> list[np.ndarray]:
+    return np.meshgrid(*(np.fft.fftfreq(s, d=1.0 / s) for s in grid.sizes), indexing="ij")
+
+
+def _holo(grid: PeriodicGrid, j: int, conjugate: bool = False) -> np.ndarray:
+    """Full-spectrum multiplier of d/dz_j (d/dzbar_j when conjugate)."""
+    k = _wavenumbers(grid)
+    return 0.5 * (1j * k[2 * j] + (-1.0 if conjugate else 1.0) * k[2 * j + 1])
+
+
+def _resolved(grid: PeriodicGrid) -> np.ndarray:
+    """Full-spectrum mask of the modes touching no Nyquist wavenumber."""
+    return np.all([np.abs(k) != s // 2 for k, s in zip(_wavenumbers(grid), grid.sizes)], axis=0)
+
+
+def _hessian_mult(grid: PeriodicGrid, j: int, k: int) -> np.ndarray:
+    return _holo(grid, j) * _holo(grid, k, conjugate=True)
+
+
 def _reference_hessian(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
     n = grid.n
     out = np.empty((n, n) + grid.shape, dtype=complex)
     for j in range(n):
         for k in range(j, n):
-            out[j, k] = _full(grid, values, grid.hessian_multiplier(j, k))
+            out[j, k] = _full(grid, values, _hessian_mult(grid, j, k))
             out[k, j] = np.conj(out[j, k])
     return out
 
 
 def _reference_gradient(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
-    return np.stack([_full(grid, values, grid._holo_factor(j, False, odd=True))
+    """d/dz_j with full wavenumbers, zeroed on every Nyquist-touching mode."""
+    return np.stack([_full(grid, values, _holo(grid, j) * _resolved(grid))
                      for j in range(grid.n)])
+
+
+def _reference_closure(grid: PeriodicGrid, g0: np.ndarray, a0: np.ndarray) -> np.ndarray:
+    """Full-spectrum frozen twist symbol tr(P a0 P H), P = g0^{-1}, on the
+    Nyquist-touching modes; a0 is positive for every `_random_pair`."""
+    p0 = np.linalg.inv(g0)
+    pap0 = p0 @ a0 @ p0
+    symbol = sum(pap0[l, m] * _hessian_mult(grid, m, l)
+                 for l in range(grid.n) for m in range(grid.n))
+    return np.where(_resolved(grid), 0.0, symbol.real)
 
 
 def _reference_apply(handle: LinearOperatorHandle, values: np.ndarray) -> np.ndarray:
@@ -85,17 +116,16 @@ def _reference_apply(handle: LinearOperatorHandle, values: np.ndarray) -> np.nda
         g = _reference_gradient(grid, values)
         out = out + np.einsum("k...,k...->...", grad, np.conj(g)).real
     if weak:
-        resolved = ~grid.nyquist_mask()
+        resolved = _resolved(grid)
         coeffs = np.fft.fftn(values)
-        grads = np.stack([np.fft.ifftn(coeffs * grid._holo_factor(l, True, odd=False) * resolved)
+        grads = np.stack([np.fft.ifftn(coeffs * _holo(grid, l, conjugate=True) * resolved)
                           for l in range(n)])
         xi = np.einsum("lj...,l...->j...", P, grads)
         paired = np.einsum("jk...,j...->k...", handle.alpha.comps, xi)
         flux = K.weight * np.einsum("k...,lk...->l...", paired, np.conj(P))
-        out_hat = _closure_multiplier(grid, K.base_matrix, handle.alpha) * coeffs
+        out_hat = _reference_closure(grid, K.base_matrix, handle.alpha.base_matrix) * coeffs
         for l in range(n):
-            out_hat = out_hat + (grid._holo_factor(l, False, odd=False) * resolved
-                                 * np.fft.fftn(flux[l]))
+            out_hat = out_hat + _holo(grid, l) * resolved * np.fft.fftn(flux[l])
         out = out + weak * np.fft.ifftn(out_hat).real / K.weight
     return out
 

@@ -30,9 +30,10 @@ from twistk.oracles import dense_spectrum
 from conftest import EYE1, random_pair, seed_structure, trig_terms
 
 
-def flat_symbol_values(grid: PeriodicGrid) -> np.ndarray:
-    """Sorted eigenvalues -|k|^2/4 of the flat Laplacian on the grid."""
-    return np.sort((-0.25 * grid.wavenumber_square()).ravel())
+def flat_laplacian_values(grid: PeriodicGrid) -> np.ndarray:
+    """Eigenvalues -|k|^2/4 of the flat Laplacian, one per full-spectrum mode."""
+    k = np.meshgrid(*(np.fft.fftfreq(s, d=1.0 / s) for s in grid.sizes), indexing="ij")
+    return -0.25 * sum(ka * ka for ka in k).ravel()
 
 
 def lichnerowicz_spectrum(K: KahlerStructure):
@@ -77,7 +78,7 @@ class TestTwistOperator:
         alpha = HermitianFormField.from_potential(grid, EYE1)
         spectrum = dense_spectrum(LinearOperatorHandle("twist", K, alpha))
         assert spectrum.symmetry_defect <= 1e-12
-        assert np.abs(spectrum.eigenvalues - flat_symbol_values(grid)).max() <= 1e-10
+        assert np.abs(spectrum.eigenvalues - np.sort(flat_laplacian_values(grid))).max() <= 1e-10
 
     def test_dense_matrix_self_adjoint_on_random_pair(self):
         grid = PeriodicGrid(1, (8, 8))
@@ -159,8 +160,8 @@ class TestShiftedOperator:
         alpha = HermitianFormField.from_potential(grid, EYE1)
         R = 10.0
         spectrum = dense_spectrum(LinearOperatorHandle("shifted", K, alpha, R))
-        lap = -0.25 * grid.wavenumber_square()
-        expected = np.sort((-(lap ** 2) + R * lap).ravel())
+        lap = flat_laplacian_values(grid)
+        expected = np.sort(-(lap ** 2) + R * lap)
         assert np.abs(spectrum.eigenvalues - expected).max() <= 1e-8
 
     def test_self_adjoint_in_volume_inner_product(self, grid32):

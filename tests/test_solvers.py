@@ -309,7 +309,8 @@ def test_runner_import_loads_no_dense_linear_algebra():
 
 class TestKrylovConfig:
     @pytest.mark.parametrize("kwargs", [{"maxiter": 0}, {"maxiter": -3},
-                                        {"tol": 0.0}, {"tol": 1.0}, {"tol": -1e-10}])
+                                        {"tol": 0.0}, {"tol": 1.0}, {"tol": -1e-10},
+                                        {"maxiter": 2.5}])
     def test_values_that_cannot_run_are_rejected(self, kwargs):
         with pytest.raises(DomainError, match="Krylov"):
             KrylovConfig(**kwargs)
