@@ -14,6 +14,7 @@ import numpy as np
 
 from twistk.config import default_t_schedule
 from twistk.engine import SolverConfig, continuity_sweep
+from twistk.errors import DomainError
 from twistk.geometry import HermitianFormField
 from twistk.grid import PeriodicGrid, make_trig_field, sup_norm
 
@@ -28,6 +29,10 @@ def main() -> int:
     parser.add_argument("--no-eigen", action="store_true",
                         help="skip the per-step eigenvalue estimate")
     args = parser.parse_args()
+    try:
+        schedule = default_t_schedule(args.points)
+    except DomainError as err:
+        parser.error(f"--points: {err}")
 
     grid = PeriodicGrid(1, (args.size, args.size))
     g0 = np.eye(1, dtype=complex)
@@ -35,7 +40,7 @@ def main() -> int:
     alpha = HermitianFormField.from_potential(grid, g0, apot.values)
     cfg = SolverConfig()
 
-    chain = continuity_sweep(grid, g0, alpha, default_t_schedule(args.points),
+    chain = continuity_sweep(grid, g0, alpha, schedule,
                              cfg, ladder_order=args.ladder_order,
                              eigen_seed=None if args.no_eigen else 0)
     print(f"{'step':>4} {'t':>8} {'R':>10} {'ok':>3} {'residual':>12} "

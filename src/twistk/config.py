@@ -83,10 +83,12 @@ _KNOWN_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
 def default_t_schedule(points: int = 20) -> tuple[float, ...]:
-    """Evenly spaced path parameters ending exactly at t = 1."""
+    """Evenly spaced path parameters ending exactly at t = 1; DomainError
+    unless points is an integer >= 2."""
+    if isinstance(points, bool) or not isinstance(points, (int, np.integer)) or points < 2:
+        raise DomainError(f"t schedule needs an integer number of points >= 2, got {points}")
     step = (1.0 - 0.05) / (points - 1)
-    values = tuple(0.05 + i * step for i in range(points - 1)) + (1.0,)
-    return values
+    return tuple(0.05 + i * step for i in range(points - 1)) + (1.0,)
 
 
 def default_config(scenario: str) -> RunConfig:

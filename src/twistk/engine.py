@@ -19,13 +19,13 @@ half grid, Newton solves that half-grid problem, its potential is
 prolonged back spectrally, and Newton finishes on the configured grid at
 the same tolerance.  The solutions are spectrally smooth, so the
 prolonged start is already close and the fine solve takes few
-iterations.  The half grid, the points it keeps on each axis, the
-restriction and the prolongation all belong to `grid`'s `half_grid`,
-`restrict` and `prolong`; this module moves a problem there and back
-only through `_restricted` and `_prolonged`, which the seed ladder
-shares.  The step falls back to a fine-grid solve from its own start when the grid
-has no half grid, when restricting or prolonging degenerates the
-metric, and when the half-grid solve fails or needs no iteration.
+iterations.  The half grid (one per grid), the points it keeps on each
+axis (one rule), the restriction and the prolongation all belong to
+`grid`; this module moves a problem there and back only through
+`_restricted` and `_prolonged`, which the seed ladder shares.  The step
+falls back to a fine-grid solve from its own start when the grid has no
+half grid, when restricting or prolonging degenerates the metric, and
+when the half-grid solve fails or needs no iteration.
 StepRecord's coarse_* fields record the half-grid stage.
 
 Every run starts from `seed_structure`'s seed and every sequence of
@@ -202,8 +202,6 @@ class ApproximateSolution:
     wall_ms: tuple[float, ...]
     linear_iterations: tuple[int, ...]
     constant: float
-    R: float
-    order: int
 
 
 def build_approximate_solution(base: KahlerStructure, alpha: HermitianFormField,
@@ -262,7 +260,7 @@ def build_approximate_solution(base: KahlerStructure, alpha: HermitianFormField,
     return ApproximateSolution(structure=K, residual_sups=tuple(sups),
                                residual_rms=tuple(rms), wall_ms=tuple(wall_ms),
                                linear_iterations=tuple(iterations),
-                               constant=const, R=R, order=order)
+                               constant=const)
 
 
 @dataclass(frozen=True)
@@ -385,12 +383,12 @@ class StepRecord:
     eigen_error: str = ""
 
 
-def _restricted(K: KahlerStructure, alpha: HermitianFormField, coarse: PeriodicGrid,
-                parities: tuple[int, ...],
+def _restricted(K: KahlerStructure, alpha: HermitianFormField, parities: tuple[int, ...],
                 ) -> tuple[KahlerStructure, HermitianFormField]:
-    """K and alpha sampled at the half-grid points that `parities` picks
-    (see `grid.half_grid`); a DegenerateMetricError when the sampled
-    metric is not positive."""
+    """K and alpha sampled on K's half grid at the points that `parities`
+    picks (see `grid.half_grid`); a DegenerateMetricError when the
+    sampled metric is not positive."""
+    coarse = K.grid.half
     return (KahlerStructure(coarse, K.base_matrix, restrict(K.potential, parities)),
             HermitianFormField(coarse, alpha.base_matrix,
                                restrict(alpha.potential, parities)))
@@ -401,7 +399,7 @@ def _prolonged(K: KahlerStructure, coarse_K: KahlerStructure,
     """coarse_K's potential prolonged back onto K's grid, in K's class;
     a DegenerateMetricError when that metric is not positive."""
     return KahlerStructure(K.grid, K.base_matrix,
-                           prolong(coarse_K.potential, coarse_K.grid, K.grid, parities))
+                           prolong(coarse_K.potential, K.grid, parities))
 
 
 def _half_grid_start(K_init: KahlerStructure, alpha: HermitianFormField,
@@ -417,11 +415,11 @@ def _half_grid_start(K_init: KahlerStructure, alpha: HermitianFormField,
     as good a start).
     """
     try:
-        coarse, parities = half_grid(K_init.grid, K_init.potential)
+        _, parities = half_grid(K_init.grid, K_init.potential)
     except DomainError as err:
         return None, 0, str(err)
     try:
-        K_c, alpha_c = _restricted(K_init, alpha, coarse, parities)
+        K_c, alpha_c = _restricted(K_init, alpha, parities)
     except DegenerateMetricError as err:
         return None, 0, describe(err)
     report = newton_solve(K_c, alpha_c, R, cfg)
@@ -692,9 +690,8 @@ def seed_chain(grid: PeriodicGrid, g0: np.ndarray, alpha: HermitianFormField,
     from the seed and alpha restricted there, and its potential is
     prolonged back: the first two-grid step samples its start at every
     other point anyway, so a configured-grid ladder would be mostly
-    thrown away.  An axis on which the seed has no energy at the half
-    grid's Nyquist wavenumber, as with a low-mode trig seed, keeps the
-    points through the seed's peak, so a translated seed gets the
+    thrown away.  It keeps the points that `half_grid` picks for the
+    seed, as every two-grid step does, so a translated seed gets the
     translated ladder and the same work.  Otherwise (DomainError) the
     ladder runs on the configured grid.  A ladder that raises a
     TwistkError, a degenerate restriction or prolongation included,
@@ -706,10 +703,8 @@ def seed_chain(grid: PeriodicGrid, g0: np.ndarray, alpha: HermitianFormField,
     K, source = seed_structure(grid, g0, alpha, potential=potential)
     if order <= 0 or R <= 0.0:
         return WarmChain(K, source)
-    peak = np.unravel_index(np.argmax(K.potential), grid.shape)
     try:
-        coarse, parities = half_grid(grid, K.potential,
-                                     ties=tuple(int(i) % 2 for i in peak))
+        coarse, parities = half_grid(grid, K.potential)
     except DomainError:
         coarse = None
     sizes = grid.sizes if coarse is None else coarse.sizes
@@ -717,8 +712,7 @@ def seed_chain(grid: PeriodicGrid, g0: np.ndarray, alpha: HermitianFormField,
         if coarse is None:
             start = build_approximate_solution(K, alpha, R, order, cfg).structure
         else:
-            ladder = build_approximate_solution(*_restricted(K, alpha, coarse, parities),
-                                                R, order, cfg)
+            ladder = build_approximate_solution(*_restricted(K, alpha, parities), R, order, cfg)
             start = _prolonged(K, ladder.structure, parities)
     except UnsupportedOrderError:
         raise

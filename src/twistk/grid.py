@@ -48,11 +48,12 @@ closure, the Sobolev weights) is the pairing of a constant matrix with
 the Hessian stack (`hessian_symbol`), the same pairing that
 `hessian_trace` forms with variable coefficients.
 
-The half grid of the two-grid Newton step has one owner here:
-`half_grid` decides whether a grid has one and which points of each axis
-it keeps (the parities), `restrict` samples a field at those points, and
-`prolong` interpolates a half-grid field back spectrally onto the same
-points.  No other module holds a half-grid rule.
+The half grid, where the seed ladder and the two-grid Newton step
+solve, has one owner here: `PeriodicGrid.half` builds it once per grid,
+`half_grid` picks by one rule the points of each axis that a field keeps
+there (the parities), `restrict` samples a field at those points, and
+`prolong` interpolates a half-grid field back spectrally onto them.  No
+other module holds a half-grid rule.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ class PeriodicGrid:
     Parameters
     ----------
     n:
-        Complex dimension, 1 or 2.
+        Complex dimension, 1 or 2, stored as an int; a bool is refused.
     sizes:
         Points per real axis, one entry per axis in the order
         (x_1, y_1, ..., x_n, y_n).  Each size must be an even integer
@@ -122,8 +123,9 @@ class PeriodicGrid:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n not in (1, 2):
+        if isinstance(self.n, (bool, np.bool_)) or self.n not in (1, 2):
             raise DomainError(f"complex dimension must be 1 or 2, got {self.n}")
+        object.__setattr__(self, "n", int(self.n))
         sizes = tuple(_integer(s, "axis size") for s in self.sizes)
         object.__setattr__(self, "sizes", sizes)
         if len(sizes) != 2 * self.n:
@@ -155,6 +157,18 @@ class PeriodicGrid:
             x = np.arange(s) * (2.0 * math.pi / s)
             out.append(x.reshape(_axis_shape(s, a, ndim)))
         return tuple(out)
+
+    @functools.cached_property
+    def half(self) -> PeriodicGrid:
+        """The grid with half as many points on every axis, built once for
+        every half-grid transfer from this grid; DomainError unless every
+        axis is a multiple of 4 of at least 8 (even halves of >= 4 points)."""
+        for size in self.sizes:
+            if size % 4:
+                raise DomainError(f"grid axis {size} not a multiple of 4")
+            if size < 8:
+                raise DomainError(f"grid axis {size} below 8")
+        return PeriodicGrid(self.n, tuple(size // 2 for size in self.sizes))
 
     # -- transforms -------------------------------------------------------
 
@@ -405,39 +419,30 @@ def sobolev_norm(f: ScalarField, s: float) -> float:
     return float(np.sqrt(np.mean(f.values * smooth)))
 
 
-def half_grid(grid: PeriodicGrid, values: np.ndarray, *,
-              ties: tuple[int, ...] | None = None,
-              ) -> tuple[PeriodicGrid, tuple[int, ...]]:
-    """The grid with half as many points on every axis, and per axis the
-    parity of the points (0 even, 1 odd) that `restrict` keeps there.
+def half_grid(grid: PeriodicGrid, values: np.ndarray) -> tuple[PeriodicGrid, tuple[int, ...]]:
+    """The half grid `grid.half`, and per axis the parity of the points
+    (0 even, 1 odd) that `restrict` keeps there.
 
-    Every axis must be a multiple of 4 of at least 8, so that the half
-    grid has even axes of at least 4 points; DomainError otherwise.  The
-    kept points are those whose samples see more of the field's energy
-    at the half grid's Nyquist wavenumber N/4, measured by the
+    The kept points are those whose samples see more of the field's
+    energy at the half grid's Nyquist wavenumber N/4, measured by the
     alternating sums over them.  Sampling the even points sees the
     cosine phase of that mode and the odd points its sine phase, so the
     choice follows a translation of the field by one grid step.  Where
     the two amplitudes agree to _PARITY_ROUND_OFF times the field's sup,
-    so that only round-off could decide, the axis keeps the parity given
-    in `ties`, by default the even points.
+    as on an axis where a low-mode field has no energy at N/4, the axis
+    keeps the parity of the field's peak (its first maximum), which a
+    translation moves too.
     """
-    for size in grid.sizes:
-        if size % 4:
-            raise DomainError(f"grid axis {size} not a multiple of 4")
-        if size < 8:
-            raise DomainError(f"grid axis {size} below 8")
     tie = _PARITY_ROUND_OFF * float(np.abs(values).max())
+    peak = np.unravel_index(np.argmax(values), values.shape)
     parities = []
     for axis, size in enumerate(values.shape):
         pairs = np.moveaxis(values, axis, 0).reshape(size // 2, 2, -1)
         seen = np.einsum("j,jpr->pr", (-1.0) ** np.arange(size // 2), pairs)
         amplitude = np.sqrt(np.mean(seen ** 2, axis=1)) / (size // 2)
-        if abs(amplitude[1] - amplitude[0]) > tie:
-            parities.append(int(amplitude[1] > amplitude[0]))
-        else:
-            parities.append(0 if ties is None else ties[axis])
-    return PeriodicGrid(grid.n, tuple(size // 2 for size in grid.sizes)), tuple(parities)
+        tied = abs(amplitude[1] - amplitude[0]) <= tie
+        parities.append(int(peak[axis]) % 2 if tied else int(amplitude[1] > amplitude[0]))
+    return grid.half, tuple(parities)
 
 
 def restrict(values: np.ndarray, parities: tuple[int, ...]) -> np.ndarray:
@@ -446,11 +451,10 @@ def restrict(values: np.ndarray, parities: tuple[int, ...]) -> np.ndarray:
     return np.ascontiguousarray(values[tuple(slice(p, None, 2) for p in parities)])
 
 
-def prolong(values: np.ndarray, coarse: PeriodicGrid, fine: PeriodicGrid,
-            parities: tuple[int, ...]) -> np.ndarray:
-    """Trigonometric interpolant of a real field on `coarse`, sampled on
-    `fine`, which has twice as many points on every axis; the inverse of
-    `restrict`, so coarse sample j lands on fine point 2j + parity.
+def prolong(values: np.ndarray, fine: PeriodicGrid, parities: tuple[int, ...]) -> np.ndarray:
+    """Trigonometric interpolant of a real field on the half grid
+    `fine.half`, sampled on `fine`; the inverse of `restrict`, so half-grid
+    sample j lands on fine point 2j + parity.
 
     The coarse half spectrum is zero-padded.  Each coarse Nyquist
     coefficient, whose one coarse mode stands for both wavenumbers
@@ -459,9 +463,7 @@ def prolong(values: np.ndarray, coarse: PeriodicGrid, fine: PeriodicGrid,
     The result is real; rolling it by the parities puts the coarse
     samples back where `restrict` took them.
     """
-    if fine.n != coarse.n or fine.sizes != tuple(2 * s for s in coarse.sizes):
-        raise ShapeError(f"grid {fine.sizes} is not grid {coarse.sizes} "
-                         "refined by 2 on every axis")
+    coarse = fine.half
     spec = coarse.fft(values)
     ndim = len(coarse.sizes)
     for axis, size in enumerate(coarse.sizes[:-1], start=-ndim):

@@ -67,6 +67,12 @@ class TestDefaults:
         assert sched[0] == pytest.approx(0.05)
         assert sched[-1] == 1.0
         assert all(b > a for a, b in zip(sched, sched[1:]))
+        assert default_t_schedule(2) == (0.05, 1.0)
+
+    @pytest.mark.parametrize("points", [0, 1, 2.5, True])
+    def test_a_schedule_needs_two_integer_points(self, points):
+        with pytest.raises(DomainError):
+            default_t_schedule(points)
 
     def test_unknown_scenario_is_rejected(self):
         with pytest.raises(ConfigError):

@@ -38,7 +38,7 @@ from twistk.errors import (
     PreconditionError,
     UnsupportedOrderError,
 )
-from twistk.config import RunConfig
+from twistk.config import RunConfig, default_t_schedule
 from twistk.grid import half_grid, make_trig_field, prolong, restrict, rms_norm, sup_norm
 import twistk.engine as engine
 import twistk.runner as runner
@@ -459,7 +459,7 @@ class TestSolveStep:
         # 8 cos(x) has Hessian -2 cos(x): the prolonged metric 1 + 2 cos(x)
         # is not positive
         K0, alpha = self.problem(grid16)
-        monkeypatch.setattr(engine, "prolong", lambda values, coarse, fine, parities:
+        monkeypatch.setattr(engine, "prolong", lambda values, fine, parities:
                             make_trig_field(fine, [(8.0, (1, 0), 0.0)]).values)
         record, K = engine.solve_step(K0, alpha, 10.0, FAST, "flat")
         assert record.coarse_iters == 3
@@ -614,6 +614,25 @@ class TestContinuitySweep:
         assert step.converged
         assert math.isnan(step.lambda1)
         assert step.eigen_error == "IterationLimitError: extreme_eigenvalue: forced"
+
+    def test_the_sweep_follows_a_one_grid_step_translation(self, grid32):
+        # the seed ladder and every two-grid step keep the half-grid points
+        # through the seed's peak, so a twist moved by one grid step gets
+        # the same work at every step and the translated potential
+        step = 2.0 * math.pi / grid32.sizes[0]
+        works, potentials = [], []
+        for shift in (0, 1):
+            alpha = HermitianFormField.from_potential(grid32, EYE1, make_trig_field(
+                grid32, [(0.2, (1, 0), -shift * step)]).values)
+            chain = continuity_sweep(grid32, EYE1, alpha, default_t_schedule(), FAST,
+                                     eigen_seed=None)
+            works.append([(r.newton_iters, r.coarse_iters,
+                           [h["linear_iterations"] for h in r.history])
+                          for r in chain.records])
+            potentials.append(chain.structure.potential)
+        assert len(works[0]) == 20
+        assert works[0] == works[1]
+        assert sup_norm(np.roll(potentials[0], 1, axis=0) - potentials[1]) <= 1e-12
 
 
 class TestSeedStructure:
@@ -809,11 +828,11 @@ class TestSeedChain:
         chain = engine.seed_chain(grid16, EYE1, alpha, 8.0, 2, FAST)
         assert chain.step(alpha, 8.0, FAST)
         assert chain.records[0].coarse_iters > 0
-        (_, coarse, parities), (start, _, step_parities) = halves[:2]
+        (_, _, parities), (start, _, step_parities) = halves[:2]
         assert parities == (1, 0)
         assert step_parities == parities
         (ladder,) = ladders
-        prolonged = prolong(ladder, coarse, grid16, parities)
+        prolonged = prolong(ladder, grid16, parities)
         assert np.array_equal(restrict(start, step_parities),
                               restrict(prolonged, parities))
         assert sup_norm(restrict(start, step_parities) - ladder) <= 1e-13

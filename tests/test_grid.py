@@ -49,6 +49,17 @@ class TestConstruction:
         with pytest.raises(DomainError):
             PeriodicGrid(3, (8,) * 6)
 
+    @pytest.mark.parametrize("n", [1.5, True, np.True_, None, "1"])
+    def test_dimension_must_be_an_integer(self, n):
+        with pytest.raises(DomainError):
+            PeriodicGrid(n, (8, 8))
+
+    def test_an_integral_float_dimension_is_stored_as_an_int(self):
+        grid = PeriodicGrid(1.0, (8, 8))
+        assert type(grid.n) is int and grid == PeriodicGrid(1, (8, 8))
+        assert hessian(grid, np.zeros(grid.shape)).shape == (1, 1, 8, 8)
+        assert type(PeriodicGrid(np.int64(2), (4,) * 4).n) is int
+
     def test_point_count_and_spacings(self):
         grid = PeriodicGrid(2, (8, 4, 6, 4))
         assert grid.npoints == 8 * 4 * 6 * 4
@@ -154,7 +165,7 @@ class TestProlong:
         values = make_trig_field(fine, terms).values
         assert half_grid(fine, values)[0] == coarse
         for parities in self.every_parity(sizes):
-            back = prolong(restrict(values, parities), coarse, fine, parities)
+            back = prolong(restrict(values, parities), fine, parities)
             assert sup_norm(back - values) <= 1e-14
 
     @pytest.mark.parametrize("sizes", [sizes for sizes, _ in CASES], ids=IDS)
@@ -163,7 +174,7 @@ class TestProlong:
         coarse, fine = self.grids(sizes)
         values = np.random.default_rng(17).standard_normal(coarse.shape)
         for parities in self.every_parity(sizes):
-            out = prolong(values, coarse, fine, parities)
+            out = prolong(values, fine, parities)
             assert out.shape == fine.shape
             assert out.dtype == np.float64
             assert sup_norm(restrict(out, parities) - values) <= 1e-14
@@ -183,15 +194,26 @@ class TestProlong:
                 wavevector[a], wavevector[b] = size // 2, 1
                 values = make_trig_field(coarse, [(1.0, wavevector, 0.3)]).values
                 expected = np.cos(size // 2 * coords[a]) * np.cos(coords[b] + 0.3)
-                out = prolong(values, coarse, fine, parities)
+                out = prolong(values, fine, parities)
                 assert sup_norm(out - expected) <= 1e-13
 
     def test_grids_must_differ_by_two_on_every_axis(self):
-        coarse = PeriodicGrid(1, (8, 8))
+        # prolong reads the coarse grid off the fine one: values of any
+        # other shape, or a fine grid without a half grid, are refused
+        fine = PeriodicGrid(1, (16, 16))
         with pytest.raises(ShapeError):
-            prolong(np.zeros(coarse.shape), coarse, PeriodicGrid(1, (16, 8)), (0, 0))
+            prolong(np.zeros((16, 16)), fine, (0, 0))
         with pytest.raises(ShapeError):
-            prolong(np.zeros((16, 16)), coarse, PeriodicGrid(1, (16, 16)), (0, 0))
+            prolong(np.zeros((8, 4)), fine, (0, 0))
+        with pytest.raises(DomainError):
+            prolong(np.zeros((9, 9)), PeriodicGrid(1, (18, 18)), (0, 0))
+
+    def test_a_grid_builds_its_half_grid_once(self):
+        fine = PeriodicGrid(2, (8, 16, 8, 8))
+        assert fine.half is fine.half
+        assert fine.half == PeriodicGrid(2, (4, 8, 4, 4))
+        values = make_trig_field(fine, [(1.0, (1, 2, 0, 1), 0.3)]).values
+        assert half_grid(fine, values)[0] is fine.half
 
     @pytest.mark.parametrize("sizes, message", [
         ((16, 18), "grid axis 18 not a multiple of 4"),
@@ -199,25 +221,28 @@ class TestProlong:
     ], ids=["not-multiple-of-4", "below-8"])
     def test_grid_without_a_half_grid_is_refused(self, sizes, message):
         grid = PeriodicGrid(1, sizes)
-        with pytest.raises(DomainError) as info:
-            half_grid(grid, np.zeros(grid.shape))
-        assert str(info.value) == message
+        for refuse in (lambda: grid.half, lambda: half_grid(grid, np.zeros(grid.shape))):
+            with pytest.raises(DomainError) as info:
+                refuse()
+            assert str(info.value) == message
 
     def test_parities_follow_the_half_grid_nyquist_mode(self, grid16):
         # the even points see cos(4 x) and the odd points sin(4 x); an axis
         # without that mode, or with it below round-off, keeps the parity
-        # given for ties, by default the even one
+        # of the field's first maximum
         x, y = grid16.coordinates()
+        h = grid16.spacings()[0]
         for values, parities in ((np.cos(4 * x) + 0 * y, (0, 0)),
                                  (np.sin(4 * x) + 0 * y, (1, 0)),
                                  (np.sin(4 * y) + np.cos(4 * x), (0, 1)),
                                  (np.cos(x) + 1e-14 * np.sin(4 * x) + 0 * y, (0, 0))):
             coarse, picked = half_grid(grid16, values)
             assert (coarse.sizes, picked) == ((8, 8), parities)
-        for values, parities in ((np.sin(4 * x) + 0 * y, (1, 1)),
-                                 (np.cos(4 * x) + 0 * y, (0, 1)),
-                                 (np.cos(x) + 1e-14 * np.sin(4 * x) + 0 * y, (1, 1))):
-            assert half_grid(grid16, values, ties=(1, 1))[1] == parities
+        for values, parities in ((np.cos(x - h) + 0 * y, (1, 0)),
+                                 (np.cos(x - h) * np.cos(y - 3 * h), (1, 1)),
+                                 (np.sin(4 * x) + np.cos(y - h), (1, 1)),
+                                 (np.cos(x - h) + 1e-14 * np.sin(4 * x) + 0 * y, (1, 0))):
+            assert half_grid(grid16, values)[1] == parities
 
     @given(data=st.data())
     def test_pair_round_trips_at_any_parity(self, data):
@@ -227,11 +252,10 @@ class TestProlong:
         seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
         fine = PeriodicGrid(n, (16,) * (2 * n))
         values = make_trig_field(fine, terms).values
-        coarse, _ = half_grid(fine, values)
-        back = prolong(restrict(values, parities), coarse, fine, parities)
+        back = prolong(restrict(values, parities), fine, parities)
         assert sup_norm(back - values) <= 1e-14 * max(1.0, sup_norm(values))
-        samples = np.random.default_rng(seed).standard_normal(coarse.shape)
-        out = prolong(samples, coarse, fine, parities)
+        samples = np.random.default_rng(seed).standard_normal(fine.half.shape)
+        out = prolong(samples, fine, parities)
         assert sup_norm(restrict(out, parities) - samples) <= 1e-14
 
 

@@ -39,3 +39,10 @@ def test_study_script_reaches_the_untwisted_end(argv, line):
     done = _run(*argv)
     assert done.returncode == 0, done.stderr
     assert line in done.stdout.splitlines()
+
+
+def test_continuity_path_refuses_a_one_point_schedule():
+    done = _run("continuity_path.py", "--size", "16", "--points", "1")
+    assert done.returncode == 2
+    assert "--points: t schedule needs an integer number of points >= 2" in done.stderr
+    assert "Traceback" not in done.stderr
