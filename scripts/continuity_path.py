@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from twistk.config import default_t_schedule
-from twistk.engine import SolverConfig, continuity_sweep
+from twistk.engine import SolverConfig, continuity_sweep, seed_chain, t_to_R
 from twistk.errors import DomainError
 from twistk.geometry import HermitianFormField
 from twistk.grid import PeriodicGrid, make_trig_field, sup_norm
@@ -33,16 +33,18 @@ def main() -> int:
         schedule = default_t_schedule(args.points)
     except DomainError as err:
         parser.error(f"--points: {err}")
-
-    grid = PeriodicGrid(1, (args.size, args.size))
+    try:
+        grid = PeriodicGrid(1, (args.size, args.size))
+    except DomainError as err:
+        parser.error(f"--size: {err}")
     g0 = np.eye(1, dtype=complex)
     apot = make_trig_field(grid, [(args.amplitude, (1, 0), 0.0)])
     alpha = HermitianFormField.from_potential(grid, g0, apot.values)
     cfg = SolverConfig()
 
-    chain = continuity_sweep(grid, g0, alpha, schedule,
-                             cfg, ladder_order=args.ladder_order,
-                             eigen_seed=None if args.no_eigen else 0)
+    chain = seed_chain(grid, g0, alpha, t_to_R(schedule[0]), args.ladder_order, cfg)
+    continuity_sweep(chain, alpha, schedule, cfg,
+                     eigen_seed=None if args.no_eigen else 0)
     print(f"{'step':>4} {'t':>8} {'R':>10} {'ok':>3} {'residual':>12} "
           f"{'lambda1':>12} {'iters':>5}  warm start")
     for step, s in enumerate(chain.records):

@@ -12,6 +12,7 @@ import sys
 import numpy as np
 
 from twistk.engine import SolverConfig, build_approximate_solution
+from twistk.errors import DomainError
 from twistk.geometry import HermitianFormField, KahlerStructure
 from twistk.grid import PeriodicGrid, make_trig_field
 from twistk.oracles import order_fit
@@ -25,8 +26,13 @@ def main() -> int:
     parser.add_argument("--points", type=int, default=5, help="R values, doubling from rmin")
     parser.add_argument("--amplitude", type=float, default=0.3)
     args = parser.parse_args()
-
-    grid = PeriodicGrid(1, (args.size, args.size))
+    if args.points < 2:
+        # the decay exponent is fitted across weights
+        parser.error(f"--points: the fit needs at least 2 weights, got {args.points}")
+    try:
+        grid = PeriodicGrid(1, (args.size, args.size))
+    except DomainError as err:
+        parser.error(f"--size: {err}")
     g0 = np.eye(1, dtype=complex)
     half = args.amplitude / 2.0
     pot = make_trig_field(grid, [(half, (1, 1), 0.0), (half, (1, -1), 0.0)])

@@ -13,10 +13,8 @@ scenarios fill a default otherwise.
 Scenario rules (`scenario_diagnostics`) tie fields to the scenario:
 
 - the scenario itself must be one of SCENARIOS;
-- continuity_sweep and threshold seed from the twist form alone and
-  reject a non-empty "omega_potential";
-- continuity_sweep walks a t_schedule, so an R_schedule in its place
-  is rejected;
+- continuity_sweep walks a t_schedule and is seeded at its first weight,
+  so an R_schedule, in its place or beside it, is rejected;
 - ladder_study fits its order law across weights and needs at least two
   distinct weights and order >= 1;
 - twist_perturbation needs a "perturbation" term.
@@ -124,9 +122,7 @@ def scenario_diagnostics(cfg: RunConfig) -> list[str]:
     if cfg.scenario not in SCENARIOS:
         return [_UNKNOWN_SCENARIO]
     diags = []
-    if cfg.omega_potential and cfg.scenario in ("continuity_sweep", "threshold"):
-        diags.append(f"omega_potential: not used by {cfg.scenario}; leave it empty")
-    if cfg.scenario == "continuity_sweep" and not cfg.t_schedule:
+    if cfg.scenario == "continuity_sweep" and (cfg.R_schedule or not cfg.t_schedule):
         diags.append("R_schedule: continuity_sweep walks a t_schedule; give "
                      "t_schedule instead" if cfg.R_schedule else
                      "t_schedule: continuity_sweep needs a t_schedule")
@@ -312,12 +308,14 @@ def _parse_fields(data: dict, diags: list[str]) -> RunConfig | None:
     g0_alpha = (_parse_matrix(data["g0_alpha"], "g0_alpha", n, diags)
                 if "g0_alpha" in data else g0_omega)
 
-    potentials = {}
-    for key in ("omega_potential", "alpha_potential"):
-        potentials[key] = (_parse_terms(data[key], key, naxes, diags)
-                           if key in data else
-                           tuple((a, k[:naxes] + (0,) * (naxes - len(k)), p)
-                                 for a, k, p in getattr(cfg, key)))
+    def lift(term: Term) -> Term:
+        # a default term on the first axes of the dimension's 2n
+        a, k, p = term
+        return a, k[:naxes] + (0,) * (naxes - len(k)), p
+
+    potentials = {key: (_parse_terms(data[key], key, naxes, diags) if key in data
+                        else tuple(map(lift, getattr(cfg, key))))
+                  for key in ("omega_potential", "alpha_potential")}
 
     t_schedule = cfg.t_schedule
     R_schedule = cfg.R_schedule
@@ -338,7 +336,7 @@ def _parse_fields(data: dict, diags: list[str]) -> RunConfig | None:
                              "must be a number in (0, 1)"))
             for key in ("newton_tol", "krylov_tol")}
 
-    perturbation = cfg.perturbation
+    perturbation = None if cfg.perturbation is None else lift(cfg.perturbation)
     if "perturbation" in data:
         parsed = _parse_terms([data["perturbation"]], "perturbation", naxes, diags)
         perturbation = parsed[0] if parsed else None

@@ -32,12 +32,11 @@ Every run starts from `seed_structure`'s seed and every sequence of
 solves is one `WarmChain`, with one warm-start rule: a step starts at
 the last converged metric, handed on as the solved structure itself, or
 at the chain's start while no step has converged.  `seed_chain` makes
-each scenario's chain and is the only code that builds a seed ladder:
-on the half grid, where the chain's first step solves, when the grid
-has one.  `continuity_sweep` returns its chain, `ThresholdEstimate`
-holds the threshold descent's, and `perturb_twist` continues the
-caller's chain from its last converged twist and weight, so a base
-solve and its perturbation stages are one chain.
+the chain and is the only code that builds a seed ladder: on the half
+grid, where the chain's first step solves, when the grid has one.  The
+Newton drivers `continuity_sweep`, `estimate_R_threshold` and
+`perturb_twist` continue the caller's chain, so a base solve and its
+perturbation stages are one chain.
 """
 
 from __future__ import annotations
@@ -721,31 +720,27 @@ def seed_chain(grid: PeriodicGrid, g0: np.ndarray, alpha: HermitianFormField,
     return WarmChain(start, f"ladder[{order}]", "", sizes)
 
 
-def continuity_sweep(grid: PeriodicGrid, g0: np.ndarray,
-                     alpha: HermitianFormField, t_values,
+def continuity_sweep(chain: WarmChain, alpha: HermitianFormField, t_values,
                      cfg: SolverConfig = SolverConfig(), *,
-                     ladder_order: int = 2, eigen_seed: int | None = 0) -> WarmChain:
-    """March the continuity path over increasing t with warm starts.
+                     eigen_seed: int | None = 0) -> None:
+    """March a chain along the continuity path over increasing t.
 
-    Every t is mapped to its weight before the first solve.  The first
-    step starts from the `seed_chain` seed, the correction ladder at the
-    first weight; each later step starts from the last converged metric,
-    or from that same seed while no step has converged (`WarmChain`).
-    Returns the chain: its records hold residual norms, the extreme
-    eigenvalue of the shifted operator from the start seed eigen_seed
-    (no eigen stage when it is None) and Newton statistics per step.
-    Non-converged steps are recorded and the sweep keeps marching from
-    the last good metric, so the records map the failure frontier, and
-    the chain's R is the smallest converged weight.
+    Every t is mapped to its weight before the first solve.  Each step
+    starts from the chain's last converged metric, or from its seed
+    while no step has converged (`WarmChain`).  Each record holds the
+    residual norms, the extreme eigenvalue of the shifted operator from
+    the start seed eigen_seed (no eigen stage when it is None) and
+    Newton statistics.  Non-converged steps are recorded and the sweep
+    keeps marching from the last good metric, so the records map the
+    failure frontier, and the chain's R is the smallest converged
+    weight.
     """
     t_list = [float(t) for t in t_values]
     if not t_list or any(b <= a for a, b in zip(t_list, t_list[1:])):
         raise PreconditionError("t_values must be strictly increasing and non-empty")
     weights = [t_to_R(t) for t in t_list]
-    chain = seed_chain(grid, g0, alpha, weights[0], ladder_order, cfg)
     for t, R in zip(t_list, weights):
         chain.step(alpha, R, cfg, t=t, eigen_seed=eigen_seed)
-    return chain
 
 
 @dataclass(frozen=True)
@@ -756,27 +751,24 @@ class ThresholdEstimate:
     attempted weight down to and including R = 0 solves, both entries
     and the threshold are 0.0.  When the first attempt at R_start fails
     no weight is verified: the threshold is inf and the bracket
-    (R_start, inf).  chain holds one `solve_step` record per weight
-    tried and the `seed_chain` seed's source, ladder failure and ladder
-    grid.
+    (R_start, inf).
     """
 
     threshold: float
     bracket: tuple[float, float]
-    chain: WarmChain
 
 
-def estimate_R_threshold(grid: PeriodicGrid, g0: np.ndarray,
-                         alpha: HermitianFormField, *, R_start: float = 8.0,
-                         floor: float = 0.05, bisect_steps: int = 10,
-                         cfg: SolverConfig = SolverConfig(),
-                         ladder_order: int = 2) -> ThresholdEstimate:
-    """Descend the twist weight geometrically and bracket the first failure.
+def estimate_R_threshold(chain: WarmChain, alpha: HermitianFormField, *,
+                         R_start: float, floor: float = 0.05,
+                         bisect_steps: int = 10,
+                         cfg: SolverConfig = SolverConfig()) -> ThresholdEstimate:
+    """Descend a chain's twist weight geometrically and bracket the first
+    failure.
 
-    The chain is seeded by `seed_chain` at R_start.  The weight halves
-    from R_start while it stays above `floor`; each weight starts from
-    the last converged metric (`WarmChain`).  If every weight down to
-    `floor` and then R = 0 itself converge, the estimate
+    R_start is the weight the chain was seeded at.  The weight halves
+    from R_start while it stays above `floor`; each weight is one step
+    of the chain, which adds one record per weight tried.  If every
+    weight down to `floor` and then R = 0 itself converge, the estimate
     is 0.0 with the degenerate bracket (0.0, 0.0); otherwise the failing
     interval is bisected geometrically for `bisect_steps` rounds.  The
     threshold is always a verified weight; if R_start itself fails there
@@ -785,10 +777,8 @@ def estimate_R_threshold(grid: PeriodicGrid, g0: np.ndarray,
     if R_start <= 0.0 or floor <= 0.0:
         raise PreconditionError("estimate_R_threshold: need R_start > 0 "
                                 "and floor > 0")
-    chain = seed_chain(grid, g0, alpha, R_start, ladder_order, cfg)
-
     if not chain.step(alpha, R_start, cfg):
-        return ThresholdEstimate(math.inf, (R_start, math.inf), chain)
+        return ThresholdEstimate(math.inf, (R_start, math.inf))
     schedule = []
     R = R_start * 0.5
     while R > floor:
@@ -800,7 +790,7 @@ def estimate_R_threshold(grid: PeriodicGrid, g0: np.ndarray,
             break
         R_ok = R
     else:
-        return ThresholdEstimate(0.0, (0.0, 0.0), chain)
+        return ThresholdEstimate(0.0, (0.0, 0.0))
     lo, hi = R, R_ok
     for _ in range(bisect_steps):
         mid = math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
@@ -808,4 +798,4 @@ def estimate_R_threshold(grid: PeriodicGrid, g0: np.ndarray,
             hi = mid
         else:
             lo = mid
-    return ThresholdEstimate(hi, (lo, hi), chain)
+    return ThresholdEstimate(hi, (lo, hi))

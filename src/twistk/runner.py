@@ -168,6 +168,18 @@ def _first_R(cfg: RunConfig) -> float:
     return 100.0
 
 
+def _seeded_problem(cfg: RunConfig):
+    """A Newton scenario's twist, solver settings, first weight and chain:
+    the one `seed_chain` call, seeded from omega_potential when it is
+    non-empty and laddered at the first weight."""
+    grid, g0_omega, omega_pot, alpha = _build_problem(cfg)
+    solver = _solver_config(cfg)
+    R = _first_R(cfg)
+    chain = seed_chain(grid, g0_omega, alpha, R, cfg.order, solver,
+                       potential=omega_pot.values)
+    return alpha, solver, R, chain
+
+
 def _cohomology_summary(K, alpha, R) -> dict:
     """Volume means of S and trace(alpha), the equation's constant
     sbar - R * c as `twisted_residual` forms it, and the same constant
@@ -200,11 +212,7 @@ def _chain_artifacts(chain: WarmChain, summary: dict, outdir: Path | None):
 
 
 def _run_single_solve(cfg: RunConfig, outdir: Path):
-    grid, g0_omega, omega_pot, alpha = _build_problem(cfg)
-    solver = _solver_config(cfg)
-    R = _first_R(cfg)
-    chain = seed_chain(grid, g0_omega, alpha, R, cfg.order, solver,
-                       potential=omega_pot.values)
+    alpha, solver, R, chain = _seeded_problem(cfg)
     # eigenpair certification can fail on very coarse grids where the
     # fourth-order truncation defect exceeds the residual tolerance; the
     # solve itself still stands, so lambda1 is nan and the record keeps
@@ -261,10 +269,8 @@ def _run_ladder_study(cfg: RunConfig, outdir: Path):
 
 
 def _run_continuity_sweep(cfg: RunConfig, outdir: Path):
-    grid, g0_omega, omega_pot, alpha = _build_problem(cfg)
-    solver = _solver_config(cfg)
-    chain = continuity_sweep(grid, g0_omega, alpha, cfg.t_schedule, solver,
-                             ladder_order=cfg.order, eigen_seed=cfg.seed)
+    alpha, solver, _, chain = _seeded_problem(cfg)
+    continuity_sweep(chain, alpha, cfg.t_schedule, solver, eigen_seed=cfg.seed)
     # t increases, so the last converged step is the one at the smallest
     # converged weight
     summary = {
@@ -273,43 +279,36 @@ def _run_continuity_sweep(cfg: RunConfig, outdir: Path):
         "smallest_converged_R": chain.R,
     }
     if chain.structure is not None:
-        flat = g0_omega.reshape((grid.n, grid.n) + (1,) * len(grid.sizes))
-        summary["final_potential_sup"] = sup_norm(chain.structure.potential)
-        summary["final_metric_flat_sup"] = float(
-            np.abs(chain.structure.comps - flat).max())
-        summary.update(_cohomology_summary(chain.structure, alpha, chain.R))
+        K = chain.structure
+        flat = K.base_matrix.reshape(K.base_matrix.shape + (1,) * len(K.grid.sizes))
+        summary["final_potential_sup"] = sup_norm(K.potential)
+        summary["final_metric_flat_sup"] = float(np.abs(K.comps - flat).max())
+        summary.update(_cohomology_summary(K, alpha, chain.R))
     return _chain_artifacts(chain, summary, outdir)
 
 
 def _run_threshold(cfg: RunConfig, outdir: Path):
-    grid, g0_omega, omega_pot, alpha = _build_problem(cfg)
-    solver = _solver_config(cfg)
-    estimate = estimate_R_threshold(grid, g0_omega, alpha,
-                                    R_start=_first_R(cfg), cfg=solver,
-                                    ladder_order=cfg.order)
+    alpha, solver, R, chain = _seeded_problem(cfg)
+    estimate = estimate_R_threshold(chain, alpha, R_start=R, cfg=solver)
     summary = {
         "scenario": cfg.scenario,
         "threshold": estimate.threshold,
         "bracket_low": estimate.bracket[0],
         "bracket_high": estimate.bracket[1],
-        "attempts": len(estimate.chain.records),
+        "attempts": len(chain.records),
     }
     # no fields: at 16^4 they would add 4.7 MB to every threshold call
-    return _chain_artifacts(estimate.chain, summary, None)
+    return _chain_artifacts(chain, summary, None)
 
 
 def _run_twist_perturbation(cfg: RunConfig, outdir: Path):
-    grid, g0_omega, omega_pot, alpha = _build_problem(cfg)
-    solver = _solver_config(cfg)
-    R = _first_R(cfg)
-    chain = seed_chain(grid, g0_omega, alpha, R, cfg.order, solver,
-                       potential=omega_pot.values)
+    alpha, solver, R, chain = _seeded_problem(cfg)
     base_converged = chain.step(alpha, R, solver)
     summary = {"scenario": cfg.scenario, "base_converged": base_converged,
                "R": R, "stages": cfg.perturbation_steps}
     if base_converged:
-        bump = make_trig_field(grid, [cfg.perturbation])
-        target = HermitianFormField(grid, alpha.base_matrix,
+        bump = make_trig_field(alpha.grid, [cfg.perturbation])
+        target = HermitianFormField(alpha.grid, alpha.base_matrix,
                                     alpha.potential + bump.values)
         started = time.perf_counter()
         perturb_twist(chain, target, solver, steps=cfg.perturbation_steps)

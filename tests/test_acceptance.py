@@ -27,6 +27,8 @@ from twistk.engine import (
     estimate_R_threshold,
     newton_solve,
     perturb_twist,
+    seed_chain,
+    t_to_R,
     trivial_twist,
     twisted_residual,
 )
@@ -129,9 +131,13 @@ def sweep_run(grid32):
     """Full continuity sweep plus threshold scan; feeds criteria 7 and 9."""
     apot = make_trig_field(grid32, [(0.2, (1, 0), 0.0)])
     alpha = HermitianFormField.from_potential(grid32, EYE1, apot.values)
+    schedule = default_t_schedule(20)
     started = time.perf_counter()
-    sweep = continuity_sweep(grid32, EYE1, alpha, default_t_schedule(20), ACC)
-    threshold = estimate_R_threshold(grid32, EYE1, alpha, cfg=ACC)
+    # each chain seeded at its first weight, as the runner seeds it
+    sweep = seed_chain(grid32, EYE1, alpha, t_to_R(schedule[0]), 2, ACC)
+    continuity_sweep(sweep, alpha, schedule, ACC)
+    descent = seed_chain(grid32, EYE1, alpha, 8.0, 2, ACC)
+    threshold = estimate_R_threshold(descent, alpha, R_start=8.0, cfg=ACC)
     elapsed = time.perf_counter() - started
     return {"alpha": alpha, "sweep": sweep, "threshold": threshold,
             "elapsed": elapsed}

@@ -590,6 +590,13 @@ class TestTwistPerturbation:
         assert summary["stages_converged"] == len(rows) - 1
         assert summary["final_residual_sup"] == rows[-1][3]
 
+    def test_the_n2_default_perturbation_is_lifted(self, tmp_path):
+        out = tmp_path / "perturb_default"
+        cfg = parse_config(json.dumps({"scenario": "twist_perturbation", "n": 2,
+                                       "sizes": [8, 8, 8, 8], "out": str(out)}))
+        assert cfg.perturbation == (0.2, (1, 0, 0, 0), 0.0)
+        assert run_scenario(cfg) == 0
+
     def test_base_is_checked_at_the_solve_tolerance(self, tmp_path):
         # the base converges to about 5e-8, inside newton_tol 1e-7
         out = tmp_path / "perturb_loose"
@@ -739,29 +746,24 @@ class TestSummaryRecords:
         assert summary["constant_from_classes"] == pytest.approx(-1.0, abs=1e-12)
         assert summary["constant"] == pytest.approx(-1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("scenario", ["continuity_sweep", "threshold"])
-    def test_ignored_omega_potential_is_rejected(self, scenario, tmp_path):
-        text = json.dumps({
-            "scenario": scenario,
-            "omega_potential": [
-                {"amplitude": 0.3, "wavevector": [1, 1], "phase": 0.0}
-            ],
-        })
-        with pytest.raises(ConfigError) as err:
-            parse_config(text)
-        assert any(d.startswith("omega_potential: not used by " + scenario)
-                   for d in err.value.diagnostics)
-        # the same config built in code fails the run
+    @pytest.mark.parametrize("scenario, fields", [
+        ("continuity_sweep", {"t_schedule": [0.5, 1.0]}),
+        ("threshold", {}),
+    ], ids=["continuity_sweep", "threshold"])
+    def test_omega_potential_seeds_the_sweep_and_the_threshold(
+            self, scenario, fields, tmp_path):
         out = tmp_path / scenario
-        cfg = RunConfig(scenario=scenario, sizes=(16, 16), t_schedule=(0.5, 1.0),
-                        alpha_potential=((0.2, (1, 0), 0.0),),
-                        omega_potential=((0.3, (1, 1), 0.0),), out=str(out))
-        assert run_scenario(cfg) == 1
+        text = json.dumps({
+            "scenario": scenario, "sizes": [16, 16], "order": 0, "out": str(out),
+            "omega_potential": [
+                {"amplitude": 0.1, "wavevector": [1, 1], "phase": 0.0}
+            ], **fields,
+        })
+        assert run_scenario(parse_config(text)) == 0
         summary = _strict_load(out / "summary.json")
-        assert summary["success"] is False
-        assert summary["error"].startswith(
-            "ConfigError: omega_potential: not used by " + scenario)
-        assert not (out / "steps.csv").exists()
+        assert summary["seed"] == {"source": "explicit-potential",
+                                   "ladder_error": "", "ladder_sizes": []}
+        assert summary["records"][0]["warm_source"] == "explicit-potential"
 
     @pytest.mark.parametrize("cfg, key", [
         (RunConfig(scenario="continuity_sweep", sizes=(16, 16),
@@ -771,6 +773,10 @@ class TestSummaryRecords:
          "R_schedule"),
         (RunConfig(scenario="twist_perturbation", sizes=(16, 16),
                    R_schedule=(100.0,)), "perturbation"),
+        # the sweep is seeded at its first t, so no weight may stand beside it
+        (RunConfig(scenario="continuity_sweep", sizes=(16, 16),
+                   alpha_potential=((0.2, (1, 0), 0.0),), t_schedule=(0.5, 1.0),
+                   R_schedule=(1.0,)), "R_schedule"),
     ])
     def test_code_built_scenario_rule_fails_before_any_solve(
             self, cfg, key, tmp_path, monkeypatch):
@@ -860,6 +866,24 @@ class TestStepRecords:
         # writes none
         assert (out / "fields" / "potential.bin").exists() == (
             scenario != "threshold" and any(r["converged"] for r in records))
+
+    @pytest.mark.parametrize("scenario", sorted(RUNS))
+    def test_the_runner_seeds_one_chain_per_scenario(self, scenario, tmp_path,
+                                                     monkeypatch):
+        # the engine's drivers continue the runner's chain and seed none
+        cfg, _ = self.RUNS[scenario]
+        weights = []
+        original = runner.seed_chain
+
+        def seeding(grid, g0, alpha, R, *args, **kwargs):
+            weights.append(R)
+            return original(grid, g0, alpha, R, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "seed_chain", seeding)
+        out = tmp_path / scenario
+        assert run_scenario(dataclasses.replace(cfg, out=str(out))) == 0
+        records = _strict_load(out / "summary.json")["records"]
+        assert weights == [records[0]["R"]]
 
     def test_records_name_every_warm_start(self, tmp_path):
         cfg, _ = self.RUNS["threshold"]
@@ -1121,6 +1145,27 @@ class TestN2Scenarios:
         for m in (1, 2, 3):
             assert abs(summary[f"slope_m{m}"] + m) <= 0.2
         assert len(_steps(out)) == 3 * len(summary["R_schedule"])
+
+    def test_threshold_of_the_product_case_from_omega(self, tmp_path):
+        # omega = omega_1 + omega_2 and alpha = omega_1 + 3 omega_2, with
+        # potentials in (x_1, y_1) and (x_2, y_2): the trace of alpha in
+        # omega is the constant 4, which the seed ladder needs of its base;
+        # from alpha alone the seed would be flat
+        out = tmp_path / "product"
+        cfg = parse_config(json.dumps({
+            "scenario": "threshold", "n": 2, "sizes": [8, 8, 8, 8],
+            "g0_alpha": [[1, 0], [0, 3]], "out": str(out),
+            "omega_potential": [
+                {"amplitude": 0.15, "wavevector": [1, 0, 0, 0], "phase": 0.0},
+                {"amplitude": 0.1, "wavevector": [0, 0, 1, 1], "phase": 0.0}],
+            "alpha_potential": [
+                {"amplitude": 0.15, "wavevector": [1, 0, 0, 0], "phase": 0.0},
+                {"amplitude": 0.3, "wavevector": [0, 0, 1, 1], "phase": 0.0}]}))
+        assert run_scenario(cfg) == 0
+        summary = _strict_load(out / "summary.json")
+        assert summary["seed"] == {"source": "ladder[2]", "ladder_error": "",
+                                   "ladder_sizes": [4, 4, 4, 4]}
+        assert summary["threshold"] == 0.0
 
     def test_threshold_reaches_zero(self, tmp_path):
         out = tmp_path / "threshold"

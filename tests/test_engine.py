@@ -52,6 +52,22 @@ FAST = SolverConfig(newton_tol=1e-9, max_newton=20,
                     krylov=KrylovConfig(tol=1e-10, maxiter=400))
 
 
+def swept(grid, g0, alpha, t_values, cfg=FAST, *, ladder_order=2, eigen_seed=0):
+    """A sweep as the runner makes it: the `seed_chain` chain at the first
+    weight, continued by `continuity_sweep`."""
+    chain = engine.seed_chain(grid, g0, alpha, t_to_R(t_values[0]), ladder_order, cfg)
+    continuity_sweep(chain, alpha, t_values, cfg, eigen_seed=eigen_seed)
+    return chain
+
+
+def descended(grid, g0, alpha, *, R_start, ladder_order=2, cfg=FAST, **kwargs):
+    """A threshold descent as the runner makes it: the `seed_chain` chain
+    at R_start, continued by `estimate_R_threshold`; the chain and the
+    estimate."""
+    chain = engine.seed_chain(grid, g0, alpha, R_start, ladder_order, cfg)
+    return chain, estimate_R_threshold(chain, alpha, R_start=R_start, cfg=cfg, **kwargs)
+
+
 def assert_class_plus_potential(form):
     """The form's components are exactly its class matrix plus the
     Hessian of its potential."""
@@ -565,10 +581,12 @@ class TestSolveStep:
 
 class TestContinuitySweep:
     def test_t_values_must_increase(self, grid16, alpha16):
+        chain = engine.seed_chain(grid16, EYE1, alpha16, 1.0, 2, FAST)
         with pytest.raises(PreconditionError):
-            continuity_sweep(grid16, EYE1, alpha16, (0.7, 0.3), FAST)
+            continuity_sweep(chain, alpha16, (0.7, 0.3), FAST)
         with pytest.raises(PreconditionError):
-            continuity_sweep(grid16, EYE1, alpha16, (), FAST)
+            continuity_sweep(chain, alpha16, (), FAST)
+        assert chain.records == []
 
     def test_every_t_is_mapped_before_the_first_solve(self, grid16, alpha16,
                                                       monkeypatch):
@@ -577,10 +595,10 @@ class TestContinuitySweep:
 
         monkeypatch.setattr(engine, "newton_solve", refuse)
         with pytest.raises(PreconditionError, match="must lie in"):
-            continuity_sweep(grid16, EYE1, alpha16, (0.5, 0.8, 1.5), FAST)
+            swept(grid16, EYE1, alpha16, (0.5, 0.8, 1.5))
 
     def test_flat_path_reaches_endpoint(self, grid16, alpha16):
-        chain = continuity_sweep(grid16, EYE1, alpha16, (0.5, 1.0), FAST)
+        chain = swept(grid16, EYE1, alpha16, (0.5, 1.0))
         assert len(chain.records) == 2
         assert chain.records[0].warm_source == "ladder[2]"
         assert chain.records[1].warm_source == "previous-step"
@@ -590,15 +608,15 @@ class TestContinuitySweep:
         assert abs(chain.records[1].lambda1 - (-0.0625)) <= 1e-6
 
     def test_eigen_estimation_can_be_skipped(self, grid16, alpha16):
-        (step,) = continuity_sweep(grid16, EYE1, alpha16, (0.5,), FAST,
-                                   ladder_order=0, eigen_seed=None).records
+        (step,) = swept(grid16, EYE1, alpha16, (0.5,), ladder_order=0,
+                        eigen_seed=None).records
         assert step.warm_source == "flat"
         assert math.isnan(step.lambda1)
         assert step.eigen_error == ""
         assert step.eigen_iterations == 0
 
     def test_steps_record_the_eigen_stage(self, grid16, alpha16):
-        chain = continuity_sweep(grid16, EYE1, alpha16, (0.5, 1.0), FAST)
+        chain = swept(grid16, EYE1, alpha16, (0.5, 1.0))
         for step in chain.records:
             assert step.eigen_error == ""
             assert step.eigen_iterations > 1
@@ -610,7 +628,7 @@ class TestContinuitySweep:
             raise IterationLimitError("extreme_eigenvalue: forced", [1.0])
 
         monkeypatch.setattr(engine, "extreme_eigenvalue", failing)
-        (step,) = continuity_sweep(grid16, EYE1, alpha16, (0.5,), FAST).records
+        (step,) = swept(grid16, EYE1, alpha16, (0.5,)).records
         assert step.converged
         assert math.isnan(step.lambda1)
         assert step.eigen_error == "IterationLimitError: extreme_eigenvalue: forced"
@@ -624,8 +642,7 @@ class TestContinuitySweep:
         for shift in (0, 1):
             alpha = HermitianFormField.from_potential(grid32, EYE1, make_trig_field(
                 grid32, [(0.2, (1, 0), -shift * step)]).values)
-            chain = continuity_sweep(grid32, EYE1, alpha, default_t_schedule(), FAST,
-                                     eigen_seed=None)
+            chain = swept(grid32, EYE1, alpha, default_t_schedule(), eigen_seed=None)
             works.append([(r.newton_iters, r.coarse_iters,
                            [h["linear_iterations"] for h in r.history])
                           for r in chain.records])
@@ -687,21 +704,19 @@ class TestSeedStructure:
             raise IterationLimitError("solve_F: forced", [1.0])
 
         monkeypatch.setattr(engine, "build_approximate_solution", stalled)
-        chain = continuity_sweep(grid16, EYE1, alpha16, (0.5,), FAST,
-                                 eigen_seed=None)
+        chain = swept(grid16, EYE1, alpha16, (0.5,), eigen_seed=None)
         assert chain.records[0].warm_source == chain.source == "flat"
         assert chain.ladder_error == "IterationLimitError: solve_F: forced"
         assert chain.records[0].converged
-        estimate = estimate_R_threshold(grid16, EYE1, alpha16, R_start=8.0,
-                                        bisect_steps=0, cfg=FAST)
-        assert estimate.chain.records[0].warm_source == "flat"
-        assert estimate.chain.ladder_error == "IterationLimitError: solve_F: forced"
+        chain, _ = descended(grid16, EYE1, alpha16, R_start=8.0, bisect_steps=0)
+        assert chain.records[0].warm_source == "flat"
+        assert chain.ladder_error == "IterationLimitError: solve_F: forced"
 
     def test_unsupported_order_still_raises(self, grid16, alpha16):
         with pytest.raises(UnsupportedOrderError):
-            continuity_sweep(grid16, EYE1, alpha16, (0.5,), FAST, ladder_order=9)
+            swept(grid16, EYE1, alpha16, (0.5,), ladder_order=9)
         with pytest.raises(UnsupportedOrderError):
-            estimate_R_threshold(grid16, EYE1, alpha16, cfg=FAST, ladder_order=9)
+            descended(grid16, EYE1, alpha16, R_start=8.0, ladder_order=9)
 
     def test_sweep_restarts_from_the_seed_until_a_step_converges(
             self, grid16, alpha16, monkeypatch):
@@ -714,8 +729,7 @@ class TestSeedStructure:
             return report
 
         monkeypatch.setattr(engine, "newton_solve", first_fails)
-        chain = continuity_sweep(grid16, EYE1, alpha16, (0.5, 1.0), FAST,
-                                 eigen_seed=None)
+        chain = swept(grid16, EYE1, alpha16, (0.5, 1.0), eigen_seed=None)
         assert [s.warm_source for s in chain.records] == ["ladder[2]", "ladder[2]"]
         assert [s.converged for s in chain.records] == [False, True]
 
@@ -761,11 +775,10 @@ class TestSeedChain:
         # the sweep and the threshold descent seed through it
         sizes.clear()
         alpha = self.proportional_twist(grid16, [(0.2, (1, 0), 0.0)])
-        sweep = continuity_sweep(grid16, EYE1, alpha, (0.5,), FAST, eigen_seed=None)
-        estimate = estimate_R_threshold(grid16, EYE1, alpha, R_start=8.0,
-                                        bisect_steps=0, cfg=FAST)
+        sweep = swept(grid16, EYE1, alpha, (0.5,), eigen_seed=None)
+        descent, _ = descended(grid16, EYE1, alpha, R_start=8.0, bisect_steps=0)
         assert sizes == [(8, 8), (8, 8)]
-        assert sweep.ladder_sizes == estimate.chain.ladder_sizes == (8, 8)
+        assert sweep.ladder_sizes == descent.ladder_sizes == (8, 8)
 
     def test_no_ladder_without_an_order_and_a_weight(self, grid16, monkeypatch):
         sizes = self.ladder_grids(monkeypatch)
@@ -852,11 +865,10 @@ class TestSeedChain:
             alpha = self.proportional_twist(
                 grid, [(0.2, (1,) + (0,) * (naxes - 1), -shift * step)])
             chains.append(engine.seed_chain(grid, g0, alpha, 8.0, 2, FAST))
-            estimate = estimate_R_threshold(grid, g0, alpha, R_start=8.0,
-                                            bisect_steps=0, cfg=FAST)
+            descent, _ = descended(grid, g0, alpha, R_start=8.0, bisect_steps=0)
             works.append([(r.converged, r.coarse_iters, r.newton_iters,
                            [h["linear_iterations"] for h in r.history])
-                          for r in estimate.chain.records])
+                          for r in descent.records])
         assert sup_norm(np.roll(chains[0]._seed.potential, 1, axis=0)
                         - chains[1]._seed.potential) <= 1e-13
         assert works[0] == works[1]
@@ -898,7 +910,7 @@ class TestSeedChain:
         # the speedup must not trade Newton work or accuracy for the
         # cheaper ladder: same verdicts and iterations on every attempt
         alpha = self.proportional_twist(grid8x4, [(0.2, (1, 0, 0, 0), 0.0)])
-        half = estimate_R_threshold(grid8x4, EYE2, alpha, R_start=8.0, cfg=FAST)
+        half_chain, half = descended(grid8x4, EYE2, alpha, R_start=8.0)
 
         def configured(grid, g0, alpha, R, order, cfg, **kwargs):
             ladder = build_approximate_solution(
@@ -906,18 +918,18 @@ class TestSeedChain:
             return WarmChain(ladder.structure, f"ladder[{order}]", "", grid.sizes)
 
         monkeypatch.setattr(engine, "seed_chain", configured)
-        full = estimate_R_threshold(grid8x4, EYE2, alpha, R_start=8.0, cfg=FAST)
-        assert half.chain.ladder_sizes == (4, 4, 4, 4)
-        assert full.chain.ladder_sizes == (8, 8, 8, 8)
+        full_chain, full = descended(grid8x4, EYE2, alpha, R_start=8.0)
+        assert half_chain.ladder_sizes == (4, 4, 4, 4)
+        assert full_chain.ladder_sizes == (8, 8, 8, 8)
 
         def work(r):
             return r.R, r.converged, r.coarse_iters, r.newton_iters
 
-        assert [work(r) for r in half.chain.records] == [
-            work(r) for r in full.chain.records]
+        assert [work(r) for r in half_chain.records] == [
+            work(r) for r in full_chain.records]
         assert (half.threshold, half.bracket) == (full.threshold, full.bracket)
-        assert all(r.residual_sup <= FAST.newton_tol for r in half.chain.records)
-        assert sum(r.coarse_iters for r in half.chain.records) > 0
+        assert all(r.residual_sup <= FAST.newton_tol for r in half_chain.records)
+        assert sum(r.coarse_iters for r in half_chain.records) > 0
 
 
 class TestWarmChain:
@@ -969,8 +981,7 @@ class TestWarmChain:
 
         monkeypatch.setattr(engine, "newton_solve", middle_fails)
         calls = self.record_steps(monkeypatch)
-        chain = continuity_sweep(grid16, EYE1, alpha, (0.5, 0.8, 1.0), FAST,
-                                 eigen_seed=None)
+        chain = swept(grid16, EYE1, alpha, (0.5, 0.8, 1.0), eigen_seed=None)
         assert [s.converged for s in chain.records] == [True, False, True]
         self.assert_one_rule(calls, "ladder[2]")
         assert calls[2][0] is calls[0][2]
@@ -978,9 +989,8 @@ class TestWarmChain:
 
         calls.clear()
         monkeypatch.setattr(engine, "newton_solve", original)
-        estimate = estimate_R_threshold(grid16, EYE1, alpha, R_start=8.0,
-                                        bisect_steps=0, cfg=FAST)
-        assert len(calls) == len(estimate.chain.records) > 2
+        chain, _ = descended(grid16, EYE1, alpha, R_start=8.0, bisect_steps=0)
+        assert len(calls) == len(chain.records) > 2
         self.assert_one_rule(calls, "ladder[2]")
 
         # the base step and the perturbation's stages are one chain
@@ -1030,22 +1040,22 @@ class TestWarmChain:
         monkeypatch.setattr(engine, "seed_structure", seeding)
         monkeypatch.setattr(engine, "build_approximate_solution", laddering)
         monkeypatch.setattr(engine, "solve_step", stepping)
-        estimate = estimate_R_threshold(grid16, EYE1, self.twist(grid16),
-                                        R_start=8.0, bisect_steps=0, cfg=FAST)
-        assert estimate.chain.records[0].converged
-        assert estimate.chain.source == "ladder[2]"
+        chain, _ = descended(grid16, EYE1, self.twist(grid16), R_start=8.0,
+                             bisect_steps=0)
+        assert chain.records[0].converged
+        assert chain.source == "ladder[2]"
         # only the chain's seed reaches the first step, and none outlives it
         assert alive == ([(True, False, False)]
-                         + [(False, False, False)] * (len(estimate.chain.records) - 1))
+                         + [(False, False, False)] * (len(chain.records) - 1))
 
 
 class TestThresholdEstimate:
     def test_flat_threshold_is_zero(self, grid16, alpha16):
-        estimate = estimate_R_threshold(grid16, EYE1, alpha16, R_start=8.0,
-                                        floor=0.05, bisect_steps=4, cfg=FAST)
+        chain, estimate = descended(grid16, EYE1, alpha16, R_start=8.0,
+                                    floor=0.05, bisect_steps=4)
         assert estimate.threshold == 0.0
         assert estimate.bracket == (0.0, 0.0)
-        assert all(a.converged for a in estimate.chain.records)
+        assert all(a.converged for a in chain.records)
 
     def test_failed_first_attempt_verifies_no_weight(self, grid16, alpha16,
                                                      monkeypatch):
@@ -1057,16 +1067,17 @@ class TestThresholdEstimate:
                                        message="forced failure")
 
         monkeypatch.setattr(engine, "newton_solve", failing)
-        estimate = estimate_R_threshold(grid16, EYE1, alpha16, R_start=8.0,
-                                        cfg=FAST)
+        chain, estimate = descended(grid16, EYE1, alpha16, R_start=8.0)
         assert estimate.threshold == math.inf
         assert estimate.bracket == (8.0, math.inf)
-        assert [a.R for a in estimate.chain.records] == [8.0]
+        assert [a.R for a in chain.records] == [8.0]
 
     def test_parameters_are_validated(self, grid16, alpha16):
-        for kwargs in ({"R_start": 0.0}, {"floor": 0.0}):
+        chain = engine.seed_chain(grid16, EYE1, alpha16, 8.0, 2, FAST)
+        for kwargs in ({"R_start": 0.0}, {"R_start": 8.0, "floor": 0.0}):
             with pytest.raises(PreconditionError):
-                estimate_R_threshold(grid16, EYE1, alpha16, cfg=FAST, **kwargs)
+                estimate_R_threshold(chain, alpha16, cfg=FAST, **kwargs)
+        assert chain.records == []
 
 
 class TestProportionalSeed:

@@ -46,3 +46,25 @@ def test_continuity_path_refuses_a_one_point_schedule():
     assert done.returncode == 2
     assert "--points: t schedule needs an integer number of points >= 2" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ladder_order_study.py", "--size", "16", "--points", "1"],
+     "--points: the fit needs at least 2 weights, got 1"),
+    (["continuity_path.py", "--size", "15"],
+     "--size: axis sizes must be even and >= 4, got 15"),
+    (["threshold_scan.py", "--size", "16", "--floor", "0"],
+     "--floor: must be > 0, got 0.0"),
+    (["threshold_scan.py", "--size", "16", "--r-start", "-1"],
+     "--r-start: must be > 0, got -1.0"),
+    (["ladder_order_study.py", "--size", "15"],
+     "--size: axis sizes must be even and >= 4, got 15"),
+    (["threshold_scan.py", "--size", "15"],
+     "--size: axis sizes must be even and >= 4, got 15"),
+], ids=["ladder_order_study-points", "continuity_path-size", "threshold_scan-floor",
+        "threshold_scan-r-start", "ladder_order_study-size", "threshold_scan-size"])
+def test_a_bad_argument_is_a_usage_error(argv, message):
+    done = _run(*argv)
+    assert done.returncode == 2
+    assert message in done.stderr
+    assert "Traceback" not in done.stderr
