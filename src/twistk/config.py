@@ -80,13 +80,9 @@ class RunConfig:
 _KNOWN_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
-def default_t_schedule(points: int = 20) -> tuple[float, ...]:
-    """Evenly spaced path parameters ending exactly at t = 1; DomainError
-    unless points is an integer >= 2."""
-    if isinstance(points, bool) or not isinstance(points, (int, np.integer)) or points < 2:
-        raise DomainError(f"t schedule needs an integer number of points >= 2, got {points}")
-    step = (1.0 - 0.05) / (points - 1)
-    return tuple(0.05 + i * step for i in range(points - 1)) + (1.0,)
+# the continuity_sweep default: 20 evenly spaced path parameters from
+# t = 0.05, ending exactly at t = 1
+DEFAULT_T_SCHEDULE = tuple(0.05 + i * ((1.0 - 0.05) / 19) for i in range(19)) + (1.0,)
 
 
 def default_config(scenario: str) -> RunConfig:
@@ -103,7 +99,7 @@ def default_config(scenario: str) -> RunConfig:
                        order=3, omega_potential=product_seed,
                        alpha_potential=product_seed)
     if scenario == "continuity_sweep":
-        return replace(base, t_schedule=default_t_schedule(),
+        return replace(base, t_schedule=DEFAULT_T_SCHEDULE,
                        alpha_potential=((0.2, (1, 0), 0.0),))
     if scenario == "threshold":
         return replace(base, R_schedule=(8.0,),

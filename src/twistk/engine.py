@@ -99,6 +99,10 @@ _ARMIJO = 0.25
 _IFT_RADIUS = 0.5
 _IFT_SAMPLES = 6
 _IFT_MAX_HALVINGS = 30
+# `estimate_R_threshold`: the descent halves the weight while it stays
+# above _THRESHOLD_FLOOR, and a failing interval is bisected this often
+_THRESHOLD_FLOOR = 0.05
+_THRESHOLD_BISECTIONS = 10
 
 
 @dataclass(frozen=True)
@@ -759,29 +763,28 @@ class ThresholdEstimate:
 
 
 def estimate_R_threshold(chain: WarmChain, alpha: HermitianFormField, *,
-                         R_start: float, floor: float = 0.05,
-                         bisect_steps: int = 10,
+                         R_start: float,
                          cfg: SolverConfig = SolverConfig()) -> ThresholdEstimate:
     """Descend a chain's twist weight geometrically and bracket the first
     failure.
 
     R_start is the weight the chain was seeded at.  The weight halves
-    from R_start while it stays above `floor`; each weight is one step
-    of the chain, which adds one record per weight tried.  If every
-    weight down to `floor` and then R = 0 itself converge, the estimate
-    is 0.0 with the degenerate bracket (0.0, 0.0); otherwise the failing
-    interval is bisected geometrically for `bisect_steps` rounds.  The
+    from R_start while it stays above _THRESHOLD_FLOOR; each weight is
+    one step of the chain, which adds one record per weight tried.  If
+    every weight down to the floor and then R = 0 itself converge, the
+    estimate is 0.0 with the degenerate bracket (0.0, 0.0); otherwise
+    the failing interval is bisected geometrically for
+    _THRESHOLD_BISECTIONS rounds (halved while its lower end is 0).  The
     threshold is always a verified weight; if R_start itself fails there
     is none, and the estimate is inf with the bracket (R_start, inf).
     """
-    if R_start <= 0.0 or floor <= 0.0:
-        raise PreconditionError("estimate_R_threshold: need R_start > 0 "
-                                "and floor > 0")
+    if R_start <= 0.0:
+        raise PreconditionError("estimate_R_threshold: need R_start > 0")
     if not chain.step(alpha, R_start, cfg):
         return ThresholdEstimate(math.inf, (R_start, math.inf))
     schedule = []
     R = R_start * 0.5
-    while R > floor:
+    while R > _THRESHOLD_FLOOR:
         schedule.append(R)
         R *= 0.5
     R_ok = R_start
@@ -792,7 +795,7 @@ def estimate_R_threshold(chain: WarmChain, alpha: HermitianFormField, *,
     else:
         return ThresholdEstimate(0.0, (0.0, 0.0))
     lo, hi = R, R_ok
-    for _ in range(bisect_steps):
+    for _ in range(_THRESHOLD_BISECTIONS):
         mid = math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
         if chain.step(alpha, mid, cfg):
             hi = mid

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import EYE1, random_pair, seed_structure
-from twistk.config import default_config, default_t_schedule
+from twistk.config import DEFAULT_T_SCHEDULE, default_config
 from twistk.engine import (
     SolverConfig,
     WarmChain,
@@ -131,7 +131,7 @@ def sweep_run(grid32):
     """Full continuity sweep plus threshold scan; feeds criteria 7 and 9."""
     apot = make_trig_field(grid32, [(0.2, (1, 0), 0.0)])
     alpha = HermitianFormField.from_potential(grid32, EYE1, apot.values)
-    schedule = default_t_schedule(20)
+    schedule = DEFAULT_T_SCHEDULE
     started = time.perf_counter()
     # each chain seeded at its first weight, as the runner seeds it
     sweep = seed_chain(grid32, EYE1, alpha, t_to_R(schedule[0]), 2, ACC)

@@ -21,11 +21,11 @@ import twistk.runner as runner
 import twistk.solvers as solvers
 from twistk.cli import main
 from twistk.config import (
+    DEFAULT_T_SCHEDULE,
     SCENARIOS,
     RunConfig,
     canonical_form,
     default_config,
-    default_t_schedule,
     parse_config,
 )
 from twistk.engine import (
@@ -62,17 +62,12 @@ class TestDefaults:
         assert canonical_form(cfg) == canonical_form(cfg)
 
     def test_default_schedule_shape(self):
-        sched = default_t_schedule(20)
+        sched = DEFAULT_T_SCHEDULE
         assert len(sched) == 20
         assert sched[0] == pytest.approx(0.05)
         assert sched[-1] == 1.0
         assert all(b > a for a, b in zip(sched, sched[1:]))
-        assert default_t_schedule(2) == (0.05, 1.0)
-
-    @pytest.mark.parametrize("points", [0, 1, 2.5, True])
-    def test_a_schedule_needs_two_integer_points(self, points):
-        with pytest.raises(DomainError):
-            default_t_schedule(points)
+        assert default_config("continuity_sweep").t_schedule is sched
 
     def test_unknown_scenario_is_rejected(self):
         with pytest.raises(ConfigError):
@@ -403,6 +398,44 @@ class TestCommandLine:
         bad.write_text('{"scenario": "single_solve", "mystery": 1}')
         assert main(["solve", "--config", str(bad)]) == 2
         assert "mystery" in capsys.readouterr().err
+        # weights that are not positive or not finite
+        for command, schedule, message in (
+                ("ladder", "[0, 50]", "entries must be positive"),
+                ("threshold", "[-1]", "entries must be positive"),
+                ("threshold", "[Infinity]",
+                 "must be a non-empty list of finite numbers")):
+            bad.write_text('{"R_schedule": %s}' % schedule)
+            out = tmp_path / command
+            assert main([command, "--config", str(bad), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"twistk: config error: R_schedule: {message} (line 1)" in err
+            assert "Traceback" not in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command, config", [
+        ("sweep", {"t_schedule": [0.05, 0.525, 1.0]}),
+        ("threshold", {"alpha_potential": [
+            {"amplitude": 0.1, "wavevector": [1, 0], "phase": 0.0}]}),
+        ("ladder", {"R_schedule": [50, 100], "order": 2}),
+    ], ids=["sweep", "threshold", "ladder"])
+    def test_a_study_runs_as_its_subcommand(self, tmp_path, command, config):
+        # the studies of README "Studies": the sweep and the threshold
+        # reach the untwisted end, and rung m of the ladder decays as R^-m
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / command
+        assert main([command, "--grid", "16,16", "--config", str(path),
+                     "--out", str(out)]) == 0
+        summary = _strict_load(out / "summary.json")
+        if command == "sweep":
+            assert summary["smallest_converged_R"] == 0.0
+            assert all(r["converged"] for r in summary["records"])
+        elif command == "threshold":
+            assert summary["threshold"] == 0.0
+        else:
+            assert summary["orders"] == [1, 2]
+            for m in summary["orders"]:
+                assert abs(summary[f"slope_m{m}"] + m) <= 0.2
 
     def test_option_validation(self, tmp_path):
         out = str(tmp_path / "x")
@@ -895,7 +928,7 @@ class TestStepRecords:
 
     def test_sweep_record_t_is_the_schedule_entry(self, tmp_path):
         # R_to_t(t_to_R(t)) != t for these, so t cannot be rebuilt from R
-        schedule = tuple(t for t in default_t_schedule()
+        schedule = tuple(t for t in DEFAULT_T_SCHEDULE
                          if R_to_t(t_to_R(t)) != t)[:3]
         assert len(schedule) == 3
         out = tmp_path / "sweep"

@@ -38,7 +38,7 @@ from twistk.errors import (
     PreconditionError,
     UnsupportedOrderError,
 )
-from twistk.config import RunConfig, default_t_schedule
+from twistk.config import DEFAULT_T_SCHEDULE, RunConfig
 from twistk.grid import half_grid, make_trig_field, prolong, restrict, rms_norm, sup_norm
 import twistk.engine as engine
 import twistk.runner as runner
@@ -60,12 +60,12 @@ def swept(grid, g0, alpha, t_values, cfg=FAST, *, ladder_order=2, eigen_seed=0):
     return chain
 
 
-def descended(grid, g0, alpha, *, R_start, ladder_order=2, cfg=FAST, **kwargs):
+def descended(grid, g0, alpha, *, R_start, ladder_order=2, cfg=FAST):
     """A threshold descent as the runner makes it: the `seed_chain` chain
     at R_start, continued by `estimate_R_threshold`; the chain and the
     estimate."""
     chain = engine.seed_chain(grid, g0, alpha, R_start, ladder_order, cfg)
-    return chain, estimate_R_threshold(chain, alpha, R_start=R_start, cfg=cfg, **kwargs)
+    return chain, estimate_R_threshold(chain, alpha, R_start=R_start, cfg=cfg)
 
 
 def assert_class_plus_potential(form):
@@ -642,7 +642,7 @@ class TestContinuitySweep:
         for shift in (0, 1):
             alpha = HermitianFormField.from_potential(grid32, EYE1, make_trig_field(
                 grid32, [(0.2, (1, 0), -shift * step)]).values)
-            chain = swept(grid32, EYE1, alpha, default_t_schedule(), eigen_seed=None)
+            chain = swept(grid32, EYE1, alpha, DEFAULT_T_SCHEDULE, eigen_seed=None)
             works.append([(r.newton_iters, r.coarse_iters,
                            [h["linear_iterations"] for h in r.history])
                           for r in chain.records])
@@ -708,7 +708,7 @@ class TestSeedStructure:
         assert chain.records[0].warm_source == chain.source == "flat"
         assert chain.ladder_error == "IterationLimitError: solve_F: forced"
         assert chain.records[0].converged
-        chain, _ = descended(grid16, EYE1, alpha16, R_start=8.0, bisect_steps=0)
+        chain, _ = descended(grid16, EYE1, alpha16, R_start=8.0)
         assert chain.records[0].warm_source == "flat"
         assert chain.ladder_error == "IterationLimitError: solve_F: forced"
 
@@ -776,7 +776,7 @@ class TestSeedChain:
         sizes.clear()
         alpha = self.proportional_twist(grid16, [(0.2, (1, 0), 0.0)])
         sweep = swept(grid16, EYE1, alpha, (0.5,), eigen_seed=None)
-        descent, _ = descended(grid16, EYE1, alpha, R_start=8.0, bisect_steps=0)
+        descent, _ = descended(grid16, EYE1, alpha, R_start=8.0)
         assert sizes == [(8, 8), (8, 8)]
         assert sweep.ladder_sizes == descent.ladder_sizes == (8, 8)
 
@@ -865,7 +865,7 @@ class TestSeedChain:
             alpha = self.proportional_twist(
                 grid, [(0.2, (1,) + (0,) * (naxes - 1), -shift * step)])
             chains.append(engine.seed_chain(grid, g0, alpha, 8.0, 2, FAST))
-            descent, _ = descended(grid, g0, alpha, R_start=8.0, bisect_steps=0)
+            descent, _ = descended(grid, g0, alpha, R_start=8.0)
             works.append([(r.converged, r.coarse_iters, r.newton_iters,
                            [h["linear_iterations"] for h in r.history])
                           for r in descent.records])
@@ -989,7 +989,7 @@ class TestWarmChain:
 
         calls.clear()
         monkeypatch.setattr(engine, "newton_solve", original)
-        chain, _ = descended(grid16, EYE1, alpha, R_start=8.0, bisect_steps=0)
+        chain, _ = descended(grid16, EYE1, alpha, R_start=8.0)
         assert len(calls) == len(chain.records) > 2
         self.assert_one_rule(calls, "ladder[2]")
 
@@ -1040,8 +1040,7 @@ class TestWarmChain:
         monkeypatch.setattr(engine, "seed_structure", seeding)
         monkeypatch.setattr(engine, "build_approximate_solution", laddering)
         monkeypatch.setattr(engine, "solve_step", stepping)
-        chain, _ = descended(grid16, EYE1, self.twist(grid16), R_start=8.0,
-                             bisect_steps=0)
+        chain, _ = descended(grid16, EYE1, self.twist(grid16), R_start=8.0)
         assert chain.records[0].converged
         assert chain.source == "ladder[2]"
         # only the chain's seed reaches the first step, and none outlives it
@@ -1051,8 +1050,7 @@ class TestWarmChain:
 
 class TestThresholdEstimate:
     def test_flat_threshold_is_zero(self, grid16, alpha16):
-        chain, estimate = descended(grid16, EYE1, alpha16, R_start=8.0,
-                                    floor=0.05, bisect_steps=4)
+        chain, estimate = descended(grid16, EYE1, alpha16, R_start=8.0)
         assert estimate.threshold == 0.0
         assert estimate.bracket == (0.0, 0.0)
         assert all(a.converged for a in chain.records)
@@ -1074,10 +1072,43 @@ class TestThresholdEstimate:
 
     def test_parameters_are_validated(self, grid16, alpha16):
         chain = engine.seed_chain(grid16, EYE1, alpha16, 8.0, 2, FAST)
-        for kwargs in ({"R_start": 0.0}, {"R_start": 8.0, "floor": 0.0}):
-            with pytest.raises(PreconditionError):
-                estimate_R_threshold(chain, alpha16, cfg=FAST, **kwargs)
+        with pytest.raises(PreconditionError):
+            estimate_R_threshold(chain, alpha16, R_start=0.0, cfg=FAST)
         assert chain.records == []
+
+    @pytest.mark.parametrize("fails, records", [
+        (lambda R: R < 0.7, 15),
+        (lambda R: R == 0.0, 19),
+    ], ids=["below-0.7", "at-zero-only"])
+    def test_the_first_failure_is_bisected(self, grid16, alpha16, monkeypatch,
+                                           fails, records):
+        original = engine.newton_solve
+
+        def failing(K0, alpha, R, *args, **kwargs):
+            report = original(K0, alpha, R, *args, **kwargs)
+            if fails(R):
+                report = dataclasses.replace(report, converged=False,
+                                             message="forced failure")
+            return report
+
+        monkeypatch.setattr(engine, "newton_solve", failing)
+        chain, estimate = descended(grid16, EYE1, alpha16, R_start=8.0)
+        lo, hi = estimate.bracket
+        assert len(chain.records) == records
+        assert estimate.threshold == hi
+        assert [r.converged for r in chain.records] == [not fails(r.R)
+                                                        for r in chain.records]
+        if lo > 0.0:
+            # the descent 8, 4, 2, 1 converges and 0.5 fails; ten geometric
+            # bisections of [0.5, 1] leave a ratio of 2^(1/1024)
+            assert [r.R for r in chain.records[:5]] == [8.0, 4.0, 2.0, 1.0, 0.5]
+            assert lo < 0.7 <= hi
+            assert hi / lo == pytest.approx(2.0 ** (1.0 / 1024), rel=1e-12)
+        else:
+            # the descent ends at 0.0625 and R = 0 fails, so every round
+            # halves the smallest verified weight
+            assert [r.R for r in chain.records[7:9]] == [0.0625, 0.0]
+            assert estimate.bracket == (0.0, 0.0625 / 2 ** 10)
 
 
 class TestProportionalSeed:
