@@ -22,7 +22,12 @@ real-to-complex pair: `fft` keeps the first N // 2 + 1 Fourier
 coefficients along the last axis of a real field (or of a stack of
 fields along leading axes), and `ifft` returns real fields.  They are
 normalised so that a constant field has coefficient 1 at wavevector
-zero.
+zero.  Both call scipy's compiled pocketfft extension directly, the
+module that `scipy.fft.rfftn`/`irfftn` call, loaded by its file path
+so that no `scipy.fft` (nor the `scipy.special` it imports) is loaded;
+where scipy lays that file out elsewhere, the extension is imported
+through `scipy.fft`.  The coefficients are those of `scipy.fft`, bit
+for bit.
 
 Every spectral derivative, flat solve and Sobolev weight goes through
 one half-spectrum kernel, `PeriodicGrid.derivatives`: one forward
@@ -59,14 +64,21 @@ other module holds a half-grid rule.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-import scipy.fft
+import scipy
 
 from .errors import DomainError, ShapeError, SolvabilityError
 
+# pocketfft's normalisation codes: "forward" divides the forward
+# transform by the number of points and leaves the inverse unscaled
+_FORWARD_NORM = 2
+_INVERSE_NORM = 0
 _WORKERS = 1
 # trig terms of `random_trig_terms` and `random_smooth_field`
 _RANDOM_TERMS = 6
@@ -85,6 +97,32 @@ def set_fft_workers(count: int) -> None:
 
 def fft_workers() -> int:
     return _WORKERS
+
+
+def _pocketfft_path() -> Path:
+    """Where scipy keeps its compiled pocketfft extension (a layout
+    private to scipy)."""
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    return Path(scipy.__file__).parent / "fft" / "_pocketfft" / f"pypocketfft{suffix}"
+
+
+def _load_pocketfft():
+    """scipy's pocketfft module and where it came from: the extension
+    loaded by file path, unregistered in sys.modules, or the module
+    imported through `scipy.fft` when the file is absent."""
+    path = _pocketfft_path()
+    if not path.is_file():
+        from scipy.fft._pocketfft import pypocketfft
+        return pypocketfft, "scipy.fft._pocketfft"
+    # the extension's init symbol is PyInit_pypocketfft, so it loads
+    # under this name only
+    spec = importlib.util.spec_from_file_location("pypocketfft", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module, str(path)
+
+
+_POCKETFFT, POCKETFFT_SOURCE = _load_pocketfft()
 
 
 def _axis_shape(length: int, axis: int, ndim: int) -> tuple[int, ...]:
@@ -183,17 +221,20 @@ class PeriodicGrid:
         along the last axis, normalised so a constant has coefficient 1."""
         if values.shape[values.ndim - len(self.sizes):] != self.sizes:
             raise ShapeError(f"field shape {values.shape} does not end in grid {self.shape}")
-        return scipy.fft.rfftn(values, axes=self._axes, norm="forward", workers=_WORKERS)
+        if np.iscomplexobj(values):
+            raise DomainError(f"fft takes real fields, got dtype {values.dtype}")
+        return _POCKETFFT.r2c(np.asarray(values, dtype=float), self._axes, True,
+                              _FORWARD_NORM, None, _WORKERS)
 
     def ifft(self, coeffs: np.ndarray) -> np.ndarray:
         """Inverse of `fft`: real fields from half spectra."""
         if coeffs.shape[coeffs.ndim - len(self.sizes):] != self.half_shape:
             raise ShapeError(
                 f"half-spectrum shape {coeffs.shape} does not end in {self.half_shape}")
-        return scipy.fft.irfftn(coeffs, s=self.sizes, axes=self._axes, norm="forward",
-                                workers=_WORKERS)
+        return _POCKETFFT.c2r(np.asarray(coeffs, dtype=complex), self._axes, self.sizes[-1],
+                              False, _INVERSE_NORM, None, _WORKERS)
 
-    @property
+    @functools.cached_property
     def _axes(self) -> tuple[int, ...]:
         return tuple(range(-len(self.sizes), 0))
 

@@ -55,6 +55,7 @@ from .geometry import (
     volume_mean_zero,
 )
 from .grid import (
+    POCKETFFT_SOURCE,
     PeriodicGrid,
     ScalarField,
     euclid_mean_zero,
@@ -113,6 +114,7 @@ def _write_manifest(outdir: Path, cfg: RunConfig) -> None:
             "twistk": __version__,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
+            "pocketfft": POCKETFFT_SOURCE,
             "python": platform.python_version(),
         },
     }

@@ -38,6 +38,7 @@ from twistk.errors import ConfigError, DomainError
 from twistk.fieldio import read_field, write_field
 from twistk.geometry import HermitianFormField, KahlerStructure
 from twistk.grid import (
+    POCKETFFT_SOURCE,
     PeriodicGrid,
     euclid_mean_zero,
     fft_workers,
@@ -250,7 +251,11 @@ class TestCommandLine:
         assert float(row.split(",")[3]) <= 1e-9
         summary = json.loads((out / "summary.json").read_text())
         assert summary["converged"] is True
-        assert (out / "manifest.json").exists()
+        # the run names the transform module it loaded
+        versions = json.loads((out / "manifest.json").read_text())["versions"]
+        assert versions["pocketfft"] == POCKETFFT_SOURCE
+        assert (POCKETFFT_SOURCE == "scipy.fft._pocketfft"
+                or Path(POCKETFFT_SOURCE).name.startswith("pypocketfft."))
         assert (out / "fields" / "potential.bin").exists()
         n, pot = read_field(out / "fields" / "potential.bin")
         assert n == 1

@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, strategies as st
 
+import twistk.grid as grid_module
 from twistk import PeriodicGrid, ScalarField
 from twistk.errors import DomainError, ShapeError, SolvabilityError
 from twistk.grid import (
+    fft_workers,
     flat_laplacian_symbol,
     flat_poisson_solve,
     half_grid,
@@ -19,6 +24,7 @@ from twistk.grid import (
     prolong,
     restrict,
     rms_norm,
+    set_fft_workers,
     sobolev_norm,
     sup_norm,
 )
@@ -74,6 +80,48 @@ class TestConstruction:
         assert int((~mask).sum()) == resolved
 
 
+@pytest.fixture(params=["file", "package"])
+def pocketfft_loader(request, monkeypatch):
+    """The pocketfft module the transform pair calls: the extension
+    loaded by file path, or the one imported through scipy.fft when the
+    file lookup misses."""
+    if request.param == "package":
+        monkeypatch.setattr(grid_module, "_pocketfft_path",
+                            lambda: Path("absent") / "pypocketfft.so")
+        module, source = grid_module._load_pocketfft()
+        assert source == "scipy.fft._pocketfft"
+        monkeypatch.setattr(grid_module, "_POCKETFFT", module)
+    else:
+        # the file loader leaves sys.modules alone
+        assert Path(grid_module.POCKETFFT_SOURCE).is_file()
+        assert "pypocketfft" not in sys.modules
+    return request.param
+
+
+class TestPocketfftLoaders:
+    @pytest.mark.parametrize("n, sizes", [(1, (32, 32)), (2, (16, 16, 16, 16))])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pair_is_bit_identical_to_scipy_fft(self, pocketfft_loader, n, sizes, lead,
+                                                workers):
+        grid = PeriodicGrid(n, sizes)
+        values = np.random.default_rng(11).standard_normal(lead + sizes)
+        axes = tuple(range(-len(sizes), 0))
+        before = fft_workers()
+        set_fft_workers(workers)
+        try:
+            coeffs = grid.fft(values)
+            back = grid.ifft(coeffs)
+        finally:
+            set_fft_workers(before)
+        expected = scipy.fft.rfftn(values, axes=axes, norm="forward", workers=workers)
+        assert coeffs.dtype == expected.dtype and coeffs.shape == expected.shape
+        assert np.array_equal(coeffs.view(float), expected.view(float))
+        expected = scipy.fft.irfftn(coeffs, s=sizes, axes=axes, norm="forward",
+                                    workers=workers)
+        assert back.dtype == expected.dtype and np.array_equal(back, expected)
+
+
 class TestTransforms:
     def test_constant_field_maps_to_unit_coefficient(self, grid32):
         coeffs = grid32.fft(np.ones(grid32.shape))
@@ -97,6 +145,13 @@ class TestTransforms:
         # a full spectrum is not a half spectrum
         with pytest.raises(ShapeError):
             grid32.ifft(np.zeros(grid32.shape, dtype=complex))
+
+    def test_complex_field_is_rejected(self, grid32):
+        # the real-to-complex transform would keep only the real part
+        with pytest.raises(DomainError, match="real"):
+            grid32.fft(np.ones(grid32.shape, dtype=complex))
+        with pytest.raises(DomainError, match="real"):
+            grid32.fft(np.zeros((2,) + grid32.shape, dtype=np.complex64))
 
     @given(terms=trig_terms(2, 1.0))
     def test_round_trip_recovers_field(self, terms):

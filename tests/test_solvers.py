@@ -307,6 +307,16 @@ def test_runner_import_loads_no_dense_linear_algebra():
     assert _modules_after_import("twistk.runner, twistk.cli", "scipy.linalg") == "[]"
 
 
+def test_runner_import_loads_no_scipy_fft():
+    # the grid calls scipy's compiled pocketfft extension by file path
+    assert _modules_after_import("twistk.runner, twistk.cli", "scipy.fft") == "[]"
+
+
+def test_runner_import_loads_no_scipy_special():
+    # scipy.fft's Python layer was what imported scipy.special
+    assert _modules_after_import("twistk.runner, twistk.cli", "scipy.special") == "[]"
+
+
 class TestKrylovConfig:
     @pytest.mark.parametrize("kwargs", [{"maxiter": 0}, {"maxiter": -3},
                                         {"tol": 0.0}, {"tol": 1.0}, {"tol": -1e-10},
