@@ -29,6 +29,8 @@ _MAX_RANK = 8
 
 def write_field(path: str | Path, n: int, values: np.ndarray) -> None:
     """Write a real float64 array with its complex dimension tag."""
+    if np.iscomplexobj(values):
+        raise DomainError(f"stored fields must be real, got dtype {np.asarray(values).dtype}")
     values = np.ascontiguousarray(values, dtype=np.float64)
     if values.ndim == 0 or values.ndim > _MAX_RANK:
         raise ShapeError(f"field rank must be 1..{_MAX_RANK}, got {values.ndim}")

@@ -13,16 +13,33 @@ Ricci and scalar curvature) cached.  The volume form weights the
 uniform quadrature by det g; `volume_average`, `volume_mean_zero` and
 `volume_rms` are the volume products the solvers and operators use.
 
+Layout: every Hermitian (1,1)-field is stored real, in the layout of
+the grid's Hessian stack (`PeriodicGrid.hessian_stack`): the n diagonal
+entries G[j, j], then Re G[j, k] and Im G[j, k] for each pair j < k,
+so one real field at n = 1 and four at n = 2, [G11, G22, Re G12,
+Im G12].  The form's `stack`, the structure's `inverse_stack` and
+`ricci()` are such stacks, and so are the coefficient fields operator
+handles precompute.  Pointwise algebra on stacks (determinant, smallest
+eigenvalue, inverse, the sandwich P A P, the product of a matrix field
+with a vector field, traces) is written in closed form for n in {1, 2},
+in real arithmetic.  The complex (n, n) + shape arrays `comps` and
+`inverse` are views, assembled on demand by `grid.hermitian_matrix` and
+never cached; only reports, oracles and tests read them.
+
 Index conventions: for a Hermitian matrix field G the inverse tensor is
 g^{j kbar} = (G^{-1})[k, j], so the Laplacian g^{jk} f_{jk} is the
 pointwise trace tr(G^{-1} Hess f), the trace of a (1,1)-form alpha is
 tr(G^{-1} A), and the form pairing (alpha, beta) is tr(P A P B) with
 P = G^{-1}.  With these choices (omega, i d dbar phi) equals the
-Laplacian of phi identically.
+Laplacian of phi identically.  `inverse_stack` is the layout of
+P = G^{-1} itself, so g^{1 2bar} = P[1, 0] is the conjugate of its
+(Re, Im) pair.
 
 Gradient pairings (d f, dbar h) take the real part of the Hermitian
 contraction g^{jk} (d_j f)(d_kbar h); the operator identities consumed
 downstream are exactly the real parts of their complex counterparts.
+Gradients are carried as the (Re, Im) halves of d/dzbar, the grid's
+first-order stack (`PeriodicGrid.dzbar_stack`).
 """
 
 from __future__ import annotations
@@ -38,39 +55,82 @@ from .grid import (
     ScalarField,
     _check_hermitian,
     _check_hermitian_matrix,
-    hessian,
-    holo_gradient,
+    hermitian_matrix,
+    hermitian_stack,
 )
 
 
-def _hermitian_min_eigenvalue(comps: np.ndarray, det: np.ndarray) -> np.ndarray:
-    """Pointwise smallest eigenvalue of a (n,n)+shape Hermitian field,
-    from its trace and its pointwise determinant det."""
-    if comps.shape[0] == 1:
+def stack_det(s: np.ndarray) -> np.ndarray:
+    """Pointwise determinant of the Hermitian stack s."""
+    if len(s) == 1:
+        return s[0]
+    return s[0] * s[1] - (s[2] * s[2] + s[3] * s[3])
+
+
+def stack_min_eigenvalue(s: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """Pointwise smallest eigenvalue of the Hermitian stack s, from its
+    trace and its pointwise determinant det."""
+    if len(s) == 1:
         return det
-    tr = (comps[0, 0] + comps[1, 1]).real
+    tr = s[0] + s[1]
     disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
     return 0.5 * (tr - disc)
 
 
-def _hermitian_det(comps: np.ndarray) -> np.ndarray:
-    n = comps.shape[0]
-    if n == 1:
-        return comps[0, 0].real
-    return (comps[0, 0] * comps[1, 1] - comps[0, 1] * comps[1, 0]).real
+def stack_inverse(s: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """Stack of the pointwise inverse of the Hermitian stack s with
+    determinant det: the adjugate over det."""
+    if len(s) == 1:
+        return (1.0 / det)[None]
+    return np.stack([s[1] / det, s[0] / det, -s[2] / det, -s[3] / det])
 
 
-def _hermitian_inv(comps: np.ndarray, det: np.ndarray) -> np.ndarray:
-    n = comps.shape[0]
-    inv = np.empty_like(comps)
-    if n == 1:
-        inv[0, 0] = 1.0 / det
-        return inv
-    inv[0, 0] = comps[1, 1] / det
-    inv[1, 1] = comps[0, 0] / det
-    inv[0, 1] = -comps[0, 1] / det
-    inv[1, 0] = -comps[1, 0] / det
-    return inv
+def stack_conj(s: np.ndarray) -> np.ndarray:
+    """Stack of the conjugate (the transpose) of the Hermitian stack s."""
+    if len(s) == 1:
+        return s
+    return np.concatenate([s[:3], -s[3:]])
+
+
+def stack_sandwich(p: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Stack of the pointwise product P A P of two Hermitian stacks."""
+    if len(p) == 1:
+        return (p * a) * p
+    p0, p1, qr, qi = p
+    a0, a1, br, bi = a
+    # with P = [[p0, q], [conj q, p1]] and A = [[a0, b], [conj b, a1]]:
+    # (PAP)_jj = a0 |P_j0|^2 + 2 P_jj Re(b conj q) + a1 |P_j1|^2 and
+    # (PAP)_01 = q (a0 p0 + a1 p1) + b p0 p1 + conj(b) q^2
+    cross = 2.0 * (br * qr + bi * qi)
+    qq = qr * qr + qi * qi
+    q2r = qr * qr - qi * qi
+    q2i = 2.0 * qr * qi
+    u = a0 * p0 + a1 * p1
+    pp = p0 * p1
+    return np.stack([a0 * p0 * p0 + p0 * cross + a1 * qq,
+                     a0 * qq + p1 * cross + a1 * p1 * p1,
+                     qr * u + pp * br + br * q2r + bi * q2i,
+                     qi * u + pp * bi + br * q2i - bi * q2r])
+
+
+def stack_matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Product M v of a Hermitian stack with a complex vector field, both
+    as real parts: v is (Re v_1..Re v_n, Im v_1..Im v_n), the layout of
+    the grid's first-order stack, and so is the result."""
+    if len(m) == 1:
+        return m * v
+    m0, m1, mr, mi = m
+    v0r, v1r, v0i, v1i = v
+    return np.stack([m0 * v0r + mr * v1r - mi * v1i,
+                     mr * v0r + mi * v0i + m1 * v1r,
+                     m0 * v0i + mr * v1i + mi * v1r,
+                     mr * v0i - mi * v0r + m1 * v1i])
+
+
+def stack_trace(grid: PeriodicGrid, s: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Pointwise Re tr(S H) of two Hermitian stacks (real for Hermitian
+    S and H)."""
+    return np.einsum("i...,i...->...", grid.hessian_pairing(s), h)
 
 
 @dataclass(frozen=True)
@@ -80,26 +140,27 @@ class HermitianFormField:
     On a flat torus every closed real (1,1)-form is a constant Hermitian
     matrix (its cohomology class) plus the complex Hessian of a real
     potential, so `base_matrix` and `potential` determine the form.  Its
-    pointwise components comps = base_matrix + Hess(potential) are
-    derived once, at construction.
+    pointwise components are derived once, at construction, as the real
+    `stack`: the class matrix in the Hessian-stack layout plus the
+    Hessian stack of the potential.  `comps` is their complex view.
     """
 
     grid: PeriodicGrid
     base_matrix: np.ndarray
     potential: np.ndarray
-    comps: np.ndarray = field(init=False, repr=False, compare=False)
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.grid.n
-        matrix = _check_hermitian(self.base_matrix, n, "class matrix of the form")
+        grid = self.grid
+        matrix = _check_hermitian(self.base_matrix, grid.n, "class matrix of the form")
         pot = np.asarray(self.potential, dtype=float)
-        if pot.shape != self.grid.shape:
+        if pot.shape != grid.shape:
             raise ShapeError(
-                f"form potential shape {pot.shape} does not match grid {self.grid.shape}")
-        comps = matrix.reshape((n, n) + (1,) * len(self.grid.sizes)) + hessian(self.grid, pot)
+                f"form potential shape {pot.shape} does not match grid {grid.shape}")
+        base = hermitian_stack(matrix).reshape((-1,) + (1,) * len(grid.sizes))
         object.__setattr__(self, "base_matrix", matrix)
         object.__setattr__(self, "potential", pot)
-        object.__setattr__(self, "comps", comps)
+        object.__setattr__(self, "stack", base + grid.derivatives(pot, grid.hessian_stack))
 
     @classmethod
     def from_potential(cls, grid: PeriodicGrid, matrix: np.ndarray,
@@ -107,8 +168,14 @@ class HermitianFormField:
         """The form matrix + Hess(potential); None is the zero potential."""
         return cls(grid, matrix, np.zeros(grid.shape) if potential is None else potential)
 
+    @property
+    def comps(self) -> np.ndarray:
+        """Complex components, shape (n, n) + grid.shape: a view of
+        `stack` assembled on each call."""
+        return hermitian_matrix(self.stack)
+
     def min_eigenvalue(self) -> float:
-        return float(_hermitian_min_eigenvalue(self.comps, _hermitian_det(self.comps)).min())
+        return float(stack_min_eigenvalue(self.stack, stack_det(self.stack)).min())
 
 
 @dataclass(frozen=True)
@@ -116,10 +183,11 @@ class KahlerStructure(HermitianFormField):
     """Kahler metric: a closed (1,1)-form positive definite at every point.
 
     The class matrix must be positive definite, and construction fails
-    with the offending grid point if comps is not positive definite
+    with the offending grid point if the metric is not positive definite
     everywhere.  The volume weight det g (`weight`) and the pointwise
     inverse are cached at construction, the Ricci and scalar curvature
-    on first use.
+    on first use; every cached field is real, a scalar field or a
+    Hermitian stack.
     """
 
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -127,8 +195,8 @@ class KahlerStructure(HermitianFormField):
     def __post_init__(self):
         _check_hermitian_matrix(self.base_matrix, self.grid.n, "class matrix g0")
         super().__post_init__()
-        det = _hermitian_det(self.comps)
-        mineig = _hermitian_min_eigenvalue(self.comps, det)
+        det = stack_det(self.stack)
+        mineig = stack_min_eigenvalue(self.stack, det)
         worst = float(mineig.min())
         if worst <= 0.0:
             point = tuple(int(i) for i in np.unravel_index(int(mineig.argmin()), self.grid.shape))
@@ -138,15 +206,22 @@ class KahlerStructure(HermitianFormField):
                 eigenvalue=worst,
             )
         self._cache["weight"] = det
-        self._cache["inv"] = _hermitian_inv(self.comps, det)
+        self._cache["inverse"] = stack_inverse(self.stack, det)
 
     @property
     def n(self) -> int:
         return self.grid.n
 
     @property
+    def inverse_stack(self) -> np.ndarray:
+        """Stack of the pointwise inverse matrix P = G^{-1}."""
+        return self._cache["inverse"]
+
+    @property
     def inverse(self) -> np.ndarray:
-        return self._cache["inv"]
+        """Complex inverse matrix field, a view of `inverse_stack`
+        assembled on each call."""
+        return hermitian_matrix(self.inverse_stack)
 
     @property
     def weight(self) -> np.ndarray:
@@ -159,16 +234,15 @@ class KahlerStructure(HermitianFormField):
         return self._cache["logdet"]
 
     def ricci(self) -> np.ndarray:
-        """Ricci components -Hess(log det g), shape (n,n)+grid.shape."""
+        """Stack of the Ricci components -Hess(log det g)."""
         if "ricci" not in self._cache:
-            self._cache["ricci"] = -hessian(self.grid, self.log_det())
+            grid = self.grid
+            self._cache["ricci"] = -grid.derivatives(self.log_det(), grid.hessian_stack)
         return self._cache["ricci"]
 
     def scalar(self) -> np.ndarray:
         if "scalar" not in self._cache:
-            self._cache["scalar"] = np.einsum(
-                "kj...,jk...->...", self.inverse, self.ricci()
-            ).real
+            self._cache["scalar"] = stack_trace(self.grid, self.inverse_stack, self.ricci())
         return self._cache["scalar"]
 
 
@@ -187,14 +261,14 @@ def scalar_curvature(K: KahlerStructure) -> ScalarField:
 
 def trace_form(K: KahlerStructure, alpha: HermitianFormField) -> ScalarField:
     """Metric trace g^{jk} alpha_{jk} (real for Hermitian alpha)."""
-    vals = np.einsum("kj...,jk...->...", K.inverse, alpha.comps).real
-    return ScalarField(K.grid, vals)
+    return ScalarField(K.grid, stack_trace(K.grid, K.inverse_stack, alpha.stack))
 
 
 def laplacian(K: KahlerStructure, f: ScalarField) -> ScalarField:
     """Complex Laplacian g^{jk} d_j d_kbar f."""
     grid = K.grid
-    return ScalarField(grid, grid.hessian_trace(grid.hessian_pairing(K.inverse), f.values))
+    return ScalarField(grid, grid.hessian_trace(grid.hessian_pairing(K.inverse_stack),
+                                                f.values))
 
 
 def form_pairing(K: KahlerStructure, alpha: HermitianFormField,
@@ -204,17 +278,21 @@ def form_pairing(K: KahlerStructure, alpha: HermitianFormField,
     Real for Hermitian arguments; with alpha = omega it reduces to the
     metric trace of beta.
     """
-    vals = np.einsum(
-        "lj...,jk...,km...,ml...->...", K.inverse, alpha.comps, K.inverse, beta.comps
-    ).real
-    return ScalarField(K.grid, vals)
+    pap = stack_sandwich(K.inverse_stack, alpha.stack)
+    return ScalarField(K.grid, stack_trace(K.grid, pap, beta.stack))
 
 
 def gradient_pairing(K: KahlerStructure, f: ScalarField, h: ScalarField) -> ScalarField:
-    """Real part of g^{jk} (d/dz_j f)(d/dzbar_k h)."""
-    u = holo_gradient(K.grid, f.values)
-    v = holo_gradient(K.grid, h.values)
-    return ScalarField(K.grid, np.einsum("kj...,j...,k...->...", K.inverse, u, np.conj(v)).real)
+    """Real part of g^{jk} (d/dz_j f)(d/dzbar_k h).
+
+    With U = d/dzbar f and V = d/dzbar h this is Re sum_k V_k conj((P^T U)_k),
+    the real dot product of the (Re, Im) halves of P^T U and V.
+    """
+    grid = K.grid
+    u = grid.derivatives(f.values, grid.dzbar_stack)
+    v = grid.derivatives(h.values, grid.dzbar_stack)
+    pu = stack_matvec(stack_conj(K.inverse_stack), u)
+    return ScalarField(grid, np.einsum("i...,i...->...", pu, v))
 
 
 def volume_average(K: KahlerStructure, f: ScalarField | np.ndarray) -> float:

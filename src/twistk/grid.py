@@ -53,6 +53,16 @@ closure, the Sobolev weights) is the pairing of a constant matrix with
 the Hessian stack (`hessian_symbol`), the same pairing that
 `hessian_trace` forms with variable coefficients.
 
+The Hessian stack's layout is the one layout of Hermitian matrix fields
+in the package: the n diagonal entries, then Re and Im of entry (j, k)
+for each pair j < k, all real.  A form's components, the inverse metric,
+the Ricci components and every coefficient field of an operator are kept
+in it.  `hermitian_stack` puts a complex matrix (field) into the layout,
+`hessian_pairing` turns a stack S into the coefficients of Re tr(S H)
+against the Hessian stack, for a constant matrix and a field alike, and
+`hermitian_matrix` assembles the complex (n, n) view that `hessian` and
+the reports read.
+
 The half grid, where the seed ladder and the two-grid Newton step
 solve, has one owner here: `PeriodicGrid.half` builds it once per grid,
 `half_grid` picks by one rule the points of each axis that a field keeps
@@ -321,15 +331,16 @@ class PeriodicGrid:
         halves = [self._split(self._holo_factor(j, True) * resolved) for j in range(self.n)]
         return np.stack([h[0] for h in halves] + [h[1] for h in halves])
 
-    def hessian_pairing(self, S: np.ndarray) -> np.ndarray:
-        """Real coefficients c with Re sum_{l,m} S[l,m] H[m,l] = sum_i c_i h_i,
-        h the Hessian stack of a real field and H its complex Hessian."""
-        n = self.n
-        parts = [S[j, j].real for j in range(n)]
-        for j, k in _pairs(n):
-            parts.append(S[j, k].real + S[k, j].real)
-            parts.append(S[j, k].imag - S[k, j].imag)
-        return np.stack(parts)
+    def hessian_pairing(self, stack: np.ndarray) -> np.ndarray:
+        """Real coefficients c with Re tr(S H) = sum_i c_i h_i, for S the
+        Hermitian matrix (field) with Hessian-stack layout `stack`, h the
+        Hessian stack of a real field and H its complex Hessian: the
+        stack with each off-diagonal entry doubled, since Re tr(S H)
+        sums S_jk H_kj + S_kj H_jk = 2 (Re S_jk Re H_jk + Im S_jk Im H_jk)
+        over every pair j < k."""
+        weights = np.ones(self.n * self.n)
+        weights[self.n:] = 2.0
+        return stack * weights.reshape((-1,) + (1,) * (stack.ndim - 1))
 
     def hessian_trace(self, pairing: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Re tr(S H) for the Hessian H of values, given S's `hessian_pairing`."""
@@ -339,11 +350,12 @@ class PeriodicGrid:
     def hessian_symbol(self, S: np.ndarray) -> np.ndarray:
         """Real half-spectrum multiplier of the constant-coefficient
         operator v -> Re tr(S H) for a constant n x n matrix S, H the
-        complex Hessian of v: S's `hessian_pairing` against the Hessian
-        stack, which is real on every mode not touching a Nyquist
-        wavenumber.  Keeping the real part keeps the self-adjoint part
-        of the operator there."""
-        return np.einsum("i,i...->...", self.hessian_pairing(S), self.hessian_stack).real
+        complex Hessian of v: the `hessian_pairing` of S's Hermitian
+        part against the Hessian stack, which is real on every mode not
+        touching a Nyquist wavenumber.  Keeping the real part keeps the
+        self-adjoint part of the operator there."""
+        pairing = self.hessian_pairing(hermitian_stack(S))
+        return np.einsum("i,i...->...", pairing, self.hessian_stack).real
 
 
 @dataclass(frozen=True)
@@ -354,6 +366,9 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.values):
+            raise DomainError(f"scalar field samples must be real, got dtype "
+                              f"{np.asarray(self.values).dtype}")
         values = np.asarray(self.values, dtype=float)
         if values.shape != self.grid.shape:
             raise ShapeError(
@@ -364,15 +379,25 @@ class ScalarField:
         object.__setattr__(self, "values", values)
 
 
-def hessian(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
-    """Complex Hessian H[j, k] = d/dz_j d/dzbar_k applied to values.
+def hermitian_stack(matrix: np.ndarray) -> np.ndarray:
+    """Hessian-stack layout of the Hermitian part of an (n, n) matrix, or
+    of an (n, n) + shape matrix field: the n diagonal entries, then Re
+    and Im of entry (j, k) for each pair j < k.  Real, with leading
+    length n * n."""
+    n = matrix.shape[0]
+    parts = [matrix[j, j].real for j in range(n)]
+    for j, k in _pairs(n):
+        parts.append(0.5 * (matrix[j, k].real + matrix[k, j].real))
+        parts.append(0.5 * (matrix[j, k].imag - matrix[k, j].imag))
+    return np.stack(parts)
 
-    Output has shape (n, n) + grid.shape and is pointwise Hermitian for
-    real input.
-    """
-    n = grid.n
-    stack = grid.derivatives(values, grid.hessian_stack)
-    out = np.empty((n, n) + grid.shape, dtype=complex)
+
+def hermitian_matrix(stack: np.ndarray) -> np.ndarray:
+    """The complex (n, n) + shape Hermitian matrix field whose Hessian-stack
+    layout is stack; the inverse of `hermitian_stack` on Hermitian input.
+    A view assembled on demand: nothing on the hot path calls it."""
+    n = math.isqrt(len(stack))
+    out = np.empty((n, n) + stack.shape[1:], dtype=complex)
     for j in range(n):
         out[j, j] = stack[j]
     for i, (j, k) in enumerate(_pairs(n)):
@@ -380,6 +405,15 @@ def hessian(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
         out[j, k] = re + 1j * im
         out[k, j] = re - 1j * im
     return out
+
+
+def hessian(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
+    """Complex Hessian H[j, k] = d/dz_j d/dzbar_k applied to values.
+
+    Output has shape (n, n) + grid.shape and is pointwise Hermitian for
+    real input: the view `hermitian_matrix` of the Hessian stack.
+    """
+    return hermitian_matrix(grid.derivatives(values, grid.hessian_stack))
 
 
 def holo_gradient(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:

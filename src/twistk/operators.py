@@ -35,9 +35,11 @@ the same unresolved modes and stay at the level of the coefficient
 tails, which Krylov solves never see on resolved data.
 
 Operators are realised as handles that precompute, once, the real
-coefficient fields of every Hermitian contraction (for instance
-P_11, P_22, 2 Re P_21 and -2 Im P_21 for the Laplacian g^{kj} H_jk
-against the grid's Hessian stack).  Each application is then one or two
+coefficient fields of every Hermitian contraction from the structure's
+Hermitian stacks, in real arithmetic (for instance P_11, P_22,
+2 Re P_12 and 2 Im P_12 for the Laplacian g^{kj} H_jk against the
+grid's Hessian stack, and the stacks of P Ric P, P alpha P and the twist
+flux).  Each application is then one or two
 rounds of the grid's half-spectrum derivative kernel with
 real-arithmetic contractions in between.  The first round transforms
 the input with the Hessian stack (fourth-order kinds) and the d/dzbar
@@ -57,8 +59,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, RefusalError, ShapeError
-from .geometry import HermitianFormField, KahlerStructure, volume_average, volume_mean_zero
-from .grid import PeriodicGrid, holo_gradient
+from .geometry import (
+    HermitianFormField,
+    KahlerStructure,
+    stack_conj,
+    stack_matvec,
+    stack_sandwich,
+    volume_average,
+    volume_mean_zero,
+)
+from .grid import PeriodicGrid
 
 DENSE_POINT_CAP = 4096
 
@@ -108,7 +118,7 @@ class LinearOperatorHandle:
         if self.kind not in KINDS:
             raise DomainError(f"unknown operator kind {self.kind!r}; expected one of {KINDS}")
         K = self.K
-        P = K.inverse
+        P = K.inverse_stack
         grid = K.grid
 
         # first stage: one batched derivative of the input, contracted
@@ -118,10 +128,9 @@ class LinearOperatorHandle:
         weak = 1.0
         coeffs = []
         if fourth:
-            pricp = np.einsum("lj...,jk...,km...->lm...", P, K.ricci(), P)
+            pricp = stack_sandwich(P, K.ricci())
             if self.kind == "full_linearization":
-                pap = np.einsum("lj...,jk...,km...->lm...", P, self.alpha.comps, P)
-                second = self.R * pap - pricp
+                second = self.R * stack_sandwich(P, self.alpha.stack) - pricp
                 weak = 0.0
             else:  # shifted
                 second = -pricp
@@ -129,9 +138,10 @@ class LinearOperatorHandle:
             coeffs.append(grid.hessian_pairing(second))
         if self.kind == "shifted":
             # Re sum_k g^{kj} d_j f * conj(d_k phi) with conj(d_k phi) =
-            # d_{zbar_k} phi, phi's first-order stack as (Re, Im)
-            grad = np.einsum("kj...,j...->k...", P, holo_gradient(grid, -K.scalar()))
-            coeffs.append(np.concatenate([grad.real, -grad.imag]))
+            # d_{zbar_k} phi, phi's first-order stack as (Re, Im): the
+            # coefficients are conj(P d f) = P^T d/dzbar f
+            dzbar = grid.derivatives(-K.scalar(), grid.dzbar_stack)
+            coeffs.append(stack_matvec(stack_conj(P), dzbar))
         mults = [grid.hessian_stack] if fourth else []
         if self.kind != "full_linearization":
             mults.append(grid.dzbar_stack)
@@ -143,9 +153,8 @@ class LinearOperatorHandle:
             self._ctx["lap"] = grid.hessian_pairing(P)
         if weak:
             # flux G_l = det(g) sum_m Q[l, m] d_{zbar_m} phi with
-            # Q = (P alpha P)^T, kept as its real and imaginary parts
-            Q = self.weight * np.einsum("mj...,jk...,kl...->lm...", P, self.alpha.comps, P)
-            self._ctx["flux"] = np.stack([Q.real, Q.imag])
+            # Q = (P alpha P)^T, kept as its stack
+            self._ctx["flux"] = self.weight * stack_conj(stack_sandwich(P, self.alpha.stack))
             self._ctx["closure"] = _closure_multiplier(grid, K.base_matrix, self.alpha)
 
     @property
@@ -169,6 +178,9 @@ class LinearOperatorHandle:
         """
         grid = self.grid
         ctx = self._ctx
+        if np.iscomplexobj(values):
+            raise DomainError(f"operators act on real fields, got dtype "
+                              f"{np.asarray(values).dtype}")
         values = np.asarray(values, dtype=float)
         if values.shape != grid.shape:
             raise ShapeError(f"field shape {values.shape} does not match grid {grid.shape}")
@@ -190,9 +202,7 @@ class LinearOperatorHandle:
             # d/dz_l is the dzbar stack with Im negated, so
             # sum_l Re d_{z_l} A_l - Im d_{z_l} B_l is one pairing of (A, B)
             # with the dzbar stack
-            grads = fields[-2 * n:].reshape((2, n) + grid.shape)
-            prods = np.einsum("clm...,sm...->csl...", ctx["flux"], grads)
-            staged.extend([prods[0, 0] - prods[1, 1], prods[1, 0] + prods[0, 1]])
+            staged.append(stack_matvec(ctx["flux"], fields[-2 * n:]))
         del fields
         hats = grid.fft(np.concatenate(staged))
         spec = np.empty((nh + (1 if weak else 0),) + hats.shape[1:], dtype=complex)

@@ -149,11 +149,12 @@ def naive_trace_form(K: KahlerStructure, alpha: HermitianFormField) -> np.ndarra
     no einsum, no closed-form adjugate.
     """
     inv = pointwise_inverse(K.comps)
+    a = alpha.comps
     n = K.n
     out = np.zeros(K.grid.shape, dtype=complex)
     for j in range(n):
         for k in range(n):
-            out += inv[k, j] * alpha.comps[j, k]
+            out += inv[k, j] * a[j, k]
     return out.real
 
 
@@ -161,13 +162,14 @@ def naive_form_pairing(K: KahlerStructure, alpha: HermitianFormField,
                        beta: HermitianFormField) -> np.ndarray:
     """Pointwise pairing tr(G^-1 A G^-1 B) with explicit loops."""
     inv = pointwise_inverse(K.comps)
+    a, b = alpha.comps, beta.comps
     n = K.n
     out = np.zeros(K.grid.shape, dtype=complex)
     for j in range(n):
         for k in range(n):
             for l in range(n):
                 for m in range(n):
-                    out += inv[l, j] * alpha.comps[j, k] * inv[k, m] * beta.comps[m, l]
+                    out += inv[l, j] * a[j, k] * inv[k, m] * b[m, l]
     return out.real
 
 
@@ -194,10 +196,11 @@ def fd_scalar_curvature(K: KahlerStructure) -> np.ndarray:
     numpy.linalg.det, inverse through numpy.linalg.inv.  Truncation
     error is O((k h)^8) for band-limited metrics.
     """
-    moved = np.moveaxis(K.comps, (0, 1), (-2, -1))
+    comps = K.comps
+    moved = np.moveaxis(comps, (0, 1), (-2, -1))
     logdet = np.log(np.linalg.det(moved).real)
     hess = fd_hessian(K.grid, logdet)
-    inv = pointwise_inverse(K.comps)
+    inv = pointwise_inverse(comps)
     n = K.n
     out = np.zeros(K.grid.shape, dtype=complex)
     for j in range(n):

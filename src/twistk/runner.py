@@ -143,8 +143,9 @@ def _write_fields(outdir: Path, K: KahlerStructure) -> None:
     fields = outdir / "fields"
     fields.mkdir(parents=True, exist_ok=True)
     write_field(fields / "potential.bin", K.n, K.potential)
-    write_field(fields / "metric_re.bin", K.n, K.comps.real)
-    write_field(fields / "metric_im.bin", K.n, K.comps.imag)
+    comps = K.comps
+    write_field(fields / "metric_re.bin", K.n, comps.real)
+    write_field(fields / "metric_im.bin", K.n, comps.imag)
 
 
 def _build_problem(cfg: RunConfig):

@@ -296,7 +296,7 @@ def green_solve(K: KahlerStructure, f: ScalarField, cfg: KrylovConfig = KrylovCo
     Returns (G, info) with iteration count, final relative residual and
     residual history.
     """
-    lap = K.grid.hessian_pairing(K.inverse)
+    lap = K.grid.hessian_pairing(K.inverse_stack)
     return _spd_solver(K, lambda v: K.grid.hessian_trace(lap, v), None, cfg,
                        "green_solve")(f)
 

@@ -240,6 +240,13 @@ class TestFieldIO:
         with pytest.raises(DomainError):
             write_field(tmp_path / "field.bin", 1, values)
 
+    def test_complex_values_are_rejected(self, tmp_path):
+        # a cast to float64 would store only the real part
+        path = tmp_path / "field.bin"
+        with pytest.raises(DomainError, match="must be real"):
+            write_field(path, 1, np.ones((8, 8)) + 1j)
+        assert not path.exists()
+
 
 class TestCommandLine:
     def test_solve_writes_artifacts_and_converges(self, tmp_path):

@@ -22,8 +22,9 @@ from twistk import (
     volume_mean_zero,
 )
 from twistk.errors import DegenerateMetricError, DomainError
-from twistk.grid import (euclid_mean_zero, hessian, make_trig_field,
+from twistk.grid import (euclid_mean_zero, hessian, holo_gradient, make_trig_field,
                          random_smooth_field, sup_norm)
+from twistk.operators import LinearOperatorHandle
 from twistk.oracles import (
     fd_complex_derivative,
     naive_form_pairing,
@@ -307,3 +308,84 @@ class TestFormsAndClasses:
         K = seed_structure(grid32, [(0.3, (1, 0), 0.0)])
         ric = ricci_form(K)
         assert sup_norm(np.asarray(ric.base_matrix)) == 0.0
+
+
+G0_COMPLEX = np.array([[1.5, 0.3 + 0.2j], [0.3 - 0.2j, 1.2]])
+
+
+@pytest.fixture(scope="module")
+def complex_class_pair():
+    """Non-flat metric and twist at n = 2 on 8^4, both in the class
+    G0_COMPLEX, whose off-diagonal entry is complex."""
+    grid = PeriodicGrid(2, (8, 8, 8, 8))
+    rng = np.random.default_rng(41)
+    phi = euclid_mean_zero(random_smooth_field(grid, rng, amplitude=0.08, kmax=1).values)
+    apot = random_smooth_field(grid, rng, amplitude=0.05, kmax=1).values
+    return (KahlerStructure(grid, G0_COMPLEX, phi),
+            HermitianFormField.from_potential(grid, G0_COMPLEX, apot))
+
+
+class TestNonDiagonalComplexClass:
+    """The closed forms on Hermitian stacks against numpy.linalg and the
+    loop oracles, for a metric class with a complex off-diagonal entry."""
+
+    def test_inverse_det_and_min_eigenvalue(self, complex_class_pair):
+        K, alpha = complex_class_pair
+        moved = np.moveaxis(K.comps, (0, 1), (-2, -1))
+        assert np.abs(K.inverse - pointwise_inverse(K.comps)).max() <= 1e-12
+        assert np.abs(K.weight - np.linalg.det(moved).real).max() <= 1e-12
+        assert abs(K.min_eigenvalue() - np.linalg.eigvalsh(moved)[..., 0].min()) <= 1e-12
+        moved = np.moveaxis(alpha.comps, (0, 1), (-2, -1))
+        assert abs(alpha.min_eigenvalue() - np.linalg.eigvalsh(moved)[..., 0].min()) <= 1e-12
+
+    def test_trace_and_pairings(self, complex_class_pair):
+        K, alpha = complex_class_pair
+        assert np.abs(trace_form(K, alpha).values
+                      - naive_trace_form(K, alpha)).max() <= 1e-12
+        assert np.abs(form_pairing(K, alpha, K).values
+                      - naive_form_pairing(K, alpha, K)).max() <= 1e-12
+        assert np.abs(form_pairing(K, alpha, alpha).values
+                      - naive_form_pairing(K, alpha, alpha)).max() <= 1e-12
+
+    def test_gradient_pairing(self, complex_class_pair):
+        # Re sum_{j,k} (G^{-1})[k, j] (d_j f) conj(d_k h), the inverse from
+        # numpy.linalg and the gradients as complex fields
+        K, _ = complex_class_pair
+        rng = np.random.default_rng(43)
+        f, h = (random_smooth_field(K.grid, rng, amplitude=1.0, kmax=2) for _ in range(2))
+        inv = pointwise_inverse(K.comps)
+        u, v = holo_gradient(K.grid, f.values), holo_gradient(K.grid, h.values)
+        oracle = sum(inv[k, j] * u[j] * np.conj(v[k])
+                     for j in range(2) for k in range(2)).real
+        assert np.abs(gradient_pairing(K, f, h).values - oracle).max() <= 1e-12
+
+    def test_scalar_curvature(self, complex_class_pair):
+        # S = -tr(G^{-1} Hess log det G) with det and inverse from numpy.linalg
+        K, _ = complex_class_pair
+        moved = np.moveaxis(K.comps, (0, 1), (-2, -1))
+        hess = hessian(K.grid, np.log(np.linalg.det(moved).real))
+        oracle = -np.einsum("kj...,jk...->...", pointwise_inverse(K.comps), hess).real
+        assert np.abs(K.scalar() - oracle).max() <= 1e-12
+
+
+class TestStructureMemory:
+    def test_every_cached_field_is_real(self, complex_class_pair):
+        # after the Ricci and scalar curvature and a handle build, every
+        # field the structure holds is real float64: a scalar field or a
+        # Hermitian stack of leading length n^2
+        K, alpha = complex_class_pair
+        K.scalar()
+        LinearOperatorHandle("full_linearization", K, alpha, 2.0)
+        shape = K.grid.shape
+        held = {"stack": K.stack, "potential": K.potential, **K._cache}
+        assert {"weight", "inverse", "logdet", "ricci", "scalar"} <= set(K._cache)
+        for name, array in held.items():
+            assert array.dtype == np.float64, name
+            assert array.shape in (shape, (K.n * K.n,) + shape), name
+
+    def test_complex_views_are_not_cached(self, complex_class_pair):
+        K, _ = complex_class_pair
+        keys = set(K._cache)
+        assert K.comps.dtype == complex and K.inverse.dtype == complex
+        assert K.comps is not K.comps
+        assert set(K._cache) == keys

@@ -381,6 +381,14 @@ class TestFieldTypes:
         with pytest.raises(DomainError):
             ScalarField(grid16, values)
 
+    def test_complex_samples_are_rejected(self, grid16):
+        # a cast to float would keep only the real part, with a warning
+        values = np.zeros(grid16.shape, dtype=complex)
+        with pytest.raises(DomainError, match="must be real"):
+            ScalarField(grid16, values)
+        with pytest.raises(DomainError, match="must be real"):
+            ScalarField(grid16, (values + 1j).tolist())
+
     def test_trig_field_matches_direct_evaluation(self):
         grid = PeriodicGrid(1, (16, 16))
         x, y = grid.coordinates()

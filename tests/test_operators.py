@@ -211,6 +211,16 @@ class TestHandleValidation:
         with pytest.raises(TypeError):
             LinearOperatorHandle("twist", flat32)
 
+    def test_complex_input_is_rejected(self, flat32):
+        # a cast to float would keep only the real part, with a warning
+        handle = LinearOperatorHandle("twist", flat32, flat32)
+        values = np.zeros(flat32.grid.shape, dtype=complex)
+        with pytest.raises(DomainError, match="real fields"):
+            handle.apply(values)
+        with pytest.raises(DomainError, match="real fields"):
+            handle.apply((values + 1j).tolist())
+        assert np.all(handle.apply(values.real) == 0.0)
+
     def test_dense_assembly_cap(self):
         grid = PeriodicGrid(1, (66, 66))
         K = KahlerStructure(grid, EYE1, np.zeros(grid.shape))
