@@ -8,7 +8,6 @@ from .engine import (
     IFTCertificate,
     NewtonReport,
     PositivityReport,
-    SolverConfig,
     StepRecord,
     ThresholdEstimate,
     WarmChain,
@@ -69,7 +68,7 @@ from .operators import (
 )
 from .solvers import (
     EigenEstimate,
-    KrylovConfig,
+    SolverConfig,
     extreme_eigenvalue,
     green_solve,
     inverse_norm_estimate,

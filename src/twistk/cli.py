@@ -19,7 +19,8 @@ len(sizes) // 2; any other count leaves n alone, so it gets one
 diagnostic, the sizes one.  A flag's diagnostic names its key and no line.
 --threads sets the FFT worker count once the config is valid.  Exit
 status: 0 all solves converged / checks passed, 1 solver failure
-(reports still written), 2 bad configuration or usage.
+(reports still written), 2 bad configuration or usage, an output
+directory that cannot be written (an --out that names a file) included.
 """
 
 from __future__ import annotations
@@ -101,6 +102,9 @@ def main(argv=None) -> int:
     except TwistkError as err:
         print(f"twistk: {err}", file=sys.stderr)
         return 1
+    except OSError as err:
+        print(f"twistk: cannot write {cfg.out}: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -17,6 +17,8 @@ Scenario rules (`scenario_diagnostics`) tie fields to the scenario:
   so an R_schedule, in its place or beside it, is rejected;
 - ladder_study fits its order law across weights and needs at least two
   distinct weights and order >= 1;
+- threshold descends from its first weight, which must be positive, so
+  a t_schedule may not start at t = 1;
 - twist_perturbation needs a "perturbation" term.
 
 parse_config is the one validation path for run input.  Its optional
@@ -26,8 +28,11 @@ takes its scenario default for the dimension that was given.  It never
 repairs input: every problem becomes a diagnostic that starts with the
 key path and ends with a best-effort line number of that key in the
 text (none for a key an override set), and all diagnostics are reported
-together.  `runner.run_scenario` applies the scenario rules to configs
-built in code.
+together.  A key that repeats within one object of the text, at any
+depth, is such a problem: its diagnostics, one per repeat with the line
+of the repeat, are reported before any value is checked.
+`runner.run_scenario` applies the scenario rules to configs built in
+code.
 """
 
 from __future__ import annotations
@@ -37,12 +42,14 @@ import math
 import re
 import sys
 from dataclasses import dataclass, fields, replace
+from json.decoder import scanstring
 
 import numpy as np
 
 from .engine import MAX_LADDER_ORDER
 from .errors import ConfigError, DomainError
 from .grid import _check_hermitian_matrix
+from .solvers import SolverConfig
 
 SCENARIOS = (
     "single_solve",
@@ -69,8 +76,8 @@ class RunConfig:
     t_schedule: tuple[float, ...] | None = None
     R_schedule: tuple[float, ...] | None = None
     order: int = 2
-    newton_tol: float = 1e-9
-    krylov_tol: float = 1e-10
+    newton_tol: float = SolverConfig.newton_tol
+    krylov_tol: float = SolverConfig.krylov_tol
     perturbation: Term | None = None
     perturbation_steps: int = 10
     seed: int = 0
@@ -130,6 +137,10 @@ def scenario_diagnostics(cfg: RunConfig) -> list[str]:
                          f"weights, got {weights}")
         if cfg.order < 1:
             diags.append(f"order: ladder_study needs order >= 1, got {cfg.order}")
+    if (cfg.scenario == "threshold" and not cfg.R_schedule and cfg.t_schedule
+            and cfg.t_schedule[0] >= 1.0):
+        diags.append("t_schedule: threshold needs a positive first weight, so a "
+                     f"first t below 1, got {cfg.t_schedule[0]}")
     if cfg.scenario == "twist_perturbation" and cfg.perturbation is None:
         diags.append("perturbation: twist_perturbation needs a perturbation term")
     return diags
@@ -140,6 +151,44 @@ def _line_of(text: str, key: str) -> str:
         if f'"{key}"' in line:
             return f" (line {lineno})"
     return ""
+
+
+def _repeated_keys(text: str) -> list[str]:
+    """A diagnostic for every key of the JSON text that repeats a key of
+    its object, naming the key's path and the line of the repeat."""
+    diags: list[str] = []
+    # per open container: [path, keys seen (None in an array), last key or index]
+    stack: list[list] = []
+
+    def child(top: list) -> str:
+        path, keys, last = top
+        if keys is None:
+            return f"{path}[{last}]"
+        return f"{path}.{last}" if path else last
+
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c == '"':
+            value, end = scanstring(text, i + 1)
+            top = stack[-1] if stack else None
+            if top and top[1] is not None and text[end:].lstrip().startswith(":"):
+                top[2] = value
+                if value in top[1]:
+                    line = text.count("\n", 0, i) + 1
+                    diags.append(f"{child(top)}: repeated key (line {line})")
+                top[1].add(value)
+            i = end
+            continue
+        if c in "{[":
+            path = child(stack[-1]) if stack else ""
+            stack.append([path, set(), None] if c == "{" else [path, None, 0])
+        elif c in "}]":
+            stack.pop()
+        elif c == "," and stack[-1][1] is None:
+            stack[-1][2] += 1
+        i += 1
+    return diags
 
 
 def _is_int(value) -> bool:
@@ -239,11 +288,22 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     field-level diagnostics at once.  `overrides` maps config keys to
     values that replace the text's own before anything is checked (the
     CLI's flags).  Each diagnostic ends with the line of its leading key
-    in `text`, unless an override set that key."""
+    in `text`, unless an override set that key.  Repeated keys are
+    reported alone (see `_repeated_keys`)."""
+    repeated = []
+
+    def unique(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            repeated.append(True)
+        return obj
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as err:
         raise ConfigError([f"json: {err.msg} (line {err.lineno})"]) from err
+    if repeated:
+        raise ConfigError(_repeated_keys(text))
     if not isinstance(data, dict):
         raise ConfigError(["json: top level must be an object"])
     overrides = overrides or {}

@@ -29,9 +29,10 @@ when the half-grid solve fails or needs no iteration.
 StepRecord's coarse_* fields record the half-grid stage.
 
 Every run starts from `seed_structure`'s seed and every sequence of
-solves is one `WarmChain`, with one warm-start rule: a step starts at
-the last converged metric, handed on as the solved structure itself, or
-at the chain's start while no step has converged.  `seed_chain` makes
+solves is one `WarmChain`, which owns the one SolverConfig of all its
+steps and has one warm-start rule: a step starts at the last converged
+metric, handed on as the solved structure itself, or at the chain's
+start while no step has converged.  `seed_chain` makes
 the chain and is the only code that builds a seed ladder: on the half
 grid, where the chain's first step solves, when the grid has one.  The
 Newton drivers `continuity_sweep`, `estimate_R_threshold` and
@@ -42,7 +43,6 @@ perturbation stages are one chain.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 
@@ -80,7 +80,7 @@ from .grid import (
 )
 from .operators import LinearOperatorHandle
 from .solvers import (
-    KrylovConfig,
+    SolverConfig,
     extreme_eigenvalue,
     green_solve,
     inverse_norm_estimate,
@@ -90,6 +90,8 @@ from .solvers import (
 )
 
 MAX_LADDER_ORDER = 8
+# iteration cap of one `newton_solve`
+_MAX_NEWTON = 40
 # Newton line search: the step-scale floor, and the sufficient-decrease
 # factor of the test sup_new <= (1 - _ARMIJO * scale) * sup
 _MIN_STEP = 2.0 ** -20
@@ -103,21 +105,6 @@ _IFT_MAX_HALVINGS = 30
 # above _THRESHOLD_FLOOR, and a failing interval is bisected this often
 _THRESHOLD_FLOOR = 0.05
 _THRESHOLD_BISECTIONS = 10
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Newton-stage settings: the residual target newton_tol, the
-    iteration cap max_newton (an integer >= 0; DomainError otherwise),
-    and the KrylovConfig of the inner solves."""
-
-    newton_tol: float = 1e-9
-    max_newton: int = 40
-    krylov: KrylovConfig = KrylovConfig()
-
-    def __post_init__(self):
-        if not isinstance(self.max_newton, numbers.Integral) or self.max_newton < 0:
-            raise DomainError(f"max_newton must be an integer >= 0, got {self.max_newton!r}")
 
 
 def t_to_R(t: float) -> float:
@@ -179,7 +166,7 @@ def trivial_twist(K: KahlerStructure, alpha: HermitianFormField, R: float,
     # mean zero against the volume form holds as an identity; project so
     # round-off in the near-cancelling differences cannot obscure it
     rhs = ScalarField(K.grid, volume_mean_zero(K, (S.values - sbar) - R * (tr.values - c)))
-    G, _ = green_solve(K, rhs, cfg.krylov)
+    G, _ = green_solve(K, rhs, cfg)
     twisted = HermitianFormField(K.grid, alpha.base_matrix,
                                  alpha.potential + G.values / R)
     worst = twisted.min_eigenvalue()
@@ -249,7 +236,7 @@ def build_approximate_solution(base: KahlerStructure, alpha: HermitianFormField,
 
     residual, const = twisted_residual(K, alpha, R)
     record(residual)
-    solve = _twist_solver(base, alpha, cfg.krylov)
+    solve = _twist_solver(base, alpha, cfg)
     for _ in range(order):
         # solvability at the frozen base: the equation's free constant
         # absorbs the residual mean taken against the base volume form
@@ -291,7 +278,7 @@ def newton_solve(K0: KahlerStructure, alpha: HermitianFormField, R: float,
     condition sup_new <= (1 - _ARMIJO * scale) * sup holds; steps that
     degenerate the metric are rejected the same way.  Failure is
     reported, not raised: a step scale below _MIN_STEP (StagnationError),
-    cfg.max_newton iterations above cfg.newton_tol (IterationLimitError)
+    _MAX_NEWTON iterations above cfg.newton_tol (IterationLimitError)
     and a DegenerateMetricError return converged=False with the error as
     "<class>: <message>" in the report's message.
     """
@@ -308,11 +295,10 @@ def newton_solve(K0: KahlerStructure, alpha: HermitianFormField, R: float,
                             message=message, start_residual_sup=start_sup)
 
     try:
-        for it in range(1, cfg.max_newton + 1):
+        for it in range(1, _MAX_NEWTON + 1):
             if rsup <= cfg.newton_tol:
                 return report(True)
-            delta, lin_info = newton_linear_solve(K, alpha, R, -residual.values,
-                                                  cfg.krylov)
+            delta, lin_info = newton_linear_solve(K, alpha, R, -residual.values, cfg)
             scale = 1.0
             while True:
                 if scale < _MIN_STEP:
@@ -341,7 +327,7 @@ def newton_solve(K0: KahlerStructure, alpha: HermitianFormField, R: float,
             return report(True)
         raise IterationLimitError(
             f"newton_solve: residual {rsup:.3e} above {cfg.newton_tol:g} after "
-            f"{cfg.max_newton} iterations", [h["residual_sup"] for h in history])
+            f"{_MAX_NEWTON} iterations", [h["residual_sup"] for h in history])
     except (StagnationError, IterationLimitError, DegenerateMetricError) as err:
         return report(False, message=describe(err))
 
@@ -477,7 +463,8 @@ def solve_step(K_init: KahlerStructure, alpha: HermitianFormField, R: float,
 
 
 class WarmChain:
-    """A sequence of `solve_step` calls under the one warm-start rule.
+    """A sequence of `solve_step` calls at one SolverConfig, cfg, under
+    the one warm-start rule.
 
     A step starts at the last converged metric (warm_source
     "previous-step"), or at the seed `start` (warm_source `source`)
@@ -489,10 +476,11 @@ class WarmChain:
     which makes every scenario's chain).
     """
 
-    def __init__(self, start: KahlerStructure, source: str, ladder_error: str = "",
-                 ladder_sizes: tuple[int, ...] = ()):
+    def __init__(self, start: KahlerStructure, source: str, cfg: SolverConfig,
+                 ladder_error: str = "", ladder_sizes: tuple[int, ...] = ()):
         self._seed = start
         self.source = source
+        self.cfg = cfg
         self.ladder_error = ladder_error
         self.ladder_sizes = ladder_sizes
         self.records: list[StepRecord] = []
@@ -500,14 +488,14 @@ class WarmChain:
         self.alpha: HermitianFormField | None = None
         self.R: float | None = None
 
-    def step(self, alpha: HermitianFormField, R: float, cfg: SolverConfig, *,
+    def step(self, alpha: HermitianFormField, R: float, *,
              t: float | None = None, eigen_seed: int | None = None) -> bool:
         """Solve at weight R from the rule's start; True when it converged."""
         if self.structure is None:
             start, source = self._seed, self.source
         else:
             start, source = self.structure, "previous-step"
-        record, solved = solve_step(start, alpha, R, cfg, source, t=t,
+        record, solved = solve_step(start, alpha, R, self.cfg, source, t=t,
                                     eigen_seed=eigen_seed)
         self.records.append(record)
         if record.converged:
@@ -559,7 +547,7 @@ def ift_certificate(K: KahlerStructure, alpha: HermitianFormField, R: float,
     grid = K.grid
     residual, _ = twisted_residual(K, alpha, R)
     defect = sobolev_norm(residual, 0.0)
-    inverse_norm = inverse_norm_estimate(K, alpha, R, cfg.krylov, seed=seed)
+    inverse_norm = inverse_norm_estimate(K, alpha, R, cfg, seed=seed)
     handle = LinearOperatorHandle("full_linearization", K, alpha, R, mean_zero=True)
     base_values = residual.values
 
@@ -609,12 +597,12 @@ def ift_certificate(K: KahlerStructure, alpha: HermitianFormField, R: float,
                           verdict="inconclusive", samples=_IFT_SAMPLES, seed=seed)
 
 
-def perturb_twist(chain: WarmChain, alpha_new: HermitianFormField,
-                  cfg: SolverConfig = SolverConfig(), *, steps: int = 1) -> None:
+def perturb_twist(chain: WarmChain, alpha_new: HermitianFormField, *,
+                  steps: int = 1) -> None:
     """Continue a chain's solved metric to a perturbed twist at its weight.
 
-    Requires the chain's last step to have converged to the tolerance
-    of every stage (residual sup at most cfg.newton_tol).  The twist is
+    Requires the chain's last step to have converged, so to the
+    chain's newton_tol, at which every stage solves too.  The twist is
     moved from that step's twist along the convex combination in
     `steps` increments, each stage form interpolating the class
     matrices and the potentials, and each stage is one step of the
@@ -623,10 +611,10 @@ def perturb_twist(chain: WarmChain, alpha_new: HermitianFormField,
     stage, so the chain's records show the progress.
     """
     last = chain.records[-1] if chain.records else None
-    if last is None or not last.converged or last.residual_sup > cfg.newton_tol:
+    if last is None or not last.converged:
         found = "no step" if last is None else f"residual {last.residual_sup:.3e}"
         raise PreconditionError(
-            f"perturb_twist: base {found}, not converged to {cfg.newton_tol:g}; "
+            f"perturb_twist: base {found}, not converged to {chain.cfg.newton_tol:g}; "
             "solve the base problem first")
     if steps < 1:
         raise PreconditionError(f"perturb_twist needs steps >= 1, got {steps}")
@@ -636,7 +624,7 @@ def perturb_twist(chain: WarmChain, alpha_new: HermitianFormField,
         alpha_s = HermitianFormField(
             alpha_old.grid, (1.0 - s) * alpha_old.base_matrix + s * alpha_new.base_matrix,
             (1.0 - s) * alpha_old.potential + s * alpha_new.potential)
-        if not chain.step(alpha_s, R, cfg):
+        if not chain.step(alpha_s, R):
             break
 
 
@@ -705,7 +693,7 @@ def seed_chain(grid: PeriodicGrid, g0: np.ndarray, alpha: HermitianFormField,
     """
     K, source = seed_structure(grid, g0, alpha, potential=potential)
     if order <= 0 or R <= 0.0:
-        return WarmChain(K, source)
+        return WarmChain(K, source, cfg)
     try:
         coarse, parities = half_grid(grid, K.potential)
     except DomainError:
@@ -720,12 +708,11 @@ def seed_chain(grid: PeriodicGrid, g0: np.ndarray, alpha: HermitianFormField,
     except UnsupportedOrderError:
         raise
     except TwistkError as err:
-        return WarmChain(K, source, describe(err), sizes)
-    return WarmChain(start, f"ladder[{order}]", "", sizes)
+        return WarmChain(K, source, cfg, describe(err), sizes)
+    return WarmChain(start, f"ladder[{order}]", cfg, "", sizes)
 
 
-def continuity_sweep(chain: WarmChain, alpha: HermitianFormField, t_values,
-                     cfg: SolverConfig = SolverConfig(), *,
+def continuity_sweep(chain: WarmChain, alpha: HermitianFormField, t_values, *,
                      eigen_seed: int | None = 0) -> None:
     """March a chain along the continuity path over increasing t.
 
@@ -744,7 +731,7 @@ def continuity_sweep(chain: WarmChain, alpha: HermitianFormField, t_values,
         raise PreconditionError("t_values must be strictly increasing and non-empty")
     weights = [t_to_R(t) for t in t_list]
     for t, R in zip(t_list, weights):
-        chain.step(alpha, R, cfg, t=t, eigen_seed=eigen_seed)
+        chain.step(alpha, R, t=t, eigen_seed=eigen_seed)
 
 
 @dataclass(frozen=True)
@@ -763,8 +750,7 @@ class ThresholdEstimate:
 
 
 def estimate_R_threshold(chain: WarmChain, alpha: HermitianFormField, *,
-                         R_start: float,
-                         cfg: SolverConfig = SolverConfig()) -> ThresholdEstimate:
+                         R_start: float) -> ThresholdEstimate:
     """Descend a chain's twist weight geometrically and bracket the first
     failure.
 
@@ -780,7 +766,7 @@ def estimate_R_threshold(chain: WarmChain, alpha: HermitianFormField, *,
     """
     if R_start <= 0.0:
         raise PreconditionError("estimate_R_threshold: need R_start > 0")
-    if not chain.step(alpha, R_start, cfg):
+    if not chain.step(alpha, R_start):
         return ThresholdEstimate(math.inf, (R_start, math.inf))
     schedule = []
     R = R_start * 0.5
@@ -789,7 +775,7 @@ def estimate_R_threshold(chain: WarmChain, alpha: HermitianFormField, *,
         R *= 0.5
     R_ok = R_start
     for R in schedule + [0.0]:
-        if not chain.step(alpha, R, cfg):
+        if not chain.step(alpha, R):
             break
         R_ok = R
     else:
@@ -797,7 +783,7 @@ def estimate_R_threshold(chain: WarmChain, alpha: HermitianFormField, *,
     lo, hi = R, R_ok
     for _ in range(_THRESHOLD_BISECTIONS):
         mid = math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
-        if chain.step(alpha, mid, cfg):
+        if chain.step(alpha, mid):
             hi = mid
         else:
             lo = mid

@@ -29,7 +29,6 @@ import scipy
 from . import __version__
 from .config import RunConfig, config_to_dict, scenario_diagnostics
 from .engine import (
-    SolverConfig,
     WarmChain,
     R_to_t,
     build_approximate_solution,
@@ -72,7 +71,7 @@ from .oracles import (
     fd_hessian,
     order_fit,
 )
-from .solvers import KrylovConfig, extreme_eigenvalue, solve_F, solve_shifted
+from .solvers import SolverConfig, extreme_eigenvalue, solve_F, solve_shifted
 
 CSV_HEADER = "step,t,R,residual_sup,residual_l2,lambda1,newton_iters,wall_ms"
 VERIFY_HEADER = "check,value,tolerance,pass"
@@ -159,8 +158,7 @@ def _build_problem(cfg: RunConfig):
 
 
 def _solver_config(cfg: RunConfig) -> SolverConfig:
-    return SolverConfig(newton_tol=cfg.newton_tol,
-                        krylov=KrylovConfig(tol=cfg.krylov_tol))
+    return SolverConfig(newton_tol=cfg.newton_tol, krylov_tol=cfg.krylov_tol)
 
 
 def _first_R(cfg: RunConfig) -> float:
@@ -172,15 +170,15 @@ def _first_R(cfg: RunConfig) -> float:
 
 
 def _seeded_problem(cfg: RunConfig):
-    """A Newton scenario's twist, solver settings, first weight and chain:
-    the one `seed_chain` call, seeded from omega_potential when it is
-    non-empty and laddered at the first weight."""
+    """A Newton scenario's twist, first weight and chain: the one
+    `seed_chain` call, at the config's tolerances, seeded from
+    omega_potential when it is non-empty and laddered at the first
+    weight."""
     grid, g0_omega, omega_pot, alpha = _build_problem(cfg)
-    solver = _solver_config(cfg)
     R = _first_R(cfg)
-    chain = seed_chain(grid, g0_omega, alpha, R, cfg.order, solver,
+    chain = seed_chain(grid, g0_omega, alpha, R, cfg.order, _solver_config(cfg),
                        potential=omega_pot.values)
-    return alpha, solver, R, chain
+    return alpha, R, chain
 
 
 def _cohomology_summary(K, alpha, R) -> dict:
@@ -215,12 +213,12 @@ def _chain_artifacts(chain: WarmChain, summary: dict, outdir: Path | None):
 
 
 def _run_single_solve(cfg: RunConfig, outdir: Path):
-    alpha, solver, R, chain = _seeded_problem(cfg)
+    alpha, R, chain = _seeded_problem(cfg)
     # eigenpair certification can fail on very coarse grids where the
     # fourth-order truncation defect exceeds the residual tolerance; the
     # solve itself still stands, so lambda1 is nan and the record keeps
     # the reason
-    chain.step(alpha, R, solver, eigen_seed=cfg.seed)
+    chain.step(alpha, R, eigen_seed=cfg.seed)
     (record,) = chain.records
     summary = {
         "scenario": cfg.scenario,
@@ -272,8 +270,8 @@ def _run_ladder_study(cfg: RunConfig, outdir: Path):
 
 
 def _run_continuity_sweep(cfg: RunConfig, outdir: Path):
-    alpha, solver, _, chain = _seeded_problem(cfg)
-    continuity_sweep(chain, alpha, cfg.t_schedule, solver, eigen_seed=cfg.seed)
+    alpha, _, chain = _seeded_problem(cfg)
+    continuity_sweep(chain, alpha, cfg.t_schedule, eigen_seed=cfg.seed)
     # t increases, so the last converged step is the one at the smallest
     # converged weight
     summary = {
@@ -291,8 +289,8 @@ def _run_continuity_sweep(cfg: RunConfig, outdir: Path):
 
 
 def _run_threshold(cfg: RunConfig, outdir: Path):
-    alpha, solver, R, chain = _seeded_problem(cfg)
-    estimate = estimate_R_threshold(chain, alpha, R_start=R, cfg=solver)
+    alpha, R, chain = _seeded_problem(cfg)
+    estimate = estimate_R_threshold(chain, alpha, R_start=R)
     summary = {
         "scenario": cfg.scenario,
         "threshold": estimate.threshold,
@@ -305,8 +303,8 @@ def _run_threshold(cfg: RunConfig, outdir: Path):
 
 
 def _run_twist_perturbation(cfg: RunConfig, outdir: Path):
-    alpha, solver, R, chain = _seeded_problem(cfg)
-    base_converged = chain.step(alpha, R, solver)
+    alpha, R, chain = _seeded_problem(cfg)
+    base_converged = chain.step(alpha, R)
     summary = {"scenario": cfg.scenario, "base_converged": base_converged,
                "R": R, "stages": cfg.perturbation_steps}
     if base_converged:
@@ -314,7 +312,7 @@ def _run_twist_perturbation(cfg: RunConfig, outdir: Path):
         target = HermitianFormField(alpha.grid, alpha.base_matrix,
                                     alpha.potential + bump.values)
         started = time.perf_counter()
-        perturb_twist(chain, target, solver, steps=cfg.perturbation_steps)
+        perturb_twist(chain, target, steps=cfg.perturbation_steps)
         summary["continuation_wall_ms"] = (time.perf_counter() - started) * 1000.0
         summary["final_residual_sup"] = chain.records[-1].residual_sup
         summary["stages_converged"] = sum(r.converged for r in chain.records[1:])
@@ -344,7 +342,7 @@ def _verify_checks(cfg: RunConfig, outdir: Path):
 
     flat = KahlerStructure(grid, g_id, np.zeros(grid.shape))
     alpha_flat = HermitianFormField.from_potential(grid, g_id)
-    shifted, _ = solve_shifted(flat, alpha_flat, 4.0, cos_x, solver.krylov)
+    shifted, _ = solve_shifted(flat, alpha_flat, 4.0, cos_x, solver)
     record("shifted_flat_mode",
            sup_norm(shifted.values + (16.0 / 17.0) * (np.cos(x) + 0.0 * _y)),
            1e-9)
@@ -397,7 +395,7 @@ def _verify_checks(cfg: RunConfig, outdir: Path):
                                                     K_probe.potential)
     probe_mz = ScalarField(grid, volume_mean_zero(K_probe, probe.values))
     image = LinearOperatorHandle("twist", K_probe, alpha_probe).apply(probe_mz.values)
-    back, _ = solve_F(K_probe, alpha_probe, ScalarField(grid, image), solver.krylov)
+    back, _ = solve_F(K_probe, alpha_probe, ScalarField(grid, image), solver)
     record("solve_apply_roundtrip",
            sup_norm(back.values - probe_mz.values) / max(sup_norm(probe_mz.values),
                                                          1e-300), 1e-7)

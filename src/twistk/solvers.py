@@ -21,13 +21,14 @@ class representatives, and the operator's order picks one: the flat
 Laplacian for the second-order solves (`green_solve`, `solve_F`) and the
 flat biLaplacian-shift L0^2 - R*L0 for every fourth-order operator at
 weight R (`solve_shifted`, `newton_linear_solve`, `extreme_eigenvalue`).
-The only settings are KrylovConfig's tolerance and iteration cap.
+The only settings are SolverConfig's two tolerances: the Newton
+residual target, which `engine` reads, and the Krylov one.  Iteration
+caps are module constants.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,23 +47,20 @@ from .operators import LinearOperatorHandle
 
 
 @dataclass(frozen=True)
-class KrylovConfig:
-    """Shared settings of the iterative solves.
+class SolverConfig:
+    """The tolerances of every solve: newton_tol, the residual sup that
+    `engine.newton_solve` accepts, and krylov_tol, the relative residual
+    target of one CG or GMRES solve in the volume-weighted RMS norm.
+    Both lie in (0, 1); DomainError otherwise."""
 
-    tol is the relative residual target in the volume-weighted RMS norm,
-    in (0, 1); maxiter, an integer >= 1, caps the iterations of one
-    solve, in `_pcg` and in `_gmres` alike.  Values that cannot run
-    raise DomainError.
-    """
-
-    tol: float = 1e-10
-    maxiter: int = 2000
+    newton_tol: float = 1e-9
+    krylov_tol: float = 1e-10
 
     def __post_init__(self):
-        if not 0.0 < self.tol < 1.0:
-            raise DomainError(f"Krylov tol must lie in (0, 1), got {self.tol}")
-        if not isinstance(self.maxiter, numbers.Integral) or self.maxiter < 1:
-            raise DomainError(f"Krylov maxiter must be an integer >= 1, got {self.maxiter!r}")
+        for name in ("newton_tol", "krylov_tol"):
+            value = getattr(self, name)
+            if not 0.0 < value < 1.0:
+                raise DomainError(f"{name} must lie in (0, 1), got {value}")
 
 
 @dataclass(frozen=True)
@@ -75,11 +73,15 @@ class EigenEstimate:
     vector: ScalarField
 
 
+# iteration cap of one CG or GMRES solve
+_KRYLOV_MAXITER = 2000
 # GMRES cycle length: it bounds the Krylov basis kept in memory
 _GMRES_RESTART = 50
-# Davidson basis cap, and the Ritz vectors kept when it is reached
+# Davidson basis cap, the Ritz vectors kept when it is reached, and the
+# restarts allowed
 _DAVIDSON_CAP = 24
 _DAVIDSON_KEEP = 4
+_DAVIDSON_RESTARTS = 100
 # a correction this small against its own size after orthogonalisation
 # is round-off, not a new direction
 _STAGNATION = 1e-12
@@ -121,13 +123,14 @@ def _spd_preconditioner(K: KahlerStructure, R: float | None):
     return apply
 
 
-def _pcg(apply_A, b: np.ndarray, K: KahlerStructure, cfg: KrylovConfig,
-         apply_M, what: str = "solve"):
+def _pcg(apply_A, b: np.ndarray, K: KahlerStructure, tol: float, apply_M,
+         what: str):
     """Preconditioned CG in the volume-weighted inner product.
 
     apply_A must be self-adjoint positive definite on the volume-mean-zero
     subspace with respect to <u, v> = sum(u v det g); apply_M is the
-    approximate inverse of `_spd_preconditioner`.
+    approximate inverse of `_spd_preconditioner`; tol is the relative
+    residual target, and _KRYLOV_MAXITER caps the iterations.
     """
     w = K.weight
 
@@ -148,7 +151,7 @@ def _pcg(apply_A, b: np.ndarray, K: KahlerStructure, cfg: KrylovConfig,
     p = z.copy()
     rz = dot(r, z)
     history: list[float] = []
-    for i in range(1, cfg.maxiter + 1):
+    for i in range(1, _KRYLOV_MAXITER + 1):
         Ap = apply_A(p)
         pAp = dot(p, Ap)
         if pAp <= 0.0:
@@ -162,9 +165,9 @@ def _pcg(apply_A, b: np.ndarray, K: KahlerStructure, cfg: KrylovConfig,
             r = residual(x)
         res = volume_rms(K, r) / bnorm
         history.append(res)
-        if res <= cfg.tol:
+        if res <= tol:
             true_res = volume_rms(K, residual(x)) / bnorm
-            if true_res <= 10.0 * cfg.tol:
+            if true_res <= 10.0 * tol:
                 return volume_mean_zero(K, x), {"iterations": i, "residual": true_res,
                                                 "history": history}
             r = residual(x)
@@ -173,12 +176,12 @@ def _pcg(apply_A, b: np.ndarray, K: KahlerStructure, cfg: KrylovConfig,
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise IterationLimitError(
-        f"{what}: no convergence within {cfg.maxiter} iterations "
+        f"{what}: no convergence within {_KRYLOV_MAXITER} iterations "
         f"(last relative residual {history[-1]:.3e})", history)
 
 
-def _gmres(apply_A, b: np.ndarray, K: KahlerStructure, cfg: KrylovConfig,
-           apply_M, what: str = "solve"):
+def _gmres(apply_A, b: np.ndarray, K: KahlerStructure, tol: float, apply_M,
+           what: str):
     """Restarted right-preconditioned GMRES in the volume-weighted inner
     product (Saad & Schultz 1986).
 
@@ -189,7 +192,7 @@ def _gmres(apply_A, b: np.ndarray, K: KahlerStructure, cfg: KrylovConfig,
     residual's weighted norm, as a running estimate.  The start is
     x = 0, so r = b costs no application, and the preconditioned basis
     vectors are kept, so x = M V y costs none either.  A cycle ends when
-    the estimate reaches tol / 10 relative to ||b||, when cfg.maxiter
+    the estimate reaches tol / 10 relative to ||b||, when _KRYLOV_MAXITER
     iterations are spent, or after _GMRES_RESTART iterations; one true
     residual then certifies x at <= 10 * tol, or restarts the next cycle
     from it.  A solve of k iterations thus makes k + 1 operator and k
@@ -207,7 +210,7 @@ def _gmres(apply_A, b: np.ndarray, K: KahlerStructure, cfg: KrylovConfig,
     x = np.zeros_like(b)
     if bnorm == 0.0:
         return x, {"iterations": 0, "residual": 0.0, "history": []}
-    target = 0.1 * cfg.tol
+    target = 0.1 * tol
     history: list[float] = []
     r, beta = b, bnorm
     while True:
@@ -239,7 +242,7 @@ def _gmres(apply_A, b: np.ndarray, K: KahlerStructure, cfg: KrylovConfig,
             H[j, j], H[j + 1, j] = rho, 0.0
             g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]
             history.append(abs(g[j + 1]) / bnorm)
-            if history[-1] <= target or len(history) == cfg.maxiter:
+            if history[-1] <= target or len(history) == _KRYLOV_MAXITER:
                 break
         k = len(Z)
         # H[:k, :k] is upper triangular after the rotations
@@ -250,13 +253,13 @@ def _gmres(apply_A, b: np.ndarray, K: KahlerStructure, cfg: KrylovConfig,
         beta = math.sqrt(dot(r, r))
         true_res = beta / bnorm
         # a cycle cut at _GMRES_RESTART stops only at the estimate's target
-        stopped = history[-1] <= target or len(history) == cfg.maxiter
-        if true_res <= (10.0 * cfg.tol if stopped else target):
+        stopped = history[-1] <= target or len(history) == _KRYLOV_MAXITER
+        if true_res <= (10.0 * tol if stopped else target):
             return volume_mean_zero(K, x), {"iterations": len(history),
                                             "residual": true_res, "history": history}
-        if len(history) == cfg.maxiter:
+        if len(history) == _KRYLOV_MAXITER:
             raise IterationLimitError(
-                f"{what}: no convergence within {cfg.maxiter} iterations "
+                f"{what}: no convergence within {_KRYLOV_MAXITER} iterations "
                 f"(relative residual {true_res:.3e})", history)
 
 
@@ -269,7 +272,7 @@ def _require_volume_mean_zero(K: KahlerStructure, f: ScalarField, what: str) -> 
             f"(mean {mean:.3e} vs sup {sup:.3e})")
 
 
-def _spd_solver(K: KahlerStructure, apply_A, R: float | None, cfg: KrylovConfig,
+def _spd_solver(K: KahlerStructure, apply_A, R: float | None, cfg: SolverConfig,
                 what: str):
     """The one PCG front end: solve(f) returns (phi, info) with
     apply_A(phi) = f for a volume-mean-zero f.
@@ -284,13 +287,13 @@ def _spd_solver(K: KahlerStructure, apply_A, R: float | None, cfg: KrylovConfig,
 
     def solve(f: ScalarField):
         _require_volume_mean_zero(K, f, what)
-        x, info = _pcg(negated, -f.values, K, cfg, apply_M, what=what)
+        x, info = _pcg(negated, -f.values, K, cfg.krylov_tol, apply_M, what)
         return ScalarField(K.grid, x), info
 
     return solve
 
 
-def green_solve(K: KahlerStructure, f: ScalarField, cfg: KrylovConfig = KrylovConfig()):
+def green_solve(K: KahlerStructure, f: ScalarField, cfg: SolverConfig = SolverConfig()):
     """Solve Lap_omega G = f for the volume-mean-zero potential G.
 
     Returns (G, info) with iteration count, final relative residual and
@@ -312,7 +315,7 @@ def trace_deviation(K: KahlerStructure, alpha: HermitianFormField) -> float | No
 
 
 def solve_F(K: KahlerStructure, alpha: HermitianFormField, f: ScalarField,
-            cfg: KrylovConfig = KrylovConfig()):
+            cfg: SolverConfig = SolverConfig()):
     """Solve the twist-operator equation F(phi) = f for mean-zero phi.
 
     Requires the trace of alpha to be constant on the grid (the
@@ -327,7 +330,7 @@ def solve_F(K: KahlerStructure, alpha: HermitianFormField, f: ScalarField,
 
 
 def _twist_solver(K: KahlerStructure, alpha: HermitianFormField,
-                  cfg: KrylovConfig):
+                  cfg: SolverConfig):
     """`solve_F` at fixed (K, alpha) as a function of f alone.
 
     The operator handle and its preconditioner are built once, so the
@@ -341,7 +344,7 @@ def _twist_solver(K: KahlerStructure, alpha: HermitianFormField,
 
 
 def _shifted_solver(K: KahlerStructure, alpha: HermitianFormField, R: float,
-                    cfg: KrylovConfig):
+                    cfg: SolverConfig):
     """`solve_shifted` at fixed (K, alpha, R) as a function of f alone.
 
     The operator handle and its preconditioner are built once, so
@@ -354,7 +357,7 @@ def _shifted_solver(K: KahlerStructure, alpha: HermitianFormField, R: float,
 
 
 def solve_shifted(K: KahlerStructure, alpha: HermitianFormField, R: float,
-                  f: ScalarField, cfg: KrylovConfig = KrylovConfig()):
+                  f: ScalarField, cfg: SolverConfig = SolverConfig()):
     """Solve (-lichnerowicz + R * twist)(phi) = f on mean-zero fields.
 
     The operator is negative definite there for R >= 0; the solve runs
@@ -365,7 +368,7 @@ def solve_shifted(K: KahlerStructure, alpha: HermitianFormField, R: float,
 
 
 def newton_linear_solve(K: KahlerStructure, alpha: HermitianFormField, R: float,
-                        rhs: np.ndarray, cfg: KrylovConfig = KrylovConfig()):
+                        rhs: np.ndarray, cfg: SolverConfig = SolverConfig()):
     """Solve full_linearization(delta) = rhs with restarted GMRES.
 
     The full linearization is not self-adjoint away from solutions, so
@@ -383,12 +386,12 @@ def newton_linear_solve(K: KahlerStructure, alpha: HermitianFormField, R: float,
         # biLaplacian-shift symbol, so the approximate inverse is negated
         return -apply_M(v)
 
-    return _gmres(handle.apply, np.asarray(rhs, dtype=float), K, cfg, negated_M,
-                  what="newton_linear_solve")
+    return _gmres(handle.apply, np.asarray(rhs, dtype=float), K, cfg.krylov_tol,
+                  negated_M, "newton_linear_solve")
 
 
 def extreme_eigenvalue(K: KahlerStructure, alpha: HermitianFormField, R: float,
-                       *, seed: int = 0, maxiter: int = 100) -> EigenEstimate:
+                       *, seed: int = 0) -> EigenEstimate:
     """Eigenvalue of -lichnerowicz + R * twist closest to zero.
 
     All eigenvalues are negative on the mean-zero subspace; the returned
@@ -414,7 +417,7 @@ def extreme_eigenvalue(K: KahlerStructure, alpha: HermitianFormField, R: float,
     _EIGEN_RESIDUAL_TOL * max(1, |lambda|) in the weighted-RMS norm.
     EigenEstimate.iterations counts operator applications, the
     certifying one included.  IterationLimitError is raised when the
-    certificate fails, when maxiter restarts are used up, and when
+    certificate fails, when _DAVIDSON_RESTARTS restarts are used up, and when
     orthogonalisation reduces a correction to round-off (stagnation: a
     new direction is never made from noise).
     """
@@ -464,10 +467,10 @@ def extreme_eigenvalue(K: KahlerStructure, alpha: HermitianFormField, R: float,
         if history[-1] <= 1e-2 * _EIGEN_RESIDUAL_TOL * max(1.0, abs(theta)):
             break
         if m == _DAVIDSON_CAP:
-            if restarts == maxiter:
+            if restarts == _DAVIDSON_RESTARTS:
                 raise IterationLimitError(
                     f"extreme_eigenvalue: Davidson did not converge within "
-                    f"{maxiter} restarts ({len(history)} operator applications, "
+                    f"{_DAVIDSON_RESTARTS} restarts ({len(history)} operator applications, "
                     f"last Ritz residual {history[-1]:.3e})", history)
             if min(history) > 0.5 * best_at_restart:
                 # a whole cycle without progress: the certificate judges
@@ -503,7 +506,7 @@ def extreme_eigenvalue(K: KahlerStructure, alpha: HermitianFormField, R: float,
 
 
 def inverse_norm_estimate(K: KahlerStructure, alpha: HermitianFormField, R: float,
-                          cfg: KrylovConfig = KrylovConfig(), *,
+                          cfg: SolverConfig = SolverConfig(), *,
                           seed: int = 0) -> float:
     """Proxy operator norm of the inverse shifted operator, L2 -> H^s.
 

@@ -20,7 +20,6 @@ import pytest
 from conftest import EYE1, random_pair, seed_structure
 from twistk.config import DEFAULT_T_SCHEDULE, default_config
 from twistk.engine import (
-    SolverConfig,
     WarmChain,
     build_approximate_solution,
     continuity_sweep,
@@ -51,10 +50,9 @@ from twistk.grid import (
 from twistk.operators import LinearOperatorHandle, dense_assemble
 from twistk.oracles import fd_directional_derivative, order_fit
 from twistk.runner import run_scenario
-from twistk.solvers import KrylovConfig, extreme_eigenvalue, inverse_norm_estimate
+from twistk.solvers import SolverConfig, extreme_eigenvalue, inverse_norm_estimate
 
-ACC = SolverConfig(newton_tol=1e-9, max_newton=30,
-                   krylov=KrylovConfig(tol=1e-10, maxiter=600))
+ACC = SolverConfig(newton_tol=1e-9, krylov_tol=1e-10)
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str) -> bool:
@@ -135,9 +133,9 @@ def sweep_run(grid32):
     started = time.perf_counter()
     # each chain seeded at its first weight, as the runner seeds it
     sweep = seed_chain(grid32, EYE1, alpha, t_to_R(schedule[0]), 2, ACC)
-    continuity_sweep(sweep, alpha, schedule, ACC)
+    continuity_sweep(sweep, alpha, schedule)
     descent = seed_chain(grid32, EYE1, alpha, 8.0, 2, ACC)
-    threshold = estimate_R_threshold(descent, alpha, R_start=8.0, cfg=ACC)
+    threshold = estimate_R_threshold(descent, alpha, R_start=8.0)
     elapsed = time.perf_counter() - started
     return {"alpha": alpha, "sweep": sweep, "threshold": threshold,
             "elapsed": elapsed}
@@ -155,9 +153,9 @@ def perturb_run(grid32):
 
     def perturbed(alpha_new, steps):
         # the flat metric solves the flat twist: the base step needs no iteration
-        chain = WarmChain(K0, "flat")
-        chain.step(alpha0, 100.0, ACC)
-        perturb_twist(chain, alpha_new, ACC, steps=steps)
+        chain = WarmChain(K0, "flat", ACC)
+        chain.step(alpha0, 100.0)
+        perturb_twist(chain, alpha_new, steps=steps)
         return chain.records[1:], chain.structure
 
     started = time.perf_counter()
@@ -292,7 +290,7 @@ def test_criterion_05_eigenvalue_bounds():
     C2 = abs(vals[0]) / (2.0 * weights[0])
     linear_bound = all(v < -C2 * R for v, R in zip(vals, weights))
     norm_weights = (25.0, 50.0, 100.0)
-    norms = [inverse_norm_estimate(K, alpha, R, ACC.krylov)
+    norms = [inverse_norm_estimate(K, alpha, R, ACC)
              for R in norm_weights]
     growth = order_fit(norm_weights, norms).exponent
     elapsed = time.perf_counter() - started

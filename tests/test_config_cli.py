@@ -192,6 +192,21 @@ class TestParseDiagnostics:
         assert any(d.startswith(f"{key}: ") and d.endswith(f"(line {line})")
                    and scenario in d for d in err.value.diagnostics)
 
+    def test_repeated_keys_name_key_and_line(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config('{"scenario": "single_solve", "order": 1, "order": 2,\n'
+                         '"sizes": [8, 8], "sizes": [16, 16]}')
+        assert err.value.diagnostics == ["order: repeated key (line 1)",
+                                         "sizes: repeated key (line 2)"]
+        terms = ('{"scenario": "single_solve", "alpha_potential": [\n'
+                 '{"amplitude": 0.1, "wavevector": [1, 0]},\n'
+                 '{"amplitude": 0.1, "wavevector": [0, 1],\n'
+                 ' "amplitude": 0.2}]}')
+        with pytest.raises(ConfigError) as err:
+            parse_config(terms)
+        assert err.value.diagnostics == [
+            "alpha_potential[1].amplitude: repeated key (line 4)"]
+
     def test_diagnostics_accumulate(self):
         with pytest.raises(ConfigError) as err:
             parse_config('{"scenario": "single_solve", "n": 3, "order": 11}')
@@ -411,18 +426,34 @@ class TestCommandLine:
         assert main(["solve", "--config", str(bad)]) == 2
         assert "mystery" in capsys.readouterr().err
         # weights that are not positive or not finite
-        for command, schedule, message in (
-                ("ladder", "[0, 50]", "entries must be positive"),
-                ("threshold", "[-1]", "entries must be positive"),
-                ("threshold", "[Infinity]",
-                 "must be a non-empty list of finite numbers")):
-            bad.write_text('{"R_schedule": %s}' % schedule)
+        for command, key, schedule, message in (
+                ("ladder", "R_schedule", "[0, 50]", "entries must be positive"),
+                ("threshold", "R_schedule", "[-1]", "entries must be positive"),
+                ("threshold", "R_schedule", "[Infinity]",
+                 "must be a non-empty list of finite numbers"),
+                # t = 1 is the weight 0, where no descent starts
+                ("threshold", "t_schedule", "[1.0]",
+                 "threshold needs a positive first weight")):
+            bad.write_text('{"%s": %s}' % (key, schedule))
             out = tmp_path / command
-            assert main([command, "--config", str(bad), "--out", str(out)]) == 2
+            assert main([command, "--grid", "16,16", "--config", str(bad),
+                         "--out", str(out)]) == 2
             err = capsys.readouterr().err
-            assert f"twistk: config error: R_schedule: {message} (line 1)" in err
+            assert f"twistk: config error: {key}: {message}" in err
+            assert "(line 1)" in err
             assert "Traceback" not in err
             assert not out.exists()
+
+    def test_out_that_names_a_file_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("keep")
+        assert main(["solve", "--grid", "8,8", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"twistk: cannot write {out}: ")
+        assert len(err.splitlines()) == 1
+        assert out.read_text() == "keep"
+        with pytest.raises(OSError):
+            run_scenario(RunConfig(scenario="single_solve", out=str(out)))
 
     @pytest.mark.parametrize("command, config", [
         ("sweep", {"t_schedule": [0.05, 0.525, 1.0]}),
@@ -513,10 +544,7 @@ class TestEigenArtifacts:
 
     def test_sweep_summary_names_a_restart_budget_failure(self, tmp_path,
                                                           monkeypatch):
-        def no_restarts(*args, **kwargs):
-            return solvers.extreme_eigenvalue(*args, maxiter=0, **kwargs)
-
-        monkeypatch.setattr(engine, "extreme_eigenvalue", no_restarts)
+        monkeypatch.setattr(solvers, "_DAVIDSON_RESTARTS", 0)
         out = tmp_path / "sweep"
         # R = 4 on 16^2: the leading pair needs more than one basis fill
         cfg = RunConfig(scenario="continuity_sweep", sizes=(16, 16),
@@ -822,6 +850,9 @@ class TestSummaryRecords:
         (RunConfig(scenario="continuity_sweep", sizes=(16, 16),
                    alpha_potential=((0.2, (1, 0), 0.0),), t_schedule=(0.5, 1.0),
                    R_schedule=(1.0,)), "R_schedule"),
+        # t = 1 is the weight 0, where no descent starts
+        (RunConfig(scenario="threshold", sizes=(16, 16), t_schedule=(1.0,)),
+         "t_schedule"),
     ])
     def test_code_built_scenario_rule_fails_before_any_solve(
             self, cfg, key, tmp_path, monkeypatch):

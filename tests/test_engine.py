@@ -15,7 +15,6 @@ from hypothesis import example, given, strategies as st
 from twistk import (
     HermitianFormField,
     KahlerStructure,
-    KrylovConfig,
     PeriodicGrid,
     R_to_t,
     SolverConfig,
@@ -33,7 +32,6 @@ from twistk import (
     volume_average,
 )
 from twistk.errors import (
-    DomainError,
     IterationLimitError,
     PreconditionError,
     UnsupportedOrderError,
@@ -48,15 +46,14 @@ from twistk.oracles import order_fit
 
 from conftest import EYE1, EYE2, seed_structure, trig_terms
 
-FAST = SolverConfig(newton_tol=1e-9, max_newton=20,
-                    krylov=KrylovConfig(tol=1e-10, maxiter=400))
+FAST = SolverConfig(newton_tol=1e-9, krylov_tol=1e-10)
 
 
 def swept(grid, g0, alpha, t_values, cfg=FAST, *, ladder_order=2, eigen_seed=0):
     """A sweep as the runner makes it: the `seed_chain` chain at the first
     weight, continued by `continuity_sweep`."""
     chain = engine.seed_chain(grid, g0, alpha, t_to_R(t_values[0]), ladder_order, cfg)
-    continuity_sweep(chain, alpha, t_values, cfg, eigen_seed=eigen_seed)
+    continuity_sweep(chain, alpha, t_values, eigen_seed=eigen_seed)
     return chain
 
 
@@ -65,7 +62,7 @@ def descended(grid, g0, alpha, *, R_start, ladder_order=2, cfg=FAST):
     at R_start, continued by `estimate_R_threshold`; the chain and the
     estimate."""
     chain = engine.seed_chain(grid, g0, alpha, R_start, ladder_order, cfg)
-    return chain, estimate_R_threshold(chain, alpha, R_start=R_start, cfg=cfg)
+    return chain, estimate_R_threshold(chain, alpha, R_start=R_start)
 
 
 def assert_class_plus_potential(form):
@@ -254,29 +251,24 @@ class TestNewtonSolve:
         assert report.residual_sup <= 1e-9
         assert sup_norm(report.structure.potential) <= 1e-7
 
-    def test_budget_exhaustion_raises(self, grid32):
+    def test_budget_exhaustion_raises(self, grid32, monkeypatch):
         """Budget exhaustion raises IterationLimitError inside the solve,
         and the report carries it as "<class>: <message>"."""
         K, alpha = product_seed(grid32)
-        cfg = SolverConfig(newton_tol=1e-15, max_newton=1,
-                           krylov=KrylovConfig(tol=1e-10, maxiter=400))
+        monkeypatch.setattr(engine, "_MAX_NEWTON", 1)
+        cfg = SolverConfig(newton_tol=1e-15, krylov_tol=1e-10)
         report = newton_solve(K, alpha, 100.0, cfg)
         assert not report.converged
         assert report.message.startswith("IterationLimitError: newton_solve:")
 
-    def test_failure_can_be_reported_instead(self, grid32):
+    def test_failure_can_be_reported_instead(self, grid32, monkeypatch):
         K, alpha = product_seed(grid32)
-        cfg = SolverConfig(newton_tol=1e-15, max_newton=1,
-                           krylov=KrylovConfig(tol=1e-10, maxiter=400))
+        monkeypatch.setattr(engine, "_MAX_NEWTON", 1)
+        cfg = SolverConfig(newton_tol=1e-15, krylov_tol=1e-10)
         report = newton_solve(K, alpha, 100.0, cfg)
         assert not report.converged
         assert report.iterations == 1
         assert report.message != ""
-
-    @pytest.mark.parametrize("max_newton", [-1, 2.5])
-    def test_iteration_cap_that_cannot_run_is_rejected(self, max_newton):
-        with pytest.raises(DomainError, match="max_newton"):
-            SolverConfig(max_newton=max_newton)
 
 
 class TestIFTCertificate:
@@ -305,34 +297,43 @@ class TestIFTCertificate:
 def base_chain(K, alpha, R=100.0, cfg=FAST):
     """A chain whose one step solved, or tried to solve, the base problem
     from K."""
-    chain = WarmChain(K, "explicit-potential")
-    chain.step(alpha, R, cfg)
+    chain = WarmChain(K, "explicit-potential", cfg)
+    chain.step(alpha, R)
     return chain
 
 
 class TestPerturbTwist:
     def test_identity_perturbation_needs_no_iterations(self, flat32, alpha_flat32):
         chain = base_chain(flat32, alpha_flat32)
-        perturb_twist(chain, alpha_flat32, FAST)
+        perturb_twist(chain, alpha_flat32)
         assert len(chain.records) == 2
         assert chain.records[1].converged
         assert chain.records[1].newton_iters == 0
         assert chain.structure is flat32
 
-    def test_unsolved_base_is_rejected(self, grid32):
+    def test_unsolved_base_is_rejected(self, grid32, monkeypatch):
         K, alpha = product_seed(grid32)
         with pytest.raises(PreconditionError, match="no step"):
-            perturb_twist(WarmChain(K, "explicit-potential"), alpha, FAST)
-        failed = base_chain(K, alpha, cfg=dataclasses.replace(FAST, max_newton=0))
+            perturb_twist(WarmChain(K, "explicit-potential", FAST), alpha)
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_MAX_NEWTON", 0)
+            failed = base_chain(K, alpha)
         assert not failed.records[-1].converged
-        with pytest.raises(PreconditionError):
-            perturb_twist(failed, alpha, FAST)
-        # converged, but to a looser tolerance than the stages ask for
+        with pytest.raises(PreconditionError, match="not converged to 1e-09"):
+            perturb_twist(failed, alpha)
+
+    def test_stages_solve_at_the_base_tolerance(self, grid32):
+        # a base converged at a loose tolerance is a solved base, and its
+        # stages solve at the same tolerance, the chain's
+        K, alpha = product_seed(grid32)
         loose = base_chain(K, alpha, cfg=dataclasses.replace(FAST, newton_tol=1e-3))
         assert loose.records[-1].converged
         assert loose.records[-1].residual_sup > FAST.newton_tol
-        with pytest.raises(PreconditionError):
-            perturb_twist(loose, alpha, FAST)
+        target = HermitianFormField(grid32, alpha.base_matrix, alpha.potential
+                                    + make_trig_field(grid32, [(0.02, (1, 0), 0.0)]).values)
+        perturb_twist(loose, target, steps=2)
+        assert [r.converged for r in loose.records] == [True] * 3
+        assert all(r.residual_sup <= 1e-3 for r in loose.records)
 
     def test_residual_is_evaluated_only_inside_newton(self, grid16, alpha16,
                                                       monkeypatch):
@@ -358,7 +359,7 @@ class TestPerturbTwist:
 
         monkeypatch.setattr(engine, "newton_solve", newton)
         monkeypatch.setattr(engine, "twisted_residual", residual)
-        perturb_twist(chain, target, FAST, steps=2)
+        perturb_twist(chain, target, steps=2)
         assert [r.converged for r in chain.records] == [True] * 3
         assert inside and not outside
 
@@ -378,7 +379,7 @@ class TestPerturbTwist:
             return original(K, alpha, *args, **kwargs)
 
         monkeypatch.setattr(engine, "newton_solve", recording)
-        perturb_twist(chain, target, FAST, steps=3)
+        perturb_twist(chain, target, steps=3)
         assert [r.converged for r in chain.records[1:]] == [True] * 3
         # each stage solves on the half grid first, with the stage form
         # sampled there, then on the configured grid
@@ -395,8 +396,7 @@ class TestPerturbTwist:
 
     def test_step_count_is_validated(self, flat32, alpha_flat32):
         with pytest.raises(PreconditionError):
-            perturb_twist(base_chain(flat32, alpha_flat32), alpha_flat32, FAST,
-                          steps=0)
+            perturb_twist(base_chain(flat32, alpha_flat32), alpha_flat32, steps=0)
 
 
 class TestSolveStep:
@@ -583,9 +583,9 @@ class TestContinuitySweep:
     def test_t_values_must_increase(self, grid16, alpha16):
         chain = engine.seed_chain(grid16, EYE1, alpha16, 1.0, 2, FAST)
         with pytest.raises(PreconditionError):
-            continuity_sweep(chain, alpha16, (0.7, 0.3), FAST)
+            continuity_sweep(chain, alpha16, (0.7, 0.3))
         with pytest.raises(PreconditionError):
-            continuity_sweep(chain, alpha16, (), FAST)
+            continuity_sweep(chain, alpha16, ())
         assert chain.records == []
 
     def test_every_t_is_mapped_before_the_first_solve(self, grid16, alpha16,
@@ -770,7 +770,7 @@ class TestSeedChain:
             assert sizes == [ladder_sizes]
             assert chain.ladder_sizes == ladder_sizes
             assert (chain.source, chain.ladder_error) == ("ladder[2]", "")
-            assert chain.step(alpha, 8.0, FAST)
+            assert chain.step(alpha, 8.0)
             assert chain.records[0].warm_source == "ladder[2]"
         # the sweep and the threshold descent seed through it
         sizes.clear()
@@ -839,7 +839,7 @@ class TestSeedChain:
         monkeypatch.setattr(engine, "half_grid", halving)
         monkeypatch.setattr(engine, "build_approximate_solution", laddering)
         chain = engine.seed_chain(grid16, EYE1, alpha, 8.0, 2, FAST)
-        assert chain.step(alpha, 8.0, FAST)
+        assert chain.step(alpha, 8.0)
         assert chain.records[0].coarse_iters > 0
         (_, _, parities), (start, _, step_parities) = halves[:2]
         assert parities == (1, 0)
@@ -887,12 +887,12 @@ class TestSeedChain:
         assert chain.source == "proportional-seed"
         assert chain.ladder_error == "IterationLimitError: solve_F: forced"
         assert chain.ladder_sizes == (8, 8)
-        assert chain.step(alpha, 8.0, FAST)
+        assert chain.step(alpha, 8.0)
         assert chain.records[0].warm_source == "proportional-seed"
 
         calls = TestWarmChain.record_steps(monkeypatch)
         chain = engine.seed_chain(grid16, EYE1, alpha, 8.0, 2, FAST)
-        chain.step(alpha, 8.0, FAST)
+        chain.step(alpha, 8.0)
         assert np.array_equal(calls[0][0].potential, seed.potential)
 
         def unsupported(*args, **kwargs):
@@ -915,7 +915,7 @@ class TestSeedChain:
         def configured(grid, g0, alpha, R, order, cfg, **kwargs):
             ladder = build_approximate_solution(
                 engine.seed_structure(grid, g0, alpha, **kwargs)[0], alpha, R, order, cfg)
-            return WarmChain(ladder.structure, f"ladder[{order}]", "", grid.sizes)
+            return WarmChain(ladder.structure, f"ladder[{order}]", FAST, "", grid.sizes)
 
         monkeypatch.setattr(engine, "seed_chain", configured)
         full_chain, full = descended(grid8x4, EYE2, alpha, R_start=8.0)
@@ -998,10 +998,31 @@ class TestWarmChain:
         start = KahlerStructure(grid16, EYE1,
                                 make_trig_field(grid16, [(1e-3, (1, 0), 0.0)]).values)
         chain = base_chain(start, HermitianFormField.from_potential(grid16, EYE1))
-        perturb_twist(chain, alpha, FAST, steps=3)
+        perturb_twist(chain, alpha, steps=3)
         assert len(calls) == len(chain.records) == 4
         self.assert_one_rule(calls, "explicit-potential")
         assert calls[0][0] is start and chain.structure is calls[3][2]
+
+    def test_every_step_solves_at_the_chain_cfg(self, grid16, monkeypatch):
+        alpha = self.twist(grid16)
+        cfg = SolverConfig(newton_tol=2e-9, krylov_tol=5e-11)
+        original = engine.solve_step
+        passed = []
+
+        def recording(K_init, alpha, R, step_cfg, *args, **kwargs):
+            passed.append(step_cfg)
+            return original(K_init, alpha, R, step_cfg, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "solve_step", recording)
+        chain = engine.seed_chain(grid16, EYE1, alpha, t_to_R(0.5), 2, cfg)
+        assert chain.cfg is cfg
+        continuity_sweep(chain, alpha, (0.5, 1.0), eigen_seed=None)
+        chain = engine.seed_chain(grid16, EYE1, alpha, 8.0, 2, cfg)
+        estimate_R_threshold(chain, alpha, R_start=8.0)
+        target = HermitianFormField(grid16, alpha.base_matrix, 1.1 * alpha.potential)
+        perturb_twist(chain, target, steps=2)
+        assert len(passed) == 2 + len(chain.records) > 6
+        assert all(step_cfg is cfg for step_cfg in passed)
 
     def test_threshold_lets_its_seed_go_at_the_first_converged_attempt(
             self, grid16, monkeypatch):
@@ -1073,7 +1094,7 @@ class TestThresholdEstimate:
     def test_parameters_are_validated(self, grid16, alpha16):
         chain = engine.seed_chain(grid16, EYE1, alpha16, 8.0, 2, FAST)
         with pytest.raises(PreconditionError):
-            estimate_R_threshold(chain, alpha16, R_start=0.0, cfg=FAST)
+            estimate_R_threshold(chain, alpha16, R_start=0.0)
         assert chain.records == []
 
     @pytest.mark.parametrize("fails, records", [

@@ -15,9 +15,9 @@ from hypothesis import given, strategies as st
 from twistk import (
     HermitianFormField,
     KahlerStructure,
-    KrylovConfig,
     PeriodicGrid,
     ScalarField,
+    SolverConfig,
     extreme_eigenvalue,
     green_solve,
     inverse_norm_estimate,
@@ -165,13 +165,14 @@ class TestSolveShifted:
         assert again.iterations == cold.iterations > 1
         assert builds == [(4.0,)]
 
-    def test_iteration_budget_raises_with_history(self, grid32):
+    def test_iteration_budget_raises_with_history(self, grid32, monkeypatch):
         K = seed_structure(grid32, [(0.2, (1, 0), 0.0)])
         alpha = HermitianFormField.from_potential(grid32, EYE1, K.potential)
         rng = np.random.default_rng(37)
         f = volume_mean_zero(
             K, random_smooth_field(grid32, rng, amplitude=1.0).values)
-        cfg = KrylovConfig(tol=1e-14, maxiter=2)
+        monkeypatch.setattr(solvers, "_KRYLOV_MAXITER", 2)
+        cfg = SolverConfig(krylov_tol=1e-14)
         with pytest.raises(IterationLimitError) as err:
             solve_shifted(K, alpha, 10.0, ScalarField(grid32, f), cfg)
         assert len(err.value.history) == 2
@@ -205,21 +206,23 @@ class TestNewtonLinearSolve:
             grid, np.random.default_rng(3), amplitude=1.0).values)
         return K, alpha, rhs
 
-    def test_iteration_cap_is_exact(self, grid32):
+    def test_iteration_cap_is_exact(self, grid32, monkeypatch):
         K, alpha, rhs = self.problem(grid32, 0.05)
+        monkeypatch.setattr(solvers, "_KRYLOV_MAXITER", 2)
         with pytest.raises(IterationLimitError) as err:
-            newton_linear_solve(K, alpha, 5.0, rhs, KrylovConfig(tol=1e-14, maxiter=2))
+            newton_linear_solve(K, alpha, 5.0, rhs, SolverConfig(krylov_tol=1e-14))
         assert len(err.value.history) == 2
 
-    def test_certified_solve_at_the_cap_returns(self, grid32):
+    def test_certified_solve_at_the_cap_returns(self, grid32, monkeypatch):
         # five iterations reach a true residual of ~3e-10, inside the
         # 10 * tol certificate although the estimate is not yet at tol / 10
         K, alpha, rhs = self.problem(grid32, 0.02)
-        cfg = KrylovConfig(tol=1e-10, maxiter=5)
+        monkeypatch.setattr(solvers, "_KRYLOV_MAXITER", 5)
+        cfg = SolverConfig(krylov_tol=1e-10)
         delta, info = newton_linear_solve(K, alpha, 5.0, rhs, cfg)
         assert info["iterations"] == len(info["history"]) == 5
-        assert info["history"][-1] > 0.1 * cfg.tol
-        assert info["residual"] <= 10.0 * cfg.tol
+        assert info["history"][-1] > 0.1 * cfg.krylov_tol
+        assert info["residual"] <= 10.0 * cfg.krylov_tol
         handle = LinearOperatorHandle("full_linearization", K, alpha, 5.0, mean_zero=True)
         back = volume_mean_zero(K, rhs - handle.apply(delta))
         assert volume_rms(K, back) / volume_rms(K, rhs) == pytest.approx(
@@ -254,12 +257,12 @@ class TestNewtonLinearSolve:
 
     def test_restarted_solve_agrees_with_one_cycle(self, grid32, monkeypatch):
         K, alpha, rhs = self.problem(grid32, 0.05)
-        cfg = KrylovConfig()
+        cfg = SolverConfig()
         whole, info = newton_linear_solve(K, alpha, 5.0, rhs, cfg)
         assert info["iterations"] > 2
         monkeypatch.setattr(solvers, "_GMRES_RESTART", 2)
         cycled, cycled_info = newton_linear_solve(K, alpha, 5.0, rhs, cfg)
-        assert cycled_info["residual"] <= 10.0 * cfg.tol
+        assert cycled_info["residual"] <= 10.0 * cfg.krylov_tol
         assert cycled_info["iterations"] == len(cycled_info["history"])
         assert sup_norm(cycled - whole) <= 1e-8 * sup_norm(whole)
 
@@ -317,22 +320,12 @@ def test_runner_import_loads_no_scipy_special():
     assert _modules_after_import("twistk.runner, twistk.cli", "scipy.special") == "[]"
 
 
-class TestKrylovConfig:
-    @pytest.mark.parametrize("kwargs", [{"maxiter": 0}, {"maxiter": -3},
-                                        {"tol": 0.0}, {"tol": 1.0}, {"tol": -1e-10},
-                                        {"maxiter": 2.5}])
-    def test_values_that_cannot_run_are_rejected(self, kwargs):
-        with pytest.raises(DomainError, match="Krylov"):
-            KrylovConfig(**kwargs)
-
-    def test_zero_iteration_budget_is_a_typed_error_in_both_solves(
-            self, flat32, alpha_flat32):
-        x, _ = flat32.grid.coordinates()
-        f = ScalarField(flat32.grid, np.cos(x) + np.zeros(flat32.grid.shape))
-        with pytest.raises(DomainError, match="maxiter"):
-            solve_shifted(flat32, alpha_flat32, 4.0, f, KrylovConfig(maxiter=0))
-        with pytest.raises(DomainError, match="maxiter"):
-            green_solve(flat32, f, KrylovConfig(maxiter=0))
+class TestSolverConfig:
+    @pytest.mark.parametrize("name", ["newton_tol", "krylov_tol"])
+    @pytest.mark.parametrize("value", [0.0, 1.0, -1e-10])
+    def test_tolerance_outside_the_unit_interval_is_rejected(self, name, value):
+        with pytest.raises(DomainError, match=f"^{name} must lie in"):
+            SolverConfig(**{name: value})
 
 
 class TestPreconditionerRule:
@@ -521,12 +514,13 @@ class TestDavidsonEigenStage:
             extreme_eigenvalue(K, alpha, 4.0, seed=0)
         assert err.value.history[0] > 1e-8
 
-    def test_restart_budget_raises(self):
+    def test_restart_budget_raises(self, monkeypatch):
         K, alpha = solved_structure(
             1, (16, 16), [(0.2, (1, 0), 0.0), (0.1, (0, 1), 0.3)], 4.0)
+        monkeypatch.setattr(solvers, "_DAVIDSON_RESTARTS", 0)
         # this pair needs more than one basis fill, so no restart fails
         with pytest.raises(IterationLimitError, match="within 0 restarts") as err:
-            extreme_eigenvalue(K, alpha, 4.0, seed=0, maxiter=0)
+            extreme_eigenvalue(K, alpha, 4.0, seed=0)
         assert len(err.value.history) == solvers._DAVIDSON_CAP
 
     def test_correction_at_round_off_is_not_normalised(self, near_degenerate,
