@@ -13,6 +13,8 @@ scenarios fill a default otherwise.
 Scenario rules (`scenario_diagnostics`) tie fields to the scenario:
 
 - the scenario itself must be one of SCENARIOS;
+- single_solve, threshold and twist_perturbation each take exactly one
+  weight, as a one-entry R_schedule or t_schedule;
 - continuity_sweep walks a t_schedule and is seeded at its first weight,
   so an R_schedule, in its place or beside it, is rejected;
 - ladder_study fits its order law across weights and needs at least two
@@ -137,6 +139,11 @@ def scenario_diagnostics(cfg: RunConfig) -> list[str]:
                          f"weights, got {weights}")
         if cfg.order < 1:
             diags.append(f"order: ladder_study needs order >= 1, got {cfg.order}")
+    if cfg.scenario in ("single_solve", "threshold", "twist_perturbation"):
+        key = "t_schedule" if cfg.t_schedule else "R_schedule"
+        weights = len(cfg.t_schedule or ()) + len(cfg.R_schedule or ())
+        if weights != 1:
+            diags.append(f"{key}: {cfg.scenario} takes one weight, got {weights}")
     if (cfg.scenario == "threshold" and not cfg.R_schedule and cfg.t_schedule
             and cfg.t_schedule[0] >= 1.0):
         diags.append("t_schedule: threshold needs a positive first weight, so a "

@@ -9,16 +9,16 @@ components derived once.  A Kahler metric is the positive case:
     g_{j kbar} = g0_{j kbar} + d/dz_j d/dzbar_k phi
 
 are positive definite, with its pointwise algebra (det g, inverse,
-Ricci and scalar curvature) cached.  The volume form weights the
-uniform quadrature by det g; `volume_average`, `volume_mean_zero` and
-`volume_rms` are the volume products the solvers and operators use.
+Ricci and scalar curvature) held as attributes.  The volume form weights
+the uniform quadrature by det g; `volume_average`, `volume_mean_zero`
+and `volume_rms` are the volume products the solvers and operators use.
 
 Layout: every Hermitian (1,1)-field is stored real, in the layout of
 the grid's Hessian stack (`PeriodicGrid.hessian_stack`): the n diagonal
 entries G[j, j], then Re G[j, k] and Im G[j, k] for each pair j < k,
 so one real field at n = 1 and four at n = 2, [G11, G22, Re G12,
 Im G12].  The form's `stack`, the structure's `inverse_stack` and
-`ricci()` are such stacks, and so are the coefficient fields operator
+`ricci` are such stacks, and so are the coefficient fields operator
 handles precompute.  Pointwise algebra on stacks (determinant, smallest
 eigenvalue, inverse, the sandwich P A P, the product of a matrix field
 with a vector field, traces) is written in closed form for n in {1, 2},
@@ -44,17 +44,19 @@ first-order stack (`PeriodicGrid.dzbar_stack`).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateMetricError, ShapeError
+from .errors import DegenerateMetricError, DomainError, ShapeError
 from .grid import (
     PeriodicGrid,
     ScalarField,
     _check_hermitian,
     _check_hermitian_matrix,
+    _check_positive_definite,
     hermitian_matrix,
     hermitian_stack,
 )
@@ -157,6 +159,8 @@ class HermitianFormField:
         if pot.shape != grid.shape:
             raise ShapeError(
                 f"form potential shape {pot.shape} does not match grid {grid.shape}")
+        if not np.isfinite(pot).all():
+            raise DomainError("form potential contains non-finite samples")
         base = hermitian_stack(matrix).reshape((-1,) + (1,) * len(grid.sizes))
         object.__setattr__(self, "base_matrix", matrix)
         object.__setattr__(self, "potential", pot)
@@ -182,19 +186,21 @@ class HermitianFormField:
 class KahlerStructure(HermitianFormField):
     """Kahler metric: a closed (1,1)-form positive definite at every point.
 
-    The class matrix must be positive definite, and construction fails
-    with the offending grid point if the metric is not positive definite
-    everywhere.  The volume weight det g (`weight`) and the pointwise
-    inverse are cached at construction, the Ricci and scalar curvature
-    on first use; every cached field is real, a scalar field or a
+    The class matrix, checked Hermitian once as the form's, must be
+    positive definite, and construction fails with the offending grid
+    point if the metric is not positive definite everywhere.  The volume
+    weight det g (`weight`) and the inverse (`inverse_stack`) are fields
+    set at construction, `log_det`, `ricci` and `scalar` cached properties
+    computed on first use; every held field is real, a scalar field or a
     Hermitian stack.
     """
 
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    weight: np.ndarray = field(init=False, repr=False, compare=False)
+    inverse_stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_hermitian_matrix(self.base_matrix, self.grid.n, "class matrix g0")
         super().__post_init__()
+        _check_positive_definite(self.base_matrix, "class matrix g0")
         det = stack_det(self.stack)
         mineig = stack_min_eigenvalue(self.stack, det)
         worst = float(mineig.min())
@@ -205,17 +211,12 @@ class KahlerStructure(HermitianFormField):
                 point=point,
                 eigenvalue=worst,
             )
-        self._cache["weight"] = det
-        self._cache["inverse"] = stack_inverse(self.stack, det)
+        object.__setattr__(self, "weight", det)
+        object.__setattr__(self, "inverse_stack", stack_inverse(self.stack, det))
 
     @property
     def n(self) -> int:
         return self.grid.n
-
-    @property
-    def inverse_stack(self) -> np.ndarray:
-        """Stack of the pointwise inverse matrix P = G^{-1}."""
-        return self._cache["inverse"]
 
     @property
     def inverse(self) -> np.ndarray:
@@ -223,27 +224,19 @@ class KahlerStructure(HermitianFormField):
         assembled on each call."""
         return hermitian_matrix(self.inverse_stack)
 
-    @property
-    def weight(self) -> np.ndarray:
-        """Volume weight per grid point (uniform quadrature times det g)."""
-        return self._cache["weight"]
-
+    @functools.cached_property
     def log_det(self) -> np.ndarray:
-        if "logdet" not in self._cache:
-            self._cache["logdet"] = np.log(self.weight)
-        return self._cache["logdet"]
+        return np.log(self.weight)
 
+    @functools.cached_property
     def ricci(self) -> np.ndarray:
         """Stack of the Ricci components -Hess(log det g)."""
-        if "ricci" not in self._cache:
-            grid = self.grid
-            self._cache["ricci"] = -grid.derivatives(self.log_det(), grid.hessian_stack)
-        return self._cache["ricci"]
+        grid = self.grid
+        return -grid.derivatives(self.log_det, grid.hessian_stack)
 
+    @functools.cached_property
     def scalar(self) -> np.ndarray:
-        if "scalar" not in self._cache:
-            self._cache["scalar"] = stack_trace(self.grid, self.inverse_stack, self.ricci())
-        return self._cache["scalar"]
+        return stack_trace(self.grid, self.inverse_stack, self.ricci)
 
 
 def ricci_form(K: KahlerStructure) -> HermitianFormField:
@@ -252,11 +245,11 @@ def ricci_form(K: KahlerStructure) -> HermitianFormField:
     Zero class matrix and potential -log det g, so each component has
     exact grid mean zero.
     """
-    return HermitianFormField(K.grid, np.zeros((K.n, K.n)), -K.log_det())
+    return HermitianFormField(K.grid, np.zeros((K.n, K.n)), -K.log_det)
 
 
 def scalar_curvature(K: KahlerStructure) -> ScalarField:
-    return ScalarField(K.grid, K.scalar())
+    return ScalarField(K.grid, K.scalar)
 
 
 def trace_form(K: KahlerStructure, alpha: HermitianFormField) -> ScalarField:

@@ -435,12 +435,15 @@ def _check_hermitian(matrix: np.ndarray, n: int, what: str) -> np.ndarray:
     return matrix
 
 
-def _check_hermitian_matrix(g0: np.ndarray, n: int, what: str) -> np.ndarray:
-    g0 = _check_hermitian(g0, n, what)
-    eigs = np.linalg.eigvalsh(g0)
+def _check_positive_definite(matrix: np.ndarray, what: str) -> np.ndarray:
+    eigs = np.linalg.eigvalsh(matrix)
     if eigs.min() <= 0.0:
         raise DomainError(f"{what} must be positive definite, eigenvalues {eigs}")
-    return g0
+    return matrix
+
+
+def _check_hermitian_matrix(g0: np.ndarray, n: int, what: str) -> np.ndarray:
+    return _check_positive_definite(_check_hermitian(g0, n, what), what)
 
 
 def flat_laplacian_symbol(grid: PeriodicGrid, g0: np.ndarray) -> np.ndarray:

@@ -128,7 +128,7 @@ class LinearOperatorHandle:
         weak = 1.0
         coeffs = []
         if fourth:
-            pricp = stack_sandwich(P, K.ricci())
+            pricp = stack_sandwich(P, K.ricci)
             if self.kind == "full_linearization":
                 second = self.R * stack_sandwich(P, self.alpha.stack) - pricp
                 weak = 0.0
@@ -140,7 +140,7 @@ class LinearOperatorHandle:
             # Re sum_k g^{kj} d_j f * conj(d_k phi) with conj(d_k phi) =
             # d_{zbar_k} phi, phi's first-order stack as (Re, Im): the
             # coefficients are conj(P d f) = P^T d/dzbar f
-            dzbar = grid.derivatives(-K.scalar(), grid.dzbar_stack)
+            dzbar = grid.derivatives(-K.scalar, grid.dzbar_stack)
             coeffs.append(stack_matvec(stack_conj(P), dzbar))
         mults = [grid.hessian_stack] if fourth else []
         if self.kind != "full_linearization":

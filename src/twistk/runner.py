@@ -15,6 +15,7 @@ same seed are bit-identical.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import platform
@@ -89,7 +90,6 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD = 4 * 1024 * 1024
 _TRIM_THRESHOLD = 64 * 1024 * 1024
-_allocator_policy_set = False
 
 
 def _fmt(value) -> str:
@@ -161,21 +161,13 @@ def _solver_config(cfg: RunConfig) -> SolverConfig:
     return SolverConfig(newton_tol=cfg.newton_tol, krylov_tol=cfg.krylov_tol)
 
 
-def _first_R(cfg: RunConfig) -> float:
-    if cfg.R_schedule:
-        return float(cfg.R_schedule[0])
-    if cfg.t_schedule:
-        return t_to_R(cfg.t_schedule[0])
-    return 100.0
-
-
 def _seeded_problem(cfg: RunConfig):
     """A Newton scenario's twist, first weight and chain: the one
     `seed_chain` call, at the config's tolerances, seeded from
     omega_potential when it is non-empty and laddered at the first
     weight."""
     grid, g0_omega, omega_pot, alpha = _build_problem(cfg)
-    R = _first_R(cfg)
+    R = float(cfg.R_schedule[0]) if cfg.R_schedule else t_to_R(cfg.t_schedule[0])
     chain = seed_chain(grid, g0_omega, alpha, R, cfg.order, _solver_config(cfg),
                        potential=omega_pot.values)
     return alpha, R, chain
@@ -467,13 +459,10 @@ _SCENARIO_RUNNERS = {
 }
 
 
+@functools.cache
 def _set_allocator_policy() -> None:
     """Fix glibc's mmap and trim thresholds, once per process; a no-op
     where the C library has no mallopt."""
-    global _allocator_policy_set
-    if _allocator_policy_set:
-        return
-    _allocator_policy_set = True
     import ctypes
 
     try:

@@ -42,7 +42,7 @@ from .geometry import (
     volume_mean_zero,
     volume_rms,
 )
-from .grid import ScalarField, flat_laplacian_symbol, inverse_symbol, sobolev_weight
+from .grid import ScalarField, inverse_symbol, sobolev_weight
 from .operators import LinearOperatorHandle
 
 
@@ -109,7 +109,8 @@ def _spd_preconditioner(K: KahlerStructure, R: float | None):
     symbol.
     """
     grid = K.grid
-    L0 = flat_laplacian_symbol(grid, K.base_matrix)
+    # `flat_laplacian_symbol` of the class matrix the structure has checked
+    L0 = grid.hessian_symbol(np.linalg.inv(K.base_matrix))
     symbol = -L0 if R is None else L0 * L0 - R * L0
     inv_mult = inverse_symbol(symbol)
     w = K.weight

@@ -166,13 +166,16 @@ class TestParseDiagnostics:
             assert diag.endswith("(line 2)")
 
     def test_repeated_weight_is_not_monotone(self):
-        for schedule in ([100, 100], [8, 4, 4]):
+        # ladder_study is the scenario that takes several weights; each
+        # schedule holds two distinct ones, so only the monotone rule fails
+        for schedule in ([50, 100, 100], [8, 4, 4]):
             with pytest.raises(ConfigError) as err:
-                parse_config(json.dumps({"scenario": "single_solve",
+                parse_config(json.dumps({"scenario": "ladder_study",
                                          "R_schedule": schedule}))
-            assert [d.split(":")[0] for d in err.value.diagnostics] == ["R_schedule"]
+            assert err.value.diagnostics == [
+                "R_schedule: must be strictly monotone (no weight repeats) (line 1)"]
         for schedule in ([8, 4], [50, 100]):
-            cfg = parse_config(json.dumps({"scenario": "single_solve",
+            cfg = parse_config(json.dumps({"scenario": "ladder_study",
                                            "R_schedule": schedule}))
             assert cfg.R_schedule == tuple(float(R) for R in schedule)
 
@@ -182,6 +185,9 @@ class TestParseDiagnostics:
         ("ladder_study", {"order": 0}, "order"),
         ("twist_perturbation", {"perturbation": {"amplitude": 0.2}},
          "perturbation"),
+        ("single_solve", {"R_schedule": [100.0, 50.0, 25.0]}, "R_schedule"),
+        ("threshold", {"R_schedule": [8.0, 4.0]}, "R_schedule"),
+        ("twist_perturbation", {"t_schedule": [0.5, 0.9]}, "t_schedule"),
     ])
     def test_scenario_rules_name_key_and_line(self, scenario, fields, key):
         text = json.dumps({"scenario": scenario, **fields}, indent=2)
@@ -431,6 +437,11 @@ class TestCommandLine:
                 ("threshold", "R_schedule", "[-1]", "entries must be positive"),
                 ("threshold", "R_schedule", "[Infinity]",
                  "must be a non-empty list of finite numbers"),
+                # one weight per solve: more is not dropped
+                ("solve", "R_schedule", "[100, 50, 25]",
+                 "single_solve takes one weight, got 3"),
+                ("perturb", "t_schedule", "[0.5, 0.9]",
+                 "twist_perturbation takes one weight, got 2"),
                 # t = 1 is the weight 0, where no descent starts
                 ("threshold", "t_schedule", "[1.0]",
                  "threshold needs a positive first weight")):
@@ -853,6 +864,10 @@ class TestSummaryRecords:
         # t = 1 is the weight 0, where no descent starts
         (RunConfig(scenario="threshold", sizes=(16, 16), t_schedule=(1.0,)),
          "t_schedule"),
+        # a solve takes one weight, and there is no fallback weight
+        (RunConfig(scenario="single_solve", sizes=(16, 16),
+                   R_schedule=(100.0, 50.0)), "R_schedule"),
+        (RunConfig(scenario="threshold", sizes=(8, 8)), "R_schedule"),
     ])
     def test_code_built_scenario_rule_fails_before_any_solve(
             self, cfg, key, tmp_path, monkeypatch):
@@ -1052,7 +1067,16 @@ class TestProcessUsage:
         assert isinstance(process["minor_faults"], int)
         assert all(math.isfinite(v) and v >= 0 for v in process.values())
 
-    def test_policy_is_set_once_per_process(self, tmp_path, monkeypatch):
+    @pytest.fixture
+    def fresh_policy(self):
+        # the test sets the policy anew, with its own C library, and the
+        # next run_scenario sets it again with the real one
+        runner._set_allocator_policy.cache_clear()
+        yield
+        runner._set_allocator_policy.cache_clear()
+
+    def test_policy_is_set_once_per_process(self, tmp_path, monkeypatch,
+                                            fresh_policy):
         calls = []
 
         def mallopt(param, value):
@@ -1061,18 +1085,16 @@ class TestProcessUsage:
 
         monkeypatch.setattr(ctypes, "CDLL",
                             lambda name: types.SimpleNamespace(mallopt=mallopt))
-        monkeypatch.setattr(runner, "_allocator_policy_set", False)
         for run in ("first", "second"):
             run_scenario(RunConfig(scenario="bogus", out=str(tmp_path / run)))
         # glibc's M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD is -1
         assert calls == [(-3, 4 * 2**20), (-1, 64 * 2**20)]
 
     @pytest.mark.parametrize("libc", [_libc_without_mallopt, _no_libc])
-    def test_missing_mallopt_is_a_no_op(self, libc, monkeypatch):
+    def test_missing_mallopt_is_a_no_op(self, libc, monkeypatch, fresh_policy):
         monkeypatch.setattr(ctypes, "CDLL", libc)
-        monkeypatch.setattr(runner, "_allocator_policy_set", False)
         runner._set_allocator_policy()
-        assert runner._allocator_policy_set
+        assert runner._set_allocator_policy.cache_info().currsize == 1
 
     @pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
     def test_warm_ladder_study_does_not_refault_the_heap(self, tmp_path):

@@ -117,7 +117,7 @@ class TestTwistedResidual:
         K = seed_structure(grid32, [(0.3, (1, 0), 0.0)])
         alpha = HermitianFormField.from_potential(grid32, EYE1, K.potential)
         residual, const = twisted_residual(K, alpha, 0.0)
-        assert sup_norm(residual.values - K.scalar()) <= 1e-8 * sup_norm(K.scalar())
+        assert sup_norm(residual.values - K.scalar) <= 1e-8 * sup_norm(K.scalar)
 
     @given(terms=trig_terms(2, 0.05))
     def test_residual_has_volume_mean_zero(self, terms):

@@ -22,6 +22,7 @@ from twistk import (
     volume_mean_zero,
 )
 from twistk.errors import DegenerateMetricError, DomainError
+import twistk.geometry as geometry
 from twistk.grid import (euclid_mean_zero, hessian, holo_gradient, make_trig_field,
                          random_smooth_field, sup_norm)
 from twistk.operators import LinearOperatorHandle
@@ -84,7 +85,7 @@ class TestMetricFromPotential:
 class TestCurvature:
     def test_flat_ricci_and_scalar_vanish(self, flat32):
         assert sup_norm(ricci_form(flat32).comps) <= 1e-14
-        assert sup_norm(flat32.scalar()) <= 1e-14
+        assert sup_norm(flat32.scalar) <= 1e-14
 
     def test_ricci_matches_log_metric_second_derivative(self):
         # n=1: Ric_11 = -d/dz d/dzbar log(g); the oracle route differentiates
@@ -112,7 +113,7 @@ class TestCurvature:
         x, _ = grid32.coordinates()
         K = KahlerStructure(grid32, EYE1, eps * np.cos(x) + np.zeros(grid32.shape))
         expected = -(eps / 16.0) * np.cos(x) + np.zeros(grid32.shape)
-        assert sup_norm(K.scalar() - expected) <= 1e-6
+        assert sup_norm(K.scalar - expected) <= 1e-6
 
     def test_scalar_curvature_integrates_to_zero(self, grid32):
         K = seed_structure(grid32, [(0.3, (1, 0), 0.0), (0.1, (0, 2), 1.0)])
@@ -143,6 +144,30 @@ class TestKahlerStructureIsAForm:
         with pytest.raises(DegenerateMetricError,
                            match="metric is not positive definite: eigenvalue"):
             KahlerStructure(grid, g0, 40.0 * np.cos(x) + np.zeros(grid.shape))
+
+    def test_a_build_checks_its_class_matrix_once(self, monkeypatch):
+        # the form's Hermitian check, then the structure's positivity test
+        calls = []
+        for name in ("_check_hermitian", "_check_hermitian_matrix",
+                     "_check_positive_definite"):
+            def counted(*args, name=name, real=getattr(geometry, name)):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(geometry, name, counted)
+        grid = PeriodicGrid(2, (6, 6, 6, 6))
+        KahlerStructure(grid, np.array([[1.5, 0.3 + 0.2j], [0.3 - 0.2j, 1.2]]),
+                        np.zeros(grid.shape))
+        assert calls == ["_check_hermitian", "_check_positive_definite"]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("cls", [HermitianFormField, KahlerStructure])
+    def test_non_finite_potential_is_a_domain_error(self, cls, bad):
+        grid = PeriodicGrid(1, (8, 8))
+        potential = np.zeros(grid.shape)
+        potential[3, 5] = bad
+        with pytest.raises(DomainError, match="form potential contains non-finite samples"):
+            cls(grid, np.eye(1), potential)
 
 
 class TestTraceForm:
@@ -365,27 +390,43 @@ class TestNonDiagonalComplexClass:
         moved = np.moveaxis(K.comps, (0, 1), (-2, -1))
         hess = hessian(K.grid, np.log(np.linalg.det(moved).real))
         oracle = -np.einsum("kj...,jk...->...", pointwise_inverse(K.comps), hess).real
-        assert np.abs(K.scalar() - oracle).max() <= 1e-12
+        assert np.abs(K.scalar - oracle).max() <= 1e-12
 
 
 class TestStructureMemory:
     def test_every_cached_field_is_real(self, complex_class_pair):
         # after the Ricci and scalar curvature and a handle build, every
-        # field the structure holds is real float64: a scalar field or a
-        # Hermitian stack of leading length n^2
+        # grid field the structure holds is real float64: a scalar field
+        # or a Hermitian stack of leading length n^2
         K, alpha = complex_class_pair
-        K.scalar()
+        K.scalar
         LinearOperatorHandle("full_linearization", K, alpha, 2.0)
         shape = K.grid.shape
-        held = {"stack": K.stack, "potential": K.potential, **K._cache}
-        assert {"weight", "inverse", "logdet", "ricci", "scalar"} <= set(K._cache)
+        held = {name: value for name, value in vars(K).items()
+                if name not in ("grid", "base_matrix")}
+        assert set(held) == {"stack", "potential", "weight", "inverse_stack",
+                             "log_det", "ricci", "scalar"}
         for name, array in held.items():
             assert array.dtype == np.float64, name
             assert array.shape in (shape, (K.n * K.n,) + shape), name
 
     def test_complex_views_are_not_cached(self, complex_class_pair):
         K, _ = complex_class_pair
-        keys = set(K._cache)
+        keys = set(vars(K))
         assert K.comps.dtype == complex and K.inverse.dtype == complex
         assert K.comps is not K.comps
-        assert set(K._cache) == keys
+        assert set(vars(K)) == keys
+
+    def test_curvature_is_computed_once(self, grid32, monkeypatch):
+        K = seed_structure(grid32, [(0.3, (1, 0), 0.0)])
+        traces = []
+
+        def counted(*args, real=geometry.stack_trace):
+            traces.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(geometry, "stack_trace", counted)
+        assert K.ricci is K.ricci
+        assert K.scalar is K.scalar
+        assert scalar_curvature(K).values is K.scalar
+        assert len(traces) == 1

@@ -59,7 +59,7 @@ class TestDirectionalDerivative:
 
         def curvature(pot):
             K = KahlerStructure(grid32, EYE1, pot)
-            return K.scalar()
+            return K.scalar
 
         fd = fd_directional_derivative(curvature, np.zeros(grid32.shape), psi)
         expected = -(1.0 / 16.0) * np.cos(x) + np.zeros(grid32.shape)
@@ -86,7 +86,7 @@ class TestDirectionalDerivative:
 
         def curvature(pot):
             K = KahlerStructure(grid32, EYE1, pot)
-            return K.scalar()
+            return K.scalar
 
         fd = fd_directional_derivative(curvature, base, psi,
                                        epsilons=(0.5, 0.05, 0.02, 0.01))
@@ -100,7 +100,7 @@ class TestDirectionalDerivative:
 
         def curvature(pot):
             K = KahlerStructure(grid32, EYE1, pot)
-            return K.scalar()
+            return K.scalar
 
         with pytest.raises(PreconditionError):
             fd_directional_derivative(curvature, base, psi,
@@ -110,7 +110,7 @@ class TestDirectionalDerivative:
 class TestStencilOracles:
     def test_fd_scalar_curvature_agrees_with_spectral(self, grid64):
         K = seed_structure(grid64, [(0.3, (1, 0), 0.0)])
-        assert sup_norm(fd_scalar_curvature(K) - K.scalar()) <= 1e-6
+        assert sup_norm(fd_scalar_curvature(K) - K.scalar) <= 1e-6
 
     def test_pointwise_inverse_inverts(self, grid8x4):
         pot = ScalarField(
@@ -127,4 +127,4 @@ class TestScalarCurvatureConsistency:
     def test_module_level_wrapper_matches_structure(self, grid32):
         K = seed_structure(grid32, [(0.2, (1, 1), 0.3)])
         s = scalar_curvature(K)
-        assert sup_norm(s.values - K.scalar()) == 0.0
+        assert sup_norm(s.values - K.scalar) == 0.0

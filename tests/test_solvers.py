@@ -68,7 +68,7 @@ class TestGreenSolve:
 
     def test_reapplication_recovers_curvature_rhs(self, grid32):
         K = seed_structure(grid32, [(0.3, (1, 1), 0.0)])
-        f = volume_mean_zero(K, K.scalar())
+        f = volume_mean_zero(K, K.scalar)
         G, _ = green_solve(K, ScalarField(grid32, f))
         back = laplacian(K, G)
         assert sup_norm(back.values - f) <= 1e-9
@@ -386,6 +386,24 @@ class TestPreconditionerMap:
         assert abs(weighted_dot(K, u, Mv) - weighted_dot(K, Mu, v)) <= 1e-12 * scale
         assert weighted_dot(K, u, Mu) > 0.0
         assert weighted_dot(K, v, Mv) > 0.0
+
+    def test_built_with_no_class_matrix_check(self, monkeypatch):
+        # the structure checked its class matrix when it was built
+        grid = PeriodicGrid(2, (8, 8, 8, 8))
+        rng = np.random.default_rng(7)
+        K, _ = random_pair(grid, rng)
+        r = volume_mean_zero(K, random_smooth_field(grid, rng, kmax=3).values)
+
+        def refuse(*args):
+            raise AssertionError("class matrix checked")
+
+        for module in (twistk.grid, twistk.geometry):
+            for name in ("_check_hermitian", "_check_hermitian_matrix",
+                         "_check_positive_definite"):
+                monkeypatch.setattr(module, name, refuse)
+        for R in (None, 3.0):
+            assert np.isfinite(solvers._spd_preconditioner(K, R)(r)).all()
+        assert not hasattr(solvers, "flat_laplacian_symbol")
 
     @staticmethod
     def smooth_problem(seed):
