@@ -10,7 +10,9 @@ as a * cos(k . x + p) on any grid resolution.  Exactly one of
 (positive, strictly monotone: no weight repeats) may be given;
 scenarios fill a default otherwise.
 
-Scenario rules (`scenario_diagnostics`) tie fields to the scenario:
+Scenario rules (`scenario_diagnostics`) tie fields to the scenario, but
+a key whose whole value already has a diagnostic (one entry's, as in
+``perturbation[0].wavevector``, does not count) gets none of theirs:
 
 - the scenario itself must be one of SCENARIOS;
 - single_solve, threshold and twist_perturbation each take exactly one
@@ -417,7 +419,8 @@ def _parse_fields(data: dict, diags: list[str]) -> RunConfig | None:
                        order=order, **tols,
                        perturbation=perturbation, perturbation_steps=steps,
                        seed=seed, out=out)
-    diags.extend(scenario_diagnostics(parsed))
+    flagged = {diag.split(": ", 1)[0] for diag in diags}
+    diags.extend(d for d in scenario_diagnostics(parsed) if d.split(": ", 1)[0] not in flagged)
     return parsed
 
 

@@ -186,11 +186,11 @@ class HermitianFormField:
 class KahlerStructure(HermitianFormField):
     """Kahler metric: a closed (1,1)-form positive definite at every point.
 
-    The class matrix, checked Hermitian once as the form's, must be
-    positive definite, and construction fails with the offending grid
-    point if the metric is not positive definite everywhere.  The volume
-    weight det g (`weight`) and the inverse (`inverse_stack`) are fields
-    set at construction, `log_det`, `ricci` and `scalar` cached properties
+    The class matrix, checked Hermitian once as the form's, must be positive
+    definite, and construction fails with the offending grid point if the
+    metric is not finite and positive definite everywhere.  The volume
+    weight det g (`weight`) and the inverse (`inverse_stack`) are fields set
+    at construction, `log_det`, `ricci` and `scalar` cached properties
     computed on first use; every held field is real, a scalar field or a
     Hermitian stack.
     """
@@ -203,14 +203,15 @@ class KahlerStructure(HermitianFormField):
         _check_positive_definite(self.base_matrix, "class matrix g0")
         det = stack_det(self.stack)
         mineig = stack_min_eigenvalue(self.stack, det)
+        # NaN fails every test; an infinite sample makes det infinite
         worst = float(mineig.min())
-        if worst <= 0.0:
-            point = tuple(int(i) for i in np.unravel_index(int(mineig.argmin()), self.grid.shape))
+        if not (worst > 0.0 and det.max() < np.inf):
+            at = int(mineig.argmin()) if not worst > 0.0 else int(det.argmax())
+            value = float(mineig.flat[at])
+            point = tuple(int(i) for i in np.unravel_index(at, self.grid.shape))
             raise DegenerateMetricError(
-                f"metric is not positive definite: eigenvalue {worst:.6e} at grid point {point}",
-                point=point,
-                eigenvalue=worst,
-            )
+                f"metric is not {'positive definite' if value <= 0.0 else 'finite'}: "
+                f"eigenvalue {value:.6e} at grid point {point}", point=point, eigenvalue=value)
         object.__setattr__(self, "weight", det)
         object.__setattr__(self, "inverse_stack", stack_inverse(self.stack, det))
 

@@ -229,7 +229,7 @@ def dense_spectrum(handle: LinearOperatorHandle) -> DenseSpectrum:
     import scipy.linalg
 
     A = dense_assemble(handle)
-    w = handle.weight.ravel()
+    w = handle.K.weight.ravel()
     root = np.sqrt(w)
     B = (A * root[:, None]) / root[None, :]
     norm = float(np.linalg.norm(B))

@@ -179,6 +179,18 @@ class TestParseDiagnostics:
                                            "R_schedule": schedule}))
             assert cfg.R_schedule == tuple(float(R) for R in schedule)
 
+    @pytest.mark.parametrize("scenario, schedule", [
+        ("ladder_study", []), ("threshold", [float("inf")]),
+        ("ladder_study", [100.0, 100.0]), ("single_solve", [100.0, 100.0])])
+    def test_bad_schedule_gets_no_scenario_rule_diagnostic(self, scenario, schedule):
+        # the schedule's own diagnostic is the only one: the scenario's
+        # weight-count rule would only restate it
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps({"scenario": scenario, "R_schedule": schedule}))
+        assert len(err.value.diagnostics) == 1
+        assert err.value.diagnostics[0].startswith("R_schedule: ")
+        assert scenario not in err.value.diagnostics[0]
+
     @pytest.mark.parametrize("scenario, fields, key", [
         ("continuity_sweep", {"R_schedule": [1.0, 2.0]}, "R_schedule"),
         ("ladder_study", {"R_schedule": [100.0]}, "R_schedule"),
@@ -452,6 +464,8 @@ class TestCommandLine:
             err = capsys.readouterr().err
             assert f"twistk: config error: {key}: {message}" in err
             assert "(line 1)" in err
+            # one diagnostic per bad schedule: no scenario rule repeats it
+            assert err.count("twistk: config error:") == 1
             assert "Traceback" not in err
             assert not out.exists()
 

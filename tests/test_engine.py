@@ -32,6 +32,7 @@ from twistk import (
     volume_average,
 )
 from twistk.errors import (
+    DegenerateMetricError,
     IterationLimitError,
     PreconditionError,
     UnsupportedOrderError,
@@ -260,6 +261,56 @@ class TestNewtonSolve:
         report = newton_solve(K, alpha, 100.0, cfg)
         assert not report.converged
         assert report.message.startswith("IterationLimitError: newton_solve:")
+
+    @staticmethod
+    def solve_with_step(grid, monkeypatch, factor):
+        """newton_solve on a near-flat start with every Newton step
+        multiplied by factor."""
+        real = engine.newton_linear_solve
+
+        def scaled(*args):
+            delta, info = real(*args)
+            return factor * delta, info
+
+        monkeypatch.setattr(engine, "newton_linear_solve", scaled)
+        x, _ = grid.coordinates()
+        K0 = KahlerStructure(grid, EYE1, 1e-3 * np.cos(x) + np.zeros(grid.shape))
+        return newton_solve(K0, HermitianFormField.from_potential(grid, EYE1), 100.0, FAST)
+
+    def test_line_search_backtracks_a_long_step(self, grid32, monkeypatch):
+        # four times the Newton step overshoots; halving twice finds it
+        report = self.solve_with_step(grid32, monkeypatch, 4.0)
+        assert report.converged
+        assert report.residual_sup <= FAST.newton_tol
+        assert any(h["step"] < 1.0 for h in report.history)
+
+    def test_line_search_halves_a_degenerate_trial(self, grid32, monkeypatch):
+        # 4096 times the first step of the 1e-3 cos(x) start moves the
+        # potential to about -4.1 cos(x), whose metric 1 + 1.02 cos(x) is
+        # not positive; halving reaches the Newton step itself
+        degenerate = []
+        real = engine.KahlerStructure
+
+        def recording(*args):
+            try:
+                return real(*args)
+            except DegenerateMetricError:
+                degenerate.append(args)
+                raise
+
+        monkeypatch.setattr(engine, "KahlerStructure", recording)
+        report = self.solve_with_step(grid32, monkeypatch, 2.0 ** 12)
+        assert degenerate
+        assert report.converged
+        assert report.residual_sup <= FAST.newton_tol
+
+    def test_line_search_stalls_on_an_ascent_step(self, grid32, monkeypatch):
+        # the negated step raises the residual at every scale
+        report = self.solve_with_step(grid32, monkeypatch, -1.0)
+        assert not report.converged
+        assert report.iterations == 0
+        assert report.message.startswith(
+            "StagnationError: newton_solve: line search stalled")
 
     def test_failure_can_be_reported_instead(self, grid32, monkeypatch):
         K, alpha = product_seed(grid32)

@@ -160,6 +160,33 @@ class TestKahlerStructureIsAForm:
                         np.zeros(grid.shape))
         assert calls == ["_check_hermitian", "_check_positive_definite"]
 
+    @pytest.mark.parametrize("amplitude, message", [
+        (1e306, "metric is not positive definite: eigenvalue -6.4"),
+        (1e307, "metric is not finite: eigenvalue nan")])
+    def test_metric_whose_hessian_overflows_is_degenerate(self, grid32, amplitude, message):
+        # a finite potential whose spectral Hessian overflows: at 1e307 the
+        # metric is NaN everywhere, which once passed the positivity test
+        x, _ = grid32.coordinates()
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DegenerateMetricError, match=message) as err:
+            KahlerStructure(grid32, EYE1, amplitude * np.cos(16 * x) + np.zeros(grid32.shape))
+        assert len(err.value.point) == 2
+
+    def test_infinite_metric_sample_is_degenerate(self, grid32, monkeypatch):
+        # an infinite sample beside finite positive ones leaves the smallest
+        # eigenvalue finite; the infinite det names the point
+        real = geometry.stack_det
+
+        def with_infinity(s):
+            det = real(s)
+            det[3, 5] = np.inf
+            return det
+
+        monkeypatch.setattr(geometry, "stack_det", with_infinity)
+        with pytest.raises(DegenerateMetricError, match="metric is not finite: eigenvalue inf") as err:
+            KahlerStructure(grid32, EYE1, np.zeros(grid32.shape))
+        assert err.value.point == (3, 5)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("cls", [HermitianFormField, KahlerStructure])
     def test_non_finite_potential_is_a_domain_error(self, cls, bad):

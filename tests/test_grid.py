@@ -121,6 +121,13 @@ class TestPocketfftLoaders:
                                     workers=workers)
         assert back.dtype == expected.dtype and np.array_equal(back, expected)
 
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_worker_count_below_one_is_refused(self, count):
+        before = fft_workers()
+        with pytest.raises(DomainError, match=f"fft worker count must be >= 1, got {count}"):
+            set_fft_workers(count)
+        assert fft_workers() == before
+
 
 class TestTransforms:
     def test_constant_field_maps_to_unit_coefficient(self, grid32):

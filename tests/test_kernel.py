@@ -89,7 +89,7 @@ def _reference_closure(grid: PeriodicGrid, g0: np.ndarray, a0: np.ndarray) -> np
 
 def _reference_apply(handle: LinearOperatorHandle, values: np.ndarray) -> np.ndarray:
     """Operator action with complex transforms and complex contractions."""
-    K, grid = handle.K, handle.grid
+    K, grid = handle.K, handle.K.grid
     P = K.inverse
     n = grid.n
     ricci = -_reference_hessian(grid, np.log(K.weight))

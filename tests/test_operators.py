@@ -16,7 +16,7 @@ from twistk import (
     volume_average,
     volume_mean_zero,
 )
-from twistk.errors import DomainError, RefusalError
+from twistk.errors import DomainError, PreconditionError, RefusalError
 from twistk.geometry import gradient_pairing
 from twistk.grid import (
     holo_gradient,
@@ -210,6 +210,26 @@ class TestHandleValidation:
         # every kind takes the twist form; the signature enforces it
         with pytest.raises(TypeError):
             LinearOperatorHandle("twist", flat32)
+
+    def test_twist_divergence_refuses_a_class_that_is_not_positive(self, grid8x4):
+        # the paper's twist is Kahler: a handle that carries the twist
+        # divergence refuses an indefinite or zero class instead of
+        # patching it; the kinds without it build and apply as before
+        K = seed_structure(grid8x4, [(0.05, (1, 0, 0, 0), 0.0)])
+        phi = random_smooth_field(grid8x4, np.random.default_rng(2), amplitude=0.5)
+        for matrix in (np.diag([1.0, -0.5]), np.zeros((2, 2))):
+            alpha = HermitianFormField.from_potential(grid8x4, matrix)
+            for kind, R in (("twist", 0.0), ("shifted", 4.0)):
+                with pytest.raises(PreconditionError,
+                                   match="needs a positive definite twist class"):
+                    LinearOperatorHandle(kind, K, alpha, R)
+            lin = LinearOperatorHandle("full_linearization", K, alpha, 4.0)
+            assert lin.flux is None and np.isfinite(lin.apply(phi.values)).all()
+            # at R = 0 the twist form is unused
+            lich = LinearOperatorHandle("shifted", K, alpha, 0.0)
+            assert lich.flux is None
+            assert np.array_equal(lich.apply(phi.values),
+                                  LinearOperatorHandle("shifted", K, K, 0.0).apply(phi.values))
 
     def test_complex_input_is_rejected(self, flat32):
         # a cast to float would keep only the real part, with a warning
