@@ -17,7 +17,8 @@ before `config.parse_config` validates anything, once; without --config
 the file is an empty object.  Two or four grid sizes also set n to
 len(sizes) // 2; any other count leaves n alone, so it gets one
 diagnostic, the sizes one.  A flag's diagnostic names its key and no line.
---threads sets the FFT worker count once the config is valid.  Exit
+A --threads below 1 is reported with the config's diagnostics; a valid
+one sets the FFT worker count once the config is valid.  Exit
 status: 0 all solves converged / checks passed, 1 solver failure
 (reports still written), 2 bad configuration or usage, an output
 directory that cannot be written (an --out that names a file) included.
@@ -81,21 +82,23 @@ def main(argv=None) -> int:
     overrides["scenario"] = _SUBCOMMANDS[args.command]
     if args.sizes is not None and len(args.sizes) in (2, 4):
         overrides["n"] = len(args.sizes) // 2
+    diagnostics = ([] if args.threads is None or args.threads >= 1
+                   else ["--threads: must be >= 1"])
     try:
         text = ("{}" if args.config is None
                 else args.config.read_text(encoding="utf-8"))
         cfg = parse_config(text, overrides)
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError(["--threads: must be >= 1"])
-            set_fft_workers(args.threads)
     except ConfigError as err:
-        for line in err.diagnostics:
-            print(f"twistk: config error: {line}", file=sys.stderr)
-        return 2
+        diagnostics = err.diagnostics + diagnostics
     except (OSError, UnicodeDecodeError) as err:
         print(f"twistk: cannot read {args.config}: {err}", file=sys.stderr)
         return 2
+    if diagnostics:
+        for line in diagnostics:
+            print(f"twistk: config error: {line}", file=sys.stderr)
+        return 2
+    if args.threads is not None:
+        set_fft_workers(args.threads)
 
     try:
         return run_scenario(cfg)

@@ -11,8 +11,8 @@ as a * cos(k . x + p) on any grid resolution.  Exactly one of
 scenarios fill a default otherwise.
 
 Scenario rules (`scenario_diagnostics`) tie fields to the scenario, but
-a key whose whole value already has a diagnostic (one entry's, as in
-``perturbation[0].wavevector``, does not count) gets none of theirs:
+a key that already has a diagnostic, on its whole value or on a part of
+it (as in ``perturbation.wavevector``), gets none of theirs:
 
 - the scenario itself must be one of SCENARIOS;
 - single_solve, threshold and twist_perturbation each take exactly one
@@ -200,6 +200,14 @@ def _repeated_keys(text: str) -> list[str]:
     return diags
 
 
+def _leading_key(diag: str, data: dict) -> str:
+    """The config key a diagnostic is about: its whole path when that is
+    a key of `data` (an unknown one may hold "[" or "."), else the path
+    up to its first index or field."""
+    path = diag.split(": ", 1)[0]
+    return path if path in data else re.split(r"[\[.]", path, maxsplit=1)[0]
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -243,32 +251,34 @@ def _parse_terms(data, key: str, naxes: int, diags: list[str]) -> tuple[Term, ..
     if not isinstance(data, list):
         diags.append(f"{key}: must be a list of terms")
         return ()
-    terms: list[Term] = []
-    for idx, item in enumerate(data):
-        where = f"{key}[{idx}]"
-        if not isinstance(item, dict):
-            diags.append(f"{where}: term must be an object")
-            continue
-        unknown = set(item) - {"amplitude", "wavevector", "phase"}
-        if unknown:
-            diags.append(f"{where}: unknown term keys {sorted(unknown)}")
-        amp = item.get("amplitude")
-        wav = item.get("wavevector")
-        phase = item.get("phase", 0.0)
-        ok = True
-        if not _finite_number(amp):
-            diags.append(f"{where}.amplitude: must be a finite number")
-            ok = False
-        if (not isinstance(wav, list) or len(wav) != naxes
-                or not all(_is_int(w) for w in wav)):
-            diags.append(f"{where}.wavevector: must be {naxes} integers")
-            ok = False
-        if not _finite_number(phase):
-            diags.append(f"{where}.phase: must be a finite number")
-            ok = False
-        if ok:
-            terms.append((float(amp), tuple(int(w) for w in wav), float(phase)))
-    return tuple(terms)
+    terms = (_parse_term(item, f"{key}[{idx}]", naxes, diags)
+             for idx, item in enumerate(data))
+    return tuple(term for term in terms if term is not None)
+
+
+def _parse_term(item, where: str, naxes: int, diags: list[str]) -> Term | None:
+    """The term that `item` describes, or None after its diagnostics."""
+    if not isinstance(item, dict):
+        diags.append(f"{where}: term must be an object")
+        return None
+    unknown = set(item) - {"amplitude", "wavevector", "phase"}
+    if unknown:
+        diags.append(f"{where}: unknown term keys {sorted(unknown)}")
+    amp = item.get("amplitude")
+    wav = item.get("wavevector")
+    phase = item.get("phase", 0.0)
+    ok = True
+    if not _finite_number(amp):
+        diags.append(f"{where}.amplitude: must be a finite number")
+        ok = False
+    if (not isinstance(wav, list) or len(wav) != naxes
+            or not all(_is_int(w) for w in wav)):
+        diags.append(f"{where}.wavevector: must be {naxes} integers")
+        ok = False
+    if not _finite_number(phase):
+        diags.append(f"{where}.phase: must be a finite number")
+        ok = False
+    return (float(amp), tuple(int(w) for w in wav), float(phase)) if ok else None
 
 
 def _parse_schedule(data, key: str, diags: list[str],
@@ -321,10 +331,7 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     if diags:
         lines = []
         for diag in diags:
-            # the leading key: a whole key of the text (an unknown one may
-            # hold "[" or "."), else the path up to its first index or field
-            path = diag.split(": ", 1)[0]
-            key = path if path in data else re.split(r"[\[.]", path, maxsplit=1)[0]
+            key = _leading_key(diag, data)
             lines.append(diag if key in overrides else diag + _line_of(text, key))
         raise ConfigError(lines)
     return cfg
@@ -403,8 +410,7 @@ def _parse_fields(data: dict, diags: list[str]) -> RunConfig | None:
 
     perturbation = None if cfg.perturbation is None else lift(cfg.perturbation)
     if "perturbation" in data:
-        parsed = _parse_terms([data["perturbation"]], "perturbation", naxes, diags)
-        perturbation = parsed[0] if parsed else None
+        perturbation = _parse_term(data["perturbation"], "perturbation", naxes, diags)
 
     steps = field("perturbation_steps", lambda v: _is_int(v) and v >= 1,
                   "must be a positive integer")
@@ -419,8 +425,9 @@ def _parse_fields(data: dict, diags: list[str]) -> RunConfig | None:
                        order=order, **tols,
                        perturbation=perturbation, perturbation_steps=steps,
                        seed=seed, out=out)
-    flagged = {diag.split(": ", 1)[0] for diag in diags}
-    diags.extend(d for d in scenario_diagnostics(parsed) if d.split(": ", 1)[0] not in flagged)
+    flagged = {_leading_key(diag, data) for diag in diags}
+    diags.extend(d for d in scenario_diagnostics(parsed)
+                 if _leading_key(d, data) not in flagged)
     return parsed
 
 

@@ -27,6 +27,7 @@ from twistk.config import (
     canonical_form,
     default_config,
     parse_config,
+    scenario_diagnostics,
 )
 from twistk.engine import (
     R_to_t,
@@ -191,12 +192,31 @@ class TestParseDiagnostics:
         assert err.value.diagnostics[0].startswith("R_schedule: ")
         assert scenario not in err.value.diagnostics[0]
 
+    @pytest.mark.parametrize("term, diagnostic", [
+        ({"amplitude": 0.2}, "perturbation.wavevector: must be 2 integers"),
+        (3, "perturbation: term must be an object")],
+        ids=["no-wavevector", "not-an-object"])
+    def test_bad_perturbation_gets_no_scenario_rule_diagnostic(self, term, diagnostic):
+        # the value is one term: its diagnostic names no list index, and
+        # the scenario's perturbation rule would only restate it
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps({"scenario": "twist_perturbation",
+                                     "perturbation": term}))
+        assert err.value.diagnostics == [diagnostic + " (line 1)"]
+
+    def test_missing_perturbation_is_a_scenario_rule(self):
+        # parse_config fills the default term, so only a config built in
+        # code can leave it out
+        cfg = RunConfig(scenario="twist_perturbation", R_schedule=(100.0,),
+                        perturbation=None)
+        assert scenario_diagnostics(cfg) == [
+            "perturbation: twist_perturbation needs a perturbation term"]
+
     @pytest.mark.parametrize("scenario, fields, key", [
         ("continuity_sweep", {"R_schedule": [1.0, 2.0]}, "R_schedule"),
         ("ladder_study", {"R_schedule": [100.0]}, "R_schedule"),
         ("ladder_study", {"order": 0}, "order"),
-        ("twist_perturbation", {"perturbation": {"amplitude": 0.2}},
-         "perturbation"),
+        ("threshold", {"t_schedule": [1.0]}, "t_schedule"),
         ("single_solve", {"R_schedule": [100.0, 50.0, 25.0]}, "R_schedule"),
         ("threshold", {"R_schedule": [8.0, 4.0]}, "R_schedule"),
         ("twist_perturbation", {"t_schedule": [0.5, 0.9]}, "t_schedule"),
@@ -344,6 +364,14 @@ class TestCommandLine:
             assert fft_workers() == before
         finally:
             set_fft_workers(before)
+
+    def test_threads_diagnostic_comes_with_the_config_ones(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert main(["solve", "--grid", "16", "--threads", "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["twistk: config error: sizes: must be 2 integers",
+                                    "twistk: config error: --threads: must be >= 1"]
+        assert not out.exists()
 
     def test_file_diagnostics_name_lines_and_flag_diagnostics_none(
             self, tmp_path, capsys):

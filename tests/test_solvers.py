@@ -432,6 +432,98 @@ class TestPreconditionerMap:
         assert sup_norm(back - f.values) <= 1e-8 * sup_norm(f.values)
 
 
+class TestCGApplications:
+    """One operator application per CG iteration, plus one certifying
+    application for a solve of two or more steps; a one-step solve, and
+    a solve that stops on a residual refresh, make none extra."""
+
+    @staticmethod
+    def counting(monkeypatch) -> list[str]:
+        applies: list[str] = []
+        build = solvers._spd_solver
+
+        def counting_build(K, apply_A, R, cfg, what):
+            def counted(v):
+                applies.append(what)
+                return apply_A(v)
+
+            return build(K, counted, R, cfg, what)
+
+        monkeypatch.setattr(solvers, "_spd_solver", counting_build)
+        return applies
+
+    @staticmethod
+    def fresh_residual(K, apply_A, x, f) -> float:
+        return volume_rms(K, volume_mean_zero(K, f - apply_A(x))) / volume_rms(K, f)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), c=st.floats(0.01, 100.0))
+    def test_one_step_n1_solves_make_one_application(self, seed, c):
+        K, f = TestPreconditionerMap.smooth_problem(seed)
+        alpha = HermitianFormField.from_potential(K.grid, c * K.base_matrix,
+                                                  c * K.potential)
+        twist = LinearOperatorHandle("twist", K, alpha, mean_zero=True).apply
+        lap = K.grid.hessian_pairing(K.inverse_stack)
+        cfg = SolverConfig()
+        with pytest.MonkeyPatch.context() as mp:
+            applies = self.counting(mp)
+            phi, info = solve_F(K, alpha, f, cfg)
+            G, green_info = green_solve(K, f, cfg)
+        assert info["iterations"] == green_info["iterations"] == 1
+        assert applies == ["solve_F", "green_solve"]
+        # the reported residual is the fresh one up to round-off
+        for apply_A, x, solved in ((twist, phi, info),
+                                   (lambda v: K.grid.hessian_trace(lap, v), G, green_info)):
+            fresh = self.fresh_residual(K, apply_A, x.values, f.values)
+            assert solved["residual"] == solved["history"][-1]
+            assert abs(solved["residual"] - fresh) <= 1e-3 * cfg.krylov_tol
+
+    def test_multi_step_green_solve_n2_certifies_with_one_more(self, monkeypatch):
+        grid = PeriodicGrid(2, (8, 8, 8, 8))
+        rng = np.random.default_rng(11)
+        K, _ = random_pair(grid, rng)
+        f = ScalarField(grid, volume_mean_zero(K, random_smooth_field(grid, rng).values))
+        applies = self.counting(monkeypatch)
+        G, info = green_solve(K, f)
+        assert 1 < info["iterations"] < solvers._CG_REFRESH
+        assert applies == ["green_solve"] * (info["iterations"] + 1)
+        lap = grid.hessian_pairing(K.inverse_stack)
+        fresh = self.fresh_residual(K, lambda v: grid.hessian_trace(lap, v),
+                                    G.values, f.values)
+        assert info["residual"] == pytest.approx(fresh, rel=1e-6)
+
+    @staticmethod
+    def lichnerowicz_problem(grid):
+        # R = 0 is the Lichnerowicz end of the shifted operator
+        K = seed_structure(grid, [(0.2, (1, 0), 0.0)])
+        alpha = HermitianFormField.from_potential(grid, EYE1, K.potential)
+        rng = np.random.default_rng(41)
+        f = ScalarField(grid, volume_mean_zero(
+            K, random_smooth_field(grid, rng, amplitude=1.0).values))
+        return K, alpha, f
+
+    def test_multi_step_shifted_solve_at_R0_certifies_with_one_more(
+            self, grid32, monkeypatch):
+        K, alpha, f = self.lichnerowicz_problem(grid32)
+        applies = self.counting(monkeypatch)
+        _, info = solve_shifted(K, alpha, 0.0, f)
+        assert 1 < info["iterations"] < solvers._CG_REFRESH
+        assert applies == ["solve_shifted"] * (info["iterations"] + 1)
+
+    def test_solve_stopping_on_a_refresh_makes_no_extra_application(
+            self, grid32, monkeypatch):
+        K, alpha, f = self.lichnerowicz_problem(grid32)
+        whole, info = solve_shifted(K, alpha, 0.0, f)
+        steps = info["iterations"]
+        monkeypatch.setattr(solvers, "_CG_REFRESH", steps)
+        applies = self.counting(monkeypatch)
+        refreshed, refreshed_info = solve_shifted(K, alpha, 0.0, f)
+        # the loop's steps and the refresh at the last one, no certificate
+        assert refreshed_info["iterations"] == steps
+        assert applies == ["solve_shifted"] * (steps + 1)
+        assert refreshed_info["residual"] == refreshed_info["history"][-1]
+        assert sup_norm(refreshed.values - whole.values) <= 1e-8 * sup_norm(whole.values)
+
+
 class TestExtremeEigenvalue:
     def test_flat_values_match_symbol_maximum(self, grid16):
         K = KahlerStructure(grid16, EYE1, np.zeros(grid16.shape))
