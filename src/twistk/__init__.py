@@ -40,9 +40,9 @@ from .errors import (
     UnsupportedOrderError,
 )
 from .geometry import (
-    CohomologyData,
     HermitianFormField,
     KahlerStructure,
+    class_trace,
     form_pairing,
     gradient_pairing,
     laplacian,

@@ -19,8 +19,9 @@ it (as in ``perturbation.wavevector``), gets none of theirs:
   weight, as a one-entry R_schedule or t_schedule;
 - continuity_sweep walks a t_schedule and is seeded at its first weight,
   so an R_schedule, in its place or beside it, is rejected;
-- ladder_study fits its order law across weights and needs at least two
-  distinct weights and order >= 1;
+- ladder_study fits its order law across the weights of an R_schedule,
+  so a t_schedule, in its place or beside it, is rejected; it needs at
+  least two distinct weights and order >= 1;
 - threshold descends from its first weight, which must be positive, so
   a t_schedule may not start at t = 1;
 - twist_perturbation needs a "perturbation" term.
@@ -135,7 +136,10 @@ def scenario_diagnostics(cfg: RunConfig) -> list[str]:
                      "t_schedule: continuity_sweep needs a t_schedule")
     if cfg.scenario == "ladder_study":
         weights = len(set(cfg.R_schedule or ()))
-        if weights < 2:
+        if cfg.t_schedule:
+            diags.append("t_schedule: ladder_study fits across an R_schedule; give "
+                         "R_schedule instead")
+        elif weights < 2:
             # the order law is fitted across weights
             diags.append("R_schedule: ladder_study needs at least two distinct "
                          f"weights, got {weights}")

@@ -61,6 +61,7 @@ from .errors import (
 from .geometry import (
     HermitianFormField,
     KahlerStructure,
+    class_trace,
     scalar_curvature,
     trace_form,
     volume_average,
@@ -85,7 +86,6 @@ from .solvers import (
     green_solve,
     inverse_norm_estimate,
     newton_linear_solve,
-    trace_deviation,
     _twist_solver,
 )
 
@@ -180,10 +180,12 @@ class ApproximateSolution:
     residual_sups, residual_rms and wall_ms hold one entry per rung,
     entry 0 being the seed: the sup and RMS norms of the residual after
     that rung, and the wall time in milliseconds from the start of the
-    build to the end of that rung.  Rung m of an order-`order` ladder is
-    the last rung of the order-m ladder, so its entries are that
-    ladder's.  linear_iterations holds the PCG iterations of the solves
-    of rungs 1 to `order`, one entry each: the seed takes no solve.
+    build to the end of that rung, so entry 0 includes building the
+    twist solver, which comes before the seed residual.  Rung m of an
+    order-`order` ladder is the last rung of the order-m ladder, so its
+    entries are that ladder's.  linear_iterations holds the PCG
+    iterations of the solves of rungs 1 to `order`, one entry each: the
+    seed takes no solve.
     """
 
     structure: KahlerStructure
@@ -194,6 +196,14 @@ class ApproximateSolution:
     constant: float
 
 
+def _check_order(order) -> None:
+    """UnsupportedOrderError unless order is an integer in
+    [0, MAX_LADDER_ORDER]."""
+    if not isinstance(order, int) or order < 0 or order > MAX_LADDER_ORDER:
+        raise UnsupportedOrderError(
+            f"ladder order must be an integer in [0, {MAX_LADDER_ORDER}], got {order}")
+
+
 def build_approximate_solution(base: KahlerStructure, alpha: HermitianFormField,
                                R: float, order: int,
                                cfg: SolverConfig = SolverConfig()) -> ApproximateSolution:
@@ -202,6 +212,8 @@ def build_approximate_solution(base: KahlerStructure, alpha: HermitianFormField,
     Requires trace_{base}(alpha) constant: then the leading O(R) term of
     the residual vanishes at the seed and each solve of the frozen twist
     operator F against the current residual gains one power of 1/R.
+    `solvers._twist_solver` checks it, and the solver is built before
+    the seed residual, so a twist that breaks the rule costs no residual.
     The i-th potential increment is delta_i / R with delta_i = O(R^{1-i}),
     so after m rungs the residual is O(R^{-m}).  Every rung solves with
     the same frozen operator, built once.  The result records, for the
@@ -210,16 +222,10 @@ def build_approximate_solution(base: KahlerStructure, alpha: HermitianFormField,
     ApproximateSolution).
     """
     started = time.perf_counter()
-    if not isinstance(order, int) or order < 0 or order > MAX_LADDER_ORDER:
-        raise UnsupportedOrderError(
-            f"ladder order must be an integer in [0, {MAX_LADDER_ORDER}], got {order}")
+    _check_order(order)
     if R <= 0.0:
         raise PreconditionError(f"ladder requires R > 0, got {R}")
-    dev = trace_deviation(base, alpha)
-    if dev is not None:
-        raise PreconditionError(
-            "ladder seed needs trace_{base}(alpha) constant "
-            f"(deviation {dev:.3e}); pick the base metric proportional to alpha")
+    solve = _twist_solver(base, alpha, cfg)
 
     grid = base.grid
     K = base
@@ -236,7 +242,6 @@ def build_approximate_solution(base: KahlerStructure, alpha: HermitianFormField,
 
     residual, const = twisted_residual(K, alpha, R)
     record(residual)
-    solve = _twist_solver(base, alpha, cfg)
     for _ in range(order):
         # solvability at the frozen base: the equation's free constant
         # absorbs the residual mean taken against the base volume form
@@ -639,9 +644,8 @@ def proportional_seed_potential(grid: PeriodicGrid, g0: np.ndarray,
     """
     if not np.any(alpha.potential):
         return None
-    n = grid.n
     g0 = np.asarray(g0, dtype=complex)
-    s = float(np.trace(alpha.base_matrix @ np.linalg.inv(g0)).real) / n
+    s = class_trace(g0, alpha.base_matrix) / grid.n
     if s <= 0.0:
         return None
     if not np.allclose(alpha.base_matrix, s * g0, rtol=0.0,
@@ -687,12 +691,14 @@ def seed_chain(grid: PeriodicGrid, g0: np.ndarray, alpha: HermitianFormField,
     ladder runs on the configured grid.  A ladder that raises a
     TwistkError, a degenerate restriction or prolongation included,
     leaves the chain at the seed with the failure as "<class>:
-    <message>" in ladder_error; UnsupportedOrderError is the caller's
-    error and propagates.  The chain's ladder_sizes are the sizes of the
-    grid the ladder ran on, () when none ran.
+    <message>" in ladder_error.  An order outside [0, MAX_LADDER_ORDER]
+    is the caller's error: UnsupportedOrderError, at any R, before the
+    seed is built.  The chain's ladder_sizes are the sizes of the grid
+    the ladder ran on, () when none ran.
     """
+    _check_order(order)
     K, source = seed_structure(grid, g0, alpha, potential=potential)
-    if order <= 0 or R <= 0.0:
+    if order == 0 or R <= 0.0:
         return WarmChain(K, source, cfg)
     try:
         coarse, parities = half_grid(grid, K.potential)
@@ -705,8 +711,6 @@ def seed_chain(grid: PeriodicGrid, g0: np.ndarray, alpha: HermitianFormField,
         else:
             ladder = build_approximate_solution(*_restricted(K, alpha, parities), R, order, cfg)
             start = _prolonged(K, ladder.structure, parities)
-    except UnsupportedOrderError:
-        raise
     except TwistkError as err:
         return WarmChain(K, source, cfg, describe(err), sizes)
     return WarmChain(start, f"ladder[{order}]", cfg, "", sizes)

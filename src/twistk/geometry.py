@@ -12,6 +12,9 @@ are positive definite, with its pointwise algebra (det g, inverse,
 Ricci and scalar curvature) held as attributes.  The volume form weights
 the uniform quadrature by det g; `volume_average`, `volume_mean_zero`
 and `volume_rms` are the volume products the solvers and operators use.
+A form checks its class matrix Hermitian and a structure checks it
+positive definite, once, at construction; `class_trace` evaluates the
+twist constant c from two class matrices and checks them no further.
 
 Layout: every Hermitian (1,1)-field is stored real, in the layout of
 the grid's Hessian stack (`PeriodicGrid.hessian_stack`): the n diagonal
@@ -55,7 +58,6 @@ from .grid import (
     PeriodicGrid,
     ScalarField,
     _check_hermitian,
-    _check_hermitian_matrix,
     _check_positive_definite,
     hermitian_matrix,
     hermitian_stack,
@@ -307,23 +309,13 @@ def volume_rms(K: KahlerStructure, values: np.ndarray) -> float:
     return math.sqrt(volume_average(K, values * values))
 
 
-@dataclass(frozen=True)
-class CohomologyData:
-    """Class-level invariants of the pair ([omega], [alpha]) on the torus.
+def class_trace(g0_omega: np.ndarray, g0_alpha: np.ndarray) -> float:
+    """The twist constant c = tr(a0 g0^{-1}) of two class matrices.
 
-    The mean scalar curvature is zero (flat torus classes) and the
-    twist constant c is the trace of the constant representative of
-    alpha against the constant representative of omega; the solved
-    equation's right-hand side constant is sbar - R * c.
+    It is the trace of alpha's constant representative in omega's, so the
+    volume mean of trace_K(alpha) for every K in the class of omega; the
+    mean scalar curvature of a flat torus class is 0, so the equation's
+    constant is 0 - R * c.  The matrices are taken as given: a form or a
+    structure has checked its own.
     """
-
-    sbar: float
-    c: float
-
-    @classmethod
-    def of_classes(cls, g0_omega: np.ndarray, g0_alpha: np.ndarray) -> "CohomologyData":
-        n = np.asarray(g0_omega).shape[0]
-        g0 = _check_hermitian_matrix(g0_omega, n, "class matrix g0_omega")
-        a0 = _check_hermitian(g0_alpha, n, "class matrix g0_alpha")
-        c = float(np.trace(a0 @ np.linalg.inv(g0)).real)
-        return cls(sbar=0.0, c=c)
+    return float(np.trace(g0_alpha @ np.linalg.inv(g0_omega)).real)

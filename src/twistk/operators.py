@@ -10,7 +10,10 @@ Three kinds are provided, all acting on real potentials:
   -Lap^2 psi - (Ric, i d dbar psi) + R (alpha, i d dbar psi).
 * ``shifted``: -lichnerowicz + R * twist, the self-adjoint model of the
   full linearization used for eigenvalue bounds and inner solves; the
-  two agree up to gradient terms that vanish at exact solutions.
+  two agree up to gradient terms that vanish at exact solutions.  It is
+  negative definite on mean-zero fields only for R >= 0, and its handle
+  is the one place that checks this: it refuses R < 0 with
+  PreconditionError.
 
 The Lichnerowicz operator phi -> Lap^2 phi + (Ric, i d dbar phi) +
 Re(d S, dbar phi), whose quadratic form is the squared norm of
@@ -106,7 +109,8 @@ def _closure_multiplier(grid: PeriodicGrid, g0: np.ndarray,
 class LinearOperatorHandle:
     """Reusable matrix-free operator at a fixed (K, alpha, R).
 
-    ``R`` is ignored by the twist kind.  With ``mean_zero`` set, outputs
+    ``R`` is ignored by the twist kind and must be >= 0 for the shifted
+    kind (PreconditionError).  With ``mean_zero`` set, outputs
     are projected to mean zero against the volume form of K (inputs are
     untouched: every kind annihilates constants exactly).
     """
@@ -126,6 +130,8 @@ class LinearOperatorHandle:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DomainError(f"unknown operator kind {self.kind!r}; expected one of {KINDS}")
+        if self.kind == "shifted" and self.R < 0.0:
+            raise PreconditionError(f"the shifted operator requires R >= 0, got {self.R}")
         K = self.K
         P = K.inverse_stack
         grid = K.grid

@@ -46,9 +46,9 @@ from .engine import (
 from .errors import ConfigError, TwistkError, describe
 from .fieldio import write_field
 from .geometry import (
-    CohomologyData,
     HermitianFormField,
     KahlerStructure,
+    class_trace,
     scalar_curvature,
     trace_form,
     volume_average,
@@ -176,16 +176,17 @@ def _seeded_problem(cfg: RunConfig):
 def _cohomology_summary(K, alpha, R) -> dict:
     """Volume means of S and trace(alpha), the equation's constant
     sbar - R * c as `twisted_residual` forms it, and the same constant
-    from the classes alone."""
+    from the classes alone, where sbar is 0."""
     mean_scalar = volume_average(K, scalar_curvature(K))
     mean_trace = volume_average(K, trace_form(K, alpha))
-    data = CohomologyData.of_classes(K.base_matrix, alpha.base_matrix)
+    c = class_trace(K.base_matrix, alpha.base_matrix)
     return {
         "mean_scalar": mean_scalar,
         "mean_trace": mean_trace,
-        "class_trace": data.c,
+        "class_trace": c,
         "constant": mean_scalar - R * mean_trace,
-        "constant_from_classes": data.sbar - R * data.c,
+        # 0.0 - R * c, not -R * c: at R = 0 that is 0.0, never -0.0
+        "constant_from_classes": 0.0 - R * c,
     }
 
 

@@ -28,6 +28,13 @@ weight R (`solve_shifted`, `newton_linear_solve`, `extreme_eigenvalue`).
 The only settings are SolverConfig's two tolerances: the Newton
 residual target, which `engine` reads, and the Krylov one.  Iteration
 caps are module constants.
+
+Two hypotheses of the construction have one check each, where the
+operator that needs them is built: `_twist_solver`, behind `solve_F`
+and the correction ladder, refuses a twist whose trace in K is not
+constant (`trace_deviation`), and the shifted operator handle refuses
+R < 0 (`operators`), for `solve_shifted`, `extreme_eigenvalue` and
+`inverse_norm_estimate` alike.  Both raise PreconditionError.
 """
 
 from __future__ import annotations
@@ -340,14 +347,9 @@ def solve_F(K: KahlerStructure, alpha: HermitianFormField, f: ScalarField,
             cfg: SolverConfig = SolverConfig()):
     """Solve the twist-operator equation F(phi) = f for mean-zero phi.
 
-    Requires the trace of alpha to be constant on the grid (the
-    hypothesis under which F is the solvable model operator) and f to
-    have volume mean zero.
+    Requires the trace of alpha to be constant on the grid (see
+    `_twist_solver`) and f to have volume mean zero.
     """
-    dev = trace_deviation(K, alpha)
-    if dev is not None:
-        raise PreconditionError(
-            f"solve_F: trace of alpha deviates from constant by {dev:.3e}")
     return _twist_solver(K, alpha, cfg)(f)
 
 
@@ -355,12 +357,19 @@ def _twist_solver(K: KahlerStructure, alpha: HermitianFormField,
                   cfg: SolverConfig):
     """`solve_F` at fixed (K, alpha) as a function of f alone.
 
-    The operator handle and its preconditioner are built once, so the
-    rungs of a correction ladder share them; each solve still checks its
-    own right-hand side.  The trace precondition is the caller's:
-    `solve_F` and `build_approximate_solution` check it with
-    `trace_deviation`.
+    This is the one check of the trace rule: trace_K(alpha) must be
+    constant on the grid, the hypothesis under which F is the solvable
+    model operator, or PreconditionError names its `trace_deviation`.
+    `solve_F` and `build_approximate_solution` both build their solver
+    here.  The operator handle and its preconditioner are built once, so
+    the rungs of a correction ladder share them; each solve still checks
+    its own right-hand side.
     """
+    dev = trace_deviation(K, alpha)
+    if dev is not None:
+        raise PreconditionError(
+            f"solve_F: trace_K(alpha) deviates from constant by {dev:.3e}; "
+            "pick the base metric proportional to alpha")
     handle = LinearOperatorHandle("twist", K, alpha, mean_zero=True)
     return _spd_solver(K, handle.apply, None, cfg, "solve_F")
 
@@ -370,10 +379,9 @@ def _shifted_solver(K: KahlerStructure, alpha: HermitianFormField, R: float,
     """`solve_shifted` at fixed (K, alpha, R) as a function of f alone.
 
     The operator handle and its preconditioner are built once, so
-    repeated solves (`inverse_norm_estimate`) share them.
+    repeated solves (`inverse_norm_estimate`) share them; the handle
+    refuses R < 0.
     """
-    if R < 0.0:
-        raise PreconditionError(f"solve_shifted requires R >= 0, got {R}")
     handle = LinearOperatorHandle("shifted", K, alpha, R, mean_zero=True)
     return _spd_solver(K, handle.apply, R, cfg, "solve_shifted")
 
@@ -382,9 +390,9 @@ def solve_shifted(K: KahlerStructure, alpha: HermitianFormField, R: float,
                   f: ScalarField, cfg: SolverConfig = SolverConfig()):
     """Solve (-lichnerowicz + R * twist)(phi) = f on mean-zero fields.
 
-    The operator is negative definite there for R >= 0; the solve runs
-    conjugate gradients on its negation with the flat biLaplacian-shift
-    preconditioner.
+    The operator is negative definite there for R >= 0, and its handle
+    refuses R < 0; the solve runs conjugate gradients on its negation
+    with the flat biLaplacian-shift preconditioner.
     """
     return _shifted_solver(K, alpha, R, cfg)(f)
 
@@ -443,8 +451,6 @@ def extreme_eigenvalue(K: KahlerStructure, alpha: HermitianFormField, R: float,
     orthogonalisation reduces a correction to round-off (stagnation: a
     new direction is never made from noise).
     """
-    if R < 0.0:
-        raise PreconditionError(f"extreme_eigenvalue requires R >= 0, got {R}")
     handle = LinearOperatorHandle("shifted", K, alpha, R, mean_zero=True)
     apply_M = _spd_preconditioner(K, R)
     grid = K.grid

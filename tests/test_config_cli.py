@@ -220,6 +220,7 @@ class TestParseDiagnostics:
         ("single_solve", {"R_schedule": [100.0, 50.0, 25.0]}, "R_schedule"),
         ("threshold", {"R_schedule": [8.0, 4.0]}, "R_schedule"),
         ("twist_perturbation", {"t_schedule": [0.5, 0.9]}, "t_schedule"),
+        ("ladder_study", {"t_schedule": [0.1, 0.5]}, "t_schedule"),
     ])
     def test_scenario_rules_name_key_and_line(self, scenario, fields, key):
         text = json.dumps({"scenario": scenario, **fields}, indent=2)
@@ -229,6 +230,20 @@ class TestParseDiagnostics:
             parse_config(text)
         assert any(d.startswith(f"{key}: ") and d.endswith(f"(line {line})")
                    and scenario in d for d in err.value.diagnostics)
+
+    def test_ladder_study_t_schedule_gets_one_diagnostic(self):
+        # the ladder fits across an R_schedule: a t_schedule alone gets no
+        # weight-count diagnostic for an R_schedule nobody gave, and one
+        # beside an R_schedule (only a config built in code can hold
+        # both) is not ignored
+        rule = "t_schedule: ladder_study fits across an R_schedule; give R_schedule instead"
+        with pytest.raises(ConfigError) as err:
+            parse_config('{"scenario": "ladder_study",\n"t_schedule": [0.1, 0.5]}')
+        assert err.value.diagnostics == [rule + " (line 2)"]
+        for R_schedule in (None, (50.0, 100.0)):
+            cfg = RunConfig(scenario="ladder_study", t_schedule=(0.1, 0.5),
+                            R_schedule=R_schedule)
+            assert scenario_diagnostics(cfg) == [rule]
 
     def test_repeated_keys_name_key_and_line(self):
         with pytest.raises(ConfigError) as err:
@@ -872,6 +887,21 @@ class TestSummaryRecords:
         assert summary["constant_from_classes"] == pytest.approx(-1.0, abs=1e-12)
         assert summary["constant"] == pytest.approx(-1.0, abs=1e-9)
 
+    def test_sweep_to_the_untwisted_end_writes_a_positive_zero_constant(
+            self, tmp_path):
+        # at R = 0 the class constant 0.0 - R * c is 0.0, where -R * c
+        # would be -0.0
+        out = tmp_path / "sweep"
+        cfg = RunConfig(scenario="continuity_sweep", sizes=(16, 16),
+                        alpha_potential=((0.2, (1, 0), 0.0),),
+                        t_schedule=(0.5, 1.0), out=str(out))
+        assert run_scenario(cfg) == 0
+        summary = _strict_load(out / "summary.json")
+        assert summary["smallest_converged_R"] == 0.0
+        value = summary["constant_from_classes"]
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+        assert '"constant_from_classes": 0.0,' in (out / "summary.json").read_text()
+
     @pytest.mark.parametrize("scenario, fields", [
         ("continuity_sweep", {"t_schedule": [0.5, 1.0]}),
         ("threshold", {}),
@@ -910,6 +940,12 @@ class TestSummaryRecords:
         (RunConfig(scenario="single_solve", sizes=(16, 16),
                    R_schedule=(100.0, 50.0)), "R_schedule"),
         (RunConfig(scenario="threshold", sizes=(8, 8)), "R_schedule"),
+        # the ladder fits across an R_schedule, and a t_schedule beside one
+        # is not ignored
+        (RunConfig(scenario="ladder_study", sizes=(16, 16), t_schedule=(0.1, 0.5)),
+         "t_schedule"),
+        (RunConfig(scenario="ladder_study", sizes=(16, 16), t_schedule=(0.1, 0.5),
+                   R_schedule=(50.0, 100.0)), "t_schedule"),
     ])
     def test_code_built_scenario_rule_fails_before_any_solve(
             self, cfg, key, tmp_path, monkeypatch):
@@ -917,7 +953,7 @@ class TestSummaryRecords:
             raise AssertionError("solver work started")
 
         for name in ("seed_structure", "seed_chain", "newton_solve",
-                     "continuity_sweep"):
+                     "continuity_sweep", "build_approximate_solution"):
             monkeypatch.setattr(runner, name, refuse)
         out = tmp_path / "run"
         assert run_scenario(dataclasses.replace(cfg, out=str(out))) == 1

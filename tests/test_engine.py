@@ -17,6 +17,7 @@ from twistk import (
     KahlerStructure,
     PeriodicGrid,
     R_to_t,
+    ScalarField,
     SolverConfig,
     WarmChain,
     build_approximate_solution,
@@ -26,10 +27,12 @@ from twistk import (
     newton_solve,
     perturb_twist,
     proportional_seed_potential,
+    solve_F,
     t_to_R,
     trivial_twist,
     twisted_residual,
     volume_average,
+    volume_mean_zero,
 )
 from twistk.errors import (
     DegenerateMetricError,
@@ -181,6 +184,42 @@ class TestLadder:
         alpha = HermitianFormField.from_potential(grid32, EYE1, pot)
         with pytest.raises(PreconditionError):
             build_approximate_solution(flat32, alpha, 100.0, 2)
+
+    def test_trace_rule_has_one_message(self):
+        # `_twist_solver` checks the rule for solve_F and for the ladder,
+        # so both, and a chain whose ladder fails on it, say the same; a
+        # 6-point axis has no half grid, so the chain's ladder runs on
+        # this grid from this flat seed
+        grid = PeriodicGrid(2, (6, 6, 6, 6))
+        K = KahlerStructure(grid, EYE2, np.zeros(grid.shape))
+        alpha = TestSeedStructure.skewed_twist(grid)
+        with pytest.raises(PreconditionError) as solve_err:
+            solve_F(K, alpha, ScalarField(grid, np.zeros(grid.shape)))
+        with pytest.raises(PreconditionError) as ladder_err:
+            build_approximate_solution(K, alpha, 100.0, 2)
+        message = str(solve_err.value)
+        assert message.startswith("solve_F: trace_K(alpha) deviates from constant by ")
+        assert message.endswith("; pick the base metric proportional to alpha")
+        assert str(ladder_err.value) == message
+        chain = engine.seed_chain(grid, EYE2, alpha, 100.0, 2, FAST)
+        assert chain.ladder_error == "PreconditionError: " + message
+
+    def test_trace_rule_is_checked_once_per_solve_and_per_ladder(self, grid32,
+                                                                 monkeypatch):
+        calls = []
+        original = solvers.trace_deviation
+
+        def counted(K, alpha):
+            calls.append(K)
+            return original(K, alpha)
+
+        monkeypatch.setattr(solvers, "trace_deviation", counted)
+        K, alpha = product_seed(grid32)
+        build_approximate_solution(K, alpha, 100.0, 3, FAST)
+        assert len(calls) == 1
+        f = make_trig_field(grid32, [(1.0, (1, 2), 0.0)])
+        solve_F(K, alpha, ScalarField(grid32, volume_mean_zero(K, f)), FAST)
+        assert len(calls) == 2
 
     def test_order_validation(self, flat32, alpha_flat32):
         for bad in (-1, 9, 2.5):
@@ -746,7 +785,8 @@ class TestSeedStructure:
                                   100.0, 2, FAST)
         assert chain.source == "flat"
         assert not np.any(chain._seed.potential)
-        assert chain.ladder_error.startswith("PreconditionError: ladder seed needs")
+        assert chain.ladder_error.startswith(
+            "PreconditionError: solve_F: trace_K(alpha) deviates from constant")
         assert chain.ladder_sizes == (4, 4, 4, 4)
 
     def test_any_twistk_error_of_the_ladder_falls_back(self, grid16, alpha16,
@@ -768,6 +808,11 @@ class TestSeedStructure:
             swept(grid16, EYE1, alpha16, (0.5,), ladder_order=9)
         with pytest.raises(UnsupportedOrderError):
             descended(grid16, EYE1, alpha16, R_start=8.0, ladder_order=9)
+        # the order is checked before the shortcut that skips the ladder
+        # at order 0 or R = 0, so a bad order never passes as no ladder
+        for R, order in ((1.0, -1), (0.0, 9)):
+            with pytest.raises(UnsupportedOrderError):
+                engine.seed_chain(grid16, EYE1, alpha16, R, order, FAST)
 
     def test_sweep_restarts_from_the_seed_until_a_step_converges(
             self, grid16, alpha16, monkeypatch):
@@ -946,13 +991,12 @@ class TestSeedChain:
         chain.step(alpha, 8.0)
         assert np.array_equal(calls[0][0].potential, seed.potential)
 
-        def unsupported(*args, **kwargs):
-            raise UnsupportedOrderError("forced")
+        def built(*args, **kwargs):
+            raise AssertionError("a ladder was built")
 
-        monkeypatch.setattr(engine, "build_approximate_solution", unsupported)
-        with pytest.raises(UnsupportedOrderError):
-            engine.seed_chain(grid16, EYE1, alpha, 8.0, 2, FAST)
-        monkeypatch.undo()
+        # an unsupported order propagates: seed_chain checks it before
+        # any ladder, so no ladder failure can stand in for it
+        monkeypatch.setattr(engine, "build_approximate_solution", built)
         with pytest.raises(UnsupportedOrderError):
             engine.seed_chain(grid16, EYE1, alpha, 8.0, 9, FAST)
 

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given
 
 from twistk import (
-    CohomologyData,
     HermitianFormField,
     KahlerStructure,
     PeriodicGrid,
     ScalarField,
+    class_trace,
     form_pairing,
     gradient_pairing,
     laplacian,
@@ -146,10 +146,11 @@ class TestKahlerStructureIsAForm:
             KahlerStructure(grid, g0, 40.0 * np.cos(x) + np.zeros(grid.shape))
 
     def test_a_build_checks_its_class_matrix_once(self, monkeypatch):
-        # the form's Hermitian check, then the structure's positivity test
+        # the form's Hermitian check, then the structure's positivity test;
+        # geometry binds no combined check that could repeat them
+        assert not hasattr(geometry, "_check_hermitian_matrix")
         calls = []
-        for name in ("_check_hermitian", "_check_hermitian_matrix",
-                     "_check_positive_definite"):
+        for name in ("_check_hermitian", "_check_positive_definite"):
             def counted(*args, name=name, real=getattr(geometry, name)):
                 calls.append(name)
                 return real(*args)
@@ -213,9 +214,9 @@ class TestTraceForm:
     def test_trace_average_is_cohomological(self, grid32):
         rng = np.random.default_rng(9)
         K, alpha = random_pair(grid32, rng, pot_amp=0.1, alpha_amp=0.08, kmax=2)
-        data = CohomologyData.of_classes(K.base_matrix, alpha.base_matrix)
         tr = trace_form(K, alpha)
-        assert abs(volume_average(K, tr) - data.c) <= 1e-8
+        assert abs(volume_average(K, tr)
+                   - class_trace(K.base_matrix, alpha.base_matrix)) <= 1e-8
 
     def test_matches_loop_oracle(self):
         grid = PeriodicGrid(2, (6, 6, 6, 6))
@@ -349,12 +350,9 @@ class TestFormsAndClasses:
                               + hessian(grid32, pot.values))
 
     def test_cohomology_constants(self):
-        data = CohomologyData.of_classes(EYE2, np.diag([2.0, 3.0]))
-        assert data.sbar == 0.0
-        assert abs(data.c - 5.0) <= 1e-13
-        scaled = CohomologyData.of_classes(np.array([[2.0 + 0.0j]]),
-                                           np.array([[3.0 + 0.0j]]))
-        assert abs(scaled.c - 1.5) <= 1e-13
+        assert abs(class_trace(EYE2, np.diag([2.0, 3.0])) - 5.0) <= 1e-13
+        scaled = class_trace(np.array([[2.0 + 0.0j]]), np.array([[3.0 + 0.0j]]))
+        assert abs(scaled - 1.5) <= 1e-13
 
     def test_ricci_form_is_closed_with_zero_class(self, grid32):
         K = seed_structure(grid32, [(0.3, (1, 0), 0.0)])

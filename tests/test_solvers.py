@@ -119,9 +119,17 @@ class TestSolveShifted:
         assert sup_norm(phi.values - expected) <= 1e-9
 
     def test_negative_weight_is_rejected(self, flat32, alpha_flat32):
+        # the shifted handle is the one check of R >= 0, so every entry
+        # point that builds one refuses R = -1 with its one message
         f = ScalarField(flat32.grid, np.zeros(flat32.grid.shape))
-        with pytest.raises(PreconditionError):
-            solve_shifted(flat32, alpha_flat32, -1.0, f)
+        calls = (lambda: LinearOperatorHandle("shifted", flat32, alpha_flat32, -1.0),
+                 lambda: solve_shifted(flat32, alpha_flat32, -1.0, f),
+                 lambda: extreme_eigenvalue(flat32, alpha_flat32, -1.0),
+                 lambda: inverse_norm_estimate(flat32, alpha_flat32, -1.0))
+        for call in calls:
+            with pytest.raises(PreconditionError) as err:
+                call()
+            assert str(err.value) == "the shifted operator requires R >= 0, got -1.0"
 
     def test_matches_dense_solve_on_non_flat_structure(self):
         grid = PeriodicGrid(1, (8, 8))
@@ -397,9 +405,10 @@ class TestPreconditionerMap:
         def refuse(*args):
             raise AssertionError("class matrix checked")
 
-        for module in (twistk.grid, twistk.geometry):
-            for name in ("_check_hermitian", "_check_hermitian_matrix",
-                         "_check_positive_definite"):
+        checks = ("_check_hermitian", "_check_positive_definite")
+        for module, names in ((twistk.grid, checks + ("_check_hermitian_matrix",)),
+                              (twistk.geometry, checks)):
+            for name in names:
                 monkeypatch.setattr(module, name, refuse)
         for R in (None, 3.0):
             assert np.isfinite(solvers._spd_preconditioner(K, R)(r)).all()
