@@ -22,17 +22,19 @@ prolonged start is already close and the fine solve takes few
 iterations.  The half grid (one per grid), the points it keeps on each
 axis (one rule), the restriction and the prolongation all belong to
 `grid`; this module moves a problem there and back only through
-`_restricted` and `_prolonged`, which the seed ladder shares.  The step
-falls back to a fine-grid solve from its own start when the grid has no
-half grid, when restricting or prolonging degenerates the metric, and
-when the half-grid solve fails or needs no iteration.
+`_restricted` and `_prolonged`, which the seed ladder shares.  A step
+is given its start as a potential in a class on a grid, and builds the
+configured-grid structure of that start only when it falls back to a
+fine-grid solve from it: when the grid has no half grid, when
+restricting or prolonging degenerates the metric, and when the
+half-grid solve fails or needs no iteration.
 StepRecord's coarse_* fields record the half-grid stage.
 
 Every run starts from `seed_structure`'s seed and every sequence of
 solves is one `WarmChain`, which owns the one SolverConfig of all its
 steps and has one warm-start rule: a step starts at the last converged
-metric, handed on as the solved structure itself, or at the chain's
-start while no step has converged.  `seed_chain` makes
+metric or, while no step has converged, at the chain's seed, both
+handed on as their potential.  `seed_chain` makes
 the chain and is the only code that builds a seed ladder: on the half
 grid, where the chain's first step solves, when the grid has one.  The
 Newton drivers `continuity_sweep`, `estimate_R_threshold` and
@@ -198,8 +200,9 @@ class ApproximateSolution:
 
 def _check_order(order) -> None:
     """UnsupportedOrderError unless order is an integer in
-    [0, MAX_LADDER_ORDER]."""
-    if not isinstance(order, int) or order < 0 or order > MAX_LADDER_ORDER:
+    [0, MAX_LADDER_ORDER]; a bool is refused."""
+    if (isinstance(order, bool) or not isinstance(order, int)
+            or order < 0 or order > MAX_LADDER_ORDER):
         raise UnsupportedOrderError(
             f"ladder order must be an integer in [0, {MAX_LADDER_ORDER}], got {order}")
 
@@ -377,43 +380,43 @@ class StepRecord:
     eigen_error: str = ""
 
 
-def _restricted(K: KahlerStructure, alpha: HermitianFormField, parities: tuple[int, ...],
+def _restricted(grid: PeriodicGrid, g0: np.ndarray, potential: np.ndarray,
+                alpha: HermitianFormField, parities: tuple[int, ...],
                 ) -> tuple[KahlerStructure, HermitianFormField]:
-    """K and alpha sampled on K's half grid at the points that `parities`
-    picks (see `grid.half_grid`); a DegenerateMetricError when the
-    sampled metric is not positive."""
-    coarse = K.grid.half
-    return (KahlerStructure(coarse, K.base_matrix, restrict(K.potential, parities)),
+    """The metric g0 + Hess(potential) and alpha sampled on grid's half
+    grid at the points that `parities` picks (see `grid.half_grid`); a
+    DegenerateMetricError when the sampled metric is not positive."""
+    coarse = grid.half
+    return (KahlerStructure(coarse, g0, restrict(potential, parities)),
             HermitianFormField(coarse, alpha.base_matrix,
                                restrict(alpha.potential, parities)))
 
 
-def _prolonged(K: KahlerStructure, coarse_K: KahlerStructure,
+def _prolonged(grid: PeriodicGrid, g0: np.ndarray, coarse_potential: np.ndarray,
                parities: tuple[int, ...]) -> KahlerStructure:
-    """coarse_K's potential prolonged back onto K's grid, in K's class;
+    """A half-grid potential prolonged back onto grid, in the class g0;
     a DegenerateMetricError when that metric is not positive."""
-    return KahlerStructure(K.grid, K.base_matrix,
-                           prolong(coarse_K.potential, K.grid, parities))
+    return KahlerStructure(grid, g0, prolong(coarse_potential, grid, parities))
 
 
-def _half_grid_start(K_init: KahlerStructure, alpha: HermitianFormField,
-                     R: float, cfg: SolverConfig,
+def _half_grid_start(grid: PeriodicGrid, g0: np.ndarray, potential: np.ndarray,
+                     alpha: HermitianFormField, R: float, cfg: SolverConfig,
                      ) -> tuple[KahlerStructure | None, int, str]:
-    """Newton on the half grid (`grid.half_grid`) from K_init and alpha
-    restricted there, its potential prolonged back to K_init's grid.
+    """Newton on the half grid (`grid.half_grid`) from the start
+    g0 + Hess(potential) and alpha restricted there, its potential
+    prolonged back to grid.
 
     Returns (start, coarse iterations, fallback reason); start is None,
-    with the reason, when K_init's grid has no half grid, when
-    restricting or prolonging degenerates a metric, and when the
-    half-grid solve fails or needs no iteration (K_init is then at least
-    as good a start).
+    with the reason, when grid has no half grid, when restricting or
+    prolonging degenerates a metric, and when the half-grid solve fails
+    or needs no iteration (the given start is then at least as good).
     """
     try:
-        _, parities = half_grid(K_init.grid, K_init.potential)
+        _, parities = half_grid(grid, potential)
     except DomainError as err:
         return None, 0, str(err)
     try:
-        K_c, alpha_c = _restricted(K_init, alpha, parities)
+        K_c, alpha_c = _restricted(grid, g0, potential, alpha, parities)
     except DegenerateMetricError as err:
         return None, 0, describe(err)
     report = newton_solve(K_c, alpha_c, R, cfg)
@@ -422,29 +425,35 @@ def _half_grid_start(K_init: KahlerStructure, alpha: HermitianFormField,
     if report.iterations == 0:
         return None, 0, "half-grid start already converged"
     try:
-        start = _prolonged(K_init, report.structure, parities)
+        start = _prolonged(grid, g0, report.structure.potential, parities)
     except DegenerateMetricError as err:
         return None, report.iterations, describe(err)
     return start, report.iterations, ""
 
 
-def solve_step(K_init: KahlerStructure, alpha: HermitianFormField, R: float,
-               cfg: SolverConfig, source: str, *, t: float | None = None,
-               eigen_seed: int | None = None,
+def solve_step(grid: PeriodicGrid, g0: np.ndarray, potential: np.ndarray,
+               alpha: HermitianFormField, R: float, cfg: SolverConfig, source: str, *,
+               t: float | None = None, eigen_seed: int | None = None,
                ) -> tuple[StepRecord, KahlerStructure]:
-    """Two-grid Newton at weight R from K_init (see the module
-    docstring), then, when eigen_seed is given and Newton converged, the
-    extreme eigenvalue of the shifted operator on the configured grid.
+    """Two-grid Newton at weight R from the metric g0 + Hess(potential)
+    on grid (see the module docstring), then, when eigen_seed is given
+    and Newton converged, the extreme eigenvalue of the shifted operator
+    on the configured grid.
 
-    An eigenvalue stage that raises a TwistkError leaves lambda1 nan and
-    its failure in the record.  Returns the record and the metric Newton
-    ended on.
+    The start's configured-grid structure is built only when the step
+    falls back to solving from it; a start that degenerates then raises
+    DegenerateMetricError.  An eigenvalue stage that raises a TwistkError
+    leaves lambda1 nan and its failure in the record.  Returns the record
+    and the metric Newton ended on.
     """
     started = time.perf_counter()
     if t is None:
         t = R_to_t(R)
-    start, coarse_iters, coarse_error = _half_grid_start(K_init, alpha, R, cfg)
-    report = newton_solve(K_init if start is None else start, alpha, R, cfg)
+    start, coarse_iters, coarse_error = _half_grid_start(grid, g0, potential, alpha, R, cfg)
+    two_grid = start is not None
+    if not two_grid:
+        start = KahlerStructure(grid, g0, potential)
+    report = newton_solve(start, alpha, R, cfg)
     eigen, eigen_error = None, ""
     if report.converged and eigen_seed is not None:
         try:
@@ -458,7 +467,7 @@ def solve_step(K_init: KahlerStructure, alpha: HermitianFormField, R: float,
         wall_ms=(time.perf_counter() - started) * 1000.0, warm_source=source,
         newton_error=report.message, history=report.history,
         coarse_iters=coarse_iters,
-        coarse_residual_sup=math.nan if start is None else report.start_residual_sup,
+        coarse_residual_sup=report.start_residual_sup if two_grid else math.nan,
         coarse_error=coarse_error,
         lambda1=math.nan if eigen is None else eigen.value,
         eigen_iterations=0 if eigen is None else eigen.iterations,
@@ -472,18 +481,28 @@ class WarmChain:
     the one warm-start rule.
 
     A step starts at the last converged metric (warm_source
-    "previous-step"), or at the seed `start` (warm_source `source`)
-    while no step has converged; the seed is let go at the first
+    "previous-step"), or at the seed (warm_source `source`) while no
+    step has converged.  The chain holds either start as its `potential`
+    on `grid` in the class `g0`, and solve_step builds a configured-grid
+    structure from it only when it falls back to solving from it, so
+    while a step solves, its own Newton iterates are the only
+    configured-grid structures alive; the seed is let go at the first
     converged step.  records holds every step's record, converged or
     not; structure, alpha and R are the metric, twist and weight of the
-    last converged step (None while there is none); source,
-    ladder_error and ladder_sizes describe the seed (see `seed_chain`,
-    which makes every scenario's chain).
+    last converged step (None while there is none).  structure is the
+    solved metric itself between steps, and None while a step runs; a
+    step that does not converge leaves it rebuilt from `potential`, a
+    structure byte-equal to the one it held.  source, ladder_error and
+    ladder_sizes describe the seed (see `seed_chain`, which makes every
+    scenario's chain).
     """
 
-    def __init__(self, start: KahlerStructure, source: str, cfg: SolverConfig,
-                 ladder_error: str = "", ladder_sizes: tuple[int, ...] = ()):
-        self._seed = start
+    def __init__(self, grid: PeriodicGrid, g0: np.ndarray, potential: np.ndarray,
+                 source: str, cfg: SolverConfig, ladder_error: str = "",
+                 ladder_sizes: tuple[int, ...] = ()):
+        self.grid = grid
+        self.g0 = g0
+        self.potential = potential
         self.source = source
         self.cfg = cfg
         self.ladder_error = ladder_error
@@ -496,19 +515,24 @@ class WarmChain:
     def step(self, alpha: HermitianFormField, R: float, *,
              t: float | None = None, eigen_seed: int | None = None) -> bool:
         """Solve at weight R from the rule's start; True when it converged."""
-        if self.structure is None:
-            start, source = self._seed, self.source
-        else:
-            start, source = self.structure, "previous-step"
-        record, solved = solve_step(start, alpha, R, self.cfg, source, t=t,
-                                    eigen_seed=eigen_seed)
-        self.records.append(record)
-        if record.converged:
-            # the seed's cached curvature fields would otherwise live
-            # through the whole chain (about 15 MB at 16^4)
-            self.structure, self._seed = solved, None
-            self.alpha, self.R = alpha, R
-        return record.converged
+        source = self.source if self.alpha is None else "previous-step"
+        # the step reads only the start's potential; the solved structure,
+        # with its cached curvature, would be a second configured-grid
+        # metric alive through it
+        self.structure = None
+        converged = False
+        try:
+            record, solved = solve_step(self.grid, self.g0, self.potential, alpha, R,
+                                        self.cfg, source, t=t, eigen_seed=eigen_seed)
+            self.records.append(record)
+            converged = record.converged
+        finally:
+            if converged:
+                self.structure, self.potential = solved, solved.potential
+                self.alpha, self.R = alpha, R
+            elif self.alpha is not None:
+                self.structure = KahlerStructure(self.grid, self.g0, self.potential)
+        return converged
 
 
 @dataclass(frozen=True)
@@ -694,12 +718,15 @@ def seed_chain(grid: PeriodicGrid, g0: np.ndarray, alpha: HermitianFormField,
     <message>" in ladder_error.  An order outside [0, MAX_LADDER_ORDER]
     is the caller's error: UnsupportedOrderError, at any R, before the
     seed is built.  The chain's ladder_sizes are the sizes of the grid
-    the ladder ran on, () when none ran.
+    the ladder ran on, () when none ran.  The seed and the prolonged
+    ladder are built as structures, so a degenerate one fails here, but
+    the chain is handed only the potential and the checked class.
     """
     _check_order(order)
     K, source = seed_structure(grid, g0, alpha, potential=potential)
+    g0 = K.base_matrix
     if order == 0 or R <= 0.0:
-        return WarmChain(K, source, cfg)
+        return WarmChain(grid, g0, K.potential, source, cfg)
     try:
         coarse, parities = half_grid(grid, K.potential)
     except DomainError:
@@ -709,11 +736,12 @@ def seed_chain(grid: PeriodicGrid, g0: np.ndarray, alpha: HermitianFormField,
         if coarse is None:
             start = build_approximate_solution(K, alpha, R, order, cfg).structure
         else:
-            ladder = build_approximate_solution(*_restricted(K, alpha, parities), R, order, cfg)
-            start = _prolonged(K, ladder.structure, parities)
+            ladder = build_approximate_solution(
+                *_restricted(grid, g0, K.potential, alpha, parities), R, order, cfg)
+            start = _prolonged(grid, g0, ladder.structure.potential, parities)
     except TwistkError as err:
-        return WarmChain(K, source, cfg, describe(err), sizes)
-    return WarmChain(start, f"ladder[{order}]", cfg, "", sizes)
+        return WarmChain(grid, g0, K.potential, source, cfg, describe(err), sizes)
+    return WarmChain(grid, g0, start.potential, f"ladder[{order}]", cfg, "", sizes)
 
 
 def continuity_sweep(chain: WarmChain, alpha: HermitianFormField, t_values, *,

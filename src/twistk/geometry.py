@@ -9,7 +9,8 @@ components derived once.  A Kahler metric is the positive case:
     g_{j kbar} = g0_{j kbar} + d/dz_j d/dzbar_k phi
 
 are positive definite, with its pointwise algebra (det g, inverse,
-Ricci and scalar curvature) held as attributes.  The volume form weights
+Ricci and scalar curvature) held as attributes; log det g, which only
+the Ricci components and `ricci_form` read, is computed on each read.  The volume form weights
 the uniform quadrature by det g; `volume_average`, `volume_mean_zero`
 and `volume_rms` are the volume products the solvers and operators use.
 A form checks its class matrix Hermitian and a structure checks it
@@ -192,9 +193,10 @@ class KahlerStructure(HermitianFormField):
     definite, and construction fails with the offending grid point if the
     metric is not finite and positive definite everywhere.  The volume
     weight det g (`weight`) and the inverse (`inverse_stack`) are fields set
-    at construction, `log_det`, `ricci` and `scalar` cached properties
-    computed on first use; every held field is real, a scalar field or a
-    Hermitian stack.
+    at construction, `ricci` and `scalar` cached properties computed on
+    first use; every held field is real, a scalar field or a Hermitian
+    stack.  `log_det` is computed on each read and not held: only `ricci`
+    and `ricci_form` read it, and `ricci` once.
     """
 
     weight: np.ndarray = field(init=False, repr=False, compare=False)
@@ -227,7 +229,7 @@ class KahlerStructure(HermitianFormField):
         assembled on each call."""
         return hermitian_matrix(self.inverse_stack)
 
-    @functools.cached_property
+    @property
     def log_det(self) -> np.ndarray:
         return np.log(self.weight)
 

@@ -20,6 +20,7 @@ import json
 import math
 import platform
 import resource
+import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
@@ -477,11 +478,16 @@ def _set_allocator_policy() -> None:
 
 
 def _process_usage(before: resource.struct_rusage) -> dict:
-    """Minor page faults and CPU seconds of this process since `before`."""
+    """Minor page faults and CPU seconds of this process since `before`,
+    and its peak resident memory so far in MiB: a high-water mark of the
+    whole process, not of the calls since `before`."""
     after = resource.getrusage(resource.RUSAGE_SELF)
+    # ru_maxrss counts bytes on macOS and KiB elsewhere
+    rss_bytes = after.ru_maxrss * (1 if sys.platform == "darwin" else 1024)
     return {"minor_faults": after.ru_minflt - before.ru_minflt,
             "user_s": after.ru_utime - before.ru_utime,
-            "system_s": after.ru_stime - before.ru_stime}
+            "system_s": after.ru_stime - before.ru_stime,
+            "max_rss_mb": rss_bytes / 2.0 ** 20}
 
 
 def run_scenario(cfg: RunConfig) -> int:

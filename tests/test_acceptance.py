@@ -145,7 +145,6 @@ def sweep_run(grid32):
 def perturb_run(grid32):
     """Twist perturbation and ten-step continuation; feeds criteria 8 and 9."""
     alpha0 = HermitianFormField.from_potential(grid32, EYE1)
-    K0 = KahlerStructure(grid32, EYE1, np.zeros(grid32.shape))
     tiny = make_trig_field(grid32, [(1e-3, (1, 0), 0.0)])
     alpha_tiny = HermitianFormField.from_potential(grid32, EYE1, tiny.values)
     big = make_trig_field(grid32, [(0.2, (1, 0), 0.0)])
@@ -153,7 +152,7 @@ def perturb_run(grid32):
 
     def perturbed(alpha_new, steps):
         # the flat metric solves the flat twist: the base step needs no iteration
-        chain = WarmChain(K0, "flat", ACC)
+        chain = WarmChain(grid32, EYE1, np.zeros(grid32.shape), "flat", ACC)
         chain.step(alpha0, 100.0)
         perturb_twist(chain, alpha_new, steps=steps)
         return chain.records[1:], chain.structure

@@ -1141,9 +1141,12 @@ class TestProcessUsage:
                                   out=str(out))
         assert run_scenario(cfg) == 0
         process = _strict_load(out / "summary.json")["process"]
-        assert sorted(process) == ["minor_faults", "system_s", "user_s"]
+        assert sorted(process) == ["max_rss_mb", "minor_faults", "system_s", "user_s"]
         assert isinstance(process["minor_faults"], int)
         assert all(math.isfinite(v) and v >= 0 for v in process.values())
+        # the interpreter with numpy holds more than 10 MiB, and a 16^2
+        # solve far less than 4 GiB: a unit off by 1024 fails either bound
+        assert 10.0 < process["max_rss_mb"] < 4096.0
 
     @pytest.fixture
     def fresh_policy(self):

@@ -40,7 +40,7 @@ from twistk.errors import (
     PreconditionError,
     UnsupportedOrderError,
 )
-from twistk.config import DEFAULT_T_SCHEDULE, RunConfig
+from twistk.config import DEFAULT_T_SCHEDULE, RunConfig, parse_config
 from twistk.grid import half_grid, make_trig_field, prolong, restrict, rms_norm, sup_norm
 import twistk.engine as engine
 import twistk.runner as runner
@@ -67,6 +67,24 @@ def descended(grid, g0, alpha, *, R_start, ladder_order=2, cfg=FAST):
     estimate."""
     chain = engine.seed_chain(grid, g0, alpha, R_start, ladder_order, cfg)
     return chain, estimate_R_threshold(chain, alpha, R_start=R_start)
+
+
+def step_from(K, alpha, R, *args, **kwargs):
+    """`solve_step` from the metric K, handed over as its potential in its
+    class on its grid, as a chain hands a step its start."""
+    return engine.solve_step(K.grid, K.base_matrix, K.potential, alpha, R, *args, **kwargs)
+
+
+def chain_from(K, cfg=FAST):
+    """A chain seeded at the metric K as an explicit potential."""
+    return WarmChain(K.grid, K.base_matrix, K.potential, "explicit-potential", cfg)
+
+
+def assert_same_bytes(K, L):
+    """K and L are one metric byte for byte: potential, components and
+    inverse."""
+    for name in ("potential", "stack", "inverse_stack"):
+        assert getattr(K, name).tobytes() == getattr(L, name).tobytes(), name
 
 
 def assert_class_plus_potential(form):
@@ -387,7 +405,7 @@ class TestIFTCertificate:
 def base_chain(K, alpha, R=100.0, cfg=FAST):
     """A chain whose one step solved, or tried to solve, the base problem
     from K."""
-    chain = WarmChain(K, "explicit-potential", cfg)
+    chain = chain_from(K, cfg)
     chain.step(alpha, R)
     return chain
 
@@ -399,12 +417,14 @@ class TestPerturbTwist:
         assert len(chain.records) == 2
         assert chain.records[1].converged
         assert chain.records[1].newton_iters == 0
-        assert chain.structure is flat32
+        # both steps fall back to the flat start, rebuilt from its potential
+        assert chain.records[1].coarse_error == "half-grid start already converged"
+        assert_same_bytes(chain.structure, flat32)
 
     def test_unsolved_base_is_rejected(self, grid32, monkeypatch):
         K, alpha = product_seed(grid32)
         with pytest.raises(PreconditionError, match="no step"):
-            perturb_twist(WarmChain(K, "explicit-potential", FAST), alpha)
+            perturb_twist(chain_from(K), alpha)
         with monkeypatch.context() as patch:
             patch.setattr(engine, "_MAX_NEWTON", 0)
             failed = base_chain(K, alpha)
@@ -497,7 +517,7 @@ class TestSolveStep:
             grid16, EYE1, make_trig_field(grid16, [(0.2, (1, 0), 0.0)]).values)
         K0 = KahlerStructure(grid16, EYE1,
                              make_trig_field(grid16, [(1e-3, (1, 0), 0.0)]).values)
-        record, K = engine.solve_step(K0, alpha, 10.0, FAST, "flat", eigen_seed=0)
+        record, K = step_from(K0, alpha, 10.0, FAST, "flat", eigen_seed=0)
         assert record.converged and record.newton_iters == len(record.history) > 0
         assert (record.coarse_iters, record.coarse_error) == (3, "")
         assert FAST.newton_tol < record.coarse_residual_sup < 1e-8
@@ -539,7 +559,7 @@ class TestSolveStep:
 
     def test_axis_not_a_multiple_of_four_solves_on_its_grid(self):
         K0, alpha = self.problem(PeriodicGrid(1, (16, 18)))
-        record, K = engine.solve_step(K0, alpha, 10.0, FAST, "flat")
+        record, K = step_from(K0, alpha, 10.0, FAST, "flat")
         assert (record.coarse_iters, record.coarse_error) == (
             0, "grid axis 18 not a multiple of 4")
         self.assert_plain_newton(record, K, K0, alpha, 10.0)
@@ -556,7 +576,7 @@ class TestSolveStep:
             return report
 
         monkeypatch.setattr(engine, "newton_solve", coarse_fails)
-        record, K = engine.solve_step(K0, alpha, 10.0, FAST, "flat")
+        record, K = step_from(K0, alpha, 10.0, FAST, "flat")
         assert (record.coarse_iters, record.coarse_error) == (3, "forced failure")
         monkeypatch.setattr(engine, "newton_solve", original)
         self.assert_plain_newton(record, K, K0, alpha, 10.0)
@@ -567,7 +587,7 @@ class TestSolveStep:
         K0, alpha = self.problem(grid16)
         monkeypatch.setattr(engine, "prolong", lambda values, fine, parities:
                             make_trig_field(fine, [(8.0, (1, 0), 0.0)]).values)
-        record, K = engine.solve_step(K0, alpha, 10.0, FAST, "flat")
+        record, K = step_from(K0, alpha, 10.0, FAST, "flat")
         assert record.coarse_iters == 3
         assert record.coarse_error.startswith(
             "DegenerateMetricError: metric is not positive definite")
@@ -580,7 +600,7 @@ class TestSolveStep:
         K0, alpha = self.problem(grid16)
         degenerate = make_trig_field(PeriodicGrid(1, (8, 8)), [(8.0, (1, 0), 0.0)]).values
         monkeypatch.setattr(engine, "restrict", lambda values, parities: degenerate)
-        record, K = engine.solve_step(K0, alpha, 10.0, FAST, "flat")
+        record, K = step_from(K0, alpha, 10.0, FAST, "flat")
         assert record.coarse_iters == 0
         assert record.coarse_error.startswith(
             "DegenerateMetricError: metric is not positive definite")
@@ -591,12 +611,12 @@ class TestSolveStep:
             "DegenerateMetricError: metric is not positive definite")
         assert chain.ladder_sizes == (8, 8)
         seed, _ = engine.seed_structure(grid16, EYE1, alpha)
-        assert np.array_equal(chain._seed.potential, seed.potential)
+        assert np.array_equal(chain.potential, seed.potential)
 
     def test_solved_start_comes_back_unchanged(self, grid16, alpha16):
         flat = KahlerStructure(grid16, EYE1, np.zeros(grid16.shape))
-        record, K = engine.solve_step(flat, alpha16, 10.0, FAST, "flat")
-        assert K is flat
+        record, K = step_from(flat, alpha16, 10.0, FAST, "flat")
+        assert_same_bytes(K, flat)
         assert (record.newton_iters, record.coarse_iters) == (0, 0)
         assert record.coarse_error == "half-grid start already converged"
 
@@ -614,9 +634,9 @@ class TestSolveStep:
         for shift in (0, 1):
             alpha = HermitianFormField.from_potential(grid, g0, make_trig_field(
                 grid, [(0.2, (1,) + (0,) * (naxes - 1), -shift * step)]).values)
-            _, K = engine.solve_step(flat, alpha, 10.0, FAST, "flat")
+            _, K = step_from(flat, alpha, 10.0, FAST, "flat")
             assert half_grid(grid, K.potential)[1] == (shift,) + (0,) * (naxes - 1)
-            record, K = engine.solve_step(K, alpha, 5.0, FAST, "previous-step")
+            record, K = step_from(K, alpha, 5.0, FAST, "previous-step")
             records.append(record)
             potentials.append(K.potential)
         assert [(r.newton_iters, r.coarse_iters, r.coarse_error) for r in records] \
@@ -645,7 +665,7 @@ class TestSolveStep:
         alpha = HermitianFormField.from_potential(grid, g0, make_trig_field(
             grid, [(0.2, (1,) + (0,) * (2 * n - 1), 0.3)]).values)
         flat = KahlerStructure(grid, g0, np.zeros(grid.shape))
-        record, K = engine.solve_step(flat, alpha, R, FAST, "flat")
+        record, K = step_from(flat, alpha, R, FAST, "flat")
         assert record.converged
         assert record.residual_sup <= FAST.newton_tol
         assert sup_norm(K.potential) <= R
@@ -660,11 +680,11 @@ class TestSolveStep:
         monkeypatch.setattr(engine, "newton_solve", refuse)
         flat = KahlerStructure(grid16, EYE1, np.zeros(grid16.shape))
         with pytest.raises(PreconditionError, match="twist weight must be >= 0"):
-            engine.solve_step(flat, alpha16, -0.5, FAST, "flat")
+            step_from(flat, alpha16, -0.5, FAST, "flat")
 
     def test_four_point_axis_falls_back(self):
         K0, alpha = self.problem(PeriodicGrid(1, (4, 8)))
-        record, _ = engine.solve_step(K0, alpha, 10.0, FAST, "flat")
+        record, _ = step_from(K0, alpha, 10.0, FAST, "flat")
         assert record.coarse_error == "grid axis 4 below 8"
         assert record.coarse_iters == 0
 
@@ -784,7 +804,7 @@ class TestSeedStructure:
         chain = engine.seed_chain(grid8x4, EYE2, self.skewed_twist(grid8x4),
                                   100.0, 2, FAST)
         assert chain.source == "flat"
-        assert not np.any(chain._seed.potential)
+        assert not np.any(chain.potential)
         assert chain.ladder_error.startswith(
             "PreconditionError: solve_F: trace_K(alpha) deviates from constant")
         assert chain.ladder_sizes == (4, 4, 4, 4)
@@ -813,6 +833,13 @@ class TestSeedStructure:
         for R, order in ((1.0, -1), (0.0, 9)):
             with pytest.raises(UnsupportedOrderError):
                 engine.seed_chain(grid16, EYE1, alpha16, R, order, FAST)
+        # a bool is no order, though isinstance(True, int) holds
+        flat = KahlerStructure(grid16, EYE1, np.zeros(grid16.shape))
+        for order in (True, False):
+            with pytest.raises(UnsupportedOrderError):
+                engine.seed_chain(grid16, EYE1, alpha16, 8.0, order, FAST)
+            with pytest.raises(UnsupportedOrderError):
+                build_approximate_solution(flat, alpha16, 8.0, order, FAST)
 
     def test_sweep_restarts_from_the_seed_until_a_step_converges(
             self, grid16, alpha16, monkeypatch):
@@ -893,7 +920,7 @@ class TestSeedChain:
                                             alpha, 8.0, 2, FAST)
         assert (chain.source, chain.ladder_error) == ("ladder[2]", "")
         assert chain.ladder_sizes == (18, 18)
-        assert np.array_equal(chain._seed.potential, ladder.structure.potential)
+        assert np.array_equal(chain.potential, ladder.structure.potential)
 
     def test_seed_structure_and_ladder_study_keep_the_configured_grid(
             self, grid16, tmp_path, monkeypatch):
@@ -965,8 +992,8 @@ class TestSeedChain:
             works.append([(r.converged, r.coarse_iters, r.newton_iters,
                            [h["linear_iterations"] for h in r.history])
                           for r in descent.records])
-        assert sup_norm(np.roll(chains[0]._seed.potential, 1, axis=0)
-                        - chains[1]._seed.potential) <= 1e-13
+        assert sup_norm(np.roll(chains[0].potential, 1, axis=0)
+                        - chains[1].potential) <= 1e-13
         assert works[0] == works[1]
 
     def test_a_failed_half_grid_ladder_falls_back_to_the_seed(self, grid16,
@@ -989,7 +1016,7 @@ class TestSeedChain:
         calls = TestWarmChain.record_steps(monkeypatch)
         chain = engine.seed_chain(grid16, EYE1, alpha, 8.0, 2, FAST)
         chain.step(alpha, 8.0)
-        assert np.array_equal(calls[0][0].potential, seed.potential)
+        assert np.array_equal(calls[0][0], seed.potential)
 
         def built(*args, **kwargs):
             raise AssertionError("a ladder was built")
@@ -1010,7 +1037,8 @@ class TestSeedChain:
         def configured(grid, g0, alpha, R, order, cfg, **kwargs):
             ladder = build_approximate_solution(
                 engine.seed_structure(grid, g0, alpha, **kwargs)[0], alpha, R, order, cfg)
-            return WarmChain(ladder.structure, f"ladder[{order}]", FAST, "", grid.sizes)
+            return WarmChain(grid, g0, ladder.structure.potential, f"ladder[{order}]",
+                             FAST, "", grid.sizes)
 
         monkeypatch.setattr(engine, "seed_chain", configured)
         full_chain, full = descended(grid8x4, EYE2, alpha, R_start=8.0)
@@ -1037,13 +1065,14 @@ class TestWarmChain:
 
     @staticmethod
     def record_steps(monkeypatch):
-        """(start, record, solved metric) of every solve_step call."""
+        """(start potential, record, solved metric) of every solve_step
+        call."""
         calls = []
         original = engine.solve_step
 
-        def recording(K_init, *args, **kwargs):
-            record, solved = original(K_init, *args, **kwargs)
-            calls.append((K_init, record, solved))
+        def recording(grid, g0, potential, *args, **kwargs):
+            record, solved = original(grid, g0, potential, *args, **kwargs)
+            calls.append((potential, record, solved))
             return record, solved
 
         monkeypatch.setattr(engine, "solve_step", recording)
@@ -1051,16 +1080,17 @@ class TestWarmChain:
 
     @staticmethod
     def assert_one_rule(calls, seed_source):
-        """Each step starts at the last converged step's solved structure
-        itself, or at the first step's start while none has converged."""
+        """Each step starts at the potential of the last converged step's
+        solved structure itself, or at the first step's start while none
+        has converged."""
         seed, last = calls[0][0], None
-        for K_init, record, solved in calls:
+        for start, record, solved in calls:
             if last is None:
-                assert K_init is seed and record.warm_source == seed_source
+                assert start is seed and record.warm_source == seed_source
             else:
-                assert K_init is last and record.warm_source == "previous-step"
+                assert start is last.potential and record.warm_source == "previous-step"
             if record.converged:
-                assert solved is not K_init
+                assert solved.potential is not start
                 last = solved
 
     def test_each_step_starts_from_the_last_converged_structure(
@@ -1079,7 +1109,7 @@ class TestWarmChain:
         chain = swept(grid16, EYE1, alpha, (0.5, 0.8, 1.0), eigen_seed=None)
         assert [s.converged for s in chain.records] == [True, False, True]
         self.assert_one_rule(calls, "ladder[2]")
-        assert calls[2][0] is calls[0][2]
+        assert calls[2][0] is calls[0][2].potential
         assert chain.structure is calls[2][2]
 
         calls.clear()
@@ -1096,7 +1126,70 @@ class TestWarmChain:
         perturb_twist(chain, alpha, steps=3)
         assert len(calls) == len(chain.records) == 4
         self.assert_one_rule(calls, "explicit-potential")
-        assert calls[0][0] is start and chain.structure is calls[3][2]
+        assert np.array_equal(calls[0][0], start.potential)
+        assert chain.structure is calls[3][2]
+
+    @pytest.mark.parametrize("config", [
+        {"scenario": "continuity_sweep", "sizes": [16, 16]},
+        {"scenario": "threshold", "n": 2, "sizes": [8, 8, 8, 8]},
+    ], ids=["sweep-16x16", "threshold-8x8x8x8"])
+    def test_a_fine_solve_starts_with_one_configured_grid_structure_alive(
+            self, config, tmp_path, monkeypatch):
+        # the chain hands each step its start's potential, so at the entry
+        # of every configured-grid Newton solve its start is the only
+        # structure alive on the run's grid: neither the seed nor the last
+        # converged structure is held through a step
+        cfg = parse_config(json.dumps({**config, "out": str(tmp_path)}))
+        original = engine.newton_solve
+        alive = []
+
+        def counting(K0, *args, **kwargs):
+            if K0.grid.sizes == cfg.sizes:
+                gc.collect()
+                alive.append(sum(1 for obj in gc.get_objects()
+                                 if isinstance(obj, KahlerStructure)
+                                 and obj.grid is K0.grid))
+            return original(K0, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "newton_solve", counting)
+        assert run_scenario(cfg) == 0
+        records = json.loads((tmp_path / "summary.json").read_text())["records"]
+        assert len(alive) == len(records) > 2
+        assert alive == [1] * len(records)
+
+    def test_a_fallback_and_a_failure_rebuild_the_last_converged_metric(
+            self, grid16, monkeypatch):
+        alpha = self.twist(grid16)
+        chain = engine.seed_chain(grid16, EYE1, alpha, 10.0, 2, FAST)
+        assert chain.step(alpha, 10.0)
+        solved = chain.structure
+        original = engine.newton_solve
+        fine_starts = []
+
+        def both_fail(K0, *args, **kwargs):
+            report = original(K0, *args, **kwargs)
+            if K0.grid is grid16:
+                fine_starts.append(K0)
+            return dataclasses.replace(report, converged=False, message="forced failure")
+
+        # the half-grid solve fails, so the step solves from its start
+        # rebuilt on the configured grid; then that solve fails too
+        monkeypatch.setattr(engine, "newton_solve", both_fail)
+        assert not chain.step(alpha, 5.0)
+        assert chain.records[-1].coarse_error == "forced failure"
+        (start,) = fine_starts
+        assert start is not solved
+        assert_same_bytes(start, solved)
+        assert chain.structure is not solved
+        assert_same_bytes(chain.structure, solved)
+        assert (chain.alpha, chain.R) == (alpha, 10.0)
+        # a step that raises leaves the same rebuild
+        with pytest.raises(PreconditionError, match="twist weight must be >= 0"):
+            chain.step(alpha, -0.5)
+        assert_same_bytes(chain.structure, solved)
+        monkeypatch.setattr(engine, "newton_solve", original)
+        assert chain.step(alpha, 5.0)
+        assert chain.records[-1].warm_source == "previous-step"
 
     def test_every_step_solves_at_the_chain_cfg(self, grid16, monkeypatch):
         alpha = self.twist(grid16)
@@ -1104,9 +1197,9 @@ class TestWarmChain:
         original = engine.solve_step
         passed = []
 
-        def recording(K_init, alpha, R, step_cfg, *args, **kwargs):
+        def recording(grid, g0, potential, alpha, R, step_cfg, *args, **kwargs):
             passed.append(step_cfg)
-            return original(K_init, alpha, R, step_cfg, *args, **kwargs)
+            return original(grid, g0, potential, alpha, R, step_cfg, *args, **kwargs)
 
         monkeypatch.setattr(engine, "solve_step", recording)
         chain = engine.seed_chain(grid16, EYE1, alpha, t_to_R(0.5), 2, cfg)
@@ -1121,16 +1214,16 @@ class TestWarmChain:
 
     def test_threshold_lets_its_seed_go_at_the_first_converged_attempt(
             self, grid16, monkeypatch):
-        # weak references to the chain's seed, the half-grid ladder's
-        # structure and seed_structure's seed, in that order
+        # weak references to the chain's seed potential, the half-grid
+        # ladder's structure and seed_structure's seed, in that order
         refs = {}
         original_seed = engine.seed_structure
         original_ladder = engine.build_approximate_solution
 
         class Recording(engine.WarmChain):
-            def __init__(self, start, *args, **kwargs):
-                refs["chain"] = weakref.ref(start)
-                super().__init__(start, *args, **kwargs)
+            def __init__(self, grid, g0, potential, *args, **kwargs):
+                refs["chain"] = weakref.ref(potential)
+                super().__init__(grid, g0, potential, *args, **kwargs)
 
         def seeding(*args, **kwargs):
             K, source = original_seed(*args, **kwargs)

@@ -430,7 +430,7 @@ class TestStructureMemory:
         held = {name: value for name, value in vars(K).items()
                 if name not in ("grid", "base_matrix")}
         assert set(held) == {"stack", "potential", "weight", "inverse_stack",
-                             "log_det", "ricci", "scalar"}
+                             "ricci", "scalar"}
         for name, array in held.items():
             assert array.dtype == np.float64, name
             assert array.shape in (shape, (K.n * K.n,) + shape), name
