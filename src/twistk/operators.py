@@ -40,20 +40,24 @@ the direct pointwise contractions; their departures from exact symmetry
 live on the same unresolved modes and stay at the level of the
 coefficient tails, which Krylov solves never see on resolved data.
 
-Operators are realised as handles that precompute, once, the real
-coefficient fields of every Hermitian contraction from the structure's
-Hermitian stacks, in real arithmetic (for instance P_11, P_22, 2 Re P_12
-and 2 Im P_12 for the Laplacian g^{kj} H_jk against the grid's Hessian
-stack, and the stacks of P Ric P, P alpha P and the twist flux) as
-fields: the first-round multipliers `mults` and coefficients `coeffs`,
-the Laplacian pairing `lap`, and the twist divergence's weight
-`div_weight`, flux `flux` and closure `closure`, None where a kind has
-no such term.  Each application is then one or two rounds of the grid's
-half-spectrum derivative kernel with real-arithmetic contractions in
-between.  The first round transforms the input with the Hessian stack
-(fourth-order kinds) and the d/dzbar stack (``twist`` and ``shifted``),
-and every first-order term reads the d/dzbar fields: the twist flux, and
-the shifted kind's Re(d S, dbar phi).  The twist divergence pairs with
+Operators are realised as handles that hold, once, the real coefficient
+stacks of every Hermitian contraction, in the Hessian stack's layout and
+real arithmetic, as fields: the first-round multipliers `mults` and
+coefficients `coeffs` (the stack of R P alpha P - P Ric P or -P Ric P,
+then the shifted kind's first-order coefficients), the Laplacian's `lap`,
+which is the structure's own `inverse_stack` P (not a copy), and the
+twist divergence's weight `div_weight`, flux `flux` and closure
+`closure`, None where a kind has no such term.  The Hessian stacks are
+held unpaired: an application puts the grid's `hessian_pairing` weights,
+which double the off-diagonal entries, on the Hessian fields it has just
+transformed, in both rounds.  Doubling is exact in floating point, so
+the output is the one that paired coefficient copies would give, bit for
+bit.  Each application is one or two rounds of the grid's half-spectrum
+derivative kernel with real-arithmetic contractions in between.  The
+first round transforms the input with the Hessian stack (fourth-order
+kinds) and the d/dzbar stack (``twist`` and ``shifted``), and every
+first-order term reads the d/dzbar fields: the twist flux, and the
+shifted kind's Re(d S, dbar phi).  The twist divergence pairs with
 d/dz, which for real fields is the d/dzbar stack with its imaginary part
 negated.  Handles optionally project their output to volume mean zero so
 Krylov iterations stay on the subspace where the operators are definite;
@@ -112,7 +116,10 @@ class LinearOperatorHandle:
     ``R`` is ignored by the twist kind and must be >= 0 for the shifted
     kind (PreconditionError).  With ``mean_zero`` set, outputs
     are projected to mean zero against the volume form of K (inputs are
-    untouched: every kind annihilates constants exactly).
+    untouched: every kind annihilates constants exactly).  The other
+    fields are set once, at construction (see the module docstring):
+    ``lap`` is ``K.inverse_stack`` itself, and ``lap`` and the Hessian
+    part of ``coeffs`` are unpaired stacks.
     """
 
     kind: str
@@ -147,9 +154,9 @@ class LinearOperatorHandle:
                 second = self.R * stack_sandwich(P, self.alpha.stack) - pricp
             else:  # shifted
                 second = -pricp
-            coeffs.append(grid.hessian_pairing(second))
+            coeffs.append(second)
             mults.append(grid.hessian_stack)
-            put("lap", grid.hessian_pairing(P))
+            put("lap", P)
         if self.kind == "shifted":
             # Re sum_k g^{kj} d_j f * conj(d_k phi) with conj(d_k phi) =
             # d_{zbar_k} phi, phi's first-order stack as (Re, Im): the
@@ -190,11 +197,14 @@ class LinearOperatorHandle:
         vhat = grid.fft(values)
         fields = grid.ifft(vhat * self.mults)
         coeffs, lap, flux = self.coeffs, self.lap, self.flux
+        # every Hessian field pairs with an unpaired stack: the pairing
+        # weights go on the fields, as doubling is exact in floating point
+        n = grid.n
+        nh = 0 if lap is None else len(lap)
+        fields[n:nh] *= 2.0
         out = 0.0 if coeffs is None else np.einsum("i...,i...->...", coeffs,
                                                      fields[:len(coeffs)])
         # every kind has a biLaplacian or a twist divergence, or both
-        n = grid.n
-        nh = 0 if lap is None else len(lap)
         staged = []
         if nh:
             staged.append(np.einsum("i...,i...->...", lap, fields[:nh])[None])
@@ -214,6 +224,7 @@ class LinearOperatorHandle:
                 "a...,a...->...", grid.dzbar_stack, hats[-2 * n:])
         back = grid.ifft(spec)
         if nh:
+            back[n:nh] *= 2.0
             out = out - np.einsum("i...,i...->...", lap, back[:nh])
         if flux is not None:
             out = out + self.div_weight * (back[-1] / self.K.weight)

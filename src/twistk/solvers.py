@@ -14,8 +14,10 @@ recursive residual drifts; a one-step solve's residual was just
 computed from a fresh application, so it certifies itself (`_pcg`).
 The non-symmetric Newton linearization is solved with right-preconditioned
 restarted GMRES in the same inner product (`_gmres`): one operator and one
-preconditioner application per iteration, and one more operator
-application that certifies the true residual.  The extreme eigenvalue of the shifted
+preconditioner application per iteration, and per cycle one more
+preconditioner application that forms the update and one more operator
+application that certifies the true residual, so a one-cycle solve of k
+iterations makes k + 1 of each.  The extreme eigenvalue of the shifted
 operator comes from a preconditioned Davidson iteration: one operator
 application and one flat preconditioner application per step, with no
 inner solves.
@@ -219,15 +221,18 @@ def _gmres(apply_A, b: np.ndarray, K: KahlerStructure, tol: float, apply_M,
     Gram-Schmidt in <u, v> = sum(u v det g), and Givens rotations keep
     the least-squares residual, which in exact arithmetic is the true
     residual's weighted norm, as a running estimate.  The start is
-    x = 0, so r = b costs no application, and the preconditioned basis
-    vectors are kept, so x = M V y costs none either.  A cycle ends when
-    the estimate reaches tol / 10 relative to ||b||, when _KRYLOV_MAXITER
-    iterations are spent, or after _GMRES_RESTART iterations; one true
-    residual then certifies x at <= 10 * tol, or restarts the next cycle
-    from it.  A solve of k iterations thus makes k + 1 operator and k
-    preconditioner applications, plus one operator application per extra
-    cycle.  IterationLimitError carries one residual estimate per
-    iteration.
+    x = 0, so r = b costs no application.  Only the Arnoldi basis V is
+    kept, at most _GMRES_RESTART + 1 fields: every caller passes the
+    fixed linear map of `_spd_preconditioner`, so a cycle's update is
+    x += M (V y), one preconditioner application, and no preconditioned
+    basis is held beside V (a variable preconditioner would need it
+    back).  A cycle ends when the estimate reaches tol / 10 relative to
+    ||b||, when _KRYLOV_MAXITER iterations are spent, or after
+    _GMRES_RESTART iterations; one true residual then certifies x at
+    <= 10 * tol, or restarts the next cycle from it.  A one-cycle solve
+    of k iterations thus makes k + 1 operator and k + 1 preconditioner
+    applications, plus one of each per extra cycle.  IterationLimitError
+    carries one residual estimate per iteration.
     """
     w = K.weight
 
@@ -244,15 +249,13 @@ def _gmres(apply_A, b: np.ndarray, K: KahlerStructure, tol: float, apply_M,
     r, beta = b, bnorm
     while True:
         V = [r / beta]
-        Z = []
         H = np.zeros((_GMRES_RESTART + 1, _GMRES_RESTART))
         cs = np.zeros(_GMRES_RESTART)
         sn = np.zeros(_GMRES_RESTART)
         g = np.zeros(_GMRES_RESTART + 1)
         g[0] = beta
         for j in range(_GMRES_RESTART):
-            Z.append(apply_M(V[j]))
-            t = apply_A(Z[j])
+            t = apply_A(apply_M(V[j]))
             for i in range(j + 1):
                 H[i, j] = dot(t, V[i])
                 t = t - H[i, j] * V[i]
@@ -273,11 +276,11 @@ def _gmres(apply_A, b: np.ndarray, K: KahlerStructure, tol: float, apply_M,
             history.append(abs(g[j + 1]) / bnorm)
             if history[-1] <= target or len(history) == _KRYLOV_MAXITER:
                 break
-        k = len(Z)
+        k = j + 1
         # H[:k, :k] is upper triangular after the rotations
         y = np.linalg.solve(H[:k, :k], g[:k])
-        for i in range(k):
-            x = x + y[i] * Z[i]
+        # M is fixed and linear: x += M (V y)
+        x = x + apply_M(sum(yi * vi for yi, vi in zip(y, V)))
         r = volume_mean_zero(K, b - apply_A(x))
         beta = math.sqrt(dot(r, r))
         true_res = beta / bnorm

@@ -698,12 +698,12 @@ class TestTwistPerturbation:
     # stage's half-grid solve (3 iterations) leaves at most one for it
     PINNED = {
         1: [(0.0, 0.0, 0),
-            (1.1281997558398871e-10, 6.667371381375324e-11, 0),
-            (5.684341886080802e-14, 3.03543989777123e-14, 1),
-            (2.842170943040401e-14, 1.507288760336424e-14, 1)],
+            (1.128057647292735e-10, 6.667552223523676e-11, 0),
+            (2.842170943040401e-14, 1.5485919901226005e-14, 1),
+            (2.842170943040401e-14, 1.7763568394002505e-14, 1)],
         2: [(0.0, 0.0, 0),
-            (2.842170943040401e-14, 1.7404671430534633e-14, 1),
-            (2.842170943040401e-14, 2.0097183471152322e-14, 1)],
+            (8.526512829121202e-14, 5.0242958677880804e-14, 1),
+            (8.526512829121202e-14, 4.713207304057789e-14, 1)],
     }
 
     @staticmethod

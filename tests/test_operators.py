@@ -17,7 +17,7 @@ from twistk import (
     volume_mean_zero,
 )
 from twistk.errors import DomainError, PreconditionError, RefusalError
-from twistk.geometry import gradient_pairing
+from twistk.geometry import gradient_pairing, stack_matvec
 from twistk.grid import (
     holo_gradient,
     make_trig_field,
@@ -197,6 +197,63 @@ class TestShiftedOperator:
         low = LinearOperatorHandle("shifted", K, alpha, R=5.0).quadratic_form(phi)
         high = LinearOperatorHandle("shifted", K, alpha, R=9.0).quadratic_form(phi)
         assert high < low
+
+
+def paired_apply(handle: LinearOperatorHandle, values: np.ndarray) -> np.ndarray:
+    """The handle's action contracted with `hessian_pairing` copies of its
+    Hessian coefficient stacks, as the handle held them before it paired
+    the transformed fields instead."""
+    K, grid, n = handle.K, handle.K.grid, handle.K.grid.n
+    nh = 0 if handle.lap is None else len(handle.lap)
+    vhat = grid.fft(values)
+    fields = grid.ifft(vhat * handle.mults)
+    out = 0.0
+    if handle.coeffs is not None:
+        coeffs = np.concatenate([grid.hessian_pairing(handle.coeffs[:nh]),
+                                 handle.coeffs[nh:]])
+        out = np.einsum("i...,i...->...", coeffs, fields[:len(coeffs)])
+    staged = []
+    if nh:
+        lap = grid.hessian_pairing(handle.lap)
+        staged.append(np.einsum("i...,i...->...", lap, fields[:nh])[None])
+    if handle.flux is not None:
+        staged.append(stack_matvec(handle.flux, fields[-2 * n:]))
+    hats = grid.fft(np.concatenate(staged))
+    spec = np.empty((nh + (handle.flux is not None),) + hats.shape[1:], dtype=complex)
+    if nh:
+        np.multiply(hats[0], grid.hessian_stack, out=spec[:nh])
+    if handle.flux is not None:
+        spec[-1] = handle.closure * vhat + np.einsum(
+            "a...,a...->...", grid.dzbar_stack, hats[-2 * n:])
+    back = grid.ifft(spec)
+    if nh:
+        out = out - np.einsum("i...,i...->...", lap, back[:nh])
+    if handle.flux is not None:
+        out = out + handle.div_weight * (back[-1] / K.weight)
+    return volume_mean_zero(K, out) if handle.mean_zero else out
+
+
+class TestHandleFields:
+    @pytest.mark.parametrize("n, sizes", [(1, (16, 16)), (2, (8, 8, 8, 8))])
+    @pytest.mark.parametrize("R", [0.0, 3.0])
+    @pytest.mark.parametrize("kind", ["twist", "full_linearization", "shifted"])
+    def test_inverse_stack_is_held_once_and_outputs_keep_their_bits(
+            self, kind, R, n, sizes):
+        # the fourth-order kinds hold the structure's own inverse stack as
+        # their Laplacian and pair the transformed Hessian fields instead,
+        # which is exact: the pairing doubles the off-diagonal entries
+        grid = PeriodicGrid(n, sizes)
+        rng = np.random.default_rng(17)
+        K, alpha = random_pair(grid, rng, kmax=2)
+        v = rng.standard_normal(grid.shape)
+        for mean_zero in (False, True):
+            handle = LinearOperatorHandle(kind, K, alpha, R, mean_zero=mean_zero)
+            if kind == "twist":
+                assert handle.lap is None and handle.coeffs is None
+            else:
+                assert handle.lap is K.inverse_stack
+            out = handle.apply(v)
+            assert out.tobytes() == paired_apply(handle, v).tobytes()
 
 
 class TestHandleValidation:

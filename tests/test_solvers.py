@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -236,32 +237,63 @@ class TestNewtonLinearSolve:
         assert volume_rms(K, back) / volume_rms(K, rhs) == pytest.approx(
             info["residual"], rel=1e-6)
 
+    @pytest.mark.parametrize("restart", [None, 2])
     def test_applies_one_operator_per_iteration_plus_the_certificate(
-            self, grid32, monkeypatch):
+            self, grid32, monkeypatch, restart):
+        # each iteration applies M then A; each cycle ends with the update
+        # x += M V y and the certifying A
         K, alpha, rhs = self.problem(grid32, 0.05)
-        applies, preconditions = [], []
+        events = []
         apply = LinearOperatorHandle.apply
         build = solvers._spd_preconditioner
 
         def counting_apply(handle, values):
-            applies.append(handle.kind)
+            events.append(handle.kind)
             return apply(handle, values)
 
         def counting_build(K_arg, R):
             inner = build(K_arg, R)
 
             def counted(r):
-                preconditions.append(R)
+                events.append("M")
                 return inner(r)
 
             return counted
 
         monkeypatch.setattr(LinearOperatorHandle, "apply", counting_apply)
         monkeypatch.setattr(solvers, "_spd_preconditioner", counting_build)
+        if restart is not None:
+            monkeypatch.setattr(solvers, "_GMRES_RESTART", restart)
         _, info = newton_linear_solve(K, alpha, 5.0, rhs)
-        assert info["iterations"] > 1
-        assert applies == ["full_linearization"] * (info["iterations"] + 1)
-        assert len(preconditions) <= info["iterations"] + 1
+        k = info["iterations"]
+        assert k > 2
+        cycles = 1 if restart is None else -(-k // restart)
+        assert events == ["M", "full_linearization"] * (k + cycles)
+
+    def test_a_full_cycle_holds_one_basis(self, grid8x4, monkeypatch):
+        # the Arnoldi basis V is the only per-iteration field kept, so the
+        # solve's peak stays within the restart plus a constant number of
+        # fields (handle, preconditioner and one application's
+        # temporaries); a preconditioned basis beside V holds twice the
+        # restart, about 46 fields here
+        restart = 8
+        pot = random_smooth_field(grid8x4, np.random.default_rng(3), amplitude=0.1)
+        K = KahlerStructure(grid8x4, EYE2, euclid_mean_zero(pot.values))
+        alpha = HermitianFormField.from_potential(grid8x4, EYE2, K.potential)
+        rhs = volume_mean_zero(K, random_smooth_field(
+            grid8x4, np.random.default_rng(4), amplitude=1.0).values)
+        monkeypatch.setattr(solvers, "_GMRES_RESTART", restart)
+        # the first solve fills the structure's and the grid's caches
+        _, info = newton_linear_solve(K, alpha, 5.0, rhs)
+        assert info["iterations"] > restart
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            newton_linear_solve(K, alpha, 5.0, rhs)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < (restart + 30) * grid8x4.npoints * 8
 
     def test_restarted_solve_agrees_with_one_cycle(self, grid32, monkeypatch):
         K, alpha, rhs = self.problem(grid32, 0.05)
