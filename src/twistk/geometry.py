@@ -118,24 +118,32 @@ def stack_sandwich(p: np.ndarray, a: np.ndarray) -> np.ndarray:
                      qi * u + pp * bi + br * q2i - bi * q2r])
 
 
-def stack_matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+def stack_matvec(m: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Product M v of a Hermitian stack with a complex vector field, both
     as real parts: v is (Re v_1..Re v_n, Im v_1..Im v_n), the layout of
-    the grid's first-order stack, and so is the result."""
+    the grid's first-order stack, and so is the result, written into out
+    when it is given, one component at a time."""
+    if out is None:
+        out = np.empty(v.shape)
     if len(m) == 1:
-        return m * v
+        return np.multiply(m, v, out=out)
     m0, m1, mr, mi = m
     v0r, v1r, v0i, v1i = v
-    return np.stack([m0 * v0r + mr * v1r - mi * v1i,
-                     mr * v0r + mi * v0i + m1 * v1r,
-                     m0 * v0i + mr * v1i + mi * v1r,
-                     mr * v0i - mi * v0r + m1 * v1i])
+    out[0] = m0 * v0r + mr * v1r - mi * v1i
+    out[1] = mr * v0r + mi * v0i + m1 * v1r
+    out[2] = m0 * v0i + mr * v1i + mi * v1r
+    out[3] = mr * v0i - mi * v0r + m1 * v1i
+    return out
 
 
 def stack_trace(grid: PeriodicGrid, s: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Pointwise Re tr(S H) of two Hermitian stacks (real for Hermitian
-    S and H)."""
-    return np.einsum("i...,i...->...", grid.hessian_pairing(s), h)
+    S and H): the sum of s_i h_i in stack order, with the `hessian_pairing`
+    weight 2 of each off-diagonal entry put on the h field, which is exact."""
+    out = np.zeros(grid.shape)
+    for i, (si, hi) in enumerate(zip(s, h)):
+        out += si * (2.0 * hi if i >= grid.n else hi)
+    return out
 
 
 @dataclass(frozen=True)
@@ -167,7 +175,9 @@ class HermitianFormField:
         base = hermitian_stack(matrix).reshape((-1,) + (1,) * len(grid.sizes))
         object.__setattr__(self, "base_matrix", matrix)
         object.__setattr__(self, "potential", pot)
-        object.__setattr__(self, "stack", base + grid.derivatives(pot, grid.hessian_stack))
+        stack = grid.derivatives(pot, grid.hessian_stack)
+        stack += base
+        object.__setattr__(self, "stack", stack)
 
     @classmethod
     def from_potential(cls, grid: PeriodicGrid, matrix: np.ndarray,
@@ -237,7 +247,8 @@ class KahlerStructure(HermitianFormField):
     def ricci(self) -> np.ndarray:
         """Stack of the Ricci components -Hess(log det g)."""
         grid = self.grid
-        return -grid.derivatives(self.log_det, grid.hessian_stack)
+        stack = grid.derivatives(self.log_det, grid.hessian_stack)
+        return np.negative(stack, out=stack)
 
     @functools.cached_property
     def scalar(self) -> np.ndarray:
@@ -265,8 +276,7 @@ def trace_form(K: KahlerStructure, alpha: HermitianFormField) -> ScalarField:
 def laplacian(K: KahlerStructure, f: ScalarField) -> ScalarField:
     """Complex Laplacian g^{jk} d_j d_kbar f."""
     grid = K.grid
-    return ScalarField(grid, grid.hessian_trace(grid.hessian_pairing(K.inverse_stack),
-                                                f.values))
+    return ScalarField(grid, grid.hessian_trace(K.inverse_stack, f.values))
 
 
 def form_pairing(K: KahlerStructure, alpha: HermitianFormField,

@@ -23,16 +23,19 @@ coefficients along the last axis of a real field (or of a stack of
 fields along leading axes), and `ifft` returns real fields.  They are
 normalised so that a constant field has coefficient 1 at wavevector
 zero.  Both call scipy's compiled pocketfft extension directly, the
-module that `scipy.fft.rfftn`/`irfftn` call, loaded by its file path
-so that no `scipy.fft` (nor the `scipy.special` it imports) is loaded;
-where scipy lays that file out elsewhere, the extension is imported
-through `scipy.fft`.  The coefficients are those of `scipy.fft`, bit
-for bit.
+module that `scipy.fft.rfftn`/`irfftn` call, loaded by its file path,
+which scipy's import spec gives, so that no scipy module at all (no
+`scipy.fft`, nor the `scipy.special` it imports) is loaded; where scipy
+lays that file out elsewhere, the extension is imported through
+`scipy.fft`.  The coefficients are those of `scipy.fft`, bit for bit.
 
 Every spectral derivative, flat solve and Sobolev weight goes through
 one half-spectrum kernel, `PeriodicGrid.derivatives`: one forward
-transform of the input, a product with a stack of multipliers, and one
-batched inverse transform that yields real fields.  A complex derivative
+transform of the input, then, for each multiplier of a stack in turn,
+its product with the input's spectrum and an inverse transform of that
+one product into a real field.  No multi-field spectrum is formed, and
+the operator applies (`hessian_trace_spectrum` and the handles) stream
+their fields the same way.  A complex derivative
 D v = IFFT(m * FFT(v)) of a real field v, with FFT/IFFT the
 full-spectrum pair, is carried as two real fields.  A grid forms them
 once, when it builds its two stacks, by splitting the full-spectrum
@@ -58,10 +61,11 @@ in the package: the n diagonal entries, then Re and Im of entry (j, k)
 for each pair j < k, all real.  A form's components, the inverse metric,
 the Ricci components and every coefficient field of an operator are kept
 in it.  `hermitian_stack` puts a complex matrix (field) into the layout,
-`hessian_pairing` turns a stack S into the coefficients of Re tr(S H)
-against the Hessian stack, for a constant matrix and a field alike, and
-`hermitian_matrix` assembles the complex (n, n) view that `hessian` and
-the reports read.
+`hessian_pairing` turns a constant matrix's stack S into the
+coefficients of Re tr(S H) against the Hessian stack (a field stack is
+never copied so: the kernels put the pairing's exact weight 2 on each
+off-diagonal Hessian field instead), and `hermitian_matrix` assembles
+the complex (n, n) view that `hessian` and the reports read.
 
 The half grid, where the seed ladder and the two-grid Newton step
 solve, has one owner here: `PeriodicGrid.half` builds it once per grid,
@@ -81,7 +85,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .errors import DomainError, ShapeError, SolvabilityError
 
@@ -111,9 +114,11 @@ def fft_workers() -> int:
 
 def _pocketfft_path() -> Path:
     """Where scipy keeps its compiled pocketfft extension (a layout
-    private to scipy)."""
+    private to scipy), found from scipy's import spec without importing
+    scipy."""
     suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
-    return Path(scipy.__file__).parent / "fft" / "_pocketfft" / f"pypocketfft{suffix}"
+    package = Path(importlib.util.find_spec("scipy").submodule_search_locations[0])
+    return package / "fft" / "_pocketfft" / f"pypocketfft{suffix}"
 
 
 def _load_pocketfft():
@@ -236,13 +241,14 @@ class PeriodicGrid:
         return _POCKETFFT.r2c(np.asarray(values, dtype=float), self._axes, True,
                               _FORWARD_NORM, None, _WORKERS)
 
-    def ifft(self, coeffs: np.ndarray) -> np.ndarray:
-        """Inverse of `fft`: real fields from half spectra."""
+    def ifft(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Inverse of `fft`: real fields from half spectra, written into
+        out (a float array of the result's shape) when it is given."""
         if coeffs.shape[coeffs.ndim - len(self.sizes):] != self.half_shape:
             raise ShapeError(
                 f"half-spectrum shape {coeffs.shape} does not end in {self.half_shape}")
         return _POCKETFFT.c2r(np.asarray(coeffs, dtype=complex), self._axes, self.sizes[-1],
-                              False, _INVERSE_NORM, None, _WORKERS)
+                              False, _INVERSE_NORM, out, _WORKERS)
 
     @functools.cached_property
     def _axes(self) -> tuple[int, ...]:
@@ -253,10 +259,18 @@ class PeriodicGrid:
     def derivatives(self, values: np.ndarray, mults: np.ndarray) -> np.ndarray:
         """The derivative kernel: the real field ifft(fft(values) * m) for
         every multiplier m of the half-spectrum stack mults (or for the
-        single half-spectrum multiplier mults), in one batched inverse."""
+        single half-spectrum multiplier mults).  One forward transform;
+        each product is then formed and inverse-transformed in turn, into
+        its row of the output stack."""
         if values.shape != self.shape:
             raise ShapeError(f"field shape {values.shape} does not match grid {self.shape}")
-        return self.ifft(self.fft(values) * mults)
+        vhat = self.fft(values)
+        if mults.ndim == len(self.sizes):
+            return self.ifft(vhat * mults)
+        out = np.empty((len(mults),) + self.shape)
+        for mult, row in zip(mults, out):
+            self.ifft(vhat * mult, row)
+        return out
 
     # -- the two derivative stacks ----------------------------------------
 
@@ -333,7 +347,7 @@ class PeriodicGrid:
 
     def hessian_pairing(self, stack: np.ndarray) -> np.ndarray:
         """Real coefficients c with Re tr(S H) = sum_i c_i h_i, for S the
-        Hermitian matrix (field) with Hessian-stack layout `stack`, h the
+        Hermitian matrix with Hessian-stack layout `stack`, h the
         Hessian stack of a real field and H its complex Hessian: the
         stack with each off-diagonal entry doubled, since Re tr(S H)
         sums S_jk H_kj + S_kj H_jk = 2 (Re S_jk Re H_jk + Im S_jk Im H_jk)
@@ -342,10 +356,25 @@ class PeriodicGrid:
         weights[self.n:] = 2.0
         return stack * weights.reshape((-1,) + (1,) * (stack.ndim - 1))
 
-    def hessian_trace(self, pairing: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Re tr(S H) for the Hessian H of values, given S's `hessian_pairing`."""
-        H = self.derivatives(values, self.hessian_stack)
-        return np.einsum("i...,i...->...", pairing, H)
+    def hessian_trace(self, stack: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Re tr(S H) for S the Hermitian stack (field) `stack` and H the
+        complex Hessian of values."""
+        return self.hessian_trace_spectrum(stack, self.fft(values))
+
+    def hessian_trace_spectrum(self, stack: np.ndarray, vhat: np.ndarray) -> np.ndarray:
+        """`hessian_trace` of the field with half spectrum vhat.  Each
+        Hessian field is inverse-transformed in turn and added into the
+        sum as soon as it exists, in stack order, the off-diagonal fields
+        doubled first: the `hessian_pairing` weights, put on the field
+        instead of on a copy of the stack, which is exact."""
+        out = np.zeros(self.shape)
+        field = np.empty(self.shape)
+        for i, mult in enumerate(self.hessian_stack):
+            self.ifft(vhat * mult, field)
+            if i >= self.n:
+                field *= 2.0
+            out += stack[i] * field
+        return out
 
     def hessian_symbol(self, S: np.ndarray) -> np.ndarray:
         """Real half-spectrum multiplier of the constant-coefficient

@@ -53,11 +53,19 @@ which double the off-diagonal entries, on the Hessian fields it has just
 transformed, in both rounds.  Doubling is exact in floating point, so
 the output is the one that paired coefficient copies would give, bit for
 bit.  Each application is one or two rounds of the grid's half-spectrum
-derivative kernel with real-arithmetic contractions in between.  The
+derivative kernel with real-arithmetic contractions in between, and
+each round streams its fields: every product of a spectrum with one
+multiplier is inverse-transformed on its own and added into the
+round's sums as soon as it exists, in stack order, so no round holds a
+multi-field spectrum or the real stack of its Hessian fields.  The
 first round transforms the input with the Hessian stack (fourth-order
 kinds) and the d/dzbar stack (``twist`` and ``shifted``), and every
-first-order term reads the d/dzbar fields: the twist flux, and the
-shifted kind's Re(d S, dbar phi).  The twist divergence pairs with
+first-order term reads the d/dzbar fields, the only fields it keeps:
+the twist flux, and the shifted kind's Re(d S, dbar phi).  The second
+round transforms the Laplacian sum and the flux forward in one call,
+then streams the biLaplacian's Hessian fields
+(`PeriodicGrid.hessian_trace_spectrum`) and transforms the twist
+divergence back.  The twist divergence pairs with
 d/dz, which for real fields is the d/dzbar stack with its imaginary part
 negated.  Handles optionally project their output to volume mean zero so
 Krylov iterations stay on the subspace where the operators are definite;
@@ -144,8 +152,8 @@ class LinearOperatorHandle:
         grid = K.grid
         put = functools.partial(object.__setattr__, self)
 
-        # first stage: one batched derivative of the input, contracted
-        # pointwise with real coefficient fields; the fourth-order kinds
+        # first stage: the derivatives of the input, contracted pointwise
+        # with real coefficient fields; the fourth-order kinds
         # subtract a biLaplacian
         coeffs, mults = [], []
         if self.kind != "twist":
@@ -184,7 +192,7 @@ class LinearOperatorHandle:
         is (1/det g) * Re sum_l d_{z_l} G_l plus the closure term, and
         summation by parts against the masked multipliers is exact, so
         the induced bilinear form is symmetric to round-off.  The
-        biLaplacian and the twist divergence share one second batched
+        biLaplacian's and the twist divergence's inputs share one forward
         transform.
         """
         grid = self.K.grid
@@ -195,39 +203,56 @@ class LinearOperatorHandle:
         if values.shape != grid.shape:
             raise ShapeError(f"field shape {values.shape} does not match grid {grid.shape}")
         vhat = grid.fft(values)
-        fields = grid.ifft(vhat * self.mults)
         coeffs, lap, flux = self.coeffs, self.lap, self.flux
-        # every Hessian field pairs with an unpaired stack: the pairing
-        # weights go on the fields, as doubling is exact in floating point
         n = grid.n
         nh = 0 if lap is None else len(lap)
-        fields[n:nh] *= 2.0
-        out = 0.0 if coeffs is None else np.einsum("i...,i...->...", coeffs,
-                                                     fields[:len(coeffs)])
-        # every kind has a biLaplacian or a twist divergence, or both
-        staged = []
-        if nh:
-            staged.append(np.einsum("i...,i...->...", lap, fields[:nh])[None])
-        if flux is not None:
+        nc = 0 if coeffs is None else len(coeffs)
+        nf = 0 if flux is None else 2 * n
+        # each field is added into its sums as soon as it is transformed;
+        # only the d/dzbar fields that the flux reads are kept, the last nf
+        first_kept = len(self.mults) - nf
+        kept = np.empty((nf,) + grid.shape)
+        field = np.empty(grid.shape)
+        out = np.zeros(grid.shape) if nc else 0.0
+        lap_sum = np.zeros(grid.shape) if nh else None
+        for i, mult in enumerate(self.mults):
+            f = kept[i - first_kept] if i >= first_kept else field
+            grid.ifft(vhat * mult, f)
+            # every Hessian field pairs with an unpaired stack: the pairing
+            # weights go on the field, as doubling is exact in floating point
+            if n <= i < nh:
+                f *= 2.0
+            if i < nc:
+                out += coeffs[i] * f
+            if i < nh:
+                lap_sum += lap[i] * f
+        # the closure acts on the input's spectrum, which nothing else reads
+        # now; f may be a row of kept, which need not outlive the flux
+        div_hat = None if flux is None else self.closure * vhat
+        del vhat, f, field
+        # the second round's input, transformed forward in one call: the
+        # Laplacian sum, then the flux; every kind has a biLaplacian or a
+        # twist divergence, or both
+        if flux is None:
+            staged = lap_sum[None]
+        else:
+            staged = np.empty((min(nh, 1) + nf,) + grid.shape)
+            if nh:
+                staged[0] = lap_sum
             # flux A + iB = Q (Re + i Im) of the dzbar stack, in real arithmetic;
             # d/dz_l is the dzbar stack with Im negated, so
             # sum_l Re d_{z_l} A_l - Im d_{z_l} B_l is one pairing of (A, B)
             # with the dzbar stack
-            staged.append(stack_matvec(flux, fields[-2 * n:]))
-        del fields
-        hats = grid.fft(np.concatenate(staged))
-        spec = np.empty((nh + (flux is not None),) + hats.shape[1:], dtype=complex)
+            stack_matvec(flux, kept, staged[-nf:])
+        del kept, lap_sum
+        hats = grid.fft(staged)
+        del staged
         if nh:
-            np.multiply(hats[0], grid.hessian_stack, out=spec[:nh])
+            out -= grid.hessian_trace_spectrum(lap, hats[0])
         if flux is not None:
-            spec[-1] = self.closure * vhat + np.einsum(
-                "a...,a...->...", grid.dzbar_stack, hats[-2 * n:])
-        back = grid.ifft(spec)
-        if nh:
-            back[n:nh] *= 2.0
-            out = out - np.einsum("i...,i...->...", lap, back[:nh])
-        if flux is not None:
-            out = out + self.div_weight * (back[-1] / self.K.weight)
+            div_hat += np.einsum("a...,a...->...", grid.dzbar_stack, hats[-nf:])
+            div = grid.ifft(div_hat)
+            out = out + self.div_weight * (div / self.K.weight)
         if self.mean_zero:
             out = volume_mean_zero(self.K, out)
         return out

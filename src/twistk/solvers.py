@@ -232,7 +232,8 @@ def _gmres(apply_A, b: np.ndarray, K: KahlerStructure, tol: float, apply_M,
     <= 10 * tol, or restarts the next cycle from it.  A one-cycle solve
     of k iterations thus makes k + 1 operator and k + 1 preconditioner
     applications, plus one of each per extra cycle.  IterationLimitError
-    carries one residual estimate per iteration.
+    carries one residual estimate per iteration.  apply_A returns a fresh
+    field, which the Gram-Schmidt update overwrites in place.
     """
     w = K.weight
 
@@ -258,7 +259,7 @@ def _gmres(apply_A, b: np.ndarray, K: KahlerStructure, tol: float, apply_M,
             t = apply_A(apply_M(V[j]))
             for i in range(j + 1):
                 H[i, j] = dot(t, V[i])
-                t = t - H[i, j] * V[i]
+                t -= H[i, j] * V[i]
             H[j + 1, j] = math.sqrt(dot(t, t))
             for i in range(j):
                 H[i, j], H[i + 1, j] = (cs[i] * H[i, j] + sn[i] * H[i + 1, j],
@@ -331,8 +332,7 @@ def green_solve(K: KahlerStructure, f: ScalarField, cfg: SolverConfig = SolverCo
     Returns (G, info) with iteration count, final relative residual and
     residual history.
     """
-    lap = K.grid.hessian_pairing(K.inverse_stack)
-    return _spd_solver(K, lambda v: K.grid.hessian_trace(lap, v), None, cfg,
+    return _spd_solver(K, lambda v: K.grid.hessian_trace(K.inverse_stack, v), None, cfg,
                        "green_solve")(f)
 
 

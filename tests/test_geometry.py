@@ -23,8 +23,8 @@ from twistk import (
 )
 from twistk.errors import DegenerateMetricError, DomainError
 import twistk.geometry as geometry
-from twistk.grid import (euclid_mean_zero, hessian, holo_gradient, make_trig_field,
-                         random_smooth_field, sup_norm)
+from twistk.grid import (euclid_mean_zero, hermitian_stack, hessian, holo_gradient,
+                         make_trig_field, random_smooth_field, sup_norm)
 from twistk.operators import LinearOperatorHandle
 from twistk.oracles import (
     fd_complex_derivative,
@@ -441,6 +441,32 @@ class TestStructureMemory:
         assert K.comps.dtype == complex and K.inverse.dtype == complex
         assert K.comps is not K.comps
         assert set(vars(K)) == keys
+
+    @pytest.mark.parametrize("n, sizes", [(1, (16, 12)), (2, (6, 8, 4, 6))])
+    def test_kernels_keep_the_bits_of_paired_copies_and_batched_transforms(self, n, sizes):
+        # the traces put the pairing weight 2 on the off-diagonal fields
+        # instead of on a `hessian_pairing` copy of the stack, the Hessian
+        # fields are streamed one inverse transform each, and the form's
+        # stack and the Ricci stack are formed in place: all of it exact
+        grid = PeriodicGrid(n, sizes)
+        rng = np.random.default_rng(29)
+        K, alpha = random_pair(grid, rng, kmax=2)
+        v = rng.standard_normal(grid.shape)
+
+        def batched_hessian(values):
+            return grid.ifft(grid.fft(values) * grid.hessian_stack)
+
+        def paired(s, h):
+            return np.einsum("i...,i...->...", grid.hessian_pairing(s), h)
+
+        base = hermitian_stack(alpha.base_matrix).reshape((-1,) + (1,) * len(sizes))
+        assert alpha.stack.tobytes() == (base + batched_hessian(alpha.potential)).tobytes()
+        assert K.ricci.tobytes() == (-batched_hessian(K.log_det)).tobytes()
+        assert (trace_form(K, alpha).values.tobytes()
+                == paired(K.inverse_stack, alpha.stack).tobytes())
+        assert K.scalar.tobytes() == paired(K.inverse_stack, K.ricci).tobytes()
+        assert (laplacian(K, ScalarField(grid, v)).values.tobytes()
+                == paired(K.inverse_stack, batched_hessian(v)).tobytes())
 
     def test_curvature_is_computed_once(self, grid32, monkeypatch):
         K = seed_structure(grid32, [(0.3, (1, 0), 0.0)])

@@ -341,6 +341,22 @@ class TestDerivatives:
         fd = fd_complex_derivative(grid, values, (1, 0), (0, 1))
         assert np.abs(spectral - fd).max() <= 1e-6
 
+    @pytest.mark.parametrize("n, sizes", [(1, (16, 12)), (2, (6, 8, 4, 6))])
+    def test_each_field_has_its_own_inverse_transform_and_the_batched_bits(self, n, sizes):
+        grid = PeriodicGrid(n, sizes)
+        values = np.random.default_rng(7).standard_normal(grid.shape)
+        for stack in (grid.hessian_stack, grid.dzbar_stack):
+            batched = grid.ifft(grid.fft(values) * stack)
+            assert grid.derivatives(values, stack).tobytes() == batched.tobytes()
+        calls = []
+        inverse = grid_module.PeriodicGrid.ifft
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(grid_module.PeriodicGrid, "ifft",
+                       lambda self, coeffs, out=None: calls.append(coeffs.shape)
+                       or inverse(self, coeffs, out))
+            grid.derivatives(values, grid.hessian_stack)
+        assert calls == [grid.half_shape] * n * n
+
     def test_cross_derivatives_are_conjugate_for_real_fields(self):
         grid = PeriodicGrid(2, (8, 8, 8, 8))
         rng = np.random.default_rng(5)

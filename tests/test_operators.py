@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -200,9 +202,11 @@ class TestShiftedOperator:
 
 
 def paired_apply(handle: LinearOperatorHandle, values: np.ndarray) -> np.ndarray:
-    """The handle's action contracted with `hessian_pairing` copies of its
-    Hessian coefficient stacks, as the handle held them before it paired
-    the transformed fields instead."""
+    """The handle's action computed the batched way: each round
+    inverse-transforms its whole product stack in one call and contracts
+    the fields with `hessian_pairing` copies of the Hessian coefficient
+    stacks, where the handle streams one field per transform and pairs
+    the fields instead."""
     K, grid, n = handle.K, handle.K.grid, handle.K.grid.n
     nh = 0 if handle.lap is None else len(handle.lap)
     vhat = grid.fft(values)
@@ -234,14 +238,17 @@ def paired_apply(handle: LinearOperatorHandle, values: np.ndarray) -> np.ndarray
 
 
 class TestHandleFields:
-    @pytest.mark.parametrize("n, sizes", [(1, (16, 16)), (2, (8, 8, 8, 8))])
+    @pytest.mark.parametrize("n, sizes", [(1, (16, 16)), (1, (16, 12)), (2, (8, 8, 8, 8)),
+                                          (2, (6, 8, 4, 6))])
     @pytest.mark.parametrize("R", [0.0, 3.0])
     @pytest.mark.parametrize("kind", ["twist", "full_linearization", "shifted"])
     def test_inverse_stack_is_held_once_and_outputs_keep_their_bits(
             self, kind, R, n, sizes):
         # the fourth-order kinds hold the structure's own inverse stack as
         # their Laplacian and pair the transformed Hessian fields instead,
-        # which is exact: the pairing doubles the off-diagonal entries
+        # which is exact: the pairing doubles the off-diagonal entries; and
+        # streaming one field per inverse transform, summed in stack order,
+        # gives the batched transforms' output bit for bit
         grid = PeriodicGrid(n, sizes)
         rng = np.random.default_rng(17)
         K, alpha = random_pair(grid, rng, kmax=2)
@@ -254,6 +261,34 @@ class TestHandleFields:
                 assert handle.lap is K.inverse_stack
             out = handle.apply(v)
             assert out.tobytes() == paired_apply(handle, v).tobytes()
+
+    @staticmethod
+    def traced_peak(call) -> int:
+        """Bytes allocated at the peak of call() beyond what was live before."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_fields_are_streamed_one_transform_at_a_time(self, grid8x4):
+        # an application holds its sums, one Hessian field and one
+        # single-field spectrum product beside the input's spectrum (1.25
+        # fields at 8^4), about 5.5 fields; the derivative kernel holds its
+        # output stack (4 fields) beside the same two spectra.  Batched
+        # inverse transforms of the whole product stack held about 15.5
+        # and 10 fields
+        rng = np.random.default_rng(23)
+        K, alpha = random_pair(grid8x4, rng, kmax=2)
+        v = rng.standard_normal(grid8x4.shape)
+        handle = LinearOperatorHandle("full_linearization", K, alpha, 3.0)
+        field = grid8x4.npoints * 8
+        for call in (lambda: handle.apply(v),
+                     lambda: grid8x4.derivatives(v, grid8x4.hessian_stack)):
+            call()
+            assert self.traced_peak(call) < 8 * field
 
 
 class TestHandleValidation:
