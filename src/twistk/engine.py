@@ -589,15 +589,13 @@ def ift_certificate(K: KahlerStructure, alpha: HermitianFormField, R: float,
     raw = [random_smooth_field(grid, rng, amplitude=1.0).values
            for _ in range(_IFT_SAMPLES)]
     fractions = rng.uniform(0.3, 1.0, size=_IFT_SAMPLES)
+    h4_norms = [sobolev_norm(ScalarField(grid, u), 4.0) for u in raw]
     target = 0.5 / inverse_norm
 
     r = _IFT_RADIUS
     lipschitz = math.inf
     for _ in range(_IFT_MAX_HALVINGS):
-        fields = []
-        for u, frac in zip(raw, fractions):
-            h4 = sobolev_norm(ScalarField(grid, u), 4.0)
-            fields.append(u * (r * frac / h4))
+        fields = [u * (r * frac / h4) for u, frac, h4 in zip(raw, fractions, h4_norms)]
         try:
             values = [remainder(phi) for phi in fields]
             zero = np.zeros(grid.shape)

@@ -138,11 +138,11 @@ def stack_matvec(m: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) ->
 
 def stack_trace(grid: PeriodicGrid, s: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Pointwise Re tr(S H) of two Hermitian stacks (real for Hermitian
-    S and H): the sum of s_i h_i in stack order, with the `hessian_pairing`
-    weight 2 of each off-diagonal entry put on the h field, which is exact."""
+    S and H): the sum of s_i h_i in stack order, each h field times its
+    `grid.hessian_weights` entry, which is exact."""
     out = np.zeros(grid.shape)
-    for i, (si, hi) in enumerate(zip(s, h)):
-        out += si * (2.0 * hi if i >= grid.n else hi)
+    for weight, si, hi in zip(grid.hessian_weights, s, h):
+        out += si * (hi if weight == 1.0 else weight * hi)
     return out
 
 

@@ -33,9 +33,11 @@ Every spectral derivative, flat solve and Sobolev weight goes through
 one half-spectrum kernel, `PeriodicGrid.derivatives`: one forward
 transform of the input, then, for each multiplier of a stack in turn,
 its product with the input's spectrum and an inverse transform of that
-one product into a real field.  No multi-field spectrum is formed, and
-the operator applies (`hessian_trace_spectrum` and the handles) stream
-their fields the same way.  A complex derivative
+one product into a real field.  No multi-field spectrum is formed.
+`PeriodicGrid.fields` streams the same fields from a spectrum one at a
+time, and `hessian_fields` streams the Hessian fields with their pairing
+weights already applied, for `hessian_trace_spectrum` and the operator
+handles.  A complex derivative
 D v = IFFT(m * FFT(v)) of a real field v, with FFT/IFFT the
 full-spectrum pair, is carried as two real fields.  A grid forms them
 once, when it builds its two stacks, by splitting the full-spectrum
@@ -61,10 +63,11 @@ in the package: the n diagonal entries, then Re and Im of entry (j, k)
 for each pair j < k, all real.  A form's components, the inverse metric,
 the Ricci components and every coefficient field of an operator are kept
 in it.  `hermitian_stack` puts a complex matrix (field) into the layout,
-`hessian_pairing` turns a constant matrix's stack S into the
-coefficients of Re tr(S H) against the Hessian stack (a field stack is
-never copied so: the kernels put the pairing's exact weight 2 on each
-off-diagonal Hessian field instead), and `hermitian_matrix` assembles
+`hessian_weights` holds the pairing weight of each entry (2 on each
+off-diagonal part), `hessian_pairing` turns a constant matrix's stack S
+into the coefficients of Re tr(S H) against the Hessian stack (a field
+stack is never copied so: the kernels put the exact weights on the
+Hessian fields instead), and `hermitian_matrix` assembles
 the complex (n, n) view that `hessian` and the reports read.
 
 The half grid, where the seed ladder and the two-grid Newton step
@@ -80,7 +83,9 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -345,16 +350,42 @@ class PeriodicGrid:
         halves = [self._split(self._holo_factor(j, True) * resolved) for j in range(self.n)]
         return np.stack([h[0] for h in halves] + [h[1] for h in halves])
 
+    @functools.cached_property
+    def hessian_weights(self) -> tuple[float, ...]:
+        """The pairing weight of each Hessian-stack entry, the one place
+        it is written: 1 on the n diagonal entries and 2 on each
+        off-diagonal part, since Re tr(S H) sums
+        S_jk H_kj + S_kj H_jk = 2 (Re S_jk Re H_jk + Im S_jk Im H_jk)
+        over every pair j < k."""
+        return (1.0,) * self.n + (2.0,) * (self.n * self.n - self.n)
+
     def hessian_pairing(self, stack: np.ndarray) -> np.ndarray:
         """Real coefficients c with Re tr(S H) = sum_i c_i h_i, for S the
         Hermitian matrix with Hessian-stack layout `stack`, h the
         Hessian stack of a real field and H its complex Hessian: the
-        stack with each off-diagonal entry doubled, since Re tr(S H)
-        sums S_jk H_kj + S_kj H_jk = 2 (Re S_jk Re H_jk + Im S_jk Im H_jk)
-        over every pair j < k."""
-        weights = np.ones(self.n * self.n)
-        weights[self.n:] = 2.0
-        return stack * weights.reshape((-1,) + (1,) * (stack.ndim - 1))
+        stack times its `hessian_weights`."""
+        weights = np.reshape(self.hessian_weights, (-1,) + (1,) * (stack.ndim - 1))
+        return stack * weights
+
+    def fields(self, vhat: np.ndarray, mults: np.ndarray,
+               out: np.ndarray | None = None) -> Iterator[np.ndarray]:
+        """The real field ifft(vhat * m) for each multiplier m of the stack
+        mults, yielded in turn: written into its row of out when out is
+        given, else into one buffer, which the next field overwrites."""
+        rows = itertools.repeat(np.empty(self.shape)) if out is None else out
+        for mult, row in zip(mults, rows):
+            yield self.ifft(vhat * mult, row)
+
+    def hessian_fields(self, vhat: np.ndarray) -> Iterator[np.ndarray]:
+        """The Hessian fields of the field with half spectrum vhat, in
+        stack order and streamed through one buffer (`fields`), each
+        times its `hessian_weights` entry: the weight goes on the field
+        instead of on a `hessian_pairing` copy of a coefficient stack,
+        which is exact, since doubling is."""
+        for weight, field in zip(self.hessian_weights, self.fields(vhat, self.hessian_stack)):
+            if weight != 1.0:
+                field *= weight
+            yield field
 
     def hessian_trace(self, stack: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Re tr(S H) for S the Hermitian stack (field) `stack` and H the
@@ -362,18 +393,12 @@ class PeriodicGrid:
         return self.hessian_trace_spectrum(stack, self.fft(values))
 
     def hessian_trace_spectrum(self, stack: np.ndarray, vhat: np.ndarray) -> np.ndarray:
-        """`hessian_trace` of the field with half spectrum vhat.  Each
-        Hessian field is inverse-transformed in turn and added into the
-        sum as soon as it exists, in stack order, the off-diagonal fields
-        doubled first: the `hessian_pairing` weights, put on the field
-        instead of on a copy of the stack, which is exact."""
+        """`hessian_trace` of the field with half spectrum vhat: the
+        weighted `hessian_fields`, each added into the sum as soon as it
+        exists, in stack order."""
         out = np.zeros(self.shape)
-        field = np.empty(self.shape)
-        for i, mult in enumerate(self.hessian_stack):
-            self.ifft(vhat * mult, field)
-            if i >= self.n:
-                field *= 2.0
-            out += stack[i] * field
+        for coeff, field in zip(stack, self.hessian_fields(vhat)):
+            out += coeff * field
         return out
 
     def hessian_symbol(self, S: np.ndarray) -> np.ndarray:

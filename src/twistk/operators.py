@@ -40,35 +40,34 @@ the direct pointwise contractions; their departures from exact symmetry
 live on the same unresolved modes and stay at the level of the
 coefficient tails, which Krylov solves never see on resolved data.
 
-Operators are realised as handles that hold, once, the real coefficient
-stacks of every Hermitian contraction, in the Hessian stack's layout and
-real arithmetic, as fields: the first-round multipliers `mults` and
-coefficients `coeffs` (the stack of R P alpha P - P Ric P or -P Ric P,
-then the shifted kind's first-order coefficients), the Laplacian's `lap`,
-which is the structure's own `inverse_stack` P (not a copy), and the
-twist divergence's weight `div_weight`, flux `flux` and closure
-`closure`, None where a kind has no such term.  The Hessian stacks are
-held unpaired: an application puts the grid's `hessian_pairing` weights,
-which double the off-diagonal entries, on the Hessian fields it has just
-transformed, in both rounds.  Doubling is exact in floating point, so
-the output is the one that paired coefficient copies would give, bit for
-bit.  Each application is one or two rounds of the grid's half-spectrum
-derivative kernel with real-arithmetic contractions in between, and
-each round streams its fields: every product of a spectrum with one
-multiplier is inverse-transformed on its own and added into the
-round's sums as soon as it exists, in stack order, so no round holds a
-multi-field spectrum or the real stack of its Hessian fields.  The
-first round transforms the input with the Hessian stack (fourth-order
-kinds) and the d/dzbar stack (``twist`` and ``shifted``), and every
-first-order term reads the d/dzbar fields, the only fields it keeps:
-the twist flux, and the shifted kind's Re(d S, dbar phi).  The second
-round transforms the Laplacian sum and the flux forward in one call,
-then streams the biLaplacian's Hessian fields
+Operators are realised as handles that hold, once, one real field per
+term the kind has, in the Hessian stack's layout and real arithmetic,
+and None for every term it lacks: the Hessian coefficients
+`hessian_coeffs` (R P alpha P - P Ric P, or -P Ric P) and the
+Laplacian's `lap`, which is the structure's own `inverse_stack` P (not a
+copy), for the fourth-order kinds; the shifted kind's first-order
+coefficients `gradient_coeffs`, of Re(d S, dbar phi); and the twist
+divergence's flux `flux`, closure `closure` and weight `div_weight`.  No
+handle holds a copy of the grid's derivative stacks.  An application
+runs exactly the terms whose fields are set, in two rounds of the grid's
+half-spectrum derivative kernel with real-arithmetic contractions in
+between, and each round streams its fields: every product of a
+spectrum with one multiplier is inverse-transformed on its own and added
+into the round's sums as soon as it exists, in stack order, so no round
+holds a multi-field spectrum or the real stack of its Hessian fields.
+Both rounds take their Hessian fields from `PeriodicGrid.hessian_fields`,
+which applies the pairing weights (doubling the off-diagonal entries) to
+the fields, so the coefficient stacks are held unpaired; doubling is
+exact in floating point.  The first round iterates the Hessian stack
+(fourth-order kinds) and the d/dzbar stack (``twist`` and ``shifted``);
+only the d/dzbar fields are kept, and only for the flux.  The second
+round transforms the Laplacian sum and the flux forward, each on its
+own, then streams the biLaplacian's Hessian fields
 (`PeriodicGrid.hessian_trace_spectrum`) and transforms the twist
-divergence back.  The twist divergence pairs with
-d/dz, which for real fields is the d/dzbar stack with its imaginary part
-negated.  Handles optionally project their output to volume mean zero so
-Krylov iterations stay on the subspace where the operators are definite;
+divergence back.  The twist divergence pairs with d/dz, which for real
+fields is the d/dzbar stack with its imaginary part negated.  Handles
+optionally project their output to volume mean zero so Krylov
+iterations stay on the subspace where the operators are definite;
 `quadratic_form` is the volume average of u * apply(v).
 """
 
@@ -125,9 +124,11 @@ class LinearOperatorHandle:
     kind (PreconditionError).  With ``mean_zero`` set, outputs
     are projected to mean zero against the volume form of K (inputs are
     untouched: every kind annihilates constants exactly).  The other
-    fields are set once, at construction (see the module docstring):
-    ``lap`` is ``K.inverse_stack`` itself, and ``lap`` and the Hessian
-    part of ``coeffs`` are unpaired stacks.
+    fields hold one term each, set once, at construction, and None (0.0
+    for ``div_weight``) where the kind has no such term (see the module
+    docstring): ``hessian_coeffs`` and ``lap``, which is
+    ``K.inverse_stack`` itself, both unpaired stacks; ``gradient_coeffs``;
+    and ``flux``, ``closure`` and ``div_weight``.
     """
 
     kind: str
@@ -135,12 +136,12 @@ class LinearOperatorHandle:
     alpha: HermitianFormField
     R: float = 0.0
     mean_zero: bool = False
-    mults: np.ndarray = field(init=False, repr=False, compare=False)
-    coeffs: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    hessian_coeffs: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     lap: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    div_weight: float = field(default=0.0, init=False, repr=False, compare=False)
+    gradient_coeffs: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     flux: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     closure: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    div_weight: float = field(default=0.0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -151,31 +152,21 @@ class LinearOperatorHandle:
         P = K.inverse_stack
         grid = K.grid
         put = functools.partial(object.__setattr__, self)
-
-        # first stage: the derivatives of the input, contracted pointwise
-        # with real coefficient fields; the fourth-order kinds
-        # subtract a biLaplacian
-        coeffs, mults = [], []
         if self.kind != "twist":
-            pricp = stack_sandwich(P, K.ricci)
+            # the fourth-order kinds: R P alpha P - P Ric P (full
+            # linearization) or -P Ric P against the Hessian, and a
+            # biLaplacian
+            second = -stack_sandwich(P, K.ricci)
             if self.kind == "full_linearization":
-                second = self.R * stack_sandwich(P, self.alpha.stack) - pricp
-            else:  # shifted
-                second = -pricp
-            coeffs.append(second)
-            mults.append(grid.hessian_stack)
+                second += self.R * stack_sandwich(P, self.alpha.stack)
+            put("hessian_coeffs", second)
             put("lap", P)
         if self.kind == "shifted":
             # Re sum_k g^{kj} d_j f * conj(d_k phi) with conj(d_k phi) =
             # d_{zbar_k} phi, phi's first-order stack as (Re, Im): the
             # coefficients are conj(P d f) = P^T d/dzbar f
             dzbar = grid.derivatives(-K.scalar, grid.dzbar_stack)
-            coeffs.append(stack_matvec(stack_conj(P), dzbar))
-        if self.kind != "full_linearization":
-            mults.append(grid.dzbar_stack)
-        put("mults", mults[0] if len(mults) == 1 else np.concatenate(mults))
-        if coeffs:
-            put("coeffs", np.concatenate(coeffs))
+            put("gradient_coeffs", stack_matvec(stack_conj(P), dzbar))
         div_weight = 1.0 if self.kind == "twist" else self.R if self.kind == "shifted" else 0.0
         if div_weight:
             put("closure", _closure_multiplier(grid, K.base_matrix, self.alpha))
@@ -191,9 +182,7 @@ class LinearOperatorHandle:
         G_l = det(g) * sum_k alpha(xi, .)_k conj(g^{l kbar}), the output
         is (1/det g) * Re sum_l d_{z_l} G_l plus the closure term, and
         summation by parts against the masked multipliers is exact, so
-        the induced bilinear form is symmetric to round-off.  The
-        biLaplacian's and the twist divergence's inputs share one forward
-        transform.
+        the induced bilinear form is symmetric to round-off.
         """
         grid = self.K.grid
         if np.iscomplexobj(values):
@@ -202,57 +191,44 @@ class LinearOperatorHandle:
         values = np.asarray(values, dtype=float)
         if values.shape != grid.shape:
             raise ShapeError(f"field shape {values.shape} does not match grid {grid.shape}")
+        # each del drops an array that nothing later reads, so that the
+        # next stage does not hold it beside its own; a loop binding would
+        # keep a field buffer, or the d/dzbar fields, alive
         vhat = grid.fft(values)
-        coeffs, lap, flux = self.coeffs, self.lap, self.flux
-        n = grid.n
-        nh = 0 if lap is None else len(lap)
-        nc = 0 if coeffs is None else len(coeffs)
-        nf = 0 if flux is None else 2 * n
-        # each field is added into its sums as soon as it is transformed;
-        # only the d/dzbar fields that the flux reads are kept, the last nf
-        first_kept = len(self.mults) - nf
-        kept = np.empty((nf,) + grid.shape)
-        field = np.empty(grid.shape)
-        out = np.zeros(grid.shape) if nc else 0.0
-        lap_sum = np.zeros(grid.shape) if nh else None
-        for i, mult in enumerate(self.mults):
-            f = kept[i - first_kept] if i >= first_kept else field
-            grid.ifft(vhat * mult, f)
-            # every Hessian field pairs with an unpaired stack: the pairing
-            # weights go on the field, as doubling is exact in floating point
-            if n <= i < nh:
-                f *= 2.0
-            if i < nc:
-                out += coeffs[i] * f
-            if i < nh:
-                lap_sum += lap[i] * f
-        # the closure acts on the input's spectrum, which nothing else reads
-        # now; f may be a row of kept, which need not outlive the flux
-        div_hat = None if flux is None else self.closure * vhat
-        del vhat, f, field
-        # the second round's input, transformed forward in one call: the
-        # Laplacian sum, then the flux; every kind has a biLaplacian or a
-        # twist divergence, or both
-        if flux is None:
-            staged = lap_sum[None]
-        else:
-            staged = np.empty((min(nh, 1) + nf,) + grid.shape)
-            if nh:
-                staged[0] = lap_sum
-            # flux A + iB = Q (Re + i Im) of the dzbar stack, in real arithmetic;
-            # d/dz_l is the dzbar stack with Im negated, so
-            # sum_l Re d_{z_l} A_l - Im d_{z_l} B_l is one pairing of (A, B)
-            # with the dzbar stack
-            stack_matvec(flux, kept, staged[-nf:])
-        del kept, lap_sum
-        hats = grid.fft(staged)
-        del staged
-        if nh:
-            out -= grid.hessian_trace_spectrum(lap, hats[0])
-        if flux is not None:
-            div_hat += np.einsum("a...,a...->...", grid.dzbar_stack, hats[-nf:])
-            div = grid.ifft(div_hat)
-            out = out + self.div_weight * (div / self.K.weight)
+        out = 0.0
+        if self.lap is not None:
+            # the Hessian coefficients' term, and the Laplacian that the
+            # biLaplacian transforms again
+            out, lap_sum = np.zeros(grid.shape), np.zeros(grid.shape)
+            for i, hess in enumerate(grid.hessian_fields(vhat)):
+                out += self.hessian_coeffs[i] * hess
+                lap_sum += self.lap[i] * hess
+            del hess
+        if self.gradient_coeffs is not None or self.flux is not None:
+            # the d/dzbar fields: kept for the flux, else streamed
+            grads = None if self.flux is None else np.empty((2 * grid.n,) + grid.shape)
+            for i, grad in enumerate(grid.fields(vhat, grid.dzbar_stack, grads)):
+                if self.gradient_coeffs is not None:
+                    out += self.gradient_coeffs[i] * grad
+            del grad
+        # the closure acts on the input's spectrum, which nothing else
+        # reads now
+        div_hat = None if self.flux is None else self.closure * vhat
+        del vhat
+        if self.flux is not None:
+            # the flux A + iB = Q (Re + i Im) of the dzbar fields, in real
+            # arithmetic; d/dz_l is the dzbar stack with Im negated, so
+            # sum_l Re d_{z_l} A_l - Im d_{z_l} B_l is one pairing of
+            # (A, B) with the dzbar stack
+            flux = stack_matvec(self.flux, grads)
+            del grads
+            div_hat += np.einsum("a...,a...->...", grid.dzbar_stack, grid.fft(flux))
+        if self.lap is not None:
+            lap_hat = grid.fft(lap_sum)
+            del lap_sum
+            out -= grid.hessian_trace_spectrum(self.lap, lap_hat)
+        if self.flux is not None:
+            out = out + self.div_weight * (grid.ifft(div_hat) / self.K.weight)
         if self.mean_zero:
             out = volume_mean_zero(self.K, out)
         return out

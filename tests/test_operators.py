@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -203,34 +204,38 @@ class TestShiftedOperator:
 
 def paired_apply(handle: LinearOperatorHandle, values: np.ndarray) -> np.ndarray:
     """The handle's action computed the batched way: each round
-    inverse-transforms its whole product stack in one call and contracts
-    the fields with `hessian_pairing` copies of the Hessian coefficient
-    stacks, where the handle streams one field per transform and pairs
-    the fields instead."""
+    inverse-transforms its whole product stack, the input's spectrum
+    times the grid's Hessian and d/dzbar stacks, in one call and
+    contracts the fields with `hessian_pairing` copies of the Hessian
+    coefficient stacks, where the handle streams one weighted field per
+    transform."""
     K, grid, n = handle.K, handle.K.grid, handle.K.grid.n
-    nh = 0 if handle.lap is None else len(handle.lap)
+    fourth = handle.lap is not None
+    first_order = handle.gradient_coeffs is not None or handle.flux is not None
+    nh = len(grid.hessian_stack) if fourth else 0
     vhat = grid.fft(values)
-    fields = grid.ifft(vhat * handle.mults)
+    mults = [grid.hessian_stack] * fourth + [grid.dzbar_stack] * first_order
+    fields = grid.ifft(np.concatenate([vhat * mult for mult in mults]))
+    coeffs = [grid.hessian_pairing(handle.hessian_coeffs)] if fourth else []
+    if handle.gradient_coeffs is not None:
+        coeffs.append(handle.gradient_coeffs)
     out = 0.0
-    if handle.coeffs is not None:
-        coeffs = np.concatenate([grid.hessian_pairing(handle.coeffs[:nh]),
-                                 handle.coeffs[nh:]])
+    if coeffs:
+        coeffs = np.concatenate(coeffs)
         out = np.einsum("i...,i...->...", coeffs, fields[:len(coeffs)])
     staged = []
-    if nh:
+    if fourth:
         lap = grid.hessian_pairing(handle.lap)
         staged.append(np.einsum("i...,i...->...", lap, fields[:nh])[None])
     if handle.flux is not None:
         staged.append(stack_matvec(handle.flux, fields[-2 * n:]))
     hats = grid.fft(np.concatenate(staged))
-    spec = np.empty((nh + (handle.flux is not None),) + hats.shape[1:], dtype=complex)
-    if nh:
-        np.multiply(hats[0], grid.hessian_stack, out=spec[:nh])
+    spec = [hats[0] * grid.hessian_stack] if fourth else []
     if handle.flux is not None:
-        spec[-1] = handle.closure * vhat + np.einsum(
-            "a...,a...->...", grid.dzbar_stack, hats[-2 * n:])
-    back = grid.ifft(spec)
-    if nh:
+        spec.append((handle.closure * vhat + np.einsum(
+            "a...,a...->...", grid.dzbar_stack, hats[-2 * n:]))[None])
+    back = grid.ifft(np.concatenate(spec))
+    if fourth:
         out = out - np.einsum("i...,i...->...", lap, back[:nh])
     if handle.flux is not None:
         out = out + handle.div_weight * (back[-1] / K.weight)
@@ -256,39 +261,64 @@ class TestHandleFields:
         for mean_zero in (False, True):
             handle = LinearOperatorHandle(kind, K, alpha, R, mean_zero=mean_zero)
             if kind == "twist":
-                assert handle.lap is None and handle.coeffs is None
+                assert handle.lap is None and handle.hessian_coeffs is None
             else:
                 assert handle.lap is K.inverse_stack
+            assert (handle.gradient_coeffs is not None) == (kind == "shifted")
             out = handle.apply(v)
             assert out.tobytes() == paired_apply(handle, v).tobytes()
 
     @staticmethod
-    def traced_peak(call) -> int:
-        """Bytes allocated at the peak of call() beyond what was live before."""
+    def traced(call) -> tuple[int, int]:
+        """Bytes held after call() and allocated at its peak, both beyond
+        what was live before, and call()'s result, kept alive until
+        both are read."""
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            call()
-            return tracemalloc.get_traced_memory()[1] - before
+            result = call()
+            held, peak = tracemalloc.get_traced_memory()
+            del result
+            return held - before, peak - before
         finally:
             tracemalloc.stop()
 
+    def test_shifted_handle_holds_no_copy_of_the_grid_stacks(self, grid8x4):
+        # a shifted handle holds its Hessian coefficients, its first-order
+        # coefficients and its flux, 4 fields each at n = 2, and its
+        # closure, a real half spectrum (0.625 of a field at 8^4): about
+        # 12.6 fields.  A complex copy of the grid's two stacks would add
+        # 8 half spectra, 10 fields
+        rng = np.random.default_rng(23)
+        K, alpha = random_pair(grid8x4, rng, kmax=2)
+        # the first build caches the curvature and the grid's stacks
+        LinearOperatorHandle("shifted", K, alpha, 3.0)
+        held, _ = self.traced(lambda: LinearOperatorHandle("shifted", K, alpha, 3.0))
+        assert held < 14 * grid8x4.npoints * 8
+
     def test_fields_are_streamed_one_transform_at_a_time(self, grid8x4):
-        # an application holds its sums, one Hessian field and one
-        # single-field spectrum product beside the input's spectrum (1.25
-        # fields at 8^4), about 5.5 fields; the derivative kernel holds its
-        # output stack (4 fields) beside the same two spectra.  Batched
-        # inverse transforms of the whole product stack held about 15.5
-        # and 10 fields
+        # a full_linearization application holds its two sums, one Hessian
+        # field and one single-field spectrum product beside the input's
+        # spectrum (1.25 fields at 8^4), about 5.5 fields; the twist kinds
+        # also keep the 2n d/dzbar fields for the flux, the flux and its
+        # spectrum.  Each kind is bounded at its level with every field
+        # streamed, plus 2 KiB for the Python objects that stream them,
+        # which do not grow with the grid; one more field fails the bound.
+        # The derivative kernel holds its output stack (4 fields)
+        # beside the same two spectra.  Batched inverse transforms of the
+        # whole product stack held about 15.5 and 10 fields
         rng = np.random.default_rng(23)
         K, alpha = random_pair(grid8x4, rng, kmax=2)
         v = rng.standard_normal(grid8x4.shape)
-        handle = LinearOperatorHandle("full_linearization", K, alpha, 3.0)
         field = grid8x4.npoints * 8
-        for call in (lambda: handle.apply(v),
-                     lambda: grid8x4.derivatives(v, grid8x4.hessian_stack)):
+        bounds = {"twist": 12.31, "full_linearization": 5.53, "shifted": 15.32}
+        calls = [(lambda: grid8x4.derivatives(v, grid8x4.hessian_stack), 8.0)]
+        for kind, bound in bounds.items():
+            handle = LinearOperatorHandle(kind, K, alpha, 3.0)
+            calls.append((functools.partial(handle.apply, v), bound))
+        for call, bound in calls:
             call()
-            assert self.traced_peak(call) < 8 * field
+            assert self.traced(call)[1] < bound * field + 2048
 
 
 class TestHandleValidation:
