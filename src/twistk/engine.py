@@ -306,7 +306,12 @@ def newton_solve(K0: KahlerStructure, alpha: HermitianFormField, R: float,
         for it in range(1, _MAX_NEWTON + 1):
             if rsup <= cfg.newton_tol:
                 return report(True)
-            delta, lin_info = newton_linear_solve(K, alpha, R, -residual.values, cfg)
+            # the step solves J delta = -residual; GMRES is exactly odd in
+            # its right-hand side, so solving for the residual itself and
+            # negating in place gives delta's bits without a negated copy
+            # alive through the solve
+            delta, lin_info = newton_linear_solve(K, alpha, R, residual.values, cfg)
+            np.negative(delta, out=delta)
             scale = 1.0
             while True:
                 if scale < _MIN_STEP:

@@ -9,8 +9,9 @@ components derived once.  A Kahler metric is the positive case:
     g_{j kbar} = g0_{j kbar} + d/dz_j d/dzbar_k phi
 
 are positive definite, with its pointwise algebra (det g, inverse,
-Ricci and scalar curvature) held as attributes; log det g, which only
-the Ricci components and `ricci_form` read, is computed on each read.  The volume form weights
+Ricci and scalar curvature) held as attributes; the components
+themselves and log det g, which no solve reads, are computed on each
+read.  The volume form weights
 the uniform quadrature by det g; `volume_average`, `volume_mean_zero`
 and `volume_rms` are the volume products the solvers and operators use.
 A form checks its class matrix Hermitian and a structure checks it
@@ -122,17 +123,26 @@ def stack_matvec(m: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) ->
     """Product M v of a Hermitian stack with a complex vector field, both
     as real parts: v is (Re v_1..Re v_n, Im v_1..Im v_n), the layout of
     the grid's first-order stack, and so is the result, written into out
-    when it is given, one component at a time."""
+    when it is given, one component at a time and in place."""
     if out is None:
         out = np.empty(v.shape)
     if len(m) == 1:
         return np.multiply(m, v, out=out)
     m0, m1, mr, mi = m
     v0r, v1r, v0i, v1i = v
-    out[0] = m0 * v0r + mr * v1r - mi * v1i
-    out[1] = mr * v0r + mi * v0i + m1 * v1r
-    out[2] = m0 * v0i + mr * v1i + mi * v1r
-    out[3] = mr * v0i - mi * v0r + m1 * v1i
+    # each component is its first product, then the signed products
+    # added to it left to right: out[0] = m0 v0r + mr v1r - mi v1i in
+    # the order of that expression, formed in place through one scratch
+    # field
+    rows = (((m0, v0r), (np.add, mr, v1r), (np.subtract, mi, v1i)),
+            ((mr, v0r), (np.add, mi, v0i), (np.add, m1, v1r)),
+            ((m0, v0i), (np.add, mr, v1i), (np.add, mi, v1r)),
+            ((mr, v0i), (np.subtract, mi, v0r), (np.add, m1, v1i)))
+    scratch = np.empty(v.shape[1:])
+    for row, ((a, x), *terms) in zip(out, rows):
+        np.multiply(a, x, out=row)
+        for op, b, y in terms:
+            op(row, np.multiply(b, y, out=scratch), out=row)
     return out
 
 
@@ -164,6 +174,12 @@ class HermitianFormField:
     stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "stack", self._checked_stack())
+
+    def _checked_stack(self) -> np.ndarray:
+        """Check the class matrix Hermitian and the potential finite and
+        on the grid, keep both as checked, and return the components'
+        stack."""
         grid = self.grid
         matrix = _check_hermitian(self.base_matrix, grid.n, "class matrix of the form")
         pot = np.asarray(self.potential, dtype=float)
@@ -172,12 +188,17 @@ class HermitianFormField:
                 f"form potential shape {pot.shape} does not match grid {grid.shape}")
         if not np.isfinite(pot).all():
             raise DomainError("form potential contains non-finite samples")
-        base = hermitian_stack(matrix).reshape((-1,) + (1,) * len(grid.sizes))
         object.__setattr__(self, "base_matrix", matrix)
         object.__setattr__(self, "potential", pot)
-        stack = grid.derivatives(pot, grid.hessian_stack)
-        stack += base
-        object.__setattr__(self, "stack", stack)
+        return self._component_stack()
+
+    def _component_stack(self) -> np.ndarray:
+        """The components' stack: the Hessian stack of the potential plus
+        the class matrix's stack, added in place."""
+        grid = self.grid
+        stack = grid.derivatives(self.potential, grid.hessian_stack)
+        stack += hermitian_stack(self.base_matrix).reshape((-1,) + (1,) * len(grid.sizes))
+        return stack
 
     @classmethod
     def from_potential(cls, grid: PeriodicGrid, matrix: np.ndarray,
@@ -192,7 +213,8 @@ class HermitianFormField:
         return hermitian_matrix(self.stack)
 
     def min_eigenvalue(self) -> float:
-        return float(stack_min_eigenvalue(self.stack, stack_det(self.stack)).min())
+        stack = self.stack
+        return float(stack_min_eigenvalue(stack, stack_det(stack)).min())
 
 
 @dataclass(frozen=True)
@@ -201,22 +223,26 @@ class KahlerStructure(HermitianFormField):
 
     The class matrix, checked Hermitian once as the form's, must be positive
     definite, and construction fails with the offending grid point if the
-    metric is not finite and positive definite everywhere.  The volume
-    weight det g (`weight`) and the inverse (`inverse_stack`) are fields set
-    at construction, `ricci` and `scalar` cached properties computed on
-    first use; every held field is real, a scalar field or a Hermitian
-    stack.  `log_det` is computed on each read and not held: only `ricci`
-    and `ricci_form` read it, and `ricci` once.
+    metric is not finite and positive definite everywhere.  A structure
+    holds `potential`, the volume weight det g (`weight`) and the inverse
+    (`inverse_stack`), fields set at construction, and `ricci` and
+    `scalar`, cached properties computed on first use; every held field
+    is real, a scalar field or a Hermitian stack.  The metric's own
+    `stack` (so `comps` and `min_eigenvalue`) and `log_det` are computed
+    on each read and not held: once the inverse is formed no solve reads
+    the stack, only reports, oracles and tests do, and only `ricci`, once,
+    and `ricci_form` read `log_det`.  A read of `stack` makes the kernel
+    calls of construction, so it has their bits.
     """
 
     weight: np.ndarray = field(init=False, repr=False, compare=False)
     inverse_stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        super().__post_init__()
+        stack = self._checked_stack()
         _check_positive_definite(self.base_matrix, "class matrix g0")
-        det = stack_det(self.stack)
-        mineig = stack_min_eigenvalue(self.stack, det)
+        det = stack_det(stack)
+        mineig = stack_min_eigenvalue(stack, det)
         # NaN fails every test; an infinite sample makes det infinite
         worst = float(mineig.min())
         if not (worst > 0.0 and det.max() < np.inf):
@@ -227,7 +253,13 @@ class KahlerStructure(HermitianFormField):
                 f"metric is not {'positive definite' if value <= 0.0 else 'finite'}: "
                 f"eigenvalue {value:.6e} at grid point {point}", point=point, eigenvalue=value)
         object.__setattr__(self, "weight", det)
-        object.__setattr__(self, "inverse_stack", stack_inverse(self.stack, det))
+        object.__setattr__(self, "inverse_stack", stack_inverse(stack, det))
+
+    @property
+    def stack(self) -> np.ndarray:
+        """The metric's components as a Hermitian stack, computed on each
+        read."""
+        return self._component_stack()
 
     @property
     def n(self) -> int:

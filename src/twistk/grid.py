@@ -280,10 +280,16 @@ class PeriodicGrid:
     # -- the two derivative stacks ----------------------------------------
 
     def _wavenumbers(self) -> list[np.ndarray]:
-        """Full integer wavenumbers, one broadcastable array per real axis."""
+        """Full integer wavenumbers 0, 1, ..., N/2 - 1, -N/2, ..., -1 in
+        float, one broadcastable array per real axis: fftfreq's order,
+        exact at every size."""
         ndim = len(self.sizes)
-        return [np.fft.fftfreq(s, d=1.0 / s).reshape(_axis_shape(s, a, ndim))
-                for a, s in enumerate(self.sizes)]
+        out = []
+        for a, s in enumerate(self.sizes):
+            k = np.arange(s, dtype=float)
+            k[s // 2:] -= s
+            out.append(k.reshape(_axis_shape(s, a, ndim)))
+        return out
 
     def _holo_factor(self, j: int, conjugate: bool) -> np.ndarray:
         """Full-spectrum multiplier of d/dz_j (d/dzbar_j when conjugate=True)."""

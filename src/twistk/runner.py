@@ -139,11 +139,14 @@ def _write_summary(outdir: Path, summary: dict) -> None:
                    allow_nan=False) + "\n")
 
 
-def _write_fields(outdir: Path, K: KahlerStructure) -> None:
+def _write_fields(outdir: Path, K: KahlerStructure, comps: np.ndarray | None = None) -> None:
+    """Write K's potential and metric components; comps is K.comps when a
+    caller has already read it (a structure computes it on each read)."""
     fields = outdir / "fields"
     fields.mkdir(parents=True, exist_ok=True)
     write_field(fields / "potential.bin", K.n, K.potential)
-    comps = K.comps
+    if comps is None:
+        comps = K.comps
     write_field(fields / "metric_re.bin", K.n, comps.real)
     write_field(fields / "metric_im.bin", K.n, comps.imag)
 
@@ -191,16 +194,18 @@ def _cohomology_summary(K, alpha, R) -> dict:
     }
 
 
-def _chain_artifacts(chain: WarmChain, summary: dict, outdir: Path | None):
+def _chain_artifacts(chain: WarmChain, summary: dict, outdir: Path | None,
+                     comps: np.ndarray | None = None):
     """A Newton scenario's result from its chain: the summary with the
     seed block and the records added, one steps.csv row per record, and
     success (every step converged).  With an outdir the fields of the
-    last converged metric are written, when there is one."""
+    last converged metric are written, when there is one, from comps
+    when the caller has read them."""
     summary["seed"] = {"source": chain.source, "ladder_error": chain.ladder_error,
                        "ladder_sizes": list(chain.ladder_sizes)}
     summary["records"] = [asdict(r) for r in chain.records]
     if outdir is not None and chain.structure is not None:
-        _write_fields(outdir, chain.structure)
+        _write_fields(outdir, chain.structure, comps)
     rows = [(idx, r.t, r.R, r.residual_sup, r.residual_l2, r.lambda1,
              r.newton_iters, r.wall_ms) for idx, r in enumerate(chain.records)]
     return rows, summary, all(r.converged for r in chain.records)
@@ -273,13 +278,16 @@ def _run_continuity_sweep(cfg: RunConfig, outdir: Path):
         "steps": len(chain.records),
         "smallest_converged_R": chain.R,
     }
+    comps = None
     if chain.structure is not None:
         K = chain.structure
+        # one read of the components for the summary and the fields
+        comps = K.comps
         flat = K.base_matrix.reshape(K.base_matrix.shape + (1,) * len(K.grid.sizes))
         summary["final_potential_sup"] = sup_norm(K.potential)
-        summary["final_metric_flat_sup"] = float(np.abs(K.comps - flat).max())
+        summary["final_metric_flat_sup"] = float(np.abs(comps - flat).max())
         summary.update(_cohomology_summary(K, alpha, chain.R))
-    return _chain_artifacts(chain, summary, outdir)
+    return _chain_artifacts(chain, summary, outdir, comps)
 
 
 def _run_threshold(cfg: RunConfig, outdir: Path):

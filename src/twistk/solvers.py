@@ -107,6 +107,11 @@ _EIGEN_RESIDUAL_TOL = 1e-8
 # the number of power iterations
 _INVERSE_NORM_ORDER = 4.0
 _INVERSE_NORM_ITERATIONS = 12
+# SplitMix64 (Steele, Lea & Flood 2014): the counter increment, the
+# golden ratio times 2^64, and the two multipliers of its finalizer
+_SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_SPLITMIX_SHIFTS = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+                    (np.uint64(27), np.uint64(0x94D049BB133111EB)))
 
 
 def _spd_preconditioner(K: KahlerStructure, R: float | None):
@@ -423,6 +428,20 @@ def newton_linear_solve(K: KahlerStructure, alpha: HermitianFormField, R: float,
                   negated_M, "newton_linear_solve")
 
 
+def _hashed_start(npoints: int, seed: int) -> np.ndarray:
+    """The Davidson start: SplitMix64's finalizer of the counters
+    z = i * gamma + seed mod 2^64, i = 1..npoints, in numpy uint64
+    arithmetic (which wraps mod 2^64), with its top 53 bits as a float on
+    [-1, 1) in steps of 2^-52."""
+    z = np.arange(1, npoints + 1, dtype=np.uint64) * _SPLITMIX_GAMMA
+    z += np.uint64(int(seed) % 2**64)
+    for shift, mult in _SPLITMIX_SHIFTS:
+        z ^= z >> shift
+        z *= mult
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)) * 2.0**-52 - 1.0
+
+
 def extreme_eigenvalue(K: KahlerStructure, alpha: HermitianFormField, R: float,
                        *, seed: int = 0) -> EigenEstimate:
     """Eigenvalue of -lichnerowicz + R * twist closest to zero.
@@ -440,7 +459,9 @@ def extreme_eigenvalue(K: KahlerStructure, alpha: HermitianFormField, R: float,
     enters.  A step costs one operator application and one
     preconditioner application, with no inner solve.  At _DAVIDSON_CAP
     vectors the basis restarts from its top _DAVIDSON_KEEP Ritz vectors.
-    The start vector is drawn from `default_rng(seed)`.
+    The start vector is `_hashed_start(N, seed)`, a counter hash of the
+    point indices and the seed, uniform on [-1, 1), projected to mean
+    zero; no random-number module is loaded.
 
     The iteration stops at Ritz residual 1e-2 * _EIGEN_RESIDUAL_TOL *
     max(1, |theta|), or early when a restart cycle fails to halve the
@@ -474,7 +495,7 @@ def extreme_eigenvalue(K: KahlerStructure, alpha: HermitianFormField, R: float,
     stalled = False
     # one entry per operator application
     history: list[float] = []
-    t = mean_free(np.random.default_rng(seed).standard_normal(grid.npoints))
+    t = mean_free(_hashed_start(grid.npoints, seed))
     while True:
         size = math.sqrt(float(t @ t))
         for _ in range(2):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -429,11 +431,75 @@ class TestStructureMemory:
         shape = K.grid.shape
         held = {name: value for name, value in vars(K).items()
                 if name not in ("grid", "base_matrix")}
-        assert set(held) == {"stack", "potential", "weight", "inverse_stack",
-                             "ricci", "scalar"}
+        assert set(held) == {"potential", "weight", "inverse_stack", "ricci", "scalar"}
         for name, array in held.items():
             assert array.dtype == np.float64, name
             assert array.shape in (shape, (K.n * K.n,) + shape), name
+
+    def test_a_structure_holds_its_potential_weight_inverse_and_curvature(self, grid8x4):
+        # at n = 2: the potential and det g (1 field each) and the inverse
+        # (4), 6 fields, then the Ricci stack (4) and the scalar curvature
+        # (1), 11; holding the metric's stack too made 10 and 15.  2 KiB is
+        # for the Python objects, which do not grow with the grid
+        phi = random_smooth_field(grid8x4, np.random.default_rng(31), amplitude=0.05).values
+        field = grid8x4.npoints * 8
+        # the first build caches the grid's stacks
+        KahlerStructure(grid8x4, EYE2, phi)
+
+        def built(curvature):
+            K = KahlerStructure(grid8x4, EYE2, phi.copy())
+            if curvature:
+                K.scalar
+            return K
+
+        for curvature, fields in ((False, 6), (True, 11)):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                K = built(curvature)
+                held = tracemalloc.get_traced_memory()[0] - before
+                del K
+            finally:
+                tracemalloc.stop()
+            assert held < fields * field + 2048, curvature
+
+    @pytest.mark.parametrize("n, sizes", [(1, (16, 12)), (2, (6, 8, 4, 6))])
+    def test_the_metric_stack_of_each_read_has_the_form_s_bits(self, n, sizes):
+        grid = PeriodicGrid(n, sizes)
+        g0 = EYE1 if n == 1 else np.array([[1.5, 0.3 + 0.2j], [0.3 - 0.2j, 1.2]])
+        phi = random_smooth_field(grid, np.random.default_rng(37), amplitude=0.05).values
+        K = KahlerStructure(grid, g0, phi)
+        form = HermitianFormField(grid, g0, phi)
+        assert K.stack is not K.stack
+        assert K.stack.tobytes() == form.stack.tobytes()
+        assert K.comps.tobytes() == form.comps.tobytes()
+        assert K.min_eigenvalue() == form.min_eigenvalue()
+        assert "stack" not in vars(K)
+
+    def test_matvec_in_place_keeps_the_bits_of_its_expressions(self, grid8x4):
+        # each component in the order of its numpy expression, through one
+        # scratch field: the expressions' temporaries held 3 fields beside
+        # the output at 8^4
+        rng = np.random.default_rng(41)
+        m = rng.standard_normal((4,) + grid8x4.shape)
+        v = rng.standard_normal((4,) + grid8x4.shape)
+        m0, m1, mr, mi = m
+        v0r, v1r, v0i, v1i = v
+        expected = np.stack([m0 * v0r + mr * v1r - mi * v1i,
+                             mr * v0r + mi * v0i + m1 * v1r,
+                             m0 * v0i + mr * v1i + mi * v1r,
+                             mr * v0i - mi * v0r + m1 * v1i])
+        assert geometry.stack_matvec(m, v).tobytes() == expected.tobytes()
+        out = np.empty_like(v)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            geometry.stack_matvec(m, v, out)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert out.tobytes() == expected.tobytes()
+        assert peak < grid8x4.npoints * 8 + 2048
 
     def test_complex_views_are_not_cached(self, complex_class_pair):
         K, _ = complex_class_pair

@@ -364,6 +364,23 @@ class TestDerivatives:
         assert np.abs(H[0, 1] - np.conj(H[1, 0])).max() <= 1e-12
 
 
+class TestWavenumbers:
+    def test_wavenumbers_are_integers_where_fftfreq_rounds(self):
+        # at 98 points 98 * (1 / 98) != 1, so np.fft.fftfreq(98, d=1/98)
+        # returns k * (1 + 2^-52)
+        grid = PeriodicGrid(1, (98, 4))
+        k = grid._wavenumbers()[0].ravel()
+        assert np.array_equal(k, np.round(k))
+        assert k.tolist() == list(range(49)) + list(range(-49, 0))
+
+    @pytest.mark.parametrize("size", [8, 12, 16, 32, 128])
+    def test_wavenumbers_have_the_bits_of_fftfreq_where_it_is_exact(self, size):
+        grid = PeriodicGrid(1, (size, 4))
+        k = grid._wavenumbers()[0].ravel()
+        assert k.dtype == np.float64
+        assert k.tobytes() == np.fft.fftfreq(size, d=1.0 / size).tobytes()
+
+
 class TestFlatPoisson:
     def test_cosine_mode(self, grid32):
         x, _ = grid32.coordinates()

@@ -215,6 +215,19 @@ class TestNewtonLinearSolve:
             grid, np.random.default_rng(3), amplitude=1.0).values)
         return K, alpha, rhs
 
+    def test_solve_is_odd_in_its_right_hand_side(self, grid32, grid8x4):
+        # Newton solves for its residual and negates delta in place: GMRES
+        # with the mean projection, M and A is exactly odd in b
+        K, alpha, rhs = self.problem(grid32, 0.05)
+        pairs = [(K, alpha, rhs), random_pair(grid8x4, np.random.default_rng(5), kmax=2)
+                 + (random_smooth_field(grid8x4, np.random.default_rng(6), amplitude=1.0).values,)]
+        for K, alpha, rhs in pairs:
+            delta, info = newton_linear_solve(K, alpha, 5.0, rhs)
+            negated, negated_info = newton_linear_solve(K, alpha, 5.0, -rhs)
+            assert info["iterations"] > 0
+            assert negated.tobytes() == (-delta).tobytes()
+            assert negated_info == info
+
     def test_iteration_cap_is_exact(self, grid32, monkeypatch):
         K, alpha, rhs = self.problem(grid32, 0.05)
         monkeypatch.setattr(solvers, "_KRYLOV_MAXITER", 2)
@@ -336,6 +349,49 @@ def _modules_after_import(modules: str, prefix: str) -> str:
         capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout.strip()
+
+
+# what numpy's random-number package loads, secrets and OpenSSL's hashlib
+# among it, and numpy's FFT package
+_RANDOM_AND_FFT = ("numpy.random", "secrets", "hashlib", "_hashlib", "numpy.fft")
+
+
+def _modules_added_by(code: str) -> list[str]:
+    """The sorted names of _RANDOM_AND_FFT that a fresh interpreter loads
+    running code after `import numpy`; numpy 1.x loads some of them in
+    `import numpy` itself."""
+    src = Path(twistk.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, numpy\nbefore = set(sys.modules)\n" + code + "\n"
+         f"print(sorted(m for m in set(sys.modules) - before if m.startswith({_RANDOM_AND_FFT!r})))"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_the_eigen_stage_loads_no_random_or_fft_module():
+    # the Davidson start is a counter hash, and the grid's wavenumbers
+    # are built without np.fft.fftfreq
+    code = "\n".join([
+        "import numpy as np",
+        "from twistk import HermitianFormField, KahlerStructure, PeriodicGrid, extreme_eigenvalue",
+        "grid = PeriodicGrid(1, (16, 16))",
+        "K = KahlerStructure(grid, np.eye(1), np.zeros(grid.shape))",
+        "alpha = HermitianFormField.from_potential(grid, np.eye(1))",
+        "assert extreme_eigenvalue(K, alpha, 10.0, seed=5).value < 0.0"])
+    assert _modules_added_by(code) == "[]"
+
+
+def test_a_single_solve_loads_no_random_or_fft_module(tmp_path):
+    code = "\n".join([
+        "from twistk.config import parse_config",
+        "from twistk.runner import run_scenario",
+        "cfg = parse_config('{\"scenario\": \"single_solve\", \"sizes\": [16, 16], '",
+        f"                  '\"out\": \"{tmp_path.as_posix()}\"}}')",
+        "assert run_scenario(cfg) == 0"])
+    assert _modules_added_by(code) == "[]"
 
 
 def test_import_loads_no_sparse_module():
@@ -594,6 +650,27 @@ class TestExtremeEigenvalue:
         defect = handle.apply(vec) - est.value * vec
         assert wrms(defect) <= 1e-6 * max(1.0, abs(est.value)) * wrms(vec)
         assert est.value < 0.0
+
+    @pytest.mark.parametrize("seed", [0, 7, 2001, -3, 2**64 + 5])
+    def test_start_is_the_splitmix64_finalizer_of_the_point_counters(self, seed):
+        # SplitMix64 from state seed mod 2^64 in Python integers: the
+        # uint64 arithmetic wraps the same way.  Its first two outputs from
+        # state 0 are the published 0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4
+        def reference(i):
+            z = (i * 0x9E3779B97F4A7C15 + seed) % 2**64
+            z ^= z >> 30
+            z = z * 0xBF58476D1CE4E5B9 % 2**64
+            z ^= z >> 27
+            z = z * 0x94D049BB133111EB % 2**64
+            return z ^ z >> 31
+
+        if seed == 0:
+            assert [reference(1), reference(2)] == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
+        start = solvers._hashed_start(300, seed)
+        assert start.dtype == np.float64
+        assert start.tolist() == [(reference(i) >> 11) * 2.0**-52 - 1.0
+                                  for i in range(1, 301)]
+        assert -1.0 <= start.min() and start.max() < 1.0
 
     def test_larger_weight_pushes_spectrum_down(self, grid16):
         K = seed_structure(grid16, [(0.3, (1, 0), 0.0)])
