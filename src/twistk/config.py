@@ -38,6 +38,13 @@ depth, is such a problem: its diagnostics, one per repeat with the line
 of the repeat, are reported before any value is checked.
 `runner.run_scenario` applies the scenario rules to configs built in
 code.
+
+The module also owns the two run-input rules that the solver layers
+read, so that parsing a config loads no solver module: `SolverConfig`,
+the solve tolerances whose defaults RunConfig's newton_tol and
+krylov_tol take, and `MAX_LADDER_ORDER`, the highest correction-ladder
+order, which bounds `order` here and every ladder `engine` builds.
+`solvers` and `engine` import both from here.
 """
 
 from __future__ import annotations
@@ -51,10 +58,10 @@ from json.decoder import scanstring
 
 import numpy as np
 
-from .engine import MAX_LADDER_ORDER
 from .errors import ConfigError, DomainError
 from .grid import _check_hermitian_matrix
-from .solvers import SolverConfig
+
+MAX_LADDER_ORDER = 8
 
 SCENARIOS = (
     "single_solve",
@@ -67,6 +74,23 @@ SCENARIOS = (
 _UNKNOWN_SCENARIO = f"scenario: must be one of {', '.join(SCENARIOS)}"
 
 Term = tuple[float, tuple[int, ...], float]
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    """The tolerances of every solve: newton_tol, the residual sup that
+    `engine.newton_solve` accepts, and krylov_tol, the relative residual
+    target of one CG or GMRES solve in the volume-weighted RMS norm.
+    Both lie in (0, 1); DomainError otherwise."""
+
+    newton_tol: float = 1e-9
+    krylov_tol: float = 1e-10
+
+    def __post_init__(self):
+        for name in ("newton_tol", "krylov_tol"):
+            value = getattr(self, name)
+            if not 0.0 < value < 1.0:
+                raise DomainError(f"{name} must lie in (0, 1), got {value}")
 
 
 @dataclass(frozen=True)

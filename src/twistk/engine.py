@@ -50,6 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MAX_LADDER_ORDER, SolverConfig
 from .errors import (
     DegenerateMetricError,
     DomainError,
@@ -83,7 +84,6 @@ from .grid import (
 )
 from .operators import LinearOperatorHandle
 from .solvers import (
-    SolverConfig,
     extreme_eigenvalue,
     green_solve,
     inverse_norm_estimate,
@@ -91,7 +91,6 @@ from .solvers import (
     _twist_solver,
 )
 
-MAX_LADDER_ORDER = 8
 # iteration cap of one `newton_solve`
 _MAX_NEWTON = 40
 # Newton line search: the step-scale floor, and the sufficient-decrease

@@ -28,6 +28,8 @@ which scipy's import spec gives, so that no scipy module at all (no
 `scipy.fft`, nor the `scipy.special` it imports) is loaded; where scipy
 lays that file out elsewhere, the extension is imported through
 `scipy.fft`.  The coefficients are those of `scipy.fft`, bit for bit.
+`scipy_version` reads the run manifest's scipy version from scipy's
+`version.py` in the same way, by file path.
 
 Every spectral derivative, flat solve and Sobolev weight goes through
 one half-spectrum kernel, `PeriodicGrid.derivatives`: one forward
@@ -117,29 +119,50 @@ def fft_workers() -> int:
     return _WORKERS
 
 
-def _pocketfft_path() -> Path:
-    """Where scipy keeps its compiled pocketfft extension (a layout
+def _scipy_file(*parts: str) -> Path:
+    """The path of a file in the installed scipy package (a layout
     private to scipy), found from scipy's import spec without importing
     scipy."""
+    return Path(importlib.util.find_spec("scipy").submodule_search_locations[0], *parts)
+
+
+def _load_file(name: str, path: Path):
+    """The module in the file at path, loaded by its file path and
+    unregistered in sys.modules."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _pocketfft_path() -> Path:
+    """Where scipy keeps its compiled pocketfft extension."""
     suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
-    package = Path(importlib.util.find_spec("scipy").submodule_search_locations[0])
-    return package / "fft" / "_pocketfft" / f"pypocketfft{suffix}"
+    return _scipy_file("fft", "_pocketfft", f"pypocketfft{suffix}")
 
 
 def _load_pocketfft():
     """scipy's pocketfft module and where it came from: the extension
-    loaded by file path, unregistered in sys.modules, or the module
-    imported through `scipy.fft` when the file is absent."""
+    loaded by file path, or the module imported through `scipy.fft`
+    when the file is absent."""
     path = _pocketfft_path()
     if not path.is_file():
         from scipy.fft._pocketfft import pypocketfft
         return pypocketfft, "scipy.fft._pocketfft"
     # the extension's init symbol is PyInit_pypocketfft, so it loads
     # under this name only
-    spec = importlib.util.spec_from_file_location("pypocketfft", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module, str(path)
+    return _load_file("pypocketfft", path), str(path)
+
+
+def scipy_version() -> str:
+    """`scipy.__version__`, read from scipy's `version.py` by file path
+    so that no scipy module is imported, or through `import scipy` when
+    the file is absent."""
+    path = _scipy_file("version.py")
+    if not path.is_file():
+        import scipy
+        return scipy.__version__
+    return _load_file("scipy_version", path).version
 
 
 _POCKETFFT, POCKETFFT_SOURCE = _load_pocketfft()

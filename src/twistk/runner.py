@@ -26,10 +26,9 @@ from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
-from .config import RunConfig, config_to_dict, scenario_diagnostics
+from .config import RunConfig, SolverConfig, config_to_dict, scenario_diagnostics
 from .engine import (
     WarmChain,
     R_to_t,
@@ -64,6 +63,7 @@ from .grid import (
     hessian,
     make_trig_field,
     random_smooth_field,
+    scipy_version,
     sup_norm,
 )
 from .operators import LinearOperatorHandle
@@ -73,7 +73,7 @@ from .oracles import (
     fd_hessian,
     order_fit,
 )
-from .solvers import SolverConfig, extreme_eigenvalue, solve_F, solve_shifted
+from .solvers import extreme_eigenvalue, solve_F, solve_shifted
 
 CSV_HEADER = "step,t,R,residual_sup,residual_l2,lambda1,newton_iters,wall_ms"
 VERIFY_HEADER = "check,value,tolerance,pass"
@@ -113,7 +113,7 @@ def _write_manifest(outdir: Path, cfg: RunConfig) -> None:
         "versions": {
             "twistk": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": scipy_version(),
             "pocketfft": POCKETFFT_SOURCE,
             "python": platform.python_version(),
         },

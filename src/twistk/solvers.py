@@ -27,8 +27,8 @@ class representatives, and the operator's order picks one: the flat
 Laplacian for the second-order solves (`green_solve`, `solve_F`) and the
 flat biLaplacian-shift L0^2 - R*L0 for every fourth-order operator at
 weight R (`solve_shifted`, `newton_linear_solve`, `extreme_eigenvalue`).
-The only settings are SolverConfig's two tolerances: the Newton
-residual target, which `engine` reads, and the Krylov one.  Iteration
+The only settings are the two tolerances of `config.SolverConfig`: the
+Newton residual target, which `engine` reads, and the Krylov one.  Iteration
 caps are module constants.
 
 Two hypotheses of the construction have one check each, where the
@@ -46,7 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IterationLimitError, PreconditionError, SolvabilityError
+from .config import SolverConfig
+from .errors import IterationLimitError, PreconditionError, SolvabilityError
 from .geometry import (
     HermitianFormField,
     KahlerStructure,
@@ -57,23 +58,6 @@ from .geometry import (
 )
 from .grid import ScalarField, inverse_symbol, sobolev_weight
 from .operators import LinearOperatorHandle
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """The tolerances of every solve: newton_tol, the residual sup that
-    `engine.newton_solve` accepts, and krylov_tol, the relative residual
-    target of one CG or GMRES solve in the volume-weighted RMS norm.
-    Both lie in (0, 1); DomainError otherwise."""
-
-    newton_tol: float = 1e-9
-    krylov_tol: float = 1e-10
-
-    def __post_init__(self):
-        for name in ("newton_tol", "krylov_tol"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise DomainError(f"{name} must lie in (0, 1), got {value}")
 
 
 @dataclass(frozen=True)

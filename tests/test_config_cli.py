@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import assume, given, strategies as st
 
 import twistk.engine as engine
@@ -326,9 +327,10 @@ class TestCommandLine:
         assert float(row.split(",")[3]) <= 1e-9
         summary = json.loads((out / "summary.json").read_text())
         assert summary["converged"] is True
-        # the run names the transform module it loaded
+        # the run names the transform module it loaded and scipy's version
         versions = json.loads((out / "manifest.json").read_text())["versions"]
         assert versions["pocketfft"] == POCKETFFT_SOURCE
+        assert versions["scipy"] == scipy.__version__
         assert (POCKETFFT_SOURCE == "scipy.fft._pocketfft"
                 or Path(POCKETFFT_SOURCE).name.startswith("pypocketfft."))
         assert (out / "fields" / "potential.bin").exists()

@@ -121,6 +121,14 @@ class TestPocketfftLoaders:
                                     workers=workers)
         assert back.dtype == expected.dtype and np.array_equal(back, expected)
 
+    def test_scipy_version_is_read_from_its_file(self, monkeypatch):
+        assert grid_module.scipy_version() == scipy.__version__
+        assert "scipy_version" not in sys.modules
+        # where scipy lays the file out elsewhere, the version comes from
+        # `import scipy`
+        monkeypatch.setattr(grid_module, "_scipy_file", lambda *parts: Path("absent", *parts))
+        assert grid_module.scipy_version() == scipy.__version__
+
     @pytest.mark.parametrize("count", [0, -2])
     def test_worker_count_below_one_is_refused(self, count):
         before = fft_workers()

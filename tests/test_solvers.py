@@ -337,9 +337,10 @@ class TestNewtonLinearSolve:
         assert sup_norm(delta - direct) <= 1e-8 * sup_norm(direct)
 
 
-def _modules_after_import(modules: str, prefix: str) -> str:
-    """The sorted names starting with prefix that a fresh interpreter has
-    loaded after `import <modules>`, as printed."""
+def _modules_after_import(modules: str, prefix: str | tuple[str, ...]) -> str:
+    """The sorted names starting with prefix (or one of a tuple of
+    prefixes) that a fresh interpreter has loaded after
+    `import <modules>`, as printed."""
     src = Path(twistk.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run(
@@ -356,16 +357,16 @@ def _modules_after_import(modules: str, prefix: str) -> str:
 _RANDOM_AND_FFT = ("numpy.random", "secrets", "hashlib", "_hashlib", "numpy.fft")
 
 
-def _modules_added_by(code: str) -> list[str]:
-    """The sorted names of _RANDOM_AND_FFT that a fresh interpreter loads
-    running code after `import numpy`; numpy 1.x loads some of them in
-    `import numpy` itself."""
+def _modules_added_by(code: str, prefixes: tuple[str, ...] = _RANDOM_AND_FFT) -> str:
+    """The sorted names starting with one of prefixes that a fresh
+    interpreter loads running code after `import numpy`, as printed;
+    numpy 1.x loads some of _RANDOM_AND_FFT in `import numpy` itself."""
     src = Path(twistk.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run(
         [sys.executable, "-c",
          "import sys, numpy\nbefore = set(sys.modules)\n" + code + "\n"
-         f"print(sorted(m for m in set(sys.modules) - before if m.startswith({_RANDOM_AND_FFT!r})))"],
+         f"print(sorted(m for m in set(sys.modules) - before if m.startswith({prefixes!r})))"],
         capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout.strip().splitlines()[-1]
@@ -384,20 +385,31 @@ def test_the_eigen_stage_loads_no_random_or_fft_module():
     assert _modules_added_by(code) == "[]"
 
 
-def test_a_single_solve_loads_no_random_or_fft_module(tmp_path):
-    code = "\n".join([
+def _single_solve_16(out: Path) -> str:
+    """Code that runs a 16x16 single_solve into out and checks its exit."""
+    return "\n".join([
         "from twistk.config import parse_config",
         "from twistk.runner import run_scenario",
         "cfg = parse_config('{\"scenario\": \"single_solve\", \"sizes\": [16, 16], '",
-        f"                  '\"out\": \"{tmp_path.as_posix()}\"}}')",
+        f"                  '\"out\": \"{out.as_posix()}\"}}')",
         "assert run_scenario(cfg) == 0"])
-    assert _modules_added_by(code) == "[]"
+
+
+def test_a_single_solve_loads_no_random_or_fft_module(tmp_path):
+    assert _modules_added_by(_single_solve_16(tmp_path)) == "[]"
+
+
+def test_a_single_solve_loads_no_scipy_module(tmp_path):
+    # the grid loads scipy's pocketfft file by path, and the manifest
+    # reads scipy's version from its version.py the same way
+    assert _modules_added_by(_single_solve_16(tmp_path), ("scipy",)) == "[]"
 
 
 def test_import_loads_no_sparse_module():
     # the Newton GMRES is solvers' own, so scipy.sparse stays out of
-    # every process that imports twistk
-    assert _modules_after_import("twistk", "scipy.sparse") == "[]"
+    # every process that imports twistk; the package resolves its
+    # exports on first access, so import every layer
+    assert _modules_after_import("twistk.runner, twistk.cli", "scipy.sparse") == "[]"
 
 
 def test_runner_import_loads_no_dense_linear_algebra():
@@ -421,6 +433,18 @@ def test_setup_imports_load_no_scipy_module():
     # what a benchmark set-up probe imports runs no `import scipy`
     assert _modules_after_import("twistk.config, twistk.geometry, twistk.grid",
                                  "scipy") == "[]"
+
+
+# every layer that parsing a config and building the forms does not need
+_SOLVER_STACK = ("twistk.engine", "twistk.operators", "twistk.solvers", "twistk.runner",
+                 "twistk.oracles", "twistk.fieldio", "twistk.cli")
+
+
+def test_setup_imports_load_no_solver_module():
+    # config holds the solve tolerances and the ladder bound itself, and
+    # the package resolves its exports on first access
+    assert _modules_after_import("twistk.config, twistk.geometry, twistk.grid",
+                                 _SOLVER_STACK) == "[]"
 
 
 class TestSolverConfig:
