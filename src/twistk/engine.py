@@ -288,9 +288,14 @@ def newton_solve(K0: KahlerStructure, alpha: HermitianFormField, R: float,
     _MAX_NEWTON iterations above cfg.newton_tol (IterationLimitError)
     and a DegenerateMetricError return converged=False with the error as
     "<class>: <message>" in the report's message.
+
+    Each trial potential is phi + scale * delta made mean zero, with phi
+    the current iterate's potential: at the first step a mean-zero copy
+    of K0's, made after the linear solve, and after it the accepted
+    iterate's own, which is already mean zero.  Neither phi nor the last
+    step's delta is alive through the next linear solve.
     """
     K = K0
-    phi = euclid_mean_zero(K0.potential)
     residual, const = twisted_residual(K, alpha, R)
     rsup = start_sup = sup_norm(residual.values)
     history: list[dict] = []
@@ -311,6 +316,9 @@ def newton_solve(K0: KahlerStructure, alpha: HermitianFormField, R: float,
             # alive through the solve
             delta, lin_info = newton_linear_solve(K, alpha, R, residual.values, cfg)
             np.negative(delta, out=delta)
+            # K0's mean-zero copy is made after the solve, so that it is
+            # not alive through it
+            phi = K.potential if it > 1 else euclid_mean_zero(K0.potential)
             scale = 1.0
             while True:
                 if scale < _MIN_STEP:
@@ -328,7 +336,8 @@ def newton_solve(K0: KahlerStructure, alpha: HermitianFormField, R: float,
                 if sup_new <= (1.0 - _ARMIJO * scale) * rsup:
                     break
                 scale *= 0.5
-            phi = K_new.potential
+            # the next step's solve reads neither
+            del phi, delta
             K = K_new
             residual, const = res_new, const_new
             rsup = sup_new

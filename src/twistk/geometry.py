@@ -8,10 +8,10 @@ components derived once.  A Kahler metric is the positive case:
 
     g_{j kbar} = g0_{j kbar} + d/dz_j d/dzbar_k phi
 
-are positive definite, with its pointwise algebra (det g, inverse,
-Ricci and scalar curvature) held as attributes; the components
-themselves and log det g, which no solve reads, are computed on each
-read.  The volume form weights
+are positive definite, with its pointwise algebra (det g, inverse and
+Ricci curvature) held as attributes; the components themselves and
+log det g, which no solve reads, and the scalar curvature, one trace of
+the held fields, are computed on each read.  The volume form weights
 the uniform quadrature by det g; `volume_average`, `volume_mean_zero`
 and `volume_rms` are the volume products the solvers and operators use.
 A form checks its class matrix Hermitian and a structure checks it
@@ -225,14 +225,17 @@ class KahlerStructure(HermitianFormField):
     definite, and construction fails with the offending grid point if the
     metric is not finite and positive definite everywhere.  A structure
     holds `potential`, the volume weight det g (`weight`) and the inverse
-    (`inverse_stack`), fields set at construction, and `ricci` and
-    `scalar`, cached properties computed on first use; every held field
-    is real, a scalar field or a Hermitian stack.  The metric's own
-    `stack` (so `comps` and `min_eigenvalue`) and `log_det` are computed
-    on each read and not held: once the inverse is formed no solve reads
-    the stack, only reports, oracles and tests do, and only `ricci`, once,
-    and `ricci_form` read `log_det`.  A read of `stack` makes the kernel
-    calls of construction, so it has their bits.
+    (`inverse_stack`), fields set at construction, and `ricci`, a cached
+    property computed on first use; every held field is real, a scalar
+    field or a Hermitian stack.  The metric's own `stack` (so `comps` and
+    `min_eigenvalue`), `log_det` and the scalar curvature `scalar` are
+    computed on each read and not held: once the inverse is formed no
+    solve reads the stack, only reports, oracles and tests do; only
+    `ricci`, once, and `ricci_form` read `log_det`; and `scalar` is one
+    pointwise trace of the held inverse and Ricci stacks, which a
+    residual and a `shifted` handle build read once each.  A read of
+    `stack` makes the kernel calls of construction, so it has their
+    bits.
     """
 
     weight: np.ndarray = field(init=False, repr=False, compare=False)
@@ -282,8 +285,10 @@ class KahlerStructure(HermitianFormField):
         stack = grid.derivatives(self.log_det, grid.hessian_stack)
         return np.negative(stack, out=stack)
 
-    @functools.cached_property
+    @property
     def scalar(self) -> np.ndarray:
+        """Scalar curvature tr(P Ric), computed on each read from the
+        cached Ricci stack."""
         return stack_trace(self.grid, self.inverse_stack, self.ricci)
 
 

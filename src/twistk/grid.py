@@ -29,7 +29,7 @@ which scipy's import spec gives, so that no scipy module at all (no
 lays that file out elsewhere, the extension is imported through
 `scipy.fft`.  The coefficients are those of `scipy.fft`, bit for bit.
 `scipy_version` reads the run manifest's scipy version from scipy's
-`version.py` in the same way, by file path.
+`version.py` in the same way, by file path, once per process.
 
 Every spectral derivative, flat solve and Sobolev weight goes through
 one half-spectrum kernel, `PeriodicGrid.derivatives`: one forward
@@ -154,10 +154,11 @@ def _load_pocketfft():
     return _load_file("pypocketfft", path), str(path)
 
 
+@functools.cache
 def scipy_version() -> str:
     """`scipy.__version__`, read from scipy's `version.py` by file path
     so that no scipy module is imported, or through `import scipy` when
-    the file is absent."""
+    the file is absent; read once per process."""
     path = _scipy_file("version.py")
     if not path.is_file():
         import scipy

@@ -110,7 +110,9 @@ def _spd_preconditioner(K: KahlerStructure, R: float | None):
     coefficients are w^-k times the flat ones (Lap_omega = Lap_0 / det g
     at n = 1, up to the constant det g0), the second-order map is its
     exact inverse and the fourth-order one inverts its frozen principal
-    symbol.
+    symbol.  The map holds sqrt(w) only, beside the structure's w, and
+    forms w * sqrt(w) in each fourth-order application, one product more
+    per call.
     """
     grid = K.grid
     # `flat_laplacian_symbol` of the class matrix the structure has checked
@@ -119,9 +121,9 @@ def _spd_preconditioner(K: KahlerStructure, R: float | None):
     inv_mult = inverse_symbol(symbol)
     w = K.weight
     outer = None if R is None else np.sqrt(w)
-    inner = w if outer is None else w * outer
 
     def apply(r: np.ndarray) -> np.ndarray:
+        inner = w if outer is None else w * outer
         z = grid.derivatives(inner * r, inv_mult)
         return volume_mean_zero(K, z if outer is None else outer * z)
 
@@ -145,7 +147,10 @@ def _pcg(apply_A, b: np.ndarray, K: KahlerStructure, tol: float, apply_M,
     has a solve that stops on a refresh; their r is the certificate.  A
     solve of k >= 2 iterations thus makes k + 1 operator applications,
     plus one per refresh and per failed certificate, and a one-step
-    solve makes one.
+    solve makes one.  The start x = 0 is the scalar 0.0 and r and p
+    start as b and the first M r, not as copies: no update writes them
+    in place.  A p and M r are dropped at their last read, so an
+    application holds b, x, r and p beside its own temporaries.
     """
     w = K.weight
 
@@ -158,12 +163,15 @@ def _pcg(apply_A, b: np.ndarray, K: KahlerStructure, tol: float, apply_M,
     def residual(x):
         return volume_mean_zero(K, b - apply_A(x))
 
-    x = np.zeros_like(b)
     if bnorm == 0.0:
-        return x, {"iterations": 0, "residual": 0.0, "history": []}
-    r = b.copy()
+        return np.zeros_like(b), {"iterations": 0, "residual": 0.0, "history": []}
+    # x = 0 is the scalar, so the first update 0.0 + alpha p has the bits
+    # of a zero field's without one; r and p are rebound, never written
+    # in place, so they start as b and z themselves
+    x = 0.0
+    r = b
     z = apply_M(r)
-    p = z.copy()
+    p = z
     rz = dot(r, z)
     history: list[float] = []
     for i in range(1, _KRYLOV_MAXITER + 1):
@@ -176,6 +184,9 @@ def _pcg(apply_A, b: np.ndarray, K: KahlerStructure, tol: float, apply_M,
         alpha = rz / pAp
         x = x + alpha * p
         r = r - alpha * Ap
+        # A p and, below, M r are dropped at their last read, so that
+        # neither is alive through the next application
+        del Ap
         refreshed = i % _CG_REFRESH == 0
         if refreshed:
             r = residual(x)
@@ -194,6 +205,7 @@ def _pcg(apply_A, b: np.ndarray, K: KahlerStructure, tol: float, apply_M,
         z = apply_M(r)
         rz_new = dot(r, z)
         p = z + (rz_new / rz) * p
+        del z
         rz = rz_new
     raise IterationLimitError(
         f"{what}: no convergence within {_KRYLOV_MAXITER} iterations "
@@ -210,19 +222,23 @@ def _gmres(apply_A, b: np.ndarray, K: KahlerStructure, tol: float, apply_M,
     Gram-Schmidt in <u, v> = sum(u v det g), and Givens rotations keep
     the least-squares residual, which in exact arithmetic is the true
     residual's weighted norm, as a running estimate.  The start is
-    x = 0, so r = b costs no application.  Only the Arnoldi basis V is
-    kept, at most _GMRES_RESTART + 1 fields: every caller passes the
-    fixed linear map of `_spd_preconditioner`, so a cycle's update is
-    x += M (V y), one preconditioner application, and no preconditioned
-    basis is held beside V (a variable preconditioner would need it
-    back).  A cycle ends when the estimate reaches tol / 10 relative to
+    x = 0, the scalar 0.0 and not a zero field, so r = b costs no
+    application and the first cycle holds no iterate.  Only the Arnoldi
+    basis V is kept, at most _GMRES_RESTART + 1 fields: every caller
+    passes the fixed linear map of `_spd_preconditioner`, so a cycle's
+    update is x += M (V y), one preconditioner application, and no
+    preconditioned basis is held beside V (a variable preconditioner
+    would need it back).  A cycle ends when the estimate reaches tol / 10 relative to
     ||b||, when _KRYLOV_MAXITER iterations are spent, or after
     _GMRES_RESTART iterations; one true residual then certifies x at
     <= 10 * tol, or restarts the next cycle from it.  A one-cycle solve
     of k iterations thus makes k + 1 operator and k + 1 preconditioner
     applications, plus one of each per extra cycle.  IterationLimitError
     carries one residual estimate per iteration.  apply_A returns a fresh
-    field, which the Gram-Schmidt update overwrites in place.
+    field, which the Gram-Schmidt update overwrites in place and which
+    is dropped once its normalised copy joins V, so an application holds
+    V, b, x after the first cycle and the preconditioned field beside
+    its own temporaries.
     """
     w = K.weight
 
@@ -231,9 +247,11 @@ def _gmres(apply_A, b: np.ndarray, K: KahlerStructure, tol: float, apply_M,
 
     b = volume_mean_zero(K, b)
     bnorm = math.sqrt(dot(b, b))
-    x = np.zeros_like(b)
     if bnorm == 0.0:
-        return x, {"iterations": 0, "residual": 0.0, "history": []}
+        return np.zeros_like(b), {"iterations": 0, "residual": 0.0, "history": []}
+    # x = 0 is the scalar: the first cycle's 0.0 + M (V y) has the bits of
+    # a zero field's update without one alive through the cycle
+    x = 0.0
     target = 0.1 * tol
     history: list[float] = []
     r, beta = b, bnorm
@@ -261,6 +279,8 @@ def _gmres(apply_A, b: np.ndarray, K: KahlerStructure, tol: float, apply_M,
             cs[j], sn[j] = H[j, j] / rho, H[j + 1, j] / rho
             if H[j + 1, j] != 0.0:
                 V.append(t / H[j + 1, j])
+            # so that it is not alive through the next application
+            del t
             H[j, j], H[j + 1, j] = rho, 0.0
             g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]
             history.append(abs(g[j + 1]) / bnorm)

@@ -23,6 +23,7 @@ from twistk import (
     volume_average,
     volume_mean_zero,
 )
+from twistk.engine import twisted_residual
 from twistk.errors import DegenerateMetricError, DomainError
 import twistk.geometry as geometry
 from twistk.grid import (euclid_mean_zero, hermitian_stack, hessian, holo_gradient,
@@ -424,23 +425,24 @@ class TestStructureMemory:
     def test_every_cached_field_is_real(self, complex_class_pair):
         # after the Ricci and scalar curvature and a handle build, every
         # grid field the structure holds is real float64: a scalar field
-        # or a Hermitian stack of leading length n^2
+        # or a Hermitian stack of leading length n^2; the scalar curvature
+        # is read, not held
         K, alpha = complex_class_pair
         K.scalar
         LinearOperatorHandle("full_linearization", K, alpha, 2.0)
         shape = K.grid.shape
         held = {name: value for name, value in vars(K).items()
                 if name not in ("grid", "base_matrix")}
-        assert set(held) == {"potential", "weight", "inverse_stack", "ricci", "scalar"}
+        assert set(held) == {"potential", "weight", "inverse_stack", "ricci"}
         for name, array in held.items():
             assert array.dtype == np.float64, name
             assert array.shape in (shape, (K.n * K.n,) + shape), name
 
     def test_a_structure_holds_its_potential_weight_inverse_and_curvature(self, grid8x4):
         # at n = 2: the potential and det g (1 field each) and the inverse
-        # (4), 6 fields, then the Ricci stack (4) and the scalar curvature
-        # (1), 11; holding the metric's stack too made 10 and 15.  2 KiB is
-        # for the Python objects, which do not grow with the grid
+        # (4), 6 fields, then the Ricci stack (4), 10; holding the scalar
+        # curvature too made 11, and the metric's stack too 10 and 15.
+        # 2 KiB is for the Python objects, which do not grow with the grid
         phi = random_smooth_field(grid8x4, np.random.default_rng(31), amplitude=0.05).values
         field = grid8x4.npoints * 8
         # the first build caches the grid's stacks
@@ -452,7 +454,7 @@ class TestStructureMemory:
                 K.scalar
             return K
 
-        for curvature, fields in ((False, 6), (True, 11)):
+        for curvature, fields in ((False, 6), (True, 10)):
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
@@ -475,6 +477,20 @@ class TestStructureMemory:
         assert K.comps.tobytes() == form.comps.tobytes()
         assert K.min_eigenvalue() == form.min_eigenvalue()
         assert "stack" not in vars(K)
+
+    @pytest.mark.parametrize("n, sizes", [(1, (16, 12)), (2, (6, 8, 4, 6))])
+    def test_the_scalar_curvature_is_read_not_held(self, n, sizes):
+        # a residual reads it once; each read is the trace of the held
+        # inverse and Ricci stacks, with its bits
+        grid = PeriodicGrid(n, sizes)
+        K, alpha = random_pair(grid, np.random.default_rng(43), kmax=2)
+        twisted_residual(K, alpha, 3.0)
+        assert "scalar" not in vars(K)
+        expected = geometry.stack_trace(grid, K.inverse_stack, K.ricci).tobytes()
+        first, second = K.scalar, scalar_curvature(K).values
+        assert first is not second
+        assert first.tobytes() == second.tobytes() == expected
+        assert "scalar" not in vars(K)
 
     def test_matvec_in_place_keeps_the_bits_of_its_expressions(self, grid8x4):
         # each component in the order of its numpy expression, through one
@@ -534,7 +550,8 @@ class TestStructureMemory:
         assert (laplacian(K, ScalarField(grid, v)).values.tobytes()
                 == paired(K.inverse_stack, batched_hessian(v)).tobytes())
 
-    def test_curvature_is_computed_once(self, grid32, monkeypatch):
+    def test_ricci_is_computed_once_and_the_scalar_on_each_read(self, grid32,
+                                                                monkeypatch):
         K = seed_structure(grid32, [(0.3, (1, 0), 0.0)])
         traces = []
 
@@ -544,6 +561,7 @@ class TestStructureMemory:
 
         monkeypatch.setattr(geometry, "stack_trace", counted)
         assert K.ricci is K.ricci
-        assert K.scalar is K.scalar
-        assert scalar_curvature(K).values is K.scalar
-        assert len(traces) == 1
+        assert K.scalar is not K.scalar
+        assert scalar_curvature(K).values.tobytes() == K.scalar.tobytes()
+        assert len(traces) == 4
+        assert all(args[2] is K.ricci for args in traces)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import sys
 from pathlib import Path
 
@@ -122,12 +123,39 @@ class TestPocketfftLoaders:
         assert back.dtype == expected.dtype and np.array_equal(back, expected)
 
     def test_scipy_version_is_read_from_its_file(self, monkeypatch):
+        # the version is cached per process; each case reads it afresh
+        monkeypatch.setattr(grid_module, "scipy_version",
+                            grid_module.scipy_version.__wrapped__)
         assert grid_module.scipy_version() == scipy.__version__
         assert "scipy_version" not in sys.modules
         # where scipy lays the file out elsewhere, the version comes from
         # `import scipy`
         monkeypatch.setattr(grid_module, "_scipy_file", lambda *parts: Path("absent", *parts))
         assert grid_module.scipy_version() == scipy.__version__
+
+    def test_scipy_version_is_read_once_per_process(self, tmp_path, monkeypatch):
+        # every run_scenario call writes a manifest; only the first runs
+        # scipy's version.py
+        from twistk.config import parse_config
+        from twistk.runner import run_scenario
+
+        loads = []
+        load_file = grid_module._load_file
+
+        def counting(name, path):
+            loads.append(name)
+            return load_file(name, path)
+
+        monkeypatch.setattr(grid_module, "_load_file", counting)
+        grid_module.scipy_version.cache_clear()
+        for run in range(3):
+            out = tmp_path / f"run{run}"
+            cfg = parse_config(json.dumps({"scenario": "single_solve", "sizes": [16, 16],
+                                           "out": str(out)}))
+            assert run_scenario(cfg) == 0
+            versions = json.loads((out / "manifest.json").read_text())["versions"]
+            assert versions["scipy"] == scipy.__version__
+        assert loads == ["scipy_version"]
 
     @pytest.mark.parametrize("count", [0, -2])
     def test_worker_count_below_one_is_refused(self, count):

@@ -41,6 +41,7 @@ from twistk.grid import euclid_mean_zero, make_trig_field, random_smooth_field, 
 from twistk.operators import LinearOperatorHandle, dense_assemble
 from twistk.oracles import dense_spectrum
 import twistk
+import twistk.engine as engine
 import twistk.solvers as solvers
 
 from conftest import EYE1, EYE2, random_pair, seed_structure
@@ -834,3 +835,312 @@ class TestInverseNormEstimate:
         again = inverse_norm_estimate(flat32, alpha_flat32, 10.0)
         assert 1.0 <= sigma <= 16.0
         assert sigma == again
+
+
+# Reference copies of the Krylov loops and the preconditioner map as they
+# were before each field was dropped at its last read: a zero-field start,
+# copies of b and M r, A p, M r and the Gram-Schmidt field kept to their
+# rebinding, and w * sqrt(w) held by the map.  The solvers must keep
+# their bits.
+
+def _reference_preconditioner(K, R):
+    grid = K.grid
+    L0 = grid.hessian_symbol(np.linalg.inv(K.base_matrix))
+    symbol = -L0 if R is None else L0 * L0 - R * L0
+    inv_mult = twistk.grid.inverse_symbol(symbol)
+    w = K.weight
+    outer = None if R is None else np.sqrt(w)
+    inner = w if outer is None else w * outer
+
+    def apply(r):
+        z = grid.derivatives(inner * r, inv_mult)
+        return volume_mean_zero(K, z if outer is None else outer * z)
+
+    return apply
+
+
+def _reference_pcg(apply_A, b, K, tol, apply_M, what):
+    w = K.weight
+
+    def dot(u, v):
+        return float(np.sum(u * v * w))
+
+    b = volume_mean_zero(K, b)
+    bnorm = volume_rms(K, b)
+
+    def residual(x):
+        return volume_mean_zero(K, b - apply_A(x))
+
+    x = np.zeros_like(b)
+    if bnorm == 0.0:
+        return x, {"iterations": 0, "residual": 0.0, "history": []}
+    r = b.copy()
+    z = apply_M(r)
+    p = z.copy()
+    rz = dot(r, z)
+    history = []
+    for i in range(1, solvers._KRYLOV_MAXITER + 1):
+        Ap = apply_A(p)
+        pAp = dot(p, Ap)
+        if pAp <= 0.0:
+            raise IterationLimitError(f"{what}: non-positive curvature", history)
+        alpha = rz / pAp
+        x = x + alpha * p
+        r = r - alpha * Ap
+        refreshed = i % solvers._CG_REFRESH == 0
+        if refreshed:
+            r = residual(x)
+        res = volume_rms(K, r) / bnorm
+        history.append(res)
+        if res <= tol:
+            if i > 1 and not refreshed:
+                r = residual(x)
+                res = volume_rms(K, r) / bnorm
+            if res <= 10.0 * tol:
+                return volume_mean_zero(K, x), {"iterations": i, "residual": res,
+                                                "history": history}
+        z = apply_M(r)
+        rz_new = dot(r, z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise IterationLimitError(f"{what}: no convergence", history)
+
+
+def _reference_gmres(apply_A, b, K, tol, apply_M, what):
+    w = K.weight
+
+    def dot(u, v):
+        return float(np.sum(u * v * w))
+
+    restart = solvers._GMRES_RESTART
+    b = volume_mean_zero(K, b)
+    bnorm = math.sqrt(dot(b, b))
+    x = np.zeros_like(b)
+    if bnorm == 0.0:
+        return x, {"iterations": 0, "residual": 0.0, "history": []}
+    target = 0.1 * tol
+    history = []
+    r, beta = b, bnorm
+    while True:
+        V = [r / beta]
+        H = np.zeros((restart + 1, restart))
+        cs = np.zeros(restart)
+        sn = np.zeros(restart)
+        g = np.zeros(restart + 1)
+        g[0] = beta
+        for j in range(restart):
+            t = apply_A(apply_M(V[j]))
+            for i in range(j + 1):
+                H[i, j] = dot(t, V[i])
+                t -= H[i, j] * V[i]
+            H[j + 1, j] = math.sqrt(dot(t, t))
+            for i in range(j):
+                H[i, j], H[i + 1, j] = (cs[i] * H[i, j] + sn[i] * H[i + 1, j],
+                                        cs[i] * H[i + 1, j] - sn[i] * H[i, j])
+            rho = math.hypot(H[j, j], H[j + 1, j])
+            if rho == 0.0:
+                raise IterationLimitError(f"{what}: breakdown", history)
+            cs[j], sn[j] = H[j, j] / rho, H[j + 1, j] / rho
+            if H[j + 1, j] != 0.0:
+                V.append(t / H[j + 1, j])
+            H[j, j], H[j + 1, j] = rho, 0.0
+            g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]
+            history.append(abs(g[j + 1]) / bnorm)
+            if history[-1] <= target or len(history) == solvers._KRYLOV_MAXITER:
+                break
+        k = j + 1
+        y = np.linalg.solve(H[:k, :k], g[:k])
+        x = x + apply_M(sum(yi * vi for yi, vi in zip(y, V)))
+        r = volume_mean_zero(K, b - apply_A(x))
+        beta = math.sqrt(dot(r, r))
+        true_res = beta / bnorm
+        stopped = history[-1] <= target or len(history) == solvers._KRYLOV_MAXITER
+        if true_res <= (10.0 * tol if stopped else target):
+            return volume_mean_zero(K, x), {"iterations": len(history),
+                                            "residual": true_res, "history": history}
+        if len(history) == solvers._KRYLOV_MAXITER:
+            raise IterationLimitError(f"{what}: no convergence", history)
+
+
+def _two_grid_start(grid, R=8.0):
+    """The threshold workload's problem on grid: twist 0.2 cos x_1 on the
+    identity class, the start prolonged from a converged half-grid
+    Newton solve from the proportional seed."""
+    g0 = np.eye(grid.n, dtype=complex)
+    wavevector = (1,) + (0,) * (2 * grid.n - 1)
+    alpha = HermitianFormField.from_potential(
+        grid, g0, make_trig_field(grid, [(0.2, wavevector, 0.0)]).values)
+    start, coarse_iters, error = engine._half_grid_start(
+        grid, g0, euclid_mean_zero(alpha.potential), alpha, R, SolverConfig())
+    assert start is not None and coarse_iters > 0, error
+    return start, alpha, R
+
+
+def _traced_peak(run) -> int:
+    """Peak bytes that run() allocates above what is live when it starts."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestHeldFields:
+    """At 8^4, n = 2, each Krylov and Newton field is held only until its
+    last read.  Counts are of 8^4 float fields; each bound lies between
+    the level measured here and that of loops holding the fields its
+    comment names, a field or more above it."""
+
+    @staticmethod
+    def pointwise_problem(grid):
+        # a diagonal operator d v and the projection as M: each
+        # application makes two fields, so the solve's own fields show
+        pot = random_smooth_field(grid, np.random.default_rng(3), amplitude=0.1)
+        K = KahlerStructure(grid, EYE2, euclid_mean_zero(pot.values))
+        rhs = volume_mean_zero(K, random_smooth_field(
+            grid, np.random.default_rng(4), amplitude=1.0).values)
+        d = 1.0 + 0.2 * np.cos(0.37 * np.arange(grid.npoints).reshape(grid.shape))
+
+        def apply_A(v):
+            return volume_mean_zero(K, d * v)
+
+        def apply_M(v):
+            return volume_mean_zero(K, v)
+
+        return K, rhs, apply_A, apply_M
+
+    def test_a_newton_iteration_from_a_prolonged_start_peaks_below_26_fields(
+            self, grid8x4, monkeypatch):
+        # one fine iteration of 4 GMRES iterations peaks at 24.2 fields;
+        # a mean-zero start copy alive through the solve, a held scalar
+        # curvature, a zero-field GMRES start, the Gram-Schmidt field of
+        # the last iteration and a held w * sqrt(w) made 28.2
+        start, alpha, R = _two_grid_start(grid8x4)
+        monkeypatch.setattr(engine, "_MAX_NEWTON", 1)
+        assert newton_solve(start, alpha, R).iterations == 1
+        K0 = KahlerStructure(grid8x4, EYE2, start.potential.copy())
+        peak = _traced_peak(lambda: newton_solve(K0, alpha, R))
+        assert peak < 26 * grid8x4.npoints * 8
+        assert "scalar" not in vars(K0)
+
+    def test_gmres_holds_under_six_and_a_third_fields_beside_its_basis(self, grid8x4):
+        # one cycle of k iterations keeps k + 1 basis fields; beside them
+        # it peaks at 5.8 fields (b, the update's partial sums and the
+        # Hessenberg arrays), and a zero-field start made 6.8
+        K, rhs, apply_A, apply_M = self.pointwise_problem(grid8x4)
+        _, info = solvers._gmres(apply_A, rhs, K, 1e-10, apply_M, "gmres")
+        k = info["iterations"]
+        assert 2 < k < solvers._GMRES_RESTART
+        peak = _traced_peak(lambda: solvers._gmres(apply_A, rhs, K, 1e-10, apply_M,
+                                                   "gmres"))
+        assert peak < (k + 1 + 6.3) * grid8x4.npoints * 8
+
+    def test_pcg_peaks_under_seven_and_a_half_fields(self, grid8x4):
+        # b, x, r, z, p and an update's two temporaries: 7.0 fields over
+        # 11 iterations; keeping A p to its rebinding made 8.1
+        K, rhs, apply_A, apply_M = self.pointwise_problem(grid8x4)
+        _, info = solvers._pcg(apply_A, rhs, K, 1e-10, apply_M, "pcg")
+        assert info["iterations"] > 2
+        peak = _traced_peak(lambda: solvers._pcg(apply_A, rhs, K, 1e-10, apply_M, "pcg"))
+        assert peak < 7.5 * grid8x4.npoints * 8
+
+    def test_the_fourth_order_preconditioner_holds_sqrt_det_g_alone(self, grid8x4):
+        # sqrt(w) and the inverse symbol on the half spectrum, 1.65
+        # fields; holding w * sqrt(w) too made 2.65
+        K, _, _, _ = self.pointwise_problem(grid8x4)
+        solvers._spd_preconditioner(K, 3.0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            apply_M = solvers._spd_preconditioner(K, 3.0)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 2.1 * grid8x4.npoints * 8
+
+
+class TestReferenceLoops:
+    """The solvers keep the bits of the reference loops above."""
+
+    @staticmethod
+    def problems(grid32, grid8x4):
+        out = []
+        for grid in (grid32, grid8x4):
+            rng = np.random.default_rng(47)
+            K, alpha = random_pair(grid, rng, kmax=2)
+            rhs = random_smooth_field(grid, rng, amplitude=1.0, kmax=3).values
+            out.append((K, alpha, volume_mean_zero(K, rhs)))
+        return out
+
+    @pytest.mark.parametrize("R", [None, 0.0, 3.0])
+    def test_preconditioner_map_has_the_reference_bits(self, grid32, grid8x4, R):
+        for K, _, rhs in self.problems(grid32, grid8x4):
+            assert (solvers._spd_preconditioner(K, R)(rhs).tobytes()
+                    == _reference_preconditioner(K, R)(rhs).tobytes())
+
+    def test_cg_solves_have_the_reference_bits(self, grid32, grid8x4):
+        # the second-order and the shifted solves, and at n = 1 a twist
+        # solve: the n = 1 second-order solves take one step, whose x is
+        # the first update alone, and the others several
+        steps = []
+        for K, alpha, rhs in self.problems(grid32, grid8x4):
+            cases = [(lambda v, K=K: K.grid.hessian_trace(K.inverse_stack, v), None)]
+            shifted = LinearOperatorHandle("shifted", K, alpha, 3.0, mean_zero=True)
+            cases.append((shifted.apply, 3.0))
+            if K.n == 1:
+                c = 2.0
+                own = HermitianFormField.from_potential(K.grid, c * K.base_matrix,
+                                                        c * K.potential)
+                cases.append((LinearOperatorHandle("twist", K, own, mean_zero=True).apply,
+                              None))
+            for apply_A, R in cases:
+                def negated(v, apply_A=apply_A):
+                    return -apply_A(v)
+
+                x, info = solvers._pcg(negated, -rhs, K, 1e-10,
+                                       solvers._spd_preconditioner(K, R), "pcg")
+                ref, ref_info = _reference_pcg(negated, -rhs, K, 1e-10,
+                                               _reference_preconditioner(K, R), "pcg")
+                assert x.tobytes() == ref.tobytes()
+                assert info == ref_info
+                steps.append(info["iterations"])
+        assert steps[0] == steps[2] == 1 and min(steps[1], *steps[3:]) > 2, steps
+
+    @pytest.mark.parametrize("restart", [None, 3])
+    def test_gmres_solves_have_the_reference_bits(self, grid32, grid8x4, restart,
+                                                  monkeypatch):
+        if restart is not None:
+            monkeypatch.setattr(solvers, "_GMRES_RESTART", restart)
+        for K, alpha, rhs in self.problems(grid32, grid8x4):
+            handle = LinearOperatorHandle("full_linearization", K, alpha, 5.0,
+                                          mean_zero=True)
+            apply_M = solvers._spd_preconditioner(K, 5.0)
+            ref_M = _reference_preconditioner(K, 5.0)
+            x, info = solvers._gmres(handle.apply, rhs, K, 1e-10,
+                                     lambda v: -apply_M(v), "gmres")
+            ref, ref_info = _reference_gmres(handle.apply, rhs, K, 1e-10,
+                                             lambda v: -ref_M(v), "gmres")
+            assert info["iterations"] > (2 if restart is None else restart)
+            assert x.tobytes() == ref.tobytes()
+            assert info == ref_info
+
+    def test_newton_iterates_have_the_reference_bits(self, grid32, grid8x4, monkeypatch):
+        # the 8^4 two-grid start (one fine iteration; at 32^2 the
+        # prolonged start has already converged) and the proportional
+        # seeds at 32^2 and 8^4 (two iterations each)
+        starts = [_two_grid_start(grid8x4)]
+        for grid in (grid32, grid8x4):
+            _, alpha, R = _two_grid_start(grid)
+            seed = KahlerStructure(grid, alpha.base_matrix, euclid_mean_zero(alpha.potential))
+            starts.append((seed, alpha, R))
+        reports = [newton_solve(K0, alpha, R) for K0, alpha, R in starts]
+        monkeypatch.setattr(solvers, "_gmres", _reference_gmres)
+        monkeypatch.setattr(solvers, "_spd_preconditioner", _reference_preconditioner)
+        for (K0, alpha, R), report, iterations in zip(starts, reports, (1, 2, 2)):
+            ref = newton_solve(K0, alpha, R)
+            assert report.converged and report.iterations == iterations
+            assert report.history == ref.history
+            assert report.structure.potential.tobytes() == ref.structure.potential.tobytes()
+            assert report.residual_sup == ref.residual_sup
